@@ -21,11 +21,11 @@ import (
 	"fmt"
 	"os"
 
-	"iamdb/internal/core"
 	"iamdb/internal/corrupt"
 	"iamdb/internal/kv"
 	"iamdb/internal/manifest"
 	"iamdb/internal/table"
+	"iamdb/internal/tableset"
 	"iamdb/internal/vfs"
 	"iamdb/internal/vlog"
 )
@@ -191,12 +191,17 @@ func dumpDB(dir string) {
 }
 
 func verifyDB(dir string) {
-	tr, err := core.Open(core.Config{FS: vfs.NewOSFS(), Dir: dir})
+	// Read-only and through the table-set substrate, so every level of
+	// any engine's directory is walked and nothing on disk is rewritten.
+	set, err := tableset.OpenReadOnly(tableset.Config{FS: vfs.NewOSFS(), Dir: dir})
 	if err != nil {
-		fatalf("open tree: %v", err)
+		fatalf("open table set: %v", err)
 	}
-	defer tr.Close()
-	rep, err := tr.DeepVerify()
+	defer set.Close()
+	rep, err := set.DeepVerify()
+	if err == nil {
+		err = set.CheckInvariants()
+	}
 	if err != nil {
 		fatalf("FAILED: %v\n(partial: %v)", err, rep)
 	}

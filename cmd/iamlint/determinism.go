@@ -15,6 +15,7 @@ var determinismScope = []string{
 	"internal/core",
 	"internal/harness",
 	"internal/metrics",
+	"internal/tableset", // the substrate under internal/core inherits its obligation
 	"internal/trace",
 	"internal/vfs",
 }

@@ -155,7 +155,13 @@ func canonicalName(p *pkg, x ast.Expr) string {
 	switch e := ast.Unparen(x).(type) {
 	case *ast.SelectorExpr:
 		if sel, ok := p.info.Selections[e]; ok {
+			// A field promoted through embedding belongs to the struct
+			// that declares it: t.Mu on a core.Tree embedding
+			// *tableset.Set is tableset.Set.Mu, one lock whoever embeds it.
 			recv := sel.Recv()
+			for _, i := range sel.Index()[:len(sel.Index())-1] {
+				recv = derefStruct(recv).Field(i).Type()
+			}
 			if ptr, isPtr := recv.(*types.Pointer); isPtr {
 				recv = ptr.Elem()
 			}
@@ -176,6 +182,15 @@ func canonicalName(p *pkg, x ast.Expr) string {
 		}
 	}
 	return p.name() + "." + types.ExprString(x)
+}
+
+// derefStruct returns the struct underlying t or *t; the type checker
+// guarantees one for every hop of a field selection's embedding path.
+func derefStruct(t types.Type) *types.Struct {
+	if ptr, isPtr := t.Underlying().(*types.Pointer); isPtr {
+		t = ptr.Elem()
+	}
+	return t.Underlying().(*types.Struct)
 }
 
 // displayLock strips the declaration-site tag from a local's

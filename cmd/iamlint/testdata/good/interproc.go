@@ -26,6 +26,17 @@ func (o *outer) nested(i *inner) {
 	o.mu.Unlock()
 }
 
+// wrapper embeds inner; its promoted mu is still inner.mu, so the
+// declared order above covers a lock taken through the embedding type.
+type wrapper struct{ *inner }
+
+func (o *outer) nestedPromoted(w *wrapper) {
+	o.mu.Lock()
+	w.mu.Lock()
+	w.mu.Unlock()
+	o.mu.Unlock()
+}
+
 // writeSyncEdit is the durability protocol syncorder enforces: table
 // data is synced before the manifest references it.
 func writeSyncEdit(fs vfs.FS, man *manifest.Log, it iterator.Iterator) error {

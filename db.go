@@ -74,23 +74,21 @@ func (e *BackgroundError) Error() string {
 // Unwrap returns the underlying cause.
 func (e *BackgroundError) Unwrap() error { return e.Err }
 
-// metaEngine is the extra contract both engines provide beyond
-// engine.Engine: durable WAL position tracking.
-type metaEngine interface {
-	engine.Engine
-	SetLogMeta(lastSeq kv.Seq, logNum uint64) error
-	LogMeta() (kv.Seq, uint64)
-}
-
 // DB is a key-value store.  All methods are safe for concurrent use.
 type DB struct {
 	opt    Options
 	dir    string
 	fs     vfs.FS
 	cache  *cache.Cache
-	eng    metaEngine
+	eng    engine.Engine
 	events *EventListener
 	clock  Clock
+	// settle and mixedLevel are the two engine-specific calls the DB
+	// layer makes, bound in openEngine where the concrete type is known:
+	// the baselines' DrainCompactions (nil for the trees, which settle
+	// inside Flush) and the trees' MixedLevel (nil for the baselines).
+	settle     func() error
+	mixedLevel func() (m, k int)
 	// timing enables the per-operation latency histograms.  It is set
 	// when the caller attached a listener or injected a clock — i.e.
 	// opted into observability — so the default configuration skips the
@@ -120,7 +118,7 @@ type DB struct {
 	// compaction pipeline while holding commitMu, so the engine locks
 	// (and through them the trace recorder and vfs locks) nest under it.
 	//
-	//iamlint:lockorder commitMu < qmu; commitMu < iamdb.DB.mu; iamdb.DB.mu < vfs.*; commitMu < trace.Recorder.mu; iamdb.DB.mu < trace.Recorder.mu; commitMu < core.Tree.mu; commitMu < lsm.DB.mu; commitMu < vlog.Log.mu; commitMu < vlog.Log.statsMu; qmu leaf
+	//iamlint:lockorder commitMu < qmu; commitMu < iamdb.DB.mu; iamdb.DB.mu < vfs.*; commitMu < trace.Recorder.mu; iamdb.DB.mu < trace.Recorder.mu; commitMu < tableset.Set.Mu; commitMu < vlog.Log.mu; commitMu < vlog.Log.statsMu; qmu leaf
 	qmu      sync.Mutex
 	pendingQ []*commitOp
 	commitMu sync.Mutex
@@ -416,7 +414,7 @@ func (db *DB) openEngine() error {
 		if err != nil {
 			return err
 		}
-		db.eng = tr
+		db.eng, db.mixedLevel = tr, tr.MixedLevel
 	case LevelDB, RocksDB:
 		profile := lsm.ProfileLevelDB
 		if db.opt.Engine == RocksDB {
@@ -433,7 +431,7 @@ func (db *DB) openEngine() error {
 		if err != nil {
 			return err
 		}
-		db.eng = d
+		db.eng, db.settle = d, d.DrainCompactions
 	default:
 		return fmt.Errorf("iamdb: unknown engine %v", db.opt.Engine)
 	}
@@ -917,11 +915,7 @@ func (db *DB) noteCorruption(err error) {
 	if !ok {
 		return
 	}
-	q, ok := db.eng.(engine.Quarantiner)
-	if !ok {
-		return
-	}
-	if q.Quarantine(num, ce.Error()) {
+	if db.eng.Quarantine(num, ce.Error()) {
 		db.corrQuarantined.Inc()
 		db.events.TableQuarantined(metrics.TableInfo{FileNum: num, Level: -1})
 	}
@@ -933,15 +927,13 @@ func (db *DB) noteCorruption(err error) {
 // mid-commit or a rotted footer) and manifest tail bytes dropped by
 // strict replay.  Runs once from Open, before workers start.
 func (db *DB) noteOpenSuspicion() {
-	if q, ok := db.eng.(engine.Quarantiner); ok {
-		for _, qi := range q.Quarantined() {
-			db.corrDetected.Inc()
-			db.corrQuarantined.Inc()
-			db.events.CorruptionDetected(metrics.CorruptionInfo{
-				Path: qi.Path, Layer: corrupt.LayerTableFooter, Offset: -1, Detail: qi.Reason,
-			})
-			db.events.TableQuarantined(metrics.TableInfo{FileNum: qi.FileNum, Level: qi.Level})
-		}
+	for _, qi := range db.eng.Quarantined() {
+		db.corrDetected.Inc()
+		db.corrQuarantined.Inc()
+		db.events.CorruptionDetected(metrics.CorruptionInfo{
+			Path: qi.Path, Layer: corrupt.LayerTableFooter, Offset: -1, Detail: qi.Reason,
+		})
+		db.events.TableQuarantined(metrics.TableInfo{FileNum: qi.FileNum, Level: qi.Level})
 	}
 	for _, wd := range db.walDrops {
 		db.corrDetected.Inc()
@@ -950,14 +942,12 @@ func (db *DB) noteOpenSuspicion() {
 			Detail: fmt.Sprintf("recovery truncated %d trailing bytes", wd.bytes),
 		})
 	}
-	if rd, ok := db.eng.(interface{ RecoveryDropped() int64 }); ok {
-		if n := rd.RecoveryDropped(); n > 0 {
-			db.corrDetected.Inc()
-			db.events.CorruptionDetected(metrics.CorruptionInfo{
-				Path: db.dir, Layer: corrupt.LayerManifest, Offset: -1,
-				Detail: fmt.Sprintf("manifest replay dropped %d trailing bytes", n),
-			})
-		}
+	if n := db.eng.RecoveryDropped(); n > 0 {
+		db.corrDetected.Inc()
+		db.events.CorruptionDetected(metrics.CorruptionInfo{
+			Path: db.dir, Layer: corrupt.LayerManifest, Offset: -1,
+			Detail: fmt.Sprintf("manifest replay dropped %d trailing bytes", n),
+		})
 	}
 }
 
@@ -1036,10 +1026,8 @@ func (db *DB) noteBgError(op string, err error) bool {
 	if enteredRO {
 		db.events.ReadOnlyEnter(metrics.ReadOnlyInfo{Cause: cause})
 	}
-	if r, ok := db.eng.(engine.Resumer); ok {
-		// Best-effort: a failed Resume is retried with the work itself.
-		_ = r.Resume()
-	}
+	// Best-effort: a failed Resume is retried with the work itself.
+	_ = db.eng.Resume()
 	if db.opt.BgBackoff != nil {
 		return db.opt.BgBackoff(try)
 	}
@@ -1175,10 +1163,8 @@ func (db *DB) Resume() error {
 		return ErrClosed
 	}
 	db.mu.Unlock()
-	if r, ok := db.eng.(engine.Resumer); ok {
-		if err := r.Resume(); err != nil {
-			return err
-		}
+	if err := db.eng.Resume(); err != nil {
+		return err
 	}
 	db.noteBgSuccess()
 	select {
@@ -1193,16 +1179,12 @@ func (db *DB) Resume() error {
 }
 
 // CheckInvariants asks the engine to validate its structural
-// invariants (crash-recovery tests use it as an oracle); engines
-// without a checker report nil.
+// invariants (crash-recovery tests use it as an oracle).
 func (db *DB) CheckInvariants() error {
 	if ss := db.shards; ss != nil {
 		return ss.fanout(func(kid *DB) error { return kid.CheckInvariants() })
 	}
-	if c, ok := db.eng.(engine.Checker); ok {
-		return c.CheckInvariants()
-	}
-	return nil
+	return db.eng.CheckInvariants()
 }
 
 // Get returns the value for key, or ErrNotFound.  The returned slice
@@ -1340,8 +1322,8 @@ func (db *DB) CompactAll() error {
 	if err := db.Flush(); err != nil {
 		return err
 	}
-	if d, ok := db.eng.(*lsm.DB); ok {
-		return d.DrainCompactions()
+	if db.settle != nil {
+		return db.settle()
 	}
 	return nil
 }
@@ -1354,8 +1336,8 @@ func (db *DB) MixedLevel() (m, k int) {
 	if ss := db.shards; ss != nil {
 		return ss.kids[0].MixedLevel()
 	}
-	if tr, ok := db.eng.(*core.Tree); ok {
-		return tr.MixedLevel()
+	if db.mixedLevel != nil {
+		return db.mixedLevel()
 	}
 	return 0, 0
 }
@@ -1439,8 +1421,5 @@ func (db *DB) ApproximateSize(start, limit []byte) int64 {
 		}
 		return total
 	}
-	if rs, ok := db.eng.(engine.RangeSizer); ok {
-		return rs.ApproximateSize(start, limit)
-	}
-	return 0
+	return db.eng.ApproximateSize(start, limit)
 }

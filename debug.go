@@ -10,8 +10,6 @@ import (
 	httppprof "net/http/pprof"
 	"runtime/pprof"
 	"time"
-
-	"iamdb/internal/engine"
 )
 
 // startDebugServer brings up the live introspection server on addr
@@ -208,12 +206,10 @@ func (db *DB) writeDebugLevels(w io.Writer) {
 	}
 	fmt.Fprintf(w, "space used %.1f MB, write amplification %.2f\n",
 		mb(m.SpaceUsed), m.WriteAmplification())
-	if q, ok := db.eng.(engine.Quarantiner); ok {
-		if qs := q.Quarantined(); len(qs) > 0 {
-			fmt.Fprintf(w, "\nquarantined tables (%d):\n", len(qs))
-			for _, qi := range qs {
-				fmt.Fprintf(w, "  L%-2d %06d %s — %s\n", qi.Level, qi.FileNum, qi.Path, qi.Reason)
-			}
+	if qs := db.eng.Quarantined(); len(qs) > 0 {
+		fmt.Fprintf(w, "\nquarantined tables (%d):\n", len(qs))
+		for _, qi := range qs {
+			fmt.Fprintf(w, "  L%-2d %06d %s — %s\n", qi.Level, qi.FileNum, qi.Path, qi.Reason)
 		}
 	}
 }

@@ -4,7 +4,16 @@ import (
 	"errors"
 
 	"iamdb/internal/corrupt"
+	"iamdb/internal/tableset"
 )
+
+// ErrLayout is returned (wrapped) by Open when the directory's manifest
+// places tables on a level Options.Engine cannot hold: an LSM baseline's
+// directory with level-0 files opened as IAM or LSA, or a tree grown
+// past the baselines' level count opened as LevelDB or RocksDB.  Open
+// refuses before writing anything, so the engine that wrote the
+// directory still reads all of it.
+var ErrLayout = tableset.ErrLayout
 
 // CorruptionError is the typed error every on-disk format layer
 // returns when synced data fails verification: a CRC mismatch, a torn

@@ -15,20 +15,15 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"iamdb/internal/cache"
-	"iamdb/internal/corrupt"
 	"iamdb/internal/engine"
-	"iamdb/internal/invariants"
-	"iamdb/internal/iterator"
 	"iamdb/internal/kv"
-	"iamdb/internal/manifest"
 	"iamdb/internal/metrics"
 	"iamdb/internal/table"
+	"iamdb/internal/tableset"
 	"iamdb/internal/trace"
 	"iamdb/internal/vfs"
 )
@@ -135,183 +130,47 @@ func (c *Config) fileCapacity() int64 {
 	return capacity
 }
 
-// node is one on-disk tree node: an MSTable plus its assigned range,
-// which always covers the node's data but may be wider.
-type node struct {
-	num  uint64
-	tbl  *table.Table
-	rng  kv.Range
-	refs int32 // guarded by Tree.mu; table closes at zero
-	// quarantined fences the node after detected corruption: it keeps
-	// serving whatever reads still succeed but is never picked as a
-	// combine victim and does not count toward level thresholds (an
-	// uncompactable node would otherwise wedge the maintain loop).
-	quarantined bool
-	qreason     string
-}
-
-func (nd *node) dataSize() int64 { return nd.tbl.DataSize() }
-
-// ref pins the node's table open; caller holds Tree.mu.
-func (t *Tree) ref(nd *node) { nd.refs++ }
-
-// unref releases a pin, closing the table once the tree has dropped the
-// node and no reader holds it.
-func (t *Tree) unref(nd *node) {
-	t.mu.Lock()
-	nd.refs--
-	if invariants.Enabled {
-		invariants.Assertf(nd.refs >= 0, "node %d refcount went negative (%d)", nd.num, nd.refs)
-	}
-	if nd.refs == 0 {
-		// Read-only handle of a dropped node; nothing left to flush.
-		_ = nd.tbl.Close()
-	}
-	t.mu.Unlock()
-}
-
-// Tree is an LSA- or IAM-tree.  All exported methods are safe for
-// concurrent use; structural changes serialize on one mutex while reads
-// go through immutable node tables.  Filesystem-layer locks nest below
-// the tree mutex (manifest rotation renames under mu), and the trace
-// recorder's ring lock is a leaf taken while mu is held:
-//
-//iamlint:lockorder core.Tree.mu < vfs.*; core.Tree.mu < trace.Recorder.mu
+// Tree is an LSA- or IAM-tree over a table set: a node is a
+// tableset.Table, an MSTable plus its assigned range.  The embedded set
+// supplies the levels (levels 1..n; level 0 stays empty, L0 is the
+// memtable), the manifest, the structural mutex Mu and every read and
+// reporting method of engine.Engine; what is left here is the policy —
+// (m, k), the thresholds t^i — and the flush cascade.  All exported
+// methods are safe for concurrent use; structural changes serialize on Mu
+// while reads go through immutable node tables.
 type Tree struct {
-	mu  sync.Mutex
+	*tableset.Set
 	cfg Config
 
-	// levels[0] is unused (L0 is the memtable); levels[1..n] are the
-	// on-disk levels.  Nodes in a level are sorted by range.
-	levels   [][]*node
-	nextFile uint64
-	man      *manifest.Log
-	horizon  kv.Seq
-	logSeq   kv.Seq
-	logNum   uint64
 	// curM/curK cache the IAM policy tuning for the current flush.
 	curM, curK int
 	// curSpan is the trace span the cascade currently runs under, so
-	// recursive flush/split/combine jobs nest (guarded by mu).
+	// recursive flush/split/combine jobs nest (guarded by Mu).
 	curSpan uint64
-
-	// recoveryDropped is the byte count the manifest replay discarded
-	// at its tail on open (a torn final append); >0 is suspicious and
-	// surfaced to the DB layer via RecoveryDropped.
-	recoveryDropped int64
 
 	stats engine.Stats
 }
 
 var _ engine.Engine = (*Tree)(nil)
 
-const manifestName = "MANIFEST"
-
-// Open creates or reopens a tree in cfg.Dir.
+// Open creates or reopens a tree in cfg.Dir.  A directory whose manifest
+// holds level 0 tables (written by an LSM baseline) is refused with
+// tableset.ErrLayout.
 func Open(cfg Config) (*Tree, error) {
 	cfg.fill()
-	if err := cfg.FS.MkdirAll(cfg.Dir); err != nil {
+	set, err := tableset.Open(tableset.Config{
+		FS: cfg.FS, Dir: cfg.Dir, Cache: cfg.Cache,
+		BitsPerKey: cfg.BitsPerKey, Compression: cfg.Compression,
+		Events: cfg.Events, MinLevel: 1,
+	})
+	if err != nil {
 		return nil, err
 	}
-	t := &Tree{cfg: cfg, horizon: kv.MaxSeq}
-	manPath := cfg.Dir + "/" + manifestName
-	if cfg.FS.Exists(manPath) {
-		st, dropped, err := manifest.ReplayStrict(cfg.FS, manPath)
-		if err != nil {
-			return nil, err
-		}
-		t.recoveryDropped = dropped
-		if err := t.loadState(st); err != nil {
-			return nil, err
-		}
-		// Compact the manifest on open.
-		man, err := manifest.Create(cfg.FS, manPath+".tmp", t.snapshotState())
-		if err != nil {
-			return nil, err
-		}
-		if err := cfg.FS.Rename(manPath+".tmp", manPath); err != nil {
-			_ = man.Close()
-			return nil, err
-		}
-		t.man = man
-	} else {
-		t.nextFile = 1
-		t.levels = make([][]*node, 2) // L1 exists, empty
-		man, err := manifest.Create(cfg.FS, manPath, t.snapshotState())
-		if err != nil {
-			return nil, err
-		}
-		t.man = man
-	}
-	return t, nil
-}
-
-func (t *Tree) loadState(st *manifest.State) error {
-	t.nextFile = st.NextFile
-	t.logSeq = st.LastSeq
-	t.logNum = st.LogNum
-	n := st.NumLevels
-	if n < 1 {
-		n = 1
-	}
-	for len(st.Levels) > n+1 {
-		n = len(st.Levels) - 1
-	}
-	t.levels = make([][]*node, n+1)
-	for lvl := 1; lvl < len(st.Levels); lvl++ {
-		for _, rec := range st.Levels[lvl] {
-			tbl, err := table.Open(t.cfg.FS, engine.TableFileName(t.cfg.Dir, rec.FileNum),
-				rec.FileNum, table.Options{Cache: t.cfg.Cache, BitsPerKey: t.cfg.BitsPerKey,
-					Compression: t.cfg.Compression})
-			if err != nil {
-				if errors.Is(err, vfs.ErrNotFound) {
-					// A manifest that references a node the directory no
-					// longer holds is store corruption (typically a rotted
-					// manifest record rolling state back past the node's
-					// deletion), not a plain I/O failure.
-					err = corrupt.New(corrupt.LayerManifest,
-						engine.TableFileName(t.cfg.Dir, rec.FileNum), -1,
-						manifest.ErrCorrupt, "manifest references a missing table file")
-				}
-				return fmt.Errorf("core: open node %d: %w", rec.FileNum, err)
-			}
-			nd := &node{num: rec.FileNum, tbl: tbl, rng: kv.MakeRange(rec.Lo, rec.Hi), refs: 1}
-			if serr := tbl.Suspect(); serr != nil {
-				// Opened on a fallback footer slot or with other evidence
-				// of damage: keep the node readable but fenced.
-				nd.quarantined, nd.qreason = true, serr.Error()
-			}
-			t.levels[lvl] = append(t.levels[lvl], nd)
-		}
-	}
-	for lvl := 1; lvl < len(t.levels); lvl++ {
-		t.sortLevel(lvl)
-	}
-	return nil
-}
-
-func (t *Tree) snapshotState() *manifest.State {
-	st := &manifest.State{
-		NextFile:  t.nextFile,
-		LastSeq:   t.logSeq,
-		LogNum:    t.logNum,
-		NumLevels: t.n(),
-	}
-	st.Levels = make([][]manifest.NodeRecord, len(t.levels))
-	for lvl := 1; lvl < len(t.levels); lvl++ {
-		for _, nd := range t.levels[lvl] {
-			st.Levels[lvl] = append(st.Levels[lvl], t.record(lvl, nd))
-		}
-	}
-	return st
-}
-
-func (t *Tree) record(lvl int, nd *node) manifest.NodeRecord {
-	return manifest.NodeRecord{Level: lvl, FileNum: nd.num, Lo: nd.rng.Lo, Hi: nd.rng.Hi}
+	return &Tree{Set: set, cfg: cfg}, nil
 }
 
 // n returns the number of on-disk levels.
-func (t *Tree) n() int { return len(t.levels) - 1 }
+func (t *Tree) n() int { return t.NumLevels() - 1 }
 
 // threshold returns t^i, the node-count threshold of level i.
 func (t *Tree) threshold(i int) int {
@@ -322,115 +181,22 @@ func (t *Tree) threshold(i int) int {
 	return th
 }
 
-func (t *Tree) sortLevel(i int) {
-	sort.Slice(t.levels[i], func(a, b int) bool {
-		return kv.CompareUser(t.levels[i][a].rng.Lo, t.levels[i][b].rng.Lo) < 0
-	})
-}
-
 // full reports whether a node reached the size threshold Ct.
-func (t *Tree) full(nd *node) bool { return nd.dataSize() >= t.cfg.NodeCapacity }
-
-// activeCount counts level i nodes eligible for compaction work;
-// quarantined nodes are excluded from threshold accounting because the
-// maintain loop could never combine them away.
-func (t *Tree) activeCount(i int) int {
-	n := 0
-	for _, nd := range t.levels[i] {
-		if !nd.quarantined {
-			n++
-		}
-	}
-	return n
-}
-
-// RecoveryDropped reports the manifest bytes dropped as a torn tail
-// during the last Open; >0 means the recovered state may lag the last
-// acknowledged edit and the DB layer flags it as suspected corruption.
-func (t *Tree) RecoveryDropped() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.recoveryDropped
-}
-
-// Quarantine implements engine.Quarantiner.
-func (t *Tree) Quarantine(num uint64, reason string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i := 1; i <= t.n(); i++ {
-		for _, nd := range t.levels[i] {
-			if nd.num != num {
-				continue
-			}
-			if nd.quarantined {
-				return false
-			}
-			nd.quarantined, nd.qreason = true, reason
-			return true
-		}
-	}
-	return false
-}
-
-// Quarantined implements engine.Quarantiner.
-func (t *Tree) Quarantined() []engine.QuarantineInfo {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []engine.QuarantineInfo
-	for i := 1; i <= t.n(); i++ {
-		for _, nd := range t.levels[i] {
-			if nd.quarantined {
-				out = append(out, engine.QuarantineInfo{
-					Level: i, FileNum: nd.num,
-					Path:   engine.TableFileName(t.cfg.Dir, nd.num),
-					Reason: nd.qreason,
-				})
-			}
-		}
-	}
-	return out
-}
-
-// VisitTables implements engine.TableVisitor: fn sees a referenced
-// snapshot of the current tree, called without the tree lock so a slow
-// scrub does not block flushes.
-func (t *Tree) VisitTables(fn func(level int, num uint64, tbl *table.Table) error) error {
-	type ent struct {
-		level int
-		nd    *node
-	}
-	t.mu.Lock()
-	var ents []ent
-	for i := 1; i <= t.n(); i++ {
-		for _, nd := range t.levels[i] {
-			t.ref(nd)
-			ents = append(ents, ent{i, nd})
-		}
-	}
-	t.mu.Unlock()
-	var err error
-	for _, e := range ents {
-		if err == nil {
-			err = fn(e.level, e.nd.num, e.nd.tbl)
-		}
-		t.unref(e.nd)
-	}
-	return err
-}
+func (t *Tree) full(nd *tableset.Table) bool { return nd.DataSize() >= t.cfg.NodeCapacity }
 
 // childSpan returns the half-open index interval [start, end) of nodes
-// in levels[i+1] overlapping rng.  Ranges within a level are disjoint
+// in level i+1 overlapping rng.  Ranges within a level are disjoint
 // and sorted, so both bounds binary-search.
 func (t *Tree) childSpan(i int, rng kv.Range) (int, int) {
 	if i+1 > t.n() || rng.Empty() {
 		return 0, 0
 	}
-	lvl := t.levels[i+1]
+	lvl := t.Level(i + 1)
 	start := sort.Search(len(lvl), func(j int) bool {
-		return kv.CompareUser(lvl[j].rng.Hi, rng.Lo) >= 0
+		return kv.CompareUser(lvl[j].Rng.Hi, rng.Lo) >= 0
 	})
 	end := sort.Search(len(lvl), func(j int) bool {
-		return kv.CompareUser(lvl[j].rng.Lo, rng.Hi) > 0
+		return kv.CompareUser(lvl[j].Rng.Lo, rng.Hi) > 0
 	})
 	if end < start {
 		end = start
@@ -438,7 +204,7 @@ func (t *Tree) childSpan(i int, rng kv.Range) (int, int) {
 	return start, end
 }
 
-// children returns the indices in levels[i+1] of nodes overlapping rng.
+// children returns the indices in level i+1 of nodes overlapping rng.
 // An empty slice means the flush can move the node down untouched.
 func (t *Tree) children(i int, rng kv.Range) []int {
 	start, end := t.childSpan(i, rng)
@@ -452,466 +218,60 @@ func (t *Tree) children(i int, rng kv.Range) []int {
 	return out
 }
 
-// childCount counts levels[i+1] nodes overlapping rng without
+// childCount counts level i+1 nodes overlapping rng without
 // materializing indices.
 func (t *Tree) childCount(i int, rng kv.Range) int {
 	start, end := t.childSpan(i, rng)
 	return end - start
 }
 
-// findNode returns the node in level i whose range contains ukey.
-func (t *Tree) findNode(i int, ukey []byte) *node {
-	lvl := t.levels[i]
-	idx := sort.Search(len(lvl), func(j int) bool {
-		return kv.CompareUser(ukey, lvl[j].rng.Hi) <= 0
-	})
-	if idx < len(lvl) && lvl[idx].rng.Contains(ukey) {
-		return lvl[idx]
-	}
-	return nil
-}
-
-func (t *Tree) newTable() (*table.Table, uint64, error) {
-	return t.newTableCap(t.cfg.fileCapacity())
-}
-
-func (t *Tree) newTableCap(capacity int64) (*table.Table, uint64, error) {
-	num := t.nextFile
-	t.nextFile++
-	tbl, err := table.Create(t.cfg.FS, engine.TableFileName(t.cfg.Dir, num), num,
-		capacity, table.Options{Cache: t.cfg.Cache, BitsPerKey: t.cfg.BitsPerKey,
-			Compression: t.cfg.Compression})
-	if err != nil {
-		return nil, 0, err
-	}
-	t.cfg.Events.TableCreated(metrics.TableInfo{FileNum: num, Level: -1})
-	return tbl, num, nil
-}
-
-// deleteNode drops a node from the in-memory structure; the table
-// handle closes when the last reader releases it.  removeFile also
-// deletes the on-disk file — callers pass true only after the manifest
-// edit that stops referencing the node is durable, because a crash
-// between a durable remove and an unsynced delete-edit would leave the
-// manifest naming a missing file and the tree unopenable.  When the
-// edit failed, the file is kept (an orphan wastes space but cannot be
-// resurrected — recovery only loads files named by the manifest — and
-// Resume rewrites the manifest from memory anyway).  Caller holds
-// Tree.mu.
-func (t *Tree) deleteNode(nd *node, removeFile bool) {
-	t.cfg.Events.TableDeleted(metrics.TableInfo{FileNum: nd.num, Level: -1, Bytes: nd.dataSize()})
-	nd.tbl.EvictBlocks()
-	nd.refs--
-	if invariants.Enabled {
-		invariants.Assertf(nd.refs >= 0, "node %d refcount went negative (%d)", nd.num, nd.refs)
-	}
-	if nd.refs == 0 {
-		_ = nd.tbl.Close()
-	}
-	if removeFile {
-		_ = t.cfg.FS.Remove(engine.TableFileName(t.cfg.Dir, nd.num))
-	}
-}
-
-// Resume implements engine.Resumer: it rewrites the manifest from the
-// in-memory state, healing any divergence left by a failed or torn
-// manifest append.  The new manifest is built beside the old one and
-// renamed into place, so a crash mid-resume leaves the old (consistent)
-// manifest in force.
-func (t *Tree) Resume() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	manPath := t.cfg.Dir + "/" + manifestName
-	man, err := manifest.Create(t.cfg.FS, manPath+".tmp", t.snapshotState())
-	if err != nil {
-		return err
-	}
-	if err := t.cfg.FS.Rename(manPath+".tmp", manPath); err != nil {
-		_ = man.Close()
-		return err
-	}
-	old := t.man
-	t.man = man
-	if old != nil {
-		_ = old.Close()
-	}
-	return nil
-}
-
-// SetHorizon implements engine.Engine.
-func (t *Tree) SetHorizon(h kv.Seq) {
-	t.mu.Lock()
-	t.horizon = h
-	t.mu.Unlock()
-}
-
-// SetLogMeta durably records the DB layer's WAL position.
-func (t *Tree) SetLogMeta(lastSeq kv.Seq, logNum uint64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.logSeq, t.logNum = lastSeq, logNum
-	return t.logEdit(&manifest.Edit{
-		LastSeq: lastSeq, SetLastSeq: true,
-		LogNum: logNum, SetLogNum: true,
-		NextFile: t.nextFile, SetNextFile: true,
-	})
-}
-
-// LogMeta returns the recovered WAL position.
-func (t *Tree) LogMeta() (kv.Seq, uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.logSeq, t.logNum
-}
-
-// NeedsWork implements engine.Engine.  The tree performs its entire
-// compaction cascade inside Flush, so no background work is pending.
-func (t *Tree) NeedsWork() bool { return false }
-
-// WorkStep implements engine.Engine.
+// WorkStep and StallLevel are no-ops (the tree compacts inside Flush);
+// they stay in engine.Engine because db.go calls them unconditionally at
+// five sites, cheaper than an optional interface plus five assertions.
 func (t *Tree) WorkStep() (bool, error) { return false, nil }
-
-// StallLevel implements engine.Engine.  The tree never throttles
-// beyond the natural blocking of Flush itself.
-func (t *Tree) StallLevel() int { return 0 }
-
-// Get implements engine.Engine: at most one node per level is probed,
-// newest level first, and within a node sequences are probed newest
-// first with Bloom filters (Sec. 5.2).
-func (t *Tree) Get(ukey []byte, snap kv.Seq) ([]byte, kv.Kind, kv.Seq, bool, error) {
-	t.mu.Lock()
-	var cands []*node
-	for i := 1; i <= t.n(); i++ {
-		if nd := t.findNode(i, ukey); nd != nil {
-			t.ref(nd)
-			cands = append(cands, nd)
-		}
-	}
-	t.mu.Unlock()
-	defer func() {
-		for _, nd := range cands {
-			t.unref(nd)
-		}
-	}()
-	for _, nd := range cands {
-		v, k, s, found, err := nd.tbl.Get(ukey, snap)
-		if err != nil {
-			return nil, 0, 0, false, err
-		}
-		if found {
-			return v, k, s, true, nil
-		}
-	}
-	return nil, 0, 0, false, nil
-}
-
-// NewIter implements engine.Engine: a merge across one concatenated
-// iterator per level.  A scan therefore consults every sequence of at
-// most one node per level, as Sec. 5.2 describes.
-func (t *Tree) NewIter() iterator.Iterator {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	kids := make([]iterator.Iterator, 0, t.n())
-	for i := 1; i <= t.n(); i++ {
-		nodes := append([]*node(nil), t.levels[i]...)
-		rngs := make([]kv.Range, len(nodes))
-		for j, nd := range nodes {
-			nd.refs++
-			rngs[j] = nd.rng
-		}
-		kids = append(kids, &levelIter{t: t, nodes: nodes, rngs: rngs})
-	}
-	return iterator.NewMerging(kv.CompareInternal, kids...)
-}
+func (t *Tree) StallLevel() int         { return 0 }
 
 // Stats implements engine.Engine.
 func (t *Tree) Stats() engine.StatsSnapshot { return t.stats.Snapshot() }
 
-// Levels implements engine.Engine.
-func (t *Tree) Levels() []engine.LevelInfo {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]engine.LevelInfo, 0, t.n())
-	for i := 1; i <= t.n(); i++ {
-		info := engine.LevelInfo{Level: i, Nodes: len(t.levels[i])}
-		for _, nd := range t.levels[i] {
-			info.Bytes += nd.dataSize()
-			info.Seqs += nd.tbl.NumSeqs()
-			if nd.quarantined {
-				info.Quarantined++
-			}
-		}
-		out = append(out, info)
-	}
-	return out
-}
-
-// SpaceUsed implements engine.Engine.
-func (t *Tree) SpaceUsed() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var n int64
-	for i := 1; i <= t.n(); i++ {
-		for _, nd := range t.levels[i] {
-			n += nd.tbl.UsedBytes()
-		}
-	}
-	return n
-}
-
 // LevelDataSizes returns D_1..D_n, the inputs to Eq. (2).
 func (t *Tree) LevelDataSizes() []int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.Mu.Lock()
+	defer t.Mu.Unlock()
 	return t.levelDataSizesLocked()
 }
 
 func (t *Tree) levelDataSizesLocked() []int64 {
 	out := make([]int64, t.n()+1)
 	for i := 1; i <= t.n(); i++ {
-		for _, nd := range t.levels[i] {
-			out[i] += nd.dataSize()
+		for _, nd := range t.Level(i) {
+			out[i] += nd.DataSize()
 		}
 	}
 	return out
 }
 
-// Close implements engine.Engine.
-func (t *Tree) Close() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var errs []error
-	for i := 1; i <= t.n(); i++ {
-		for _, nd := range t.levels[i] {
-			errs = append(errs, nd.tbl.Close())
-		}
-	}
-	errs = append(errs, t.man.Close())
-	return errors.Join(errs...)
-}
-
-// CheckInvariants validates the tree's structural invariants; tests and
-// the harness call it after workloads.
+// CheckInvariants validates the set's structural invariants plus the
+// tree's own: level node counts within their thresholds.  Tests, the
+// harness and DB.Scrub call it after workloads.
 func (t *Tree) CheckInvariants() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.Mu.Lock()
+	defer t.Mu.Unlock()
 	return t.checkInvariantsLocked()
 }
 
 // checkInvariantsLocked is CheckInvariants for callers already holding
-// t.mu — the `-tags invariants` build runs it after every flush.
+// Mu — the `-tags invariants` build runs it after every flush.
 func (t *Tree) checkInvariantsLocked() error {
-	for i := 1; i <= t.n(); i++ {
-		lvl := t.levels[i]
-		for j, nd := range lvl {
-			if nd.tbl.Entries() > 0 {
-				dr := nd.tbl.UserRange()
-				if !nd.rng.Contains(dr.Lo) || !nd.rng.Contains(dr.Hi) {
-					return fmt.Errorf("L%d node %d: data %v outside range %v", i, nd.num, dr, nd.rng)
-				}
-			}
-			if j > 0 && !lvl[j-1].rng.Before(nd.rng) {
-				return fmt.Errorf("L%d: ranges %v and %v not disjoint/sorted",
-					i, lvl[j-1].rng, nd.rng)
-			}
-		}
-		// Quarantined nodes are excused from the threshold: they cannot
-		// be combined away without reading their (corrupt) contents.
-		if i < t.n() && t.activeCount(i) > t.threshold(i) {
-			return fmt.Errorf("L%d has %d nodes > threshold %d", i, t.activeCount(i), t.threshold(i))
+	if err := t.CheckStructure(); err != nil {
+		return err
+	}
+	// Quarantined nodes are excused from the threshold: they cannot be
+	// combined away without reading their (corrupt) contents.
+	for i := 1; i < t.n(); i++ {
+		if t.ActiveCount(i) > t.threshold(i) {
+			return fmt.Errorf("L%d has %d nodes > threshold %d", i, t.ActiveCount(i), t.threshold(i))
 		}
 	}
 	return nil
-}
-
-// levelIter concatenates the nodes of one level (ranges are disjoint
-// and sorted, so concatenation preserves order).  It holds a reference
-// on every node until Close.
-type levelIter struct {
-	t     *Tree
-	nodes []*node
-	// rngs are the node ranges captured at creation under Tree.mu: a
-	// concurrent append may widen a live node's range, and the iterator
-	// is a point-in-time view, so it routes by the ranges it saw.
-	rngs   []kv.Range
-	idx    int
-	cur    iterator.Iterator
-	err    error
-	closed bool
-}
-
-func (l *levelIter) open(i int) {
-	l.idx = i
-	if i >= 0 && i < len(l.nodes) {
-		l.cur = l.nodes[i].tbl.NewIter()
-	} else {
-		l.cur = nil
-	}
-}
-
-// First implements iterator.Iterator.
-func (l *levelIter) First() {
-	l.err = nil
-	l.open(0)
-	if l.cur != nil {
-		l.cur.First()
-		l.skipExhausted()
-	}
-}
-
-// Seek implements iterator.Iterator.
-func (l *levelIter) Seek(target []byte) {
-	l.err = nil
-	u := kv.UserKey(target)
-	i := sort.Search(len(l.nodes), func(j int) bool {
-		return kv.CompareUser(u, l.rngs[j].Hi) <= 0
-	})
-	l.open(i)
-	if l.cur != nil {
-		l.cur.Seek(target)
-		l.skipExhausted()
-	}
-}
-
-// Next implements iterator.Iterator.
-func (l *levelIter) Next() {
-	if l.cur == nil {
-		return
-	}
-	l.cur.Next()
-	l.skipExhausted()
-}
-
-func (l *levelIter) skipExhausted() {
-	for l.cur != nil && !l.cur.Valid() {
-		if err := l.cur.Err(); err != nil {
-			l.err = err
-			l.cur = nil
-			return
-		}
-		l.cur.Close()
-		l.open(l.idx + 1)
-		if l.cur != nil {
-			l.cur.First()
-		}
-	}
-}
-
-// Valid implements iterator.Iterator.
-func (l *levelIter) Valid() bool { return l.cur != nil && l.cur.Valid() }
-
-// Key implements iterator.Iterator.
-func (l *levelIter) Key() []byte {
-	if l.cur == nil {
-		return nil
-	}
-	return l.cur.Key()
-}
-
-// Value implements iterator.Iterator.
-func (l *levelIter) Value() []byte {
-	if l.cur == nil {
-		return nil
-	}
-	return l.cur.Value()
-}
-
-// Err implements iterator.Iterator.
-func (l *levelIter) Err() error { return l.err }
-
-// Close implements iterator.Iterator.
-func (l *levelIter) Close() error {
-	if l.closed {
-		return nil
-	}
-	l.closed = true
-	var err error
-	if l.cur != nil {
-		err = l.cur.Close()
-	}
-	for _, nd := range l.nodes {
-		l.t.unref(nd)
-	}
-	return err
-}
-
-// Last implements iterator.ReverseIterator.
-func (l *levelIter) Last() {
-	l.err = nil
-	l.open(len(l.nodes) - 1)
-	if l.cur != nil {
-		l.cur.(iterator.ReverseIterator).Last()
-		l.skipExhaustedBackward()
-	}
-}
-
-// Prev implements iterator.ReverseIterator.
-func (l *levelIter) Prev() {
-	if l.cur == nil {
-		return
-	}
-	l.cur.(iterator.ReverseIterator).Prev()
-	l.skipExhaustedBackward()
-}
-
-// SeekForPrev implements iterator.ReverseIterator.
-func (l *levelIter) SeekForPrev(target []byte) {
-	l.err = nil
-	u := kv.UserKey(target)
-	// Last node whose range starts at or below the target key.
-	i := sort.Search(len(l.nodes), func(j int) bool {
-		return kv.CompareUser(l.rngs[j].Lo, u) > 0
-	}) - 1
-	if i < 0 {
-		l.cur = nil
-		l.idx = 0
-		return
-	}
-	l.open(i)
-	if l.cur != nil {
-		l.cur.(iterator.ReverseIterator).SeekForPrev(target)
-		l.skipExhaustedBackward()
-	}
-}
-
-func (l *levelIter) skipExhaustedBackward() {
-	for l.cur != nil && !l.cur.Valid() {
-		if err := l.cur.Err(); err != nil {
-			l.err = err
-			l.cur = nil
-			return
-		}
-		l.cur.Close()
-		if l.idx == 0 {
-			l.cur = nil
-			return
-		}
-		l.open(l.idx - 1)
-		if l.cur != nil {
-			l.cur.(iterator.ReverseIterator).Last()
-		}
-	}
-}
-
-// ApproximateSize estimates the data bytes stored in the user-key
-// range [lo, hi]: full node sizes for nodes entirely inside, halves
-// for boundary overlaps.
-func (t *Tree) ApproximateSize(lo, hi []byte) int64 {
-	rng := kv.MakeRange(lo, hi)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var total int64
-	for i := 1; i <= t.n(); i++ {
-		for _, nd := range t.levels[i] {
-			if !nd.rng.Overlaps(rng) {
-				continue
-			}
-			if rng.Contains(nd.rng.Lo) && rng.Contains(nd.rng.Hi) {
-				total += nd.dataSize()
-			} else {
-				total += nd.dataSize() / 2
-			}
-		}
-	}
-	return total
 }

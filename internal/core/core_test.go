@@ -319,13 +319,13 @@ func TestFanoutBoundHolds(t *testing.T) {
 	loadRandom(t, tr, 6000, 6)
 	// After maintenance, internal nodes should have bounded fan-out;
 	// allow slack of 2t plus chunk effects between flushes.
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
+	tr.Mu.Lock()
+	defer tr.Mu.Unlock()
 	bound := 3 * 2 * tr.cfg.Fanout
 	for i := 1; i < tr.n(); i++ {
-		for _, nd := range tr.levels[i] {
-			if c := len(tr.children(i, nd.rng)); c > bound {
-				t.Errorf("L%d node %d has %d children (> %d)", i, nd.num, c, bound)
+		for _, nd := range tr.Level(i) {
+			if c := len(tr.children(i, nd.Rng)); c > bound {
+				t.Errorf("L%d node %d has %d children (> %d)", i, nd.ID(), c, bound)
 			}
 		}
 	}
@@ -483,9 +483,6 @@ func TestEngineInterfaceCompliance(t *testing.T) {
 	tr, _ := testTree(t, IAM, 16*1024)
 	defer tr.Close()
 	var e engine.Engine = tr
-	if e.NeedsWork() {
-		t.Error("tree should not report background work")
-	}
 	if did, err := e.WorkStep(); did || err != nil {
 		t.Error("tree WorkStep should be a no-op")
 	}

@@ -12,6 +12,7 @@ import (
 	"iamdb/internal/manifest"
 	"iamdb/internal/metrics"
 	"iamdb/internal/table"
+	"iamdb/internal/tableset"
 )
 
 // batch is an in-memory run of records in internal-key order, the unit
@@ -54,8 +55,8 @@ func collect(it iterator.Iterator) (*batch, error) {
 // (the in-memory L0 node) into the tree, running the full compaction
 // cascade the paper's flush/split/combine rules demand.
 func (t *Tree) Flush(it iterator.Iterator) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.Mu.Lock()
+	defer t.Mu.Unlock()
 	t.stats.CountFlush()
 	start := t.cfg.Clock.Now()
 	var flushed int64
@@ -71,7 +72,7 @@ func (t *Tree) Flush(it iterator.Iterator) error {
 		t.cfg.Events.FlushEnd(metrics.FlushInfo{Bytes: flushed, Duration: t.cfg.Clock.Now() - start})
 	}()
 	atBottom := t.treeEmptyLocked()
-	b, err := collect(engine.DropObsoleteObserved(it, t.horizon, atBottom, t.cfg.OnDrop))
+	b, err := collect(engine.DropObsoleteObserved(it, t.Horizon(), atBottom, t.cfg.OnDrop))
 	if err != nil {
 		return err
 	}
@@ -101,7 +102,7 @@ func (t *Tree) Flush(it iterator.Iterator) error {
 
 func (t *Tree) treeEmptyLocked() bool {
 	for i := 1; i <= t.n(); i++ {
-		if len(t.levels[i]) > 0 {
+		if len(t.Level(i)) > 0 {
 			return false
 		}
 	}
@@ -120,7 +121,7 @@ func (t *Tree) flushBatch(src int, srcRange kv.Range, b *batch) error {
 		for {
 			resolved := true
 			for _, idx := range t.children(src, srcRange) {
-				kid := t.levels[dst][idx]
+				kid := t.Level(dst)[idx]
 				if t.full(kid) {
 					if err := t.flushNode(dst, kid, false); err != nil {
 						return err
@@ -146,13 +147,13 @@ func (t *Tree) flushBatch(src int, srcRange kv.Range, b *batch) error {
 // flushNode performs the flush operation of Sec. 4.2.1 on an on-disk
 // node: its records move to its children and the node empties.  With
 // destroy (a combine, Sec. 4.2.3) the node is removed afterwards.
-func (t *Tree) flushNode(i int, x *node, destroy bool) error {
+func (t *Tree) flushNode(i int, x *tableset.Table, destroy bool) error {
 	t.stats.CountFlush()
 	start := t.cfg.Clock.Now()
 	var flushed int64
 	sp := t.cfg.Trace.BeginAt("core.flushnode", t.curSpan)
 	sp.SetLevel(i)
-	sp.AddIn(x.num)
+	sp.AddIn(x.ID())
 	prevSpan := t.curSpan
 	t.curSpan = sp.ID()
 	defer func() {
@@ -162,7 +163,7 @@ func (t *Tree) flushNode(i int, x *node, destroy bool) error {
 		t.cfg.Events.FlushEnd(metrics.FlushInfo{Bytes: flushed, Duration: t.cfg.Clock.Now() - start})
 	}()
 	// Precondition 1: fewer than 2t children, else split instead.
-	if t.childCount(i, x.rng) >= 2*t.cfg.Fanout {
+	if t.childCount(i, x.Rng) >= 2*t.cfg.Fanout {
 		if err := t.splitNode(i, x); err != nil {
 			return err
 		}
@@ -176,47 +177,44 @@ func (t *Tree) flushNode(i int, x *node, destroy bool) error {
 	}
 	// Move-down fast path: no children means no rewriting, only
 	// metadata changes (the sequential-write property of Sec. 4.2.1).
-	if t.childCount(i, x.rng) == 0 {
+	if t.childCount(i, x.Rng) == 0 {
 		if i+1 > t.n() {
 			return fmt.Errorf("core: move below leaf level from L%d", i)
 		}
 		mv := t.cfg.Trace.BeginAt("core.move", sp.ID())
 		mv.SetLevel(i + 1)
-		mv.AddIn(x.num)
-		mv.AddOut(x.num) // the file survives the move, re-homed a level down
-		t.removeFromLevel(i, x)
-		t.addToLevel(i+1, x)
+		mv.AddIn(x.ID())
+		mv.AddOut(x.ID()) // the file survives the move, re-homed a level down
+		t.Remove(i, x)
+		t.Add(i+1, x)
 		t.stats.CountMove(i + 1)
 		mv.End()
 		t.cfg.Events.MoveEnd(metrics.MoveInfo{FromLevel: i, ToLevel: i + 1})
-		return t.logEdit(&manifest.Edit{
-			Deleted: []manifest.NodeRef{{Level: i, FileNum: x.num}},
-			Added:   []manifest.NodeRecord{t.record(i+1, x)},
+		return t.Commit(&manifest.Edit{
+			Deleted: []manifest.NodeRef{{Level: i, FileNum: x.ID()}},
+			Added:   []manifest.NodeRecord{t.Record(i+1, x)},
 		})
 	}
-	t.stats.AddReadBytes(i, x.dataSize())
+	t.stats.AddReadBytes(i, x.DataSize())
 	b, err := t.loadNode(x)
 	if err != nil {
 		return err
 	}
 	flushed = int64(batchBytes(b))
-	if err := t.flushBatch(i, x.rng, b); err != nil {
+	if err := t.flushBatch(i, x.Rng, b); err != nil {
 		return err
 	}
 	if destroy {
-		t.removeFromLevel(i, x)
-		edit := &manifest.Edit{Deleted: []manifest.NodeRef{{Level: i, FileNum: x.num}}}
-		err := t.logEdit(edit)
-		t.deleteNode(x, err == nil)
-		return err
+		t.Remove(i, x)
+		return t.Commit(&manifest.Edit{Deleted: []manifest.NodeRef{{Level: i, FileNum: x.ID()}}}, x)
 	}
 	return t.emptyNode(i, x)
 }
 
 // loadNode merges a node's sequences in memory, dropping obsolete
 // versions (the node's own sequences shadow each other).
-func (t *Tree) loadNode(x *node) (*batch, error) {
-	it := engine.DropObsoleteObserved(x.tbl.NewIter(), t.horizon, false, t.cfg.OnDrop)
+func (t *Tree) loadNode(x *tableset.Table) (*batch, error) {
+	it := engine.DropObsoleteObserved(x.NewIter(), t.Horizon(), false, t.cfg.OnDrop)
 	defer it.Close()
 	return collect(it)
 }
@@ -226,45 +224,35 @@ func (t *Tree) loadNode(x *node) (*batch, error) {
 // Sec. 4.2.1: "its key range usually remains unchanged but may be
 // reduced after flushing").  The old node object stays intact for any
 // concurrent readers still holding references to it.
-func (t *Tree) emptyNode(i int, x *node) error {
-	tbl, num, err := t.newTable()
+func (t *Tree) emptyNode(i int, x *tableset.Table) error {
+	fresh, _, err := t.Build(t.cfg.fileCapacity(), nil)
 	if err != nil {
 		return err
 	}
-	// The fresh (empty) table must be durable before a manifest edit
-	// references it, or a crash could leave the manifest naming an
-	// unwritten file.
-	if err := tbl.Sync(); err != nil {
-		_ = tbl.Close()
-		_ = t.cfg.FS.Remove(engine.TableFileName(t.cfg.Dir, num))
-		return err
-	}
-	fresh := &node{num: num, tbl: tbl, rng: x.rng, refs: 1}
-	t.removeFromLevel(i, x)
-	t.addToLevel(i, fresh)
+	fresh.Rng = x.Rng
+	t.Remove(i, x)
+	t.Add(i, fresh)
 	t.shrinkRange(i, fresh)
-	err = t.logEdit(&manifest.Edit{
-		Deleted:  []manifest.NodeRef{{Level: i, FileNum: x.num}},
-		Added:    []manifest.NodeRecord{t.record(i, fresh)},
-		NextFile: t.nextFile, SetNextFile: true,
-	})
-	t.deleteNode(x, err == nil)
-	return err
+	return t.Commit(&manifest.Edit{
+		Deleted:  []manifest.NodeRef{{Level: i, FileNum: x.ID()}},
+		Added:    []manifest.NodeRecord{t.Record(i, fresh)},
+		NextFile: t.NextFile(), SetNextFile: true,
+	}, x)
 }
 
 // shrinkRange narrows an empty node's range so its child count moves
 // toward its smaller neighbor's, shedding children from the side that
 // faces that neighbor.  The shed span becomes a gap the neighbor will
 // absorb via out-of-range assignment in a later flush.
-func (t *Tree) shrinkRange(i int, x *node) {
+func (t *Tree) shrinkRange(i int, x *tableset.Table) {
 	if i+1 > t.n() {
 		return
 	}
-	kids := t.children(i, x.rng)
+	kids := t.children(i, x.Rng)
 	if len(kids) < 2 {
 		return
 	}
-	lvl := t.levels[i]
+	lvl := t.Level(i)
 	pos := -1
 	for j, nd := range lvl {
 		if nd == x {
@@ -277,13 +265,13 @@ func (t *Tree) shrinkRange(i int, x *node) {
 	}
 	lo, hi := 0, len(kids) // retained child window [lo, hi)
 	if pos > 0 {
-		ln := len(t.children(i, lvl[pos-1].rng))
+		ln := len(t.children(i, lvl[pos-1].Rng))
 		if len(kids)-ln >= 2 {
 			lo = (len(kids) - ln) / 2 // shed toward the left neighbor
 		}
 	}
 	if pos < len(lvl)-1 {
-		rn := len(t.children(i, lvl[pos+1].rng))
+		rn := len(t.children(i, lvl[pos+1].Rng))
 		if (hi-lo)-rn >= 2 {
 			hi -= ((hi - lo) - rn) / 2 // shed toward the right neighbor
 		}
@@ -291,15 +279,15 @@ func (t *Tree) shrinkRange(i int, x *node) {
 	if lo == 0 && hi == len(kids) || lo >= hi {
 		return
 	}
-	next := t.levels[i+1]
+	next := t.Level(i + 1)
 	newRng := kv.Range{}
 	for _, idx := range kids[lo:hi] {
-		newRng = newRng.Union(next[idx].rng)
+		newRng = newRng.Union(next[idx].Rng)
 	}
-	newRng = clampRange(newRng, x.rng)
+	newRng = clampRange(newRng, x.Rng)
 	if !newRng.Empty() {
-		x.rng = newRng
-		t.sortLevel(i)
+		x.Rng = newRng
+		t.Sort(i)
 	}
 }
 
@@ -324,9 +312,9 @@ func clampRange(r, bound kv.Range) kv.Range {
 // deliver partitions a batch across the destination children and
 // appends or merges each child's share per the policy (Sec. 5.1).
 func (t *Tree) deliver(dst int, kidIdxs []int, b *batch) error {
-	kids := make([]*node, len(kidIdxs))
+	kids := make([]*tableset.Table, len(kidIdxs))
 	for j, idx := range kidIdxs {
-		kids[j] = t.levels[dst][idx]
+		kids[j] = t.Level(dst)[idx]
 	}
 	leaf := dst == t.n()
 	// Grandchild counts decide gap assignment between internal kids.
@@ -334,7 +322,7 @@ func (t *Tree) deliver(dst int, kidIdxs []int, b *batch) error {
 	if !leaf {
 		gcCount = make([]int, len(kids))
 		for j, kid := range kids {
-			gcCount[j] = len(t.children(dst, kid.rng))
+			gcCount[j] = len(t.children(dst, kid.Rng))
 		}
 	}
 
@@ -354,11 +342,11 @@ func (t *Tree) deliver(dst int, kidIdxs []int, b *batch) error {
 	}
 	for rec := 0; rec < b.len(); rec++ {
 		u := kv.UserKey(b.keys[rec])
-		for p < len(kids) && kv.CompareUser(u, kids[p].rng.Hi) > 0 {
+		for p < len(kids) && kv.CompareUser(u, kids[p].Rng.Hi) > 0 {
 			p++
 		}
 		switch {
-		case p < len(kids) && kids[p].rng.Contains(u):
+		case p < len(kids) && kids[p].Rng.Contains(u):
 			assign(p, rec)
 		case p == 0:
 			assign(0, rec) // before the first child: closest is kids[0]
@@ -370,7 +358,7 @@ func (t *Tree) deliver(dst int, kidIdxs []int, b *batch) error {
 			var j int
 			if leaf {
 				// Leaf: assign to the child with the closest range.
-				if keyDistance(kids[left].rng.Hi, u) <= keyDistance(u, kids[right].rng.Lo) {
+				if keyDistance(kids[left].Rng.Hi, u) <= keyDistance(u, kids[right].Rng.Lo) {
 					j = left
 				} else {
 					j = right
@@ -425,14 +413,14 @@ func keyNum(k []byte) uint64 {
 }
 
 // deliverToChild appends or merges one child's share.
-func (t *Tree) deliverToChild(dst int, kid *node, sub *batch) error {
+func (t *Tree) deliverToChild(dst int, kid *tableset.Table, sub *batch) error {
 	if t.shouldMerge(dst, kid) {
 		return t.mergeChild(dst, kid, sub)
 	}
 	sp := t.cfg.Trace.BeginAt("core.append", t.curSpan)
 	it := sub.iter()
 	it.First()
-	res, err := kid.tbl.AppendFrom(it, 1<<62)
+	res, err := kid.AppendFrom(it, 1<<62)
 	if errors.Is(err, table.ErrNoSpace) {
 		return t.mergeChild(dst, kid, sub)
 	}
@@ -444,47 +432,47 @@ func (t *Tree) deliverToChild(dst int, kid *node, sub *batch) error {
 	sp.SetLevel(dst)
 	sp.SetBytes(res.Bytes)
 	sp.SetCount(int64(sub.len()))
-	sp.AddIn(kid.num)
-	sp.AddOut(kid.num)
+	sp.AddIn(kid.ID())
+	sp.AddOut(kid.ID())
 	defer sp.End()
 	t.cfg.Events.AppendEnd(metrics.AppendInfo{Level: dst, Bytes: res.Bytes})
-	newRng := kid.rng.Union(sub.span())
-	if newRng.String() != kid.rng.String() {
+	newRng := kid.Rng.Union(sub.span())
+	if newRng.String() != kid.Rng.String() {
 		// Widen the manifest range before syncing the data: a crash in
 		// between leaves a wide range over old data (harmless), whereas
 		// the reverse order could surface durable data outside the
 		// node's recorded range.
-		kid.rng = newRng
-		t.sortLevel(dst)
-		if err := t.logEdit(&manifest.Edit{
-			Deleted: []manifest.NodeRef{{Level: dst, FileNum: kid.num}},
-			Added:   []manifest.NodeRecord{t.record(dst, kid)},
+		kid.Rng = newRng
+		t.Sort(dst)
+		if err := t.Commit(&manifest.Edit{
+			Deleted: []manifest.NodeRef{{Level: dst, FileNum: kid.ID()}},
+			Added:   []manifest.NodeRecord{t.Record(dst, kid)},
 		}); err != nil {
 			return err
 		}
 	}
 	// The flush completes (and the WAL is retired) only once the
 	// appended sequence is durable.
-	return kid.tbl.Sync()
+	return kid.Sync()
 }
 
 // mergeChild rewrites a child together with its incoming share into
 // one or more fresh single-sequence nodes.  At the leaf level new
 // nodes start at Cts = Ct/LeafInitFrac (Sec. 4.2.1, Fig. 4); at
 // internal merging levels the merge yields a single node.
-func (t *Tree) mergeChild(dst int, kid *node, sub *batch) error {
+func (t *Tree) mergeChild(dst int, kid *tableset.Table, sub *batch) error {
 	start := t.cfg.Clock.Now()
 	sp := t.cfg.Trace.BeginAt("core.merge", t.curSpan)
 	sp.SetLevel(dst)
-	sp.AddIn(kid.num)
+	sp.AddIn(kid.ID())
 	atBottom := dst == t.n()
 	chunk := t.cfg.NodeCapacity // internal merge: one (near-)full node
-	if atBottom && kid.dataSize()+int64(batchBytes(sub)) > t.cfg.NodeCapacity {
+	if atBottom && kid.DataSize()+int64(batchBytes(sub)) > t.cfg.NodeCapacity {
 		chunk = t.cfg.NodeCapacity / int64(t.cfg.LeafInitFrac)
 	}
-	t.stats.AddReadBytes(dst, kid.dataSize())
-	merged := iterator.NewMerging(kv.CompareInternal, sub.iter(), kid.tbl.NewIter())
-	filtered := engine.DropObsoleteObserved(merged, t.horizon, atBottom, t.cfg.OnDrop)
+	t.stats.AddReadBytes(dst, kid.DataSize())
+	merged := iterator.NewMerging(kv.CompareInternal, sub.iter(), kid.NewIter())
+	filtered := engine.DropObsoleteObserved(merged, t.Horizon(), atBottom, t.cfg.OnDrop)
 	filtered.First()
 	newNodes, bytes, err := t.writeNodesFrom(filtered, chunk)
 	if err != nil {
@@ -494,18 +482,15 @@ func (t *Tree) mergeChild(dst int, kid *node, sub *batch) error {
 	t.stats.AddFlushBytes(dst, bytes)
 	t.cfg.Events.MergeEnd(metrics.MergeInfo{Level: dst, Bytes: bytes, Duration: t.cfg.Clock.Now() - start})
 
-	edit := &manifest.Edit{Deleted: []manifest.NodeRef{{Level: dst, FileNum: kid.num}},
-		NextFile: t.nextFile, SetNextFile: true}
-	t.removeFromLevel(dst, kid)
+	edit := &manifest.Edit{Deleted: []manifest.NodeRef{{Level: dst, FileNum: kid.ID()}},
+		NextFile: t.NextFile(), SetNextFile: true}
+	t.Remove(dst, kid)
 	for _, nd := range newNodes {
-		t.addToLevel(dst, nd)
-		sp.AddOut(nd.num)
-		edit.Added = append(edit.Added, t.record(dst, nd))
+		t.Add(dst, nd)
+		sp.AddOut(nd.ID())
+		edit.Added = append(edit.Added, t.Record(dst, nd))
 	}
-	// The old file may only disappear once the edit dropping it is
-	// durable; see deleteNode.
-	err = t.logEdit(edit)
-	t.deleteNode(kid, err == nil)
+	err = t.Commit(edit, kid)
 	sp.SetBytes(bytes)
 	sp.End()
 	return err
@@ -521,7 +506,7 @@ func batchBytes(b *batch) int {
 
 // writeNodes writes a batch as new single-sequence node(s) in level
 // dst, chunked at limit bytes.
-func (t *Tree) writeNodes(dst int, b *batch, limit int64) ([]*node, error) {
+func (t *Tree) writeNodes(dst int, b *batch, limit int64) ([]*tableset.Table, error) {
 	it := b.iter()
 	it.First()
 	nodes, bytes, err := t.writeNodesFrom(it, limit)
@@ -529,12 +514,12 @@ func (t *Tree) writeNodes(dst int, b *batch, limit int64) ([]*node, error) {
 		return nil, err
 	}
 	t.stats.AddFlushBytes(dst, bytes)
-	edit := &manifest.Edit{NextFile: t.nextFile, SetNextFile: true}
+	edit := &manifest.Edit{NextFile: t.NextFile(), SetNextFile: true}
 	for _, nd := range nodes {
-		t.addToLevel(dst, nd)
-		edit.Added = append(edit.Added, t.record(dst, nd))
+		t.Add(dst, nd)
+		edit.Added = append(edit.Added, t.Record(dst, nd))
 	}
-	return nodes, t.logEdit(edit)
+	return nodes, t.Commit(edit)
 }
 
 // writeNodesFrom drains a positioned iterator into fresh tables of at
@@ -543,8 +528,8 @@ func (t *Tree) writeNodes(dst int, b *batch, limit int64) ([]*node, error) {
 // data spans) and total bytes written.  Each chunk is gathered in
 // memory first so the file capacity can be sized to fit even when a
 // single key's version chain exceeds the node capacity.
-func (t *Tree) writeNodesFrom(it iterator.Iterator, limit int64) ([]*node, int64, error) {
-	var nodes []*node
+func (t *Tree) writeNodesFrom(it iterator.Iterator, limit int64) ([]*tableset.Table, int64, error) {
+	var nodes []*tableset.Table
 	var total int64
 	for it.Valid() {
 		cb := &batch{}
@@ -570,25 +555,12 @@ func (t *Tree) writeNodesFrom(it iterator.Iterator, limit int64) ([]*node, int64
 		if need := bytes + bytes/2 + 64*1024; need > capacity {
 			capacity = need // oversized version chain: grow the file
 		}
-		tbl, num, err := t.newTableCap(capacity)
+		nd, written, err := t.Build(capacity, cb.iter())
 		if err != nil {
 			return nodes, total, err
 		}
-		res, err := tbl.Append(cb.iter())
-		if err == nil {
-			// New tables must be durable before any manifest edit
-			// references them (the callers log the edit right after).
-			err = tbl.Sync()
-		}
-		if err != nil {
-			// Error-path cleanup of a half-written table: the append
-			// failure is the error that matters.
-			_ = tbl.Close()
-			_ = t.cfg.FS.Remove(engine.TableFileName(t.cfg.Dir, num))
-			return nodes, total, err
-		}
-		total += res.Bytes
-		nodes = append(nodes, &node{num: num, tbl: tbl, rng: tbl.UserRange(), refs: 1})
+		total += written
+		nodes = append(nodes, nd)
 	}
 	// An iterator whose very first position failed never enters the
 	// loop above: without this check a corrupt input would read as
@@ -606,19 +578,19 @@ func bytesEqual(a, b []byte) bool {
 // splitNode divides a full node with at least 2t children into two
 // nodes, each taking half the children (Sec. 4.2.2), eliminating the
 // worst write case.
-func (t *Tree) splitNode(i int, x *node) error {
-	kidIdxs := t.children(i, x.rng)
+func (t *Tree) splitNode(i int, x *tableset.Table) error {
+	kidIdxs := t.children(i, x.Rng)
 	if len(kidIdxs) < 2 {
-		return fmt.Errorf("core: split of L%d node %d with %d children", i, x.num, len(kidIdxs))
+		return fmt.Errorf("core: split of L%d node %d with %d children", i, x.ID(), len(kidIdxs))
 	}
 	sp := t.cfg.Trace.BeginAt("core.split", t.curSpan)
 	sp.SetLevel(i)
-	sp.AddIn(x.num)
-	next := t.levels[i+1]
+	sp.AddIn(x.ID())
+	next := t.Level(i + 1)
 	half := len(kidIdxs) / 2
-	mid := next[kidIdxs[half]].rng.Lo
+	mid := next[kidIdxs[half]].Rng.Lo
 
-	t.stats.AddReadBytes(i, x.dataSize())
+	t.stats.AddReadBytes(i, x.DataSize())
 	b, err := t.loadNode(x)
 	if err != nil {
 		return err
@@ -635,16 +607,16 @@ func (t *Tree) splitNode(i int, x *node) error {
 	// from x's siblings.
 	leftRng, rightRng := leftB.span(), rightB.span()
 	for _, idx := range kidIdxs[:half] {
-		leftRng = leftRng.Union(next[idx].rng)
+		leftRng = leftRng.Union(next[idx].Rng)
 	}
 	for _, idx := range kidIdxs[half:] {
-		rightRng = rightRng.Union(next[idx].rng)
+		rightRng = rightRng.Union(next[idx].Rng)
 	}
-	leftRng = clampRange(leftRng, x.rng)
-	rightRng = clampRange(rightRng, x.rng)
+	leftRng = clampRange(leftRng, x.Rng)
+	rightRng = clampRange(rightRng, x.Rng)
 
 	var total int64
-	var newNodes []*node
+	var newNodes []*tableset.Table
 	for _, part := range []struct {
 		b   *batch
 		rng kv.Range
@@ -661,35 +633,28 @@ func (t *Tree) splitNode(i int, x *node) error {
 		total += bytes
 		if len(nds) == 0 {
 			// Empty half: materialize an empty node holding the range.
-			tbl, num, err := t.newTable()
+			nd, _, err := t.Build(t.cfg.fileCapacity(), nil)
 			if err != nil {
 				return err
 			}
-			if err := tbl.Sync(); err != nil {
-				_ = tbl.Close()
-				_ = t.cfg.FS.Remove(engine.TableFileName(t.cfg.Dir, num))
-				return err
-			}
-			nds = []*node{{num: num, tbl: tbl, rng: part.rng, refs: 1}}
-		} else {
-			nds[0].rng = part.rng // widen to the assigned range
+			nds = []*tableset.Table{nd}
 		}
+		nds[0].Rng = part.rng // widen to the assigned range
 		newNodes = append(newNodes, nds...)
 	}
 	t.stats.CountSplit(i)
 	t.stats.AddFlushBytes(i, total)
 	t.cfg.Events.SplitEnd(metrics.SplitInfo{Level: i, Bytes: total, NewNodes: len(newNodes)})
 
-	edit := &manifest.Edit{Deleted: []manifest.NodeRef{{Level: i, FileNum: x.num}},
-		NextFile: t.nextFile, SetNextFile: true}
-	t.removeFromLevel(i, x)
+	edit := &manifest.Edit{Deleted: []manifest.NodeRef{{Level: i, FileNum: x.ID()}},
+		NextFile: t.NextFile(), SetNextFile: true}
+	t.Remove(i, x)
 	for _, nd := range newNodes {
-		t.addToLevel(i, nd)
-		sp.AddOut(nd.num)
-		edit.Added = append(edit.Added, t.record(i, nd))
+		t.Add(i, nd)
+		sp.AddOut(nd.ID())
+		edit.Added = append(edit.Added, t.Record(i, nd))
 	}
-	err = t.logEdit(edit)
-	t.deleteNode(x, err == nil)
+	err = t.Commit(edit, x)
 	sp.SetBytes(total)
 	sp.SetCount(int64(len(newNodes)))
 	sp.End()
@@ -702,11 +667,10 @@ func (t *Tree) splitNode(i int, x *node) error {
 func (t *Tree) maintain() error {
 	for pass := 0; pass < 100000; pass++ {
 		n := t.n()
-		if len(t.levels[n]) >= t.threshold(n) {
+		if len(t.Level(n)) >= t.threshold(n) {
 			// The leaf level is full: it becomes internal and a new
 			// empty leaf level opens beneath it.
-			t.levels = append(t.levels, nil)
-			if err := t.logEdit(&manifest.Edit{NumLevels: t.n(), SetLevels: true}); err != nil {
+			if err := t.Grow(); err != nil {
 				return err
 			}
 			continue
@@ -715,7 +679,7 @@ func (t *Tree) maintain() error {
 		for i := t.n() - 1; i >= 1; i-- {
 			// Quarantined nodes are excluded: they can never be combined
 			// away, so counting them would wedge this loop.
-			if t.activeCount(i) > t.threshold(i) {
+			if t.ActiveCount(i) > t.threshold(i) {
 				if err := t.combineOne(i); err != nil {
 					return err
 				}
@@ -735,20 +699,20 @@ func (t *Tree) maintain() error {
 // three-node range covers at most 3t children, take the smallest such
 // cover (Tcn); this keeps the neighbors from splitting right away.
 func (t *Tree) combineOne(i int) error {
-	lvl := t.levels[i]
+	lvl := t.Level(i)
 	if len(lvl) == 0 {
 		return errors.New("core: combine on empty level")
 	}
 	best, bestTcn := -1, 1<<30
 	for j := 1; j < len(lvl)-1; j++ {
-		if lvl[j].quarantined {
+		if lvl[j].Quarantined() {
 			continue // combining would read the corrupt contents
 		}
-		own := len(t.children(i, lvl[j].rng))
+		own := len(t.children(i, lvl[j].Rng))
 		if own >= 2*t.cfg.Fanout {
 			continue
 		}
-		cover := lvl[j-1].rng.Union(lvl[j].rng).Union(lvl[j+1].rng)
+		cover := lvl[j-1].Rng.Union(lvl[j].Rng).Union(lvl[j+1].Rng)
 		tcn := t.childCount(i, cover)
 		if tcn <= 3*t.cfg.Fanout && tcn < bestTcn {
 			best, bestTcn = j, tcn
@@ -758,10 +722,10 @@ func (t *Tree) combineOne(i int) error {
 		// Fallback: the non-quarantined node with the fewest children.
 		fewest := 1 << 30
 		for j := range lvl {
-			if lvl[j].quarantined {
+			if lvl[j].Quarantined() {
 				continue
 			}
-			own := len(t.children(i, lvl[j].rng))
+			own := len(t.children(i, lvl[j].Rng))
 			if own < fewest {
 				best, fewest = j, own
 			}
@@ -773,7 +737,7 @@ func (t *Tree) combineOne(i int) error {
 	t.stats.CountCombine(i)
 	sp := t.cfg.Trace.BeginAt("core.combine", t.curSpan)
 	sp.SetLevel(i)
-	sp.AddIn(lvl[best].num)
+	sp.AddIn(lvl[best].ID())
 	prevSpan := t.curSpan
 	t.curSpan = sp.ID()
 	t.cfg.Events.CombineEnd(metrics.CombineInfo{Level: i})
@@ -781,24 +745,4 @@ func (t *Tree) combineOne(i int) error {
 	t.curSpan = prevSpan
 	sp.End()
 	return err
-}
-
-func (t *Tree) removeFromLevel(i int, x *node) {
-	lvl := t.levels[i]
-	for j, nd := range lvl {
-		if nd == x {
-			t.levels[i] = append(lvl[:j], lvl[j+1:]...)
-			return
-		}
-	}
-}
-
-func (t *Tree) addToLevel(i int, x *node) {
-	t.levels[i] = append(t.levels[i], x)
-	t.sortLevel(i)
-}
-
-func (t *Tree) logEdit(e *manifest.Edit) error {
-	t.cfg.Events.ManifestEdit(metrics.ManifestEditInfo{Adds: len(e.Added), Deletes: len(e.Deleted)})
-	return t.man.Append(e)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"iamdb/internal/kv"
+	"iamdb/internal/tableset"
 )
 
 func TestKeyDistance(t *testing.T) {
@@ -74,20 +75,22 @@ func TestClampRange(t *testing.T) {
 func TestChildSpanBinarySearch(t *testing.T) {
 	tr, _ := testTree(t, LSA, 0)
 	defer tr.Close()
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
+	tr.Mu.Lock()
+	defer tr.Mu.Unlock()
 	// Build an artificial two-level structure.
-	tr.levels = append(tr.levels, nil) // n=2
+	if err := tr.Grow(); err != nil { // n=2
+		t.Fatal(err)
+	}
 	for i := 0; i < 10; i++ {
 		lo := []byte(fmt.Sprintf("k%02d0", i))
 		hi := []byte(fmt.Sprintf("k%02d9", i))
-		tbl, num, err := tr.newTable()
+		nd, _, err := tr.Build(tr.cfg.fileCapacity(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr.levels[2] = append(tr.levels[2], &node{num: num, tbl: tbl, rng: kv.MakeRange(lo, hi), refs: 1})
+		nd.Rng = kv.MakeRange(lo, hi)
+		tr.Add(2, nd)
 	}
-	tr.sortLevel(2)
 
 	cases := []struct {
 		lo, hi string
@@ -141,22 +144,22 @@ func TestDeepVerifyCatchesRangeViolation(t *testing.T) {
 	loadRandom(t, tr, 1000, 3)
 	// Corrupt an assigned range in memory: shrink a node's range so
 	// its data falls outside.
-	tr.mu.Lock()
-	var victim *node
+	tr.Mu.Lock()
+	var victim *tableset.Table
 	for i := 1; i <= tr.n() && victim == nil; i++ {
-		for _, nd := range tr.levels[i] {
-			if nd.tbl.Entries() > 10 {
+		for _, nd := range tr.Level(i) {
+			if nd.Entries() > 10 {
 				victim = nd
 				break
 			}
 		}
 	}
 	if victim == nil {
-		tr.mu.Unlock()
+		tr.Mu.Unlock()
 		t.Skip("no node with enough data")
 	}
-	victim.rng = kv.MakeRange(victim.rng.Lo, append([]byte(nil), victim.rng.Lo...))
-	tr.mu.Unlock()
+	victim.Rng = kv.MakeRange(victim.Rng.Lo, append([]byte(nil), victim.Rng.Lo...))
+	tr.Mu.Unlock()
 	if _, err := tr.DeepVerify(); err == nil {
 		t.Fatal("verify missed the corrupted range")
 	}

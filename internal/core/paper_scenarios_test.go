@@ -37,17 +37,17 @@ func TestFigure4LeafFlushMergesFullChildOnly(t *testing.T) {
 	defer tr.Close()
 	buildTwoLevels(t, tr)
 
-	tr.mu.Lock()
+	tr.Mu.Lock()
 	leaf := tr.n()
 	// Pick a leaf child and stuff it to the capacity threshold so the
 	// next delivery to it must merge.
-	if len(tr.levels[leaf]) == 0 {
-		tr.mu.Unlock()
+	if len(tr.Level(leaf)) == 0 {
+		tr.Mu.Unlock()
 		t.Skip("empty leaf level")
 	}
-	victim := tr.levels[leaf][0]
-	victimRange := victim.rng
-	tr.mu.Unlock()
+	victim := tr.Level(leaf)[0]
+	victimRange := victim.Rng
+	tr.Mu.Unlock()
 
 	// Write keys inside the victim's range until it is full, flushing
 	// through the tree each time.
@@ -59,11 +59,11 @@ func TestFigure4LeafFlushMergesFullChildOnly(t *testing.T) {
 		fill++
 		// The node object may have been replaced by a merge already;
 		// refresh the pointer by range lookup.
-		tr.mu.Lock()
-		if nd := tr.findNode(leaf, mid); nd != nil {
+		tr.Mu.Lock()
+		if nd := tr.Find(leaf, mid); nd != nil {
 			victim = nd
 		}
-		tr.mu.Unlock()
+		tr.Mu.Unlock()
 	}
 	before := tr.Stats()
 	l.flush()
@@ -109,11 +109,11 @@ func TestFigure5MixedLevelKSequences(t *testing.T) {
 		t.Skip("too shallow")
 	}
 	// Mixed level is L2: every node must carry at most k=3 sequences.
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
+	tr.Mu.Lock()
+	defer tr.Mu.Unlock()
 	maxSeqs := 0
-	for _, nd := range tr.levels[2] {
-		if s := nd.tbl.NumSeqs(); s > maxSeqs {
+	for _, nd := range tr.Level(2) {
+		if s := nd.NumSeqs(); s > maxSeqs {
 			maxSeqs = s
 		}
 	}
@@ -121,7 +121,7 @@ func TestFigure5MixedLevelKSequences(t *testing.T) {
 		t.Fatalf("mixed level node carries %d sequences > k=3", maxSeqs)
 	}
 	// And appends actually accumulate there (some node has >1).
-	if maxSeqs <= 1 && len(tr.levels[2]) > 2 {
+	if maxSeqs <= 1 && len(tr.Level(2)) > 2 {
 		t.Fatalf("mixed level never accumulated appended sequences")
 	}
 }

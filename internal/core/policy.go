@@ -1,5 +1,7 @@
 package core
 
+import "iamdb/internal/tableset"
+
 // This file implements the flush strategy of Sec. 5.1: the choice
 // between appending and merging when a flush delivers records to a
 // child, and the tuning of the mixed level m and sequence cap k from
@@ -16,8 +18,8 @@ package core
 //   - IAM appends above the mixed level, merges below it, and at the
 //     mixed level merges only the children that already carry k
 //     sequences (Sec. 5.1.2, Fig. 5).
-func (t *Tree) shouldMerge(dst int, kid *node) bool {
-	if kid.tbl.NumSeqs() == 0 {
+func (t *Tree) shouldMerge(dst int, kid *tableset.Table) bool {
+	if kid.NumSeqs() == 0 {
 		return false
 	}
 	if dst == t.n() && t.full(kid) {
@@ -36,15 +38,15 @@ func (t *Tree) shouldMerge(dst int, kid *node) bool {
 	case dst > m:
 		return true
 	default:
-		return kid.tbl.NumSeqs() >= k
+		return kid.NumSeqs() >= k
 	}
 }
 
 // MixedLevel reports the current (m, k) the IAM policy would use; for
 // LSA it reports m = n+1 (appending everywhere).
 func (t *Tree) MixedLevel() (m, k int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.Mu.Lock()
+	defer t.Mu.Unlock()
 	if t.cfg.Policy == LSA {
 		return t.n() + 1, t.cfg.K
 	}

@@ -1,117 +1,15 @@
 package core
 
-import (
-	"fmt"
+import "iamdb/internal/tableset"
 
-	"iamdb/internal/kv"
-)
-
-// VerifyReport summarizes a deep consistency check.
-type VerifyReport struct {
-	Levels       int
-	Nodes        int
-	Sequences    int
-	Records      uint64
-	BloomProbes  int
-	RangeChecked int
-}
-
-func (r VerifyReport) String() string {
-	return fmt.Sprintf("levels=%d nodes=%d seqs=%d records=%d bloom-probes=%d",
-		r.Levels, r.Nodes, r.Sequences, r.Records, r.BloomProbes)
-}
-
-// DeepVerify walks every node and sequence, checking the full set of
-// structural and data invariants:
-//
-//  1. level node counts within thresholds (internal levels),
-//  2. assigned ranges sorted, disjoint, covering their node's data,
-//  3. per-sequence metadata bounds match the actual keys,
-//  4. sequences iterate in strict internal-key order,
-//  5. every user key probes positive in its sequence's Bloom filter,
-//  6. per-node Get finds a sample of the node's own keys.
-//
-// It reads every data block, so it is for tests and tooling, not the
-// hot path.
-func (t *Tree) DeepVerify() (VerifyReport, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var rep VerifyReport
-	rep.Levels = t.n()
-
-	for i := 1; i <= t.n(); i++ {
-		lvl := t.levels[i]
-		if i < t.n() && len(lvl) > t.threshold(i) {
-			return rep, fmt.Errorf("L%d: %d nodes over threshold %d", i, len(lvl), t.threshold(i))
-		}
-		for j, nd := range lvl {
-			rep.Nodes++
-			if j > 0 && !lvl[j-1].rng.Before(nd.rng) {
-				return rep, fmt.Errorf("L%d: node %d range %v not after %v",
-					i, nd.num, nd.rng, lvl[j-1].rng)
-			}
-			if err := t.verifyNode(i, nd, &rep); err != nil {
-				return rep, err
-			}
-		}
+// DeepVerify checks the tree's invariants (CheckInvariants: structure
+// plus level thresholds) and then everything the table set verifies by
+// reading every data block: sequence order and bounds, Bloom filters,
+// sampled lookups (see tableset.Set.DeepVerify).  For tests and tooling,
+// not the hot path.
+func (t *Tree) DeepVerify() (tableset.VerifyReport, error) {
+	if err := t.CheckInvariants(); err != nil {
+		return tableset.VerifyReport{}, err
 	}
-	return rep, nil
-}
-
-func (t *Tree) verifyNode(lvl int, nd *node, rep *VerifyReport) error {
-	tbl := nd.tbl
-	numSeqs := tbl.NumSeqs()
-	rep.Sequences += numSeqs
-	for s := 0; s < numSeqs; s++ {
-		meta := tbl.SeqMetaAt(s)
-		it := tbl.SeqIter(s)
-		var prev []byte
-		var count uint64
-		var sampleKeys [][]byte
-		for it.First(); it.Valid(); it.Next() {
-			k := it.Key()
-			if prev != nil && kv.CompareInternal(prev, k) >= 0 {
-				return fmt.Errorf("L%d node %d seq %d: keys out of order", lvl, nd.num, s)
-			}
-			u, _, _, ok := kv.ParseInternalKey(k)
-			if !ok {
-				return fmt.Errorf("L%d node %d seq %d: bad internal key", lvl, nd.num, s)
-			}
-			if !nd.rng.Contains(u) {
-				return fmt.Errorf("L%d node %d seq %d: key %q outside assigned range %v",
-					lvl, nd.num, s, u, nd.rng)
-			}
-			if kv.CompareInternal(k, meta.Smallest) < 0 || kv.CompareInternal(k, meta.Largest) > 0 {
-				return fmt.Errorf("L%d node %d seq %d: key %q outside metadata bounds",
-					lvl, nd.num, s, u)
-			}
-			if !meta.Bloom.MayContain(u) {
-				return fmt.Errorf("L%d node %d seq %d: bloom false negative for %q",
-					lvl, nd.num, s, u)
-			}
-			rep.BloomProbes++
-			if count%97 == 0 {
-				sampleKeys = append(sampleKeys, append([]byte(nil), u...))
-			}
-			prev = append(prev[:0], k...)
-			count++
-		}
-		if err := it.Err(); err != nil {
-			return fmt.Errorf("L%d node %d seq %d: %w", lvl, nd.num, s, err)
-		}
-		it.Close()
-		if count != meta.Entries {
-			return fmt.Errorf("L%d node %d seq %d: %d records, metadata says %d",
-				lvl, nd.num, s, count, meta.Entries)
-		}
-		rep.Records += count
-		// Sampled point lookups through the node's own Get path.
-		for _, u := range sampleKeys {
-			if _, _, _, found, err := tbl.Get(u, kv.MaxSeq); err != nil || !found {
-				return fmt.Errorf("L%d node %d: own key %q unfindable (%v)", lvl, nd.num, u, err)
-			}
-			rep.RangeChecked++
-		}
-	}
-	return nil
+	return t.Set.DeepVerify()
 }

@@ -15,21 +15,23 @@ import (
 )
 
 // Engine is a storage tree: it accepts flushed memtables, performs its
-// own compaction, and serves reads.
+// own compaction, and serves reads.  Both engine families get everything
+// below "Close" from the table-set substrate (internal/tableset) they
+// stand on; what they implement themselves is when to act, what to pick
+// and how data moves.
 type Engine interface {
 	// Flush writes one immutable memtable (as an internal-key ordered
 	// iterator) into the tree, performing whatever compaction cascade
 	// the tree's policy requires.
 	Flush(it iterator.Iterator) error
-	// NeedsWork reports whether background compaction is pending
-	// (LSM baselines; the trees compact inside Flush).
-	NeedsWork() bool
 	// WorkStep performs one unit of background compaction, reporting
 	// whether it did anything.
 	WorkStep() (bool, error)
 	// StallLevel reports write-throttle state: 0 none, 1 slowdown,
 	// 2 stop.  The DB layer translates this into write delays.
 	StallLevel() int
+	// Stats returns cumulative compaction statistics.
+	Stats() StatsSnapshot
 	// Get finds the newest version of ukey visible at snapshot snap.
 	Get(ukey []byte, snap kv.Seq) (val []byte, kind kv.Kind, seq kv.Seq, found bool, err error)
 	// NewIter returns a merged iterator over all on-disk data.
@@ -37,15 +39,41 @@ type Engine interface {
 	// SetHorizon tells the engine the oldest snapshot still active, so
 	// merges know which record versions remain reachable.
 	SetHorizon(h kv.Seq)
-	// Stats returns cumulative compaction statistics.
-	Stats() StatsSnapshot
 	// Levels summarizes the current tree shape.
 	Levels() []LevelInfo
 	// SpaceUsed reports on-disk bytes (data + metadata, holes free).
 	SpaceUsed() int64
+	// ApproximateSize estimates the on-disk bytes stored within the
+	// user-key range [lo, hi].
+	ApproximateSize(lo, hi []byte) int64
 	// Close releases all resources.  The tree must be reopenable from
 	// its manifest afterwards.
 	Close() error
+
+	// SetLogMeta durably records the DB layer's WAL position; LogMeta
+	// returns the recorded one.
+	SetLogMeta(lastSeq kv.Seq, logNum uint64) error
+	LogMeta() (kv.Seq, uint64)
+	// RecoveryDropped reports the manifest bytes dropped as a torn tail
+	// during Open.
+	RecoveryDropped() int64
+	// Resume re-establishes a clean durable state after a background I/O
+	// error by rewriting the manifest from the in-memory tree, so that
+	// any half-applied edit sequence is superseded.
+	Resume() error
+	// CheckInvariants validates the structural invariants (level
+	// ordering, range containment, manifest agreement).
+	CheckInvariants() error
+	// Quarantine fences the table with file number num after detected
+	// corruption, reporting whether the mark is new: a quarantined table
+	// keeps serving whatever reads still succeed but is never chosen as
+	// compaction input.  Quarantined lists the fenced tables.
+	Quarantine(num uint64, reason string) bool
+	Quarantined() []QuarantineInfo
+	// VisitTables walks the open tables for offline-style verification
+	// (DB.Scrub), without engine locks held during fn; returning an
+	// error stops the walk.
+	VisitTables(fn func(level int, num uint64, t *table.Table) error) error
 }
 
 // LevelInfo summarizes one level for reporting.
@@ -335,55 +363,10 @@ func TableFileName(dir string, num uint64) string {
 	return fmt.Sprintf("%s/%06d.mst", dir, num)
 }
 
-// RangeSizer is implemented by engines that can estimate the on-disk
-// bytes stored within a user-key range.
-type RangeSizer interface {
-	ApproximateSize(lo, hi []byte) int64
-}
-
-// Resumer is implemented by engines that can re-establish a clean
-// durable state after a background I/O error — typically by rewriting
-// the manifest from the in-memory tree so that any half-applied edit
-// sequence is superseded.  The DB layer calls Resume before retrying
-// failed background work.
-type Resumer interface {
-	Resume() error
-}
-
-// Checker is implemented by engines that can validate their own
-// structural invariants (level ordering, range containment, manifest
-// agreement).  Used by crash-recovery tests as an oracle.
-type Checker interface {
-	CheckInvariants() error
-}
-
 // QuarantineInfo identifies one quarantined table for reporting.
 type QuarantineInfo struct {
 	Level   int
 	FileNum uint64
 	Path    string
 	Reason  string
-}
-
-// Quarantiner is implemented by engines that can fence a corrupt
-// table: a quarantined table keeps serving whatever reads still
-// succeed, but is never chosen as compaction input — so background
-// work neither loops on an unreadable file nor rewrites (and thereby
-// discards) a partially-readable one before an operator intervenes.
-// The DB layer quarantines on detected corruption and reports via
-// metrics and /levels.
-type Quarantiner interface {
-	// Quarantine fences the table with file number num, reporting
-	// whether the mark is new (false when already quarantined or the
-	// file is unknown to the engine).
-	Quarantine(num uint64, reason string) bool
-	// Quarantined lists the currently fenced tables.
-	Quarantined() []QuarantineInfo
-}
-
-// TableVisitor is implemented by engines that can walk their open
-// tables for offline-style verification (DB.Scrub).  fn runs without
-// engine locks held where possible; returning an error stops the walk.
-type TableVisitor interface {
-	VisitTables(fn func(level int, num uint64, t *table.Table) error) error
 }

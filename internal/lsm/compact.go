@@ -6,19 +6,19 @@ import (
 	"iamdb/internal/kv"
 	"iamdb/internal/manifest"
 	"iamdb/internal/metrics"
-	"iamdb/internal/table"
+	"iamdb/internal/tableset"
 )
 
 // Flush implements engine.Engine: the immutable memtable becomes one
 // new L0 file (ranges in L0 may overlap).
 func (d *DB) Flush(it iterator.Iterator) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.Mu.Lock()
+	defer d.Mu.Unlock()
 	d.stats.CountFlush()
 	start := d.cfg.Clock.Now()
 	sp := d.cfg.Trace.Begin("lsm.flush")
 	sp.SetLevel(0)
-	filtered := engine.DropObsoleteObserved(it, d.horizon, false, d.cfg.OnDrop)
+	filtered := engine.DropObsoleteObserved(it, d.Horizon(), false, d.cfg.OnDrop)
 	filtered.First()
 	files, bytes, err := d.writeFiles(filtered, 1<<62)
 	d.cfg.Events.FlushEnd(metrics.FlushInfo{Bytes: bytes, Duration: d.cfg.Clock.Now() - start})
@@ -26,14 +26,13 @@ func (d *DB) Flush(it iterator.Iterator) error {
 		return err
 	}
 	d.stats.AddFlushBytes(0, bytes)
-	edit := &manifest.Edit{NextFile: d.nextFile, SetNextFile: true}
+	edit := &manifest.Edit{NextFile: d.NextFile(), SetNextFile: true}
 	for _, f := range files {
-		d.levels[0] = append(d.levels[0], f)
-		sp.AddOut(f.num)
-		edit.Added = append(edit.Added, d.record(0, f))
+		sp.AddOut(f.ID())
+		edit.Added = append(edit.Added, d.Record(0, f))
 	}
-	d.sortLevel0()
-	err = d.logEdit(edit)
+	d.Add(0, files...)
+	err = d.Commit(edit)
 	sp.SetBytes(bytes)
 	sp.End()
 	return err
@@ -42,8 +41,8 @@ func (d *DB) Flush(it iterator.Iterator) error {
 // writeFiles drains a positioned iterator into new tables of at most
 // limit data bytes each, gathering each chunk in memory to size the
 // file exactly.
-func (d *DB) writeFiles(it iterator.Iterator, limit int64) ([]*file, int64, error) {
-	var files []*file
+func (d *DB) writeFiles(it iterator.Iterator, limit int64) ([]*tableset.Table, int64, error) {
+	var files []*tableset.Table
 	var total int64
 	for it.Valid() {
 		var keys, vals [][]byte
@@ -66,30 +65,12 @@ func (d *DB) writeFiles(it iterator.Iterator, limit int64) ([]*file, int64, erro
 			break
 		}
 		capacity := bytes + bytes/2 + 64*1024
-		num := d.nextFile
-		d.nextFile++
-		tbl, err := table.Create(d.cfg.FS, engine.TableFileName(d.cfg.Dir, num), num,
-			capacity, table.Options{Cache: d.cfg.Cache, BitsPerKey: d.cfg.BitsPerKey,
-				Compression: d.cfg.Compression})
+		f, written, err := d.Build(capacity, iterator.NewSlice(kv.CompareInternal, keys, vals))
 		if err != nil {
 			return files, total, err
 		}
-		res, err := tbl.Append(iterator.NewSlice(kv.CompareInternal, keys, vals))
-		if err == nil {
-			// New tables must be durable before any manifest edit
-			// references them.
-			err = tbl.Sync()
-		}
-		if err != nil {
-			// Error-path cleanup of a half-written table: the append
-			// failure is the error that matters.
-			_ = tbl.Close()
-			_ = d.cfg.FS.Remove(engine.TableFileName(d.cfg.Dir, num))
-			return files, total, err
-		}
-		d.cfg.Events.TableCreated(metrics.TableInfo{FileNum: num, Level: -1, Bytes: res.Bytes})
-		total += res.Bytes
-		files = append(files, &file{num: num, tbl: tbl, rng: tbl.UserRange(), refs: 1})
+		total += written
+		files = append(files, f)
 	}
 	// An iterator whose very first position failed never enters the
 	// loop above: without this check a corrupt input would read as
@@ -122,11 +103,11 @@ func (d *DB) pickCompaction(strict bool) (int, float64) {
 		trigger = overflowTolerance
 	}
 	best, bestScore := -1, 0.0
-	s0 := float64(d.activeCount(0)) / float64(d.cfg.L0CompactTrigger)
+	s0 := float64(d.ActiveCount(0)) / float64(d.cfg.L0CompactTrigger)
 	if s0 >= 1 && s0 > bestScore && !d.compactionBlocked(0) {
 		best, bestScore = 0, s0
 	}
-	for i := 1; i < len(d.levels)-1; i++ {
+	for i := 1; i < d.NumLevels()-1; i++ {
 		s := float64(d.levelBytes(i)) / float64(d.threshold(i))
 		if s >= trigger && s > bestScore && !d.compactionBlocked(i) {
 			best, bestScore = i, s
@@ -144,10 +125,10 @@ func (d *DB) compactionBlocked(i int) bool {
 	}
 	var span kv.Range
 	for _, f := range inputs {
-		span = span.Union(f.rng)
+		span = span.Union(f.Rng)
 	}
-	for _, f := range d.levels[i+1] {
-		if f.quarantined && f.rng.Overlaps(span) {
+	for _, f := range d.Level(i + 1) {
+		if f.Quarantined() && f.Rng.Overlaps(span) {
 			return true
 		}
 	}
@@ -157,11 +138,11 @@ func (d *DB) compactionBlocked(i int) bool {
 // compactionInputs selects the level-i files the next compaction would
 // consume: all eligible L0 files, or the round-robin pick for deeper
 // levels.  Quarantined files are never selected.
-func (d *DB) compactionInputs(i int) []*file {
-	var inputs []*file
+func (d *DB) compactionInputs(i int) []*tableset.Table {
+	var inputs []*tableset.Table
 	if i == 0 {
-		for _, f := range d.levels[0] {
-			if !f.quarantined {
+		for _, f := range d.Level(0) {
+			if !f.Quarantined() {
 				inputs = append(inputs, f)
 			}
 		}
@@ -173,25 +154,17 @@ func (d *DB) compactionInputs(i int) []*file {
 	return inputs
 }
 
-// NeedsWork implements engine.Engine.
-func (d *DB) NeedsWork() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	lvl, _ := d.pickCompaction(false)
-	return lvl >= 0
-}
-
 // StallLevel implements engine.Engine.
 func (d *DB) StallLevel() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.Mu.Lock()
+	defer d.Mu.Unlock()
 	return d.stallLocked()
 }
 
 func (d *DB) stallLocked() int {
 	// Quarantined L0 files can never compact away; counting them would
 	// stall writes permanently.
-	n := d.activeCount(0)
+	n := d.ActiveCount(0)
 	switch {
 	case n >= 3*d.cfg.L0CompactTrigger:
 		return 2
@@ -201,7 +174,7 @@ func (d *DB) stallLocked() int {
 	if d.cfg.Profile == ProfileRocksDB {
 		// RocksDB also throttles on pending compaction debt.
 		var debt int64
-		for i := 1; i < len(d.levels)-1; i++ {
+		for i := 1; i < d.NumLevels()-1; i++ {
 			if over := d.levelBytes(i) - d.threshold(i); over > 0 {
 				debt += over
 			}
@@ -218,8 +191,8 @@ func (d *DB) stallLocked() int {
 
 // WorkStep implements engine.Engine: one compaction.
 func (d *DB) WorkStep() (bool, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.Mu.Lock()
+	defer d.Mu.Unlock()
 	lvl, _ := d.pickCompaction(false)
 	if lvl < 0 {
 		return false, nil
@@ -238,12 +211,12 @@ func (d *DB) compactLevel(i int) error {
 	}
 	var span kv.Range
 	for _, f := range inputs {
-		span = span.Union(f.rng)
+		span = span.Union(f.Rng)
 	}
-	var overlaps []*file
-	for _, f := range d.levels[i+1] {
-		if f.rng.Overlaps(span) {
-			if f.quarantined {
+	var overlaps []*tableset.Table
+	for _, f := range d.Level(i + 1) {
+		if f.Rng.Overlaps(span) {
+			if f.Quarantined() {
 				// Merging through a fenced file would either fail on its
 				// corruption or rewrite away the evidence; leave this
 				// level alone (pickCompaction avoids scheduling it).
@@ -260,16 +233,15 @@ func (d *DB) compactLevel(i int) error {
 		f := inputs[0]
 		mv := d.cfg.Trace.Begin("lsm.move")
 		mv.SetLevel(i + 1)
-		mv.AddIn(f.num)
-		mv.AddOut(f.num) // the file survives the move, re-homed a level down
-		d.removeFrom(i, f)
-		d.levels[i+1] = append(d.levels[i+1], f)
-		d.sortLevel(i + 1)
+		mv.AddIn(f.ID())
+		mv.AddOut(f.ID()) // the file survives the move, re-homed a level down
+		d.Remove(i, f)
+		d.Add(i+1, f)
 		d.stats.CountMove(i + 1)
 		d.cfg.Events.MoveEnd(metrics.MoveInfo{FromLevel: i, ToLevel: i + 1})
-		err := d.logEdit(&manifest.Edit{
-			Deleted: []manifest.NodeRef{{Level: i, FileNum: f.num}},
-			Added:   []manifest.NodeRecord{d.record(i+1, f)},
+		err := d.Commit(&manifest.Edit{
+			Deleted: []manifest.NodeRef{{Level: i, FileNum: f.ID()}},
+			Added:   []manifest.NodeRecord{d.Record(i+1, f)},
 		})
 		mv.End()
 		return err
@@ -280,30 +252,30 @@ func (d *DB) compactLevel(i int) error {
 	var kids []iterator.Iterator
 	if i == 0 {
 		for j := len(inputs) - 1; j >= 0; j-- {
-			kids = append(kids, inputs[j].tbl.NewIter())
+			kids = append(kids, inputs[j].NewIter())
 		}
 	} else {
 		for _, f := range inputs {
-			kids = append(kids, f.tbl.NewIter())
+			kids = append(kids, f.NewIter())
 		}
 	}
 	for _, f := range overlaps {
-		kids = append(kids, f.tbl.NewIter())
+		kids = append(kids, f.NewIter())
 	}
 	start := d.cfg.Clock.Now()
 	sp := d.cfg.Trace.Begin("lsm.compact")
 	sp.SetLevel(i + 1)
 	for _, f := range inputs {
-		d.stats.AddReadBytes(i, f.tbl.DataSize())
-		sp.AddIn(f.num)
+		d.stats.AddReadBytes(i, f.DataSize())
+		sp.AddIn(f.ID())
 	}
 	for _, f := range overlaps {
-		d.stats.AddReadBytes(i+1, f.tbl.DataSize())
-		sp.AddIn(f.num)
+		d.stats.AddReadBytes(i+1, f.DataSize())
+		sp.AddIn(f.ID())
 	}
 	merged := iterator.NewMerging(kv.CompareInternal, kids...)
 	atBottom := d.isBottom(i + 1)
-	filtered := engine.DropObsoleteObserved(merged, d.horizon, atBottom, d.cfg.OnDrop)
+	filtered := engine.DropObsoleteObserved(merged, d.Horizon(), atBottom, d.cfg.OnDrop)
 	filtered.First()
 	files, bytes, err := d.writeFiles(filtered, d.cfg.FileSize)
 	if err != nil {
@@ -313,31 +285,21 @@ func (d *DB) compactLevel(i int) error {
 	d.stats.AddFlushBytes(i+1, bytes)
 	d.cfg.Events.MergeEnd(metrics.MergeInfo{Level: i + 1, Bytes: bytes, Duration: d.cfg.Clock.Now() - start})
 
-	edit := &manifest.Edit{NextFile: d.nextFile, SetNextFile: true}
+	edit := &manifest.Edit{NextFile: d.NextFile(), SetNextFile: true}
 	for _, f := range inputs {
-		d.removeFrom(i, f)
-		edit.Deleted = append(edit.Deleted, manifest.NodeRef{Level: i, FileNum: f.num})
+		d.Remove(i, f)
+		edit.Deleted = append(edit.Deleted, manifest.NodeRef{Level: i, FileNum: f.ID()})
 	}
 	for _, f := range overlaps {
-		d.removeFrom(i+1, f)
-		edit.Deleted = append(edit.Deleted, manifest.NodeRef{Level: i + 1, FileNum: f.num})
+		d.Remove(i+1, f)
+		edit.Deleted = append(edit.Deleted, manifest.NodeRef{Level: i + 1, FileNum: f.ID()})
 	}
 	for _, f := range files {
-		d.levels[i+1] = append(d.levels[i+1], f)
-		sp.AddOut(f.num)
-		edit.Added = append(edit.Added, d.record(i+1, f))
+		sp.AddOut(f.ID())
+		edit.Added = append(edit.Added, d.Record(i+1, f))
 	}
-	d.sortLevel(i + 1)
-	// The old files may only disappear once the edit dropping them is
-	// durable; otherwise a crash here loses data the manifest still
-	// points at.
-	err = d.logEdit(edit)
-	for _, f := range inputs {
-		d.deleteFile(f, err == nil)
-	}
-	for _, f := range overlaps {
-		d.deleteFile(f, err == nil)
-	}
+	d.Add(i+1, files...)
+	err = d.Commit(edit, append(inputs, overlaps...)...)
 	sp.SetBytes(bytes)
 	sp.SetCount(int64(len(files)))
 	sp.End()
@@ -346,8 +308,8 @@ func (d *DB) compactLevel(i int) error {
 
 // isBottom reports whether no level deeper than dst holds data.
 func (d *DB) isBottom(dst int) bool {
-	for j := dst + 1; j < len(d.levels); j++ {
-		if len(d.levels[j]) > 0 {
+	for j := dst + 1; j < d.NumLevels(); j++ {
+		if len(d.Level(j)) > 0 {
 			return false
 		}
 	}
@@ -357,33 +319,23 @@ func (d *DB) isBottom(dst int) bool {
 // pickFileRoundRobin picks the next non-quarantined file of level i
 // after the level's compact pointer, wrapping (the LevelDB strategy).
 // Returns nil when every file of the level is quarantined.
-func (d *DB) pickFileRoundRobin(i int) *file {
-	lvl := d.levels[i]
+func (d *DB) pickFileRoundRobin(i int) *tableset.Table {
+	lvl := d.Level(i)
 	cur := d.cursor[i]
 	for _, f := range lvl {
-		if f.quarantined {
+		if f.Quarantined() {
 			continue
 		}
-		if cur == nil || kv.CompareUser(f.rng.Lo, cur) > 0 {
+		if cur == nil || kv.CompareUser(f.Rng.Lo, cur) > 0 {
 			return f
 		}
 	}
 	for _, f := range lvl {
-		if !f.quarantined {
+		if !f.Quarantined() {
 			return f
 		}
 	}
 	return nil
-}
-
-func (d *DB) removeFrom(i int, f *file) {
-	lvl := d.levels[i]
-	for j, g := range lvl {
-		if g == f {
-			d.levels[i] = append(lvl[:j], lvl[j+1:]...)
-			return
-		}
-	}
 }
 
 // DrainCompactions runs compactions until every level is within its
@@ -392,14 +344,14 @@ func (d *DB) removeFrom(i int, f *file) {
 // overflows after a load (Sec. 6.2).
 func (d *DB) DrainCompactions() error {
 	for {
-		d.mu.Lock()
+		d.Mu.Lock()
 		lvl, _ := d.pickCompaction(true)
 		if lvl < 0 {
-			d.mu.Unlock()
+			d.Mu.Unlock()
 			return nil
 		}
 		err := d.compactLevel(lvl)
-		d.mu.Unlock()
+		d.Mu.Unlock()
 		if err != nil {
 			return err
 		}

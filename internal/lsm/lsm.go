@@ -21,19 +21,10 @@
 package lsm
 
 import (
-	"errors"
-	"fmt"
-	"sort"
-	"sync"
-
 	"iamdb/internal/cache"
-	"iamdb/internal/corrupt"
 	"iamdb/internal/engine"
-	"iamdb/internal/iterator"
-	"iamdb/internal/kv"
-	"iamdb/internal/manifest"
 	"iamdb/internal/metrics"
-	"iamdb/internal/table"
+	"iamdb/internal/tableset"
 	"iamdb/internal/trace"
 	"iamdb/internal/vfs"
 )
@@ -116,232 +107,39 @@ func (c *Config) fill() {
 	}
 }
 
-type file struct {
-	num  uint64
-	tbl  *table.Table
-	rng  kv.Range
-	refs int32
-	// quarantined fences the file after detected corruption: it keeps
-	// serving whatever reads still succeed, but is never chosen as
-	// compaction input and does not count toward compaction triggers
-	// (an uncompactable file would otherwise spin the scheduler).
-	quarantined bool
-	qreason     string
-}
-
-// DB is the baseline leveled LSM engine.  Filesystem-layer locks nest
-// below the engine mutex (compaction writes files under mu), and the
-// trace recorder's ring lock is a leaf taken while mu is held:
-//
-//iamlint:lockorder lsm.DB.mu < vfs.*; lsm.DB.mu < trace.Recorder.mu
+// DB is the baseline leveled LSM engine over a table set: a file is a
+// tableset.Table whose range is its data bounds.  The embedded set
+// supplies the levels (L0 overlapping and ordered by file number, L1..
+// disjoint and sorted), the manifest, the structural mutex Mu and every
+// read and reporting method of engine.Engine; what is left here is the
+// policy — size thresholds, the compact cursor, compaction picking, the
+// stall level — and the merge that moves data down.
 type DB struct {
-	mu  sync.Mutex
+	*tableset.Set
 	cfg Config
-
-	levels   [][]*file // levels[0] newest-last; levels[1..] sorted by range
-	nextFile uint64
-	man      *manifest.Log
-	horizon  kv.Seq
-	logSeq   kv.Seq
-	logNum   uint64
 
 	// cursor[i] remembers where round-robin compaction of level i
 	// stopped (the LevelDB compact pointer).
 	cursor map[int][]byte
 	stats  engine.Stats
-
-	// recoveryDropped is the byte count the manifest replay discarded
-	// at its tail on open (a torn final append); >0 is suspicious and
-	// surfaced to the DB layer via RecoveryDropped.
-	recoveryDropped int64
 }
 
 var _ engine.Engine = (*DB)(nil)
 
-const manifestName = "MANIFEST"
-
-// Open creates or reopens a baseline LSM in cfg.Dir.
+// Open creates or reopens a baseline LSM in cfg.Dir.  A directory whose
+// manifest holds tables at level cfg.MaxLevels or deeper (written by a
+// tree that grew further) is refused with tableset.ErrLayout.
 func Open(cfg Config) (*DB, error) {
 	cfg.fill()
-	if err := cfg.FS.MkdirAll(cfg.Dir); err != nil {
+	set, err := tableset.Open(tableset.Config{
+		FS: cfg.FS, Dir: cfg.Dir, Cache: cfg.Cache,
+		BitsPerKey: cfg.BitsPerKey, Compression: cfg.Compression,
+		Events: cfg.Events, MaxLevels: cfg.MaxLevels,
+	})
+	if err != nil {
 		return nil, err
 	}
-	d := &DB{cfg: cfg, horizon: kv.MaxSeq, cursor: make(map[int][]byte)}
-	d.levels = make([][]*file, cfg.MaxLevels)
-	manPath := cfg.Dir + "/" + manifestName
-	if cfg.FS.Exists(manPath) {
-		st, dropped, err := manifest.ReplayStrict(cfg.FS, manPath)
-		if err != nil {
-			return nil, err
-		}
-		d.recoveryDropped = dropped
-		if err := d.loadState(st); err != nil {
-			return nil, err
-		}
-		man, err := manifest.Create(cfg.FS, manPath+".tmp", d.snapshotState())
-		if err != nil {
-			return nil, err
-		}
-		if err := cfg.FS.Rename(manPath+".tmp", manPath); err != nil {
-			_ = man.Close()
-			return nil, err
-		}
-		d.man = man
-	} else {
-		d.nextFile = 1
-		man, err := manifest.Create(cfg.FS, manPath, d.snapshotState())
-		if err != nil {
-			return nil, err
-		}
-		d.man = man
-	}
-	return d, nil
-}
-
-func (d *DB) loadState(st *manifest.State) error {
-	d.nextFile = st.NextFile
-	d.logSeq = st.LastSeq
-	d.logNum = st.LogNum
-	for lvl := 0; lvl < len(st.Levels) && lvl < d.cfg.MaxLevels; lvl++ {
-		for _, rec := range st.Levels[lvl] {
-			tbl, err := table.Open(d.cfg.FS, engine.TableFileName(d.cfg.Dir, rec.FileNum),
-				rec.FileNum, table.Options{Cache: d.cfg.Cache, BitsPerKey: d.cfg.BitsPerKey,
-					Compression: d.cfg.Compression})
-			if err != nil {
-				if errors.Is(err, vfs.ErrNotFound) {
-					// A manifest that references a table the directory no
-					// longer holds is store corruption (typically a rotted
-					// manifest record rolling state back past the table's
-					// deletion), not a plain I/O failure.
-					err = corrupt.New(corrupt.LayerManifest,
-						engine.TableFileName(d.cfg.Dir, rec.FileNum), -1,
-						manifest.ErrCorrupt, "manifest references a missing table file")
-				}
-				return fmt.Errorf("lsm: open file %d: %w", rec.FileNum, err)
-			}
-			f := &file{num: rec.FileNum, tbl: tbl, rng: kv.MakeRange(rec.Lo, rec.Hi), refs: 1}
-			if serr := tbl.Suspect(); serr != nil {
-				// The table opened on a fallback footer slot or with other
-				// evidence of damage: keep it readable but fenced.
-				f.quarantined, f.qreason = true, serr.Error()
-			}
-			d.levels[lvl] = append(d.levels[lvl], f)
-		}
-	}
-	d.sortLevel0()
-	for i := 1; i < len(d.levels); i++ {
-		d.sortLevel(i)
-	}
-	return nil
-}
-
-func (d *DB) snapshotState() *manifest.State {
-	st := &manifest.State{NextFile: d.nextFile, LastSeq: d.logSeq, LogNum: d.logNum,
-		NumLevels: d.cfg.MaxLevels}
-	st.Levels = make([][]manifest.NodeRecord, len(d.levels))
-	for lvl := range d.levels {
-		for _, f := range d.levels[lvl] {
-			st.Levels[lvl] = append(st.Levels[lvl], d.record(lvl, f))
-		}
-	}
-	return st
-}
-
-func (d *DB) record(lvl int, f *file) manifest.NodeRecord {
-	return manifest.NodeRecord{Level: lvl, FileNum: f.num, Lo: f.rng.Lo, Hi: f.rng.Hi}
-}
-
-func (d *DB) sortLevel0() {
-	// L0 files ordered oldest-first by file number; reads walk them
-	// newest-first.
-	sort.Slice(d.levels[0], func(a, b int) bool {
-		return d.levels[0][a].num < d.levels[0][b].num
-	})
-}
-
-func (d *DB) sortLevel(i int) {
-	sort.Slice(d.levels[i], func(a, b int) bool {
-		return kv.CompareUser(d.levels[i][a].rng.Lo, d.levels[i][b].rng.Lo) < 0
-	})
-}
-
-func (d *DB) ref(f *file) { f.refs++ }
-
-func (d *DB) unref(f *file) {
-	d.mu.Lock()
-	f.refs--
-	if f.refs == 0 {
-		// Read-only handle of a dropped file; nothing left to flush.
-		_ = f.tbl.Close()
-	}
-	d.mu.Unlock()
-}
-
-// deleteFile drops a file from the in-memory structure.  removeFile
-// also deletes it on disk — callers pass true only after the manifest
-// edit dropping the file is durable, so a crash can never leave the
-// manifest naming a missing file.  On a failed edit the file is kept:
-// an orphan wastes space but cannot be resurrected — recovery only
-// loads files named by the manifest — and Resume rewrites the manifest
-// from memory anyway.
-func (d *DB) deleteFile(f *file, removeFile bool) {
-	d.cfg.Events.TableDeleted(metrics.TableInfo{FileNum: f.num, Level: -1, Bytes: f.tbl.DataSize()})
-	f.tbl.EvictBlocks()
-	f.refs--
-	if f.refs == 0 {
-		_ = f.tbl.Close()
-	}
-	if removeFile {
-		_ = d.cfg.FS.Remove(engine.TableFileName(d.cfg.Dir, f.num))
-	}
-}
-
-// Resume implements engine.Resumer: it rewrites the manifest from the
-// in-memory state, healing any divergence left by a failed manifest
-// append.  Built beside the old manifest and renamed into place, so a
-// crash mid-resume keeps the old one in force.
-func (d *DB) Resume() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	manPath := d.cfg.Dir + "/" + manifestName
-	man, err := manifest.Create(d.cfg.FS, manPath+".tmp", d.snapshotState())
-	if err != nil {
-		return err
-	}
-	if err := d.cfg.FS.Rename(manPath+".tmp", manPath); err != nil {
-		_ = man.Close()
-		return err
-	}
-	old := d.man
-	d.man = man
-	if old != nil {
-		_ = old.Close()
-	}
-	return nil
-}
-
-// CheckInvariants implements engine.Checker: every file's range is
-// ordered, every table file exists on disk, and levels deeper than L0
-// are sorted and disjoint.  Crash-recovery tests use it as an oracle.
-func (d *DB) CheckInvariants() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for i := range d.levels {
-		var prev *file
-		for _, f := range d.levels[i] {
-			if kv.CompareUser(f.rng.Lo, f.rng.Hi) > 0 {
-				return fmt.Errorf("lsm: L%d file %d has inverted range", i, f.num)
-			}
-			if !d.cfg.FS.Exists(engine.TableFileName(d.cfg.Dir, f.num)) {
-				return fmt.Errorf("lsm: L%d file %d missing on disk", i, f.num)
-			}
-			if i > 0 && prev != nil && kv.CompareUser(prev.rng.Hi, f.rng.Lo) >= 0 {
-				return fmt.Errorf("lsm: L%d files %d and %d overlap", i, prev.num, f.num)
-			}
-			prev = f
-		}
-	}
-	return nil
+	return &DB{Set: set, cfg: cfg, cursor: make(map[int][]byte)}, nil
 }
 
 // threshold returns level i's size threshold in bytes.
@@ -358,432 +156,13 @@ func (d *DB) threshold(i int) int64 {
 // them would leave the scheduler permanently over threshold.
 func (d *DB) levelBytes(i int) int64 {
 	var n int64
-	for _, f := range d.levels[i] {
-		if f.quarantined {
-			continue
-		}
-		n += f.tbl.DataSize()
-	}
-	return n
-}
-
-// activeCount counts level i files eligible for compaction.
-func (d *DB) activeCount(i int) int {
-	n := 0
-	for _, f := range d.levels[i] {
-		if !f.quarantined {
-			n++
+	for _, f := range d.Level(i) {
+		if !f.Quarantined() {
+			n += f.DataSize()
 		}
 	}
 	return n
-}
-
-// RecoveryDropped reports the manifest bytes dropped as a torn tail
-// during the last Open; >0 means the recovered state may lag the last
-// acknowledged edit and the DB layer flags it as suspected corruption.
-func (d *DB) RecoveryDropped() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.recoveryDropped
-}
-
-// Quarantine implements engine.Quarantiner.
-func (d *DB) Quarantine(num uint64, reason string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for i := range d.levels {
-		for _, f := range d.levels[i] {
-			if f.num != num {
-				continue
-			}
-			if f.quarantined {
-				return false
-			}
-			f.quarantined, f.qreason = true, reason
-			return true
-		}
-	}
-	return false
-}
-
-// Quarantined implements engine.Quarantiner.
-func (d *DB) Quarantined() []engine.QuarantineInfo {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var out []engine.QuarantineInfo
-	for i := range d.levels {
-		for _, f := range d.levels[i] {
-			if f.quarantined {
-				out = append(out, engine.QuarantineInfo{
-					Level: i, FileNum: f.num,
-					Path:   engine.TableFileName(d.cfg.Dir, f.num),
-					Reason: f.qreason,
-				})
-			}
-		}
-	}
-	return out
-}
-
-// VisitTables implements engine.TableVisitor: fn sees a referenced
-// snapshot of the current tree, called without the engine lock so a
-// slow scrub does not block writes.
-func (d *DB) VisitTables(fn func(level int, num uint64, t *table.Table) error) error {
-	type ent struct {
-		level int
-		f     *file
-	}
-	d.mu.Lock()
-	var ents []ent
-	for i := range d.levels {
-		for _, f := range d.levels[i] {
-			d.ref(f)
-			ents = append(ents, ent{i, f})
-		}
-	}
-	d.mu.Unlock()
-	var err error
-	for _, e := range ents {
-		if err == nil {
-			err = fn(e.level, e.f.num, e.f.tbl)
-		}
-		d.unref(e.f)
-	}
-	return err
-}
-
-// SetHorizon implements engine.Engine.
-func (d *DB) SetHorizon(h kv.Seq) {
-	d.mu.Lock()
-	d.horizon = h
-	d.mu.Unlock()
-}
-
-// SetLogMeta durably records the DB layer's WAL position.
-func (d *DB) SetLogMeta(lastSeq kv.Seq, logNum uint64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.logSeq, d.logNum = lastSeq, logNum
-	return d.logEdit(&manifest.Edit{
-		LastSeq: lastSeq, SetLastSeq: true,
-		LogNum: logNum, SetLogNum: true,
-		NextFile: d.nextFile, SetNextFile: true,
-	})
-}
-
-func (d *DB) logEdit(e *manifest.Edit) error {
-	d.cfg.Events.ManifestEdit(metrics.ManifestEditInfo{Adds: len(e.Added), Deletes: len(e.Deleted)})
-	return d.man.Append(e)
-}
-
-// LogMeta returns the recovered WAL position.
-func (d *DB) LogMeta() (kv.Seq, uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.logSeq, d.logNum
 }
 
 // Stats implements engine.Engine.
 func (d *DB) Stats() engine.StatsSnapshot { return d.stats.Snapshot() }
-
-// Levels implements engine.Engine.
-func (d *DB) Levels() []engine.LevelInfo {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var out []engine.LevelInfo
-	for i := range d.levels {
-		info := engine.LevelInfo{Level: i, Nodes: len(d.levels[i])}
-		for _, f := range d.levels[i] {
-			info.Bytes += f.tbl.DataSize()
-			info.Seqs += f.tbl.NumSeqs()
-			if f.quarantined {
-				info.Quarantined++
-			}
-		}
-		out = append(out, info)
-	}
-	return out
-}
-
-// SpaceUsed implements engine.Engine.
-func (d *DB) SpaceUsed() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var n int64
-	for i := range d.levels {
-		for _, f := range d.levels[i] {
-			n += f.tbl.UsedBytes()
-		}
-	}
-	return n
-}
-
-// Close implements engine.Engine.
-func (d *DB) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var errs []error
-	for i := range d.levels {
-		for _, f := range d.levels[i] {
-			errs = append(errs, f.tbl.Close())
-		}
-	}
-	errs = append(errs, d.man.Close())
-	return errors.Join(errs...)
-}
-
-// Get implements engine.Engine: L0 files newest-first, then at most one
-// file per deeper level.
-func (d *DB) Get(ukey []byte, snap kv.Seq) ([]byte, kv.Kind, kv.Seq, bool, error) {
-	d.mu.Lock()
-	var cands []*file
-	for i := len(d.levels[0]) - 1; i >= 0; i-- {
-		f := d.levels[0][i]
-		if f.rng.Contains(ukey) {
-			d.ref(f)
-			cands = append(cands, f)
-		}
-	}
-	for i := 1; i < len(d.levels); i++ {
-		if f := d.findFile(i, ukey); f != nil {
-			d.ref(f)
-			cands = append(cands, f)
-		}
-	}
-	d.mu.Unlock()
-	defer func() {
-		for _, f := range cands {
-			d.unref(f)
-		}
-	}()
-	for _, f := range cands {
-		v, k, s, found, err := f.tbl.Get(ukey, snap)
-		if err != nil {
-			return nil, 0, 0, false, err
-		}
-		if found {
-			return v, k, s, true, nil
-		}
-	}
-	return nil, 0, 0, false, nil
-}
-
-func (d *DB) findFile(i int, ukey []byte) *file {
-	lvl := d.levels[i]
-	idx := sort.Search(len(lvl), func(j int) bool {
-		return kv.CompareUser(ukey, lvl[j].rng.Hi) <= 0
-	})
-	if idx < len(lvl) && lvl[idx].rng.Contains(ukey) {
-		return lvl[idx]
-	}
-	return nil
-}
-
-// NewIter implements engine.Engine: every L0 file is its own child (its
-// range overlaps the others), deeper levels are concatenated.
-func (d *DB) NewIter() iterator.Iterator {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var kids []iterator.Iterator
-	for i := len(d.levels[0]) - 1; i >= 0; i-- {
-		f := d.levels[0][i]
-		d.ref(f)
-		kids = append(kids, &fileIter{d: d, files: []*file{f}})
-	}
-	for i := 1; i < len(d.levels); i++ {
-		if len(d.levels[i]) == 0 {
-			continue
-		}
-		files := append([]*file(nil), d.levels[i]...)
-		for _, f := range files {
-			f.refs++
-		}
-		kids = append(kids, &fileIter{d: d, files: files})
-	}
-	return iterator.NewMerging(kv.CompareInternal, kids...)
-}
-
-// fileIter concatenates disjoint sorted files of one level.
-type fileIter struct {
-	d      *DB
-	files  []*file
-	idx    int
-	cur    iterator.Iterator
-	err    error
-	closed bool
-}
-
-func (l *fileIter) open(i int) {
-	l.idx = i
-	if i >= 0 && i < len(l.files) {
-		l.cur = l.files[i].tbl.NewIter()
-	} else {
-		l.cur = nil
-	}
-}
-
-// First implements iterator.Iterator.
-func (l *fileIter) First() {
-	l.err = nil
-	l.open(0)
-	if l.cur != nil {
-		l.cur.First()
-		l.skip()
-	}
-}
-
-// Seek implements iterator.Iterator.
-func (l *fileIter) Seek(target []byte) {
-	l.err = nil
-	u := kv.UserKey(target)
-	i := sort.Search(len(l.files), func(j int) bool {
-		return kv.CompareUser(u, l.files[j].rng.Hi) <= 0
-	})
-	l.open(i)
-	if l.cur != nil {
-		l.cur.Seek(target)
-		l.skip()
-	}
-}
-
-// Next implements iterator.Iterator.
-func (l *fileIter) Next() {
-	if l.cur == nil {
-		return
-	}
-	l.cur.Next()
-	l.skip()
-}
-
-func (l *fileIter) skip() {
-	for l.cur != nil && !l.cur.Valid() {
-		if err := l.cur.Err(); err != nil {
-			l.err = err
-			l.cur = nil
-			return
-		}
-		l.cur.Close()
-		l.open(l.idx + 1)
-		if l.cur != nil {
-			l.cur.First()
-		}
-	}
-}
-
-// Valid implements iterator.Iterator.
-func (l *fileIter) Valid() bool { return l.cur != nil && l.cur.Valid() }
-
-// Key implements iterator.Iterator.
-func (l *fileIter) Key() []byte {
-	if l.cur == nil {
-		return nil
-	}
-	return l.cur.Key()
-}
-
-// Value implements iterator.Iterator.
-func (l *fileIter) Value() []byte {
-	if l.cur == nil {
-		return nil
-	}
-	return l.cur.Value()
-}
-
-// Err implements iterator.Iterator.
-func (l *fileIter) Err() error { return l.err }
-
-// Close implements iterator.Iterator.
-func (l *fileIter) Close() error {
-	if l.closed {
-		return nil
-	}
-	l.closed = true
-	var err error
-	if l.cur != nil {
-		err = l.cur.Close()
-	}
-	for _, f := range l.files {
-		l.d.unref(f)
-	}
-	return err
-}
-
-// Last implements iterator.ReverseIterator.
-func (l *fileIter) Last() {
-	l.err = nil
-	l.open(len(l.files) - 1)
-	if l.cur != nil {
-		l.cur.(iterator.ReverseIterator).Last()
-		l.skipBackward()
-	}
-}
-
-// Prev implements iterator.ReverseIterator.
-func (l *fileIter) Prev() {
-	if l.cur == nil {
-		return
-	}
-	l.cur.(iterator.ReverseIterator).Prev()
-	l.skipBackward()
-}
-
-// SeekForPrev implements iterator.ReverseIterator.
-func (l *fileIter) SeekForPrev(target []byte) {
-	l.err = nil
-	u := kv.UserKey(target)
-	i := sort.Search(len(l.files), func(j int) bool {
-		return kv.CompareUser(l.files[j].rng.Lo, u) > 0
-	}) - 1
-	if i < 0 {
-		l.cur = nil
-		l.idx = 0
-		return
-	}
-	l.open(i)
-	if l.cur != nil {
-		l.cur.(iterator.ReverseIterator).SeekForPrev(target)
-		l.skipBackward()
-	}
-}
-
-func (l *fileIter) skipBackward() {
-	for l.cur != nil && !l.cur.Valid() {
-		if err := l.cur.Err(); err != nil {
-			l.err = err
-			l.cur = nil
-			return
-		}
-		l.cur.Close()
-		if l.idx == 0 {
-			l.cur = nil
-			return
-		}
-		l.open(l.idx - 1)
-		if l.cur != nil {
-			l.cur.(iterator.ReverseIterator).Last()
-		}
-	}
-}
-
-// ApproximateSize estimates the data bytes stored in the user-key
-// range [lo, hi]: full file sizes for files entirely inside, halves
-// for boundary overlaps.
-func (d *DB) ApproximateSize(lo, hi []byte) int64 {
-	rng := kv.MakeRange(lo, hi)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var total int64
-	for i := range d.levels {
-		for _, f := range d.levels[i] {
-			if !f.rng.Overlaps(rng) {
-				continue
-			}
-			if rng.Contains(f.rng.Lo) && rng.Contains(f.rng.Hi) {
-				total += f.tbl.DataSize()
-			} else {
-				total += f.tbl.DataSize() / 2
-			}
-		}
-	}
-	return total
-}

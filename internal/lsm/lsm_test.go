@@ -186,13 +186,13 @@ func TestLevelDBOverflowsRocksDBDoesNot(t *testing.T) {
 		loadRandom(t, d, 12000, 13)
 		// Measure overflow without settling.
 		var overflow int64
-		d.mu.Lock()
-		for i := 1; i < len(d.levels)-1; i++ {
+		d.Mu.Lock()
+		for i := 1; i < d.NumLevels()-1; i++ {
 			if o := d.levelBytes(i) - d.threshold(i); o > 0 {
 				overflow += o
 			}
 		}
-		d.mu.Unlock()
+		d.Mu.Unlock()
 		return overflow
 	}
 	lOver, rOver := over(ProfileLevelDB), over(ProfileRocksDB)

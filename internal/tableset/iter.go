@@ -1,0 +1,188 @@
+package tableset
+
+import (
+	"sort"
+
+	"iamdb/internal/iterator"
+	"iamdb/internal/kv"
+)
+
+// concatIter concatenates tables with disjoint sorted ranges (one level
+// >= 1, or a single level 0 table): concatenation preserves order.  It
+// holds a reference on every table until Close, so it outlives their
+// removal from the set.
+type concatIter struct {
+	s      *Set
+	tables []*Table
+	// rngs are the table ranges captured at creation under Set.Mu: a
+	// concurrent append may widen a live table's range, and the iterator
+	// is a point-in-time view, so it routes by the ranges it saw.
+	rngs   []kv.Range
+	idx    int
+	cur    iterator.Iterator
+	err    error
+	closed bool
+}
+
+// newConcatIter pins tables and captures their ranges; caller holds Mu.
+func (s *Set) newConcatIter(tables []*Table) *concatIter {
+	l := &concatIter{s: s, tables: append([]*Table(nil), tables...), rngs: make([]kv.Range, len(tables))}
+	for j, tb := range l.tables {
+		tb.refs++
+		l.rngs[j] = tb.Rng
+	}
+	return l
+}
+
+func (l *concatIter) open(i int) {
+	l.idx = i
+	if i >= 0 && i < len(l.tables) {
+		l.cur = l.tables[i].NewIter()
+	} else {
+		l.cur = nil
+	}
+}
+
+// First implements iterator.Iterator.
+func (l *concatIter) First() {
+	l.err = nil
+	l.open(0)
+	if l.cur != nil {
+		l.cur.First()
+		l.skipExhausted()
+	}
+}
+
+// Seek implements iterator.Iterator.
+func (l *concatIter) Seek(target []byte) {
+	l.err = nil
+	u := kv.UserKey(target)
+	i := sort.Search(len(l.tables), func(j int) bool {
+		return kv.CompareUser(u, l.rngs[j].Hi) <= 0
+	})
+	l.open(i)
+	if l.cur != nil {
+		l.cur.Seek(target)
+		l.skipExhausted()
+	}
+}
+
+// Next implements iterator.Iterator.
+func (l *concatIter) Next() {
+	if l.cur == nil {
+		return
+	}
+	l.cur.Next()
+	l.skipExhausted()
+}
+
+func (l *concatIter) skipExhausted() {
+	for l.cur != nil && !l.cur.Valid() {
+		if err := l.cur.Err(); err != nil {
+			l.err = err
+			l.cur = nil
+			return
+		}
+		l.cur.Close()
+		l.open(l.idx + 1)
+		if l.cur != nil {
+			l.cur.First()
+		}
+	}
+}
+
+// Valid implements iterator.Iterator.
+func (l *concatIter) Valid() bool { return l.cur != nil && l.cur.Valid() }
+
+// Key implements iterator.Iterator.
+func (l *concatIter) Key() []byte {
+	if l.cur == nil {
+		return nil
+	}
+	return l.cur.Key()
+}
+
+// Value implements iterator.Iterator.
+func (l *concatIter) Value() []byte {
+	if l.cur == nil {
+		return nil
+	}
+	return l.cur.Value()
+}
+
+// Err implements iterator.Iterator.
+func (l *concatIter) Err() error { return l.err }
+
+// Close implements iterator.Iterator.
+func (l *concatIter) Close() error {
+	if l.closed {
+		return nil
+	}
+	l.closed = true
+	var err error
+	if l.cur != nil {
+		err = l.cur.Close()
+	}
+	for _, tb := range l.tables {
+		l.s.unref(tb)
+	}
+	return err
+}
+
+// Last implements iterator.ReverseIterator.
+func (l *concatIter) Last() {
+	l.err = nil
+	l.open(len(l.tables) - 1)
+	if l.cur != nil {
+		l.cur.(iterator.ReverseIterator).Last()
+		l.skipExhaustedBackward()
+	}
+}
+
+// Prev implements iterator.ReverseIterator.
+func (l *concatIter) Prev() {
+	if l.cur == nil {
+		return
+	}
+	l.cur.(iterator.ReverseIterator).Prev()
+	l.skipExhaustedBackward()
+}
+
+// SeekForPrev implements iterator.ReverseIterator.
+func (l *concatIter) SeekForPrev(target []byte) {
+	l.err = nil
+	u := kv.UserKey(target)
+	// Last table whose range starts at or below the target key.
+	i := sort.Search(len(l.tables), func(j int) bool {
+		return kv.CompareUser(l.rngs[j].Lo, u) > 0
+	}) - 1
+	if i < 0 {
+		l.cur = nil
+		l.idx = 0
+		return
+	}
+	l.open(i)
+	if l.cur != nil {
+		l.cur.(iterator.ReverseIterator).SeekForPrev(target)
+		l.skipExhaustedBackward()
+	}
+}
+
+func (l *concatIter) skipExhaustedBackward() {
+	for l.cur != nil && !l.cur.Valid() {
+		if err := l.cur.Err(); err != nil {
+			l.err = err
+			l.cur = nil
+			return
+		}
+		l.cur.Close()
+		if l.idx == 0 {
+			l.cur = nil
+			return
+		}
+		l.open(l.idx - 1)
+		if l.cur != nil {
+			l.cur.(iterator.ReverseIterator).Last()
+		}
+	}
+}

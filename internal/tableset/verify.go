@@ -1,0 +1,153 @@
+package tableset
+
+import (
+	"fmt"
+
+	"iamdb/internal/kv"
+)
+
+// CheckInvariants validates the set's structural invariants; crash-
+// recovery tests and DB.Scrub use it as an oracle.  Engines with a policy
+// on top (level thresholds) add theirs to CheckStructure.
+func (s *Set) CheckInvariants() error {
+	s.Mu.Lock()
+	defer s.Mu.Unlock()
+	return s.CheckStructure()
+}
+
+// CheckStructure is the structural half of CheckInvariants: every table's
+// file exists and its data lies inside its assigned range, level 0 is
+// ordered by file number, deeper levels are sorted and disjoint.  Caller
+// holds Mu.
+func (s *Set) CheckStructure() error {
+	for i, lvl := range s.levels {
+		for j, tb := range lvl {
+			if kv.CompareUser(tb.Rng.Lo, tb.Rng.Hi) > 0 {
+				return fmt.Errorf("L%d table %d has inverted range %v", i, tb.ID(), tb.Rng)
+			}
+			if !s.cfg.FS.Exists(s.path(tb.ID())) {
+				return fmt.Errorf("L%d table %d missing on disk", i, tb.ID())
+			}
+			if tb.Entries() > 0 {
+				dr := tb.UserRange()
+				if !tb.Rng.Contains(dr.Lo) || !tb.Rng.Contains(dr.Hi) {
+					return fmt.Errorf("L%d table %d: data %v outside range %v", i, tb.ID(), dr, tb.Rng)
+				}
+			}
+			if j == 0 {
+				continue
+			}
+			prev := lvl[j-1]
+			if i == 0 && prev.ID() >= tb.ID() {
+				return fmt.Errorf("L0: tables %d and %d out of file order", prev.ID(), tb.ID())
+			}
+			if i > 0 && !prev.Rng.Before(tb.Rng) {
+				return fmt.Errorf("L%d: ranges %v and %v not disjoint/sorted", i, prev.Rng, tb.Rng)
+			}
+		}
+	}
+	return nil
+}
+
+// VerifyReport summarizes a deep consistency check.
+type VerifyReport struct {
+	Levels       int
+	Nodes        int
+	Sequences    int
+	Records      uint64
+	BloomProbes  int
+	RangeChecked int
+}
+
+func (r VerifyReport) String() string {
+	return fmt.Sprintf("levels=%d nodes=%d seqs=%d records=%d bloom-probes=%d",
+		r.Levels, r.Nodes, r.Sequences, r.Records, r.BloomProbes)
+}
+
+// DeepVerify walks every table and sequence of every level, checking the
+// structural and data invariants no engine policy is needed for:
+//
+//  1. assigned ranges sorted and disjoint below level 0, covering their
+//     table's data,
+//  2. per-sequence metadata bounds match the actual keys,
+//  3. sequences iterate in strict internal-key order,
+//  4. every user key probes positive in its sequence's Bloom filter,
+//  5. per-table Get finds a sample of the table's own keys.
+//
+// It reads every data block, so it is for tests and tooling, not the
+// hot path.
+func (s *Set) DeepVerify() (VerifyReport, error) {
+	s.Mu.Lock()
+	defer s.Mu.Unlock()
+	rep := VerifyReport{Levels: len(s.levels) - s.cfg.MinLevel}
+	for i, lvl := range s.levels {
+		for j, tb := range lvl {
+			rep.Nodes++
+			if i > 0 && j > 0 && !lvl[j-1].Rng.Before(tb.Rng) {
+				return rep, fmt.Errorf("L%d: node %d range %v not after %v",
+					i, tb.ID(), tb.Rng, lvl[j-1].Rng)
+			}
+			if err := verifyTable(i, tb, &rep); err != nil {
+				return rep, err
+			}
+		}
+	}
+	return rep, nil
+}
+
+func verifyTable(lvl int, tb *Table, rep *VerifyReport) error {
+	numSeqs := tb.NumSeqs()
+	rep.Sequences += numSeqs
+	for s := 0; s < numSeqs; s++ {
+		meta := tb.SeqMetaAt(s)
+		it := tb.SeqIter(s)
+		var prev []byte
+		var count uint64
+		var sampleKeys [][]byte
+		for it.First(); it.Valid(); it.Next() {
+			k := it.Key()
+			if prev != nil && kv.CompareInternal(prev, k) >= 0 {
+				return fmt.Errorf("L%d node %d seq %d: keys out of order", lvl, tb.ID(), s)
+			}
+			u, _, _, ok := kv.ParseInternalKey(k)
+			if !ok {
+				return fmt.Errorf("L%d node %d seq %d: bad internal key", lvl, tb.ID(), s)
+			}
+			if !tb.Rng.Contains(u) {
+				return fmt.Errorf("L%d node %d seq %d: key %q outside assigned range %v",
+					lvl, tb.ID(), s, u, tb.Rng)
+			}
+			if kv.CompareInternal(k, meta.Smallest) < 0 || kv.CompareInternal(k, meta.Largest) > 0 {
+				return fmt.Errorf("L%d node %d seq %d: key %q outside metadata bounds",
+					lvl, tb.ID(), s, u)
+			}
+			if !meta.Bloom.MayContain(u) {
+				return fmt.Errorf("L%d node %d seq %d: bloom false negative for %q",
+					lvl, tb.ID(), s, u)
+			}
+			rep.BloomProbes++
+			if count%97 == 0 {
+				sampleKeys = append(sampleKeys, append([]byte(nil), u...))
+			}
+			prev = append(prev[:0], k...)
+			count++
+		}
+		if err := it.Err(); err != nil {
+			return fmt.Errorf("L%d node %d seq %d: %w", lvl, tb.ID(), s, err)
+		}
+		it.Close()
+		if count != meta.Entries {
+			return fmt.Errorf("L%d node %d seq %d: %d records, metadata says %d",
+				lvl, tb.ID(), s, count, meta.Entries)
+		}
+		rep.Records += count
+		// Sampled point lookups through the table's own Get path.
+		for _, u := range sampleKeys {
+			if _, _, _, found, err := tb.Get(u, kv.MaxSeq); err != nil || !found {
+				return fmt.Errorf("L%d node %d: own key %q unfindable (%v)", lvl, tb.ID(), u, err)
+			}
+			rep.RangeChecked++
+		}
+	}
+	return nil
+}

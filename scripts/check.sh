@@ -7,6 +7,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 quick=${CHECK_QUICK:-0}
+tree_before=$(git status --porcelain)
 
 echo "== gofmt"
 unformatted=$(gofmt -s -l .)
@@ -53,7 +54,11 @@ echo "== commit-pipeline bench smoke"
 # runs; real numbers come from -benchtime 2s or the iambench
 # concurrency experiment below.
 go test -bench ConcurrentCommit -benchtime 1x -run '^$' -count=1 .
-go run ./cmd/iambench -experiment concurrency -scale small -json .
+# The blob goes to a temp dir: the committed BENCH_concurrency.json in
+# the repo root is a medium-scale run the gate must not overwrite.
+conctmp=$(mktemp -d)
+go run ./cmd/iambench -experiment concurrency -scale small -json "$conctmp"
+rm -rf "$conctmp"
 
 echo "== sharded front-end gates"
 # Routing, cross-shard atomicity, iterators, recovery markers, the
@@ -139,8 +144,21 @@ print(f"kvsep blob OK: 64K separated >= {gains:.2f}x inline, crossover {cross['m
 EOF
 rm -rf "$kvtmp"
 
+# The gate must leave the work tree as it found it (clean, when run on a
+# commit): anything it, or a build, test or bench it runs, drops into the
+# checkout is a missing .gitignore entry or a smoke writing where it
+# should not.
+clean_tree() {
+    if [ "$(git status --porcelain)" != "$tree_before" ]; then
+        echo "the gate changed the work tree:"
+        diff <(echo "$tree_before") <(git status --porcelain) || true
+        exit 1
+    fi
+}
+
 if [ "$quick" = "1" ]; then
     echo "CHECK_QUICK=1: skipping crash matrix and race suite."
+    clean_tree
     echo "All quick checks passed."
     exit 0
 fi
@@ -174,4 +192,5 @@ echo "== go test -race"
 # experiment sweep alone runs ~40m under race).
 go test -race -timeout 60m ./...
 
+clean_tree
 echo "All checks passed."

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"iamdb/internal/engine"
 	"iamdb/internal/table"
 	"iamdb/internal/vlog"
 	"iamdb/internal/wal"
@@ -193,35 +192,33 @@ func (db *DB) scrubPass() (ScrubReport, error) {
 
 	// Tables: the engine hands us a referenced snapshot of every live
 	// table; Verify re-reads each from disk without touching the cache.
-	if tv, ok := db.eng.(engine.TableVisitor); ok {
-		err := tv.VisitTables(func(level int, num uint64, t *table.Table) error {
-			if db.closedA.Load() {
-				return ErrClosed
-			}
-			st, verr := t.Verify(func(n int64) {
-				db.scrubBlocksC.Inc()
-				db.scrub.blocks.Add(1)
-				db.scrub.bytes.Add(n)
-				pacer.pace(n)
-			})
-			rep.Tables++
-			db.scrub.tables.Add(1)
-			rep.Seqs += st.Seqs
-			rep.Blocks += st.Blocks
-			rep.Bytes += st.Bytes
-			rep.Entries += st.Entries
-			if verr != nil {
-				if IsCorruption(verr) {
-					note(verr)
-					return nil // keep scrubbing the other tables
-				}
-				return verr // I/O failure: abort the pass
-			}
-			return nil
-		})
-		if err != nil {
-			return rep, err
+	err := db.eng.VisitTables(func(level int, num uint64, t *table.Table) error {
+		if db.closedA.Load() {
+			return ErrClosed
 		}
+		st, verr := t.Verify(func(n int64) {
+			db.scrubBlocksC.Inc()
+			db.scrub.blocks.Add(1)
+			db.scrub.bytes.Add(n)
+			pacer.pace(n)
+		})
+		rep.Tables++
+		db.scrub.tables.Add(1)
+		rep.Seqs += st.Seqs
+		rep.Blocks += st.Blocks
+		rep.Bytes += st.Bytes
+		rep.Entries += st.Entries
+		if verr != nil {
+			if IsCorruption(verr) {
+				note(verr)
+				return nil // keep scrubbing the other tables
+			}
+			return verr // I/O failure: abort the pass
+		}
+		return nil
+	})
+	if err != nil {
+		return rep, err
 	}
 
 	// Write-ahead logs: strict replay of every .log file.  The active
@@ -315,8 +312,6 @@ func (db *DB) scrubPass() (ScrubReport, error) {
 		note(cerr)
 	}
 
-	if q, ok := db.eng.(engine.Quarantiner); ok {
-		rep.Quarantined = len(q.Quarantined())
-	}
+	rep.Quarantined = len(db.eng.Quarantined())
 	return rep, firstErr
 }

@@ -25,7 +25,7 @@ type Snapshot struct {
 // out to every shard's registry, so each shard's merges respect the
 // snapshot's horizon.
 //
-//iamlint:lockorder snapMu < core.Tree.mu; snapMu < lsm.DB.mu
+//iamlint:lockorder snapMu < tableset.Set.Mu
 func (db *DB) GetSnapshot() *Snapshot {
 	s := &Snapshot{db: db, seq: db.visibleSeq()}
 	if ss := db.shards; ss != nil {
