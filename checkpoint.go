@@ -31,27 +31,39 @@ import (
 // commit point: a destination missing the marker is detected as torn
 // at open instead of being adopted as a database.
 func (db *DB) Checkpoint(dstDir string) error {
-	if ss := db.shards; ss != nil {
-		return ss.checkpoint(db, dstDir)
-	}
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
+	if db.closedA.Load() {
 		return ErrClosed
 	}
-	db.mu.Unlock()
-
-	// Flush both memtables so the engine state plus the (now empty)
-	// live WAL describe the whole database.  CompactAll also settles
-	// pending compactions, giving the checkpoint a tidy tree.
-	if err := db.CompactAll(); err != nil {
-		return err
-	}
-
 	if err := db.fs.MkdirAll(dstDir); err != nil {
 		return err
 	}
-	if db.fs.Exists(dstDir + "/MANIFEST") {
+	if db.fs.Exists(dstDir+"/"+shardsFileName) || db.fs.Exists(dstDir+"/MANIFEST") {
+		return fmt.Errorf("iamdb: checkpoint target %s already holds a database", dstDir)
+	}
+	n := len(db.stores)
+	for i, st := range db.stores {
+		if err := st.checkpoint(storeDir(dstDir, n, i)); err != nil {
+			return err
+		}
+	}
+	if n == 1 {
+		return nil
+	}
+	return writeShardsFile(db.fs, dstDir, db.part)
+}
+
+// checkpoint copies this store into dstDir.
+func (st *store) checkpoint(dstDir string) error {
+	// Flush both memtables so the engine state plus the (now empty)
+	// live WAL describe the whole database.  CompactAll also settles
+	// pending compactions, giving the checkpoint a tidy tree.
+	if err := st.compactAll(); err != nil {
+		return err
+	}
+	if err := st.fs.MkdirAll(dstDir); err != nil {
+		return err
+	}
+	if st.fs.Exists(dstDir + "/MANIFEST") {
 		return fmt.Errorf("iamdb: checkpoint target %s already holds a database", dstDir)
 	}
 
@@ -59,11 +71,11 @@ func (db *DB) Checkpoint(dstDir string) error {
 	// reference, so they join the data-before-metadata copy set.  GC
 	// deletion is held across List and the copy loop so a concurrent
 	// collection cannot remove a segment between the two.
-	if db.vl != nil {
-		db.vl.HoldDeletes()
-		defer db.vl.ReleaseDeletes()
+	if st.vs != nil {
+		st.vs.log.HoldDeletes()
+		defer st.vs.log.ReleaseDeletes()
 	}
-	names, err := db.fs.List(db.dir)
+	names, err := st.fs.List(st.dir)
 	if err != nil {
 		return err
 	}
@@ -82,22 +94,22 @@ func (db *DB) Checkpoint(dstDir string) error {
 		}
 	}
 	if !haveManifest {
-		return fmt.Errorf("iamdb: checkpoint source %s has no manifest", db.dir)
+		return fmt.Errorf("iamdb: checkpoint source %s has no manifest", st.dir)
 	}
 	// Data before metadata: every file the manifest will reference must
 	// be durable before the manifest exists at the destination.
 	for _, name := range append(append(append([]string(nil), tables...), logs...), vsegs...) {
-		if err := copyFile(db.fs, db.dir+"/"+name, dstDir+"/"+name); err != nil {
+		if err := copyFile(st.fs, st.dir+"/"+name, dstDir+"/"+name); err != nil {
 			return fmt.Errorf("iamdb: checkpoint %s: %w", name, err)
 		}
 	}
 	tmp := dstDir + "/MANIFEST.ckpt"
-	if err := copyFile(db.fs, db.dir+"/MANIFEST", tmp); err != nil {
-		_ = db.fs.Remove(tmp)
+	if err := copyFile(st.fs, st.dir+"/MANIFEST", tmp); err != nil {
+		_ = st.fs.Remove(tmp)
 		return fmt.Errorf("iamdb: checkpoint MANIFEST: %w", err)
 	}
-	if err := db.fs.Rename(tmp, dstDir+"/MANIFEST"); err != nil {
-		_ = db.fs.Remove(tmp)
+	if err := st.fs.Rename(tmp, dstDir+"/MANIFEST"); err != nil {
+		_ = st.fs.Remove(tmp)
 		return fmt.Errorf("iamdb: checkpoint MANIFEST: %w", err)
 	}
 	return nil

@@ -67,7 +67,7 @@ func TestConcurrentCommitHammer(t *testing.T) {
 							report("writer %d: %v", w, err)
 							return
 						}
-						if s := db.seqA.Load(); s < lastSeq {
+						if s := uint64(db.seqr.Visible()); s < lastSeq {
 							report("writer %d: published seq went backwards: %d < %d", w, s, lastSeq)
 							return
 						} else {

@@ -100,10 +100,10 @@ func TestStickyFaultDegradesToReadOnlyThenAutoHeals(t *testing.T) {
 		t.Fatalf("read after heal: %q, %v", v, gerr)
 	}
 
-	if db.bgRetries.Load() == 0 {
+	if db.stores[0].bgRetries.Load() == 0 {
 		t.Error("bg.retries counter never incremented")
 	}
-	if db.bgReadonly.Load() == 0 {
+	if db.stores[0].bgReadonly.Load() == 0 {
 		t.Error("bg.readonly counter never incremented")
 	}
 	if bgEvents.Load() == 0 || roEnter.Load() == 0 || roExit.Load() == 0 {

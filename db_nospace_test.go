@@ -104,9 +104,10 @@ func TestNoSpaceWALAutoHeals(t *testing.T) {
 	if err := db.Put([]byte("k1"), []byte("v1")); err != nil {
 		t.Fatalf("put after space freed: %v", err)
 	}
-	db.mu.Lock()
-	ro, bgErr := db.readonly, db.bgErr
-	db.mu.Unlock()
+	st := db.stores[0]
+	st.mu.Lock()
+	ro, bgErr := st.readonly, st.bgErr
+	st.mu.Unlock()
 	if ro || bgErr != nil {
 		t.Fatalf("successful append did not auto-heal: readonly=%v bgErr=%v", ro, bgErr)
 	}

@@ -13,9 +13,9 @@ import (
 )
 
 // startDebugServer brings up the live introspection server on addr
-// (Options.DebugAddr).  It attaches a timeline sampler when none is
-// attached yet, arms the commit-leader pprof labels, and serves
-// DebugHandler until Close.  Called from Open before any writer
+// (Options.DebugAddr).  It attaches a one-second timeline sampler
+// (DB.NewSampler replaces it), arms the commit-leader pprof labels, and
+// serves DebugHandler until Close.  Called from Open before any writer
 // exists, so the plain field writes are unobserved until the server
 // (and the DB) is visible.
 func (db *DB) startDebugServer(addr string) error {
@@ -25,19 +25,13 @@ func (db *DB) startDebugServer(addr string) error {
 	}
 	db.labelCommit = pprof.WithLabels(context.Background(),
 		pprof.Labels("iamdb", "commit-leader"))
-	win := db.opt.DebugSampleWindow
-	if win <= 0 {
-		win = time.Second
-	}
-	if db.samplerA.Load() == nil {
-		db.NewSampler(win, 0)
-	}
+	db.NewSampler(time.Second, 0)
 	db.debugLn = ln
 	db.debugSrv = &http.Server{Handler: db.DebugHandler()}
 	db.wg.Add(1)
 	go db.serveDebug()
 	db.wg.Add(1)
-	go db.samplerWorker(win)
+	go db.samplerWorker()
 	return nil
 }
 
@@ -54,9 +48,9 @@ func (db *DB) serveDebug() {
 // the /timeline view moves even when no workload loop is polling.  It
 // lives in the public package, outside the iamlint determinism scope:
 // deterministic runs never start a debug server.
-func (db *DB) samplerWorker(win time.Duration) {
+func (db *DB) samplerWorker() {
 	defer db.wg.Done()
-	t := time.NewTicker(win)
+	t := time.NewTicker(time.Second)
 	defer t.Stop()
 	for {
 		select {
@@ -155,22 +149,21 @@ func (db *DB) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 
 func (db *DB) handleDebugLevels(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if ss := db.shards; ss != nil {
-		// Aggregate headline, then every shard's own tree.  The
-		// single-shard rendering below is byte-identical to what it was
-		// before sharding existed.
-		m := db.Metrics()
-		fmt.Fprintf(w, "engine %v, %d shards\n", db.opt.Engine, len(ss.kids))
-		fmt.Fprintf(w, "memtable %.1f MB (+%d immutable)  space used %.1f MB, write amplification %.2f\n",
-			mb(m.MemtableBytes), m.ImmutableMemtables, mb(m.SpaceUsed), m.WriteAmplification())
-		for i, kid := range ss.kids {
-			lo, hi := db.ShardRange(i)
-			fmt.Fprintf(w, "\n-- shard %03d [%s, %s) --\n", i, shardBound(lo, "-inf"), shardBound(hi, "+inf"))
-			kid.writeDebugLevels(w)
-		}
+	if len(db.stores) == 1 {
+		// An unsharded database renders as the one tree it is.
+		db.writeDebugLevels(w, 0)
 		return
 	}
-	db.writeDebugLevels(w)
+	// Aggregate headline, then every shard's own tree.
+	m := db.Metrics()
+	fmt.Fprintf(w, "engine %v, %d shards\n", db.opt.Engine, len(db.stores))
+	fmt.Fprintf(w, "memtable %.1f MB (+%d immutable)  space used %.1f MB, write amplification %.2f\n",
+		mb(m.MemtableBytes), m.ImmutableMemtables, mb(m.SpaceUsed), m.WriteAmplification())
+	for i := range db.stores {
+		lo, hi := db.ShardRange(i)
+		fmt.Fprintf(w, "\n-- shard %03d [%s, %s) --\n", i, shardBound(lo, "-inf"), shardBound(hi, "+inf"))
+		db.writeDebugLevels(w, i)
+	}
 }
 
 // shardBound renders a shard range endpoint for operator output.
@@ -181,11 +174,12 @@ func shardBound(b []byte, unbounded string) string {
 	return fmt.Sprintf("%q", b)
 }
 
-// writeDebugLevels renders this store's per-level tree view.
-func (db *DB) writeDebugLevels(w io.Writer) {
-	m := db.Metrics()
+// writeDebugLevels renders store i's per-level tree view.
+func (db *DB) writeDebugLevels(w io.Writer, i int) {
+	m := db.ShardMetrics(i)
+	st := db.stores[i]
 	fmt.Fprintf(w, "engine %v", db.opt.Engine)
-	if mm, k := db.MixedLevel(); mm > 0 {
+	if mm, k := st.mixedLevel(); mm > 0 {
 		fmt.Fprintf(w, "  (mixed level m=%d, k=%d)", mm, k)
 	}
 	fmt.Fprintf(w, "\nmemtable %.1f MB (+%d immutable)\n",
@@ -206,7 +200,7 @@ func (db *DB) writeDebugLevels(w io.Writer) {
 	}
 	fmt.Fprintf(w, "space used %.1f MB, write amplification %.2f\n",
 		mb(m.SpaceUsed), m.WriteAmplification())
-	if qs := db.eng.Quarantined(); len(qs) > 0 {
+	if qs := st.eng.Quarantined(); len(qs) > 0 {
 		fmt.Fprintf(w, "\nquarantined tables (%d):\n", len(qs))
 		for _, qi := range qs {
 			fmt.Fprintf(w, "  L%-2d %06d %s — %s\n", qi.Level, qi.FileNum, qi.Path, qi.Reason)
@@ -223,7 +217,7 @@ func (db *DB) handleDebugScrub(w http.ResponseWriter, r *http.Request) {
 		// before it waits, so either we see closed (and skip) or our
 		// Add happens before the Wait.
 		db.mu.Lock()
-		if !db.closed {
+		if !db.closedA.Load() {
 			db.wg.Add(1)
 			go func() {
 				defer db.wg.Done()

@@ -2,7 +2,7 @@
 // a Partition that routes user keys to one of N disjoint, totally
 // ordered key ranges, and a Sequencer that allocates global sequence
 // ranges across the per-shard commit pipelines while exposing a torn-
-// batch-free visible watermark (see DESIGN.md "Sharded front-end").
+// batch-free visible watermark (see DESIGN.md "Commit pipeline").
 package shard
 
 import (

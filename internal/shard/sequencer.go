@@ -30,14 +30,20 @@ type Sequencer struct {
 	//iamlint:lockorder Sequencer.mu leaf
 	mu      sync.Mutex
 	cond    *sync.Cond
-	last    kv.Seq    // last allocated sequence number
-	pending []*Ticket // outstanding allocations, FIFO
+	last    kv.Seq   // last allocated sequence number
+	pending []ticket // outstanding allocations, FIFO (ascending Base)
 }
 
-// Ticket is one contiguous sequence-range allocation [Base, End].
+// Ticket is one contiguous sequence-range allocation [Base, End].  It
+// is a plain value: Begin allocates nothing per write.
 type Ticket struct {
 	Base, End kv.Seq
-	done      bool
+}
+
+// ticket is a Ticket's seat in the pending queue.
+type ticket struct {
+	Ticket
+	done bool
 }
 
 // NewSequencer starts allocation after start (the recovered maximum
@@ -50,27 +56,36 @@ func NewSequencer(start kv.Seq) *Sequencer {
 }
 
 // Begin allocates the next n sequence numbers as one ticket.
-func (s *Sequencer) Begin(n int) *Ticket {
+func (s *Sequencer) Begin(n int) Ticket {
 	s.mu.Lock()
-	t := &Ticket{Base: s.last + 1, End: s.last + kv.Seq(n)}
+	t := Ticket{Base: s.last + 1, End: s.last + kv.Seq(n)}
 	s.last = t.End
-	s.pending = append(s.pending, t)
+	s.pending = append(s.pending, ticket{Ticket: t})
 	s.mu.Unlock()
 	return t
 }
 
 // End marks the ticket's commits complete (applied or abandoned) and
 // advances the watermark past every completed prefix ticket.
-func (s *Sequencer) End(t *Ticket) {
+func (s *Sequencer) End(t Ticket) {
 	s.mu.Lock()
-	t.done = true
-	advanced := false
-	for len(s.pending) > 0 && s.pending[0].done {
-		s.visibleA.Store(uint64(s.pending[0].End))
-		s.pending = s.pending[1:]
-		advanced = true
+	// The completing ticket is almost always the oldest one, so the
+	// search ends at pending[0].
+	for i := range s.pending {
+		if s.pending[i].Base == t.Base {
+			s.pending[i].done = true
+			break
+		}
 	}
-	if advanced {
+	n := 0
+	for n < len(s.pending) && s.pending[n].done {
+		n++
+	}
+	if n > 0 {
+		s.visibleA.Store(uint64(s.pending[n-1].End))
+		// Copy down instead of re-slicing so the queue keeps its
+		// backing array and Begin's append stays allocation-free.
+		s.pending = s.pending[:copy(s.pending, s.pending[n:])]
 		s.cond.Broadcast()
 	}
 	s.mu.Unlock()

@@ -19,50 +19,52 @@ import (
 // Key and Value return copies safe to retain.
 type Iterator struct {
 	db   *DB
-	in   iterator.Iterator
+	in   iterator.ReverseIterator
 	snap kv.Seq
 	key  []byte
 	val  []byte
 	// vkind is the raw kind behind val: a KindValuePtr val is a value-log
 	// pointer that Value resolves lazily — scans that never call Value on
-	// a key pay nothing for its large value — against vdb, the store
-	// owning the log (the shard the record came from on a sharded scan).
+	// a key pay nothing for its large value — through the store that
+	// owns the key.
 	vkind    kv.Kind
-	vdb      *DB
 	valid    bool
 	err      error
 	backward bool
 	closed   bool
 }
 
-// NewIterator returns an iterator over the DB at the current sequence
-// number.  A scan merges both memtables and, per level, every sequence
-// of at most one node (Sec. 5.2).  On a sharded DB the sequence is the
-// global watermark and the scan concatenates the shards' disjoint
-// ranges in key order, forward and backward.
+// NewIterator returns an iterator over the DB at the current watermark.
+// A scan merges both memtables and, per level, every sequence of at
+// most one node (Sec. 5.2); across stores it concatenates their
+// disjoint ranges in key order, forward and backward.  The watermark is
+// pinned until every store's tables are captured, so no merge in
+// between can drop a version the view needs; the captured tables are
+// immutable and referenced, so the pin is not held for the iterator's
+// life.
 func (db *DB) NewIterator() *Iterator {
-	return db.newIteratorAt(db.visibleSeq())
+	seq := db.pin()
+	it := db.newIteratorAt(seq)
+	db.unpin(seq)
+	return it
 }
 
-// newIteratorAt builds the merged iterator from the lock-free read
-// snapshot — the sequence must have been loaded before the state so
-// the view covers it (see getRaw).
+// newIteratorAt builds the merged iterator at snap, which the caller
+// holds pinned (and loaded before any store's state, so every view
+// covers it — see DB.getRaw).  A single store's merging iterator is
+// used as is; several are concatenated — the ranges are disjoint and
+// ordered, so no heap is needed and a scan only pays for the stores it
+// actually touches.
 func (db *DB) newIteratorAt(snap kv.Seq) *Iterator {
-	db.iterAcquire()
-	if ss := db.shards; ss != nil {
-		return &Iterator{db: db, in: ss.newInner(), snap: snap}
+	db.iters.Add(1)
+	if len(db.stores) == 1 {
+		return &Iterator{db: db, in: db.stores[0].newIter(), snap: snap}
 	}
-	st := db.state.Load()
-	kids := []iterator.Iterator{st.mem.NewIter()}
-	if st.imm != nil {
-		kids = append(kids, st.imm.NewIter())
+	kids := make([]iterator.ReverseIterator, len(db.stores))
+	for i, st := range db.stores {
+		kids[i] = st.newIter()
 	}
-	kids = append(kids, db.eng.NewIter())
-	return &Iterator{
-		db:   db,
-		in:   iterator.NewMerging(kv.CompareInternal, kids...),
-		snap: snap,
-	}
+	return &Iterator{db: db, in: &shardConcat{part: db.part, kids: kids, cur: -1}, snap: snap}
 }
 
 // First positions at the smallest live key.  Positioning latency
@@ -142,24 +144,12 @@ func (it *Iterator) advance(skipKey []byte) {
 		it.key = append(it.key[:0], u...)
 		it.val = append(it.val[:0], it.in.Value()...)
 		it.vkind = kind
-		it.vdb = it.valueOwner()
 		it.valid = true
 		return
 	}
 	if err := it.in.Err(); err != nil {
 		it.err = err
 	}
-}
-
-// valueOwner is the DB whose value log resolves the current position's
-// pointer records: the owning shard on a sharded scan (captured while
-// the inner iterator still rests on the record), the DB itself
-// otherwise.
-func (it *Iterator) valueOwner() *DB {
-	if sc, ok := it.in.(*shardConcat); ok && sc.cur >= 0 {
-		return sc.dbs[sc.cur]
-	}
-	return it.db
 }
 
 // Valid reports whether the iterator is positioned at a live entry.
@@ -175,7 +165,7 @@ func (it *Iterator) Key() []byte { return it.key }
 // through Err.
 func (it *Iterator) Value() []byte {
 	if it.valid && it.vkind == kv.KindValuePtr {
-		v, err := it.vdb.resolvePointer(it.key, it.val)
+		v, err := it.db.storeFor(it.key).resolvePointer(it.key, it.val)
 		if err != nil {
 			it.err = err
 			it.valid = false
@@ -196,6 +186,9 @@ func (it *Iterator) Close() error {
 		return nil
 	}
 	it.closed = true
-	it.db.iterRelease()
+	// The last view closing lets deferred value-log deletions proceed.
+	if it.db.iters.Add(-1) == 0 {
+		it.db.kickVlogGC()
+	}
 	return it.in.Close()
 }

@@ -1,7 +1,6 @@
 package iamdb
 
 import (
-	"iamdb/internal/iterator"
 	"iamdb/internal/kv"
 )
 
@@ -10,13 +9,9 @@ import (
 // version of a key is therefore the last one at or below the snapshot
 // seen before crossing into the preceding user key.
 
-func (it *Iterator) rin() iterator.ReverseIterator {
-	return it.in.(iterator.ReverseIterator)
-}
-
 // Last positions at the largest live key.
 func (it *Iterator) Last() {
-	it.rin().Last()
+	it.in.Last()
 	it.findPrevVisible()
 }
 
@@ -25,7 +20,7 @@ func (it *Iterator) SeekForPrev(ukey []byte) {
 	// (ukey, seq 0, tombstone) is the very last possible version of
 	// ukey in internal order, so SeekForPrev lands on ukey's oldest
 	// record (or an earlier key) and resolution proceeds from there.
-	it.rin().SeekForPrev(kv.MakeInternalKey(ukey, 0, kv.KindDelete))
+	it.in.SeekForPrev(kv.MakeInternalKey(ukey, 0, kv.KindDelete))
 	it.findPrevVisible()
 }
 
@@ -36,7 +31,7 @@ func (it *Iterator) Prev() {
 	}
 	// (key, MaxSeq, MaxKind) sorts before every stored version of key,
 	// so SeekForPrev lands on the previous user key's last record.
-	it.rin().SeekForPrev(kv.MakeInternalKey(it.key, kv.MaxSeq, kv.MaxKind))
+	it.in.SeekForPrev(kv.MakeInternalKey(it.key, kv.MaxSeq, kv.MaxKind))
 	it.findPrevVisible()
 }
 
@@ -45,17 +40,15 @@ func (it *Iterator) Prev() {
 func (it *Iterator) findPrevVisible() {
 	it.valid = false
 	it.backward = true
-	in := it.rin()
+	in := it.in
 	var curUser []byte
 	var bestVal []byte
 	var bestKind kv.Kind
-	var bestDB *DB
 	have := false
 	emit := func() {
 		it.key = append(it.key[:0], curUser...)
 		it.val = append(it.val[:0], bestVal...)
 		it.vkind = bestKind
-		it.vdb = bestDB
 		it.valid = true
 	}
 	for in.Valid() {
@@ -79,13 +72,10 @@ func (it *Iterator) findPrevVisible() {
 		}
 		if seq <= it.snap {
 			// Walking oldest to newest: later visible versions
-			// overwrite earlier ones, leaving the newest visible.  The
-			// value owner is captured here, while the inner iterator
-			// still rests on the record (it moves on before emit).
+			// overwrite earlier ones, leaving the newest visible.
 			have = true
 			bestKind = kind
 			bestVal = append(bestVal[:0], in.Value()...)
-			bestDB = it.valueOwner()
 		}
 		in.Prev()
 	}

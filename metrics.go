@@ -120,101 +120,162 @@ func (m Metrics) MeanCommitGroupSize() float64 {
 	return float64(m.CommitBatches) / float64(m.CommitGroups)
 }
 
-// Metrics returns a snapshot of the DB's statistics.  A sharded DB
-// reports the aggregate across shards (device IO counted once through
-// the shared filesystem counters); ShardMetrics exposes the per-shard
-// views.
-func (db *DB) Metrics() Metrics {
-	if ss := db.shards; ss != nil {
-		return ss.metrics(db)
-	}
-	st := db.state.Load()
-	memBytes := st.mem.ApproximateSize()
-	imm := 0
-	if st.imm != nil {
-		imm = 1
-	}
-	db.mu.Lock()
-	walNum := db.walNum
-	walBytes := db.walRetired
-	if db.walW != nil {
-		walBytes += db.walW.Offset()
-	}
-	db.mu.Unlock()
-	rate, _, _ := db.cache.HitRate()
-	space := db.eng.SpaceUsed()
-	var vstats vlogStats
-	if db.vl != nil {
-		vs := db.vl.Stats()
-		vstats = vlogStats{
-			segments: vs.Segments, bytes: vs.Bytes, discard: vs.DiscardBytes,
+// Metrics returns a snapshot of the DB's statistics, aggregated across
+// its stores: per-level structure and traffic merged by level index,
+// sizes and counters summed, device IO reported once from the shared
+// filesystem counters, cache hit rate recomputed from pooled lookups,
+// commit-group-size histograms merged, and the operation latency
+// digests taken from the DB's own histograms (which time whole
+// operations, cross-store ones included).
+func (db *DB) Metrics() Metrics { return db.metricsOf(db.stores) }
+
+// ShardMetrics returns the snapshot restricted to shard i's store;
+// device IO and the latency digests stay DB-wide.
+func (db *DB) ShardMetrics(i int) Metrics { return db.metricsOf(db.stores[i : i+1]) }
+
+func (db *DB) metricsOf(stores []*store) Metrics {
+	var m Metrics
+	group := histogram.New()
+	var hits, lookups int64
+	for _, st := range stores {
+		view := st.state.Load()
+		m.MemtableBytes += view.mem.ApproximateSize()
+		if view.imm != nil {
+			m.ImmutableMemtables++
 		}
-		space += db.vl.SpaceUsed()
+		st.mu.Lock()
+		m.WALNum = max(m.WALNum, st.walNum)
+		m.WALBytes += st.walRetired
+		if st.walW != nil {
+			m.WALBytes += st.walW.Offset()
+		}
+		st.mu.Unlock()
+		m.WALRotations += st.walRotations.Load()
+		mergeEngineStats(&m.Engine, st.eng.Stats())
+		m.Levels = mergeLevelInfos(m.Levels, st.eng.Levels())
+		m.SpaceUsed += st.eng.SpaceUsed()
+		if vs := st.vs; vs != nil {
+			ls := vs.log.Stats()
+			m.VLogSegments += ls.Segments
+			m.VLogBytes += ls.Bytes
+			m.VLogDiscardBytes += ls.DiscardBytes
+			m.SpaceUsed += vs.log.SpaceUsed()
+			m.VLogAppends += vs.appends.Load()
+			m.VLogResolves += vs.resolves.Load()
+			m.VLogGCSegments += vs.gcSegments.Load()
+		}
+		m.UserBytes += st.userBytes.Load()
+		_, h, miss := st.cache.HitRate()
+		hits += h
+		lookups += h + miss
+		m.StallCount += st.stallCount.Load()
+		m.StallTime += time.Duration(st.stallNanos.Load())
+		m.CorruptionsDetected += st.corrDetected.Load()
+		m.TablesQuarantined += st.corrQuarantined.Load()
+		m.ScrubBlocks += st.scrubBlocks.Load()
+		m.NoSpaceErrors += st.bgNoSpace.Load()
+		m.CommitGroups += st.commitGroups.Load()
+		m.CommitBatches += st.commitBatches.Load()
+		m.CommitWait += time.Duration(st.commitWait.Load())
+		group.Merge(st.groupSize.Snapshot())
 	}
-	return Metrics{
-		Engine:              db.eng.Stats(),
-		Levels:              db.eng.Levels(),
-		SpaceUsed:           space,
-		VLogSegments:        vstats.segments,
-		VLogBytes:           vstats.bytes,
-		VLogDiscardBytes:    vstats.discard,
-		VLogAppends:         db.vlogAppendsC.Load(),
-		VLogResolves:        db.vlogResolvesC.Load(),
-		VLogGCSegments:      db.vlogGCSegments.Load(),
-		UserBytes:           db.userBytes.Load(),
-		CacheHitRate:        rate,
-		MemtableBytes:       memBytes,
-		ImmutableMemtables:  imm,
-		WALNum:              walNum,
-		WALBytes:            walBytes,
-		WALRotations:        db.walRotations.Load(),
-		IO:                  db.io.Snapshot(),
-		StallCount:          db.stallCount.Load(),
-		StallTime:           time.Duration(db.stallNanos.Load()),
-		CorruptionsDetected: db.corrDetected.Load(),
-		TablesQuarantined:   db.corrQuarantined.Load(),
-		ScrubBlocks:         db.scrubBlocksC.Load(),
-		NoSpaceErrors:       db.bgNoSpace.Load(),
-		CommitGroups:        db.commitGroups.Load(),
-		CommitBatches:       db.commitBatches.Load(),
-		CommitWait:          time.Duration(db.commitWait.Load()),
-		GroupSize:           db.groupSize.Summary(),
-		Put:                 db.putHist.Summary(),
-		Get:                 db.getHist.Summary(),
-		Scan:                db.scanHist.Summary(),
+	if lookups > 0 {
+		m.CacheHitRate = float64(hits) / float64(lookups)
 	}
+	m.IO = db.io.Snapshot()
+	m.GroupSize = group.Summary()
+	m.Put = db.putHist.Summary()
+	m.Get = db.getHist.Summary()
+	m.Scan = db.scanHist.Summary()
+	return m
+}
+
+// mergeEngineStats folds one store's traffic snapshot into the sum.
+func mergeEngineStats(dst *engine.StatsSnapshot, src engine.StatsSnapshot) {
+	for len(dst.PerLevel) < len(src.PerLevel) {
+		dst.PerLevel = append(dst.PerLevel, engine.LevelStats{})
+	}
+	for i, ls := range src.PerLevel {
+		d := &dst.PerLevel[i]
+		d.WriteBytes += ls.WriteBytes
+		d.ReadBytes += ls.ReadBytes
+		d.Appends += ls.Appends
+		d.Merges += ls.Merges
+		d.Moves += ls.Moves
+		d.Splits += ls.Splits
+		d.Combines += ls.Combines
+	}
+	for len(dst.FlushBytes) < len(src.FlushBytes) {
+		dst.FlushBytes = append(dst.FlushBytes, 0)
+	}
+	for i, fb := range src.FlushBytes {
+		dst.FlushBytes[i] += fb
+	}
+	dst.Appends += src.Appends
+	dst.Merges += src.Merges
+	dst.Moves += src.Moves
+	dst.Splits += src.Splits
+	dst.Combines += src.Combines
+	dst.Flushes += src.Flushes
+}
+
+// mergeLevelInfos folds per-level shape by level index, keeping the
+// result sorted by level.
+func mergeLevelInfos(dst, src []engine.LevelInfo) []engine.LevelInfo {
+	for _, li := range src {
+		found := false
+		for i := range dst {
+			if dst[i].Level == li.Level {
+				dst[i].Nodes += li.Nodes
+				dst[i].Bytes += li.Bytes
+				dst[i].Seqs += li.Seqs
+				dst[i].Quarantined += li.Quarantined
+				found = true
+				break
+			}
+		}
+		if !found {
+			dst = append(dst, li)
+		}
+	}
+	for i := 1; i < len(dst); i++ {
+		for j := i; j > 0 && dst[j].Level < dst[j-1].Level; j-- {
+			dst[j], dst[j-1] = dst[j-1], dst[j]
+		}
+	}
+	return dst
 }
 
 // SampleCumulative gathers the monotone counters a Sampler diffs into
 // timeline windows: operation and stall totals, device and per-level
 // traffic, cache lookups, commit pipeline counts and the put-latency
-// histogram.  It holds no DB locks beyond the engine's own stats lock.
+// histogram.  It holds no DB locks beyond the engines' own stats locks.
 func (db *DB) SampleCumulative() metrics.Cumulative {
-	if ss := db.shards; ss != nil {
-		return ss.sampleCumulative(db)
+	var c metrics.Cumulative
+	c.Ops = db.getOps.Load()
+	for _, st := range db.stores {
+		es := st.eng.Stats()
+		for len(c.PerLevelWrite) < len(es.PerLevel) {
+			c.PerLevelWrite = append(c.PerLevelWrite, 0)
+			c.PerLevelRead = append(c.PerLevelRead, 0)
+		}
+		for i, ls := range es.PerLevel {
+			c.PerLevelWrite[i] += ls.WriteBytes
+			c.PerLevelRead[i] += ls.ReadBytes
+		}
+		c.Ops += st.putOps.Load()
+		c.StallNanos += st.stallNanos.Load()
+		_, hits, misses := st.cache.HitRate()
+		c.CacheHits += hits
+		c.CacheLookups += hits + misses
+		c.CommitGroups += st.commitGroups.Load()
+		c.CommitBatches += st.commitBatches.Load()
 	}
-	st := db.eng.Stats()
-	w := make([]int64, len(st.PerLevel))
-	r := make([]int64, len(st.PerLevel))
-	for i, ls := range st.PerLevel {
-		w[i] = ls.WriteBytes
-		r[i] = ls.ReadBytes
-	}
-	_, hits, misses := db.cache.HitRate()
 	io := db.io.Snapshot()
-	return metrics.Cumulative{
-		Ops:           db.putOps.Load() + db.getOps.Load(),
-		StallNanos:    db.stallNanos.Load(),
-		WriteBytes:    io.BytesWritten,
-		ReadBytes:     io.BytesRead,
-		PerLevelWrite: w,
-		PerLevelRead:  r,
-		CacheHits:     hits,
-		CacheLookups:  hits + misses,
-		CommitGroups:  db.commitGroups.Load(),
-		CommitBatches: db.commitBatches.Load(),
-		Put:           db.putHist.Snapshot(),
-	}
+	c.WriteBytes = io.BytesWritten
+	c.ReadBytes = io.BytesRead
+	c.Put = db.putHist.Snapshot()
+	return c
 }
 
 // NewSampler attaches a timeline sampler: windowed deltas of the DB's
@@ -247,14 +308,6 @@ func (db *DB) Timeline() []TimelinePoint {
 func (db *DB) Trace() *TraceRecorder { return db.tr }
 
 func mb(n int64) float64 { return float64(n) / (1 << 20) }
-
-// vlogStats is the snapshot scratch Metrics uses so the struct literal
-// stays flat.
-type vlogStats struct {
-	segments int
-	bytes    int64
-	discard  int64
-}
 
 // String renders the snapshot as a LevelDB-`leveldb.stats`-style
 // report: one row per level plus totals and summary lines.

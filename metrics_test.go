@@ -10,6 +10,7 @@ import (
 	"iamdb/internal/engine"
 	"iamdb/internal/histogram"
 	"iamdb/internal/metrics"
+	"iamdb/internal/shard"
 	"iamdb/internal/vfs"
 )
 
@@ -239,19 +240,24 @@ func TestMetricsStringTable(t *testing.T) {
 }
 
 // TestInstrumentationZeroAlloc proves the building blocks of the hot
-// path — no-op listener dispatch, clock reads, histogram recording —
-// allocate nothing.
+// path — no-op listener dispatch, clock reads, histogram recording, the
+// sequencer ticket every write takes — allocate nothing.
 func TestInstrumentationZeroAlloc(t *testing.T) {
 	var nilListener *EventListener
 	l := nilListener.EnsureDefaults()
 	clock := new(metrics.ManualClock)
 	h := histogram.NewConcurrent()
+	seqr := shard.NewSequencer(0)
 	if n := testing.AllocsPerRun(1000, func() {
 		start := clock.Now()
 		l.FlushEnd(FlushInfo{Bytes: 1, Duration: clock.Now() - start})
 		l.WriteStallBegin(StallInfo{Level: 1})
 		l.WriteStallEnd(StallInfo{Level: 1, Duration: time.Millisecond})
 		h.Record(clock.Now() - start)
+		// The router's share of every write: one value ticket.
+		t := seqr.Begin(1)
+		seqr.End(t)
+		seqr.WaitVisible(t.End)
 	}); n != 0 {
 		t.Fatalf("instrumentation path allocates %.1f per op, want 0", n)
 	}
@@ -295,5 +301,11 @@ func TestHotPathAllocations(t *testing.T) {
 	}
 	if nilPut != empPut {
 		t.Errorf("Put allocs differ: nil listener %.2f, empty listener %.2f", nilPut, empPut)
+	}
+	// The 1-store router is the only write path: it must cost a Put no
+	// allocation beyond the store's own (batch copy, commit seat, queue
+	// slice, memtable node — 8 before the router existed).
+	if nilPut > 8 {
+		t.Errorf("1-store Put allocates %.2f per op, want <= 8", nilPut)
 	}
 }

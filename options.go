@@ -1,8 +1,6 @@
 package iamdb
 
 import (
-	"time"
-
 	"iamdb/internal/metrics"
 	"iamdb/internal/trace"
 	"iamdb/internal/vfs"
@@ -177,10 +175,11 @@ type Options struct {
 	// Shards, when > 1, range-partitions the keyspace across that many
 	// fully independent shards — each with its own WAL, memtable,
 	// engine instance and commit pipeline — behind this one DB (see
-	// DESIGN.md "Sharded front-end").  The shard layout is recorded in
+	// DESIGN.md "Commit pipeline").  The shard layout is recorded in
 	// a SHARDS marker file at the database root; reopening adopts the
 	// recorded layout, and opening with a conflicting explicit layout
-	// fails.  0 or 1 means the classic single-tree database.
+	// fails.  0 or 1 means an unsharded database: one store, living in
+	// the database directory itself, with no marker.
 	Shards int
 
 	// ShardSplits overrides the default equal-width first-byte split
@@ -205,18 +204,6 @@ type Options struct {
 	// granularity at the cost of more files.
 	VlogSegmentSize int64
 
-	// shardChild marks a store opened by the sharded router as one of
-	// its children; openSingle then leaves the value-log collector for
-	// the router to start once the global write path is wired.
-	shardChild bool
-
-	// VlogGCDiscardRatio is the dead-bytes fraction at which a sealed
-	// value-log segment becomes a garbage-collection candidate (default
-	// 0.5): the collector rewrites the still-live records of the
-	// densest-dead segment through the normal write path and deletes
-	// the segment once the rewrite is durable.
-	VlogGCDiscardRatio float64
-
 	// Compression enables flate compression of on-disk data blocks.
 	// Off by default, matching the paper's experimental setup
 	// (Sec. 6.1: "data compression is turned off").
@@ -239,14 +226,10 @@ type Options struct {
 
 	// DebugAddr, when non-empty, starts the live introspection server
 	// on that address (e.g. "127.0.0.1:6060"): /metrics, /timeline,
-	// /traces, /levels and /debug/pprof.  The listener closes on
-	// DB.Close.
+	// /traces, /levels and /debug/pprof, with a one-second timeline
+	// sampler behind /timeline (DB.NewSampler replaces it).  The
+	// listener closes on DB.Close.
 	DebugAddr string
-
-	// DebugSampleWindow is the initial timeline window width for the
-	// sampler the debug server starts (default one second; it doubles
-	// as the run outgrows the ring).  Ignored when DebugAddr is empty.
-	DebugSampleWindow time.Duration
 
 	// InlineBackground runs flushes and compactions synchronously on
 	// the committing goroutine instead of background workers.  With a
@@ -261,11 +244,6 @@ type Options struct {
 	// failures the DB tolerates before degrading to read-only mode
 	// (writes return ErrReadOnly, reads keep working).  Default 5.
 	BgRetryLimit int
-
-	// ScrubBytesPerSec rate-limits DB.Scrub's reads so a background
-	// scrub does not monopolise the device.  0 means unpaced (scrub as
-	// fast as the FS allows).
-	ScrubBytesPerSec int64
 
 	// BgBackoff, when non-nil, is called between background retry
 	// attempts with the consecutive-failure count; returning false
@@ -310,9 +288,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.VlogSegmentSize == 0 {
 		out.VlogSegmentSize = 64 << 20
-	}
-	if out.VlogGCDiscardRatio == 0 {
-		out.VlogGCDiscardRatio = 0.5
 	}
 	return out
 }

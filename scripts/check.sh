@@ -65,8 +65,13 @@ echo "== sharded front-end gates"
 # sharded golden-determinism run, and the scaling smoke: a small
 # wall-clock run of the shards experiment whose 4-shard uniform
 # throughput must clear 1.5x the single-shard figure (the committed
-# medium-scale BENCH_shards.json shows >= 2x).
+# medium-scale BENCH_shards.json shows >= 2x).  The cross-shard hammer
+# runs repeatedly, plain and under -race: it is the test that catches a
+# merge dropping a version the watermark still needs, and it used to be
+# the gate's own flake.
 go test -run TestSharded -count=1 .
+go test -run TestShardedCrossShardHammer -count=50 .
+go test -race -run TestShardedCrossShardHammer -count=10 .
 shardtmp=$(mktemp -d)
 go run ./cmd/iambench -experiment shards -scale small -json "$shardtmp" >/dev/null
 python3 - "$shardtmp" <<'EOF'

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"iamdb/internal/table"
 	"iamdb/internal/vlog"
@@ -82,132 +81,100 @@ type ScrubProgress struct {
 	LastErr error
 }
 
-// Progress returns the current scrub progress counters.  A sharded DB
-// reports the router-level flag and report with coverage counters
-// summed across the shards' passes.
+// ScrubProgress returns the current scrub progress counters.
 func (db *DB) ScrubProgress() ScrubProgress {
-	db.scrub.mu.Lock()
-	p := ScrubProgress{
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return ScrubProgress{
 		Running: db.scrub.running,
+		Tables:  db.scrub.tables.Load(),
+		Blocks:  db.scrub.blocks.Load(),
+		Bytes:   db.scrub.bytes.Load(),
 		Last:    db.scrub.last,
 		LastErr: db.scrub.lastErr,
 	}
-	db.scrub.mu.Unlock()
-	if ss := db.shards; ss != nil {
-		for _, kid := range ss.kids {
-			p.Tables += kid.scrub.tables.Load()
-			p.Blocks += kid.scrub.blocks.Load()
-			p.Bytes += kid.scrub.bytes.Load()
-		}
-		return p
-	}
-	p.Tables = db.scrub.tables.Load()
-	p.Blocks = db.scrub.blocks.Load()
-	p.Bytes = db.scrub.bytes.Load()
-	return p
 }
 
-// scrubPacer rate-limits scrub reads to Options.ScrubBytesPerSec using
-// real wall time (the scrub is an operator-facing maintenance job, not
-// part of the deterministic engine clockwork).
-type scrubPacer struct {
-	rate  int64
-	clock Clock
-	start time.Duration
-	bytes int64
-}
-
-func (p *scrubPacer) pace(n int64) {
-	if p.rate <= 0 {
-		return
-	}
-	p.bytes += n
-	ahead := time.Duration(float64(p.bytes)/float64(p.rate)*float64(time.Second)) -
-		(p.clock.Now() - p.start)
-	if ahead > time.Millisecond {
-		time.Sleep(ahead)
-	}
-}
-
-// Scrub verifies every durable byte the store depends on: each table
+// Scrub verifies every durable byte the database depends on: each table
 // file's footer, metadata, index structure, data-block CRCs (read from
 // disk, bypassing the cache), record ordering, Bloom membership and
 // entry counts; each write-ahead log's record CRCs (a torn tail is
-// tolerated, damage before valid records is not); and the engine's
-// structural invariants (every manifest-referenced file present, ranges
-// consistent).
+// tolerated, damage before valid records is not); each value-log
+// record's CRC; and the engines' structural invariants (every
+// manifest-referenced file present, ranges consistent).
 //
 // Detected corruption is counted, reported through the EventListener,
 // and — when attributable to a table file — quarantines that table so
-// compaction never rewrites the damaged data.  The pass continues past
-// failures and lists everything it found in the report; err is the
-// first corruption (or I/O failure) so callers can simply check err !=
-// nil.  Reads to verify are rate-limited to Options.ScrubBytesPerSec
-// when that is set.  Only one Scrub runs at a time.
+// compaction never rewrites the damaged data.  The pass covers one
+// store at a time, continues past failures and lists everything it
+// found in the report; err is the first corruption (or I/O failure) so
+// callers can simply check err != nil.  Only one Scrub runs at a time.
 func (db *DB) Scrub() (ScrubReport, error) {
 	var rep ScrubReport
 	if db.closedA.Load() {
 		return rep, ErrClosed
 	}
-	db.scrub.mu.Lock()
+	db.mu.Lock()
 	if db.scrub.running {
-		db.scrub.mu.Unlock()
+		db.mu.Unlock()
 		return rep, ErrScrubRunning
 	}
 	db.scrub.running = true
-	db.scrub.mu.Unlock()
+	db.mu.Unlock()
 	db.scrub.tables.Store(0)
 	db.scrub.blocks.Store(0)
 	db.scrub.bytes.Store(0)
 
 	var err error
-	if ss := db.shards; ss != nil {
-		// One shard at a time: the rate limit applies per shard, and the
-		// router's running flag covers the whole pass.
-		rep, err = ss.scrub()
-	} else {
-		rep, err = db.scrubPass()
+	for _, st := range db.stores {
+		serr := st.scrubPass(&rep)
+		if err == nil {
+			err = serr
+		}
+		if errors.Is(serr, ErrClosed) {
+			break
+		}
 	}
 
-	db.scrub.mu.Lock()
+	db.mu.Lock()
 	db.scrub.running = false
 	db.scrub.last = &rep
 	db.scrub.lastErr = err
-	db.scrub.mu.Unlock()
+	db.mu.Unlock()
 	return rep, err
 }
 
-func (db *DB) scrubPass() (ScrubReport, error) {
-	var rep ScrubReport
+// scrubPass verifies this store's durable state, adding what it covered
+// and found to rep and returning its first corruption or I/O failure
+// (an I/O failure aborts the store's pass).
+func (st *store) scrubPass(rep *ScrubReport) error {
 	var firstErr error
 	note := func(err error) {
 		rep.Corruptions = append(rep.Corruptions, err)
 		if firstErr == nil {
 			firstErr = err
 		}
-		db.noteCorruption(err)
+		st.noteCorruption(err)
 	}
-	pacer := &scrubPacer{rate: db.opt.ScrubBytesPerSec, clock: newWallClock()}
-	pacer.start = pacer.clock.Now()
+	progress := &st.db.scrub
 
 	// Tables: the engine hands us a referenced snapshot of every live
 	// table; Verify re-reads each from disk without touching the cache.
-	err := db.eng.VisitTables(func(level int, num uint64, t *table.Table) error {
-		if db.closedA.Load() {
+	err := st.eng.VisitTables(func(level int, num uint64, t *table.Table) error {
+		if st.db.closedA.Load() {
 			return ErrClosed
 		}
-		st, verr := t.Verify(func(n int64) {
-			db.scrubBlocksC.Inc()
-			db.scrub.blocks.Add(1)
-			db.scrub.bytes.Add(n)
-			pacer.pace(n)
+		vst, verr := t.Verify(func(n int64) {
+			st.scrubBlocks.Inc()
+			progress.blocks.Add(1)
+			progress.bytes.Add(n)
 		})
 		rep.Tables++
-		db.scrub.tables.Add(1)
-		rep.Seqs += st.Seqs
-		rep.Blocks += st.Blocks
-		rep.Bytes += st.Bytes
-		rep.Entries += st.Entries
+		progress.tables.Add(1)
+		rep.Seqs += vst.Seqs
+		rep.Blocks += vst.Blocks
+		rep.Bytes += vst.Bytes
+		rep.Entries += vst.Entries
 		if verr != nil {
 			if IsCorruption(verr) {
 				note(verr)
@@ -218,15 +185,15 @@ func (db *DB) scrubPass() (ScrubReport, error) {
 		return nil
 	})
 	if err != nil {
-		return rep, err
+		return err
 	}
 
 	// Write-ahead logs: strict replay of every .log file.  The active
 	// log's in-flight tail reads as a torn tail, which strict replay
 	// tolerates; damage in front of valid records is corruption.
-	names, err := db.fs.List(db.dir)
+	names, err := st.fs.List(st.dir)
 	if err != nil {
-		return rep, err
+		return err
 	}
 	sort.Strings(names)
 	for _, name := range names {
@@ -236,16 +203,15 @@ func (db *DB) scrubPass() (ScrubReport, error) {
 		if _, err := strconv.ParseUint(strings.TrimSuffix(name, ".log"), 10, 64); err != nil {
 			continue
 		}
-		path := db.dir + "/" + name
-		f, err := db.fs.Open(path)
+		path := st.dir + "/" + name
+		f, err := st.fs.Open(path)
 		if err != nil {
-			return rep, err
+			return err
 		}
 		records := int64(0)
 		dropped, rerr := wal.ReplayAllStrict(f, path, func(rec []byte) error {
 			records++
-			db.scrub.bytes.Add(int64(len(rec)))
-			pacer.pace(int64(len(rec)))
+			progress.bytes.Add(int64(len(rec)))
 			return nil
 		})
 		_ = f.Close()
@@ -257,7 +223,7 @@ func (db *DB) scrubPass() (ScrubReport, error) {
 				note(rerr)
 				continue
 			}
-			return rep, rerr
+			return rerr
 		}
 	}
 
@@ -268,20 +234,19 @@ func (db *DB) scrubPass() (ScrubReport, error) {
 	// rule the WAL's torn tail gets.  Damage in any sealed segment is
 	// corruption and fences that segment off from GC (rewriting damaged
 	// records would launder the damage into fresh CRCs).
-	if db.vl != nil {
-		head := db.vl.Head()
-		for _, seg := range db.vl.Segments() {
-			if db.closedA.Load() {
-				return rep, ErrClosed
+	if vs := st.vs; vs != nil {
+		head := vs.log.Head()
+		for _, seg := range vs.log.Segments() {
+			if st.db.closedA.Load() {
+				return ErrClosed
 			}
-			path := vlog.SegmentName(db.dir, seg)
-			if !db.fs.Exists(path) {
+			path := vs.segmentPath(seg)
+			if !st.fs.Exists(path) {
 				continue // collected while the pass was running
 			}
-			scanned, serr := vlog.ScanFile(db.fs, path, func(key, val []byte, off int64, n int) error {
+			scanned, serr := vlog.ScanFile(st.fs, path, func(key, val []byte, off int64, n int) error {
 				rep.VLogRecords++
-				db.scrub.bytes.Add(int64(n))
-				pacer.pace(int64(n))
+				progress.bytes.Add(int64(n))
 				return nil
 			})
 			rep.VLogSegments++
@@ -290,10 +255,10 @@ func (db *DB) scrubPass() (ScrubReport, error) {
 				continue
 			}
 			if !IsCorruption(serr) {
-				return rep, serr
+				return serr
 			}
 			if seg == head {
-				if f, ferr := db.fs.Open(path); ferr == nil {
+				if f, ferr := st.fs.Open(path); ferr == nil {
 					if sz, szerr := f.Size(); szerr == nil && sz > scanned {
 						rep.VLogSuspect += sz - scanned
 					}
@@ -302,16 +267,16 @@ func (db *DB) scrubPass() (ScrubReport, error) {
 				continue
 			}
 			note(serr)
-			db.vl.MarkBad(seg)
+			vs.log.MarkBad(seg)
 		}
 	}
 
 	// Structure: every manifest-referenced file present and the
 	// engine's invariants intact.
-	if cerr := db.CheckInvariants(); cerr != nil {
+	if cerr := st.eng.CheckInvariants(); cerr != nil {
 		note(cerr)
 	}
 
-	rep.Quarantined = len(db.eng.Quarantined())
-	return rep, firstErr
+	rep.Quarantined += len(st.eng.Quarantined())
+	return firstErr
 }

@@ -1,156 +1,53 @@
 package iamdb
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"iamdb/internal/corrupt"
-	"iamdb/internal/engine"
-	"iamdb/internal/histogram"
 	"iamdb/internal/iterator"
 	"iamdb/internal/kv"
-	"iamdb/internal/metrics"
 	"iamdb/internal/shard"
 	"iamdb/internal/vfs"
 )
 
-// Range-sharded front-end (Options.Shards > 1): one DB value routing
-// the public API across N fully independent child DBs, each owning a
-// disjoint key range with its own WAL, memtable, engine and commit
-// pipeline.  Writers on different shards never contend on a commit
-// lock, so the front-end multiplies group-commit throughput under sync
-// latency — the "multiple independent trees" scaling the paper's
-// single-pipeline design leaves on the table.
-//
-// Cross-shard atomicity: every router write allocates one contiguous
-// global sequence range from a shard.Sequencer and carves it into
-// per-shard contiguous sub-ranges (so each child reuses the ordinary
-// batch encoding).  Readers take the sequencer's watermark — the end of
-// the longest fully-committed allocation prefix — as their snapshot,
-// so a batch spanning shards is visible all-or-nothing even while other
-// writers commit concurrently.  See DESIGN.md "Sharded front-end".
+// Range partitioning (Options.Shards > 1): the DB routes the public API
+// across N fully independent stores, each owning a disjoint key range
+// with its own WAL, memtable, engine and commit pipeline.  Writers on
+// different stores never contend on a commit lock, so partitioning
+// multiplies group-commit throughput under sync latency — the "multiple
+// independent trees" scaling the paper's single-pipeline design leaves
+// on the table.  See DESIGN.md "Commit pipeline" for how one sequencer
+// keeps cross-store batches atomic.
 
-// shardsFileName is the root marker of a sharded database directory: a
-// CRC-guarded record of the shard count and split keys (see
-// shard.Partition.Encode).  Reopening adopts the recorded layout;
-// damage surfaces as a typed corruption error at Open.
+// shardsFileName is the root marker of a partitioned database
+// directory: a CRC-guarded record of the shard count and split keys
+// (see shard.Partition.Encode).  Reopening adopts the recorded layout;
+// damage surfaces as a typed corruption error at Open.  An unsharded
+// database has no marker.
 const shardsFileName = "SHARDS"
-
-// shardSet is the router state a sharded DB carries.
-type shardSet struct {
-	part shard.Partition
-	seqr *shard.Sequencer
-	kids []*DB
-}
 
 // shardDirName is shard i's subdirectory under the database root.
 func shardDirName(dir string, i int) string {
 	return fmt.Sprintf("%s/shard-%03d", dir, i)
 }
 
-// openSharded opens (creating as needed) a range-sharded database: the
-// SHARDS marker is loaded or initialised, every shard opens as an
-// ordinary single-tree DB in its own subdirectory, and the returned
-// router DB fans the public API out across them.  All shards share one
-// StatsFS (device IO counted once), one Clock, one EventListener and
-// one TraceRecorder, so aggregated observability stays coherent.
-func openSharded(dir string, o Options) (*DB, error) {
-	var io *vfs.IOStats
-	if sfs, ok := o.FS.(*vfs.StatsFS); ok {
-		io = sfs.Stats()
-	} else {
-		io = &vfs.IOStats{}
-		o.FS = vfs.NewStatsFS(o.FS, io)
+// storeDir is where store i of n lives: the database directory itself
+// for an unsharded database, shard-NNN under it otherwise.  This is the
+// whole on-disk difference between the two.
+func storeDir(dir string, n, i int) string {
+	if n == 1 {
+		return dir
 	}
-	// The caller opting into observability is what arms the router's
-	// latency histograms, exactly like the single-tree DB; the resolved
-	// clock below is an implementation detail shared with the children.
-	timing := o.EventListener != nil || o.Clock != nil
-	if o.Clock == nil {
-		o.Clock = newWallClock()
-	}
-	if err := o.FS.MkdirAll(dir); err != nil {
-		return nil, err
-	}
-
-	part, err := loadOrInitPartition(o.FS, dir, o.Shards, o.ShardSplits)
-	if err != nil {
-		return nil, err
-	}
-
-	// Children: same options, minus the router-only concerns.  The
-	// block-cache budget models total RAM, so it is divided across the
-	// shards instead of multiplied by them.
-	ko := o
-	ko.Shards, ko.ShardSplits = 0, nil
-	ko.DebugAddr = ""
-	ko.shardChild = true
-	n := part.Count()
-	ko.CacheSize = o.CacheSize / int64(n)
-	if ko.CacheSize <= 0 {
-		ko.CacheSize = 1
-	}
-	if o.MemBudget > 0 {
-		ko.MemBudget = o.MemBudget / int64(n)
-	}
-	kids := make([]*DB, n)
-	for i := range kids {
-		kid, err := openSingle(shardDirName(dir, i), ko)
-		if err != nil {
-			for _, k := range kids[:i] {
-				_ = k.Close()
-			}
-			return nil, fmt.Errorf("iamdb: open shard %d: %w", i, err)
-		}
-		kids[i] = kid
-	}
-
-	// The global sequencer resumes after the largest recovered sequence
-	// anywhere; every shard's counter is below it, so new allocations
-	// never collide with replayed records.
-	var maxSeq kv.Seq
-	for _, kid := range kids {
-		if kid.seq > maxSeq {
-			maxSeq = kid.seq
-		}
-	}
-
-	db := &DB{
-		opt: o, dir: dir, fs: o.FS,
-		events: o.EventListener.EnsureDefaults(),
-		clock:  o.Clock,
-		timing: timing,
-		reg:    metrics.NewRegistry(),
-		io:     io,
-		tr:     o.Trace,
-		quit:   make(chan struct{}),
-		shards: &shardSet{part: part, seqr: shard.NewSequencer(maxSeq), kids: kids},
-	}
-	db.putHist = db.reg.Histogram("latency.put")
-	db.getHist = db.reg.Histogram("latency.get")
-	db.scanHist = db.reg.Histogram("latency.scan")
-	// Value-log collectors start only now that rewrites can reach the
-	// router's write path: a GC batch committed with a shard-local
-	// sequence would collide with globally allocated ranges.
-	for _, kid := range kids {
-		kid.routerWrite = db.shards.write
-		kid.startVlogGC()
-	}
-	if o.DebugAddr != "" {
-		if err := db.startDebugServer(o.DebugAddr); err != nil {
-			_ = db.Close()
-			return nil, err
-		}
-	}
-	return db, nil
+	return shardDirName(dir, i)
 }
 
 // loadOrInitPartition resolves the shard layout: adopt the recorded
 // SHARDS marker (rejecting a conflicting explicit layout), or record
-// the requested one when the directory is fresh.  Shard data without a
-// readable marker is corruption — routing would be guesswork.
+// the requested one when the directory is fresh.  With no marker and
+// shards <= 1 the layout is the single unbounded range (the zero
+// Partition) and nothing is recorded.  Shard data without a readable
+// marker is corruption — routing would be guesswork.
 func loadOrInitPartition(fs vfs.FS, dir string, shards int, splits [][]byte) (shard.Partition, error) {
 	path := dir + "/" + shardsFileName
 	if fs.Exists(path) {
@@ -179,12 +76,13 @@ func loadOrInitPartition(fs vfs.FS, dir string, shards int, splits [][]byte) (sh
 	if fs.Exists(shardDirName(dir, 0) + "/MANIFEST") {
 		// Shard directories with no marker: a checkpoint that crashed
 		// before its commit point, or a lost/deleted marker.  Refuse
-		// rather than guess a routing over existing data.
+		// rather than guess a routing over existing data (or silently
+		// open an empty store next to it).
 		return shard.Partition{}, corrupt.New(corrupt.LayerManifest, path, -1,
 			shard.ErrBadShardsFile, "shard directories present but SHARDS marker missing")
 	}
 	if shards < 2 {
-		return shard.Partition{}, fmt.Errorf("iamdb: %s missing and Options.Shards is %d", path, shards)
+		return shard.Partition{}, nil
 	}
 	part, err := shard.NewPartition(shards, splits)
 	if err != nil {
@@ -244,146 +142,15 @@ func readWholeFile(fs vfs.FS, path string) ([]byte, error) {
 	return buf, nil
 }
 
-// kid routes a user key to its owning shard.
-func (ss *shardSet) kid(key []byte) *DB {
-	return ss.kids[ss.part.IndexOf(key)]
-}
-
-// write commits a batch across the shards under one global sequence
-// allocation.  Sub-batches take contiguous sub-ranges in shard order,
-// each committed through its shard's own leader/follower pipeline; the
-// allocation is always Ended (a failed sub-commit burns its range, the
-// same gap semantics a failed single-tree WAL append has), and on
-// success the writer waits for the watermark so it reads its own write.
-//
-// Failure relaxation: when a sub-commit fails partway, earlier shards'
-// sub-batches are already durable and become visible once the watermark
-// passes them — a cross-shard batch is atomic under concurrency, not
-// under mid-commit I/O failure (see DESIGN.md "Sharded front-end").
-func (ss *shardSet) write(b *Batch) error {
-	// Fast path: the whole batch lands on one shard (always true for
-	// Put/Delete), so no sub-batch assembly is needed.
-	first := ss.part.IndexOf(b.ops[0].key)
-	multi := false
-	for _, op := range b.ops[1:] {
-		if ss.part.IndexOf(op.key) != first {
-			multi = true
-			break
-		}
-	}
-	t := ss.seqr.Begin(b.Len())
-	if !multi {
-		err := ss.kids[first].writeAt(b, t.Base)
-		ss.seqr.End(t)
-		if err != nil {
-			return err
-		}
-		ss.seqr.WaitVisible(t.End)
-		return nil
-	}
-
-	subs := make([]Batch, len(ss.kids))
-	for _, op := range b.ops {
-		i := ss.part.IndexOf(op.key)
-		subs[i].ops = append(subs[i].ops, op)
-	}
-	base := t.Base
-	var firstErr error
-	for i := range subs {
-		if subs[i].Len() == 0 {
-			continue
-		}
-		// Keep committing the remaining shards after a failure: their
-		// records are independently durable and the burned range only
-		// covers what actually failed.
-		if err := ss.kids[i].writeAt(&subs[i], base); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		base += kv.Seq(subs[i].Len())
-	}
-	ss.seqr.End(t)
-	if firstErr != nil {
-		return firstErr
-	}
-	ss.seqr.WaitVisible(t.End)
-	return nil
-}
-
-// get resolves a point lookup against the owning shard at the global
-// watermark.  The watermark is loaded before the shard's state pointer,
-// so the state covers every record at or below it — the same two-load
-// protocol (and torn-batch argument) as the single-tree read path,
-// with the sequencer guaranteeing no incomplete cross-shard allocation
-// sits at or below the loaded sequence.
-func (ss *shardSet) get(key []byte) ([]byte, kv.Kind, error) {
-	snap := ss.seqr.Visible()
-	kid := ss.kid(key)
-	st := kid.state.Load()
-	v, kind, err := kid.getRawAt(key, snap, st.mem, st.imm)
-	if err != nil {
-		return nil, 0, err
-	}
-	return kid.maybeResolve(key, v, kind)
-}
-
-// visibleSeq is the sequence a fresh read view starts from.
-func (db *DB) visibleSeq() kv.Seq {
-	if db.shards != nil {
-		return db.shards.seqr.Visible()
-	}
-	return kv.Seq(db.seqA.Load())
-}
-
-// fanout runs fn over every shard, joining the errors.
-func (ss *shardSet) fanout(fn func(*DB) error) error {
-	var errs []error
-	for _, kid := range ss.kids {
-		if err := fn(kid); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// closeSharded shuts the router down: debug server first, then every
-// shard.  Idempotence and the closed flag live on the router.
-func (db *DB) closeSharded() error {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return ErrClosed
-	}
-	db.closed = true
-	db.closedA.Store(true)
-	db.mu.Unlock()
-	close(db.quit)
-	if db.debugSrv != nil {
-		_ = db.debugSrv.Close()
-	}
-	db.wg.Wait()
-	return db.shards.fanout(func(kid *DB) error { return kid.Close() })
-}
-
-// NumShards reports how many independent shards back this DB; 1 for a
-// classic single-tree database.
-func (db *DB) NumShards() int {
-	if db.shards == nil {
-		return 1
-	}
-	return len(db.shards.kids)
-}
+// NumShards reports how many independent shards back this DB; 1 for an
+// unsharded database.
+func (db *DB) NumShards() int { return len(db.stores) }
 
 // ShardRange describes shard i's key range as [Lo, Hi); Lo is nil for
 // the first shard and Hi nil for the last.  It panics if i is out of
-// range; on an unsharded DB only shard 0 exists (unbounded both ways).
+// range.
 func (db *DB) ShardRange(i int) (lo, hi []byte) {
-	if db.shards == nil {
-		if i != 0 {
-			panic("iamdb: ShardRange on unsharded DB")
-		}
-		return nil, nil
-	}
-	splits := db.shards.part.Splits()
+	splits := db.part.Splits()
 	if i > 0 {
 		lo = splits[i-1]
 	}
@@ -393,252 +160,13 @@ func (db *DB) ShardRange(i int) (lo, hi []byte) {
 	return lo, hi
 }
 
-// ShardMetrics returns shard i's own metrics snapshot (DB.Metrics is
-// the aggregate).  On an unsharded DB, shard 0 is the DB itself.
-func (db *DB) ShardMetrics(i int) Metrics {
-	if db.shards == nil {
-		return db.Metrics()
-	}
-	return db.shards.kids[i].Metrics()
-}
-
-// metrics aggregates every shard into one DB-level snapshot: per-level
-// structure and traffic merged by level index, sizes and counters
-// summed, device IO reported once from the shared StatsFS, cache hit
-// rate recomputed from pooled lookups, commit-group-size histograms
-// merged, and the operation latency digests taken from the router's own
-// histograms (which time whole cross-shard operations).
-func (ss *shardSet) metrics(db *DB) Metrics {
-	var m Metrics
-	group := histogram.New()
-	var hits, lookups int64
-	for _, kid := range ss.kids {
-		st := kid.state.Load()
-		m.MemtableBytes += st.mem.ApproximateSize()
-		if st.imm != nil {
-			m.ImmutableMemtables++
-		}
-		kid.mu.Lock()
-		if kid.walNum > m.WALNum {
-			m.WALNum = kid.walNum
-		}
-		wb := kid.walRetired
-		if kid.walW != nil {
-			wb += kid.walW.Offset()
-		}
-		kid.mu.Unlock()
-		m.WALBytes += wb
-		m.WALRotations += kid.walRotations.Load()
-		mergeEngineStats(&m.Engine, kid.eng.Stats())
-		m.Levels = mergeLevelInfos(m.Levels, kid.eng.Levels())
-		m.SpaceUsed += kid.eng.SpaceUsed()
-		if kid.vl != nil {
-			vs := kid.vl.Stats()
-			m.VLogSegments += vs.Segments
-			m.VLogBytes += vs.Bytes
-			m.VLogDiscardBytes += vs.DiscardBytes
-			m.SpaceUsed += kid.vl.SpaceUsed()
-		}
-		m.VLogAppends += kid.vlogAppendsC.Load()
-		m.VLogResolves += kid.vlogResolvesC.Load()
-		m.VLogGCSegments += kid.vlogGCSegments.Load()
-		m.UserBytes += kid.userBytes.Load()
-		_, h, miss := kid.cache.HitRate()
-		hits += h
-		lookups += h + miss
-		m.StallCount += kid.stallCount.Load()
-		m.StallTime += time.Duration(kid.stallNanos.Load())
-		m.CorruptionsDetected += kid.corrDetected.Load()
-		m.TablesQuarantined += kid.corrQuarantined.Load()
-		m.ScrubBlocks += kid.scrubBlocksC.Load()
-		m.NoSpaceErrors += kid.bgNoSpace.Load()
-		m.CommitGroups += kid.commitGroups.Load()
-		m.CommitBatches += kid.commitBatches.Load()
-		m.CommitWait += time.Duration(kid.commitWait.Load())
-		group.Merge(kid.groupSize.Snapshot())
-	}
-	if lookups > 0 {
-		m.CacheHitRate = float64(hits) / float64(lookups)
-	}
-	m.IO = db.io.Snapshot()
-	m.GroupSize = group.Summary()
-	m.Put = db.putHist.Summary()
-	m.Get = db.getHist.Summary()
-	m.Scan = db.scanHist.Summary()
-	return m
-}
-
-// mergeEngineStats folds one shard's traffic snapshot into the sum.
-func mergeEngineStats(dst *engine.StatsSnapshot, src engine.StatsSnapshot) {
-	for len(dst.PerLevel) < len(src.PerLevel) {
-		dst.PerLevel = append(dst.PerLevel, engine.LevelStats{})
-	}
-	for i, ls := range src.PerLevel {
-		d := &dst.PerLevel[i]
-		d.WriteBytes += ls.WriteBytes
-		d.ReadBytes += ls.ReadBytes
-		d.Appends += ls.Appends
-		d.Merges += ls.Merges
-		d.Moves += ls.Moves
-		d.Splits += ls.Splits
-		d.Combines += ls.Combines
-	}
-	for len(dst.FlushBytes) < len(src.FlushBytes) {
-		dst.FlushBytes = append(dst.FlushBytes, 0)
-	}
-	for i, fb := range src.FlushBytes {
-		dst.FlushBytes[i] += fb
-	}
-	dst.Appends += src.Appends
-	dst.Merges += src.Merges
-	dst.Moves += src.Moves
-	dst.Splits += src.Splits
-	dst.Combines += src.Combines
-	dst.Flushes += src.Flushes
-}
-
-// mergeLevelInfos folds per-level shape by level index, keeping the
-// result sorted by level.
-func mergeLevelInfos(dst, src []engine.LevelInfo) []engine.LevelInfo {
-	for _, li := range src {
-		found := false
-		for i := range dst {
-			if dst[i].Level == li.Level {
-				dst[i].Nodes += li.Nodes
-				dst[i].Bytes += li.Bytes
-				dst[i].Seqs += li.Seqs
-				dst[i].Quarantined += li.Quarantined
-				found = true
-				break
-			}
-		}
-		if !found {
-			dst = append(dst, li)
-		}
-	}
-	for i := 1; i < len(dst); i++ {
-		for j := i; j > 0 && dst[j].Level < dst[j-1].Level; j-- {
-			dst[j], dst[j-1] = dst[j-1], dst[j]
-		}
-	}
-	return dst
-}
-
-// sampleCumulative aggregates the monotone counters a Sampler diffs.
-func (ss *shardSet) sampleCumulative(db *DB) metrics.Cumulative {
-	var w, r []int64
-	var c metrics.Cumulative
-	c.Ops = db.getOps.Load()
-	for _, kid := range ss.kids {
-		st := kid.eng.Stats()
-		for len(w) < len(st.PerLevel) {
-			w = append(w, 0)
-			r = append(r, 0)
-		}
-		for i, ls := range st.PerLevel {
-			w[i] += ls.WriteBytes
-			r[i] += ls.ReadBytes
-		}
-		c.Ops += kid.putOps.Load() + kid.getOps.Load()
-		c.StallNanos += kid.stallNanos.Load()
-		_, hits, misses := kid.cache.HitRate()
-		c.CacheHits += hits
-		c.CacheLookups += hits + misses
-		c.CommitGroups += kid.commitGroups.Load()
-		c.CommitBatches += kid.commitBatches.Load()
-	}
-	io := db.io.Snapshot()
-	c.WriteBytes = io.BytesWritten
-	c.ReadBytes = io.BytesRead
-	c.PerLevelWrite = w
-	c.PerLevelRead = r
-	c.Put = db.putHist.Snapshot()
-	return c
-}
-
-// scrub runs a verification pass over every shard in order, merging the
-// reports; the router's Scrub wrapper owns the running flag.
-func (ss *shardSet) scrub() (ScrubReport, error) {
-	var rep ScrubReport
-	var firstErr error
-	for _, kid := range ss.kids {
-		kr, err := kid.Scrub()
-		rep.Tables += kr.Tables
-		rep.Seqs += kr.Seqs
-		rep.Blocks += kr.Blocks
-		rep.Bytes += kr.Bytes
-		rep.Entries += kr.Entries
-		rep.WALFiles += kr.WALFiles
-		rep.WALRecords += kr.WALRecords
-		rep.WALDropped += kr.WALDropped
-		rep.Corruptions = append(rep.Corruptions, kr.Corruptions...)
-		rep.Quarantined += kr.Quarantined
-		rep.VLogSegments += kr.VLogSegments
-		rep.VLogRecords += kr.VLogRecords
-		rep.VLogBytes += kr.VLogBytes
-		rep.VLogSuspect += kr.VLogSuspect
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if errors.Is(err, ErrClosed) {
-			break
-		}
-	}
-	return rep, firstErr
-}
-
-// checkpoint copies every shard (each with its own data-before-manifest
-// protocol) and writes the SHARDS marker last as the commit point: a
-// destination without the marker is never mistaken for a database, so a
-// checkpoint that crashed partway is detected, not silently adopted.
-func (ss *shardSet) checkpoint(db *DB, dstDir string) error {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return ErrClosed
-	}
-	db.mu.Unlock()
-	if err := db.fs.MkdirAll(dstDir); err != nil {
-		return err
-	}
-	if db.fs.Exists(dstDir+"/"+shardsFileName) || db.fs.Exists(dstDir+"/MANIFEST") {
-		return fmt.Errorf("iamdb: checkpoint target %s already holds a database", dstDir)
-	}
-	for i, kid := range ss.kids {
-		if err := kid.Checkpoint(shardDirName(dstDir, i)); err != nil {
-			return err
-		}
-	}
-	return writeShardsFile(db.fs, dstDir, ss.part)
-}
-
-// newInner builds the cross-shard inner iterator at the current states:
-// per shard, the usual mem/imm/engine merge; across shards, plain
-// concatenation — the ranges are disjoint and ordered, so no heap is
-// needed and a scan only pays for the shards it actually touches.
-func (ss *shardSet) newInner() iterator.ReverseIterator {
-	kids := make([]iterator.ReverseIterator, len(ss.kids))
-	for i, kid := range ss.kids {
-		st := kid.state.Load()
-		sub := []iterator.Iterator{st.mem.NewIter()}
-		if st.imm != nil {
-			sub = append(sub, st.imm.NewIter())
-		}
-		sub = append(sub, kid.eng.NewIter())
-		kids[i] = iterator.NewMerging(kv.CompareInternal, sub...)
-	}
-	return &shardConcat{part: ss.part, kids: kids, dbs: ss.kids, cur: -1}
-}
-
 // shardConcat concatenates per-shard iterators into one totally ordered
 // stream over internal keys, in both directions.  Seek targets are
 // routed by user key; exhausting one shard moves to the next (forward)
-// or previous (backward) one.  dbs mirrors kids: dbs[cur] is the store
-// whose value log resolves the current position's pointer records.
+// or previous (backward) one.
 type shardConcat struct {
 	part shard.Partition
 	kids []iterator.ReverseIterator
-	dbs  []*DB
 	cur  int // current child, -1 when exhausted
 	err  error
 }

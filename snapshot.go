@@ -15,49 +15,12 @@ type Snapshot struct {
 }
 
 // GetSnapshot captures the current state.  Callers must Release it.
-// The visible sequence comes from the lock-free read snapshot; only
-// the snapshot registry (which merges consult for their horizon) takes
-// a small dedicated lock, never db.mu.  Pushing the horizon down into
-// the engine does take the engine's own mutex under snapMu:
-//
-// On a sharded DB the sequence is the global watermark — a consistent
-// cut no torn cross-shard batch can straddle — and the pin is fanned
-// out to every shard's registry, so each shard's merges respect the
-// snapshot's horizon.
-//
-//iamlint:lockorder snapMu < tableset.Set.Mu
+// The sequence is the visible watermark — a consistent cut no torn
+// cross-store batch can straddle — read and registered in one critical
+// section of the snapshot registry (see DB.pin), which every store's
+// merges consult for their horizon.
 func (db *DB) GetSnapshot() *Snapshot {
-	s := &Snapshot{db: db, seq: db.visibleSeq()}
-	if ss := db.shards; ss != nil {
-		for _, kid := range ss.kids {
-			kid.pinAt(s.seq)
-		}
-		return s
-	}
-	db.pinAt(s.seq)
-	return s
-}
-
-// pinAt registers one snapshot reference at seq in this DB's registry.
-func (db *DB) pinAt(seq kv.Seq) {
-	db.snapMu.Lock()
-	db.snaps[seq]++
-	db.updateHorizonLocked()
-	db.snapMu.Unlock()
-}
-
-// unpinAt drops one snapshot reference at seq, nudging the value-log
-// collector: deferred segment deletions wait for the last pin.
-func (db *DB) unpinAt(seq kv.Seq) {
-	db.snapMu.Lock()
-	if db.snaps[seq]--; db.snaps[seq] <= 0 {
-		delete(db.snaps, seq)
-	}
-	db.updateHorizonLocked()
-	db.snapMu.Unlock()
-	if db.vl != nil {
-		db.kickVlogGC()
-	}
+	return &Snapshot{db: db, seq: db.pin()}
 }
 
 // Release ends the snapshot's protection; idempotent.
@@ -66,27 +29,8 @@ func (s *Snapshot) Release() {
 		return
 	}
 	s.released = true
-	db := s.db
-	if ss := db.shards; ss != nil {
-		for _, kid := range ss.kids {
-			kid.unpinAt(s.seq)
-		}
-		return
-	}
-	db.unpinAt(s.seq)
-}
-
-// updateHorizonLocked pushes the oldest live snapshot (or "none") down
-// to the engine so merges know what they may drop.  Caller holds
-// db.snapMu.
-func (db *DB) updateHorizonLocked() {
-	h := kv.MaxSeq
-	for seq := range db.snaps {
-		if seq < h {
-			h = seq
-		}
-	}
-	db.eng.SetHorizon(h)
+	s.db.unpin(s.seq)
+	s.db.kickVlogGC()
 }
 
 // Get reads a key as of the snapshot.
@@ -98,23 +42,15 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 	if db.closedA.Load() {
 		return nil, ErrClosed
 	}
-	var v []byte
-	var kind kv.Kind
-	var err error
-	owner := db
-	if ss := db.shards; ss != nil {
-		owner = ss.kid(key)
-	}
-	st := owner.state.Load()
-	v, kind, err = owner.getRawAt(key, s.seq, st.mem, st.imm)
+	st := db.storeFor(key)
+	v, kind, err := st.getAt(key, s.seq)
 	if err != nil {
 		return nil, err
 	}
 	// Pointer records resolve through the owning store's value log; GC
 	// keeps every segment a live snapshot can still reference.
-	v, kind, err = owner.maybeResolve(key, v, kind)
-	if err != nil {
-		return nil, err
+	if kind == kv.KindValuePtr {
+		return st.resolvePointer(key, v)
 	}
 	return finishGet(v, kind)
 }

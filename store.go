@@ -1,0 +1,1117 @@
+package iamdb
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"runtime/pprof"
+	"sort"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"iamdb/internal/cache"
+	"iamdb/internal/core"
+	"iamdb/internal/corrupt"
+	"iamdb/internal/engine"
+	"iamdb/internal/histogram"
+	"iamdb/internal/iterator"
+	"iamdb/internal/kv"
+	"iamdb/internal/lsm"
+	"iamdb/internal/memtable"
+	"iamdb/internal/metrics"
+	"iamdb/internal/trace"
+	"iamdb/internal/vfs"
+	"iamdb/internal/wal"
+)
+
+// store is one key range's storage stack: a WAL, a memtable pair, an
+// engine, the leader/follower commit pipeline in front of them, the
+// background workers behind them and the background-error state they
+// share.  The DB router owns 1..N of them; sequence numbers, visibility
+// and the drop horizon are the router's (store.db), everything durable
+// is the store's.
+type store struct {
+	db     *DB
+	opt    Options
+	dir    string
+	fs     vfs.FS
+	cache  *cache.Cache
+	eng    engine.Engine
+	events *EventListener
+	clock  Clock
+	tr     *trace.Recorder
+	// timing is DB.timing, handed down at open: it arms the two clock
+	// reads per commit behind commit.wait.
+	timing bool
+	// settle and mixed are the two engine-specific calls the store
+	// makes, bound in openEngine where the concrete type is known: the
+	// baselines' DrainCompactions (nil for the trees, which settle
+	// inside Flush) and the trees' MixedLevel (nil for the baselines).
+	settle func() error
+	mixed  func() (m, k int)
+
+	// vs is the value log and its collector; nil when the directory has
+	// no value log, so an inline store carries none of that state.  Set
+	// once during open, before any worker or user operation runs.
+	vs *valueStore
+
+	// Commit pipeline (leader/follower group commit).  Writers enqueue
+	// a commitOp under qmu and then race for commitMu; the winner
+	// becomes leader, drains the whole queue and commits it as one WAL
+	// record.  Everyone else finds its op already resolved when it gets
+	// the lock.  Lock order is commitMu before store.mu, never the
+	// reverse.  The declared hierarchy below is checked statically by
+	// iamlint's lockorder pass against the inferred acquisition graph.
+	//
+	// With Options.InlineBackground the flush and compaction pipeline
+	// runs under commitMu too, so the router's snapshot registry (the
+	// horizon pull) and the engine locks (and through them the trace
+	// recorder and vfs locks) nest under it.
+	//
+	//iamlint:lockorder commitMu < qmu; commitMu < iamdb.store.mu; iamdb.store.mu < vfs.*; commitMu < trace.Recorder.mu; iamdb.store.mu < trace.Recorder.mu; commitMu < tableset.Set.Mu; commitMu < vlog.Log.mu; commitMu < vlog.Log.statsMu; commitMu < snapMu; qmu leaf
+	qmu      sync.Mutex
+	pendingQ []*commitOp
+	commitMu sync.Mutex
+	// seq is the largest sequence number in this store's WAL, owned by
+	// whoever holds commitMu (and by open before any writer exists).
+	// It trails the router's sequencer: writes carry pre-allocated
+	// ranges and seq tracks their maximum end.
+	seq kv.Seq
+	// walBuf is the leader's scratch encoding buffer (commitMu).
+	walBuf []byte
+
+	// state is the lock-free read view, re-published on every memtable
+	// swap.  Readers load the router's watermark and then state, with
+	// no mutex: the watermark only passes a record after its memtable
+	// insert landed, so the pair always describes a consistent view.
+	state atomic.Pointer[storeState]
+
+	userBytes atomic.Int64 // total key+value bytes written
+	putOps    atomic.Int64 // records committed (sequence numbers consumed)
+
+	stallCount    metrics.Counter
+	stallNanos    metrics.Counter
+	walRotations  metrics.Counter
+	commitGroups  metrics.Counter
+	commitBatches metrics.Counter
+	commitWait    metrics.Counter
+	groupSize     *histogram.Concurrent
+
+	mu         sync.Mutex
+	cond       *sync.Cond
+	mem        *memtable.MemTable
+	imm        *memtable.MemTable
+	immWalNum  uint64
+	immLastSeq kv.Seq
+	walW       *wal.Writer
+	walF       vfs.File
+	walNum     uint64
+	walRetired int64 // bytes in WAL files already rotated out
+	closed     bool
+	bgErr      error // last background failure (*BackgroundError), nil when healthy
+	readonly   bool  // degraded: writes rejected until a retry succeeds
+	bgFails    int   // consecutive background failures
+	bgErrSince int64 // clock nanos when bgErr was first latched
+
+	bgRetries   metrics.Counter
+	bgReadonly  metrics.Counter
+	bgHealNanos metrics.Counter
+	bgNoSpace   metrics.Counter
+
+	// Latent-fault accounting (see DESIGN.md "Latent-fault model").
+	corrDetected    metrics.Counter
+	corrQuarantined metrics.Counter
+	scrubBlocks     metrics.Counter
+
+	// walDrops records WAL tails truncated during recovery, reported as
+	// detections by noteOpenSuspicion: a torn tail after a crash and a
+	// rotted final record are physically indistinguishable, so recovery
+	// that drops bytes must always be visible to the operator.
+	walDrops []walDrop
+
+	flushC   chan struct{}
+	compactC chan struct{}
+	quit     chan struct{}
+	wg       sync.WaitGroup
+}
+
+// storeState is the immutable read view published through store.state
+// after every memtable swap.  A reader that loads the watermark and
+// then state gets a state that is current or newer than that sequence,
+// and since records only ever move down the hierarchy (mem → imm →
+// engine) the view contains every record at or below the loaded
+// sequence.
+type storeState struct {
+	mem *memtable.MemTable
+	imm *memtable.MemTable
+}
+
+// publishStateLocked re-publishes the (mem, imm) pair.  Caller holds
+// st.mu, which serializes all memtable swaps.
+func (st *store) publishStateLocked() {
+	st.state.Store(&storeState{mem: st.mem, imm: st.imm})
+}
+
+// commitOp is one writer's seat in the commit queue.  done and err are
+// written by the leader while it holds commitMu and read by the owner
+// only after it acquires commitMu itself, so the mutex orders them.
+// base is the first sequence number of the range the router allocated
+// for this batch.
+type commitOp struct {
+	b    *Batch
+	base kv.Seq
+	err  error
+	done bool
+}
+
+// openStore opens one store in dir: engine, WAL recovery, value log.
+// No goroutine runs yet — the router calls startWorkers once its
+// sequencer exists.  o must already have defaults applied and carries
+// the shared StatsFS, Clock, EventListener and TraceRecorder, so
+// observability stays coherent across stores.
+func openStore(db *DB, dir string, o Options) (*store, error) {
+	st := &store{
+		db: db, opt: o, dir: dir, fs: o.FS,
+		cache:     cache.New(o.CacheSize),
+		events:    db.events,
+		clock:     db.clock,
+		tr:        db.tr,
+		timing:    db.timing,
+		groupSize: histogram.NewConcurrent(),
+		mem:       memtable.New(),
+		flushC:    make(chan struct{}, 1), compactC: make(chan struct{}, 1),
+		quit: make(chan struct{}),
+	}
+	st.cond = sync.NewCond(&st.mu)
+	if err := st.fs.MkdirAll(dir); err != nil {
+		return nil, err
+	}
+	if err := st.openEngine(); err != nil {
+		return nil, err
+	}
+	if err := st.recover(); err != nil {
+		st.eng.Close()
+		return nil, err
+	}
+	if err := st.openValueStore(); err != nil {
+		_ = st.walF.Close()
+		st.eng.Close()
+		return nil, err
+	}
+	st.noteOpenSuspicion()
+	st.mu.Lock()
+	st.publishStateLocked()
+	st.mu.Unlock()
+	return st, nil
+}
+
+// startWorkers launches the flush, compaction and value-log collector
+// goroutines (none with Options.InlineBackground).
+func (st *store) startWorkers() {
+	if st.opt.InlineBackground {
+		return
+	}
+	st.wg.Add(1)
+	go st.flushWorker()
+	for i := 0; i < st.opt.CompactionThreads; i++ {
+		st.wg.Add(1)
+		go st.compactWorker()
+	}
+	if st.vs != nil {
+		st.wg.Add(1)
+		go st.vs.gcWorker()
+	}
+}
+
+func (st *store) openEngine() error {
+	switch st.opt.Engine {
+	case IAM, LSA:
+		policy := core.IAM
+		if st.opt.Engine == LSA {
+			policy = core.LSA
+		}
+		budget := st.opt.MemBudget
+		if st.opt.Engine == LSA {
+			budget = 0 // LSA ignores the budget (appends everywhere)
+		}
+		tr, err := core.Open(core.Config{
+			FS: st.fs, Dir: st.dir, Cache: st.cache,
+			NodeCapacity: st.opt.MemtableSize, Fanout: st.opt.Fanout,
+			Policy: policy, K: st.opt.K, MemBudget: budget,
+			FixedM: st.opt.FixedM, BitsPerKey: st.opt.BitsPerKey,
+			Compression: st.opt.Compression, OnDrop: st.onDrop,
+			Events: st.events, Clock: st.clock, Trace: st.tr,
+		})
+		if err != nil {
+			return err
+		}
+		st.eng, st.mixed = tr, tr.MixedLevel
+	case LevelDB, RocksDB:
+		profile := lsm.ProfileLevelDB
+		if st.opt.Engine == RocksDB {
+			profile = lsm.ProfileRocksDB
+		}
+		d, err := lsm.Open(lsm.Config{
+			FS: st.fs, Dir: st.dir, Cache: st.cache,
+			FileSize: st.opt.FileSize, LevelSizeBase: st.opt.LevelSizeBase,
+			Fanout: st.opt.Fanout, L0CompactTrigger: st.opt.L0CompactTrigger,
+			Profile: profile, BitsPerKey: st.opt.BitsPerKey,
+			Compression: st.opt.Compression, OnDrop: st.onDrop,
+			Events: st.events, Clock: st.clock, Trace: st.tr,
+		})
+		if err != nil {
+			return err
+		}
+		st.eng, st.settle = d, d.DrainCompactions
+	default:
+		return fmt.Errorf("iamdb: unknown engine %v", st.opt.Engine)
+	}
+	return nil
+}
+
+func logName(dir string, num uint64) string {
+	return fmt.Sprintf("%s/%06d.log", dir, num)
+}
+
+// recover replays WAL files at or after the engine's recorded log
+// number, then starts a fresh log.  Its flushes run before the router's
+// sequencer exists, at the engine's initial unbounded horizon: nothing
+// recovered is invisible to anyone.
+func (st *store) recover() error {
+	lastSeq, logNum := st.eng.LogMeta()
+	st.seq = lastSeq
+
+	names, err := st.fs.List(st.dir)
+	if err != nil {
+		return err
+	}
+	var logs []uint64
+	for _, name := range names {
+		if strings.HasSuffix(name, ".log") {
+			n, err := strconv.ParseUint(strings.TrimSuffix(name, ".log"), 10, 64)
+			if err == nil {
+				logs = append(logs, n)
+			}
+		}
+	}
+	sort.Slice(logs, func(i, j int) bool { return logs[i] < logs[j] })
+	maxLog := logNum
+	for _, num := range logs {
+		if num < logNum {
+			_ = st.fs.Remove(logName(st.dir, num)) // already flushed; best-effort cleanup
+			continue
+		}
+		if num > maxLog {
+			maxLog = num
+		}
+		if err := st.replayLog(num); err != nil {
+			return err
+		}
+	}
+	// Flush everything recovered so the replayed logs can be dropped.
+	if st.mem.Count() > 0 {
+		if err := st.eng.Flush(st.mem.NewIter()); err != nil {
+			return err
+		}
+		st.mem = memtable.New()
+	}
+	st.walNum = maxLog + 1
+	if err := st.eng.SetLogMeta(st.seq, st.walNum); err != nil {
+		return err
+	}
+	for _, num := range logs {
+		// Obsolete after the flush above; a leftover log is re-deleted on
+		// the next recovery, so failure here is not fatal.
+		_ = st.fs.Remove(logName(st.dir, num))
+	}
+	f, err := st.fs.Create(logName(st.dir, st.walNum))
+	if err != nil {
+		return err
+	}
+	st.walF = f
+	st.walW = wal.NewWriter(f)
+	st.walW.SetSync(st.opt.SyncWrites)
+	return nil
+}
+
+func (st *store) replayLog(num uint64) error {
+	f, err := st.fs.Open(logName(st.dir, num))
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	// Strict replay: a torn tail (crash mid-append) is tolerated and
+	// truncated, but a damaged record with valid data after it is
+	// corruption of already-acknowledged writes — it aborts the open
+	// with a typed error instead of silently dropping the suffix.
+	dropped, err := wal.ReplayAllStrict(f, logName(st.dir, num), func(rec []byte) error {
+		last, err := decodeRecordInto(rec, st.mem)
+		if err != nil {
+			return err
+		}
+		if last > st.seq {
+			st.seq = last
+		}
+		if st.mem.ApproximateSize() >= st.opt.MemtableSize {
+			if err := st.eng.Flush(st.mem.NewIter()); err != nil {
+				return err
+			}
+			st.mem = memtable.New()
+		}
+		return nil
+	})
+	if dropped > 0 {
+		st.walDrops = append(st.walDrops, walDrop{num: num, bytes: dropped})
+	}
+	return err
+}
+
+// walDrop records one truncated recovery tail for noteOpenSuspicion.
+type walDrop struct {
+	num   uint64
+	bytes int64
+}
+
+// flushEngine and workStep are the only ways the running store drives
+// its engine's merges: each first pulls the router's current drop
+// horizon (see DB.horizon), so no merge ever drops a version a reader
+// at the watermark or a pinned snapshot can still see.
+func (st *store) flushEngine(it iterator.Iterator) error {
+	st.eng.SetHorizon(st.db.horizon())
+	return st.eng.Flush(it)
+}
+
+func (st *store) workStep() (bool, error) {
+	st.eng.SetHorizon(st.db.horizon())
+	return st.eng.WorkStep()
+}
+
+// write commits b, whose records take the sequence range starting at
+// base, through the group-commit queue.  bg reports that the commit
+// rotated the memtable under Options.InlineBackground: the caller runs
+// runInlineBG once it has ended its allocation.
+//
+// The writer enqueues its batch and then races for commitMu.  The
+// winner is the leader: it drains everything queued so far and commits
+// the whole group.  A loser wakes up holding commitMu with its op
+// already resolved — or, if it got the lock before any leader served
+// it, becomes the leader itself.  Every op is therefore resolved by
+// exactly one leader, with no lost wakeups and no condition variable.
+func (st *store) write(b *Batch, base kv.Seq) (bg bool, err error) {
+	esp := st.tr.Begin("commit.enqueue")
+	op := &commitOp{b: b, base: base}
+	st.qmu.Lock()
+	st.pendingQ = append(st.pendingQ, op)
+	st.qmu.Unlock()
+
+	var qstart time.Duration
+	if st.timing {
+		qstart = st.clock.Now()
+	}
+	st.commitMu.Lock()
+	esp.End()
+	if st.timing {
+		st.commitWait.Add(int64(st.clock.Now() - qstart))
+	}
+	if !op.done {
+		st.qmu.Lock()
+		group := st.pendingQ
+		st.pendingQ = nil
+		st.qmu.Unlock()
+		bg = st.commitGroup(group)
+	}
+	st.commitMu.Unlock()
+	return bg, op.err
+}
+
+// finishGroup resolves every op in the group.  Caller holds commitMu.
+func finishGroup(group []*commitOp, err error) {
+	for _, op := range group {
+		op.err = err
+		op.done = true
+	}
+}
+
+// commitGroup commits every queued batch as one WAL record: the leader
+// encodes each batch at its router-allocated sequence range, appends
+// (and, when SyncWrites is on, syncs) once, and applies all memtable
+// inserts outside st.mu.  Visibility is the router's: each writer ends
+// its allocation after this returns, and the watermark passes a batch
+// only once every store it touches has applied it — so a reader can
+// never observe part of a batch, and one fsync covers the whole group.
+// It reports whether inline background work is now due.  Caller holds
+// commitMu.
+func (st *store) commitGroup(group []*commitOp) (bg bool) {
+	st.mu.Lock()
+	for !st.closed && !st.readonly && st.imm != nil &&
+		st.mem.ApproximateSize() >= st.opt.MemtableSize {
+		if st.opt.InlineBackground {
+			// No flusher to wait for: the writer that rotated has not run
+			// its inline pipeline yet (it needs commitMu), so run it here.
+			st.mu.Unlock()
+			st.inlineBG()
+			st.mu.Lock()
+			continue
+		}
+		st.cond.Wait() // both memtables full: wait for the flusher
+	}
+	if st.closed {
+		st.mu.Unlock()
+		finishGroup(group, ErrClosed)
+		return false
+	}
+	if st.readonly {
+		// Join keeps both the mode and the cause visible to errors.Is.
+		err := errors.Join(ErrReadOnly, st.bgErr)
+		st.mu.Unlock()
+		finishGroup(group, err)
+		return false
+	}
+	mem, walW := st.mem, st.walW
+	// A successful append below heals a previously-latched WAL error
+	// (space came back); flush/compaction errors are left for their own
+	// retry loops to clear.
+	healWal := false
+	if be, ok := st.bgErr.(*BackgroundError); ok && (be.Op == "wal" || be.Op == "vlog") {
+		healWal = true
+	}
+	st.mu.Unlock()
+
+	if ctx := st.db.labelCommit; ctx != nil {
+		pprof.SetGoroutineLabels(ctx)
+		defer pprof.SetGoroutineLabels(context.Background())
+	}
+	sp := st.tr.Begin("commit.group")
+	sp.SetCount(int64(len(group)))
+
+	// Key-value separation: move large values to the value log (synced
+	// before the WAL append carrying their pointers) and filter GC
+	// rewrites against the committed state.  See valuestore.go.
+	var sepExtra int64
+	if st.vs != nil {
+		var err error
+		sepExtra, err = st.vs.separateGroup(group)
+		if err != nil {
+			sp.End()
+			st.noteCommitError("vlog", err)
+			finishGroup(group, err)
+			return false
+		}
+	}
+
+	// One record of concatenated batch encodings; recovery decodes
+	// them back-to-back (decodeRecordInto).  Every op carries its own
+	// (globally allocated, per-store contiguous) start sequence; seq
+	// advances to the maximum end, so the store's sequence counter
+	// always bounds everything in its WAL.
+	buf := st.walBuf[:0]
+	seq := st.seq
+	for _, op := range group {
+		buf = op.b.appendEncoded(buf, op.base)
+		seq = max(seq, op.base+kv.Seq(op.b.Len())-1)
+	}
+	st.walBuf = buf
+	wsp := sp.Child("commit.wal")
+	wsp.SetBytes(int64(len(buf)))
+	if err := walW.Append(buf); err != nil {
+		// The record may be partially durable; the router burns the
+		// sequence ranges, so a replay after crash can never collide
+		// with a reuse.
+		st.seq = seq
+		sp.End()
+		st.noteCommitError("wal", err)
+		finishGroup(group, err)
+		return false
+	}
+	wsp.End()
+	if healWal {
+		st.noteBgSuccess()
+	}
+
+	asp := sp.Child("commit.apply")
+	var user, applied int64
+	for _, op := range group {
+		s := op.base - 1
+		for _, bop := range op.b.ops {
+			s++
+			mem.Add(s, bop.kind, bop.key, bop.val)
+			user += int64(len(bop.key) + len(bop.val))
+		}
+		applied += int64(op.b.Len())
+	}
+	st.seq = seq
+	// sepExtra restores the original value bytes separation replaced
+	// with pointers, so user-byte accounting (the write-amplification
+	// denominator) stays in terms of what the user logically wrote.
+	user += sepExtra
+	st.userBytes.Add(user)
+	st.putOps.Add(applied)
+	asp.SetCount(applied)
+	asp.End()
+
+	st.commitGroups.Inc()
+	st.commitBatches.Add(int64(len(group)))
+	st.groupSize.Record(time.Duration(len(group)))
+	sp.SetBytes(user)
+	sp.End()
+
+	var err error
+	if mem.ApproximateSize() >= st.opt.MemtableSize {
+		st.mu.Lock()
+		if st.mem == mem && st.imm == nil && !st.closed {
+			err = st.rotateLocked()
+		}
+		st.mu.Unlock()
+		bg = err == nil && st.opt.InlineBackground
+	}
+	finishGroup(group, err)
+	return bg
+}
+
+// runInlineBG is the writer's half of Options.InlineBackground: after
+// ending the allocation whose commit rotated the memtable, it re-takes
+// commitMu and runs the background pipeline synchronously.
+func (st *store) runInlineBG() {
+	st.commitMu.Lock()
+	st.inlineBG()
+	st.commitMu.Unlock()
+}
+
+// inlineBG runs the background pipeline synchronously
+// (Options.InlineBackground): drain the immutable memtable just
+// rotated out, then run compaction steps until the engine is settled.
+// Caller holds commitMu, so the engine locks nest under it — the
+// declared lock order covers this nesting.
+func (st *store) inlineBG() {
+	st.drainImm()
+	for {
+		did, err := st.workStep()
+		if err != nil {
+			if !st.noteBgError("compact", err) {
+				return
+			}
+			continue
+		}
+		if !did {
+			return
+		}
+		st.noteBgSuccess()
+	}
+}
+
+// throttle applies the engine's write-stall policy in the writer's own
+// goroutine, so stall time shows up as write latency — the behaviour
+// whose tails Sec. 6.2 measures.  Stalled intervals are measured and
+// reported as paired WriteStallBegin/WriteStallEnd events plus the
+// cumulative stall counters in Metrics; the unstalled fast path reads
+// one atomic and returns.
+func (st *store) throttle() {
+	lvl := st.eng.StallLevel()
+	if lvl == 0 {
+		return
+	}
+	start := st.clock.Now()
+	sp := st.tr.Begin("write.stall")
+	sp.SetLevel(lvl)
+	st.events.WriteStallBegin(metrics.StallInfo{Level: lvl})
+	st.stallWork(lvl)
+	d := st.clock.Now() - start
+	st.stallCount.Inc()
+	st.stallNanos.Add(int64(d))
+	sp.End()
+	st.events.WriteStallEnd(metrics.StallInfo{Level: lvl, Duration: d})
+}
+
+// stallWork runs compaction steps in the stalled writer's goroutine
+// until the stall clears: a hard stall (2) works until no work is
+// left, a slowdown (1) contributes one step.
+func (st *store) stallWork(lvl int) {
+	for {
+		switch lvl {
+		case 2:
+			if did, _ := st.workStep(); !did {
+				return
+			}
+		case 1:
+			st.workStep()
+			return
+		default:
+			return
+		}
+		lvl = st.eng.StallLevel()
+	}
+}
+
+// rotateLocked swaps the full memtable to the immutable slot and opens
+// a fresh WAL.  Caller holds st.mu.
+func (st *store) rotateLocked() error {
+	newNum := st.walNum + 1
+	f, err := st.fs.Create(logName(st.dir, newNum))
+	if err != nil {
+		return err
+	}
+	// Close the old WAL before swapping state: a failed close may mean
+	// lost appends, and the immutable memtable would depend on them for
+	// recovery.  On failure, drop the new log and leave state untouched.
+	if err := st.walF.Close(); err != nil {
+		_ = f.Close()
+		_ = st.fs.Remove(logName(st.dir, newNum))
+		return err
+	}
+	oldNum, oldBytes := st.walNum, st.walW.Offset()
+	st.walRetired += oldBytes
+	st.walRotations.Inc()
+	sp := st.tr.Begin("wal.rotate")
+	sp.SetBytes(oldBytes)
+	sp.End()
+	st.events.WALRotated(metrics.WALRotationInfo{OldNum: oldNum, NewNum: newNum, OldBytes: oldBytes})
+	st.imm = st.mem
+	st.immWalNum = st.walNum
+	st.immLastSeq = st.seq
+	st.mem = memtable.New()
+	st.publishStateLocked()
+	st.walF = f
+	st.walW = wal.NewWriter(f)
+	st.walW.SetSync(st.opt.SyncWrites)
+	st.walNum = newNum
+	select {
+	case st.flushC <- struct{}{}:
+	default:
+	}
+	return nil
+}
+
+// fileNumFromPath recovers the table file number from a path like
+// "dir/000123.mst", so a corruption error's provenance can be mapped
+// back to the engine's quarantine list.
+func fileNumFromPath(path string) (uint64, bool) {
+	if i := strings.LastIndexByte(path, '/'); i >= 0 {
+		path = path[i+1:]
+	}
+	base, ok := strings.CutSuffix(path, ".mst")
+	if !ok {
+		return 0, false
+	}
+	n, err := strconv.ParseUint(base, 10, 64)
+	if err != nil {
+		return 0, false
+	}
+	return n, true
+}
+
+// noteCorruption inspects an error from the read path (or scrub).  If
+// it carries corruption provenance the detection is counted, the event
+// fired, and — when the damage names a table file — the table is
+// quarantined so compaction never rewrites (and thereby launders or
+// spreads) the damaged data.  Reads keep being served from quarantined
+// tables: intact blocks are still correct, and damaged ones keep
+// returning the typed error.
+func (st *store) noteCorruption(err error) {
+	ce := AsCorruption(err)
+	if ce == nil {
+		return
+	}
+	st.corrDetected.Inc()
+	st.events.CorruptionDetected(metrics.CorruptionInfo{
+		Path: ce.Path, Layer: ce.Layer, Offset: ce.Offset, Detail: ce.Detail,
+	})
+	num, ok := fileNumFromPath(ce.Path)
+	if !ok {
+		return
+	}
+	if st.eng.Quarantine(num, ce.Error()) {
+		st.corrQuarantined.Inc()
+		st.events.TableQuarantined(metrics.TableInfo{FileNum: num, Level: -1})
+	}
+}
+
+// noteOpenSuspicion surfaces the damage evidence recovery gathered:
+// tables the engine quarantined at load (footer-slot fallback or a
+// failed higher-generation candidate — the signature of either a crash
+// mid-commit or a rotted footer), WAL and manifest tail bytes dropped
+// by strict replay, and unparseable value-log head-tail bytes (a torn
+// append and rotted records are physically indistinguishable, so
+// dropped bytes must always be visible to the operator).  Runs once
+// from openStore, before workers start.
+func (st *store) noteOpenSuspicion() {
+	for _, qi := range st.eng.Quarantined() {
+		st.corrDetected.Inc()
+		st.corrQuarantined.Inc()
+		st.events.CorruptionDetected(metrics.CorruptionInfo{
+			Path: qi.Path, Layer: corrupt.LayerTableFooter, Offset: -1, Detail: qi.Reason,
+		})
+		st.events.TableQuarantined(metrics.TableInfo{FileNum: qi.FileNum, Level: qi.Level})
+	}
+	for _, wd := range st.walDrops {
+		st.corrDetected.Inc()
+		st.events.CorruptionDetected(metrics.CorruptionInfo{
+			Path: logName(st.dir, wd.num), Layer: corrupt.LayerWAL, Offset: -1,
+			Detail: fmt.Sprintf("recovery truncated %d trailing bytes", wd.bytes),
+		})
+	}
+	if n := st.eng.RecoveryDropped(); n > 0 {
+		st.corrDetected.Inc()
+		st.events.CorruptionDetected(metrics.CorruptionInfo{
+			Path: st.dir, Layer: corrupt.LayerManifest, Offset: -1,
+			Detail: fmt.Sprintf("manifest replay dropped %d trailing bytes", n),
+		})
+	}
+	if vs := st.vs; vs != nil && vs.openSt.SuspectBytes > 0 {
+		st.corrDetected.Inc()
+		st.events.CorruptionDetected(metrics.CorruptionInfo{
+			Path:   vs.segmentPath(vs.log.Head()),
+			Layer:  corrupt.LayerVLog,
+			Offset: vs.openSt.SuspectOffset,
+			Detail: fmt.Sprintf("unparseable value-log tail: %d bytes", vs.openSt.SuspectBytes),
+		})
+	}
+}
+
+// noteCommitError latches one failed attempt of op as the store's
+// background error: it counts the retry and degrades to read-only once
+// more than BgRetryLimit attempts failed in a row, so a full disk stops
+// the write path instead of burning sequence ranges forever.  It returns
+// the consecutive-failure count, or 0 when the store is closing.
+//
+// The commit path calls it directly for a log-append failure (op "wal"
+// or "vlog"): the failing writer is a foreground goroutine and gets its
+// error back immediately, so unlike noteBgError there is no sleep and
+// no Resume.
+func (st *store) noteCommitError(op string, err error) int {
+	if errors.Is(err, vfs.ErrNoSpace) {
+		st.bgNoSpace.Inc()
+	}
+	st.mu.Lock()
+	if st.closed {
+		st.mu.Unlock()
+		return 0
+	}
+	if st.bgErr == nil {
+		st.bgErrSince = int64(st.clock.Now())
+	}
+	st.bgErr = &BackgroundError{Op: op, Err: err}
+	st.bgFails++
+	try := st.bgFails
+	st.bgRetries.Inc()
+	enteredRO := false
+	if !st.readonly && try > st.opt.BgRetryLimit {
+		st.readonly = true
+		enteredRO = true
+		st.bgReadonly.Inc()
+	}
+	cause := st.bgErr
+	st.cond.Broadcast()
+	st.mu.Unlock()
+	st.events.BackgroundError(metrics.BackgroundErrorInfo{Op: op, Err: err, Retries: try})
+	if enteredRO {
+		st.events.ReadOnlyEnter(metrics.ReadOnlyInfo{Cause: cause})
+	}
+	return try
+}
+
+// noteBgError records one failed background attempt: it latches the
+// error (degrading to read-only after BgRetryLimit consecutive
+// failures), asks the engine to Resume (rewrite its manifest so
+// half-applied edits are superseded before the retry), and applies the
+// backoff policy.  It reports whether the worker should retry; false
+// means the store is closing or the backoff abandoned the loop (the
+// worker goes back to waiting for a kick).
+func (st *store) noteBgError(op string, err error) bool {
+	st.noteCorruption(err)
+	try := st.noteCommitError(op, err)
+	if try == 0 {
+		return false
+	}
+	// Best-effort: a failed Resume is retried with the work itself.
+	_ = st.eng.Resume()
+	if st.opt.BgBackoff != nil {
+		return st.opt.BgBackoff(try)
+	}
+	d := time.Millisecond << uint(min(try, 7))
+	select {
+	case <-st.quit:
+		return false
+	case <-time.After(d):
+		return true
+	}
+}
+
+// noteBgSuccess clears background-error state after a successful
+// attempt, leaving read-only mode and recording the heal duration.
+func (st *store) noteBgSuccess() {
+	st.mu.Lock()
+	if st.bgErr == nil && !st.readonly {
+		st.mu.Unlock()
+		return
+	}
+	cause := st.bgErr
+	wasRO := st.readonly
+	heal := int64(st.clock.Now()) - st.bgErrSince
+	st.bgErr, st.readonly, st.bgFails = nil, false, 0
+	st.bgHealNanos.Add(heal)
+	st.cond.Broadcast()
+	st.mu.Unlock()
+	if wasRO {
+		st.events.ReadOnlyExit(metrics.ReadOnlyInfo{Cause: cause, Duration: time.Duration(heal)})
+	}
+}
+
+func (st *store) flushWorker() {
+	defer st.wg.Done()
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
+		pprof.Labels("iamdb", "flush-worker")))
+	for {
+		select {
+		case <-st.quit:
+			return
+		case <-st.flushC:
+		}
+		st.drainImm()
+	}
+}
+
+// drainImm flushes the immutable memtable, retrying failures until it
+// succeeds, the backoff abandons, or the store closes.  The worker
+// never exits on error: a healed store resumes without reopening.
+func (st *store) drainImm() {
+	flushed := false // the Flush itself succeeded; only SetLogMeta remains
+	for {
+		st.mu.Lock()
+		imm := st.imm
+		immWal := st.immWalNum
+		immSeq := st.immLastSeq
+		curWal := st.walNum
+		st.mu.Unlock()
+		if imm == nil {
+			return
+		}
+		var err error
+		if !flushed {
+			err = st.flushEngine(imm.NewIter())
+		}
+		if err == nil {
+			flushed = true
+			err = st.eng.SetLogMeta(immSeq, curWal)
+		}
+		if err != nil {
+			if !st.noteBgError("flush", err) {
+				return
+			}
+			continue
+		}
+		st.noteBgSuccess()
+		flushed = false
+		st.mu.Lock()
+		st.imm = nil
+		st.publishStateLocked()
+		st.cond.Broadcast()
+		st.mu.Unlock()
+		// The flushed log is re-deleted on next recovery if this
+		// best-effort removal fails.
+		_ = st.fs.Remove(logName(st.dir, immWal))
+		select {
+		case st.compactC <- struct{}{}:
+		default:
+		}
+	}
+}
+
+func (st *store) compactWorker() {
+	defer st.wg.Done()
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
+		pprof.Labels("iamdb", "compact-worker")))
+	for {
+		did, err := st.workStep()
+		if err != nil {
+			if !st.noteBgError("compact", err) {
+				select {
+				case <-st.quit:
+					return
+				case <-st.compactC:
+				}
+			}
+			continue
+		}
+		if did {
+			st.noteBgSuccess()
+			continue
+		}
+		select {
+		case <-st.quit:
+			return
+		case <-st.compactC:
+		}
+	}
+}
+
+// resume is one store's share of DB.Resume.
+func (st *store) resume() error {
+	st.mu.Lock()
+	if st.closed {
+		st.mu.Unlock()
+		return ErrClosed
+	}
+	st.mu.Unlock()
+	if err := st.eng.Resume(); err != nil {
+		return err
+	}
+	st.noteBgSuccess()
+	select {
+	case st.flushC <- struct{}{}:
+	default:
+	}
+	select {
+	case st.compactC <- struct{}{}:
+	default:
+	}
+	return nil
+}
+
+// getAt finds the newest version of key at or below snap in the
+// store's current read view.  The caller must have loaded snap before
+// this loads the state pointer (see DB.getRaw).  The returned value
+// aliases internal storage; a KindValuePtr result is the raw pointer
+// encoding.
+func (st *store) getAt(key []byte, snap kv.Seq) ([]byte, kv.Kind, error) {
+	view := st.state.Load()
+	if v, kind, _, found := view.mem.Get(key, snap); found {
+		return v, kind, nil
+	}
+	if view.imm != nil {
+		if v, kind, _, found := view.imm.Get(key, snap); found {
+			return v, kind, nil
+		}
+	}
+	v, kind, _, found, err := st.eng.Get(key, snap)
+	if err != nil {
+		st.noteCorruption(err)
+		return nil, 0, err
+	}
+	if !found {
+		return nil, 0, ErrNotFound
+	}
+	return v, kind, nil
+}
+
+func finishGet(v []byte, kind kv.Kind) ([]byte, error) {
+	if kind == kv.KindDelete {
+		return nil, ErrNotFound
+	}
+	return append([]byte(nil), v...), nil
+}
+
+// newIter merges the store's current read view — both memtables and
+// the engine's tables, captured (and referenced) now — into one
+// iterator over internal keys.
+func (st *store) newIter() iterator.ReverseIterator {
+	view := st.state.Load()
+	kids := []iterator.Iterator{view.mem.NewIter()}
+	if view.imm != nil {
+		kids = append(kids, view.imm.NewIter())
+	}
+	kids = append(kids, st.eng.NewIter())
+	return iterator.NewMerging(kv.CompareInternal, kids...)
+}
+
+// close stops the store's workers and releases its files.
+func (st *store) close() error {
+	st.mu.Lock()
+	st.closed = true
+	st.cond.Broadcast()
+	st.mu.Unlock()
+	close(st.quit)
+	st.wg.Wait()
+	// Barrier: wait out any in-flight commit leader so the WAL writer
+	// is idle before closing it.  Leaders that acquire commitMu later
+	// observe closed under st.mu and never touch the WAL.
+	st.commitMu.Lock()
+	st.commitMu.Unlock()
+	err := errors.Join(st.walF.Close(), st.eng.Close())
+	if st.vs != nil {
+		err = errors.Join(err, st.vs.log.Close())
+	}
+	return err
+}
+
+// compactAll is one store's share of DB.CompactAll.
+func (st *store) compactAll() error {
+	if err := st.flush(); err != nil {
+		return err
+	}
+	if st.settle != nil {
+		return st.settle()
+	}
+	return nil
+}
+
+func (st *store) mixedLevel() (m, k int) {
+	if st.mixed != nil {
+		return st.mixed()
+	}
+	return 0, 0
+}
+
+// flush is one store's share of DB.Flush.
+func (st *store) flush() error {
+	st.commitMu.Lock()
+	defer st.commitMu.Unlock()
+	if st.opt.InlineBackground {
+		// No workers in inline mode: drain any leftover immutable
+		// memtable (e.g. from an earlier failed Flush) ourselves.
+		st.inlineBG()
+	}
+	st.mu.Lock()
+	for st.imm != nil && !st.closed && !st.readonly {
+		st.cond.Wait()
+	}
+	if st.closed {
+		st.mu.Unlock()
+		return ErrClosed
+	}
+	if st.readonly {
+		err := errors.Join(ErrReadOnly, st.bgErr)
+		st.mu.Unlock()
+		return err
+	}
+	if st.mem.Count() == 0 {
+		st.mu.Unlock()
+		return nil
+	}
+	// Move the memtable through the same immutable-slot pipeline as
+	// automatic flushes: a failed engine flush then keeps the data
+	// readable (and retried) in the immutable memtable instead of
+	// dropping acknowledged writes on the floor.
+	err := st.rotateLocked()
+	st.mu.Unlock()
+	if err != nil {
+		// The memtable is still in place; count the failure like any
+		// other commit-path fault so a full disk degrades the store
+		// instead of failing opaquely forever.
+		st.noteCommitError("wal", err)
+		return err
+	}
+	if st.opt.InlineBackground {
+		st.inlineBG()
+	}
+	st.mu.Lock()
+	for st.imm != nil && !st.closed && !st.readonly && st.bgErr == nil {
+		st.cond.Wait()
+	}
+	switch {
+	case st.imm == nil:
+		err = nil
+	case st.readonly:
+		err = errors.Join(ErrReadOnly, st.bgErr)
+	case st.bgErr != nil:
+		// The flush attempt failed; the background worker keeps
+		// retrying with the data safe in the immutable memtable.
+		err = st.bgErr
+	default:
+		err = ErrClosed
+	}
+	st.mu.Unlock()
+	return err
+}

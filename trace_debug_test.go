@@ -278,7 +278,6 @@ func TestDebugServerLive(t *testing.T) {
 	opts := smallOpts(IAM, vfs.NewMemFS())
 	opts.Trace = NewTraceRecorder(0, nil)
 	opts.DebugAddr = "127.0.0.1:0"
-	opts.DebugSampleWindow = 10 * time.Millisecond
 	db, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)

@@ -178,11 +178,12 @@ func TestKVSepGCReclaimsAndPreserves(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	before := db.vl.Stats()
+	vs := db.stores[0].vs
+	before := vs.log.Stats()
 	if before.DiscardBytes == 0 {
 		t.Fatal("merges reported no dead value-log records; GC has no fuel")
 	}
-	for db.vlogGCOnce() {
+	for vs.gcOnce() {
 	}
 	after := db.Metrics()
 	if after.VLogGCSegments == 0 {
@@ -349,7 +350,7 @@ func TestKVSepRottedValueDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Damage one byte of the first record's payload, past the header.
-	name := vlog.SegmentName("db", db.vl.Head())
+	name := vlog.SegmentName("db", db.stores[0].vs.log.Head())
 	f, err := fs.Open(name)
 	if err != nil {
 		t.Fatal(err)
