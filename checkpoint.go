@@ -34,13 +34,12 @@ func (db *DB) Checkpoint(dstDir string) error {
 	if db.closedA.Load() {
 		return ErrClosed
 	}
-	if err := db.fs.MkdirAll(dstDir); err != nil {
-		return err
-	}
-	if db.fs.Exists(dstDir+"/"+shardsFileName) || db.fs.Exists(dstDir+"/MANIFEST") {
+	// Each store refuses a directory that already holds a database; when
+	// the stores go into subdirectories the target itself is checked too.
+	n := len(db.stores)
+	if n > 1 && holdsDatabase(db.fs, dstDir) {
 		return fmt.Errorf("iamdb: checkpoint target %s already holds a database", dstDir)
 	}
-	n := len(db.stores)
 	for i, st := range db.stores {
 		if err := st.checkpoint(storeDir(dstDir, n, i)); err != nil {
 			return err
@@ -50,6 +49,12 @@ func (db *DB) Checkpoint(dstDir string) error {
 		return nil
 	}
 	return writeShardsFile(db.fs, dstDir, db.part)
+}
+
+// holdsDatabase reports whether dir carries either file Open would
+// adopt a database by: the routing marker or a store's manifest.
+func holdsDatabase(fs vfs.FS, dir string) bool {
+	return fs.Exists(dir+"/"+shardsFileName) || fs.Exists(dir+"/MANIFEST")
 }
 
 // checkpoint copies this store into dstDir.
@@ -63,7 +68,7 @@ func (st *store) checkpoint(dstDir string) error {
 	if err := st.fs.MkdirAll(dstDir); err != nil {
 		return err
 	}
-	if st.fs.Exists(dstDir + "/MANIFEST") {
+	if holdsDatabase(st.fs, dstDir) {
 		return fmt.Errorf("iamdb: checkpoint target %s already holds a database", dstDir)
 	}
 

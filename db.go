@@ -346,20 +346,67 @@ func (db *DB) Write(b *Batch) error {
 // gap semantics a failed WAL append has), and on success the writer
 // waits for the watermark so it reads its own write.
 //
-// Order matters twice.  Write stalls are served before the allocation,
-// so a throttled writer does not hold the watermark back.  And inline
-// background work (Options.InlineBackground) runs after End: with
-// nothing concurrently invisible the horizon then covers the records
-// just committed, and merges drop exactly what an unclamped horizon
-// would.
+// Order matters three times.  Write stalls are served before the
+// allocation, so a throttled writer does not hold the watermark back.
+// The allocation and the appends to the stores' commit queues happen in
+// one hold of the sequencer's mutex, so every store commits in sequence
+// order: a record is never applied above a newer one (the first-hit
+// lookup of store.getAt relies on it), and a value-log GC rewrite is
+// always checked against every write sequenced before it
+// (valueStore.filterGCBatch).  And inline background work
+// (Options.InlineBackground) runs after End: with nothing concurrently
+// invisible the horizon then covers the records just committed, and
+// merges drop exactly what an unclamped horizon would.
 //
 // Failure relaxation: when a sub-commit fails partway, earlier stores'
 // sub-batches are already durable and become visible once the watermark
 // passes them — a cross-store batch is atomic under concurrency, not
 // under mid-commit I/O failure (see DESIGN.md "Commit pipeline").
 func (db *DB) write(b *Batch) error {
-	// Fast path: the whole batch lands on one store (always true for
-	// Put/Delete), so no sub-batch assembly is needed.
+	ops := db.split(b)
+	for i := range ops {
+		ops[i].st.throttle()
+	}
+	db.seqr.Mu.Lock()
+	t := db.seqr.Alloc(b.Len())
+	base := t.Base
+	for i := range ops {
+		op := &ops[i]
+		op.base = base
+		base += kv.Seq(op.b.Len())
+		op.st.pendingQ = append(op.st.pendingQ, op)
+	}
+	db.seqr.Mu.Unlock()
+	var firstErr error
+	for i := range ops {
+		// Keep committing the remaining stores after a failure: their
+		// records are independently durable and the burned range only
+		// covers what actually failed.
+		op := &ops[i]
+		var err error
+		op.bg, err = op.st.commit(op)
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	db.seqr.End(t)
+	for i := range ops {
+		if ops[i].bg {
+			ops[i].st.runInlineBG()
+		}
+	}
+	if firstErr != nil {
+		return firstErr
+	}
+	db.seqr.WaitVisible(t.End)
+	return nil
+}
+
+// split cuts b by key range into one commitOp per store it touches, in
+// store order.  A batch that lands on one store (always true for
+// Put/Delete) is passed through as it is, so no sub-batch is assembled
+// and a GC rewrite batch keeps its conditional metadata.
+func (db *DB) split(b *Batch) []commitOp {
 	first := db.part.IndexOf(b.ops[0].key)
 	multi := false
 	for _, op := range b.ops[1:] {
@@ -369,60 +416,20 @@ func (db *DB) write(b *Batch) error {
 		}
 	}
 	if !multi {
-		st := db.stores[first]
-		st.throttle()
-		t := db.seqr.Begin(b.Len())
-		bg, err := st.write(b, t.Base)
-		db.seqr.End(t)
-		if bg {
-			st.runInlineBG()
-		}
-		if err != nil {
-			return err
-		}
-		db.seqr.WaitVisible(t.End)
-		return nil
+		return []commitOp{{st: db.stores[first], b: b}}
 	}
-
 	subs := make([]Batch, len(db.stores))
 	for _, op := range b.ops {
 		i := db.part.IndexOf(op.key)
 		subs[i].ops = append(subs[i].ops, op)
 	}
+	ops := make([]commitOp, 0, len(subs))
 	for i := range subs {
 		if subs[i].Len() > 0 {
-			db.stores[i].throttle()
+			ops = append(ops, commitOp{st: db.stores[i], b: &subs[i]})
 		}
 	}
-	t := db.seqr.Begin(b.Len())
-	base := t.Base
-	bgs := make([]bool, len(subs))
-	var firstErr error
-	for i := range subs {
-		if subs[i].Len() == 0 {
-			continue
-		}
-		// Keep committing the remaining stores after a failure: their
-		// records are independently durable and the burned range only
-		// covers what actually failed.
-		bg, err := db.stores[i].write(&subs[i], base)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		bgs[i] = bg
-		base += kv.Seq(subs[i].Len())
-	}
-	db.seqr.End(t)
-	for i, bg := range bgs {
-		if bg {
-			db.stores[i].runInlineBG()
-		}
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	db.seqr.WaitVisible(t.End)
-	return nil
+	return ops
 }
 
 // Get returns the value for key, or ErrNotFound.  The returned slice

@@ -24,18 +24,21 @@ type Sequencer struct {
 	// visibleA is the watermark, readable without the mutex.
 	visibleA atomic.Uint64
 
-	// mu orders allocation and completion.  It is a leaf: nothing else
-	// is ever acquired while it is held.
+	// Mu orders allocation and completion.  It is a leaf: nothing else
+	// is ever acquired while it is held.  It is exported so a caller can
+	// make one more step atomic with an allocation (Alloc): the router
+	// appends a write to its stores' commit queues in the same hold, so
+	// every queue is in sequence order.
 	//
-	//iamlint:lockorder Sequencer.mu leaf
-	mu      sync.Mutex
+	//iamlint:lockorder Sequencer.Mu leaf
+	Mu      sync.Mutex
 	cond    *sync.Cond
 	last    kv.Seq   // last allocated sequence number
 	pending []ticket // outstanding allocations, FIFO (ascending Base)
 }
 
 // Ticket is one contiguous sequence-range allocation [Base, End].  It
-// is a plain value: Begin allocates nothing per write.
+// is a plain value: Alloc allocates nothing per write.
 type Ticket struct {
 	Base, End kv.Seq
 }
@@ -50,25 +53,25 @@ type ticket struct {
 // sequence across all shards); the watermark begins there too.
 func NewSequencer(start kv.Seq) *Sequencer {
 	s := &Sequencer{last: start}
-	s.cond = sync.NewCond(&s.mu)
+	s.cond = sync.NewCond(&s.Mu)
 	s.visibleA.Store(uint64(start))
 	return s
 }
 
-// Begin allocates the next n sequence numbers as one ticket.
-func (s *Sequencer) Begin(n int) Ticket {
-	s.mu.Lock()
+// Alloc allocates the next n sequence numbers as one ticket.  The
+// caller holds Mu, and keeps it for whatever else must be ordered like
+// the allocation.
+func (s *Sequencer) Alloc(n int) Ticket {
 	t := Ticket{Base: s.last + 1, End: s.last + kv.Seq(n)}
 	s.last = t.End
 	s.pending = append(s.pending, ticket{Ticket: t})
-	s.mu.Unlock()
 	return t
 }
 
 // End marks the ticket's commits complete (applied or abandoned) and
 // advances the watermark past every completed prefix ticket.
 func (s *Sequencer) End(t Ticket) {
-	s.mu.Lock()
+	s.Mu.Lock()
 	// The completing ticket is almost always the oldest one, so the
 	// search ends at pending[0].
 	for i := range s.pending {
@@ -84,11 +87,11 @@ func (s *Sequencer) End(t Ticket) {
 	if n > 0 {
 		s.visibleA.Store(uint64(s.pending[n-1].End))
 		// Copy down instead of re-slicing so the queue keeps its
-		// backing array and Begin's append stays allocation-free.
+		// backing array and Alloc's append stays allocation-free.
 		s.pending = s.pending[:copy(s.pending, s.pending[n:])]
 		s.cond.Broadcast()
 	}
-	s.mu.Unlock()
+	s.Mu.Unlock()
 }
 
 // Visible returns the watermark: the largest sequence at which every
@@ -103,17 +106,17 @@ func (s *Sequencer) WaitVisible(seq kv.Seq) {
 	if kv.Seq(s.visibleA.Load()) >= seq {
 		return
 	}
-	s.mu.Lock()
+	s.Mu.Lock()
 	for kv.Seq(s.visibleA.Load()) < seq {
 		s.cond.Wait()
 	}
-	s.mu.Unlock()
+	s.Mu.Unlock()
 }
 
 // Last reports the last allocated sequence number (for bookkeeping;
-// racy with concurrent Begin by nature).
+// racy with concurrent allocation by nature).
 func (s *Sequencer) Last() kv.Seq {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.Mu.Lock()
+	defer s.Mu.Unlock()
 	return s.last
 }

@@ -130,11 +130,19 @@ func TestDecodeDetectsDamage(t *testing.T) {
 	}
 }
 
+// begin allocates one ticket the way the router does, minus the queue
+// appends it makes under the same hold.
+func begin(s *Sequencer, n int) Ticket {
+	s.Mu.Lock()
+	defer s.Mu.Unlock()
+	return s.Alloc(n)
+}
+
 func TestSequencerWatermarkPrefix(t *testing.T) {
 	s := NewSequencer(100)
-	t1 := s.Begin(3) // 101..103
-	t2 := s.Begin(2) // 104..105
-	t3 := s.Begin(1) // 106
+	t1 := begin(s, 3) // 101..103
+	t2 := begin(s, 2) // 104..105
+	t3 := begin(s, 1) // 106
 	if t1.Base != 101 || t1.End != 103 || t2.Base != 104 || t3.End != 106 {
 		t.Fatalf("allocation ranges wrong: %+v %+v %+v", t1, t2, t3)
 	}
@@ -158,7 +166,7 @@ func TestSequencerWatermarkPrefix(t *testing.T) {
 
 func TestSequencerWaitVisible(t *testing.T) {
 	s := NewSequencer(0)
-	tk := s.Begin(5)
+	tk := begin(s, 5)
 	done := make(chan struct{})
 	go func() {
 		s.WaitVisible(tk.End)
@@ -185,7 +193,7 @@ func TestSequencerConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
-				tk := s.Begin(2)
+				tk := begin(s, 2)
 				s.End(tk)
 				s.WaitVisible(tk.End)
 				if v := s.Visible(); v < tk.End {
@@ -205,7 +213,7 @@ func TestSequencerRangesContiguous(t *testing.T) {
 	s := NewSequencer(7)
 	var prevEnd kv.Seq = 7
 	for i := 0; i < 50; i++ {
-		tk := s.Begin(i%3 + 1)
+		tk := begin(s, i%3+1)
 		if tk.Base != prevEnd+1 {
 			t.Fatalf("ticket %d base %d, want %d", i, tk.Base, prevEnd+1)
 		}

@@ -255,7 +255,9 @@ func TestInstrumentationZeroAlloc(t *testing.T) {
 		l.WriteStallEnd(StallInfo{Level: 1, Duration: time.Millisecond})
 		h.Record(clock.Now() - start)
 		// The router's share of every write: one value ticket.
-		t := seqr.Begin(1)
+		seqr.Mu.Lock()
+		t := seqr.Alloc(1)
+		seqr.Mu.Unlock()
 		seqr.End(t)
 		seqr.WaitVisible(t.End)
 	}); n != 0 {

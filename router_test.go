@@ -198,6 +198,172 @@ func TestHorizonRespectsLaggingWatermark(t *testing.T) {
 	}
 }
 
+// TestCommitQueueIsSequenceOrdered pins the rule the read path and the
+// value-log collector both stand on: a write's sequence range and its
+// seats in the stores' commit queues are taken in one step, so every
+// store commits in sequence order however writers interleave.  With
+// every leader held off, concurrent single-store and cross-store writes
+// must leave each queue sorted by sequence.
+func TestCommitQueueIsSequenceOrdered(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			o := smallOpts(IAM, vfs.NewMemFS())
+			o.Shards = shards
+			db, err := Open("db", o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			for _, st := range db.stores {
+				st.commitMu.Lock()
+			}
+			const writers = 64
+			var wg sync.WaitGroup
+			for i := 0; i < writers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					var b Batch
+					b.Put([]byte(fmt.Sprintf("\x10k%03d", i)), []byte("lo"))
+					if i%2 == 0 {
+						b.Put([]byte(fmt.Sprintf("\x90k%03d", i)), []byte("hi"))
+					}
+					if err := db.Write(&b); err != nil {
+						t.Errorf("write %d: %v", i, err)
+					}
+				}(i)
+			}
+			want := writers
+			if shards == 2 {
+				want += writers / 2 // a cross-store batch sits in both queues
+			}
+			queued := func() (n int) {
+				db.seqr.Mu.Lock()
+				defer db.seqr.Mu.Unlock()
+				for _, st := range db.stores {
+					n += len(st.pendingQ)
+				}
+				return n
+			}
+			waitFor(t, "every write to be queued", func() bool { return queued() == want })
+			db.seqr.Mu.Lock()
+			for i, st := range db.stores {
+				for j := 1; j < len(st.pendingQ); j++ {
+					if st.pendingQ[j-1].base >= st.pendingQ[j].base {
+						t.Errorf("store %d queue: seq %d ahead of seq %d",
+							i, st.pendingQ[j-1].base, st.pendingQ[j].base)
+					}
+				}
+			}
+			db.seqr.Mu.Unlock()
+			for _, st := range db.stores {
+				st.commitMu.Unlock()
+			}
+			wg.Wait()
+			it := db.NewIterator()
+			defer it.Close()
+			n := 0
+			for it.First(); it.Valid(); it.Next() {
+				n++
+			}
+			if err := it.Err(); err != nil || n != writers+writers/2 {
+				t.Fatalf("scan after release: %d keys, %v", n, err)
+			}
+		})
+	}
+}
+
+// TestGCRewriteCannotUndoOpenWrite is the user-visible form of that
+// rule.  A cross-shard batch overwrites every separated key of shard 1
+// but is held in shard 0's WAL append, so its allocation is open and
+// its shard-1 half uncommitted when the collector rewrites those keys'
+// old values under a later sequence.  The rewrite must lose: were it
+// checked against a state without the batch and committed first, the
+// acknowledged overwrite would land beneath it and the old values come
+// back.
+func TestGCRewriteCannotUndoOpenWrite(t *testing.T) {
+	gate := make(chan struct{})
+	var armed, blocked atomic.Bool
+	hfs := &hookFS{FS: vfs.NewMemFS(), match: "shard-000/"}
+	hfs.before = func(name string) {
+		if strings.HasSuffix(name, ".log") && armed.Load() {
+			blocked.Store(true)
+			<-gate
+		}
+	}
+	o := kvsepOpts(IAM, hfs)
+	o.Shards = 2
+	o.InlineBackground = true // deterministic merges; collector driven by hand
+	db, err := Open("db", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	openGate := sync.OnceFunc(func() { close(gate) })
+	defer openGate() // a failure below must not leave Close waiting on the gate
+	// Two rounds over every key, then a third over two keys in three and
+	// a full compaction: round two's segments end up two-thirds dead, so
+	// the collector picks them and has live records to rewrite.
+	const keys = 60
+	key := func(i int) []byte { return []byte(fmt.Sprintf("\x90k%04d", i)) }
+	for round := 0; round < 3; round++ {
+		for i := 0; i < keys; i++ {
+			if round == 2 && i%3 == 0 {
+				continue
+			}
+			if err := db.Put(key(i), bigVal(fmt.Sprintf("r%d", round), i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := db.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	st := db.stores[1]
+
+	var b Batch
+	b.Put([]byte("\x10a"), []byte("stuck"))
+	for i := 0; i < keys; i++ {
+		b.Put(key(i), bigVal("final", i))
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	armed.Store(true)
+	go func() {
+		defer wg.Done()
+		if err := db.Write(&b); err != nil {
+			t.Errorf("batch: %v", err)
+		}
+	}()
+	waitFor(t, "shard 0's WAL append to block", blocked.Load)
+
+	committed := st.commitBatches.Load()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for st.vs.gcOnce() {
+		}
+	}()
+	waitFor(t, "the collector's first rewrite to commit", func() bool {
+		return st.commitBatches.Load() > committed
+	})
+	openGate()
+	wg.Wait()
+
+	if n := st.vs.gcRewrites.Load(); n == 0 {
+		t.Fatal("collector rewrote no record")
+	}
+	for i := 0; i < keys; i++ {
+		got, err := db.Get(key(i))
+		if err != nil || !bytes.Equal(got, bigVal("final", i)) {
+			t.Fatalf("acknowledged Put(%q) lost: got %.12q, %v", key(i), got, err)
+		}
+	}
+	if err := db.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestGetSurvivesValueLogGC covers the latest-view Get racing the
 // value-log collector: Get holds no pin, so between its tree read and
 // its log read the collector may rewrite the value, flush, and delete

@@ -17,6 +17,7 @@ import (
 	"iamdb/internal/corrupt"
 	"iamdb/internal/engine"
 	"iamdb/internal/histogram"
+	"iamdb/internal/invariants"
 	"iamdb/internal/iterator"
 	"iamdb/internal/kv"
 	"iamdb/internal/lsm"
@@ -58,22 +59,24 @@ type store struct {
 	// once during open, before any worker or user operation runs.
 	vs *valueStore
 
-	// Commit pipeline (leader/follower group commit).  Writers enqueue
-	// a commitOp under qmu and then race for commitMu; the winner
-	// becomes leader, drains the whole queue and commits it as one WAL
-	// record.  Everyone else finds its op already resolved when it gets
-	// the lock.  Lock order is commitMu before store.mu, never the
-	// reverse.  The declared hierarchy below is checked statically by
-	// iamlint's lockorder pass against the inferred acquisition graph.
+	// Commit pipeline (leader/follower group commit).  The router
+	// appends a commitOp to pendingQ under the sequencer's mutex, in the
+	// same hold that allocates the op's sequence range (DB.write), so the
+	// queue — and with it the WAL and the memtables — is in sequence
+	// order.  Writers then race for commitMu; the winner becomes leader,
+	// drains the whole queue and commits it as one WAL record.  Everyone
+	// else finds its op already resolved when it gets the lock.  Lock
+	// order is commitMu before store.mu, never the reverse.  The declared
+	// hierarchy below is checked statically by iamlint's lockorder pass
+	// against the inferred acquisition graph.
 	//
 	// With Options.InlineBackground the flush and compaction pipeline
 	// runs under commitMu too, so the router's snapshot registry (the
 	// horizon pull) and the engine locks (and through them the trace
 	// recorder and vfs locks) nest under it.
 	//
-	//iamlint:lockorder commitMu < qmu; commitMu < iamdb.store.mu; iamdb.store.mu < vfs.*; commitMu < trace.Recorder.mu; iamdb.store.mu < trace.Recorder.mu; commitMu < tableset.Set.Mu; commitMu < vlog.Log.mu; commitMu < vlog.Log.statsMu; commitMu < snapMu; qmu leaf
-	qmu      sync.Mutex
-	pendingQ []*commitOp
+	//iamlint:lockorder commitMu < Sequencer.Mu; commitMu < iamdb.store.mu; iamdb.store.mu < vfs.*; commitMu < trace.Recorder.mu; iamdb.store.mu < trace.Recorder.mu; commitMu < tableset.Set.Mu; commitMu < vlog.Log.mu; commitMu < vlog.Log.statsMu; commitMu < snapMu
+	pendingQ []*commitOp // guarded by db.seqr.Mu
 	commitMu sync.Mutex
 	// seq is the largest sequence number in this store's WAL, owned by
 	// whoever holds commitMu (and by open before any writer exists).
@@ -155,16 +158,19 @@ func (st *store) publishStateLocked() {
 	st.state.Store(&storeState{mem: st.mem, imm: st.imm})
 }
 
-// commitOp is one writer's seat in the commit queue.  done and err are
-// written by the leader while it holds commitMu and read by the owner
-// only after it acquires commitMu itself, so the mutex orders them.
-// base is the first sequence number of the range the router allocated
-// for this batch.
+// commitOp is one writer's seat in one store's commit queue.  done and
+// err are written by the leader while it holds commitMu and read by the
+// owner only after it acquires commitMu itself, so the mutex orders
+// them.  base is the first sequence number of the range the router
+// allocated for this batch; bg is the owner's note that its commit left
+// inline background work due.
 type commitOp struct {
+	st   *store
 	b    *Batch
 	base kv.Seq
 	err  error
 	done bool
+	bg   bool
 }
 
 // openStore opens one store in dir: engine, WAL recovery, value log.
@@ -389,24 +395,20 @@ func (st *store) workStep() (bool, error) {
 	return st.eng.WorkStep()
 }
 
-// write commits b, whose records take the sequence range starting at
-// base, through the group-commit queue.  bg reports that the commit
+// commit resolves op, which the router has already appended to
+// pendingQ, through the group-commit queue.  bg reports that the commit
 // rotated the memtable under Options.InlineBackground: the caller runs
 // runInlineBG once it has ended its allocation.
 //
-// The writer enqueues its batch and then races for commitMu.  The
-// winner is the leader: it drains everything queued so far and commits
-// the whole group.  A loser wakes up holding commitMu with its op
-// already resolved — or, if it got the lock before any leader served
-// it, becomes the leader itself.  Every op is therefore resolved by
-// exactly one leader, with no lost wakeups and no condition variable.
-func (st *store) write(b *Batch, base kv.Seq) (bg bool, err error) {
+// The writer races for commitMu.  The winner is the leader: it drains
+// everything queued so far and commits the whole group.  A loser wakes
+// up holding commitMu with its op already resolved — or, if it got the
+// lock before any leader served it, becomes the leader itself.  Every
+// op is therefore resolved by exactly one leader, with no lost wakeups
+// and no condition variable.  The commit.enqueue span and commit.wait
+// cover the time an enqueued op waits for the lock.
+func (st *store) commit(op *commitOp) (bg bool, err error) {
 	esp := st.tr.Begin("commit.enqueue")
-	op := &commitOp{b: b, base: base}
-	st.qmu.Lock()
-	st.pendingQ = append(st.pendingQ, op)
-	st.qmu.Unlock()
-
 	var qstart time.Duration
 	if st.timing {
 		qstart = st.clock.Now()
@@ -417,10 +419,10 @@ func (st *store) write(b *Batch, base kv.Seq) (bg bool, err error) {
 		st.commitWait.Add(int64(st.clock.Now() - qstart))
 	}
 	if !op.done {
-		st.qmu.Lock()
+		st.db.seqr.Mu.Lock()
 		group := st.pendingQ
 		st.pendingQ = nil
-		st.qmu.Unlock()
+		st.db.seqr.Mu.Unlock()
 		bg = st.commitGroup(group)
 	}
 	st.commitMu.Unlock()
@@ -510,6 +512,9 @@ func (st *store) commitGroup(group []*commitOp) (bg bool) {
 	buf := st.walBuf[:0]
 	seq := st.seq
 	for _, op := range group {
+		if invariants.Enabled {
+			invariants.Assertf(op.base > seq, "commit at seq %d after seq %d: queue order is not sequence order", op.base, seq)
+		}
 		buf = op.b.appendEncoded(buf, op.base)
 		seq = max(seq, op.base+kv.Seq(op.b.Len())-1)
 	}

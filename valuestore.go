@@ -188,9 +188,12 @@ func (vs *valueStore) separateGroup(group []*commitOp) (int64, error) {
 // exactly the pointer it is replacing — the key was overwritten,
 // deleted, or is being written in this very group — and reports whether
 // any op survived.  Caller holds commitMu, so the view it checks
-// against includes every previously committed group.  A read failure
-// (not ErrNotFound) leaves liveness unprovable: the op is dropped and
-// the batch poisoned so the collector keeps the old segment.
+// against includes every previously committed group — and because the
+// commit queue is in sequence order (DB.write), every write sequenced
+// below this rewrite is in that view or in this group: no acknowledged
+// write can land under a rewrite that was checked without it.  A read
+// failure (not ErrNotFound) leaves liveness unprovable: the op is
+// dropped and the batch poisoned so the collector keeps the old segment.
 func (vs *valueStore) filterGCBatch(b *Batch, userKeys map[string]struct{}) bool {
 	kept := b.ops[:0]
 	for i, op := range b.ops {
