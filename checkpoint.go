@@ -15,9 +15,11 @@ import (
 // write-ahead logs, so records still in the memtables are carried by
 // the copied WAL and recovered when the checkpoint is opened.
 //
-// The copy runs with background compaction quiesced (it holds the
-// write path only long enough to flush the current memtable), so it is
-// safe on a live DB.
+// It is safe on a live DB: each store is copied with its commit path
+// held from before the flush until its manifest is in place, so readers
+// stay online, writers to that store wait for the copy, and the copy is
+// one consistent cut of the store.  Stores are cut one after another, so
+// a cross-store batch in flight may land in some copies and not others.
 //
 // Commit protocol: tables and logs are copied (each synced) first, the
 // manifest last — built under a temporary name and renamed into place.
@@ -59,11 +61,21 @@ func holdsDatabase(fs vfs.FS, dir string) bool {
 
 // checkpoint copies this store into dstDir.
 func (st *store) checkpoint(dstDir string) error {
-	// Flush both memtables so the engine state plus the (now empty)
-	// live WAL describe the whole database.  CompactAll also settles
-	// pending compactions, giving the checkpoint a tidy tree.
-	if err := st.compactAll(); err != nil {
+	// Nothing may add or delete a file between the listing and the last
+	// copy.  With commits held, both memtables flushed and the engine
+	// settled, no worker has work left: the engine state plus the (now
+	// empty) live WAL describe the whole store, and the directory stands
+	// still.  (The value-log collector commits through commitMu too, and
+	// its deletions are held below.)
+	st.commitMu.Lock()
+	defer st.commitMu.Unlock()
+	if err := st.flushLocked(); err != nil {
 		return err
+	}
+	if st.settle != nil {
+		if err := st.settle(); err != nil {
+			return err
+		}
 	}
 	if err := st.fs.MkdirAll(dstDir); err != nil {
 		return err

@@ -2,6 +2,8 @@ package iamdb
 
 import (
 	"fmt"
+	"strconv"
+	"sync"
 	"testing"
 
 	"iamdb/internal/vfs"
@@ -165,5 +167,97 @@ func TestCheckpointRenameFailureLeavesNoManifest(t *testing.T) {
 		if err != nil || string(got) != v {
 			t.Fatalf("checkpoint %s = %q (%v) want %q", k, got, err, v)
 		}
+	}
+}
+
+// TestCheckpointUnderWrites takes checkpoints beside live writers: every
+// one must succeed, and every copy must open, scan clean and be one
+// consistent cut.  Each writer cycles over a ring of keys storing its
+// write counter, so a cut after m of its writes holds exactly the
+// counters m-ring..m-1.
+func TestCheckpointUnderWrites(t *testing.T) {
+	const writers, checkpoints, ring = 2, 30, 500
+	for _, e := range []EngineKind{LevelDB, IAM} {
+		t.Run(e.String(), func(t *testing.T) {
+			fs := vfs.NewMemFS()
+			db, err := Open("db", smallOpts(e, fs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for n := 0; ; n++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						k, v := fmt.Sprintf("w%d-%03d", w, n%ring), strconv.Itoa(n)
+						if err := db.Put([]byte(k), []byte(v)); err != nil {
+							t.Errorf("writer %d: %v", w, err)
+							return
+						}
+					}
+				}(w)
+			}
+			defer wg.Wait()
+			defer close(stop)
+			for c := 0; c < checkpoints; c++ {
+				if err := db.Checkpoint("ckpt"); err != nil {
+					t.Fatalf("checkpoint %d: %v", c, err)
+				}
+				cp, err := Open("ckpt", smallOpts(e, fs))
+				if err != nil {
+					t.Fatalf("open checkpoint %d: %v", c, err)
+				}
+				var count, lo, hi [writers]int
+				it := cp.NewIterator()
+				for it.First(); it.Valid(); it.Next() {
+					var w, slot int
+					if _, err := fmt.Sscanf(string(it.Key()), "w%d-%d", &w, &slot); err != nil {
+						t.Fatalf("checkpoint %d: key %q: %v", c, it.Key(), err)
+					}
+					n, err := strconv.Atoi(string(it.Value()))
+					if err != nil || n%ring != slot {
+						t.Fatalf("checkpoint %d: %s = %q", c, it.Key(), it.Value())
+					}
+					if count[w] == 0 || n < lo[w] {
+						lo[w] = n
+					}
+					hi[w] = max(hi[w], n)
+					count[w]++
+				}
+				if err := it.Err(); err != nil {
+					t.Fatalf("scan checkpoint %d: %v", c, err)
+				}
+				for w := range count {
+					// Distinct slots, so count counters spanning count
+					// values are consecutive; below a full ring they
+					// start at 0.
+					if count[w] > 0 && (hi[w]-lo[w] != count[w]-1 || count[w] < ring && lo[w] != 0) {
+						t.Fatalf("checkpoint %d is not one cut of writer %d: %d counters in [%d, %d]",
+							c, w, count[w], lo[w], hi[w])
+					}
+				}
+				it.Close()
+				if err := cp.Close(); err != nil {
+					t.Fatalf("close checkpoint %d: %v", c, err)
+				}
+				names, err := fs.List("ckpt")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, name := range names {
+					if err := fs.Remove("ckpt/" + name); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

@@ -10,8 +10,8 @@
 //	iambench -list                   # list experiment ids
 //
 // Experiment ids: table1 table2 table3 table4 table5 figure6
-// figure7a figure7b figure7c figure8 figure9 figure10 stability
-// kvsep concurrency shards
+// figure7a figure7b figure7c figure8 figure9 figure10 tuning
+// stability kvsep concurrency shards
 //
 // All experiments except `concurrency` and `shards` run on the
 // deterministic virtual-disk harness; those two measure the commit
@@ -65,6 +65,8 @@ func experiments() []experiment {
 			func(s harness.Scale) (harness.Table, error) { return s.Figure9() }},
 		{"figure10", "space usage after write tests",
 			func(s harness.Scale) (harness.Table, error) { return s.Figure10() }},
+		{"tuning", "tuning phase: compaction debt left after a hash load",
+			func(s harness.Scale) (harness.Table, error) { return s.TuningPhase() }},
 		{"stability", "sustained-workload throughput variance and worst-window tails",
 			func(s harness.Scale) (harness.Table, error) { return s.Stability() }},
 		{"kvsep", "key-value separation: large-value throughput and write-byte crossover",

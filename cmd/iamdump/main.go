@@ -170,11 +170,14 @@ func dumpVlog(path string, withRecords, verify bool) {
 }
 
 func dumpDB(dir string) {
-	st, err := manifest.Replay(vfs.NewOSFS(), dir+"/MANIFEST")
+	st, dropped, err := manifest.Replay(vfs.NewOSFS(), dir+"/MANIFEST")
 	if err != nil {
 		fatalf("manifest: %v", err)
 	}
 	fmt.Printf("database %s\n", dir)
+	if dropped > 0 {
+		fmt.Printf("  torn tail:  %d manifest bytes dropped\n", dropped)
+	}
 	fmt.Printf("  next file:  %d\n", st.NextFile)
 	fmt.Printf("  last seq:   %d\n", st.LastSeq)
 	fmt.Printf("  log number: %d\n", st.LogNum)

@@ -134,15 +134,6 @@ func run(patterns []string) ([]diag, error) {
 	return all, nil
 }
 
-// render formats diagnostics the way main prints them.
-func render(diags []diag) []string {
-	out := make([]string, len(diags))
-	for i, d := range diags {
-		out[i] = d.String()
-	}
-	return out
-}
-
 // analyze runs the per-package passes over one loaded package,
 // honouring the package's suppression directives.
 func analyze(p *pkg) []diag {

@@ -15,14 +15,18 @@ import (
 // `// want [pass] substring` comments on the line each diagnostic must
 // anchor to; the tests assert the emitted set matches exactly.
 
-// runRendered is run() + render(): the "file:line: [pass] msg" strings
-// main prints.
+// runRendered is run() with each diagnostic formatted the way main
+// prints it: "file:line: [pass] msg".
 func runRendered(patterns []string) ([]string, error) {
 	diags, err := run(patterns)
 	if err != nil {
 		return nil, err
 	}
-	return render(diags), nil
+	out := make([]string, len(diags))
+	for i, d := range diags {
+		out[i] = d.String()
+	}
+	return out, nil
 }
 
 func TestGoodFixtureIsClean(t *testing.T) {

@@ -55,5 +55,5 @@ func disabled() bool {
 	sp.AddIn(1)
 	sp.AddOut(2)
 	sp.End()
-	return r.Enabled() || sp.Recording()
+	return r.Enabled()
 }

@@ -62,12 +62,13 @@ func deferredCleanup(f vfs.File) error {
 	return f.Sync()
 }
 
-func retriedSync(f vfs.File) error {
-	return vfs.Retry(3, nil, f.Sync) // handled: the caller sees the error
+func rotted(fs vfs.FS, name string) error {
+	_, _, _, err := vfs.CorruptByte(fs, name, 0, vfs.RotFlip)
+	return err // handled: the caller sees the error
 }
 
-func retriedBestEffort(f vfs.File) {
-	_ = vfs.Retry(3, nil, f.Sync) // explicit discard is the sanctioned form
+func rottedBestEffort(fs vfs.FS, name string) {
+	_, _, _, _ = vfs.CorruptByte(fs, name, 0, vfs.RotFlip) // explicit discard is the sanctioned form
 }
 
 func (s *store) copyBeforeRetain(it *iter) {

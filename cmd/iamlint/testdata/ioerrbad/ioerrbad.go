@@ -16,8 +16,8 @@ func dropSync(f vfs.File) {
 	f.Sync() // want [ioerr] error result of vfs.Sync is discarded
 }
 
-func dropRetry(f vfs.File) {
-	vfs.Retry(3, nil, f.Sync) // want [ioerr] error result of vfs.Retry is discarded
+func dropCorruptByte(fs vfs.FS, name string) {
+	vfs.CorruptByte(fs, name, 0, vfs.RotFlip) // want [ioerr] error result of vfs.CorruptByte is discarded
 }
 
 func handled(fs vfs.FS, name string) error {

@@ -73,9 +73,6 @@ type Config struct {
 	// LeafInitFrac divides Ct to get the initial size of leaf nodes
 	// born from a leaf merge: Cts = Ct/LeafInitFrac (default 5).
 	LeafInitFrac int
-	// CapFactor scales the MSTable file capacity relative to Ct,
-	// leaving hole room for appends (default 2.0).
-	CapFactor float64
 	// BitsPerKey sets Bloom-filter density (default 14).
 	BitsPerKey int
 	// Compression enables flate compression of data blocks (off by
@@ -110,9 +107,6 @@ func (c *Config) fill() {
 	if c.LeafInitFrac == 0 {
 		c.LeafInitFrac = 5
 	}
-	if c.CapFactor == 0 {
-		c.CapFactor = 2.0
-	}
 	if c.MemBudget == 0 && c.Cache != nil {
 		c.MemBudget = c.Cache.Capacity()
 	}
@@ -122,12 +116,12 @@ func (c *Config) fill() {
 	}
 }
 
+// capFactor scales the MSTable file capacity relative to Ct, leaving hole
+// room for appends.
+const capFactor = 2
+
 func (c *Config) fileCapacity() int64 {
-	capacity := int64(float64(c.NodeCapacity) * c.CapFactor)
-	if capacity < table.MinCapacity {
-		capacity = table.MinCapacity
-	}
-	return capacity
+	return max(c.NodeCapacity*capFactor, table.MinCapacity)
 }
 
 // Tree is an LSA- or IAM-tree over a table set: a node is a
@@ -234,13 +228,8 @@ func (t *Tree) StallLevel() int         { return 0 }
 // Stats implements engine.Engine.
 func (t *Tree) Stats() engine.StatsSnapshot { return t.stats.Snapshot() }
 
-// LevelDataSizes returns D_1..D_n, the inputs to Eq. (2).
-func (t *Tree) LevelDataSizes() []int64 {
-	t.Mu.Lock()
-	defer t.Mu.Unlock()
-	return t.levelDataSizesLocked()
-}
-
+// levelDataSizesLocked returns D_1..D_n, the inputs to Eq. (2); caller
+// holds Mu.
 func (t *Tree) levelDataSizesLocked() []int64 {
 	out := make([]int64, t.n()+1)
 	for i := 1; i <= t.n(); i++ {

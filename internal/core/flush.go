@@ -72,7 +72,7 @@ func (t *Tree) Flush(it iterator.Iterator) error {
 		t.cfg.Events.FlushEnd(metrics.FlushInfo{Bytes: flushed, Duration: t.cfg.Clock.Now() - start})
 	}()
 	atBottom := t.treeEmptyLocked()
-	b, err := collect(engine.DropObsoleteObserved(it, t.Horizon(), atBottom, t.cfg.OnDrop))
+	b, err := collect(engine.DropObsolete(it, t.Horizon(), atBottom, t.cfg.OnDrop))
 	if err != nil {
 		return err
 	}
@@ -214,7 +214,7 @@ func (t *Tree) flushNode(i int, x *tableset.Table, destroy bool) error {
 // loadNode merges a node's sequences in memory, dropping obsolete
 // versions (the node's own sequences shadow each other).
 func (t *Tree) loadNode(x *tableset.Table) (*batch, error) {
-	it := engine.DropObsoleteObserved(x.NewIter(), t.Horizon(), false, t.cfg.OnDrop)
+	it := engine.DropObsolete(x.NewIter(), t.Horizon(), false, t.cfg.OnDrop)
 	defer it.Close()
 	return collect(it)
 }
@@ -472,9 +472,9 @@ func (t *Tree) mergeChild(dst int, kid *tableset.Table, sub *batch) error {
 	}
 	t.stats.AddReadBytes(dst, kid.DataSize())
 	merged := iterator.NewMerging(kv.CompareInternal, sub.iter(), kid.NewIter())
-	filtered := engine.DropObsoleteObserved(merged, t.Horizon(), atBottom, t.cfg.OnDrop)
+	filtered := engine.DropObsolete(merged, t.Horizon(), atBottom, t.cfg.OnDrop)
 	filtered.First()
-	newNodes, bytes, err := t.writeNodesFrom(filtered, chunk)
+	newNodes, bytes, err := t.BuildRuns(filtered, chunk, t.cfg.fileCapacity())
 	if err != nil {
 		return err
 	}
@@ -509,7 +509,7 @@ func batchBytes(b *batch) int {
 func (t *Tree) writeNodes(dst int, b *batch, limit int64) ([]*tableset.Table, error) {
 	it := b.iter()
 	it.First()
-	nodes, bytes, err := t.writeNodesFrom(it, limit)
+	nodes, bytes, err := t.BuildRuns(it, limit, t.cfg.fileCapacity())
 	if err != nil {
 		return nil, err
 	}
@@ -520,59 +520,6 @@ func (t *Tree) writeNodes(dst int, b *batch, limit int64) ([]*tableset.Table, er
 		edit.Added = append(edit.Added, t.Record(dst, nd))
 	}
 	return nodes, t.Commit(edit)
-}
-
-// writeNodesFrom drains a positioned iterator into fresh tables of at
-// most limit data bytes each (finishing the current user key, so all
-// versions of a key share one node), returning the new nodes (ranges =
-// data spans) and total bytes written.  Each chunk is gathered in
-// memory first so the file capacity can be sized to fit even when a
-// single key's version chain exceeds the node capacity.
-func (t *Tree) writeNodesFrom(it iterator.Iterator, limit int64) ([]*tableset.Table, int64, error) {
-	var nodes []*tableset.Table
-	var total int64
-	for it.Valid() {
-		cb := &batch{}
-		var bytes int64
-		var lastUser []byte
-		for ; it.Valid(); it.Next() {
-			u := kv.UserKey(it.Key())
-			if bytes >= limit && !bytesEqual(u, lastUser) {
-				break
-			}
-			cb.keys = append(cb.keys, append([]byte(nil), it.Key()...))
-			cb.vals = append(cb.vals, append([]byte(nil), it.Value()...))
-			bytes += int64(len(it.Key()) + len(it.Value()))
-			lastUser = append(lastUser[:0], u...)
-		}
-		if err := it.Err(); err != nil {
-			return nodes, total, err
-		}
-		if cb.len() == 0 {
-			break
-		}
-		capacity := t.cfg.fileCapacity()
-		if need := bytes + bytes/2 + 64*1024; need > capacity {
-			capacity = need // oversized version chain: grow the file
-		}
-		nd, written, err := t.Build(capacity, cb.iter())
-		if err != nil {
-			return nodes, total, err
-		}
-		total += written
-		nodes = append(nodes, nd)
-	}
-	// An iterator whose very first position failed never enters the
-	// loop above: without this check a corrupt input would read as
-	// empty and the merge would silently discard the node's data.
-	if err := it.Err(); err != nil {
-		return nodes, total, err
-	}
-	return nodes, total, nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	return len(a) == len(b) && string(a) == string(b)
 }
 
 // splitNode divides a full node with at least 2t children into two
@@ -626,7 +573,7 @@ func (t *Tree) splitNode(i int, x *tableset.Table) error {
 		}
 		it := part.b.iter()
 		it.First()
-		nds, bytes, err := t.writeNodesFrom(it, t.cfg.NodeCapacity)
+		nds, bytes, err := t.BuildRuns(it, t.cfg.NodeCapacity, t.cfg.fileCapacity())
 		if err != nil {
 			return err
 		}

@@ -124,7 +124,10 @@ func TestDeepVerifyCleanTree(t *testing.T) {
 		}
 		tr, _ := testTree(t, p, budget)
 		loadRandom(t, tr, 5000, 77)
-		rep, err := tr.DeepVerify()
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("%v: %v", p, err)
+		}
+		rep, err := tr.Set.DeepVerify()
 		if err != nil {
 			t.Fatalf("%v: %v (%v)", p, err, rep)
 		}
@@ -160,8 +163,11 @@ func TestDeepVerifyCatchesRangeViolation(t *testing.T) {
 	}
 	victim.Rng = kv.MakeRange(victim.Rng.Lo, append([]byte(nil), victim.Rng.Lo...))
 	tr.Mu.Unlock()
-	if _, err := tr.DeepVerify(); err == nil {
-		t.Fatal("verify missed the corrupted range")
+	if err := tr.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants missed the corrupted range")
+	}
+	if _, err := tr.Set.DeepVerify(); err == nil {
+		t.Fatal("DeepVerify missed the corrupted range")
 	}
 }
 
@@ -171,7 +177,9 @@ func TestMixedLevelTuningMatchesBudget(t *testing.T) {
 	loadRandom(t, tr, 5000, 13)
 	m, k := tr.MixedLevel()
 	// Eq. (2): levels above m must fit in the budget.
-	sizes := tr.LevelDataSizes()
+	tr.Mu.Lock()
+	sizes := tr.levelDataSizesLocked()
+	tr.Mu.Unlock()
 	var sum int64
 	for j := 1; j < m && j < len(sizes); j++ {
 		sum += sizes[j]

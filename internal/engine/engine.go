@@ -240,20 +240,6 @@ func (s StatsSnapshot) TotalReadBytes() int64 {
 	return n
 }
 
-// DropObsolete wraps a merge input, applying the MVCC retention rule:
-// for each user key keep every version newer than horizon (still
-// visible to some snapshot) plus the newest version at or below the
-// horizon; drop the rest.  When atBottom is true — the merge output is
-// the deepest data for its key range — a tombstone that would be that
-// retained newest version is dropped entirely (Sec. 5.2: "In merges,
-// the outdated records are removed and the valid records remain").
-//
-// Appends never pass through this filter; that is precisely why append
-// trees carry extra space amplification (Sec. 5.3.3).
-func DropObsolete(it iterator.Iterator, horizon kv.Seq, atBottom bool) iterator.Iterator {
-	return DropObsoleteObserved(it, horizon, atBottom, nil)
-}
-
 // DropObserver is notified of every record the retention rule discards,
 // with the record's kind and value (the slices alias merge buffers and
 // must not be retained).  The DB layer uses it to credit dropped
@@ -261,9 +247,18 @@ func DropObsolete(it iterator.Iterator, horizon kv.Seq, atBottom bool) iterator.
 // density GC runs on.
 type DropObserver func(kind kv.Kind, val []byte)
 
-// DropObsoleteObserved is DropObsolete with a drop observer; a nil
-// onDrop behaves exactly like DropObsolete.
-func DropObsoleteObserved(it iterator.Iterator, horizon kv.Seq, atBottom bool, onDrop DropObserver) iterator.Iterator {
+// DropObsolete wraps a merge input, applying the MVCC retention rule:
+// for each user key keep every version newer than horizon (still
+// visible to some snapshot) plus the newest version at or below the
+// horizon; drop the rest.  When atBottom is true — the merge output is
+// the deepest data for its key range — a tombstone that would be that
+// retained newest version is dropped entirely (Sec. 5.2: "In merges,
+// the outdated records are removed and the valid records remain").
+// onDrop, when non-nil, sees every dropped record.
+//
+// Appends never pass through this filter; that is precisely why append
+// trees carry extra space amplification (Sec. 5.3.3).
+func DropObsolete(it iterator.Iterator, horizon kv.Seq, atBottom bool, onDrop DropObserver) iterator.Iterator {
 	return &dropIter{in: it, horizon: horizon, atBottom: atBottom, onDrop: onDrop}
 }
 

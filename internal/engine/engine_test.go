@@ -39,7 +39,7 @@ func TestDropObsoleteKeepsNewestOnly(t *testing.T) {
 		rec{"a", 10, kv.KindSet},
 		rec{"b", 5, kv.KindSet},
 	)
-	got := collectDrop(DropObsolete(in, kv.MaxSeq, false))
+	got := collectDrop(DropObsolete(in, kv.MaxSeq, false, nil))
 	want := "[a@30:set b@5:set]"
 	if fmt.Sprint(got) != want {
 		t.Fatalf("got %v want %v", got, want)
@@ -53,7 +53,7 @@ func TestDropObsoleteHorizonKeepsVisible(t *testing.T) {
 		rec{"a", 10, kv.KindSet},
 	)
 	// Snapshot at 15 is active: keep 30 and 20 (>15) plus newest <= 15 (10).
-	got := collectDrop(DropObsolete(in, 15, false))
+	got := collectDrop(DropObsolete(in, 15, false, nil))
 	want := "[a@30:set a@20:set a@10:set]"
 	if fmt.Sprint(got) != want {
 		t.Fatalf("got %v want %v", got, want)
@@ -64,7 +64,7 @@ func TestDropObsoleteHorizonKeepsVisible(t *testing.T) {
 		rec{"a", 20, kv.KindSet},
 		rec{"a", 10, kv.KindSet},
 	)
-	got = collectDrop(DropObsolete(in2, 25, false))
+	got = collectDrop(DropObsolete(in2, 25, false, nil))
 	want = "[a@30:set a@20:set]"
 	if fmt.Sprint(got) != want {
 		t.Fatalf("got %v want %v", got, want)
@@ -80,34 +80,34 @@ func TestDropObsoleteTombstones(t *testing.T) {
 		)
 	}
 	// Mid-tree: tombstone must survive to shadow deeper data.
-	got := collectDrop(DropObsolete(mk(), kv.MaxSeq, false))
+	got := collectDrop(DropObsolete(mk(), kv.MaxSeq, false, nil))
 	if fmt.Sprint(got) != "[a@20:delete b@5:set]" {
 		t.Fatalf("mid-tree: %v", got)
 	}
 	// Bottom: tombstone and everything under it vanish.
-	got = collectDrop(DropObsolete(mk(), kv.MaxSeq, true))
+	got = collectDrop(DropObsolete(mk(), kv.MaxSeq, true, nil))
 	if fmt.Sprint(got) != "[b@5:set]" {
 		t.Fatalf("bottom: %v", got)
 	}
 	// Bottom but tombstone above horizon: must stay (a snapshot may
 	// still need to observe the delete... and older versions too).
-	got = collectDrop(DropObsolete(mk(), 15, true))
+	got = collectDrop(DropObsolete(mk(), 15, true, nil))
 	if fmt.Sprint(got) != "[a@20:delete a@10:set b@5:set]" {
 		t.Fatalf("bottom with snapshot: %v", got)
 	}
 }
 
 func TestDropObsoleteEmptyAndSingle(t *testing.T) {
-	got := collectDrop(DropObsolete(dropInput(), kv.MaxSeq, true))
+	got := collectDrop(DropObsolete(dropInput(), kv.MaxSeq, true, nil))
 	if got != nil {
 		t.Fatalf("empty: %v", got)
 	}
-	got = collectDrop(DropObsolete(dropInput(rec{"x", 1, kv.KindSet}), kv.MaxSeq, true))
+	got = collectDrop(DropObsolete(dropInput(rec{"x", 1, kv.KindSet}), kv.MaxSeq, true, nil))
 	if fmt.Sprint(got) != "[x@1:set]" {
 		t.Fatalf("single: %v", got)
 	}
 	// A single tombstone at bottom disappears completely.
-	got = collectDrop(DropObsolete(dropInput(rec{"x", 1, kv.KindDelete}), kv.MaxSeq, true))
+	got = collectDrop(DropObsolete(dropInput(rec{"x", 1, kv.KindDelete}), kv.MaxSeq, true, nil))
 	if got != nil {
 		t.Fatalf("single tombstone: %v", got)
 	}

@@ -121,12 +121,6 @@ func SeqOf(ikey []byte) Seq {
 	return s
 }
 
-// KindOf returns the kind of an internal key.
-func KindOf(ikey []byte) Kind {
-	_, k := UnpackTrailer(Trailer(ikey))
-	return k
-}
-
 // CompareUser orders user keys bytewise ascending.
 func CompareUser(a, b []byte) int { return bytes.Compare(a, b) }
 

@@ -55,8 +55,8 @@ func TestMakeParseInternalKey(t *testing.T) {
 	if string(UserKey(ik)) != "hello" {
 		t.Fatalf("UserKey got %q", UserKey(ik))
 	}
-	if SeqOf(ik) != 42 || KindOf(ik) != KindSet {
-		t.Fatalf("SeqOf/KindOf got %d %v", SeqOf(ik), KindOf(ik))
+	if SeqOf(ik) != 42 {
+		t.Fatalf("SeqOf got %d", SeqOf(ik))
 	}
 }
 

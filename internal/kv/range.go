@@ -88,19 +88,6 @@ func (r Range) Union(o Range) Range {
 	return out
 }
 
-// DistanceHint gives a coarse, comparator-only notion of how close key k
-// is to the range: 0 if inside, 1 if adjacent ordering-wise.  For
-// partitioning records that fall outside all children, the paper assigns
-// them to the child with the closest range; with an opaque byte
-// comparator "closest" reduces to picking between the neighbor below and
-// the neighbor above, which callers resolve with Before/Contains.
-func (r Range) DistanceHint(k []byte) int {
-	if r.Contains(k) {
-		return 0
-	}
-	return 1
-}
-
 func (r Range) String() string {
 	if r.Empty() {
 		return "{}"

@@ -18,9 +18,9 @@ func (d *DB) Flush(it iterator.Iterator) error {
 	start := d.cfg.Clock.Now()
 	sp := d.cfg.Trace.Begin("lsm.flush")
 	sp.SetLevel(0)
-	filtered := engine.DropObsoleteObserved(it, d.Horizon(), false, d.cfg.OnDrop)
+	filtered := engine.DropObsolete(it, d.Horizon(), false, d.cfg.OnDrop)
 	filtered.First()
-	files, bytes, err := d.writeFiles(filtered, 1<<62)
+	files, bytes, err := d.BuildRuns(filtered, 1<<62, 0)
 	d.cfg.Events.FlushEnd(metrics.FlushInfo{Bytes: bytes, Duration: d.cfg.Clock.Now() - start})
 	if err != nil {
 		return err
@@ -36,49 +36,6 @@ func (d *DB) Flush(it iterator.Iterator) error {
 	sp.SetBytes(bytes)
 	sp.End()
 	return err
-}
-
-// writeFiles drains a positioned iterator into new tables of at most
-// limit data bytes each, gathering each chunk in memory to size the
-// file exactly.
-func (d *DB) writeFiles(it iterator.Iterator, limit int64) ([]*tableset.Table, int64, error) {
-	var files []*tableset.Table
-	var total int64
-	for it.Valid() {
-		var keys, vals [][]byte
-		var bytes int64
-		var lastUser []byte
-		for ; it.Valid(); it.Next() {
-			u := kv.UserKey(it.Key())
-			if bytes >= limit && !(len(u) == len(lastUser) && string(u) == string(lastUser)) {
-				break
-			}
-			keys = append(keys, append([]byte(nil), it.Key()...))
-			vals = append(vals, append([]byte(nil), it.Value()...))
-			bytes += int64(len(it.Key()) + len(it.Value()))
-			lastUser = append(lastUser[:0], u...)
-		}
-		if err := it.Err(); err != nil {
-			return files, total, err
-		}
-		if len(keys) == 0 {
-			break
-		}
-		capacity := bytes + bytes/2 + 64*1024
-		f, written, err := d.Build(capacity, iterator.NewSlice(kv.CompareInternal, keys, vals))
-		if err != nil {
-			return files, total, err
-		}
-		total += written
-		files = append(files, f)
-	}
-	// An iterator whose very first position failed never enters the
-	// loop above: without this check a corrupt input would read as
-	// empty and the compaction would silently discard the level's data.
-	if err := it.Err(); err != nil {
-		return files, total, err
-	}
-	return files, total, nil
 }
 
 // overflowTolerance is the score at which the LevelDB profile finally
@@ -275,9 +232,9 @@ func (d *DB) compactLevel(i int) error {
 	}
 	merged := iterator.NewMerging(kv.CompareInternal, kids...)
 	atBottom := d.isBottom(i + 1)
-	filtered := engine.DropObsoleteObserved(merged, d.Horizon(), atBottom, d.cfg.OnDrop)
+	filtered := engine.DropObsolete(merged, d.Horizon(), atBottom, d.cfg.OnDrop)
 	filtered.First()
-	files, bytes, err := d.writeFiles(filtered, d.cfg.FileSize)
+	files, bytes, err := d.BuildRuns(filtered, d.cfg.FileSize, 0)
 	if err != nil {
 		return err
 	}

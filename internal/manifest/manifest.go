@@ -285,27 +285,21 @@ func (l *Log) Append(e *Edit) error {
 // Close releases the manifest file.
 func (l *Log) Close() error { return l.f.Close() }
 
-// Replay loads the state from a manifest file.
-func Replay(fs vfs.FS, name string) (*State, error) {
-	st, _, err := ReplayStrict(fs, name)
-	return st, err
-}
-
-// ReplayStrict loads the state from a manifest file with the strict
-// log reader: a torn final append (crash mid-Append) is tolerated and
-// reported via dropped > 0 so the caller can flag the regression, but
-// mid-log corruption — damage with valid edits after it — aborts with
-// a *corrupt.Error naming the manifest rather than silently replaying
-// a truncated history.  Malformed or inapplicable edits behind a valid
-// checksum abort the same way.
-func ReplayStrict(fs vfs.FS, name string) (*State, int64, error) {
+// Replay loads the state from a manifest file: a torn final append
+// (crash mid-Append) is tolerated and reported via dropped > 0 so the
+// caller can flag the regression, but mid-log corruption — damage with
+// valid edits after it — aborts with a *corrupt.Error naming the
+// manifest rather than silently replaying a truncated history.
+// Malformed or inapplicable edits behind a valid checksum abort the
+// same way.
+func Replay(fs vfs.FS, name string) (*State, int64, error) {
 	f, err := fs.Open(name)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer f.Close()
 	st := &State{}
-	dropped, err := wal.ReplayAllStrict(f, name, func(rec []byte) error {
+	dropped, err := wal.Replay(f, name, func(rec []byte) error {
 		e, err := decodeEdit(rec)
 		if err != nil {
 			return corrupt.New(corrupt.LayerManifest, name, -1,

@@ -98,7 +98,7 @@ func TestCreateAppendReplay(t *testing.T) {
 	}
 	log.Close()
 
-	got, err := Replay(fs, "MANIFEST")
+	got, _, err := Replay(fs, "MANIFEST")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,9 +124,12 @@ func TestReplayTornTail(t *testing.T) {
 	size, _ := f.Size()
 	f.Truncate(size - 3) // tear the last record
 	f.Close()
-	st, err := Replay(fs, "MANIFEST")
+	st, dropped, err := Replay(fs, "MANIFEST")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if dropped == 0 {
+		t.Error("torn tail not reported")
 	}
 	// The torn edit is dropped; the snapshot survives.
 	if st.NextFile != 1 {
@@ -191,7 +194,7 @@ func TestManyLevels(t *testing.T) {
 	}
 	log.Append(&e)
 	log.Close()
-	st, err := Replay(fs, "M")
+	st, _, err := Replay(fs, "M")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
-// Package metrics is the storage engine's observability substrate: a
-// stdlib-only registry of atomic counters and gauges, concurrency-safe
-// latency histograms, an injectable monotonic clock, and the structured
-// EventListener the engines fire compaction events through.
+// Package metrics is the storage engine's observability substrate:
+// atomic counters, an injectable monotonic clock, the windowed Sampler
+// and the structured EventListener the engines fire compaction events
+// through.
 //
 // Everything here is deterministic by construction — the package never
 // reads the wall clock or the OS (it is inside the iamlint determinism
@@ -11,14 +11,8 @@
 package metrics
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
-
-	"iamdb/internal/histogram"
 )
 
 // Clock is a monotonic time source: Now reports elapsed time since an
@@ -70,179 +64,3 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Load reports the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Gauge is an instantaneous atomic value.  The zero value is ready to
-// use; all methods are safe for concurrent use and allocation-free.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores n.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the gauge by n.
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Load reports the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
-// Registry names counters, gauges and histograms.  Get-or-create
-// registration takes a lock; the returned instruments are lock-free,
-// so hot paths resolve their instruments once and hold the pointer.
-type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*histogram.Concurrent
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*histogram.Concurrent),
-	}
-}
-
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Histogram returns the named latency histogram, creating it on first
-// use.
-func (r *Registry) Histogram(name string) *histogram.Concurrent {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = histogram.NewConcurrent()
-		r.hists[name] = h
-	}
-	return h
-}
-
-// Snapshot is a point-in-time copy of every registered instrument,
-// JSON-friendly by construction.  Snapshots taken from a Registry also
-// carry full histogram data (unexported, not serialized) so Delta can
-// compute true interval percentiles, not summary arithmetic.
-type Snapshot struct {
-	Counters   map[string]int64
-	Gauges     map[string]int64
-	Histograms map[string]histogram.Summary
-
-	hists map[string]*histogram.H
-}
-
-// Snapshot copies every instrument's current value.
-func (r *Registry) Snapshot() Snapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := Snapshot{
-		Counters:   make(map[string]int64, len(r.counters)),
-		Gauges:     make(map[string]int64, len(r.gauges)),
-		Histograms: make(map[string]histogram.Summary, len(r.hists)),
-		hists:      make(map[string]*histogram.H, len(r.hists)),
-	}
-	for name, c := range r.counters {
-		s.Counters[name] = c.Load()
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Load()
-	}
-	for name, h := range r.hists {
-		full := h.Snapshot()
-		s.hists[name] = full
-		s.Histograms[name] = full.Summary()
-	}
-	return s
-}
-
-// Delta returns the interval snapshot s − prev: counters are
-// subtracted (an instrument absent from prev counts from zero), gauges
-// keep their current value (they are instantaneous, not cumulative),
-// and histograms are diffed bucket-wise so the interval summaries
-// report true per-window percentiles.  Both snapshots should come from
-// the same registry with prev taken earlier.
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	out := Snapshot{
-		Counters:   make(map[string]int64, len(s.Counters)),
-		Gauges:     make(map[string]int64, len(s.Gauges)),
-		Histograms: make(map[string]histogram.Summary, len(s.Histograms)),
-		hists:      make(map[string]*histogram.H, len(s.hists)),
-	}
-	for name, v := range s.Counters {
-		out.Counters[name] = v - prev.Counters[name]
-	}
-	for name, v := range s.Gauges {
-		out.Gauges[name] = v
-	}
-	for name, h := range s.hists {
-		d := h
-		if ph, ok := prev.hists[name]; ok {
-			d = h.Sub(ph)
-		}
-		out.hists[name] = d
-		out.Histograms[name] = d.Summary()
-	}
-	// A snapshot without full data (hand-built, e.g. in tests) still
-	// diffs what it can: summaries pass through unchanged.
-	for name, sum := range s.Histograms {
-		if _, ok := out.Histograms[name]; !ok {
-			out.Histograms[name] = sum
-		}
-	}
-	return out
-}
-
-// String renders the snapshot with one sorted "name value" line per
-// instrument, for logs and CLI output.
-func (s Snapshot) String() string {
-	var b strings.Builder
-	var names []string
-	for name := range s.Counters {
-		names = append(names, name)
-	}
-	for name := range s.Gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if v, ok := s.Counters[name]; ok {
-			fmt.Fprintf(&b, "%s %d\n", name, v)
-		} else {
-			fmt.Fprintf(&b, "%s %d\n", name, s.Gauges[name])
-		}
-	}
-	names = names[:0]
-	for name := range s.Histograms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		h := s.Histograms[name]
-		fmt.Fprintf(&b, "%s n=%d mean=%v p50=%v p99=%v p99.9=%v max=%v\n",
-			name, h.Count, h.Mean, h.P50, h.P99, h.P999, h.Max)
-	}
-	return b.String()
-}

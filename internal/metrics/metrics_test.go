@@ -3,73 +3,9 @@ package metrics
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
-
-func TestRegistryGetOrCreate(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("ops")
-	c.Inc()
-	c.Add(2)
-	if r.Counter("ops") != c || c.Load() != 3 {
-		t.Fatalf("counter identity or value broken: %d", c.Load())
-	}
-	g := r.Gauge("depth")
-	g.Set(7)
-	g.Add(-2)
-	if r.Gauge("depth") != g || g.Load() != 5 {
-		t.Fatalf("gauge identity or value broken: %d", g.Load())
-	}
-	h := r.Histogram("lat")
-	h.Record(time.Millisecond)
-	if r.Histogram("lat") != h || h.Count() != 1 {
-		t.Fatalf("histogram identity or count broken: %d", h.Count())
-	}
-}
-
-func TestRegistryConcurrent(t *testing.T) {
-	r := NewRegistry()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				r.Counter("shared").Inc()
-				r.Histogram("h").Record(time.Microsecond)
-			}
-		}()
-	}
-	wg.Wait()
-	if n := r.Counter("shared").Load(); n != 800 {
-		t.Fatalf("counter = %d, want 800", n)
-	}
-	if n := r.Histogram("h").Count(); n != 800 {
-		t.Fatalf("histogram count = %d, want 800", n)
-	}
-}
-
-func TestSnapshotString(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("b.count").Add(4)
-	r.Counter("a.count").Add(2)
-	r.Gauge("depth").Set(3)
-	r.Histogram("lat").Record(time.Millisecond)
-	s := r.Snapshot()
-	if s.Counters["a.count"] != 2 || s.Counters["b.count"] != 4 || s.Gauges["depth"] != 3 {
-		t.Fatalf("snapshot values wrong: %+v", s)
-	}
-	if s.Histograms["lat"].Count != 1 {
-		t.Fatalf("histogram summary missing: %+v", s.Histograms)
-	}
-	out := s.String()
-	// Keys render sorted within each section.
-	if strings.Index(out, "a.count") > strings.Index(out, "b.count") {
-		t.Fatalf("counters not sorted:\n%s", out)
-	}
-}
 
 func TestClocks(t *testing.T) {
 	mc := new(ManualClock)

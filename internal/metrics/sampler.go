@@ -200,7 +200,6 @@ type Sampler struct {
 	wins     []samplerWindow
 	prev     Cumulative
 	winStart time.Duration
-	folds    int
 }
 
 // NewSampler starts a timeline at the clock's current reading.  window
@@ -269,7 +268,6 @@ func (s *Sampler) push(w samplerWindow) {
 	}
 	s.wins = half
 	s.window *= 2
-	s.folds++
 }
 
 // Points renders the closed windows, oldest first.  Nil-safe.
@@ -294,14 +292,4 @@ func (s *Sampler) Window() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.window
-}
-
-// Folds reports how many times the ring has folded.
-func (s *Sampler) Folds() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.folds
 }

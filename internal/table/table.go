@@ -37,6 +37,7 @@ import (
 	"hash/crc32"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"iamdb/internal/block"
 	"iamdb/internal/bloom"
@@ -102,6 +103,10 @@ type Table struct {
 	mu      sync.RWMutex
 	dataEnd int64
 	seqs    []SeqMeta // oldest first; appends push back
+	// nseq publishes the committed len(seqs) for NumSeqs: a view over
+	// many tables captures each one's count, and a lock per table is
+	// what it cannot afford.
+	nseq atomic.Int32
 
 	// metaFloor and gen belong to the appender (like the write side of
 	// dataEnd): metaFloor is the start of the last committed metadata
@@ -288,6 +293,7 @@ func Open(fs vfs.FS, name string, id uint64, opt Options) (*Table, error) {
 			continue
 		}
 		t.suspect = suspect
+		t.nseq.Store(int32(len(t.seqs)))
 		for _, s := range t.seqs {
 			if end := int64(s.DataOff + s.DataLen); end > t.dataEnd {
 				t.dataEnd = end
@@ -422,8 +428,9 @@ func (t *Table) ID() uint64 { return t.id }
 // Capacity returns the fixed file capacity.
 func (t *Table) Capacity() int64 { return t.capacity }
 
-// NumSeqs reports how many sorted sequences the table holds.
-func (t *Table) NumSeqs() int { return len(t.snapshotSeqs()) }
+// NumSeqs reports how many sorted sequences the table holds, without
+// taking the table's lock.
+func (t *Table) NumSeqs() int { return int(t.nseq.Load()) }
 
 // DataSize reports the bytes of record blocks (excludes hole/metadata).
 func (t *Table) DataSize() int64 {
@@ -456,9 +463,6 @@ func (t *Table) Entries() uint64 {
 
 // SeqMetaAt returns sequence i's metadata (oldest first).
 func (t *Table) SeqMetaAt(i int) SeqMeta { return t.snapshotSeqs()[i] }
-
-// SeqDataLen returns the data bytes of sequence i.
-func (t *Table) SeqDataLen(i int) int64 { return int64(t.snapshotSeqs()[i].DataLen) }
 
 // UserRange returns the user-key range covered by all sequences.
 func (t *Table) UserRange() kv.Range {
@@ -636,6 +640,7 @@ func (t *Table) AppendFrom(it iterator.Iterator, limit int64) (AppendResult, err
 		t.mu.Unlock()
 		return AppendResult{}, err
 	}
+	t.nseq.Store(int32(len(t.seqs)))
 	res := AppendResult{
 		Entries: meta.Entries,
 		Bytes:   int64(meta.DataLen) + t.MetaSize() + footerSlot,
@@ -988,8 +993,13 @@ func (t *Table) seqIterOf(seqs []SeqMeta, i int) iterator.Iterator {
 // NewIter returns an iterator merging every sequence, newest winning
 // nothing special (internal keys are unique); the ordering is plain
 // internal-key order as scans require.
-func (t *Table) NewIter() iterator.Iterator {
-	seqs := t.snapshotSeqs()
+func (t *Table) NewIter() iterator.Iterator { return t.iterOf(t.snapshotSeqs()) }
+
+// NewIterAt is NewIter over the oldest n sequences only: the table as
+// it stood when NumSeqs returned n, whatever has been appended since.
+func (t *Table) NewIterAt(n int) iterator.Iterator { return t.iterOf(t.snapshotSeqs()[:n]) }
+
+func (t *Table) iterOf(seqs []SeqMeta) iterator.Iterator {
 	if len(seqs) == 0 {
 		return iterator.Empty{}
 	}

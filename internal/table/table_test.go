@@ -392,11 +392,11 @@ func TestSeqDataLenAndMeta(t *testing.T) {
 	if string(kv.UserKey(m1.Smallest)) != "c" || string(kv.UserKey(m1.Largest)) != "e" {
 		t.Fatalf("seq1 bounds %s..%s", kv.UserKey(m1.Smallest), kv.UserKey(m1.Largest))
 	}
-	if tb.SeqDataLen(0) <= 0 || tb.SeqDataLen(1) <= 0 {
+	if m0.DataLen == 0 || m1.DataLen == 0 {
 		t.Fatal("data lens must be positive")
 	}
-	if int64(m1.DataOff) != tb.SeqDataLen(0) {
-		t.Fatalf("seq1 off %d want %d", m1.DataOff, tb.SeqDataLen(0))
+	if m1.DataOff != m0.DataLen {
+		t.Fatalf("seq1 off %d want %d", m1.DataOff, m0.DataLen)
 	}
 }
 

@@ -13,31 +13,39 @@ import (
 // removal from the set.
 type concatIter struct {
 	s      *Set
-	tables []*Table
-	// rngs are the table ranges captured at creation under Set.Mu: a
-	// concurrent append may widen a live table's range, and the iterator
-	// is a point-in-time view, so it routes by the ranges it saw.
-	rngs   []kv.Range
+	views  []tableView
 	idx    int
 	cur    iterator.Iterator
 	err    error
 	closed bool
 }
 
-// newConcatIter pins tables and captures their ranges; caller holds Mu.
+// tableView is one table as a concatIter saw it at creation, under
+// Set.Mu.  The iterator is a point-in-time view and the trees append to
+// live tables in place: a later append may widen the table's range and
+// adds a sequence — possibly of keys below ones the scan already emitted
+// (gap records a neighbour shed) — so the iterator routes by the range,
+// and reads exactly the sequences, it captured.
+type tableView struct {
+	tb   *Table
+	rng  kv.Range
+	nseq int
+}
+
+// newConcatIter pins tables and captures their views; caller holds Mu.
 func (s *Set) newConcatIter(tables []*Table) *concatIter {
-	l := &concatIter{s: s, tables: append([]*Table(nil), tables...), rngs: make([]kv.Range, len(tables))}
-	for j, tb := range l.tables {
+	l := &concatIter{s: s, views: make([]tableView, len(tables))}
+	for j, tb := range tables {
 		tb.refs++
-		l.rngs[j] = tb.Rng
+		l.views[j] = tableView{tb: tb, rng: tb.Rng, nseq: tb.NumSeqs()}
 	}
 	return l
 }
 
 func (l *concatIter) open(i int) {
 	l.idx = i
-	if i >= 0 && i < len(l.tables) {
-		l.cur = l.tables[i].NewIter()
+	if i >= 0 && i < len(l.views) {
+		l.cur = l.views[i].tb.NewIterAt(l.views[i].nseq)
 	} else {
 		l.cur = nil
 	}
@@ -57,8 +65,8 @@ func (l *concatIter) First() {
 func (l *concatIter) Seek(target []byte) {
 	l.err = nil
 	u := kv.UserKey(target)
-	i := sort.Search(len(l.tables), func(j int) bool {
-		return kv.CompareUser(u, l.rngs[j].Hi) <= 0
+	i := sort.Search(len(l.views), func(j int) bool {
+		return kv.CompareUser(u, l.views[j].rng.Hi) <= 0
 	})
 	l.open(i)
 	if l.cur != nil {
@@ -123,16 +131,18 @@ func (l *concatIter) Close() error {
 	if l.cur != nil {
 		err = l.cur.Close()
 	}
-	for _, tb := range l.tables {
-		l.s.unref(tb)
+	l.s.Mu.Lock()
+	for _, v := range l.views {
+		l.s.unrefLocked(v.tb)
 	}
+	l.s.Mu.Unlock()
 	return err
 }
 
 // Last implements iterator.ReverseIterator.
 func (l *concatIter) Last() {
 	l.err = nil
-	l.open(len(l.tables) - 1)
+	l.open(len(l.views) - 1)
 	if l.cur != nil {
 		l.cur.(iterator.ReverseIterator).Last()
 		l.skipExhaustedBackward()
@@ -153,8 +163,8 @@ func (l *concatIter) SeekForPrev(target []byte) {
 	l.err = nil
 	u := kv.UserKey(target)
 	// Last table whose range starts at or below the target key.
-	i := sort.Search(len(l.tables), func(j int) bool {
-		return kv.CompareUser(l.rngs[j].Lo, u) > 0
+	i := sort.Search(len(l.views), func(j int) bool {
+		return kv.CompareUser(l.views[j].rng.Lo, u) > 0
 	}) - 1
 	if i < 0 {
 		l.cur = nil

@@ -85,8 +85,10 @@ func (tb *Table) Quarantined() bool { return tb.quarantined }
 
 // Set is the table set.  Methods documented "caller holds Mu" are the
 // engines' structural vocabulary; every other method takes Mu itself and
-// is safe for concurrent use.  Reads go through immutable table handles
-// pinned by reference counts, so they hold Mu only to pick their tables.
+// is safe for concurrent use.  Reads go through table handles pinned by
+// reference counts, so they hold Mu only to pick their tables; a view
+// that outlives Mu is the tables, ranges and sequence counts captured
+// under it (the trees append to live tables in place, see tableView).
 // Filesystem-layer locks nest below Mu (manifest rotation renames under
 // it), and the trace recorder's ring lock is a leaf the engines take
 // while holding it:
@@ -151,7 +153,7 @@ func load(cfg Config) (s *Set, existed bool, err error) {
 		s.levels = make([][]*Table, slots)
 		return s, false, nil
 	}
-	st, dropped, err := manifest.ReplayStrict(cfg.FS, s.manifestPath())
+	st, dropped, err := manifest.Replay(cfg.FS, s.manifestPath())
 	if err != nil {
 		return nil, true, err
 	}
@@ -392,6 +394,54 @@ func (s *Set) Build(capacity int64, src iterator.Iterator) (*Table, int64, error
 	return &Table{Table: tbl, Rng: tbl.UserRange(), refs: 1}, res.Bytes, nil
 }
 
+// BuildRuns drains a positioned iterator into fresh tables of at most
+// limit data bytes each (finishing the current user key, so all versions
+// of a key share one table), returning them (ranges = data spans) and the
+// total bytes written.  Each chunk is gathered in memory first so its
+// file can be sized to fit even when a single key's version chain exceeds
+// the limit: the capacity is max(floorCapacity, bytes + bytes/2 + 64 KiB).
+// The trees pass their append-hole capacity as the floor; the LSM
+// baselines, whose files are never appended to, pass 0.
+func (s *Set) BuildRuns(it iterator.Iterator, limit, floorCapacity int64) ([]*Table, int64, error) {
+	var tables []*Table
+	var total int64
+	for it.Valid() {
+		var keys, vals [][]byte
+		var bytes int64
+		var lastUser []byte
+		for ; it.Valid(); it.Next() {
+			u := kv.UserKey(it.Key())
+			if bytes >= limit && string(u) != string(lastUser) {
+				break
+			}
+			keys = append(keys, append([]byte(nil), it.Key()...))
+			vals = append(vals, append([]byte(nil), it.Value()...))
+			bytes += int64(len(it.Key()) + len(it.Value()))
+			lastUser = append(lastUser[:0], u...)
+		}
+		if err := it.Err(); err != nil {
+			return tables, total, err
+		}
+		if len(keys) == 0 {
+			break
+		}
+		capacity := max(floorCapacity, bytes+bytes/2+64*1024)
+		tb, written, err := s.Build(capacity, iterator.NewSlice(kv.CompareInternal, keys, vals))
+		if err != nil {
+			return tables, total, err
+		}
+		total += written
+		tables = append(tables, tb)
+	}
+	// An iterator whose very first position failed never enters the
+	// loop above: without this check a corrupt input would read as
+	// empty and the merge would silently discard its input's data.
+	if err := it.Err(); err != nil {
+		return tables, total, err
+	}
+	return tables, total, nil
+}
+
 // Commit appends e to the manifest and then releases the tables the edit
 // dropped (the caller has already taken them off their levels).  Each
 // loses the set's reference — the handle closes once the last reader
@@ -456,10 +506,13 @@ func (s *Set) Get(ukey []byte, snap kv.Seq) ([]byte, kv.Kind, kv.Seq, bool, erro
 		}
 	}
 	s.Mu.Unlock()
+	// Released in one hold, as they were taken.
 	defer func() {
+		s.Mu.Lock()
 		for _, tb := range cands {
-			s.unref(tb)
+			s.unrefLocked(tb)
 		}
+		s.Mu.Unlock()
 	}()
 	for _, tb := range cands {
 		v, k, sq, found, err := tb.Get(ukey, snap)

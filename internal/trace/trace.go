@@ -124,9 +124,6 @@ func (c *Ctx) Child(name string) Ctx {
 // parenting via BeginAt.
 func (c *Ctx) ID() uint64 { return c.id }
 
-// Recording reports whether the span will be recorded.
-func (c *Ctx) Recording() bool { return c.r != nil }
-
 // SetLevel attaches the tree level the work happened at.
 func (c *Ctx) SetLevel(lvl int) {
 	if c.r != nil {

@@ -191,13 +191,6 @@ func (fs *CrashFS) SyncPoints() []int64 {
 	return append([]int64(nil), fs.syncPoints...)
 }
 
-// SetMode changes the torn-write model for the next crash.
-func (fs *CrashFS) SetMode(m CrashMode) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.mode = m
-}
-
 // Create implements FS.  The file springs into existence durably (a
 // journaled create), but data written to it is buffered until Sync.
 func (fs *CrashFS) Create(name string) (File, error) {

@@ -275,33 +275,6 @@ func TestCrashFSRemoveDurable(t *testing.T) {
 	}
 }
 
-func TestRetry(t *testing.T) {
-	calls := 0
-	err := Retry(3, nil, func() error {
-		calls++
-		if calls < 3 {
-			return ErrInjected
-		}
-		return nil
-	})
-	if err != nil || calls != 3 {
-		t.Fatalf("err=%v calls=%d", err, calls)
-	}
-	calls = 0
-	err = Retry(2, nil, func() error { calls++; return ErrInjected })
-	if !errors.Is(err, ErrInjected) || calls != 2 {
-		t.Fatalf("err=%v calls=%d", err, calls)
-	}
-	// backoff returning false abandons the loop with the last error.
-	calls = 0
-	backoffs := 0
-	err = Retry(5, func(failures int) bool { backoffs = failures; return false },
-		func() error { calls++; return ErrInjected })
-	if !errors.Is(err, ErrInjected) || calls != 1 || backoffs != 1 {
-		t.Fatalf("err=%v calls=%d backoffs=%d", err, calls, backoffs)
-	}
-}
-
 func TestFaultFSPathScoped(t *testing.T) {
 	ffs := NewFaultFS(NewMemFS())
 	a, _ := ffs.Create("dir/a.mst")

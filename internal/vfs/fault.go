@@ -33,7 +33,6 @@ type FaultFS struct {
 	// and fail with ErrNoSpace once it runs dry, until FreeSpace.
 	nospace       bool
 	nospaceBudget int64
-	nospaceHits   int
 }
 
 // FaultOp selects which operation class a fault applies to.
@@ -108,13 +107,6 @@ func (f *FaultFS) FreeSpace() {
 	f.mu.Unlock()
 }
 
-// NoSpaceHits reports how many operations have failed with ErrNoSpace.
-func (f *FaultFS) NoSpaceHits() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.nospaceHits
-}
-
 // chargeWrite draws n bytes from the disk-full budget.  It returns how
 // many bytes are allowed through (all of them when no fault fires) and
 // ErrNoSpace once the budget is dry.
@@ -130,7 +122,6 @@ func (f *FaultFS) chargeWrite(n int) (int, error) {
 	}
 	allowed := int(f.nospaceBudget)
 	f.nospaceBudget = 0
-	f.nospaceHits++
 	return allowed, ErrNoSpace
 }
 

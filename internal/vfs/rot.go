@@ -1,11 +1,8 @@
 package vfs
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
-// RotMode selects how RotFS damages a byte.
+// RotMode selects how CorruptByte damages a byte.
 type RotMode int
 
 const (
@@ -25,241 +22,6 @@ func (m RotMode) String() string {
 	default:
 		return "unknown"
 	}
-}
-
-// RotFS wraps an FS and injects latent media faults — bit rot — into
-// data that has been made *durable*.  It is the decay-axis sibling of
-// CrashFS: where CrashFS destroys in-flight writes at a chosen op
-// index, RotFS corrupts one byte of an already-synced range at a chosen
-// durable-extent index.
-//
-// Every Write/WriteAt is tracked as a pending extent on its handle;
-// when the handle syncs, each pending extent is assigned the next
-// durable-extent index.  RotAt(n) arms the fault: when extent n becomes
-// durable, its middle byte is flipped or zeroed (per SetMode) in the
-// underlying file — after the data landed, so the application believes
-// the write succeeded and the damage is only discovered on a later
-// read.  ExtentCount calibrates a sweep, mirroring CrashFS.OpCount.
-//
-// CorruptByte (package level) is the offline variant: damage one byte
-// of a closed, synced store directly, for the corruption-point matrix.
-type RotFS struct {
-	inner FS
-
-	mu      sync.Mutex
-	mode    RotMode
-	extents int64 // durable extents registered so far
-	rotAt   int64 // extent index to corrupt; -1 = disarmed
-
-	injected bool
-	injPath  string
-	injOff   int64
-	injOld   byte
-	injNew   byte
-}
-
-// NewRotFS wraps fs with rot injection disarmed.
-func NewRotFS(fs FS) *RotFS {
-	return &RotFS{inner: fs, rotAt: -1}
-}
-
-// SetMode selects flip or zero damage for subsequent injections.
-func (fs *RotFS) SetMode(m RotMode) {
-	fs.mu.Lock()
-	fs.mode = m
-	fs.mu.Unlock()
-}
-
-// RotAt arms the fault to fire when durable extent n is registered
-// (indices count from 0 over the lifetime of the RotFS).  n < 0
-// disarms.
-func (fs *RotFS) RotAt(n int64) {
-	fs.mu.Lock()
-	fs.rotAt = n
-	fs.mu.Unlock()
-}
-
-// ExtentCount reports how many durable extents have been registered,
-// for calibrating a sweep before re-running with RotAt.
-func (fs *RotFS) ExtentCount() int64 {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.extents
-}
-
-// Injection reports what the armed fault did: the damaged file, the
-// byte offset, and the before/after values.  ok is false until the
-// fault has fired.
-func (fs *RotFS) Injection() (path string, off int64, old, new byte, ok bool) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.injPath, fs.injOff, fs.injOld, fs.injNew, fs.injected
-}
-
-// registerExtent assigns the next durable-extent index to [off,off+n)
-// of name and, if the armed index landed inside this sync, damages the
-// extent's middle byte in the inner file.
-func (fs *RotFS) registerExtent(name string, f File, off, n int64) error {
-	fs.mu.Lock()
-	idx := fs.extents
-	fs.extents++
-	fire := idx == fs.rotAt && !fs.injected
-	mode := fs.mode
-	fs.mu.Unlock()
-	if !fire || n <= 0 {
-		return nil
-	}
-	target := off + n/2
-	var b [1]byte
-	if _, err := f.ReadAt(b[:], target); err != nil {
-		return fmt.Errorf("vfs: rot readback %s@%d: %w", name, target, err)
-	}
-	old := b[0]
-	if mode == RotZero {
-		b[0] = 0
-	} else {
-		b[0] = old ^ 0xff
-	}
-	if _, err := f.WriteAt(b[:], target); err != nil {
-		return fmt.Errorf("vfs: rot inject %s@%d: %w", name, target, err)
-	}
-	fs.mu.Lock()
-	fs.injected = true
-	fs.injPath = name
-	fs.injOff = target
-	fs.injOld = old
-	fs.injNew = b[0]
-	fs.mu.Unlock()
-	return nil
-}
-
-// Create implements FS.
-func (fs *RotFS) Create(name string) (File, error) {
-	name = clean(name)
-	f, err := fs.inner.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &rotHandle{fs: fs, name: name, inner: f, pos: -1}, nil
-}
-
-// Open implements FS.
-func (fs *RotFS) Open(name string) (File, error) {
-	name = clean(name)
-	f, err := fs.inner.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &rotHandle{fs: fs, name: name, inner: f, pos: -1}, nil
-}
-
-// Remove implements FS.
-func (fs *RotFS) Remove(name string) error { return fs.inner.Remove(name) }
-
-// Rename implements FS.
-func (fs *RotFS) Rename(o, n string) error { return fs.inner.Rename(o, n) }
-
-// List implements FS.
-func (fs *RotFS) List(dir string) ([]string, error) { return fs.inner.List(dir) }
-
-// MkdirAll implements FS.
-func (fs *RotFS) MkdirAll(dir string) error { return fs.inner.MkdirAll(dir) }
-
-// Exists implements FS.
-func (fs *RotFS) Exists(name string) bool { return fs.inner.Exists(name) }
-
-type rotExtent struct{ off, n int64 }
-
-type rotHandle struct {
-	fs    *RotFS
-	name  string
-	inner File
-
-	mu      sync.Mutex
-	pos     int64 // sequential-write position; -1 = end of file
-	pending []rotExtent
-}
-
-func (h *rotHandle) ReadAt(p []byte, off int64) (int, error) {
-	return h.inner.ReadAt(p, off)
-}
-
-func (h *rotHandle) WriteAt(p []byte, off int64) (int, error) {
-	n, err := h.inner.WriteAt(p, off)
-	if n > 0 {
-		h.mu.Lock()
-		h.pending = append(h.pending, rotExtent{off: off, n: int64(n)})
-		h.mu.Unlock()
-	}
-	return n, err
-}
-
-func (h *rotHandle) Write(p []byte) (int, error) {
-	h.mu.Lock()
-	if h.pos < 0 {
-		size, err := h.inner.Size()
-		if err != nil {
-			h.mu.Unlock()
-			return 0, err
-		}
-		h.pos = size
-	}
-	off := h.pos
-	h.mu.Unlock()
-	n, err := h.inner.Write(p)
-	if n > 0 {
-		h.mu.Lock()
-		h.pos = off + int64(n)
-		h.pending = append(h.pending, rotExtent{off: off, n: int64(n)})
-		h.mu.Unlock()
-	}
-	return n, err
-}
-
-// Sync registers every pending extent as durable (firing an armed rot
-// fault if its index landed in this batch) and then syncs the inner
-// file, so the damaged byte is part of the durable image.
-func (h *rotHandle) Sync() error {
-	h.mu.Lock()
-	pending := h.pending
-	h.pending = nil
-	h.mu.Unlock()
-	for _, e := range pending {
-		if err := h.fs.registerExtent(h.name, h.inner, e.off, e.n); err != nil {
-			return err
-		}
-	}
-	return h.inner.Sync()
-}
-
-// Close drops unsynced pending extents: data that never became durable
-// cannot rot in this model.
-func (h *rotHandle) Close() error {
-	h.mu.Lock()
-	h.pending = nil
-	h.mu.Unlock()
-	return h.inner.Close()
-}
-
-func (h *rotHandle) Size() (int64, error) { return h.inner.Size() }
-
-func (h *rotHandle) Truncate(n int64) error {
-	h.mu.Lock()
-	kept := h.pending[:0]
-	for _, e := range h.pending {
-		if e.off < n {
-			if e.off+e.n > n {
-				e.n = n - e.off
-			}
-			kept = append(kept, e)
-		}
-	}
-	h.pending = kept
-	if h.pos > n {
-		h.pos = n
-	}
-	h.mu.Unlock()
-	return h.inner.Truncate(n)
 }
 
 // CorruptByte damages one byte of an existing file in place — the

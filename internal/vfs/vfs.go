@@ -240,19 +240,6 @@ func (fs *MemFS) Exists(name string) bool {
 	return ok
 }
 
-// TotalBytes reports the sum of all logical file sizes.
-func (fs *MemFS) TotalBytes() int64 {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	var n int64
-	for _, f := range fs.files {
-		f.mu.RLock()
-		n += f.size
-		f.mu.RUnlock()
-	}
-	return n
-}
-
 // AllocatedBytes reports the bytes actually materialized (holes are
 // free), mirroring what a hole-punching filesystem would charge.
 func (fs *MemFS) AllocatedBytes() int64 {

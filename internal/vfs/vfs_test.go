@@ -183,8 +183,8 @@ func TestMemFSConcurrent(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if fs.TotalBytes() != 800 {
-		t.Errorf("total %d", fs.TotalBytes())
+	if names, err := fs.List(""); err != nil || len(names) != 8 {
+		t.Errorf("list: %v, %v", names, err)
 	}
 }
 

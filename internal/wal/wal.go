@@ -39,15 +39,13 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrCorrupt reports a malformed or torn log record.  A default Reader
-// surfaces it only through the count of dropped bytes (Next treats any
-// corruption as a clean end of log, matching LevelDB's default
-// recovery).  A strict Reader distinguishes the two cases a crash
-// cannot: corruption at the tail with nothing after it is a torn write
-// and still ends iteration cleanly, but corruption *followed by a
-// fragment with a valid checksum* proves mid-log damage — a torn tail
-// only ever truncates — and Next returns a typed *corrupt.Error
-// instead of silently shortening the log.
+// ErrCorrupt reports a malformed or torn log record.  A Reader
+// distinguishes the two cases a crash cannot: corruption at the tail
+// with nothing after it is a torn write and ends iteration cleanly,
+// surfacing only through the count of dropped bytes, but corruption
+// *followed by a fragment with a valid checksum* proves mid-log damage
+// — a torn tail only ever truncates — and Next returns a typed
+// *corrupt.Error instead of silently shortening the log.
 var ErrCorrupt = errors.New("wal: corrupt record")
 
 // Writer appends records to a log file.  Append is single-writer (the
@@ -145,37 +143,21 @@ type Reader struct {
 	// Dropped counts bytes skipped over corruption.
 	Dropped int64
 
-	strict  bool
 	name    string
 	pending *corrupt.Error // first corruption seen, awaiting tail/mid-log verdict
 }
 
-// NewReader reads the log in f from the start.
-func NewReader(f vfs.File) *Reader { return &Reader{f: f} }
+// NewReader reads the log in f from the start; name attributes the
+// corruption errors Next returns.
+func NewReader(f vfs.File, name string) *Reader { return &Reader{f: f, name: name} }
 
-// Strict makes mid-log corruption fatal: if damage is followed by any
-// fragment with a valid checksum, Next returns a *corrupt.Error
-// attributed to name instead of skipping.  Tail corruption (a torn
-// write with nothing valid after it) still ends iteration cleanly with
-// Dropped advanced.
-func (r *Reader) Strict(name string) {
-	r.strict = true
-	r.name = name
-}
-
-// Corruption reports the damage a strict reader has seen so far, even
-// when it was tail-compatible and therefore tolerated; nil when the log
-// scanned clean.
-func (r *Reader) Corruption() *corrupt.Error { return r.pending }
-
-// note records the first corruption a strict reader encounters; the
-// verdict (tolerated tail tear vs fatal mid-log damage) is deferred
-// until the scan either ends or finds valid data beyond it.
+// note records the first corruption the reader encounters; the verdict
+// (tolerated tail tear vs fatal mid-log damage) is deferred until the
+// scan either ends or finds valid data beyond it.
 func (r *Reader) note(off int64, got, want uint32, detail string) {
-	if !r.strict || r.pending != nil {
-		return
+	if r.pending == nil {
+		r.pending = corrupt.New(corrupt.LayerWAL, r.name, off, ErrCorrupt, detail).WithCRC(got, want)
 	}
-	r.pending = corrupt.New(corrupt.LayerWAL, r.name, off, ErrCorrupt, detail).WithCRC(got, want)
 }
 
 func (r *Reader) refill() error {
@@ -193,9 +175,9 @@ func (r *Reader) refill() error {
 }
 
 // Next returns the next complete record, or io.EOF at the end of the
-// log.  Corruption at the tail (torn write) ends iteration; corruption
-// followed by further valid fragments is skipped with Dropped advanced
-// by default, or aborts with a typed error on a Strict reader.
+// log.  Corruption at the tail (torn write) ends iteration with Dropped
+// advanced; corruption followed by a further valid fragment aborts with
+// a *corrupt.Error attributed to the reader's name.
 func (r *Reader) Next() ([]byte, error) {
 	var rec []byte
 	inFragmented := false
@@ -277,26 +259,13 @@ func (r *Reader) Next() ([]byte, error) {
 	}
 }
 
-// ReplayAll reads every intact record, invoking fn for each.  It stops
-// cleanly at the first torn tail and, like LevelDB's default recovery,
-// skips over mid-log damage; use ReplayAllStrict when silent
-// truncation is unacceptable.
-func ReplayAll(f vfs.File, fn func(rec []byte) error) (dropped int64, err error) {
-	return replay(NewReader(f), fn)
-}
-
-// ReplayAllStrict reads every intact record, invoking fn for each.  A
-// torn tail (corruption with nothing valid after it) still ends the
+// Replay reads every intact record of the log in f, invoking fn for
+// each.  A torn tail (corruption with nothing valid after it) ends the
 // replay cleanly with dropped > 0, but mid-log corruption — damage
 // followed by a valid fragment — aborts with a *corrupt.Error
 // attributed to name.
-func ReplayAllStrict(f vfs.File, name string, fn func(rec []byte) error) (dropped int64, err error) {
-	r := NewReader(f)
-	r.Strict(name)
-	return replay(r, fn)
-}
-
-func replay(r *Reader, fn func(rec []byte) error) (dropped int64, err error) {
+func Replay(f vfs.File, name string, fn func(rec []byte) error) (dropped int64, err error) {
+	r := NewReader(f, name)
 	for {
 		rec, err := r.Next()
 		if err == io.EOF {

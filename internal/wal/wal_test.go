@@ -2,12 +2,14 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"iamdb/internal/corrupt"
 	"iamdb/internal/vfs"
 )
 
@@ -43,7 +45,7 @@ func TestWriteReadSmallRecords(t *testing.T) {
 	}
 	f.Close()
 
-	r := NewReader(reopen(t, fs))
+	r := NewReader(reopen(t, fs), "test.log")
 	for i := 0; ; i++ {
 		rec, err := r.Next()
 		if err == io.EOF {
@@ -75,7 +77,7 @@ func TestFragmentedRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r := NewReader(reopen(t, fs))
+	r := NewReader(reopen(t, fs), "test.log")
 	for i, wrec := range want {
 		rec, err := r.Next()
 		if err != nil {
@@ -104,7 +106,7 @@ func TestTornTailDiscarded(t *testing.T) {
 	g.Truncate(size - 1000)
 
 	var got [][]byte
-	dropped, err := ReplayAll(g, func(rec []byte) error {
+	dropped, err := Replay(g, "test.log", func(rec []byte) error {
 		got = append(got, append([]byte(nil), rec...))
 		return nil
 	})
@@ -122,7 +124,10 @@ func TestTornTailDiscarded(t *testing.T) {
 	}
 }
 
-func TestCorruptMiddleSkipped(t *testing.T) {
+// Damage followed by a fragment with a valid checksum cannot be a torn
+// tail: the reader must abort with a typed error naming the log, not
+// shorten the replay.
+func TestCorruptMiddleAborts(t *testing.T) {
 	fs, f := newLog(t)
 	w := NewWriter(f)
 	// Fill more than one block so corruption in block 0 still leaves
@@ -137,34 +142,27 @@ func TestCorruptMiddleSkipped(t *testing.T) {
 	g := reopen(t, fs)
 	g.WriteAt([]byte{0xFF}, 100)
 
-	r := NewReader(g)
-	var got []string
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		got = append(got, string(rec[:min(10, len(rec))]))
+	r := NewReader(g, "test.log")
+	var err error
+	for err == nil {
+		_, err = r.Next()
+	}
+	var ce *corrupt.Error
+	if !errors.As(err, &ce) || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("mid-log corruption: got %v, want a *corrupt.Error wrapping ErrCorrupt", err)
+	}
+	if ce.Path != "test.log" || ce.Layer != corrupt.LayerWAL {
+		t.Errorf("attribution: %+v", ce)
 	}
 	if r.Dropped == 0 {
 		t.Error("corruption should drop bytes")
-	}
-	// The tail record lives in a later block and must survive.
-	found := false
-	for _, s := range got {
-		if s == "tail-recor" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("tail record lost; got %v", got)
 	}
 }
 
 func TestEmptyLog(t *testing.T) {
 	fs, f := newLog(t)
 	f.Close()
-	r := NewReader(reopen(t, fs))
+	r := NewReader(reopen(t, fs), "test.log")
 	if _, err := r.Next(); err != io.EOF {
 		t.Fatalf("want EOF, got %v", err)
 	}
@@ -178,7 +176,7 @@ func TestZeroPaddingHandled(t *testing.T) {
 	w.Append(make([]byte, BlockSize-headerSize-headerSize-3))
 	w.Append([]byte("after-pad"))
 	f.Close()
-	r := NewReader(reopen(t, fs))
+	r := NewReader(reopen(t, fs), "test.log")
 	r.Next()
 	rec, err := r.Next()
 	if err != nil || string(rec) != "after-pad" {
@@ -197,7 +195,7 @@ func TestRoundTripQuick(t *testing.T) {
 			}
 		}
 		fh2, _ := fs.Open("q.log")
-		r := NewReader(fh2)
+		r := NewReader(fh2, "test.log")
 		for _, want := range recs {
 			got, err := r.Next()
 			if err != nil || !bytes.Equal(got, want) {

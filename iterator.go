@@ -40,8 +40,9 @@ type Iterator struct {
 // disjoint ranges in key order, forward and backward.  The watermark is
 // pinned until every store's tables are captured, so no merge in
 // between can drop a version the view needs; the captured tables are
-// immutable and referenced, so the pin is not held for the iterator's
-// life.
+// referenced and read only through the sequences they held at capture
+// (appends after it are invisible, see tableset's tableView), so the
+// pin is not held for the iterator's life.
 func (db *DB) NewIterator() *Iterator {
 	seq := db.pin()
 	it := db.newIteratorAt(seq)

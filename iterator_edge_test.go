@@ -2,6 +2,8 @@ package iamdb
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -166,5 +168,102 @@ func TestManySnapshotsUnderChurn(t *testing.T) {
 	db.CompactAll()
 	if v, _ := db.Get([]byte("k0123")); string(v) != "r7" {
 		t.Fatalf("final read %q", v)
+	}
+}
+
+// An iterator is a point-in-time view even though LSA/IAM nodes are
+// appended in place: flushes that land after the iterator was created
+// add sequences to tables it has pinned but not yet opened, and it must
+// read none of them.  One goroutine, inline background work, a fixed
+// history (whose tree passes CheckInvariants after every round, so a
+// failure here is the iterator's, not a structural defect's).
+func TestIteratorIsPointInTimeOverAppends(t *testing.T) {
+	type view struct {
+		name    string
+		open    func(db *DB) (it *Iterator, release func())
+		reverse bool
+	}
+	fromDB := func(db *DB) (*Iterator, func()) { return db.NewIterator(), func() {} }
+	fromSnap := func(db *DB) (*Iterator, func()) {
+		s := db.GetSnapshot()
+		return s.NewIterator(), s.Release
+	}
+	views := []view{
+		{"DB/forward", fromDB, false}, {"DB/reverse", fromDB, true},
+		{"Snapshot/forward", fromSnap, false}, {"Snapshot/reverse", fromSnap, true},
+	}
+	for _, e := range []EngineKind{LSA, IAM} {
+		for _, vw := range views {
+			t.Run(e.String()+"/"+vw.name, func(t *testing.T) {
+				opts := smallOpts(e, vfs.NewMemFS())
+				opts.InlineBackground = true
+				db, err := Open("db", opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer db.Close()
+				rng := rand.New(rand.NewSource(1))
+				model := map[string]string{}
+				version := 0
+				put := func(n int) {
+					for i := 0; i < n; i++ {
+						version++
+						k, v := fmt.Sprintf("key%06d", rng.Intn(3000)), fmt.Sprintf("v%d", version)
+						if err := db.Put([]byte(k), []byte(v)); err != nil {
+							t.Fatal(err)
+						}
+						model[k] = v
+					}
+				}
+				put(4000)
+				for round := 0; round < 20; round++ {
+					want := make(map[string]string, len(model))
+					keys := make([]string, 0, len(model))
+					for k, v := range model {
+						want[k] = v
+						keys = append(keys, k)
+					}
+					sort.Strings(keys)
+					if vw.reverse {
+						sort.Sort(sort.Reverse(sort.StringSlice(keys)))
+					}
+					it, release := vw.open(db)
+					step := it.Next
+					if vw.reverse {
+						it.Last()
+						step = it.Prev
+					} else {
+						it.First()
+					}
+					// Flushes now append to tables the iterator pinned
+					// but has not opened.
+					put(1500)
+					n := 0
+					for ; it.Valid(); step() {
+						if n == len(keys) {
+							t.Fatalf("round %d: extra key %q", round, it.Key())
+						}
+						if k := string(it.Key()); k != keys[n] {
+							t.Fatalf("round %d: position %d holds %q, want %q", round, n, k, keys[n])
+						}
+						if v := string(it.Value()); v != want[keys[n]] {
+							t.Fatalf("round %d: %s = %q, want the creation-time %q", round, keys[n], v, want[keys[n]])
+						}
+						n++
+					}
+					if err := it.Err(); err != nil {
+						t.Fatal(err)
+					}
+					if n != len(keys) {
+						t.Fatalf("round %d: scan ended after %d of %d keys", round, n, len(keys))
+					}
+					it.Close()
+					release()
+					if err := db.CheckInvariants(); err != nil {
+						t.Fatalf("round %d: the history must keep the tree well-formed: %v", round, err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -209,7 +209,7 @@ func (st *store) scrubPass(rep *ScrubReport) error {
 			return err
 		}
 		records := int64(0)
-		dropped, rerr := wal.ReplayAllStrict(f, path, func(rec []byte) error {
+		dropped, rerr := wal.Replay(f, path, func(rec []byte) error {
 			records++
 			progress.bytes.Add(int64(len(rec)))
 			return nil

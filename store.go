@@ -353,7 +353,7 @@ func (st *store) replayLog(num uint64) error {
 	// truncated, but a damaged record with valid data after it is
 	// corruption of already-acknowledged writes — it aborts the open
 	// with a typed error instead of silently dropping the suffix.
-	dropped, err := wal.ReplayAllStrict(f, logName(st.dir, num), func(rec []byte) error {
+	dropped, err := wal.Replay(f, logName(st.dir, num), func(rec []byte) error {
 		last, err := decodeRecordInto(rec, st.mem)
 		if err != nil {
 			return err
@@ -909,14 +909,16 @@ func (st *store) drainImm() {
 		}
 		st.noteBgSuccess()
 		flushed = false
+		// The flushed log is re-deleted on next recovery if this
+		// best-effort removal fails.  It goes before the slot empties:
+		// whoever waits on that (a checkpoint, holding commitMu) may then
+		// take the directory listing as final.
+		_ = st.fs.Remove(logName(st.dir, immWal))
 		st.mu.Lock()
 		st.imm = nil
 		st.publishStateLocked()
 		st.cond.Broadcast()
 		st.mu.Unlock()
-		// The flushed log is re-deleted on next recovery if this
-		// best-effort removal fails.
-		_ = st.fs.Remove(logName(st.dir, immWal))
 		select {
 		case st.compactC <- struct{}{}:
 		default:
@@ -1063,6 +1065,12 @@ func (st *store) mixedLevel() (m, k int) {
 func (st *store) flush() error {
 	st.commitMu.Lock()
 	defer st.commitMu.Unlock()
+	return st.flushLocked()
+}
+
+// flushLocked empties both memtables into the engine.  Caller holds
+// commitMu, so no commit can refill them before it lets go.
+func (st *store) flushLocked() error {
 	if st.opt.InlineBackground {
 		// No workers in inline mode: drain any leftover immutable
 		// memtable (e.g. from an earlier failed Flush) ourselves.
