@@ -16,6 +16,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"iamdb/internal/invariants"
 )
 
 // TargetSize is the paper's 4 KiB data-block size.
@@ -92,7 +94,9 @@ func (b *Builder) Full() bool { return b.SizeEstimate() >= TargetSize }
 func (b *Builder) Empty() bool { return b.n == 0 }
 
 // Finish encodes the restart trailer and returns the completed block.
-// The builder is reset for reuse.
+// The builder is reset for reuse.  The block belongs to the caller: the
+// builder writes to that storage again only if the caller hands it back
+// with Reuse.
 func (b *Builder) Finish() []byte {
 	for _, r := range b.restarts {
 		b.buf = binary.LittleEndian.AppendUint32(b.buf, r)
@@ -100,11 +104,22 @@ func (b *Builder) Finish() []byte {
 	b.buf = binary.LittleEndian.AppendUint32(b.buf, uint32(len(b.restarts)))
 	out := b.buf
 	b.buf = nil
-	b.restarts = []uint32{0}
+	b.restarts = append(b.restarts[:0], 0)
 	b.counter = 0
-	b.lastKey = nil
+	b.lastKey = b.lastKey[:0]
 	b.n = 0
 	return out
+}
+
+// Reuse hands the storage of a block Finish returned back to the empty
+// builder, which builds its next block in it.  The caller must be done
+// with the block (a sequence writer: once the device write returned).
+func (b *Builder) Reuse(block []byte) {
+	if invariants.Enabled {
+		invariants.Assertf(b.n == 0, "block: Reuse on a builder holding %d entries", b.n)
+		invariants.Poison(block)
+	}
+	b.buf = block[:0]
 }
 
 // Reader provides lookups and iteration over one encoded block.

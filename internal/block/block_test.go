@@ -385,3 +385,36 @@ func TestPrevSingleEntry(t *testing.T) {
 		t.Fatal("prev on singleton")
 	}
 }
+
+// TestBuilderReuseOfFinishedStorage: a finished block is the caller's
+// until handed back; a builder given the storage back builds the same
+// bytes in it that a fresh builder would, over and over.
+func TestBuilderReuseOfFinishedStorage(t *testing.T) {
+	fill := func(b *Builder, round int) {
+		for i := 0; i < 40; i++ { // past two restart points
+			b.Add([]byte(fmt.Sprintf("key-%02d-%04d", round, i)), bytes.Repeat([]byte{byte(round)}, 50))
+		}
+	}
+	reused := NewBuilder()
+	fill(reused, 0)
+	kept := reused.Finish()
+	keptCopy := append([]byte(nil), kept...)
+	var prev []byte
+	for round := 1; round < 6; round++ {
+		fresh := NewBuilder()
+		fill(fresh, round)
+		fill(reused, round)
+		got, want := reused.Finish(), fresh.Finish()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round %d: a builder on reused storage encodes a different block", round)
+		}
+		if round > 2 && &got[0] != &prev[0] {
+			t.Fatalf("round %d: the builder left the storage it was handed for a new one", round)
+		}
+		if !bytes.Equal(kept, keptCopy) {
+			t.Fatalf("round %d: a block never handed back was overwritten", round)
+		}
+		prev = got
+		reused.Reuse(got)
+	}
+}

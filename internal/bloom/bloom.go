@@ -31,28 +31,50 @@ func probes(bitsPerKey int) int {
 
 // Build creates a filter over the given keys with the given density.
 func Build(keys [][]byte, bitsPerKey int) Filter {
+	f := newFilter(len(keys), bitsPerKey)
+	for _, key := range keys {
+		f.add(Hash(key))
+	}
+	return f
+}
+
+// BuildFromHashes creates the filter Build would over the keys whose
+// Hash values are given: a writer streaming a sequence keeps four bytes
+// per key instead of a copy of it.
+func BuildFromHashes(hashes []uint32, bitsPerKey int) Filter {
+	f := newFilter(len(hashes), bitsPerKey)
+	for _, h := range hashes {
+		f.add(h)
+	}
+	return f
+}
+
+// newFilter sizes an empty filter for n keys.
+func newFilter(n, bitsPerKey int) Filter {
 	if bitsPerKey < 1 {
 		bitsPerKey = 1
 	}
 	k := probes(bitsPerKey)
-	bits := len(keys) * bitsPerKey
+	bits := n * bitsPerKey
 	if bits < 64 {
 		bits = 64
 	}
 	nBytes := (bits + 7) / 8
-	bits = nBytes * 8
 	f := make(Filter, nBytes+1)
 	f[nBytes] = byte(k)
-	for _, key := range keys {
-		h := Hash(key)
-		delta := h>>17 | h<<15
-		for i := 0; i < k; i++ {
-			pos := h % uint32(bits)
-			f[pos/8] |= 1 << (pos % 8)
-			h += delta
-		}
-	}
 	return f
+}
+
+// add sets the probe bits of the key hashing to h.
+func (f Filter) add(h uint32) {
+	k := int(f[len(f)-1])
+	bits := uint32((len(f) - 1) * 8)
+	delta := h>>17 | h<<15
+	for i := 0; i < k; i++ {
+		pos := h % bits
+		f[pos/8] |= 1 << (pos % 8)
+		h += delta
+	}
 }
 
 // MayContain reports whether the key might be in the set the filter was

@@ -153,3 +153,21 @@ func BenchmarkMayContain(b *testing.B) {
 		f.MayContain(keys[i%len(keys)])
 	}
 }
+
+// TestBuildFromHashesMatchesBuild: a filter is a function of its keys'
+// hashes alone, so a writer may keep those instead of the keys.
+func TestBuildFromHashesMatchesBuild(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 100, 5000} {
+		keys := make([][]byte, n)
+		hashes := make([]uint32, n)
+		for i := range keys {
+			keys[i] = []byte(fmt.Sprintf("user%08d", i*7919))
+			hashes[i] = Hash(keys[i])
+		}
+		for _, bits := range []int{-1, 1, 10, DefaultBitsPerKey, 64} {
+			if a, b := Build(keys, bits), BuildFromHashes(hashes, bits); string(a) != string(b) {
+				t.Fatalf("n=%d bits=%d: Build and BuildFromHashes differ", n, bits)
+			}
+		}
+	}
+}

@@ -40,13 +40,15 @@ func (b *batch) slice(lo, hi int) *batch {
 	return &batch{keys: b.keys[lo:hi], vals: b.vals[lo:hi]}
 }
 
-// collect materializes an iterator into a batch, copying keys and
-// values (table iterators reuse their buffers).
+// collect materializes an iterator into a batch.  Table iterators reuse
+// their buffers, so each record is copied, once, into storage the batch
+// keeps alive.
 func collect(it iterator.Iterator) (*batch, error) {
 	b := &batch{}
+	var arena kv.Arena
 	for it.First(); it.Valid(); it.Next() {
-		b.keys = append(b.keys, append([]byte(nil), it.Key()...))
-		b.vals = append(b.vals, append([]byte(nil), it.Value()...))
+		b.keys = append(b.keys, arena.Copy(it.Key()))
+		b.vals = append(b.vals, arena.Copy(it.Value()))
 	}
 	return b, it.Err()
 }
@@ -265,13 +267,13 @@ func (t *Tree) shrinkRange(i int, x *tableset.Table) {
 	}
 	lo, hi := 0, len(kids) // retained child window [lo, hi)
 	if pos > 0 {
-		ln := len(t.children(i, lvl[pos-1].Rng))
+		ln := t.childCount(i, lvl[pos-1].Rng)
 		if len(kids)-ln >= 2 {
 			lo = (len(kids) - ln) / 2 // shed toward the left neighbor
 		}
 	}
 	if pos < len(lvl)-1 {
-		rn := len(t.children(i, lvl[pos+1].Rng))
+		rn := t.childCount(i, lvl[pos+1].Rng)
 		if (hi-lo)-rn >= 2 {
 			hi -= ((hi - lo) - rn) / 2 // shed toward the right neighbor
 		}
@@ -322,7 +324,7 @@ func (t *Tree) deliver(dst int, kidIdxs []int, b *batch) error {
 	if !leaf {
 		gcCount = make([]int, len(kids))
 		for j, kid := range kids {
-			gcCount[j] = len(t.children(dst, kid.Rng))
+			gcCount[j] = t.childCount(dst, kid.Rng)
 		}
 	}
 
@@ -417,27 +419,36 @@ func (t *Tree) deliverToChild(dst int, kid *tableset.Table, sub *batch) error {
 	if t.shouldMerge(dst, kid) {
 		return t.mergeChild(dst, kid, sub)
 	}
-	sp := t.cfg.Trace.BeginAt("core.append", t.curSpan)
-	it := sub.iter()
-	it.First()
-	res, err := kid.AppendFrom(it, 1<<62)
+	err := t.appendToChild(dst, kid, sub)
 	if errors.Is(err, table.ErrNoSpace) {
 		return t.mergeChild(dst, kid, sub)
 	}
+	return err
+}
+
+// appendToChild writes sub into kid's hole as one more sequence.  Its
+// span ends on every path; only an append that went through carries an
+// output file, bytes and a count, so a core.append span with an input
+// alone is one that was abandoned: for lack of space (the merge that
+// replaces it is its next sibling) or on an I/O error.
+func (t *Tree) appendToChild(dst int, kid *tableset.Table, sub *batch) error {
+	sp := t.cfg.Trace.BeginAt("core.append", t.curSpan)
+	defer sp.End()
+	sp.SetLevel(dst)
+	sp.AddIn(kid.ID())
+	it := sub.iter()
+	it.First()
+	res, err := kid.AppendFrom(it, 1<<62)
 	if err != nil {
 		return err
 	}
 	t.stats.CountAppend(dst)
 	t.stats.AddFlushBytes(dst, res.Bytes)
-	sp.SetLevel(dst)
 	sp.SetBytes(res.Bytes)
 	sp.SetCount(int64(sub.len()))
-	sp.AddIn(kid.ID())
 	sp.AddOut(kid.ID())
-	defer sp.End()
 	t.cfg.Events.AppendEnd(metrics.AppendInfo{Level: dst, Bytes: res.Bytes})
-	newRng := kid.Rng.Union(sub.span())
-	if newRng.String() != kid.Rng.String() {
+	if newRng := kid.Rng.Union(sub.span()); !newRng.Equal(kid.Rng) {
 		// Widen the manifest range before syncing the data: a crash in
 		// between leaves a wide range over old data (harmless), whereas
 		// the reverse order could surface durable data outside the
@@ -463,6 +474,7 @@ func (t *Tree) deliverToChild(dst int, kid *tableset.Table, sub *batch) error {
 func (t *Tree) mergeChild(dst int, kid *tableset.Table, sub *batch) error {
 	start := t.cfg.Clock.Now()
 	sp := t.cfg.Trace.BeginAt("core.merge", t.curSpan)
+	defer sp.End()
 	sp.SetLevel(dst)
 	sp.AddIn(kid.ID())
 	atBottom := dst == t.n()
@@ -490,10 +502,8 @@ func (t *Tree) mergeChild(dst int, kid *tableset.Table, sub *batch) error {
 		sp.AddOut(nd.ID())
 		edit.Added = append(edit.Added, t.Record(dst, nd))
 	}
-	err = t.Commit(edit, kid)
 	sp.SetBytes(bytes)
-	sp.End()
-	return err
+	return t.Commit(edit, kid)
 }
 
 func batchBytes(b *batch) int {
@@ -531,6 +541,7 @@ func (t *Tree) splitNode(i int, x *tableset.Table) error {
 		return fmt.Errorf("core: split of L%d node %d with %d children", i, x.ID(), len(kidIdxs))
 	}
 	sp := t.cfg.Trace.BeginAt("core.split", t.curSpan)
+	defer sp.End()
 	sp.SetLevel(i)
 	sp.AddIn(x.ID())
 	next := t.Level(i + 1)
@@ -601,11 +612,9 @@ func (t *Tree) splitNode(i int, x *tableset.Table) error {
 		sp.AddOut(nd.ID())
 		edit.Added = append(edit.Added, t.Record(i, nd))
 	}
-	err = t.Commit(edit, x)
 	sp.SetBytes(total)
 	sp.SetCount(int64(len(newNodes)))
-	sp.End()
-	return err
+	return t.Commit(edit, x)
 }
 
 // maintain restores the structural constraints before and after
@@ -655,7 +664,7 @@ func (t *Tree) combineOne(i int) error {
 		if lvl[j].Quarantined() {
 			continue // combining would read the corrupt contents
 		}
-		own := len(t.children(i, lvl[j].Rng))
+		own := t.childCount(i, lvl[j].Rng)
 		if own >= 2*t.cfg.Fanout {
 			continue
 		}
@@ -672,7 +681,7 @@ func (t *Tree) combineOne(i int) error {
 			if lvl[j].Quarantined() {
 				continue
 			}
-			own := len(t.children(i, lvl[j].Rng))
+			own := t.childCount(i, lvl[j].Rng)
 			if own < fewest {
 				best, fewest = j, own
 			}

@@ -29,3 +29,14 @@ func Assertf(cond bool, format string, args ...any) {
 		panic("invariant violated: " + fmt.Sprintf(format, args...))
 	}
 }
+
+// Poison overwrites b up to its capacity with 0xDB.  Call it, under an
+// `if invariants.Enabled` guard, on a buffer that is about to be reused:
+// a reader still holding an alias from the buffer's previous life then
+// fails a checksum or a comparison instead of passing by luck.
+func Poison(b []byte) {
+	b = b[:cap(b)]
+	for i := range b {
+		b[i] = 0xDB
+	}
+}

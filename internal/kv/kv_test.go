@@ -229,3 +229,82 @@ func TestRangePropertyExtendContains(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRangeEqualMatchesString pins Equal to the comparison it replaced:
+// two ranges are equal exactly when they print the same.
+func TestRangeEqualMatchesString(t *testing.T) {
+	fixed := []Range{
+		{},
+		{Lo: []byte{}, Hi: []byte{}}, // the single empty user key
+		{Lo: nil, Hi: []byte("a")},   // a nil bound prints as an empty one
+		{Lo: []byte{}, Hi: []byte("a")},
+		MakeRange([]byte("a"), []byte("a")),
+		MakeRange([]byte("a"), []byte("b")),
+		MakeRange([]byte("a\x00"), []byte("b")),
+		MakeRange([]byte("a"), []byte("b\xff")),
+		MakeRange([]byte(`a","b`), []byte("c")), // bytes that look like the format
+	}
+	rng := rand.New(rand.NewSource(16))
+	key := func() []byte {
+		k := make([]byte, rng.Intn(3))
+		for i := range k {
+			k[i] = "ab\x00\""[rng.Intn(4)]
+		}
+		return k
+	}
+	ranges := fixed
+	for i := 0; i < 200; i++ {
+		ranges = append(ranges, MakeRange(key(), key()))
+	}
+	equal := 0
+	for _, a := range ranges {
+		for _, b := range ranges {
+			want := a.String() == b.String()
+			if got := a.Equal(b); got != want {
+				t.Fatalf("%v.Equal(%v) = %v, strings equal = %v", a, b, got, want)
+			}
+			if want {
+				equal++
+			}
+		}
+	}
+	if equal <= len(ranges) {
+		t.Fatalf("only %d equal pairs among %d ranges: the seeded keys never collide", equal, len(ranges))
+	}
+}
+
+func TestArenaCopiesSurviveLaterCopies(t *testing.T) {
+	var a Arena
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 3; round++ {
+		var want, got [][]byte
+		for i := 0; i < 400; i++ {
+			n := rng.Intn(2000)
+			if i == 100 {
+				n = 3 * arenaChunk // larger than any chunk the arena holds
+			}
+			b := make([]byte, n)
+			rng.Read(b)
+			want = append(want, b)
+			got = append(got, a.Copy(b))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("round %d: copy %d (%d bytes) changed under later copies", round, i, len(want[i]))
+			}
+			if len(got[i]) != cap(got[i]) {
+				t.Fatalf("round %d: copy %d has spare capacity into its neighbour", round, i)
+			}
+		}
+		a.Reset()
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		a.Reset()
+		for i := 0; i < 1000; i++ {
+			a.Copy(nil)
+			a.Copy([]byte("0123456789abcdef"))
+		}
+	}); allocs != 0 {
+		t.Fatalf("a warm arena allocated %.1f times for 2000 small copies", allocs)
+	}
+}

@@ -88,6 +88,16 @@ func (r Range) Union(o Range) Range {
 	return out
 }
 
+// Equal reports whether r and o are the same interval: both empty, or
+// neither empty with the same bounds (a nil bound equals an empty one,
+// as String prints them).
+func (r Range) Equal(o Range) bool {
+	if r.Empty() || o.Empty() {
+		return r.Empty() && o.Empty()
+	}
+	return bytes.Equal(r.Lo, o.Lo) && bytes.Equal(r.Hi, o.Hi)
+}
+
 func (r Range) String() string {
 	if r.Empty() {
 		return "{}"

@@ -324,7 +324,7 @@ func allZero(p []byte) bool {
 // is touched, so a crash anywhere in here leaves the old commit intact.
 // Returns ErrNoSpace if metadata would collide with data.
 func (t *Table) writeMeta() error {
-	var buf []byte
+	buf := make([]byte, 0, t.MetaSize())
 	for _, s := range t.seqs {
 		buf = binary.AppendUvarint(buf, s.Entries)
 		buf = binary.AppendUvarint(buf, s.DataOff)
@@ -537,8 +537,10 @@ func verifyBlockAt(raw []byte, name string, off uint64) ([]byte, error) {
 }
 
 // encodeBlock applies the trailer (and optional compression) to an
-// encoded block.
-func encodeBlock(enc []byte, compress bool) []byte {
+// encoded block.  An uncompressed result continues enc's own storage
+// (regrown if the trailer did not fit); a compressed one lives in
+// flate's output and leaves enc untouched.
+func encodeBlock(enc []byte, compress bool) (out []byte, compressed bool) {
 	typ := byte(blockRaw)
 	if compress {
 		var buf bytes.Buffer
@@ -551,7 +553,7 @@ func encodeBlock(enc []byte, compress bool) []byte {
 		}
 	}
 	enc = append(enc, typ)
-	return binary.LittleEndian.AppendUint32(enc, crc32.Checksum(enc, castagnoli))
+	return binary.LittleEndian.AppendUint32(enc, crc32.Checksum(enc, castagnoli)), typ == blockFlate
 }
 
 func (t *Table) readBlock(off, length uint64) ([]byte, error) {
@@ -607,17 +609,14 @@ func (t *Table) AppendFrom(it iterator.Iterator, limit int64) (AppendResult, err
 	// On any failure, data blocks already written past the old dataEnd
 	// are garbage in the hole; the metadata still describes only the
 	// old sequences, so there is nothing to undo on disk.
-	w := &seqWriter{t: t, startOff: t.dataEnd}
-	var lastUser []byte
+	w := newSeqWriter(t)
 	for ; it.Valid(); it.Next() {
-		u := kv.UserKey(it.Key())
-		if w.entries > 0 && w.off-w.startOff >= limit && !sameBytes(u, lastUser) {
+		if w.entries > 0 && w.off-w.startOff >= limit && !bytes.Equal(kv.UserKey(it.Key()), w.lastUser) {
 			break
 		}
 		if err := w.add(it.Key(), it.Value()); err != nil {
 			return AppendResult{}, err
 		}
-		lastUser = append(lastUser[:0], u...)
 	}
 	if err := it.Err(); err != nil {
 		return AppendResult{}, err
@@ -626,17 +625,22 @@ func (t *Table) AppendFrom(it iterator.Iterator, limit int64) (AppendResult, err
 	if err != nil {
 		return AppendResult{}, err
 	}
+	// Only a writer that finished goes back: its builders are empty
+	// again, which one abandoned mid-block is not.
+	off := w.off
+	w.t = nil
+	seqWriterPool.Put(w)
 	if meta.Entries == 0 {
 		return AppendResult{More: it.Valid()}, nil
 	}
 	t.mu.Lock()
 	t.seqs = append(t.seqs, meta)
-	t.dataEnd = w.off
+	t.dataEnd = off
 	t.mu.Unlock()
 	if err := t.writeMeta(); err != nil {
 		t.mu.Lock()
 		t.seqs = t.seqs[:len(t.seqs)-1]
-		t.dataEnd = w.startOff
+		t.dataEnd = int64(meta.DataOff)
 		t.mu.Unlock()
 		return AppendResult{}, err
 	}
@@ -780,27 +784,38 @@ func (t *Table) Verify(onBlock func(n int64)) (VerifyStats, error) {
 	return st, nil
 }
 
-// seqWriter streams one sorted sequence into the data region.
+// seqWriter streams one sorted sequence into the data region.  It
+// builds every data block of the sequence in one buffer and keeps the
+// Bloom hash of each user key, so a record costs no allocation.
 type seqWriter struct {
-	t         *Table
-	startOff  int64
-	off       int64
-	bb        *block.Builder
-	ib        *block.Builder
-	bloomKeys [][]byte
-	lastUser  []byte
-	smallest  []byte
-	largest   []byte
-	lastKey   []byte
-	entries   uint64
+	t        *Table
+	startOff int64
+	off      int64
+	bb       *block.Builder
+	ib       *block.Builder
+	hashes   []uint32 // bloom.Hash of each distinct user key, in order
+	lastUser []byte
+	smallest []byte
+	lastKey  []byte
+	entries  uint64
+}
+
+// seqWriterPool keeps writers between sequences: a flush spreads one
+// memtable over a node's children, so most sequences are a few blocks
+// long and would otherwise each grow a block buffer from nothing.
+var seqWriterPool = sync.Pool{New: func() any {
+	return &seqWriter{bb: block.NewBuilder(), ib: block.NewBuilder()}
+}}
+
+// newSeqWriter returns a writer positioned at t's data end.
+func newSeqWriter(t *Table) *seqWriter {
+	w := seqWriterPool.Get().(*seqWriter)
+	w.t, w.startOff, w.off, w.entries = t, t.dataEnd, t.dataEnd, 0
+	w.hashes, w.smallest = w.hashes[:0], nil
+	return w
 }
 
 func (w *seqWriter) add(ikey, val []byte) error {
-	if w.bb == nil {
-		w.bb = block.NewBuilder()
-		w.ib = block.NewBuilder()
-		w.off = w.startOff
-	}
 	if w.entries == 0 {
 		w.smallest = append([]byte(nil), ikey...)
 	}
@@ -812,8 +827,8 @@ func (w *seqWriter) add(ikey, val []byte) error {
 	}
 	w.lastKey = append(w.lastKey[:0], ikey...)
 	u := kv.UserKey(ikey)
-	if !sameBytes(u, w.lastUser) {
-		w.bloomKeys = append(w.bloomKeys, append([]byte(nil), u...))
+	if w.entries == 0 || !bytes.Equal(u, w.lastUser) {
+		w.hashes = append(w.hashes, bloom.Hash(u))
 		w.lastUser = append(w.lastUser[:0], u...)
 	}
 	w.bb.Add(ikey, val)
@@ -828,22 +843,30 @@ func (w *seqWriter) flushBlock() error {
 	if w.bb.Empty() {
 		return nil
 	}
-	enc := encodeBlock(w.bb.Finish(), w.t.compress)
+	raw := w.bb.Finish()
+	enc, compressed := encodeBlock(raw, w.t.compress)
 	// Guard against colliding with the metadata region: the new copy
 	// goes below metaFloor, so leave room under it for the metadata of
 	// existing sequences plus this one.
-	reserve := w.t.MetaSize() + int64(w.ib.SizeEstimate()) + int64(len(w.bloomKeys)*2) + 4096
+	reserve := w.t.MetaSize() + int64(w.ib.SizeEstimate()) + int64(len(w.hashes)*2) + 4096
 	if w.off+int64(len(enc))+reserve > w.t.metaFloor {
 		return ErrNoSpace
 	}
 	if _, err := w.t.f.WriteAt(enc, w.off); err != nil {
 		return err
 	}
-	var hv []byte
-	hv = binary.AppendUvarint(hv, uint64(w.off))
-	hv = binary.AppendUvarint(hv, uint64(len(enc)))
-	w.ib.Add(w.lastKey, hv)
+	var handle [2 * binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(handle[:], uint64(w.off))
+	n += binary.PutUvarint(handle[n:], uint64(len(enc)))
+	w.ib.Add(w.lastKey, handle[:n])
 	w.off += int64(len(enc))
+	// The device write copied the block, so the builder gets its storage
+	// back for the next one: its own, never flate's output.
+	if compressed {
+		w.bb.Reuse(raw)
+	} else {
+		w.bb.Reuse(enc)
+	}
 	return nil
 }
 
@@ -854,28 +877,17 @@ func (w *seqWriter) finish() (SeqMeta, error) {
 	if err := w.flushBlock(); err != nil {
 		return SeqMeta{}, err
 	}
-	w.largest = append([]byte(nil), w.lastKey...)
 	return SeqMeta{
 		Entries:  w.entries,
 		DataOff:  uint64(w.startOff),
 		DataLen:  uint64(w.off - w.startOff),
 		Smallest: w.smallest,
-		Largest:  w.largest,
-		Bloom:    bloom.Build(w.bloomKeys, w.t.bitsKey),
+		Largest:  append([]byte(nil), w.lastKey...),
+		Bloom:    bloom.BuildFromHashes(w.hashes, w.t.bitsKey),
+		// The index block is the builder's own storage and stays with
+		// the metadata; it is never handed back.
 		RawIndex: w.ib.Finish(),
 	}, nil
-}
-
-func sameBytes(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Get looks up the newest record for ukey visible at snapshot seq.
@@ -942,7 +954,7 @@ func (t *Table) getInSeq(s *SeqMeta, ukey, target []byte) ([]byte, kv.Kind, kv.S
 	if !ok {
 		return nil, 0, 0, false, t.blockCorrupt(off, ErrCorrupt, "record key malformed")
 	}
-	if !sameBytes(gotUser, ukey) {
+	if !bytes.Equal(gotUser, ukey) {
 		return nil, 0, 0, false, nil
 	}
 	return bi.Value(), gotKind, gotSeq, true, nil
@@ -1033,7 +1045,8 @@ const readaheadSize = 64 * 1024
 
 // seqIter chains the data blocks of one sequence via its index block.
 // Block fetches that continue sequentially from the previous fetch are
-// served through a read-ahead buffer.
+// served through a read-ahead window the iterator owns and refills in
+// place.
 type seqIter struct {
 	t      *Table
 	bounds SeqMeta
@@ -1041,15 +1054,18 @@ type seqIter struct {
 	cur    *block.Iter
 	err    error
 
-	ra       []byte
+	ra       []byte // the window: file bytes [raStart, raStart+len(ra))
 	raStart  int64
 	fetchEnd int64 // end offset of the previous physical fetch
 	everRead bool
 }
 
 // fetchBlock returns the data block at [off, off+length), using the
-// cache, then the read-ahead buffer, then a physical read that extends
-// ahead when the access pattern is sequential.
+// cache, then the read-ahead window, then a physical read that extends
+// ahead when the access pattern is sequential.  An uncompressed payload
+// that did not come from the cache aliases the window: it is valid until
+// this iterator's next positioning call, which may refill the window.
+// The cache is therefore given a copy.
 func (s *seqIter) fetchBlock(off, length uint64) ([]byte, error) {
 	t := s.t
 	if t.cache != nil {
@@ -1058,40 +1074,41 @@ func (s *seqIter) fetchBlock(off, length uint64) ([]byte, error) {
 		}
 	}
 	o, l := int64(off), int64(length)
-	if s.ra != nil && o >= s.raStart && o+l <= s.raStart+int64(len(s.ra)) {
-		payload, err := verifyBlockAt(s.ra[o-s.raStart:o-s.raStart+l], t.name, off)
-		if err != nil {
+	if o < s.raStart || o+l > s.raStart+int64(len(s.ra)) {
+		seqEnd := int64(s.bounds.DataOff + s.bounds.DataLen)
+		chunk := l
+		if s.everRead && o == s.fetchEnd {
+			// Sequential continuation: read ahead like the OS would.
+			if c := int64(readaheadSize); c > chunk {
+				chunk = c
+			}
+			if o+chunk > seqEnd {
+				chunk = seqEnd - o
+			}
+		}
+		// Whatever the window held is gone from here on, so a failed
+		// read must not leave it describing the old extent.
+		buf := s.ra[:0]
+		s.ra = buf
+		if int64(cap(buf)) < chunk {
+			buf = make([]byte, chunk)
+		} else if invariants.Enabled {
+			invariants.Poison(buf)
+		}
+		buf = buf[:chunk]
+		if _, err := t.f.ReadAt(buf, o); err != nil {
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				return nil, corrupt.New(corrupt.LayerTableBlock, t.name, o, ErrCorrupt,
+					"block extends past end of file")
+			}
 			return nil, err
 		}
-		if t.cache != nil {
-			t.cache.Set(t.id, off, append([]byte(nil), payload...))
-		}
-		return payload, nil
+		s.everRead = true
+		s.fetchEnd = o + chunk
+		s.ra = buf
+		s.raStart = o
 	}
-	seqEnd := int64(s.bounds.DataOff + s.bounds.DataLen)
-	chunk := l
-	if s.everRead && o == s.fetchEnd {
-		// Sequential continuation: read ahead like the OS would.
-		if c := int64(readaheadSize); c > chunk {
-			chunk = c
-		}
-		if o+chunk > seqEnd {
-			chunk = seqEnd - o
-		}
-	}
-	buf := make([]byte, chunk)
-	if _, err := t.f.ReadAt(buf, o); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, corrupt.New(corrupt.LayerTableBlock, t.name, o, ErrCorrupt,
-				"block extends past end of file")
-		}
-		return nil, err
-	}
-	s.everRead = true
-	s.fetchEnd = o + chunk
-	s.ra = buf
-	s.raStart = o
-	payload, err := verifyBlockAt(buf[:l], t.name, off)
+	payload, err := verifyBlockAt(s.ra[o-s.raStart:o-s.raStart+l], t.name, off)
 	if err != nil {
 		return nil, err
 	}

@@ -1,0 +1,199 @@
+package tableset
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"iamdb/internal/engine"
+	"iamdb/internal/invariants"
+	"iamdb/internal/iterator"
+	"iamdb/internal/kv"
+	"iamdb/internal/vfs"
+)
+
+// versionedRun is a sorted run over users user keys, each with 1 to
+// maxVersions versions (newest first, as internal keys order) of
+// valLen-byte values.
+func versionedRun(seed int64, users, maxVersions, valLen int) *iterator.Slice {
+	rng := rand.New(rand.NewSource(seed))
+	var keys, vals [][]byte
+	seq := kv.Seq(0)
+	for u := 0; u < users; u++ {
+		versions := 1 + rng.Intn(maxVersions)
+		seq += kv.Seq(versions)
+		for v := 0; v < versions; v++ {
+			keys = append(keys, kv.MakeInternalKey([]byte(fmt.Sprintf("user%06d", u)), seq-kv.Seq(v), kv.KindSet))
+			val := make([]byte, valLen)
+			rng.Read(val)
+			vals = append(vals, val)
+		}
+	}
+	return iterator.NewSlice(kv.CompareInternal, keys, vals)
+}
+
+func buildRuns(t *testing.T, s *Set, src iterator.Iterator, limit, floor int64) []*Table {
+	t.Helper()
+	s.Mu.Lock()
+	defer s.Mu.Unlock()
+	src.First()
+	tables, _, err := s.BuildRuns(src, limit, floor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tables
+}
+
+// TestBuildRunsSplitsAtUserKeysAndSizesFiles checks the two rules every
+// engine's files depend on, with and without a capacity floor: a run ends
+// at the first user-key boundary at or past limit (so a key's versions
+// share a table), and a file's capacity is max(floor, b + b/2 + 64 KiB)
+// for the b key and value bytes it holds.  The runs together are the
+// source, record for record.
+func TestBuildRunsSplitsAtUserKeysAndSizesFiles(t *testing.T) {
+	const limit = 8 << 10
+	for _, floor := range []int64{0, 256 << 10} {
+		s := openSet(t, vfs.NewMemFS(), 1, 0)
+		src := versionedRun(21, 300, 6, 200)
+		tables := buildRuns(t, s, src, limit, floor)
+		if len(tables) < 10 {
+			t.Fatalf("floor %d: %d tables, want the source split many ways", floor, len(tables))
+		}
+		rec := 0
+		for i, tb := range tables {
+			it := tb.NewIter()
+			var size, sizeBeforeLastUser int64
+			var lastUser []byte
+			for it.First(); it.Valid(); it.Next() {
+				if !bytes.Equal(it.Key(), src.Keys[rec]) || !bytes.Equal(it.Value(), src.Vals[rec]) {
+					t.Fatalf("floor %d: table %d holds %s where the source has %s", floor, i,
+						kv.InternalKeyString(it.Key()), kv.InternalKeyString(src.Keys[rec]))
+				}
+				if u := kv.UserKey(it.Key()); !bytes.Equal(u, lastUser) {
+					lastUser = append(lastUser[:0], u...)
+					sizeBeforeLastUser = size
+				}
+				size += int64(len(it.Key()) + len(it.Value()))
+				rec++
+			}
+			if err := it.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if rec < len(src.Keys) {
+				if bytes.Equal(kv.UserKey(src.Keys[rec]), lastUser) {
+					t.Errorf("floor %d: user key %q continues past the end of table %d", floor, lastUser, i)
+				}
+				if size < limit || sizeBeforeLastUser >= limit {
+					t.Errorf("floor %d: table %d holds %d bytes (%d before its last user key), limit %d",
+						floor, i, size, sizeBeforeLastUser, limit)
+				}
+			}
+			if want := max(floor, size+size/2+64<<10); tb.Capacity() != want {
+				t.Errorf("floor %d: table %d has capacity %d for %d bytes, want %d", floor, i, tb.Capacity(), size, want)
+			}
+		}
+		if rec != len(src.Keys) {
+			t.Errorf("floor %d: tables hold %d records, source %d", floor, rec, len(src.Keys))
+		}
+		s.Close()
+	}
+}
+
+// TestBuildRunsFitsOversizedVersionChain: one user key whose versions
+// outweigh the limit many times over still lands in a single file, sized
+// to hold it.
+func TestBuildRunsFitsOversizedVersionChain(t *testing.T) {
+	s := openSet(t, vfs.NewMemFS(), 1, 0)
+	defer s.Close()
+	var keys, vals [][]byte
+	for seq := kv.Seq(300); seq > 0; seq-- {
+		keys = append(keys, kv.MakeInternalKey([]byte("hot"), seq, kv.KindSet))
+		vals = append(vals, bytes.Repeat([]byte{byte(seq)}, 1024))
+	}
+	keys = append(keys, kv.MakeInternalKey([]byte("next"), 1, kv.KindSet))
+	vals = append(vals, []byte("v"))
+	tables := buildRuns(t, s, iterator.NewSlice(kv.CompareInternal, keys, vals), 4<<10, 0)
+	if len(tables) != 2 || tables[0].Entries() != 300 || tables[1].Entries() != 1 {
+		t.Fatalf("got %d tables, want the 300-version chain in one and the next key in another", len(tables))
+	}
+	if tables[0].Capacity() < 300<<10 {
+		t.Fatalf("the chain's file has capacity %d, under its data", tables[0].Capacity())
+	}
+}
+
+// failedSource is an iterator whose first position failed: never valid,
+// with an error to report.
+type failedSource struct {
+	iterator.Empty
+	err error
+}
+
+func (f failedSource) Err() error { return f.err }
+
+func TestBuildRunsReportsSourceThatNeverStarted(t *testing.T) {
+	s := openSet(t, vfs.NewMemFS(), 1, 0)
+	defer s.Close()
+	s.Mu.Lock()
+	defer s.Mu.Unlock()
+	boom := errors.New("first block unreadable")
+	tables, n, err := s.BuildRuns(failedSource{err: boom}, 1<<20, 0)
+	if !errors.Is(err, boom) || len(tables) != 0 || n != 0 {
+		t.Fatalf("got %d tables, %d bytes, err %v; want the source's error and nothing built", len(tables), n, err)
+	}
+}
+
+// tableDiscardFS keeps the manifest but none of a table file's bytes, so
+// an allocation count over it is the set's and the table writer's own,
+// not the in-memory file system's.
+type tableDiscardFS struct{ vfs.FS }
+
+func (fs tableDiscardFS) Create(name string) (vfs.File, error) {
+	if strings.HasSuffix(name, ".mst") {
+		return discardFile{}, nil
+	}
+	return fs.FS.Create(name)
+}
+
+type discardFile struct{ vfs.File }
+
+func (discardFile) WriteAt(p []byte, _ int64) (int, error) { return len(p), nil }
+func (discardFile) Sync() error                            { return nil }
+func (discardFile) Close() error                           { return nil }
+
+// TestBuildRunsAllocs is the allocation gate of the one data-movement
+// primitive under every engine: a merge of two sources through the
+// retention filter into four node-sized (Ct = 1 MiB) tables of 1 KiB
+// records allocates per table and per 64 KiB gathered, not per record.
+func TestBuildRunsAllocs(t *testing.T) {
+	if invariants.Enabled {
+		t.Skip("assertions box their arguments once per record")
+	}
+	const records = 4096
+	a := versionedRun(1, records/2, 1, 1024-31)
+	b := versionedRun(2, records/2, 1, 1024-31)
+	for i, k := range b.Keys { // the same user keys, newer: every record of a is shadowed or kept
+		b.Keys[i] = kv.MakeInternalKey(kv.UserKey(k), kv.SeqOf(k)+records, kv.KindSet)
+	}
+	s, err := Open(Config{FS: tableDiscardFS{vfs.NewMemFS()}, Dir: "db", MinLevel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Mu.Lock()
+	defer s.Mu.Unlock()
+	allocs := testing.AllocsPerRun(5, func() {
+		src := engine.DropObsolete(iterator.NewMerging(kv.CompareInternal, b, a), 0, false, nil)
+		src.First()
+		tables, _, err := s.BuildRuns(src, 1<<20, 2<<20)
+		if err != nil || len(tables) != 4 {
+			t.Fatalf("%d tables, %v", len(tables), err)
+		}
+	})
+	t.Logf("%.0f allocations, %.4f per record", allocs, allocs/records)
+	if perRecord := allocs / records; perRecord > 0.05 {
+		t.Errorf("BuildRuns of %d records allocates %.0f times, %.3f per record; want <= 0.05", records, allocs, perRecord)
+	}
+}

@@ -397,7 +397,7 @@ func (s *Set) Build(capacity int64, src iterator.Iterator) (*Table, int64, error
 // BuildRuns drains a positioned iterator into fresh tables of at most
 // limit data bytes each (finishing the current user key, so all versions
 // of a key share one table), returning them (ranges = data spans) and the
-// total bytes written.  Each chunk is gathered in memory first so its
+// total bytes written.  Each run is gathered in memory first so its
 // file can be sized to fit even when a single key's version chain exceeds
 // the limit: the capacity is max(floorCapacity, bytes + bytes/2 + 64 KiB).
 // The trees pass their append-hole capacity as the floor; the LSM
@@ -405,17 +405,22 @@ func (s *Set) Build(capacity int64, src iterator.Iterator) (*Table, int64, error
 func (s *Set) BuildRuns(it iterator.Iterator, limit, floorCapacity int64) ([]*Table, int64, error) {
 	var tables []*Table
 	var total int64
+	// The gather belongs to this call and serves all its runs: a record
+	// is copied once, into storage the previous run has finished with.
+	var arena kv.Arena
+	var keys, vals [][]byte
+	var lastUser []byte
 	for it.Valid() {
-		var keys, vals [][]byte
+		arena.Reset()
+		keys, vals, lastUser = keys[:0], vals[:0], lastUser[:0]
 		var bytes int64
-		var lastUser []byte
 		for ; it.Valid(); it.Next() {
 			u := kv.UserKey(it.Key())
 			if bytes >= limit && string(u) != string(lastUser) {
 				break
 			}
-			keys = append(keys, append([]byte(nil), it.Key()...))
-			vals = append(vals, append([]byte(nil), it.Value()...))
+			keys = append(keys, arena.Copy(it.Key()))
+			vals = append(vals, arena.Copy(it.Value()))
 			bytes += int64(len(it.Key()) + len(it.Value()))
 			lastUser = append(lastUser[:0], u...)
 		}

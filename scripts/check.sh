@@ -40,6 +40,12 @@ fi
 echo "== go build -tags invariants"
 go build -tags invariants ./...
 go test -tags invariants ./internal/invariants/
+# The data-movement layers under the tag: recycled block buffers, gather
+# chunks and read-ahead windows are poisoned before reuse, so a stale
+# alias fails a checksum or a comparison in these tests.  internal/core
+# is not on the line: its tests trip the overlapping-range defect under
+# the tag (DESIGN.md, "Known defects").
+go test -tags invariants -count=1 ./internal/block ./internal/table ./internal/tableset ./internal/lsm
 
 echo "== metrics smoke test (-tags invariants)"
 go test -tags invariants -run TestMetricsSmoke -count=1 .
@@ -48,6 +54,10 @@ echo "== hot-path allocation gate"
 # A disabled EventListener must add zero allocations per op to Get/Put.
 go test -run 'TestInstrumentationZeroAlloc|TestHotPathAllocations' -count=1 .
 go test -run TestConcurrentZeroAlloc -count=1 ./internal/histogram/
+# Moving a record down a level must not allocate per record: the table
+# writer and the gather under every flush, merge and split.
+go test -run TestTableAppendAllocs -count=1 ./internal/table/
+go test -run TestBuildRunsAllocs -count=1 ./internal/tableset/
 
 echo "== commit-pipeline bench smoke"
 # One iteration proves the contention benchmark still compiles and
