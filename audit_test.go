@@ -103,3 +103,31 @@ func TestEveryDeclarationIsReferenced(t *testing.T) {
 		}
 	}
 }
+
+// TestEnginesDoNotImportManifest is the boundary PR 17 drew: the engines
+// state placement (tableset.Change) and tableset alone renders it as
+// manifest edits.  With the range field of tableset.Table unexported, an
+// engine that cannot import the manifest package cannot write a placement
+// down by hand again.
+func TestEnginesDoNotImportManifest(t *testing.T) {
+	for _, dir := range []string{"internal/core", "internal/lsm"} {
+		files, err := filepath.Glob(dir + "/*.go")
+		if err != nil || len(files) == 0 {
+			t.Fatalf("%s: %d files, %v: the test must run in the module root", dir, len(files), err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range file.Imports {
+				if imp.Path.Value == `"iamdb/internal/manifest"` {
+					t.Errorf("%s imports internal/manifest: publish the change through tableset.Set.Apply", path)
+				}
+			}
+		}
+	}
+}

@@ -201,10 +201,7 @@ func verifyDB(dir string) {
 		fatalf("open table set: %v", err)
 	}
 	defer set.Close()
-	rep, err := set.DeepVerify()
-	if err == nil {
-		err = set.CheckInvariants()
-	}
+	rep, err := set.DeepVerify() // the structural invariants first, then every block
 	if err != nil {
 		fatalf("FAILED: %v\n(partial: %v)", err, rep)
 	}

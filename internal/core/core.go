@@ -187,10 +187,10 @@ func (t *Tree) childSpan(i int, rng kv.Range) (int, int) {
 	}
 	lvl := t.Level(i + 1)
 	start := sort.Search(len(lvl), func(j int) bool {
-		return kv.CompareUser(lvl[j].Rng.Hi, rng.Lo) >= 0
+		return kv.CompareUser(lvl[j].Range().Hi, rng.Lo) >= 0
 	})
 	end := sort.Search(len(lvl), func(j int) bool {
-		return kv.CompareUser(lvl[j].Rng.Lo, rng.Hi) > 0
+		return kv.CompareUser(lvl[j].Range().Lo, rng.Hi) > 0
 	})
 	if end < start {
 		end = start
@@ -198,22 +198,19 @@ func (t *Tree) childSpan(i int, rng kv.Range) (int, int) {
 	return start, end
 }
 
-// children returns the indices in level i+1 of nodes overlapping rng.
+// children returns the nodes of level i+1 overlapping rng, as a copy of
+// the level's window: the cascade reshapes the level while it walks them.
 // An empty slice means the flush can move the node down untouched.
-func (t *Tree) children(i int, rng kv.Range) []int {
+func (t *Tree) children(i int, rng kv.Range) []*tableset.Table {
 	start, end := t.childSpan(i, rng)
 	if start >= end {
 		return nil
 	}
-	out := make([]int, 0, end-start)
-	for j := start; j < end; j++ {
-		out = append(out, j)
-	}
-	return out
+	return append([]*tableset.Table(nil), t.Level(i + 1)[start:end]...)
 }
 
-// childCount counts level i+1 nodes overlapping rng without
-// materializing indices.
+// childCount counts level i+1 nodes overlapping rng without copying
+// them.
 func (t *Tree) childCount(i int, rng kv.Range) int {
 	start, end := t.childSpan(i, rng)
 	return end - start

@@ -324,7 +324,7 @@ func TestFanoutBoundHolds(t *testing.T) {
 	bound := 3 * 2 * tr.cfg.Fanout
 	for i := 1; i < tr.n(); i++ {
 		for _, nd := range tr.Level(i) {
-			if c := len(tr.children(i, nd.Rng)); c > bound {
+			if c := len(tr.children(i, nd.Range())); c > bound {
 				t.Errorf("L%d node %d has %d children (> %d)", i, nd.ID(), c, bound)
 			}
 		}

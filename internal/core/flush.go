@@ -4,12 +4,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"iamdb/internal/engine"
 	"iamdb/internal/invariants"
 	"iamdb/internal/iterator"
 	"iamdb/internal/kv"
-	"iamdb/internal/manifest"
 	"iamdb/internal/metrics"
 	"iamdb/internal/table"
 	"iamdb/internal/tableset"
@@ -122,8 +122,7 @@ func (t *Tree) flushBatch(src int, srcRange kv.Range, b *batch) error {
 	if dst < t.n() {
 		for {
 			resolved := true
-			for _, idx := range t.children(src, srcRange) {
-				kid := t.Level(dst)[idx]
+			for _, kid := range t.children(src, srcRange) {
 				if t.full(kid) {
 					if err := t.flushNode(dst, kid, false); err != nil {
 						return err
@@ -137,13 +136,12 @@ func (t *Tree) flushBatch(src int, srcRange kv.Range, b *batch) error {
 			}
 		}
 	}
-	kidIdxs := t.children(src, srcRange)
-	if len(kidIdxs) == 0 {
+	kids := t.children(src, srcRange)
+	if len(kids) == 0 {
 		// No children: the data becomes a new node in dst outright.
-		_, err := t.writeNodes(dst, b, t.cfg.NodeCapacity)
-		return err
+		return t.writeNodes(dst, b, t.cfg.NodeCapacity)
 	}
-	return t.deliver(dst, kidIdxs, b)
+	return t.deliver(dst, kids, b)
 }
 
 // flushNode performs the flush operation of Sec. 4.2.1 on an on-disk
@@ -164,22 +162,15 @@ func (t *Tree) flushNode(i int, x *tableset.Table, destroy bool) error {
 		sp.End()
 		t.cfg.Events.FlushEnd(metrics.FlushInfo{Bytes: flushed, Duration: t.cfg.Clock.Now() - start})
 	}()
-	// Precondition 1: fewer than 2t children, else split instead.
-	if t.childCount(i, x.Rng) >= 2*t.cfg.Fanout {
-		if err := t.splitNode(i, x); err != nil {
-			return err
-		}
-		if !destroy {
-			return nil // split replaced the flush
-		}
-		// A combine picked a wide node; fall through is impossible
-		// since x no longer exists.  The caller's maintain loop will
-		// pick a new combine candidate.
-		return nil
+	// Precondition 1: fewer than 2t children, else the split replaces
+	// the flush.  When a combine picked the wide node, x no longer exists
+	// either way: the caller's maintain loop picks a new candidate.
+	if t.childCount(i, x.Range()) >= 2*t.cfg.Fanout {
+		return t.splitNode(i, x)
 	}
 	// Move-down fast path: no children means no rewriting, only
 	// metadata changes (the sequential-write property of Sec. 4.2.1).
-	if t.childCount(i, x.Rng) == 0 {
+	if t.childCount(i, x.Range()) == 0 {
 		if i+1 > t.n() {
 			return fmt.Errorf("core: move below leaf level from L%d", i)
 		}
@@ -187,15 +178,10 @@ func (t *Tree) flushNode(i int, x *tableset.Table, destroy bool) error {
 		mv.SetLevel(i + 1)
 		mv.AddIn(x.ID())
 		mv.AddOut(x.ID()) // the file survives the move, re-homed a level down
-		t.Remove(i, x)
-		t.Add(i+1, x)
 		t.stats.CountMove(i + 1)
 		mv.End()
 		t.cfg.Events.MoveEnd(metrics.MoveInfo{FromLevel: i, ToLevel: i + 1})
-		return t.Commit(&manifest.Edit{
-			Deleted: []manifest.NodeRef{{Level: i, FileNum: x.ID()}},
-			Added:   []manifest.NodeRecord{t.Record(i+1, x)},
-		})
+		return t.Apply(new(tableset.Change).Drop(i, x).Place(i+1, x))
 	}
 	t.stats.AddReadBytes(i, x.DataSize())
 	b, err := t.loadNode(x)
@@ -203,12 +189,11 @@ func (t *Tree) flushNode(i int, x *tableset.Table, destroy bool) error {
 		return err
 	}
 	flushed = int64(batchBytes(b))
-	if err := t.flushBatch(i, x.Rng, b); err != nil {
+	if err := t.flushBatch(i, x.Range(), b); err != nil {
 		return err
 	}
 	if destroy {
-		t.Remove(i, x)
-		return t.Commit(&manifest.Edit{Deleted: []manifest.NodeRef{{Level: i, FileNum: x.ID()}}}, x)
+		return t.Apply(new(tableset.Change).Drop(i, x))
 	}
 	return t.emptyNode(i, x)
 }
@@ -231,66 +216,45 @@ func (t *Tree) emptyNode(i int, x *tableset.Table) error {
 	if err != nil {
 		return err
 	}
-	fresh.Rng = x.Rng
-	t.Remove(i, x)
-	t.Add(i, fresh)
-	t.shrinkRange(i, fresh)
-	return t.Commit(&manifest.Edit{
-		Deleted:  []manifest.NodeRef{{Level: i, FileNum: x.ID()}},
-		Added:    []manifest.NodeRecord{t.Record(i, fresh)},
-		NextFile: t.NextFile(), SetNextFile: true,
-	}, x)
+	return t.Apply(new(tableset.Change).Drop(i, x).PlaceAs(i, fresh, t.shrunkRange(i, x)))
 }
 
-// shrinkRange narrows an empty node's range so its child count moves
-// toward its smaller neighbor's, shedding children from the side that
-// faces that neighbor.  The shed span becomes a gap the neighbor will
-// absorb via out-of-range assignment in a later flush.
-func (t *Tree) shrinkRange(i int, x *tableset.Table) {
-	if i+1 > t.n() {
-		return
-	}
-	kids := t.children(i, x.Rng)
-	if len(kids) < 2 {
-		return
-	}
+// shrunkRange returns the range the empty node replacing x (a node of
+// level i, just flushed) is placed with: x's own, narrowed so its child
+// count moves toward its smaller neighbor's by shedding children from the
+// side that faces that neighbor.  The shed span becomes a gap the
+// neighbor will absorb via out-of-range assignment in a later flush.
+func (t *Tree) shrunkRange(i int, x *tableset.Table) kv.Range {
+	kids := t.children(i, x.Range())
 	lvl := t.Level(i)
-	pos := -1
-	for j, nd := range lvl {
-		if nd == x {
-			pos = j
-			break
-		}
-	}
-	if pos < 0 {
-		return
+	pos := slices.Index(lvl, x)
+	if len(kids) < 2 || pos < 0 {
+		return x.Range()
 	}
 	lo, hi := 0, len(kids) // retained child window [lo, hi)
 	if pos > 0 {
-		ln := t.childCount(i, lvl[pos-1].Rng)
+		ln := t.childCount(i, lvl[pos-1].Range())
 		if len(kids)-ln >= 2 {
 			lo = (len(kids) - ln) / 2 // shed toward the left neighbor
 		}
 	}
 	if pos < len(lvl)-1 {
-		rn := t.childCount(i, lvl[pos+1].Rng)
+		rn := t.childCount(i, lvl[pos+1].Range())
 		if (hi-lo)-rn >= 2 {
 			hi -= ((hi - lo) - rn) / 2 // shed toward the right neighbor
 		}
 	}
 	if lo == 0 && hi == len(kids) || lo >= hi {
-		return
+		return x.Range()
 	}
-	next := t.Level(i + 1)
 	newRng := kv.Range{}
-	for _, idx := range kids[lo:hi] {
-		newRng = newRng.Union(next[idx].Rng)
+	for _, kid := range kids[lo:hi] {
+		newRng = newRng.Union(kid.Range())
 	}
-	newRng = clampRange(newRng, x.Rng)
-	if !newRng.Empty() {
-		x.Rng = newRng
-		t.Sort(i)
+	if newRng = clampRange(newRng, x.Range()); newRng.Empty() {
+		return x.Range()
 	}
+	return newRng
 }
 
 // clampRange intersects r with bound.
@@ -313,18 +277,14 @@ func clampRange(r, bound kv.Range) kv.Range {
 
 // deliver partitions a batch across the destination children and
 // appends or merges each child's share per the policy (Sec. 5.1).
-func (t *Tree) deliver(dst int, kidIdxs []int, b *batch) error {
-	kids := make([]*tableset.Table, len(kidIdxs))
-	for j, idx := range kidIdxs {
-		kids[j] = t.Level(dst)[idx]
-	}
+func (t *Tree) deliver(dst int, kids []*tableset.Table, b *batch) error {
 	leaf := dst == t.n()
 	// Grandchild counts decide gap assignment between internal kids.
 	var gcCount []int
 	if !leaf {
 		gcCount = make([]int, len(kids))
 		for j, kid := range kids {
-			gcCount[j] = t.childCount(dst, kid.Rng)
+			gcCount[j] = t.childCount(dst, kid.Range())
 		}
 	}
 
@@ -344,11 +304,11 @@ func (t *Tree) deliver(dst int, kidIdxs []int, b *batch) error {
 	}
 	for rec := 0; rec < b.len(); rec++ {
 		u := kv.UserKey(b.keys[rec])
-		for p < len(kids) && kv.CompareUser(u, kids[p].Rng.Hi) > 0 {
+		for p < len(kids) && kv.CompareUser(u, kids[p].Range().Hi) > 0 {
 			p++
 		}
 		switch {
-		case p < len(kids) && kids[p].Rng.Contains(u):
+		case p < len(kids) && kids[p].Range().Contains(u):
 			assign(p, rec)
 		case p == 0:
 			assign(0, rec) // before the first child: closest is kids[0]
@@ -360,7 +320,7 @@ func (t *Tree) deliver(dst int, kidIdxs []int, b *batch) error {
 			var j int
 			if leaf {
 				// Leaf: assign to the child with the closest range.
-				if keyDistance(kids[left].Rng.Hi, u) <= keyDistance(u, kids[right].Rng.Lo) {
+				if keyDistance(kids[left].Range().Hi, u) <= keyDistance(u, kids[right].Range().Lo) {
 					j = left
 				} else {
 					j = right
@@ -448,17 +408,12 @@ func (t *Tree) appendToChild(dst int, kid *tableset.Table, sub *batch) error {
 	sp.SetCount(int64(sub.len()))
 	sp.AddOut(kid.ID())
 	t.cfg.Events.AppendEnd(metrics.AppendInfo{Level: dst, Bytes: res.Bytes})
-	if newRng := kid.Rng.Union(sub.span()); !newRng.Equal(kid.Rng) {
+	if newRng := kid.Range().Union(sub.span()); !newRng.Equal(kid.Range()) {
 		// Widen the manifest range before syncing the data: a crash in
 		// between leaves a wide range over old data (harmless), whereas
 		// the reverse order could surface durable data outside the
 		// node's recorded range.
-		kid.Rng = newRng
-		t.Sort(dst)
-		if err := t.Commit(&manifest.Edit{
-			Deleted: []manifest.NodeRef{{Level: dst, FileNum: kid.ID()}},
-			Added:   []manifest.NodeRecord{t.Record(dst, kid)},
-		}); err != nil {
+		if err := t.Apply(new(tableset.Change).Drop(dst, kid).PlaceAs(dst, kid, newRng)); err != nil {
 			return err
 		}
 	}
@@ -494,16 +449,11 @@ func (t *Tree) mergeChild(dst int, kid *tableset.Table, sub *batch) error {
 	t.stats.AddFlushBytes(dst, bytes)
 	t.cfg.Events.MergeEnd(metrics.MergeInfo{Level: dst, Bytes: bytes, Duration: t.cfg.Clock.Now() - start})
 
-	edit := &manifest.Edit{Deleted: []manifest.NodeRef{{Level: dst, FileNum: kid.ID()}},
-		NextFile: t.NextFile(), SetNextFile: true}
-	t.Remove(dst, kid)
 	for _, nd := range newNodes {
-		t.Add(dst, nd)
 		sp.AddOut(nd.ID())
-		edit.Added = append(edit.Added, t.Record(dst, nd))
 	}
 	sp.SetBytes(bytes)
-	return t.Commit(edit, kid)
+	return t.Apply(new(tableset.Change).Drop(dst, kid).Place(dst, newNodes...))
 }
 
 func batchBytes(b *batch) int {
@@ -516,37 +466,31 @@ func batchBytes(b *batch) int {
 
 // writeNodes writes a batch as new single-sequence node(s) in level
 // dst, chunked at limit bytes.
-func (t *Tree) writeNodes(dst int, b *batch, limit int64) ([]*tableset.Table, error) {
+func (t *Tree) writeNodes(dst int, b *batch, limit int64) error {
 	it := b.iter()
 	it.First()
 	nodes, bytes, err := t.BuildRuns(it, limit, t.cfg.fileCapacity())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	t.stats.AddFlushBytes(dst, bytes)
-	edit := &manifest.Edit{NextFile: t.NextFile(), SetNextFile: true}
-	for _, nd := range nodes {
-		t.Add(dst, nd)
-		edit.Added = append(edit.Added, t.Record(dst, nd))
-	}
-	return nodes, t.Commit(edit)
+	return t.Apply(new(tableset.Change).Place(dst, nodes...))
 }
 
 // splitNode divides a full node with at least 2t children into two
 // nodes, each taking half the children (Sec. 4.2.2), eliminating the
 // worst write case.
 func (t *Tree) splitNode(i int, x *tableset.Table) error {
-	kidIdxs := t.children(i, x.Rng)
-	if len(kidIdxs) < 2 {
-		return fmt.Errorf("core: split of L%d node %d with %d children", i, x.ID(), len(kidIdxs))
+	kids := t.children(i, x.Range())
+	if len(kids) < 2 {
+		return fmt.Errorf("core: split of L%d node %d with %d children", i, x.ID(), len(kids))
 	}
 	sp := t.cfg.Trace.BeginAt("core.split", t.curSpan)
 	defer sp.End()
 	sp.SetLevel(i)
 	sp.AddIn(x.ID())
-	next := t.Level(i + 1)
-	half := len(kidIdxs) / 2
-	mid := next[kidIdxs[half]].Rng.Lo
+	half := len(kids) / 2
+	mid := kids[half].Range().Lo
 
 	t.stats.AddReadBytes(i, x.DataSize())
 	b, err := t.loadNode(x)
@@ -564,17 +508,18 @@ func (t *Tree) splitNode(i int, x *tableset.Table) error {
 	// assigned children", clamped to x's old range to stay disjoint
 	// from x's siblings.
 	leftRng, rightRng := leftB.span(), rightB.span()
-	for _, idx := range kidIdxs[:half] {
-		leftRng = leftRng.Union(next[idx].Rng)
+	for _, kid := range kids[:half] {
+		leftRng = leftRng.Union(kid.Range())
 	}
-	for _, idx := range kidIdxs[half:] {
-		rightRng = rightRng.Union(next[idx].Rng)
+	for _, kid := range kids[half:] {
+		rightRng = rightRng.Union(kid.Range())
 	}
-	leftRng = clampRange(leftRng, x.Rng)
-	rightRng = clampRange(rightRng, x.Rng)
+	leftRng = clampRange(leftRng, x.Range())
+	rightRng = clampRange(rightRng, x.Range())
 
 	var total int64
 	var newNodes []*tableset.Table
+	change := new(tableset.Change).Drop(i, x)
 	for _, part := range []struct {
 		b   *batch
 		rng kv.Range
@@ -597,24 +542,20 @@ func (t *Tree) splitNode(i int, x *tableset.Table) error {
 			}
 			nds = []*tableset.Table{nd}
 		}
-		nds[0].Rng = part.rng // widen to the assigned range
+		// The first run is widened to the half's assigned range; any
+		// further run keeps its data span.
+		change.PlaceAs(i, nds[0], part.rng).Place(i, nds[1:]...)
 		newNodes = append(newNodes, nds...)
 	}
 	t.stats.CountSplit(i)
 	t.stats.AddFlushBytes(i, total)
 	t.cfg.Events.SplitEnd(metrics.SplitInfo{Level: i, Bytes: total, NewNodes: len(newNodes)})
-
-	edit := &manifest.Edit{Deleted: []manifest.NodeRef{{Level: i, FileNum: x.ID()}},
-		NextFile: t.NextFile(), SetNextFile: true}
-	t.Remove(i, x)
 	for _, nd := range newNodes {
-		t.Add(i, nd)
 		sp.AddOut(nd.ID())
-		edit.Added = append(edit.Added, t.Record(i, nd))
 	}
 	sp.SetBytes(total)
 	sp.SetCount(int64(len(newNodes)))
-	return t.Commit(edit, x)
+	return t.Apply(change)
 }
 
 // maintain restores the structural constraints before and after
@@ -664,11 +605,11 @@ func (t *Tree) combineOne(i int) error {
 		if lvl[j].Quarantined() {
 			continue // combining would read the corrupt contents
 		}
-		own := t.childCount(i, lvl[j].Rng)
+		own := t.childCount(i, lvl[j].Range())
 		if own >= 2*t.cfg.Fanout {
 			continue
 		}
-		cover := lvl[j-1].Rng.Union(lvl[j].Rng).Union(lvl[j+1].Rng)
+		cover := lvl[j-1].Range().Union(lvl[j].Range()).Union(lvl[j+1].Range())
 		tcn := t.childCount(i, cover)
 		if tcn <= 3*t.cfg.Fanout && tcn < bestTcn {
 			best, bestTcn = j, tcn
@@ -681,7 +622,7 @@ func (t *Tree) combineOne(i int) error {
 			if lvl[j].Quarantined() {
 				continue
 			}
-			own := t.childCount(i, lvl[j].Rng)
+			own := t.childCount(i, lvl[j].Range())
 			if own < fewest {
 				best, fewest = j, own
 			}

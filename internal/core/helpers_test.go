@@ -88,8 +88,9 @@ func TestChildSpanBinarySearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nd.Rng = kv.MakeRange(lo, hi)
-		tr.Add(2, nd)
+		if err := tr.Apply(new(tableset.Change).PlaceAs(2, nd, kv.MakeRange(lo, hi))); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	cases := []struct {
@@ -149,10 +150,11 @@ func TestDeepVerifyCatchesRangeViolation(t *testing.T) {
 	// its data falls outside.
 	tr.Mu.Lock()
 	var victim *tableset.Table
+	var level int
 	for i := 1; i <= tr.n() && victim == nil; i++ {
 		for _, nd := range tr.Level(i) {
 			if nd.Entries() > 10 {
-				victim = nd
+				victim, level = nd, i
 				break
 			}
 		}
@@ -161,8 +163,12 @@ func TestDeepVerifyCatchesRangeViolation(t *testing.T) {
 		tr.Mu.Unlock()
 		t.Skip("no node with enough data")
 	}
-	victim.Rng = kv.MakeRange(victim.Rng.Lo, append([]byte(nil), victim.Rng.Lo...))
+	lo := victim.Range().Lo
+	err := tr.Apply(new(tableset.Change).Drop(level, victim).PlaceAs(level, victim, kv.MakeRange(lo, lo)))
 	tr.Mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := tr.CheckInvariants(); err == nil {
 		t.Fatal("CheckInvariants missed the corrupted range")
 	}

@@ -46,7 +46,7 @@ func TestFigure4LeafFlushMergesFullChildOnly(t *testing.T) {
 		t.Skip("empty leaf level")
 	}
 	victim := tr.Level(leaf)[0]
-	victimRange := victim.Rng
+	victimRange := victim.Range()
 	tr.Mu.Unlock()
 
 	// Write keys inside the victim's range until it is full, flushing

@@ -62,7 +62,7 @@ type Engine interface {
 	// any half-applied edit sequence is superseded.
 	Resume() error
 	// CheckInvariants validates the structural invariants (level
-	// ordering, range containment, manifest agreement).
+	// ordering, range containment, files present).
 	CheckInvariants() error
 	// Quarantine fences the table with file number num after detected
 	// corruption, reporting whether the mark is new: a quarantined table

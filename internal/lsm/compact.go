@@ -4,7 +4,6 @@ import (
 	"iamdb/internal/engine"
 	"iamdb/internal/iterator"
 	"iamdb/internal/kv"
-	"iamdb/internal/manifest"
 	"iamdb/internal/metrics"
 	"iamdb/internal/tableset"
 )
@@ -17,6 +16,7 @@ func (d *DB) Flush(it iterator.Iterator) error {
 	d.stats.CountFlush()
 	start := d.cfg.Clock.Now()
 	sp := d.cfg.Trace.Begin("lsm.flush")
+	defer sp.End()
 	sp.SetLevel(0)
 	filtered := engine.DropObsolete(it, d.Horizon(), false, d.cfg.OnDrop)
 	filtered.First()
@@ -26,16 +26,11 @@ func (d *DB) Flush(it iterator.Iterator) error {
 		return err
 	}
 	d.stats.AddFlushBytes(0, bytes)
-	edit := &manifest.Edit{NextFile: d.NextFile(), SetNextFile: true}
 	for _, f := range files {
 		sp.AddOut(f.ID())
-		edit.Added = append(edit.Added, d.Record(0, f))
 	}
-	d.Add(0, files...)
-	err = d.Commit(edit)
 	sp.SetBytes(bytes)
-	sp.End()
-	return err
+	return d.Apply(new(tableset.Change).Place(0, files...))
 }
 
 // overflowTolerance is the score at which the LevelDB profile finally
@@ -82,10 +77,10 @@ func (d *DB) compactionBlocked(i int) bool {
 	}
 	var span kv.Range
 	for _, f := range inputs {
-		span = span.Union(f.Rng)
+		span = span.Union(f.Range())
 	}
 	for _, f := range d.Level(i + 1) {
-		if f.Quarantined() && f.Rng.Overlaps(span) {
+		if f.Quarantined() && f.Range().Overlaps(span) {
 			return true
 		}
 	}
@@ -168,11 +163,11 @@ func (d *DB) compactLevel(i int) error {
 	}
 	var span kv.Range
 	for _, f := range inputs {
-		span = span.Union(f.Rng)
+		span = span.Union(f.Range())
 	}
 	var overlaps []*tableset.Table
 	for _, f := range d.Level(i + 1) {
-		if f.Rng.Overlaps(span) {
+		if f.Range().Overlaps(span) {
 			if f.Quarantined() {
 				// Merging through a fenced file would either fail on its
 				// corruption or rewrite away the evidence; leave this
@@ -192,14 +187,9 @@ func (d *DB) compactLevel(i int) error {
 		mv.SetLevel(i + 1)
 		mv.AddIn(f.ID())
 		mv.AddOut(f.ID()) // the file survives the move, re-homed a level down
-		d.Remove(i, f)
-		d.Add(i+1, f)
 		d.stats.CountMove(i + 1)
 		d.cfg.Events.MoveEnd(metrics.MoveInfo{FromLevel: i, ToLevel: i + 1})
-		err := d.Commit(&manifest.Edit{
-			Deleted: []manifest.NodeRef{{Level: i, FileNum: f.ID()}},
-			Added:   []manifest.NodeRecord{d.Record(i+1, f)},
-		})
+		err := d.Apply(new(tableset.Change).Drop(i, f).Place(i+1, f))
 		mv.End()
 		return err
 	}
@@ -221,6 +211,7 @@ func (d *DB) compactLevel(i int) error {
 	}
 	start := d.cfg.Clock.Now()
 	sp := d.cfg.Trace.Begin("lsm.compact")
+	defer sp.End()
 	sp.SetLevel(i + 1)
 	for _, f := range inputs {
 		d.stats.AddReadBytes(i, f.DataSize())
@@ -242,25 +233,12 @@ func (d *DB) compactLevel(i int) error {
 	d.stats.AddFlushBytes(i+1, bytes)
 	d.cfg.Events.MergeEnd(metrics.MergeInfo{Level: i + 1, Bytes: bytes, Duration: d.cfg.Clock.Now() - start})
 
-	edit := &manifest.Edit{NextFile: d.NextFile(), SetNextFile: true}
-	for _, f := range inputs {
-		d.Remove(i, f)
-		edit.Deleted = append(edit.Deleted, manifest.NodeRef{Level: i, FileNum: f.ID()})
-	}
-	for _, f := range overlaps {
-		d.Remove(i+1, f)
-		edit.Deleted = append(edit.Deleted, manifest.NodeRef{Level: i + 1, FileNum: f.ID()})
-	}
 	for _, f := range files {
 		sp.AddOut(f.ID())
-		edit.Added = append(edit.Added, d.Record(i+1, f))
 	}
-	d.Add(i+1, files...)
-	err = d.Commit(edit, append(inputs, overlaps...)...)
 	sp.SetBytes(bytes)
 	sp.SetCount(int64(len(files)))
-	sp.End()
-	return err
+	return d.Apply(new(tableset.Change).Drop(i, inputs...).Drop(i+1, overlaps...).Place(i+1, files...))
 }
 
 // isBottom reports whether no level deeper than dst holds data.
@@ -283,7 +261,7 @@ func (d *DB) pickFileRoundRobin(i int) *tableset.Table {
 		if f.Quarantined() {
 			continue
 		}
-		if cur == nil || kv.CompareUser(f.Rng.Lo, cur) > 0 {
+		if cur == nil || kv.CompareUser(f.Range().Lo, cur) > 0 {
 			return f
 		}
 	}

@@ -37,7 +37,7 @@ func (s *Set) newConcatIter(tables []*Table) *concatIter {
 	l := &concatIter{s: s, views: make([]tableView, len(tables))}
 	for j, tb := range tables {
 		tb.refs++
-		l.views[j] = tableView{tb: tb, rng: tb.Rng, nseq: tb.NumSeqs()}
+		l.views[j] = tableView{tb: tb, rng: tb.rng, nseq: tb.NumSeqs()}
 	}
 	return l
 }

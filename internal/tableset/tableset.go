@@ -13,7 +13,7 @@
 // Two durability orderings are enforced here and nowhere else:
 //   - sync-before-edit: Build hands out a table only once its file is
 //     synced, so no manifest edit can name unwritten data;
-//   - edit-before-delete: Commit removes a dropped table's file only after
+//   - edit-before-delete: Apply removes a dropped table's file only after
 //     the edit that stops naming it is durable, so the manifest never
 //     names a missing file.
 package tableset
@@ -21,6 +21,7 @@ package tableset
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -69,8 +70,9 @@ type Config struct {
 // (the trees assign ranges; the LSM baselines use the data bounds).
 type Table struct {
 	*table.Table
-	// Rng is guarded by Set.Mu; after changing it call Set.Sort.
-	Rng  kv.Range
+	// rng is guarded by Set.Mu.  It starts as the manifest's record (load)
+	// or the data span (Build); after that only Apply writes it.
+	rng  kv.Range
 	refs int32 // guarded by Set.Mu; the handle closes at zero
 	// quarantined fences the table after detected corruption: it keeps
 	// serving whatever reads still succeed, but engines never pick it as
@@ -83,12 +85,19 @@ type Table struct {
 // Quarantined reports the fence; caller holds Set.Mu.
 func (tb *Table) Quarantined() bool { return tb.quarantined }
 
+// Range returns the assigned range; caller holds Set.Mu.  A reader that
+// outlives Mu keeps the value it read under it (see tableView): Apply
+// replaces the range, it never writes through the slices handed out here.
+func (tb *Table) Range() kv.Range { return tb.rng }
+
 // Set is the table set.  Methods documented "caller holds Mu" are the
-// engines' structural vocabulary; every other method takes Mu itself and
-// is safe for concurrent use.  Reads go through table handles pinned by
-// reference counts, so they hold Mu only to pick their tables; a view
-// that outlives Mu is the tables, ranges and sequence counts captured
-// under it (the trees append to live tables in place, see tableView).
+// engines' structural vocabulary: they read the levels, Build tables and
+// publish every change of placement through Apply.  Every other method
+// takes Mu itself and is safe for concurrent use.  Reads go through table
+// handles pinned by reference counts, so they hold Mu only to pick their
+// tables; a view that outlives Mu is the tables, ranges and sequence
+// counts captured under it (the trees append to live tables in place,
+// see tableView).
 // Filesystem-layer locks nest below Mu (manifest rotation renames under
 // it), and the trace recorder's ring lock is a leaf the engines take
 // while holding it:
@@ -100,10 +109,13 @@ type Set struct {
 
 	levels   [][]*Table
 	nextFile uint64
-	man      *manifest.Log // nil in a read-only set
-	horizon  kv.Seq
-	logSeq   kv.Seq
-	logNum   uint64
+	// nextFileMoved: Build took a file number the manifest has not been
+	// told about; the next edit of Apply records the counter.
+	nextFileMoved bool
+	man           *manifest.Log // nil in a read-only set
+	horizon       kv.Seq
+	logSeq        kv.Seq
+	logNum        uint64
 	// recoveryDropped is the byte count the manifest replay discarded at
 	// its tail on open (a torn final append).
 	recoveryDropped int64
@@ -183,7 +195,7 @@ func load(cfg Config) (s *Set, existed bool, err error) {
 				}
 				return nil, true, fmt.Errorf("tableset: open table %d: %w", rec.FileNum, err)
 			}
-			tb := &Table{Table: tbl, Rng: kv.MakeRange(rec.Lo, rec.Hi), refs: 1}
+			tb := &Table{Table: tbl, rng: kv.MakeRange(rec.Lo, rec.Hi), refs: 1}
 			if serr := tbl.Suspect(); serr != nil {
 				// Opened on a fallback footer slot or with other evidence
 				// of damage: keep the table readable but fenced.
@@ -193,7 +205,7 @@ func load(cfg Config) (s *Set, existed bool, err error) {
 		}
 	}
 	for lvl := range s.levels {
-		s.Sort(lvl)
+		s.sortLevel(lvl)
 	}
 	return s, true, nil
 }
@@ -214,7 +226,7 @@ func (s *Set) snapshot() *manifest.State {
 	}
 	for lvl, tables := range s.levels {
 		for _, tb := range tables {
-			st.Levels[lvl] = append(st.Levels[lvl], s.Record(lvl, tb))
+			st.Levels[lvl] = append(st.Levels[lvl], record(lvl, tb))
 		}
 	}
 	return st
@@ -235,7 +247,7 @@ func (s *Set) rewriteManifest() error {
 	if s.man != nil {
 		_ = s.man.Close()
 	}
-	s.man = man
+	s.man, s.nextFileMoved = man, false // the snapshot names the counter
 	return nil
 }
 
@@ -273,7 +285,7 @@ func (s *Set) SetLogMeta(lastSeq kv.Seq, logNum uint64) error {
 	s.Mu.Lock()
 	defer s.Mu.Unlock()
 	s.logSeq, s.logNum = lastSeq, logNum
-	return s.Commit(&manifest.Edit{
+	return s.commit(&manifest.Edit{
 		LastSeq: lastSeq, SetLastSeq: true,
 		LogNum: logNum, SetLogNum: true,
 		NextFile: s.nextFile, SetNextFile: true,
@@ -295,54 +307,149 @@ func (s *Set) LogMeta() (kv.Seq, uint64) {
 func (s *Set) NumLevels() int { return len(s.levels) }
 
 // Level returns level i's tables in level order.  The slice is the live
-// one: read it under Mu and change it only through Add, Remove and Sort.
+// one: read it under Mu; only Apply changes it.
 func (s *Set) Level(i int) []*Table { return s.levels[i] }
-
-// NextFile returns the next unassigned file number, for edits that
-// record it.
-func (s *Set) NextFile() uint64 { return s.nextFile }
 
 // Grow opens a new empty deepest level and records the new level count.
 func (s *Set) Grow() error {
 	s.levels = append(s.levels, nil)
-	return s.Commit(&manifest.Edit{NumLevels: len(s.levels) - s.cfg.MinLevel, SetLevels: true})
+	return s.commit(&manifest.Edit{NumLevels: len(s.levels) - s.cfg.MinLevel, SetLevels: true})
 }
 
-// Add places tables on level i and restores the level's order.
-func (s *Set) Add(i int, tables ...*Table) {
-	s.levels[i] = append(s.levels[i], tables...)
-	s.Sort(i)
+// Change is one structural step, stated as placement and nothing else:
+// these tables leave these levels, these tables arrive on these levels
+// with these ranges.  A table named on both sides moves, or is re-ranged
+// where it stands, and stays the set's.
+type Change struct {
+	drops, places []placement
 }
 
-// Remove takes tb off level i.  The set's reference stays with tb until
-// a Commit drops it (or Add re-homes it on another level).
-func (s *Set) Remove(i int, tb *Table) {
-	lvl := s.levels[i]
-	for j, x := range lvl {
-		if x == tb {
-			s.levels[i] = append(lvl[:j], lvl[j+1:]...)
-			return
+type placement struct {
+	level int
+	tb    *Table
+	rng   kv.Range // of an arrival
+}
+
+// Drop takes tables off level.
+func (c *Change) Drop(level int, tables ...*Table) *Change {
+	for _, tb := range tables {
+		c.drops = append(c.drops, placement{level: level, tb: tb})
+	}
+	return c
+}
+
+// Place puts tables on level with the ranges they have: the data span
+// for a table fresh from Build, the current range for one that moves.
+func (c *Change) Place(level int, tables ...*Table) *Change {
+	for _, tb := range tables {
+		c.PlaceAs(level, tb, tb.rng)
+	}
+	return c
+}
+
+// PlaceAs puts tb on level with the assigned range rng, which must cover
+// the table's data.
+func (c *Change) PlaceAs(level int, tb *Table, rng kv.Range) *Change {
+	c.places = append(c.places, placement{level, tb, rng})
+	return c
+}
+
+// Apply publishes c, in this order:
+//
+//  1. memory: the drops leave their levels, each arrival takes its range
+//     and joins its level, and the levels that gained a table are put
+//     back in order (file number on level 0, range low end below);
+//  2. manifest: one edit — the drops as deletions and the arrivals as
+//     additions, both in the order stated, plus the file counter if Build
+//     moved it since the manifest last named it — is appended and synced;
+//  3. release: every dropped table c does not place again loses the
+//     set's reference (the handle closes once the last reader lets go)
+//     and, only if the edit is durable, its file: a crash between a
+//     durable remove and an unsynced edit would leave the manifest naming
+//     a missing file and the set unopenable.  After a failed edit the file
+//     stays: an orphan wastes space but cannot be resurrected (recovery
+//     loads only files the manifest names), and Resume rewrites the
+//     manifest from memory anyway.
+//
+// The edit's error is returned; memory keeps the change either way.
+// Apply neither refuses nor repairs a level >= 1 whose ranges overlap.
+func (s *Set) Apply(c *Change) error {
+	e := &manifest.Edit{}
+	for _, d := range c.drops {
+		found := s.remove(d.level, d.tb)
+		if invariants.Enabled {
+			invariants.Assertf(found, "table %d dropped from level %d, where it is not", d.tb.ID(), d.level)
+		}
+		e.Deleted = append(e.Deleted, manifest.NodeRef{Level: d.level, FileNum: d.tb.ID()})
+	}
+	for j, p := range c.places {
+		if invariants.Enabled {
+			twice := slices.ContainsFunc(c.places[:j], func(q placement) bool { return q.tb == p.tb })
+			invariants.Assertf(!twice, "table %d placed twice", p.tb.ID())
+		}
+		p.tb.rng = p.rng
+		s.levels[p.level] = append(s.levels[p.level], p.tb)
+		e.Added = append(e.Added, record(p.level, p.tb))
+		if j+1 == len(c.places) || c.places[j+1].level != p.level {
+			s.sortLevel(p.level)
 		}
 	}
+	if s.nextFileMoved {
+		e.NextFile, e.SetNextFile = s.nextFile, true
+	}
+	err := s.commit(e)
+	for _, d := range c.drops {
+		if slices.ContainsFunc(c.places, func(p placement) bool { return p.tb == d.tb }) {
+			continue // moved or re-ranged: still the set's
+		}
+		s.cfg.Events.TableDeleted(metrics.TableInfo{FileNum: d.tb.ID(), Level: -1, Bytes: d.tb.DataSize()})
+		d.tb.EvictBlocks()
+		s.unrefLocked(d.tb)
+		if err == nil {
+			_ = s.cfg.FS.Remove(s.path(d.tb.ID()))
+		}
+	}
+	return err
 }
 
-// Sort restores level i's order: file number on level 0, range below.
-func (s *Set) Sort(i int) {
+// commit announces e and appends it to the manifest: the one place an
+// edit is written, for Apply, Grow and SetLogMeta alike.
+func (s *Set) commit(e *manifest.Edit) error {
+	s.cfg.Events.ManifestEdit(metrics.ManifestEditInfo{Adds: len(e.Added), Deletes: len(e.Deleted)})
+	err := s.man.Append(e)
+	if err == nil && e.SetNextFile {
+		s.nextFileMoved = false
+	}
+	return err
+}
+
+// remove takes tb off level i, reporting whether it was there.
+func (s *Set) remove(i int, tb *Table) bool {
+	lvl := s.levels[i]
+	j := slices.Index(lvl, tb)
+	if j >= 0 {
+		s.levels[i] = append(lvl[:j], lvl[j+1:]...)
+	}
+	return j >= 0
+}
+
+// sortLevel restores level i's order: file number on level 0, range below.
+func (s *Set) sortLevel(i int) {
 	lvl := s.levels[i]
 	if i == 0 {
 		sort.Slice(lvl, func(a, b int) bool { return lvl[a].ID() < lvl[b].ID() })
 		return
 	}
-	sort.Slice(lvl, func(a, b int) bool { return kv.CompareUser(lvl[a].Rng.Lo, lvl[b].Rng.Lo) < 0 })
+	sort.Slice(lvl, func(a, b int) bool { return kv.CompareUser(lvl[a].rng.Lo, lvl[b].rng.Lo) < 0 })
 }
 
 // Find returns the table of level i >= 1 whose range contains ukey.
 func (s *Set) Find(i int, ukey []byte) *Table {
 	lvl := s.levels[i]
 	idx := sort.Search(len(lvl), func(j int) bool {
-		return kv.CompareUser(ukey, lvl[j].Rng.Hi) <= 0
+		return kv.CompareUser(ukey, lvl[j].rng.Hi) <= 0
 	})
-	if idx < len(lvl) && lvl[idx].Rng.Contains(ukey) {
+	if idx < len(lvl) && lvl[idx].rng.Contains(ukey) {
 		return lvl[idx]
 	}
 	return nil
@@ -360,19 +467,19 @@ func (s *Set) ActiveCount(i int) int {
 	return n
 }
 
-// Record renders tb's placement on level lvl as a manifest record.
-func (s *Set) Record(lvl int, tb *Table) manifest.NodeRecord {
-	return manifest.NodeRecord{Level: lvl, FileNum: tb.ID(), Lo: tb.Rng.Lo, Hi: tb.Rng.Hi}
+// record renders tb's placement on level lvl as a manifest record.
+func record(lvl int, tb *Table) manifest.NodeRecord {
+	return manifest.NodeRecord{Level: lvl, FileNum: tb.ID(), Lo: tb.rng.Lo, Hi: tb.rng.Hi}
 }
 
 // Build creates the next table file, writes src into it as one sorted
 // sequence (nil leaves the table empty) and syncs it: a *Table exists
 // only once its file is durable, which is the sync-before-edit rule.  A
 // failed build removes its half-written file.  The table comes back
-// referenced once, on no level, with Rng set to its data span.
+// referenced once, on no level, with its range set to its data span.
 func (s *Set) Build(capacity int64, src iterator.Iterator) (*Table, int64, error) {
 	num := s.nextFile
-	s.nextFile++
+	s.nextFile, s.nextFileMoved = num+1, true
 	tbl, err := table.Create(s.cfg.FS, s.path(num), num, capacity, s.tableOptions())
 	if err != nil {
 		return nil, 0, err
@@ -391,7 +498,7 @@ func (s *Set) Build(capacity int64, src iterator.Iterator) (*Table, int64, error
 		return nil, 0, err
 	}
 	s.cfg.Events.TableCreated(metrics.TableInfo{FileNum: num, Level: -1, Bytes: res.Bytes})
-	return &Table{Table: tbl, Rng: tbl.UserRange(), refs: 1}, res.Bytes, nil
+	return &Table{Table: tbl, rng: tbl.UserRange(), refs: 1}, res.Bytes, nil
 }
 
 // BuildRuns drains a positioned iterator into fresh tables of at most
@@ -447,29 +554,6 @@ func (s *Set) BuildRuns(it iterator.Iterator, limit, floorCapacity int64) ([]*Ta
 	return tables, total, nil
 }
 
-// Commit appends e to the manifest and then releases the tables the edit
-// dropped (the caller has already taken them off their levels).  Each
-// loses the set's reference — the handle closes once the last reader
-// lets go — and its file is removed only if the edit is durable: a crash
-// between a durable remove and an unsynced edit would leave the manifest
-// naming a missing file and the set unopenable.  After a failed edit the
-// file is kept; an orphan wastes space but cannot be resurrected
-// (recovery loads only files the manifest names) and Resume rewrites the
-// manifest from memory anyway.
-func (s *Set) Commit(e *manifest.Edit, dropped ...*Table) error {
-	s.cfg.Events.ManifestEdit(metrics.ManifestEditInfo{Adds: len(e.Added), Deletes: len(e.Deleted)})
-	err := s.man.Append(e)
-	for _, tb := range dropped {
-		s.cfg.Events.TableDeleted(metrics.TableInfo{FileNum: tb.ID(), Level: -1, Bytes: tb.DataSize()})
-		tb.EvictBlocks()
-		s.unrefLocked(tb)
-		if err == nil {
-			_ = s.cfg.FS.Remove(s.path(tb.ID()))
-		}
-	}
-	return err
-}
-
 func (s *Set) unrefLocked(tb *Table) {
 	tb.refs--
 	if invariants.Enabled {
@@ -499,7 +583,7 @@ func (s *Set) Get(ukey []byte, snap kv.Seq) ([]byte, kv.Kind, kv.Seq, bool, erro
 	s.Mu.Lock()
 	var cands []*Table
 	for l0, i := s.levels[0], len(s.levels[0])-1; i >= 0; i-- {
-		if l0[i].Rng.Contains(ukey) {
+		if l0[i].rng.Contains(ukey) {
 			l0[i].refs++
 			cands = append(cands, l0[i])
 		}
@@ -593,8 +677,8 @@ func (s *Set) ApproximateSize(lo, hi []byte) int64 {
 	for _, lvl := range s.levels {
 		for _, tb := range lvl {
 			switch {
-			case !tb.Rng.Overlaps(rng):
-			case rng.Contains(tb.Rng.Lo) && rng.Contains(tb.Rng.Hi):
+			case !tb.rng.Overlaps(rng):
+			case rng.Contains(tb.rng.Lo) && rng.Contains(tb.rng.Hi):
 				total += tb.DataSize()
 			default:
 				total += tb.DataSize() / 2

@@ -36,7 +36,7 @@ func run(seq kv.Seq, ukeys ...string) iterator.Iterator {
 }
 
 // place builds a table from src and publishes it on level lvl the way an
-// engine does: Build, Add, Commit.
+// engine does: Build, Apply.
 func place(t *testing.T, s *Set, lvl int, src iterator.Iterator) *Table {
 	t.Helper()
 	s.Mu.Lock()
@@ -45,22 +45,21 @@ func place(t *testing.T, s *Set, lvl int, src iterator.Iterator) *Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Add(lvl, tb)
-	if err := s.Commit(&manifest.Edit{
-		Added:    []manifest.NodeRecord{s.Record(lvl, tb)},
-		NextFile: s.NextFile(), SetNextFile: true,
-	}); err != nil {
+	if err := s.Apply(new(Change).Place(lvl, tb)); err != nil {
 		t.Fatal(err)
 	}
 	return tb
 }
 
-// drop removes tb from level lvl the way an engine does: Remove, Commit.
+// drop removes tb from level lvl the way an engine does.
 func drop(s *Set, lvl int, tb *Table) error {
+	return apply(s, new(Change).Drop(lvl, tb))
+}
+
+func apply(s *Set, c *Change) error {
 	s.Mu.Lock()
 	defer s.Mu.Unlock()
-	s.Remove(lvl, tb)
-	return s.Commit(&manifest.Edit{Deleted: []manifest.NodeRef{{Level: lvl, FileNum: tb.ID()}}}, tb)
+	return s.Apply(c)
 }
 
 func get(t *testing.T, s *Set, ukey string) string {
@@ -158,9 +157,11 @@ func TestLevelIteratorRoutesByRangesAtCreation(t *testing.T) {
 	if _, err := a.AppendFrom(src, 1<<62); err != nil {
 		t.Fatal(err)
 	}
-	a.Rng = a.Rng.Union(kv.MakeRange([]byte("b5"), []byte("b5")))
-	s.Sort(1)
+	err := s.Apply(new(Change).Drop(1, a).PlaceAs(1, a, a.Range().Union(kv.MakeRange([]byte("b5"), []byte("b5")))))
 	s.Mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if got := get(t, s, "b5"); got != "b5@2" {
 		t.Fatalf("live read of the appended key: %q", got)

@@ -22,16 +22,16 @@ func (s *Set) CheckInvariants() error {
 func (s *Set) CheckStructure() error {
 	for i, lvl := range s.levels {
 		for j, tb := range lvl {
-			if kv.CompareUser(tb.Rng.Lo, tb.Rng.Hi) > 0 {
-				return fmt.Errorf("L%d table %d has inverted range %v", i, tb.ID(), tb.Rng)
+			if kv.CompareUser(tb.rng.Lo, tb.rng.Hi) > 0 {
+				return fmt.Errorf("L%d table %d has inverted range %v", i, tb.ID(), tb.rng)
 			}
 			if !s.cfg.FS.Exists(s.path(tb.ID())) {
 				return fmt.Errorf("L%d table %d missing on disk", i, tb.ID())
 			}
 			if tb.Entries() > 0 {
 				dr := tb.UserRange()
-				if !tb.Rng.Contains(dr.Lo) || !tb.Rng.Contains(dr.Hi) {
-					return fmt.Errorf("L%d table %d: data %v outside range %v", i, tb.ID(), dr, tb.Rng)
+				if !tb.rng.Contains(dr.Lo) || !tb.rng.Contains(dr.Hi) {
+					return fmt.Errorf("L%d table %d: data %v outside range %v", i, tb.ID(), dr, tb.rng)
 				}
 			}
 			if j == 0 {
@@ -41,8 +41,8 @@ func (s *Set) CheckStructure() error {
 			if i == 0 && prev.ID() >= tb.ID() {
 				return fmt.Errorf("L0: tables %d and %d out of file order", prev.ID(), tb.ID())
 			}
-			if i > 0 && !prev.Rng.Before(tb.Rng) {
-				return fmt.Errorf("L%d: ranges %v and %v not disjoint/sorted", i, prev.Rng, tb.Rng)
+			if i > 0 && !prev.rng.Before(tb.rng) {
+				return fmt.Errorf("L%d: ranges %v and %v not disjoint/sorted", i, prev.rng, tb.rng)
 			}
 		}
 	}
@@ -67,8 +67,8 @@ func (r VerifyReport) String() string {
 // DeepVerify walks every table and sequence of every level, checking the
 // structural and data invariants no engine policy is needed for:
 //
-//  1. assigned ranges sorted and disjoint below level 0, covering their
-//     table's data,
+//  1. everything CheckStructure checks: files present, assigned ranges
+//     sorted and disjoint below level 0 and covering their table's data,
 //  2. per-sequence metadata bounds match the actual keys,
 //  3. sequences iterate in strict internal-key order,
 //  4. every user key probes positive in its sequence's Bloom filter,
@@ -80,13 +80,12 @@ func (s *Set) DeepVerify() (VerifyReport, error) {
 	s.Mu.Lock()
 	defer s.Mu.Unlock()
 	rep := VerifyReport{Levels: len(s.levels) - s.cfg.MinLevel}
+	if err := s.CheckStructure(); err != nil {
+		return rep, err
+	}
 	for i, lvl := range s.levels {
-		for j, tb := range lvl {
+		for _, tb := range lvl {
 			rep.Nodes++
-			if i > 0 && j > 0 && !lvl[j-1].Rng.Before(tb.Rng) {
-				return rep, fmt.Errorf("L%d: node %d range %v not after %v",
-					i, tb.ID(), tb.Rng, lvl[j-1].Rng)
-			}
 			if err := verifyTable(i, tb, &rep); err != nil {
 				return rep, err
 			}
@@ -113,9 +112,9 @@ func verifyTable(lvl int, tb *Table, rep *VerifyReport) error {
 			if !ok {
 				return fmt.Errorf("L%d node %d seq %d: bad internal key", lvl, tb.ID(), s)
 			}
-			if !tb.Rng.Contains(u) {
+			if !tb.rng.Contains(u) {
 				return fmt.Errorf("L%d node %d seq %d: key %q outside assigned range %v",
-					lvl, tb.ID(), s, u, tb.Rng)
+					lvl, tb.ID(), s, u, tb.rng)
 			}
 			if kv.CompareInternal(k, meta.Smallest) < 0 || kv.CompareInternal(k, meta.Largest) > 0 {
 				return fmt.Errorf("L%d node %d seq %d: key %q outside metadata bounds",
