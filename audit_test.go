@@ -27,15 +27,22 @@ var calledThroughInterfaces = map[string]bool{
 // Name-level matching is coarse — a method shares its name with every
 // namesake — but it needs no type checker, and a declaration that
 // nothing even names is certainly dead.
+//
+// The root package's unexported funcs and methods are audited too, by
+// call form, since their names (size, flush, close) are everyone's
+// variable names: a method counts as used when some file of the package
+// selects it (x.name: a call, a method value, a method expression), a
+// func when one calls it.
 func TestEveryDeclarationIsReferenced(t *testing.T) {
 	fset := token.NewFileSet()
 	type decl struct {
 		name string
 		pos  token.Pos
 	}
-	var decls []decl
+	var decls, rootFuncs, rootMethods []decl
 	declared := map[token.Pos]bool{}
 	used := map[string]bool{}
+	rootSelected, rootCalled := map[string]bool{}, map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -82,9 +89,32 @@ func TestEveryDeclarationIsReferenced(t *testing.T) {
 				}
 			}
 		}
+		inRoot := !strings.Contains(path, "/")
+		if inRoot && !strings.HasSuffix(path, "_test.go") {
+			for _, d := range file.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && !fn.Name.IsExported() && fn.Name.Name != "init" {
+					if fn.Recv != nil {
+						rootMethods = append(rootMethods, decl{fn.Name.Name, fn.Name.Pos()})
+					} else {
+						rootFuncs = append(rootFuncs, decl{fn.Name.Name, fn.Name.Pos()})
+					}
+				}
+			}
+		}
 		ast.Inspect(file, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id.Pos()] {
-				used[id.Name] = true
+			switch n := n.(type) {
+			case *ast.Ident:
+				if !declared[n.Pos()] {
+					used[n.Name] = true
+				}
+			case *ast.SelectorExpr:
+				if inRoot {
+					rootSelected[n.Sel.Name] = true
+				}
+			case *ast.CallExpr:
+				if id, ok := n.Fun.(*ast.Ident); ok && inRoot {
+					rootCalled[id.Name] = true
+				}
 			}
 			return true
 		})
@@ -100,6 +130,19 @@ func TestEveryDeclarationIsReferenced(t *testing.T) {
 		if !used[d.name] {
 			t.Errorf("%s: %s is referenced nowhere in the module: delete it, or list it in calledThroughInterfaces",
 				fset.Position(d.pos), d.name)
+		}
+	}
+	if len(rootFuncs) == 0 || len(rootMethods) == 0 {
+		t.Fatal("found no unexported funcs or methods in the root package")
+	}
+	for _, d := range rootMethods {
+		if !rootSelected[d.name] {
+			t.Errorf("%s: method %s is selected nowhere in the root package: delete it", fset.Position(d.pos), d.name)
+		}
+	}
+	for _, d := range rootFuncs {
+		if !rootCalled[d.name] {
+			t.Errorf("%s: func %s is called nowhere in the root package: delete it", fset.Position(d.pos), d.name)
 		}
 	}
 }
@@ -128,6 +171,73 @@ func TestEnginesDoNotImportManifest(t *testing.T) {
 					t.Errorf("%s imports internal/manifest: publish the change through tableset.Set.Apply", path)
 				}
 			}
+		}
+	}
+}
+
+// receiverMethods returns the names of the methods the non-test files of
+// dir declare on the named type (by value or by pointer).
+func receiverMethods(t *testing.T, dir, typeName string) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob(dir + "/*.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("%s: %d files, %v: the test must run in the module root", dir, len(files), err)
+	}
+	methods := map[string]bool{}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range file.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil {
+				continue
+			}
+			recv := fn.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			if id, ok := recv.(*ast.Ident); ok && id.Name == typeName {
+				methods[fn.Name.Name] = true
+			}
+		}
+	}
+	return methods
+}
+
+// TestEngineContractIsPolicy keeps engine.Engine to the calls the two
+// engine families answer differently: every method of the interface must
+// be declared by core.Tree and by lsm.DB themselves.  One that either
+// satisfies only by promotion from the *tableset.Set it embeds has a
+// single implementation, so the store should ask its set for it instead.
+func TestEngineContractIsPolicy(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "internal/engine/engine.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var contract []string
+	ast.Inspect(file, func(n ast.Node) bool {
+		if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == "Engine" {
+			for _, m := range ts.Type.(*ast.InterfaceType).Methods.List {
+				for _, name := range m.Names {
+					contract = append(contract, name.Name)
+				}
+			}
+		}
+		return true
+	})
+	if len(contract) == 0 {
+		t.Fatal("found no methods in engine.Engine")
+	}
+	tree, db := receiverMethods(t, "internal/core", "Tree"), receiverMethods(t, "internal/lsm", "DB")
+	for _, m := range contract {
+		if !tree[m] || !db[m] {
+			t.Errorf("engine.Engine.%s: declared by core.Tree %v, by lsm.DB %v: a method only tableset.Set implements is not policy",
+				m, tree[m], db[m])
 		}
 	}
 }

@@ -159,12 +159,3 @@ func decodeOneBatch(rec []byte, mt *memtable.MemTable) (kv.Seq, []byte, error) {
 	}
 	return seq - 1, p, nil
 }
-
-// size estimates the memtable bytes the batch will occupy.
-func (b *Batch) size() int64 {
-	var n int64
-	for _, op := range b.ops {
-		n += int64(len(op.key) + len(op.val) + 24)
-	}
-	return n
-}

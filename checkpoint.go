@@ -3,6 +3,7 @@ package iamdb
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"iamdb/internal/vfs"
@@ -72,10 +73,8 @@ func (st *store) checkpoint(dstDir string) error {
 	if err := st.flushLocked(); err != nil {
 		return err
 	}
-	if st.settle != nil {
-		if err := st.settle(); err != nil {
-			return err
-		}
+	if err := st.eng.Settle(); err != nil {
+		return err
 	}
 	if err := st.fs.MkdirAll(dstDir); err != nil {
 		return err
@@ -96,28 +95,22 @@ func (st *store) checkpoint(dstDir string) error {
 	if err != nil {
 		return err
 	}
-	var tables, logs, vsegs []string
-	haveManifest := false
-	for _, name := range names {
-		switch {
-		case strings.HasSuffix(name, ".mst"):
-			tables = append(tables, name)
-		case strings.HasSuffix(name, ".log"):
-			logs = append(logs, name)
-		case strings.HasSuffix(name, vlog.SegmentSuffix):
-			vsegs = append(vsegs, name)
-		case name == "MANIFEST":
-			haveManifest = true
-		}
-	}
-	if !haveManifest {
+	if !slices.Contains(names, "MANIFEST") {
 		return fmt.Errorf("iamdb: checkpoint source %s has no manifest", st.dir)
 	}
 	// Data before metadata: every file the manifest will reference must
 	// be durable before the manifest exists at the destination.
-	for _, name := range append(append(append([]string(nil), tables...), logs...), vsegs...) {
+	for _, name := range names {
+		if !strings.HasSuffix(name, ".mst") && !strings.HasSuffix(name, vlog.SegmentSuffix) {
+			continue
+		}
 		if err := copyFile(st.fs, st.dir+"/"+name, dstDir+"/"+name); err != nil {
 			return fmt.Errorf("iamdb: checkpoint %s: %w", name, err)
+		}
+	}
+	for _, num := range logNums(names) {
+		if err := copyFile(st.fs, logName(st.dir, num), logName(dstDir, num)); err != nil {
+			return fmt.Errorf("iamdb: checkpoint %s: %w", logName(st.dir, num), err)
 		}
 	}
 	tmp := dstDir + "/MANIFEST.ckpt"

@@ -562,7 +562,7 @@ func (db *DB) MixedLevel() (m, k int) { return db.stores[0].mixedLevel() }
 func (db *DB) ApproximateSize(start, limit []byte) int64 {
 	var total int64
 	for _, st := range db.stores {
-		total += st.eng.ApproximateSize(start, limit)
+		total += st.set.ApproximateSize(start, limit)
 	}
 	return total
 }

@@ -200,7 +200,7 @@ func (db *DB) writeDebugLevels(w io.Writer, i int) {
 	}
 	fmt.Fprintf(w, "space used %.1f MB, write amplification %.2f\n",
 		mb(m.SpaceUsed), m.WriteAmplification())
-	if qs := st.eng.Quarantined(); len(qs) > 0 {
+	if qs := st.set.Quarantined(); len(qs) > 0 {
 		fmt.Fprintf(w, "\nquarantined tables (%d):\n", len(qs))
 		for _, qi := range qs {
 			fmt.Fprintf(w, "  L%-2d %06d %s — %s\n", qi.Level, qi.FileNum, qi.Path, qi.Reason)

@@ -128,7 +128,7 @@ func (c *Config) fileCapacity() int64 {
 // tableset.Table, an MSTable plus its assigned range.  The embedded set
 // supplies the levels (levels 1..n; level 0 stays empty, L0 is the
 // memtable), the manifest, the structural mutex Mu and every read and
-// reporting method of engine.Engine; what is left here is the policy —
+// reporting method; what is declared here is the policy, engine.Engine —
 // (m, k), the thresholds t^i — and the flush cascade.  All exported
 // methods are safe for concurrent use; structural changes serialize on Mu
 // while reads go through immutable node tables.
@@ -216,11 +216,13 @@ func (t *Tree) childCount(i int, rng kv.Range) int {
 	return end - start
 }
 
-// WorkStep and StallLevel are no-ops (the tree compacts inside Flush);
-// they stay in engine.Engine because db.go calls them unconditionally at
-// five sites, cheaper than an optional interface plus five assertions.
+// WorkStep, StallLevel and Settle are the tree's policy stated as
+// constants: the cascade that Flush runs restores every threshold before
+// it returns, so there is no background step to take, no debt to stall
+// writers over and nothing left to settle.
 func (t *Tree) WorkStep() (bool, error) { return false, nil }
 func (t *Tree) StallLevel() int         { return 0 }
+func (t *Tree) Settle() error           { return nil }
 
 // Stats implements engine.Engine.
 func (t *Tree) Stats() engine.StatsSnapshot { return t.stats.Snapshot() }

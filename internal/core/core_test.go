@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -479,18 +480,32 @@ func TestIAMDegeneratesToLSAWithHugeBudget(t *testing.T) {
 	}
 }
 
+// TestEngineInterfaceCompliance: the tree answers the three calls that
+// exist for the baselines' deferred work with constants, on a loaded
+// tree too — Flush left nothing to step through, stall over or settle.
 func TestEngineInterfaceCompliance(t *testing.T) {
 	tr, _ := testTree(t, IAM, 16*1024)
 	defer tr.Close()
+	loadRandom(t, tr, 3000, 11)
 	var e engine.Engine = tr
+	levels, stats := tr.Levels(), e.Stats()
+	if stats.Merges == 0 || stats.Appends == 0 {
+		t.Fatalf("the load reached no merge or no append: %+v", stats)
+	}
 	if did, err := e.WorkStep(); did || err != nil {
-		t.Error("tree WorkStep should be a no-op")
+		t.Errorf("WorkStep = %v, %v; the tree has no background step", did, err)
 	}
-	if e.StallLevel() != 0 {
-		t.Error("tree should not stall")
+	if lvl := e.StallLevel(); lvl != 0 {
+		t.Errorf("StallLevel = %d; the tree never stalls writers", lvl)
 	}
-	if e.SpaceUsed() != 0 {
-		t.Error("empty tree should use no space")
+	if err := e.Settle(); err != nil {
+		t.Errorf("Settle: %v", err)
+	}
+	if !reflect.DeepEqual(tr.Levels(), levels) || !reflect.DeepEqual(e.Stats(), stats) {
+		t.Errorf("Settle changed the tree: levels %v -> %v, stats %+v -> %+v", levels, tr.Levels(), stats, e.Stats())
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -398,7 +398,7 @@ func (t *Tree) appendToChild(dst int, kid *tableset.Table, sub *batch) error {
 	sp.AddIn(kid.ID())
 	it := sub.iter()
 	it.First()
-	res, err := kid.AppendFrom(it, 1<<62)
+	res, err := kid.AppendFrom(it)
 	if err != nil {
 		return err
 	}

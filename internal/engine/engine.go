@@ -1,24 +1,22 @@
-// Package engine defines the contract between the public DB layer and
-// the storage engines (the LSM baselines in internal/lsm and the
-// LSA/IAM trees in internal/core), plus helpers both sides share:
-// write-amplification statistics and the MVCC record filter applied
-// during merges.
+// Package engine holds what the two engine families (the LSM baselines in
+// internal/lsm, the LSA/IAM trees in internal/core) share as policy code:
+// the contract the DB layer drives them through, the per-level
+// write-amplification statistics, and the MVCC record filter applied
+// during merges.  Everything below the policy — levels, manifest, reads,
+// reporting — is internal/tableset, which the DB layer asks directly.
 package engine
 
 import (
-	"fmt"
 	"sync"
 
 	"iamdb/internal/iterator"
 	"iamdb/internal/kv"
-	"iamdb/internal/table"
 )
 
-// Engine is a storage tree: it accepts flushed memtables, performs its
-// own compaction, and serves reads.  Both engine families get everything
-// below "Close" from the table-set substrate (internal/tableset) they
-// stand on; what they implement themselves is when to act, what to pick
-// and how data moves.
+// Engine is the policy over a table set: when to act, what to pick and
+// how data moves (append, merge, move, split, combine).  These are the
+// calls core.Tree and lsm.DB answer differently; DESIGN.md, "Engines as
+// policy", has the table.
 type Engine interface {
 	// Flush writes one immutable memtable (as an internal-key ordered
 	// iterator) into the tree, performing whatever compaction cascade
@@ -30,70 +28,14 @@ type Engine interface {
 	// StallLevel reports write-throttle state: 0 none, 1 slowdown,
 	// 2 stop.  The DB layer translates this into write delays.
 	StallLevel() int
+	// Settle runs whatever work the policy still owes after the last
+	// Flush, to completion (the paper's "tuning phase", Sec. 6.2).
+	Settle() error
 	// Stats returns cumulative compaction statistics.
 	Stats() StatsSnapshot
-	// Get finds the newest version of ukey visible at snapshot snap.
-	Get(ukey []byte, snap kv.Seq) (val []byte, kind kv.Kind, seq kv.Seq, found bool, err error)
-	// NewIter returns a merged iterator over all on-disk data.
-	NewIter() iterator.Iterator
-	// SetHorizon tells the engine the oldest snapshot still active, so
-	// merges know which record versions remain reachable.
-	SetHorizon(h kv.Seq)
-	// Levels summarizes the current tree shape.
-	Levels() []LevelInfo
-	// SpaceUsed reports on-disk bytes (data + metadata, holes free).
-	SpaceUsed() int64
-	// ApproximateSize estimates the on-disk bytes stored within the
-	// user-key range [lo, hi].
-	ApproximateSize(lo, hi []byte) int64
-	// Close releases all resources.  The tree must be reopenable from
-	// its manifest afterwards.
-	Close() error
-
-	// SetLogMeta durably records the DB layer's WAL position; LogMeta
-	// returns the recorded one.
-	SetLogMeta(lastSeq kv.Seq, logNum uint64) error
-	LogMeta() (kv.Seq, uint64)
-	// RecoveryDropped reports the manifest bytes dropped as a torn tail
-	// during Open.
-	RecoveryDropped() int64
-	// Resume re-establishes a clean durable state after a background I/O
-	// error by rewriting the manifest from the in-memory tree, so that
-	// any half-applied edit sequence is superseded.
-	Resume() error
-	// CheckInvariants validates the structural invariants (level
-	// ordering, range containment, files present).
+	// CheckInvariants validates the table set's structure plus whatever
+	// the policy promises about it (the trees: level node counts).
 	CheckInvariants() error
-	// Quarantine fences the table with file number num after detected
-	// corruption, reporting whether the mark is new: a quarantined table
-	// keeps serving whatever reads still succeed but is never chosen as
-	// compaction input.  Quarantined lists the fenced tables.
-	Quarantine(num uint64, reason string) bool
-	Quarantined() []QuarantineInfo
-	// VisitTables walks the open tables for offline-style verification
-	// (DB.Scrub), without engine locks held during fn; returning an
-	// error stops the walk.
-	VisitTables(fn func(level int, num uint64, t *table.Table) error) error
-}
-
-// LevelInfo summarizes one level for reporting.
-type LevelInfo struct {
-	Level int
-	Nodes int
-	Bytes int64 // data bytes stored
-	Seqs  int   // total sorted sequences across nodes
-	// Quarantined counts nodes fenced off after detected corruption
-	// (still readable, never chosen as compaction input).
-	Quarantined int
-}
-
-func (l LevelInfo) String() string {
-	s := fmt.Sprintf("L%d: %d nodes, %d seqs, %.1f MiB",
-		l.Level, l.Nodes, l.Seqs, float64(l.Bytes)/(1<<20))
-	if l.Quarantined > 0 {
-		s += fmt.Sprintf(", %d quarantined", l.Quarantined)
-	}
-	return s
 }
 
 // Stats accumulates compaction-side counters, broken down by level.
@@ -352,16 +294,3 @@ func (d *dropIter) Err() error { return d.in.Err() }
 
 // Close implements iterator.Iterator.
 func (d *dropIter) Close() error { return d.in.Close() }
-
-// TableFileName builds the canonical table file name for a file number.
-func TableFileName(dir string, num uint64) string {
-	return fmt.Sprintf("%s/%06d.mst", dir, num)
-}
-
-// QuarantineInfo identifies one quarantined table for reporting.
-type QuarantineInfo struct {
-	Level   int
-	FileNum uint64
-	Path    string
-	Reason  string
-}

@@ -158,16 +158,3 @@ func TestStatsAccumulate(t *testing.T) {
 		t.Fatal("snapshot aliases internal state")
 	}
 }
-
-func TestTableFileName(t *testing.T) {
-	if got := TableFileName("db", 7); got != "db/000007.mst" {
-		t.Fatalf("got %q", got)
-	}
-}
-
-func TestLevelInfoString(t *testing.T) {
-	s := LevelInfo{Level: 2, Nodes: 3, Bytes: 2 << 20, Seqs: 5}.String()
-	if s == "" {
-		t.Fatal("empty string")
-	}
-}

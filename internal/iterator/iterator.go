@@ -64,12 +64,13 @@ func (Empty) Close() error { return nil }
 // keys are possible (they are not, in IamDB: sequence numbers are
 // unique), so tie order is effectively irrelevant here.
 type Merging struct {
-	cmp  Compare
-	kids []Iterator
-	h    mergeHeap
-	cur  Iterator
-	err  error
-	dir  dir
+	cmp   Compare
+	kids  []Iterator
+	rkids []ReverseIterator // kids again, once something moved backward
+	h     mergeHeap
+	cur   Iterator
+	err   error
+	dir   dir
 }
 
 // NewMerging builds a merging iterator.  It takes ownership of kids and

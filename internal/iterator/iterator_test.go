@@ -363,3 +363,58 @@ func TestMergingReverseLarge(t *testing.T) {
 		t.Fatalf("stopped %d early", i)
 	}
 }
+
+// TestMergingBackwardPositioningAllocs: positioning backward resolves the
+// children's reverse methods once per iterator, not once per call.
+func TestMergingBackwardPositioningAllocs(t *testing.T) {
+	var kids []Iterator
+	for c := 0; c < 8; c++ {
+		var ks []string
+		for i := 0; i < 64; i++ {
+			ks = append(ks, fmt.Sprintf("%04d", i*8+c))
+		}
+		kids = append(kids, sliceOf(ks...))
+	}
+	m := NewMerging(bytes.Compare, kids...)
+	target := []byte("0300")
+	allocs := testing.AllocsPerRun(100, func() {
+		m.SeekForPrev(target)
+		m.Prev()
+		if string(m.Key()) != "0299" {
+			t.Fatalf("at %q, want 0299", m.Key())
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("SeekForPrev + Prev over 8 children allocates %.0f times, want 0", allocs)
+	}
+}
+
+// forwardOnly hides a child's reverse methods, as the merge filters do.
+type forwardOnly struct{ Iterator }
+
+// TestMergingForwardOnlyChildPanicsOnBackwardCall: a merge over a child
+// that cannot run backward builds and runs forward (every compaction is
+// one); the first backward call panics.
+func TestMergingForwardOnlyChildPanicsOnBackwardCall(t *testing.T) {
+	m := NewMerging(bytes.Compare, sliceOf("a", "c"), forwardOnly{sliceOf("b", "d")})
+	var got []string
+	for m.First(); m.Valid(); m.Next() {
+		got = append(got, string(m.Key()))
+	}
+	if fmt.Sprint(got) != "[a b c d]" {
+		t.Fatalf("forward merge: %v", got)
+	}
+	m.Seek([]byte("c"))
+	for name, call := range map[string]func(){
+		"Last": m.Last, "SeekForPrev": func() { m.SeekForPrev([]byte("c")) }, "Prev": m.Prev,
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s over a forward-only child did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}

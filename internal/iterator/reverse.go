@@ -54,20 +54,6 @@ const (
 	dirBackward
 )
 
-// reverseKids returns the children as ReverseIterators, or nil if any
-// child cannot iterate backward.
-func (m *Merging) reverseKids() []ReverseIterator {
-	out := make([]ReverseIterator, len(m.kids))
-	for i, it := range m.kids {
-		r, ok := it.(ReverseIterator)
-		if !ok {
-			return nil
-		}
-		out[i] = r
-	}
-	return out
-}
-
 // Last implements ReverseIterator.  It panics if any child lacks
 // reverse support, as does Prev/SeekForPrev.
 func (m *Merging) Last() {
@@ -119,10 +105,20 @@ func (m *Merging) Prev() {
 	m.setCur()
 }
 
+// mustReverse returns the children as ReverseIterators, resolved on the
+// first backward call and kept: a merge that only runs forward (every
+// compaction, most scans) pays neither the slice nor the assertions.
 func (m *Merging) mustReverse() []ReverseIterator {
-	kids := m.reverseKids()
-	if kids == nil {
-		panic("iterator: Merging child does not support reverse iteration")
+	if m.rkids == nil {
+		rkids := make([]ReverseIterator, len(m.kids))
+		for i, it := range m.kids {
+			r, ok := it.(ReverseIterator)
+			if !ok {
+				panic("iterator: Merging child does not support reverse iteration")
+			}
+			rkids[i] = r
+		}
+		m.rkids = rkids
 	}
-	return kids
+	return m.rkids
 }

@@ -273,11 +273,11 @@ func (d *DB) pickFileRoundRobin(i int) *tableset.Table {
 	return nil
 }
 
-// DrainCompactions runs compactions until every level is within its
-// strict threshold, ignoring the LevelDB profile's overflow tolerance.
-// This is the paper's "tuning phase": the work to move down all data
-// overflows after a load (Sec. 6.2).
-func (d *DB) DrainCompactions() error {
+// Settle implements engine.Engine: it runs compactions until every level
+// is within its strict threshold, ignoring the LevelDB profile's overflow
+// tolerance.  This is the paper's "tuning phase": the work to move down
+// all data overflows after a load (Sec. 6.2).
+func (d *DB) Settle() error {
 	for {
 		d.Mu.Lock()
 		lvl, _ := d.pickCompaction(true)

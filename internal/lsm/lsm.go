@@ -111,9 +111,9 @@ func (c *Config) fill() {
 // tableset.Table whose range is its data bounds.  The embedded set
 // supplies the levels (L0 overlapping and ordered by file number, L1..
 // disjoint and sorted), the manifest, the structural mutex Mu and every
-// read and reporting method of engine.Engine; what is left here is the
-// policy — size thresholds, the compact cursor, compaction picking, the
-// stall level — and the merge that moves data down.
+// read and reporting method; what is declared here is the policy,
+// engine.Engine — size thresholds, the compact cursor, compaction picking,
+// the stall level — and the merge that moves data down.
 type DB struct {
 	*tableset.Set
 	cfg Config
@@ -166,3 +166,12 @@ func (d *DB) levelBytes(i int) int64 {
 
 // Stats implements engine.Engine.
 func (d *DB) Stats() engine.StatsSnapshot { return d.stats.Snapshot() }
+
+// CheckInvariants implements engine.Engine.  The set's structure is all a
+// baseline promises: its size thresholds are triggers, and the LevelDB
+// profile overflows them by design.
+func (d *DB) CheckInvariants() error {
+	d.Mu.Lock()
+	defer d.Mu.Unlock()
+	return d.CheckStructure()
+}

@@ -3,10 +3,12 @@ package lsm
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
 	"iamdb/internal/cache"
+	"iamdb/internal/engine"
 	"iamdb/internal/kv"
 	"iamdb/internal/memtable"
 	"iamdb/internal/vfs"
@@ -117,7 +119,7 @@ func TestL0CompactionMergesOverlaps(t *testing.T) {
 		}
 		l.flush()
 	}
-	if err := d.DrainCompactions(); err != nil {
+	if err := d.Settle(); err != nil {
 		t.Fatal(err)
 	}
 	lv := d.Levels()
@@ -236,7 +238,7 @@ func TestDeleteThroughCompaction(t *testing.T) {
 		l.del(fmt.Sprintf("k%04d", i*2))
 	}
 	l.flush()
-	if err := d.DrainCompactions(); err != nil {
+	if err := d.Settle(); err != nil {
 		t.Fatal(err)
 	}
 	checkGet(t, d, "k0000", "")
@@ -278,11 +280,58 @@ func TestStallLevels(t *testing.T) {
 		t.Fatalf("13 L0 files should stop writes, got %d", d.StallLevel())
 	}
 	// Draining clears the stall.
-	if err := d.DrainCompactions(); err != nil {
+	if err := d.Settle(); err != nil {
 		t.Fatal(err)
 	}
 	if d.StallLevel() != 0 {
 		t.Fatalf("stall after drain: %d", d.StallLevel())
+	}
+}
+
+// TestEngineInterfaceCompliance: Settle, reached through the contract, is
+// the drain of the paper's tuning phase.  A LevelDB-profile load stepped
+// only by WorkStep leaves a level over its strict threshold (the overflow
+// the profile tolerates); Settle works it off, and a second Settle finds
+// nothing to do.
+func TestEngineInterfaceCompliance(t *testing.T) {
+	d := testDB(t, ProfileLevelDB)
+	defer d.Close()
+	ref := loadRef(newLoader(t, d), 6000, 29)
+	var e engine.Engine = d
+	strictPick := func() int {
+		d.Mu.Lock()
+		defer d.Mu.Unlock()
+		lvl, _ := d.pickCompaction(true)
+		return lvl
+	}
+	if did, err := e.WorkStep(); did || err != nil {
+		t.Fatalf("WorkStep = %v, %v after the loader stepped until idle", did, err)
+	}
+	if strictPick() < 0 {
+		t.Fatal("the load left no overflow for Settle to work off")
+	}
+	before := e.Stats()
+	if err := e.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	if lvl := strictPick(); lvl >= 0 {
+		t.Errorf("L%d still over its strict threshold after Settle", lvl)
+	}
+	settled := e.Stats()
+	if settled.Merges+settled.Moves <= before.Merges+before.Moves {
+		t.Errorf("Settle moved nothing down: %+v -> %+v", before, settled)
+	}
+	if err := e.Settle(); err != nil || !reflect.DeepEqual(e.Stats(), settled) {
+		t.Errorf("a second Settle did work: %v, %+v -> %+v", err, settled, e.Stats())
+	}
+	if lvl := e.StallLevel(); lvl != 0 {
+		t.Errorf("StallLevel = %d on a settled tree", lvl)
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+	for k, v := range ref {
+		checkGet(t, d, k, v)
 	}
 }
 
@@ -343,7 +392,7 @@ func TestSnapshotReadAfterCompaction(t *testing.T) {
 		l.put(fmt.Sprintf("fill%06d", i), "x")
 	}
 	l.flush()
-	d.DrainCompactions()
+	d.Settle()
 	v, _, _, found, err := d.Get([]byte("key"), snap)
 	if err != nil || !found || string(v) != "old" {
 		t.Fatalf("snapshot read: %q %v %v", v, found, err)

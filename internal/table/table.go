@@ -587,9 +587,6 @@ type AppendResult struct {
 	// metadata region and footer.  Engines attribute this to the
 	// destination level for write-amplification accounting.
 	Bytes int64
-	// More is true when AppendFrom stopped at its size limit with the
-	// input iterator still valid.
-	More bool
 }
 
 // Append writes all records produced by it (ascending internal keys) as
@@ -597,23 +594,18 @@ type AppendResult struct {
 // unchanged and the caller should merge instead.
 func (t *Table) Append(it iterator.Iterator) (AppendResult, error) {
 	it.First()
-	return t.AppendFrom(it, 1<<62)
+	return t.AppendFrom(it)
 }
 
-// AppendFrom writes records from an already-positioned iterator as one
-// new sequence, stopping once the sequence's data size exceeds limit
-// (always finishing the current user key, so all versions of a key stay
-// in one node).  The iterator is left positioned at the first unwritten
-// record; Result.More reports whether any remain.
-func (t *Table) AppendFrom(it iterator.Iterator, limit int64) (AppendResult, error) {
+// AppendFrom drains an already-positioned iterator into one new
+// sequence.  Splitting a run into tables is the caller's business
+// (tableset.BuildRuns).
+func (t *Table) AppendFrom(it iterator.Iterator) (AppendResult, error) {
 	// On any failure, data blocks already written past the old dataEnd
 	// are garbage in the hole; the metadata still describes only the
 	// old sequences, so there is nothing to undo on disk.
 	w := newSeqWriter(t)
 	for ; it.Valid(); it.Next() {
-		if w.entries > 0 && w.off-w.startOff >= limit && !bytes.Equal(kv.UserKey(it.Key()), w.lastUser) {
-			break
-		}
 		if err := w.add(it.Key(), it.Value()); err != nil {
 			return AppendResult{}, err
 		}
@@ -631,7 +623,7 @@ func (t *Table) AppendFrom(it iterator.Iterator, limit int64) (AppendResult, err
 	w.t = nil
 	seqWriterPool.Put(w)
 	if meta.Entries == 0 {
-		return AppendResult{More: it.Valid()}, nil
+		return AppendResult{}, nil
 	}
 	t.mu.Lock()
 	t.seqs = append(t.seqs, meta)
@@ -645,12 +637,10 @@ func (t *Table) AppendFrom(it iterator.Iterator, limit int64) (AppendResult, err
 		return AppendResult{}, err
 	}
 	t.nseq.Store(int32(len(t.seqs)))
-	res := AppendResult{
+	return AppendResult{
 		Entries: meta.Entries,
 		Bytes:   int64(meta.DataLen) + t.MetaSize() + footerSlot,
-		More:    it.Valid(),
-	}
-	return res, nil
+	}, nil
 }
 
 // Sync flushes the table file.

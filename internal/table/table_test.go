@@ -45,7 +45,7 @@ func TestCreateAppendGet(t *testing.T) {
 	if res.Entries != 3 {
 		t.Fatalf("appended %d", res.Entries)
 	}
-	if res.Bytes <= 0 || res.More {
+	if res.Bytes <= 0 {
 		t.Fatalf("result %+v", res)
 	}
 	if tb.NumSeqs() != 1 || tb.Entries() != 3 {
@@ -431,89 +431,6 @@ func BenchmarkTableGet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := []byte(fmt.Sprintf("user%010d", rng.Intn(100000)))
 		tb.Get(k, kv.MaxSeq)
-	}
-}
-
-func TestAppendFromChunksAtLimit(t *testing.T) {
-	fs := vfs.NewMemFS()
-	var ks, vs [][]byte
-	val := bytes.Repeat([]byte("v"), 100)
-	for i := 0; i < 1000; i++ {
-		ks = append(ks, kv.MakeInternalKey([]byte(fmt.Sprintf("k%06d", i)), 1, kv.KindSet))
-		vs = append(vs, val)
-	}
-	it := iterator.NewSlice(kv.CompareInternal, ks, vs)
-	it.First()
-	var total uint64
-	var tables int
-	for {
-		tb := mustCreate(t, fs, fmt.Sprintf("%d.mst", tables))
-		res, err := tb.AppendFrom(it, 16*1024)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += res.Entries
-		tables++
-		tb.Close()
-		if !res.More {
-			break
-		}
-	}
-	if total != 1000 {
-		t.Fatalf("wrote %d entries", total)
-	}
-	if tables < 5 {
-		t.Fatalf("expected several chunks, got %d", tables)
-	}
-}
-
-func TestAppendFromKeepsVersionsTogether(t *testing.T) {
-	fs := vfs.NewMemFS()
-	// Many versions of the same user key right at a chunk boundary.
-	var ks, vs [][]byte
-	val := bytes.Repeat([]byte("v"), 100)
-	for i := 0; i < 200; i++ {
-		ks = append(ks, kv.MakeInternalKey([]byte(fmt.Sprintf("k%06d", i)), 10, kv.KindSet))
-		vs = append(vs, val)
-	}
-	// 50 versions of one key, descending seq per internal order.
-	for s := 50; s >= 1; s-- {
-		ks = append(ks, kv.MakeInternalKey([]byte("k_hotkey"), kv.Seq(s), kv.KindSet))
-		vs = append(vs, val)
-	}
-	it := iterator.NewSlice(kv.CompareInternal, ks, vs)
-	it.First()
-	var tables []*Table
-	for i := 0; ; i++ {
-		tb := mustCreate(t, fs, fmt.Sprintf("%d.mst", i))
-		res, err := tb.AppendFrom(it, 8*1024)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tables = append(tables, tb)
-		if !res.More {
-			break
-		}
-	}
-	// The hot key's 50 versions must all land in one table.
-	holders := 0
-	for _, tb := range tables {
-		sit := tb.SeqIter(0)
-		count := 0
-		for sit.First(); sit.Valid(); sit.Next() {
-			if string(kv.UserKey(sit.Key())) == "k_hotkey" {
-				count++
-			}
-		}
-		if count > 0 {
-			holders++
-			if count != 50 {
-				t.Fatalf("table holds %d of 50 versions", count)
-			}
-		}
-	}
-	if holders != 1 {
-		t.Fatalf("hot key split across %d tables", holders)
 	}
 }
 

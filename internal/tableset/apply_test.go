@@ -140,7 +140,7 @@ func TestApplyMatchesReplay(t *testing.T) {
 			if err := agreesWithReplay(s, fs); err != nil {
 				t.Fatalf("step %d, after a %s: %v", i, kind, err)
 			}
-			if err := s.CheckInvariants(); err != nil {
+			if err := checkStructure(s); err != nil {
 				t.Fatalf("step %d, after a %s: %v", i, kind, err)
 			}
 		}

@@ -23,11 +23,12 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"iamdb/internal/cache"
 	"iamdb/internal/corrupt"
-	"iamdb/internal/engine"
 	"iamdb/internal/invariants"
 	"iamdb/internal/iterator"
 	"iamdb/internal/kv"
@@ -212,7 +213,24 @@ func load(cfg Config) (s *Set, existed bool, err error) {
 
 func (s *Set) manifestPath() string { return s.cfg.Dir + "/" + manifestName }
 
-func (s *Set) path(num uint64) string { return engine.TableFileName(s.cfg.Dir, num) }
+func (s *Set) path(num uint64) string { return TableFileName(s.cfg.Dir, num) }
+
+// TableFileName builds the canonical table file name for a file number.
+func TableFileName(dir string, num uint64) string {
+	return fmt.Sprintf("%s/%06d.mst", dir, num)
+}
+
+// TableFileNum is TableFileName's inverse: the file number in a path like
+// "dir/000123.mst", so a corruption error's provenance can be mapped back
+// to the table to quarantine.
+func TableFileNum(path string) (uint64, bool) {
+	base, ok := strings.CutSuffix(path[strings.LastIndexByte(path, '/')+1:], ".mst")
+	if !ok {
+		return 0, false
+	}
+	n, err := strconv.ParseUint(base, 10, 64)
+	return n, err == nil
+}
 
 func (s *Set) tableOptions() table.Options {
 	return table.Options{Cache: s.cfg.Cache, BitsPerKey: s.cfg.BitsPerKey, Compression: s.cfg.Compression}
@@ -634,13 +652,33 @@ func (s *Set) NewIter() iterator.Iterator {
 	return iterator.NewMerging(kv.CompareInternal, kids...)
 }
 
+// LevelInfo summarizes one level for reporting.
+type LevelInfo struct {
+	Level int
+	Nodes int
+	Bytes int64 // data bytes stored
+	Seqs  int   // total sorted sequences across nodes
+	// Quarantined counts nodes fenced off after detected corruption
+	// (still readable, never chosen as compaction input).
+	Quarantined int
+}
+
+func (l LevelInfo) String() string {
+	s := fmt.Sprintf("L%d: %d nodes, %d seqs, %.1f MiB",
+		l.Level, l.Nodes, l.Seqs, float64(l.Bytes)/(1<<20))
+	if l.Quarantined > 0 {
+		s += fmt.Sprintf(", %d quarantined", l.Quarantined)
+	}
+	return s
+}
+
 // Levels summarizes the shape of the levels the engine places tables on.
-func (s *Set) Levels() []engine.LevelInfo {
+func (s *Set) Levels() []LevelInfo {
 	s.Mu.Lock()
 	defer s.Mu.Unlock()
-	out := make([]engine.LevelInfo, 0, len(s.levels))
+	out := make([]LevelInfo, 0, len(s.levels))
 	for i := s.cfg.MinLevel; i < len(s.levels); i++ {
-		info := engine.LevelInfo{Level: i, Nodes: len(s.levels[i])}
+		info := LevelInfo{Level: i, Nodes: len(s.levels[i])}
 		for _, tb := range s.levels[i] {
 			info.Bytes += tb.DataSize()
 			info.Seqs += tb.NumSeqs()
@@ -710,15 +748,23 @@ func (s *Set) Quarantine(num uint64, reason string) bool {
 	return false
 }
 
+// QuarantineInfo identifies one quarantined table for reporting.
+type QuarantineInfo struct {
+	Level   int
+	FileNum uint64
+	Path    string
+	Reason  string
+}
+
 // Quarantined lists the currently fenced tables.
-func (s *Set) Quarantined() []engine.QuarantineInfo {
+func (s *Set) Quarantined() []QuarantineInfo {
 	s.Mu.Lock()
 	defer s.Mu.Unlock()
-	var out []engine.QuarantineInfo
+	var out []QuarantineInfo
 	for i, lvl := range s.levels {
 		for _, tb := range lvl {
 			if tb.quarantined {
-				out = append(out, engine.QuarantineInfo{
+				out = append(out, QuarantineInfo{
 					Level: i, FileNum: tb.ID(), Path: s.path(tb.ID()), Reason: tb.qreason,
 				})
 			}

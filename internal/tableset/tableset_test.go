@@ -56,6 +56,12 @@ func drop(s *Set, lvl int, tb *Table) error {
 	return apply(s, new(Change).Drop(lvl, tb))
 }
 
+func checkStructure(s *Set) error {
+	s.Mu.Lock()
+	defer s.Mu.Unlock()
+	return s.CheckStructure()
+}
+
 func apply(s *Set, c *Change) error {
 	s.Mu.Lock()
 	defer s.Mu.Unlock()
@@ -154,7 +160,7 @@ func TestLevelIteratorRoutesByRangesAtCreation(t *testing.T) {
 	s.Mu.Lock()
 	src := run(2, "b5")
 	src.First()
-	if _, err := a.AppendFrom(src, 1<<62); err != nil {
+	if _, err := a.AppendFrom(src); err != nil {
 		t.Fatal(err)
 	}
 	err := s.Apply(new(Change).Drop(1, a).PlaceAs(1, a, a.Range().Union(kv.MakeRange([]byte("b5"), []byte("b5")))))
@@ -201,7 +207,7 @@ func TestLevelZeroNewestFirst(t *testing.T) {
 	if want := "k1@2 k1@1 k2@3 k2@2 k2@1 k3@1"; strings.Join(got, " ") != want {
 		t.Fatalf("merged scan %q want %q", got, want)
 	}
-	if err := s.CheckInvariants(); err != nil {
+	if err := checkStructure(s); err != nil {
 		t.Fatal(err)
 	}
 	if n := s.ApproximateSize([]byte("k0"), []byte("k9")); n <= 0 {
@@ -390,7 +396,7 @@ func TestLoadFailuresAndFlags(t *testing.T) {
 			s.Mu.Lock()
 			src := run(2, "k1")
 			src.First()
-			if _, err := tb.AppendFrom(src, 1<<62); err != nil {
+			if _, err := tb.AppendFrom(src); err != nil {
 				t.Fatal(err)
 			}
 			s.Mu.Unlock()
@@ -462,9 +468,6 @@ func TestOpenReadOnlyWritesNothing(t *testing.T) {
 	if err != nil || rep.Nodes != 2 {
 		t.Fatalf("DeepVerify: %v, %v", rep, err)
 	}
-	if err := ro.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
 	if err := ro.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -474,5 +477,31 @@ func TestOpenReadOnlyWritesNothing(t *testing.T) {
 	}
 	if _, err := OpenReadOnly(Config{FS: fs, Dir: "nowhere"}); !errors.Is(err, vfs.ErrNotFound) {
 		t.Fatalf("read-only open of a missing directory: %v", err)
+	}
+}
+
+func TestTableFileName(t *testing.T) {
+	if got := TableFileName("db", 7); got != "db/000007.mst" {
+		t.Fatalf("got %q", got)
+	}
+	for _, num := range []uint64{0, 7, 999999, 1234567} {
+		if got, ok := TableFileNum(TableFileName("a/b", num)); !ok || got != num {
+			t.Errorf("TableFileNum(TableFileName(%d)) = %d, %v", num, got, ok)
+		}
+	}
+	for _, path := range []string{"db/000007.log", "db/MANIFEST", "db/x7.mst", "", "000007.mst/"} {
+		if num, ok := TableFileNum(path); ok {
+			t.Errorf("TableFileNum(%q) = %d, want no table", path, num)
+		}
+	}
+	if num, ok := TableFileNum("000042.mst"); !ok || num != 42 {
+		t.Errorf("bare name: %d, %v", num, ok)
+	}
+}
+
+func TestLevelInfoString(t *testing.T) {
+	s := LevelInfo{Level: 2, Nodes: 3, Bytes: 2 << 20, Seqs: 5}.String()
+	if s == "" {
+		t.Fatal("empty string")
 	}
 }

@@ -6,19 +6,10 @@ import (
 	"iamdb/internal/kv"
 )
 
-// CheckInvariants validates the set's structural invariants; crash-
-// recovery tests and DB.Scrub use it as an oracle.  Engines with a policy
-// on top (level thresholds) add theirs to CheckStructure.
-func (s *Set) CheckInvariants() error {
-	s.Mu.Lock()
-	defer s.Mu.Unlock()
-	return s.CheckStructure()
-}
-
-// CheckStructure is the structural half of CheckInvariants: every table's
-// file exists and its data lies inside its assigned range, level 0 is
-// ordered by file number, deeper levels are sorted and disjoint.  Caller
-// holds Mu.
+// CheckStructure is what every engine's CheckInvariants starts from (the
+// trees add their level thresholds): every table's file exists and its
+// data lies inside its assigned range, level 0 is ordered by file number,
+// deeper levels are sorted and disjoint.  Caller holds Mu.
 func (s *Set) CheckStructure() error {
 	for i, lvl := range s.levels {
 		for j, tb := range lvl {

@@ -5,6 +5,7 @@ import (
 
 	"iamdb/internal/iterator"
 	"iamdb/internal/kv"
+	"iamdb/internal/shard"
 )
 
 // Iterator walks live user keys in ascending order at a fixed snapshot,
@@ -192,4 +193,142 @@ func (it *Iterator) Close() error {
 		it.db.kickVlogGC()
 	}
 	return it.in.Close()
+}
+
+// shardConcat concatenates per-shard iterators into one totally ordered
+// stream over internal keys, in both directions.  Seek targets are
+// routed by user key; exhausting one shard moves to the next (forward)
+// or previous (backward) one.
+type shardConcat struct {
+	part shard.Partition
+	kids []iterator.ReverseIterator
+	cur  int // current child, -1 when exhausted
+	err  error
+}
+
+func (c *shardConcat) note(err error) {
+	if err != nil && c.err == nil {
+		c.err = err
+	}
+}
+
+// fwd settles on the first valid child at or after i; children before i
+// must already be positioned, children after get First.
+func (c *shardConcat) fwd(i int) {
+	for ; i < len(c.kids); i++ {
+		if c.kids[i].Valid() {
+			c.cur = i
+			return
+		}
+		c.note(c.kids[i].Err())
+		if i+1 < len(c.kids) {
+			c.kids[i+1].First()
+		}
+	}
+	c.cur = -1
+}
+
+// bwd settles on the last valid child at or before i.
+func (c *shardConcat) bwd(i int) {
+	for ; i >= 0; i-- {
+		if c.kids[i].Valid() {
+			c.cur = i
+			return
+		}
+		c.note(c.kids[i].Err())
+		if i > 0 {
+			c.kids[i-1].Last()
+		}
+	}
+	c.cur = -1
+}
+
+// First implements iterator.Iterator.
+func (c *shardConcat) First() {
+	c.kids[0].First()
+	c.fwd(0)
+}
+
+// Seek implements iterator.Iterator.
+func (c *shardConcat) Seek(target []byte) {
+	u, _, _, ok := kv.ParseInternalKey(target)
+	if !ok {
+		c.note(errBadBatch)
+		c.cur = -1
+		return
+	}
+	i := c.part.IndexOf(u)
+	c.kids[i].Seek(target)
+	c.fwd(i)
+}
+
+// Next implements iterator.Iterator.
+func (c *shardConcat) Next() {
+	if c.cur < 0 {
+		return
+	}
+	c.kids[c.cur].Next()
+	c.fwd(c.cur)
+}
+
+// Last implements iterator.ReverseIterator.
+func (c *shardConcat) Last() {
+	last := len(c.kids) - 1
+	c.kids[last].Last()
+	c.bwd(last)
+}
+
+// SeekForPrev implements iterator.ReverseIterator.
+func (c *shardConcat) SeekForPrev(target []byte) {
+	u, _, _, ok := kv.ParseInternalKey(target)
+	if !ok {
+		c.note(errBadBatch)
+		c.cur = -1
+		return
+	}
+	i := c.part.IndexOf(u)
+	c.kids[i].SeekForPrev(target)
+	c.bwd(i)
+}
+
+// Prev implements iterator.ReverseIterator.
+func (c *shardConcat) Prev() {
+	if c.cur < 0 {
+		return
+	}
+	c.kids[c.cur].Prev()
+	c.bwd(c.cur)
+}
+
+// Valid implements iterator.Iterator.
+func (c *shardConcat) Valid() bool { return c.cur >= 0 && c.err == nil }
+
+// Key implements iterator.Iterator.
+func (c *shardConcat) Key() []byte {
+	if c.cur < 0 {
+		return nil
+	}
+	return c.kids[c.cur].Key()
+}
+
+// Value implements iterator.Iterator.
+func (c *shardConcat) Value() []byte {
+	if c.cur < 0 {
+		return nil
+	}
+	return c.kids[c.cur].Value()
+}
+
+// Err implements iterator.Iterator.
+func (c *shardConcat) Err() error { return c.err }
+
+// Close implements iterator.Iterator.
+func (c *shardConcat) Close() error {
+	var first error
+	for _, kid := range c.kids {
+		if err := kid.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }

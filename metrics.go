@@ -8,6 +8,7 @@ import (
 	"iamdb/internal/engine"
 	"iamdb/internal/histogram"
 	"iamdb/internal/metrics"
+	"iamdb/internal/tableset"
 	"iamdb/internal/vfs"
 )
 
@@ -30,7 +31,7 @@ type Metrics struct {
 	// Engine holds per-level traffic and operation counts.
 	Engine engine.StatsSnapshot
 	// Levels summarizes the current tree shape.
-	Levels []engine.LevelInfo
+	Levels []tableset.LevelInfo
 	// SpaceUsed is the on-disk footprint in bytes (excluding WAL).
 	SpaceUsed int64
 	// UserBytes is the total key+value bytes written by the user.
@@ -152,8 +153,8 @@ func (db *DB) metricsOf(stores []*store) Metrics {
 		st.mu.Unlock()
 		m.WALRotations += st.walRotations.Load()
 		mergeEngineStats(&m.Engine, st.eng.Stats())
-		m.Levels = mergeLevelInfos(m.Levels, st.eng.Levels())
-		m.SpaceUsed += st.eng.SpaceUsed()
+		m.Levels = mergeLevelInfos(m.Levels, st.set.Levels())
+		m.SpaceUsed += st.set.SpaceUsed()
 		if vs := st.vs; vs != nil {
 			ls := vs.log.Stats()
 			m.VLogSegments += ls.Segments
@@ -221,7 +222,7 @@ func mergeEngineStats(dst *engine.StatsSnapshot, src engine.StatsSnapshot) {
 
 // mergeLevelInfos folds per-level shape by level index, keeping the
 // result sorted by level.
-func mergeLevelInfos(dst, src []engine.LevelInfo) []engine.LevelInfo {
+func mergeLevelInfos(dst, src []tableset.LevelInfo) []tableset.LevelInfo {
 	for _, li := range src {
 		found := false
 		for i := range dst {
@@ -319,14 +320,14 @@ func (m Metrics) String() string {
 	// Rows span the union of the shape (Levels) and traffic (PerLevel)
 	// views: a drained level keeps its traffic history.
 	rows := len(m.Engine.PerLevel)
-	byLevel := make(map[int]engine.LevelInfo, len(m.Levels))
+	byLevel := make(map[int]tableset.LevelInfo, len(m.Levels))
 	for _, li := range m.Levels {
 		byLevel[li.Level] = li
 		if li.Level+1 > rows {
 			rows = li.Level + 1
 		}
 	}
-	var totInfo engine.LevelInfo
+	var totInfo tableset.LevelInfo
 	var totStats engine.LevelStats
 	for lvl := 0; lvl < rows; lvl++ {
 		info := byLevel[lvl]

@@ -11,6 +11,7 @@ import (
 	"iamdb/internal/histogram"
 	"iamdb/internal/metrics"
 	"iamdb/internal/shard"
+	"iamdb/internal/tableset"
 	"iamdb/internal/vfs"
 )
 
@@ -197,7 +198,7 @@ func TestMetricsStringTable(t *testing.T) {
 			FlushBytes: []int64{0, 4 << 20, 8 << 20},
 			Flushes:    42,
 		},
-		Levels: []engine.LevelInfo{
+		Levels: []tableset.LevelInfo{
 			{Level: 1, Nodes: 3, Bytes: 6 << 20, Seqs: 5},
 			// Level 3 has shape but no traffic yet.
 			{Level: 3, Nodes: 1, Bytes: 1 << 20, Seqs: 1},

@@ -3,9 +3,6 @@ package iamdb
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 
 	"iamdb/internal/table"
 	"iamdb/internal/vlog"
@@ -158,9 +155,9 @@ func (st *store) scrubPass(rep *ScrubReport) error {
 	}
 	progress := &st.db.scrub
 
-	// Tables: the engine hands us a referenced snapshot of every live
+	// Tables: the set hands us a referenced snapshot of every live
 	// table; Verify re-reads each from disk without touching the cache.
-	err := st.eng.VisitTables(func(level int, num uint64, t *table.Table) error {
+	err := st.set.VisitTables(func(level int, num uint64, t *table.Table) error {
 		if st.db.closedA.Load() {
 			return ErrClosed
 		}
@@ -195,15 +192,8 @@ func (st *store) scrubPass(rep *ScrubReport) error {
 	if err != nil {
 		return err
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		if !strings.HasSuffix(name, ".log") {
-			continue
-		}
-		if _, err := strconv.ParseUint(strings.TrimSuffix(name, ".log"), 10, 64); err != nil {
-			continue
-		}
-		path := st.dir + "/" + name
+	for _, num := range logNums(names) {
+		path := logName(st.dir, num)
 		f, err := st.fs.Open(path)
 		if err != nil {
 			return err
@@ -277,6 +267,6 @@ func (st *store) scrubPass(rep *ScrubReport) error {
 		note(cerr)
 	}
 
-	rep.Quarantined += len(st.eng.Quarantined())
+	rep.Quarantined += len(st.set.Quarantined())
 	return firstErr
 }

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,6 +23,7 @@ import (
 	"iamdb/internal/lsm"
 	"iamdb/internal/memtable"
 	"iamdb/internal/metrics"
+	"iamdb/internal/tableset"
 	"iamdb/internal/trace"
 	"iamdb/internal/vfs"
 	"iamdb/internal/wal"
@@ -40,19 +41,17 @@ type store struct {
 	dir    string
 	fs     vfs.FS
 	cache  *cache.Cache
-	eng    engine.Engine
 	events *EventListener
 	clock  Clock
 	tr     *trace.Recorder
 	// timing is DB.timing, handed down at open: it arms the two clock
 	// reads per commit behind commit.wait.
 	timing bool
-	// settle and mixed are the two engine-specific calls the store
-	// makes, bound in openEngine where the concrete type is known: the
-	// baselines' DrainCompactions (nil for the trees, which settle
-	// inside Flush) and the trees' MixedLevel (nil for the baselines).
-	settle func() error
-	mixed  func() (m, k int)
+	// eng is the policy (when to flush, merge, stall, settle); set is the
+	// table set it drives, the one the engine embeds: reads, reporting,
+	// the WAL position and quarantine go to it directly.
+	eng engine.Engine
+	set *tableset.Set
 
 	// vs is the value log and its collector; nil when the directory has
 	// no value log, so an inline store carries none of that state.  Set
@@ -199,12 +198,12 @@ func openStore(db *DB, dir string, o Options) (*store, error) {
 		return nil, err
 	}
 	if err := st.recover(); err != nil {
-		st.eng.Close()
+		st.set.Close()
 		return nil, err
 	}
 	if err := st.openValueStore(); err != nil {
 		_ = st.walF.Close()
-		st.eng.Close()
+		st.set.Close()
 		return nil, err
 	}
 	st.noteOpenSuspicion()
@@ -254,7 +253,7 @@ func (st *store) openEngine() error {
 		if err != nil {
 			return err
 		}
-		st.eng, st.mixed = tr, tr.MixedLevel
+		st.eng, st.set = tr, tr.Set
 	case LevelDB, RocksDB:
 		profile := lsm.ProfileLevelDB
 		if st.opt.Engine == RocksDB {
@@ -271,7 +270,7 @@ func (st *store) openEngine() error {
 		if err != nil {
 			return err
 		}
-		st.eng, st.settle = d, d.DrainCompactions
+		st.eng, st.set = d, d.Set
 	default:
 		return fmt.Errorf("iamdb: unknown engine %v", st.opt.Engine)
 	}
@@ -282,28 +281,34 @@ func logName(dir string, num uint64) string {
 	return fmt.Sprintf("%s/%06d.log", dir, num)
 }
 
+// logNums picks the write-ahead logs out of a directory listing: the
+// numbers of the names logName produces, ascending, i.e. oldest first.
+func logNums(names []string) []uint64 {
+	var logs []uint64
+	for _, name := range names {
+		if base, ok := strings.CutSuffix(name, ".log"); ok {
+			if n, err := strconv.ParseUint(base, 10, 64); err == nil {
+				logs = append(logs, n)
+			}
+		}
+	}
+	slices.Sort(logs)
+	return logs
+}
+
 // recover replays WAL files at or after the engine's recorded log
 // number, then starts a fresh log.  Its flushes run before the router's
 // sequencer exists, at the engine's initial unbounded horizon: nothing
 // recovered is invisible to anyone.
 func (st *store) recover() error {
-	lastSeq, logNum := st.eng.LogMeta()
+	lastSeq, logNum := st.set.LogMeta()
 	st.seq = lastSeq
 
 	names, err := st.fs.List(st.dir)
 	if err != nil {
 		return err
 	}
-	var logs []uint64
-	for _, name := range names {
-		if strings.HasSuffix(name, ".log") {
-			n, err := strconv.ParseUint(strings.TrimSuffix(name, ".log"), 10, 64)
-			if err == nil {
-				logs = append(logs, n)
-			}
-		}
-	}
-	sort.Slice(logs, func(i, j int) bool { return logs[i] < logs[j] })
+	logs := logNums(names)
 	maxLog := logNum
 	for _, num := range logs {
 		if num < logNum {
@@ -325,7 +330,7 @@ func (st *store) recover() error {
 		st.mem = memtable.New()
 	}
 	st.walNum = maxLog + 1
-	if err := st.eng.SetLogMeta(st.seq, st.walNum); err != nil {
+	if err := st.set.SetLogMeta(st.seq, st.walNum); err != nil {
 		return err
 	}
 	for _, num := range logs {
@@ -386,12 +391,12 @@ type walDrop struct {
 // horizon (see DB.horizon), so no merge ever drops a version a reader
 // at the watermark or a pinned snapshot can still see.
 func (st *store) flushEngine(it iterator.Iterator) error {
-	st.eng.SetHorizon(st.db.horizon())
+	st.set.SetHorizon(st.db.horizon())
 	return st.eng.Flush(it)
 }
 
 func (st *store) workStep() (bool, error) {
-	st.eng.SetHorizon(st.db.horizon())
+	st.set.SetHorizon(st.db.horizon())
 	return st.eng.WorkStep()
 }
 
@@ -611,8 +616,9 @@ func (st *store) inlineBG() {
 // goroutine, so stall time shows up as write latency — the behaviour
 // whose tails Sec. 6.2 measures.  Stalled intervals are measured and
 // reported as paired WriteStallBegin/WriteStallEnd events plus the
-// cumulative stall counters in Metrics; the unstalled fast path reads
-// one atomic and returns.
+// cumulative stall counters in Metrics.  The unstalled fast path is one
+// StallLevel call: a constant for the trees, a level count under Set.Mu
+// for the baselines.
 func (st *store) throttle() {
 	lvl := st.eng.StallLevel()
 	if lvl == 0 {
@@ -689,24 +695,6 @@ func (st *store) rotateLocked() error {
 	return nil
 }
 
-// fileNumFromPath recovers the table file number from a path like
-// "dir/000123.mst", so a corruption error's provenance can be mapped
-// back to the engine's quarantine list.
-func fileNumFromPath(path string) (uint64, bool) {
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		path = path[i+1:]
-	}
-	base, ok := strings.CutSuffix(path, ".mst")
-	if !ok {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(base, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
-}
-
 // noteCorruption inspects an error from the read path (or scrub).  If
 // it carries corruption provenance the detection is counted, the event
 // fired, and — when the damage names a table file — the table is
@@ -723,11 +711,11 @@ func (st *store) noteCorruption(err error) {
 	st.events.CorruptionDetected(metrics.CorruptionInfo{
 		Path: ce.Path, Layer: ce.Layer, Offset: ce.Offset, Detail: ce.Detail,
 	})
-	num, ok := fileNumFromPath(ce.Path)
+	num, ok := tableset.TableFileNum(ce.Path)
 	if !ok {
 		return
 	}
-	if st.eng.Quarantine(num, ce.Error()) {
+	if st.set.Quarantine(num, ce.Error()) {
 		st.corrQuarantined.Inc()
 		st.events.TableQuarantined(metrics.TableInfo{FileNum: num, Level: -1})
 	}
@@ -742,7 +730,7 @@ func (st *store) noteCorruption(err error) {
 // dropped bytes must always be visible to the operator).  Runs once
 // from openStore, before workers start.
 func (st *store) noteOpenSuspicion() {
-	for _, qi := range st.eng.Quarantined() {
+	for _, qi := range st.set.Quarantined() {
 		st.corrDetected.Inc()
 		st.corrQuarantined.Inc()
 		st.events.CorruptionDetected(metrics.CorruptionInfo{
@@ -757,7 +745,7 @@ func (st *store) noteOpenSuspicion() {
 			Detail: fmt.Sprintf("recovery truncated %d trailing bytes", wd.bytes),
 		})
 	}
-	if n := st.eng.RecoveryDropped(); n > 0 {
+	if n := st.set.RecoveryDropped(); n > 0 {
 		st.corrDetected.Inc()
 		st.events.CorruptionDetected(metrics.CorruptionInfo{
 			Path: st.dir, Layer: corrupt.LayerManifest, Offset: -1,
@@ -831,7 +819,7 @@ func (st *store) noteBgError(op string, err error) bool {
 		return false
 	}
 	// Best-effort: a failed Resume is retried with the work itself.
-	_ = st.eng.Resume()
+	_ = st.set.Resume()
 	if st.opt.BgBackoff != nil {
 		return st.opt.BgBackoff(try)
 	}
@@ -899,7 +887,7 @@ func (st *store) drainImm() {
 		}
 		if err == nil {
 			flushed = true
-			err = st.eng.SetLogMeta(immSeq, curWal)
+			err = st.set.SetLogMeta(immSeq, curWal)
 		}
 		if err != nil {
 			if !st.noteBgError("flush", err) {
@@ -962,7 +950,7 @@ func (st *store) resume() error {
 		return ErrClosed
 	}
 	st.mu.Unlock()
-	if err := st.eng.Resume(); err != nil {
+	if err := st.set.Resume(); err != nil {
 		return err
 	}
 	st.noteBgSuccess()
@@ -992,7 +980,7 @@ func (st *store) getAt(key []byte, snap kv.Seq) ([]byte, kv.Kind, error) {
 			return v, kind, nil
 		}
 	}
-	v, kind, _, found, err := st.eng.Get(key, snap)
+	v, kind, _, found, err := st.set.Get(key, snap)
 	if err != nil {
 		st.noteCorruption(err)
 		return nil, 0, err
@@ -1019,7 +1007,7 @@ func (st *store) newIter() iterator.ReverseIterator {
 	if view.imm != nil {
 		kids = append(kids, view.imm.NewIter())
 	}
-	kids = append(kids, st.eng.NewIter())
+	kids = append(kids, st.set.NewIter())
 	return iterator.NewMerging(kv.CompareInternal, kids...)
 }
 
@@ -1036,7 +1024,7 @@ func (st *store) close() error {
 	// observe closed under st.mu and never touch the WAL.
 	st.commitMu.Lock()
 	st.commitMu.Unlock()
-	err := errors.Join(st.walF.Close(), st.eng.Close())
+	err := errors.Join(st.walF.Close(), st.set.Close())
 	if st.vs != nil {
 		err = errors.Join(err, st.vs.log.Close())
 	}
@@ -1048,15 +1036,14 @@ func (st *store) compactAll() error {
 	if err := st.flush(); err != nil {
 		return err
 	}
-	if st.settle != nil {
-		return st.settle()
-	}
-	return nil
+	return st.eng.Settle()
 }
 
+// mixedLevel is reporting only: the trees' current (m, k), zero for the
+// baselines.
 func (st *store) mixedLevel() (m, k int) {
-	if st.mixed != nil {
-		return st.mixed()
+	if tr, ok := st.eng.(*core.Tree); ok {
+		return tr.MixedLevel()
 	}
 	return 0, 0
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime/pprof"
+	"slices"
 	"sync"
 
 	"iamdb/internal/corrupt"
@@ -123,17 +124,18 @@ func (vs *valueStore) separateGroup(group []*commitOp) (int64, error) {
 	// Keys ordinary batches in this group write: a GC rewrite op for any
 	// of them is dropped outright, so a rewrite can never shadow — and
 	// thereby resurrect over — a same-group user write or delete,
-	// regardless of sequence order within the group.
+	// regardless of sequence order within the group.  Only a group that
+	// carries a rewrite batch needs them.
 	var userKeys map[string]struct{}
-	for _, op := range group {
-		if op.b.gcOld != nil {
-			continue
-		}
-		for _, bop := range op.b.ops {
-			if userKeys == nil {
-				userKeys = make(map[string]struct{})
+	if slices.ContainsFunc(group, func(op *commitOp) bool { return op.b.gcOld != nil }) {
+		userKeys = make(map[string]struct{})
+		for _, op := range group {
+			if op.b.gcOld != nil {
+				continue
 			}
-			userKeys[string(bop.key)] = struct{}{}
+			for _, bop := range op.b.ops {
+				userKeys[string(bop.key)] = struct{}{}
+			}
 		}
 	}
 	th := vs.st.opt.ValueThreshold

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"iamdb/internal/metrics"
 	"iamdb/internal/vfs"
 	"iamdb/internal/vlog"
 )
@@ -370,5 +371,41 @@ func TestKVSepRottedValueDetected(t *testing.T) {
 	}
 	if m := db.Metrics(); m.CorruptionsDetected == 0 {
 		t.Fatal("detection not counted")
+	}
+}
+
+// TestSeparatedPutAllocations: with no collector running, a value log
+// costs an inline Put nothing and a separated Put exactly its own three
+// allocations (the substituted op slice, its Batch, the pointer
+// encoding).  The set of user keys a GC rewrite is checked against is
+// only built for a commit group that carries a rewrite.
+func TestSeparatedPutAllocations(t *testing.T) {
+	measure := func(threshold int, val []byte) float64 {
+		opts := smallOpts(IAM, vfs.NewMemFS())
+		opts.MemtableSize = 64 << 20 // no flushes during measurement
+		opts.ValueThreshold = threshold
+		opts.InlineBackground = true // no collector goroutine
+		opts.Clock = new(metrics.ManualClock)
+		db, err := Open("db", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		key := []byte("key-000042")
+		if err := db.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(500, func() {
+			if err := db.Put(key, val); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, big := make([]byte, 32), make([]byte, 256)
+	if inline, plain := measure(64, small), measure(0, small); inline != plain {
+		t.Errorf("inline Put beside a value log allocates %.2f per op, %.2f without one", inline, plain)
+	}
+	if separated, plain := measure(64, big), measure(0, big); separated > plain+3 {
+		t.Errorf("separated Put allocates %.2f per op, want <= %.2f (an inline Put's + 3)", separated, plain+3)
 	}
 }
