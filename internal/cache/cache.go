@@ -1,5 +1,8 @@
 // Package cache implements the sharded LRU block cache that stands in
-// for the OS page cache in the paper's design.  IAM's mixed-level tuning
+// for the OS page cache in the paper's design.  It is populated by user
+// reads only — point lookups and scans; a merge looks its input blocks
+// up here but inserts none, since every table it reads is evicted when
+// it publishes.  IAM's mixed-level tuning
 // (Sec. 5.1.3) needs to know how much of each table is memory-resident —
 // the paper samples mincore; here residency is exact, tracked per table,
 // so Eq. (2) can be evaluated deterministically.
@@ -25,8 +28,10 @@ type Key struct {
 type Cache struct {
 	shards [numShards]shard
 
-	hits   atomic.Int64
-	misses atomic.Int64
+	hits      atomic.Int64
+	misses    atomic.Int64
+	fills     atomic.Int64 // blocks Set stored
+	evictions atomic.Int64 // blocks pushed out for lack of room
 
 	// resident maps table id -> *atomic.Int64 of cached bytes.  The
 	// sync.Map plus per-table counters keep the hot Set/evict paths off
@@ -89,6 +94,7 @@ func (c *Cache) Set(table, off uint64, data []byte) {
 	if int64(len(data)) > s.capacity {
 		return
 	}
+	c.fills.Add(1)
 	s.mu.Lock()
 	if el, ok := s.items[k]; ok {
 		old := el.Value.(*entry)
@@ -111,6 +117,7 @@ func (c *Cache) Set(table, off uint64, data []byte) {
 		delete(s.items, e.key)
 		s.used -= int64(len(e.data))
 		c.addResident(e.key.Table, -int64(len(e.data)))
+		c.evictions.Add(1)
 	}
 	s.mu.Unlock()
 }
@@ -129,8 +136,14 @@ func (c *Cache) addResident(table uint64, delta int64) {
 }
 
 // EvictTable removes every block of a table, e.g. after the table file
-// is deleted by a compaction.
+// is deleted by a compaction.  Most dropped tables were only ever read
+// by a merge and hold nothing here; those cost one map lookup and no
+// shard lock.
 func (c *Cache) EvictTable(table uint64) {
+	if v, ok := c.resident.Load(table); !ok || v.(*atomic.Int64).Load() == 0 {
+		c.resident.Delete(table)
+		return
+	}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
@@ -178,6 +191,13 @@ func (c *Cache) HitRate() (rate float64, hits, misses int64) {
 		return 0, 0, 0
 	}
 	return float64(hits) / float64(hits+misses), hits, misses
+}
+
+// Traffic reports how many blocks were inserted since the cache was
+// made and how many of them capacity pushed out again; blocks that left
+// with their table (EvictTable) count as neither.
+func (c *Cache) Traffic() (fills, evictions int64) {
+	return c.fills.Load(), c.evictions.Load()
 }
 
 // Capacity reports the configured capacity in bytes.

@@ -126,19 +126,73 @@ func TestEvictTable(t *testing.T) {
 	}
 }
 
+// TestEvictTableWithNothingCached: a table that was never cached, one
+// already evicted, and one whose every block capacity pushed out leave
+// the cache exactly as it was — the case of nearly every table a merge
+// drops.
+func TestEvictTableWithNothingCached(t *testing.T) {
+	c := New(16 * 1000) // 1000 bytes per shard
+	for i := uint64(0); i < 10; i++ {
+		c.Set(1, i*4096, make([]byte, 100))
+		c.Set(2, i*4096, make([]byte, 100))
+	}
+	c.EvictTable(1)
+	// Table 3's one block shares its shard with the block that replaces it.
+	k3 := Key{3, 0}
+	c.Set(k3.Table, k3.Off, make([]byte, 900))
+	for off := uint64(1 << 30); c.ResidentBytes(3) != 0; off++ {
+		if k := (Key{2, off}); c.shardFor(k) == c.shardFor(k3) {
+			c.Set(k.Table, k.Off, make([]byte, 900))
+		}
+	}
+	used, resident2 := c.Used(), c.ResidentBytes(2)
+	fills, evictions := c.Traffic()
+	if evictions == 0 {
+		t.Fatal("table 3's block left the cache without an eviction being counted")
+	}
+	for _, id := range []uint64{1, 3, 99} { // evicted, pushed out, never cached
+		c.EvictTable(id)
+		if c.Used() != used || c.ResidentBytes(2) != resident2 || c.ResidentBytes(id) != 0 {
+			t.Fatalf("EvictTable(%d): used %d -> %d, table 2 resident %d -> %d, own residency %d",
+				id, used, c.Used(), resident2, c.ResidentBytes(2), c.ResidentBytes(id))
+		}
+	}
+	if f, e := c.Traffic(); f != fills || e != evictions {
+		t.Fatalf("EvictTable moved the traffic counters: fills %d -> %d, evictions %d -> %d", fills, f, evictions, e)
+	}
+	if c.Get(2, 0) == nil {
+		t.Fatal("a block of the surviving table is gone")
+	}
+}
+
 func TestResidencyMatchesUsedUnderChurn(t *testing.T) {
 	c := New(64 * 1024)
+	check := func(when string) {
+		t.Helper()
+		var sum int64
+		for id := uint64(0); id < 5; id++ {
+			sum += c.ResidentBytes(id)
+		}
+		if sum != c.Used() {
+			t.Fatalf("%s: sum of residents %d != used %d", when, sum, c.Used())
+		}
+	}
 	for round := 0; round < 10; round++ {
 		for i := uint64(0); i < 100; i++ {
 			c.Set(i%5, i*4096+uint64(round), make([]byte, 200+int(i)))
+			if i%17 == 0 {
+				// A table with blocks, then the same one with none, then
+				// one that never had any.
+				c.EvictTable((i + uint64(round)) % 5)
+				c.EvictTable((i + uint64(round)) % 5)
+				c.EvictTable(5 + i)
+				check("after an eviction")
+			}
 		}
 	}
-	var sum int64
-	for id := uint64(0); id < 5; id++ {
-		sum += c.ResidentBytes(id)
-	}
-	if sum != c.Used() {
-		t.Fatalf("sum of residents %d != used %d", sum, c.Used())
+	check("at the end")
+	if fills, evictions := c.Traffic(); fills != 1000 || evictions == 0 || evictions >= fills {
+		t.Fatalf("1000 blocks set into a cache too small for them: %d fills, %d evictions", fills, evictions)
 	}
 }
 

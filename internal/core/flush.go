@@ -20,6 +20,10 @@ import (
 // loaded into memory first", Sec. 4.2.1).
 type batch struct {
 	keys, vals [][]byte
+	// staging is the pooled storage behind keys and vals, held by the
+	// batch collect returned; the sub-batches cut from it share it and
+	// carry nil.
+	staging *kv.Gather
 }
 
 func (b *batch) len() int { return len(b.keys) }
@@ -28,7 +32,7 @@ func (b *batch) iter() iterator.Iterator {
 	return iterator.NewSlice(kv.CompareInternal, b.keys, b.vals)
 }
 
-// span returns the user-key span of the batch.
+// span returns the user-key span of the batch, in storage of its own.
 func (b *batch) span() kv.Range {
 	if b.len() == 0 {
 		return kv.Range{}
@@ -40,17 +44,29 @@ func (b *batch) slice(lo, hi int) *batch {
 	return &batch{keys: b.keys[lo:hi], vals: b.vals[lo:hi]}
 }
 
+// release hands the batch's storage back once the flush or split that
+// collected it has delivered every record; the batch and its sub-batches
+// are invalid from then on.
+func (b *batch) release() {
+	if b.staging != nil {
+		b.staging.Release()
+		*b = batch{}
+	}
+}
+
 // collect materializes an iterator into a batch.  Table iterators reuse
 // their buffers, so each record is copied, once, into storage the batch
-// keeps alive.
+// holds until release.
 func collect(it iterator.Iterator) (*batch, error) {
-	b := &batch{}
-	var arena kv.Arena
+	g := kv.NewGather()
 	for it.First(); it.Valid(); it.Next() {
-		b.keys = append(b.keys, arena.Copy(it.Key()))
-		b.vals = append(b.vals, arena.Copy(it.Value()))
+		g.Add(it.Key(), it.Value())
 	}
-	return b, it.Err()
+	if err := it.Err(); err != nil {
+		g.Release()
+		return nil, err
+	}
+	return &batch{keys: g.Keys, vals: g.Vals, staging: g}, nil
 }
 
 // Flush implements engine.Engine: it empties one immutable memtable
@@ -78,6 +94,7 @@ func (t *Tree) Flush(it iterator.Iterator) error {
 	if err != nil {
 		return err
 	}
+	defer b.release()
 	flushed = int64(batchBytes(b))
 	if b.len() == 0 {
 		return nil
@@ -188,6 +205,7 @@ func (t *Tree) flushNode(i int, x *tableset.Table, destroy bool) error {
 	if err != nil {
 		return err
 	}
+	defer b.release()
 	flushed = int64(batchBytes(b))
 	if err := t.flushBatch(i, x.Range(), b); err != nil {
 		return err
@@ -440,6 +458,7 @@ func (t *Tree) mergeChild(dst int, kid *tableset.Table, sub *batch) error {
 	t.stats.AddReadBytes(dst, kid.DataSize())
 	merged := iterator.NewMerging(kv.CompareInternal, sub.iter(), kid.NewIter())
 	filtered := engine.DropObsolete(merged, t.Horizon(), atBottom, t.cfg.OnDrop)
+	defer filtered.Close()
 	filtered.First()
 	newNodes, bytes, err := t.BuildRuns(filtered, chunk, t.cfg.fileCapacity())
 	if err != nil {
@@ -497,6 +516,7 @@ func (t *Tree) splitNode(i int, x *tableset.Table) error {
 	if err != nil {
 		return err
 	}
+	defer b.release()
 	cut := 0
 	for cut < b.len() && kv.CompareUser(kv.UserKey(b.keys[cut]), mid) < 0 {
 		cut++

@@ -206,8 +206,10 @@ func (m *Merging) Value() []byte {
 // Err implements Iterator.
 func (m *Merging) Err() error { return m.err }
 
-// Close implements Iterator.
+// Close implements Iterator: the children are closed and the merge
+// stands on no record.
 func (m *Merging) Close() error {
+	m.cur = nil
 	var first error
 	for _, it := range m.kids {
 		if err := it.Close(); err != nil && first == nil {

@@ -1,15 +1,19 @@
 package kv
 
-import "iamdb/internal/invariants"
+import (
+	"sync"
+
+	"iamdb/internal/invariants"
+)
 
 // arenaChunk is the least an Arena allocates at a time: the gathers that
 // use one stage whole runs, so a record costs a copy and no allocation.
 const arenaChunk = 64 << 10
 
-// Arena copies byte strings into chunks it owns, for code that stages
-// many records an iterator is about to overwrite.  The copies stay valid
-// until Reset, which keeps the chunks for the next round.  The zero
-// Arena is ready to use; an Arena is not safe for concurrent use.
+// Arena copies byte strings into chunks it owns: the storage of a
+// Gather.  The copies stay valid until Reset, which keeps the chunks for
+// the next round.  The zero Arena is ready to use; an Arena is not safe
+// for concurrent use.
 type Arena struct {
 	chunks [][]byte
 	cur    int // chunks before this one are full
@@ -40,4 +44,39 @@ func (a *Arena) Reset() {
 		a.chunks[i] = c[:0]
 	}
 	a.cur = 0
+}
+
+// Gather stages one sorted run: copies of the records an iterator is
+// about to overwrite, as the parallel slices iterator.NewSlice reads.
+// A flush cascade stages a run per node it loads and per table it
+// writes, so gathers are pooled with their chunks: NewGather lends one,
+// Release takes it back, and nothing it staged may be used after that
+// (under -tags invariants the chunks are poisoned on the way in).
+type Gather struct {
+	arena      Arena
+	Keys, Vals [][]byte
+}
+
+var gatherPool = sync.Pool{New: func() any { return new(Gather) }}
+
+// NewGather returns an empty gather.
+func NewGather() *Gather { return gatherPool.Get().(*Gather) }
+
+// Add stages a copy of one record behind those already staged.
+func (g *Gather) Add(key, val []byte) {
+	g.Keys = append(g.Keys, g.arena.Copy(key))
+	g.Vals = append(g.Vals, g.arena.Copy(val))
+}
+
+// Reset forgets the staged records and keeps their storage for the next
+// run.
+func (g *Gather) Reset() {
+	g.arena.Reset()
+	g.Keys, g.Vals = g.Keys[:0], g.Vals[:0]
+}
+
+// Release gives the gather and its storage back for another caller.
+func (g *Gather) Release() {
+	g.Reset()
+	gatherPool.Put(g)
 }

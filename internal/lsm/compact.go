@@ -224,6 +224,7 @@ func (d *DB) compactLevel(i int) error {
 	merged := iterator.NewMerging(kv.CompareInternal, kids...)
 	atBottom := d.isBottom(i + 1)
 	filtered := engine.DropObsolete(merged, d.Horizon(), atBottom, d.cfg.OnDrop)
+	defer filtered.Close()
 	filtered.First()
 	files, bytes, err := d.BuildRuns(filtered, d.cfg.FileSize, 0)
 	if err != nil {

@@ -139,11 +139,66 @@ func TestEmptyUserKeyReachesBloom(t *testing.T) {
 	}
 }
 
+// windowedTable is a three-sequence table, each sequence several
+// read-ahead windows long, with the sorted model of its records.
+type windowedTable struct {
+	tb         *Table
+	keys, vals [][]byte
+	order      []int // record i of the table is keys[order[i]]
+}
+
+func newWindowedTable(t *testing.T, fs vfs.FS, name string, seed int64, opt Options) *windowedTable {
+	t.Helper()
+	tb, err := Create(fs, name, uint64(seed), 4<<20, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &windowedTable{tb: tb}
+	for s := 0; s < 3; s++ {
+		ks, vs := seededRun(seed+int64(s), 400, 700, kv.Seq(1+1000*s))
+		if _, err := tb.Append(iterator.NewSlice(kv.CompareInternal, ks, vs)); err != nil {
+			t.Fatal(err)
+		}
+		if n := tb.SeqMetaAt(s).DataLen; n < 3*readaheadSize {
+			t.Fatalf("sequence %d holds %d bytes, under three windows", s, n)
+		}
+		w.keys, w.vals = append(w.keys, ks...), append(w.vals, vs...)
+	}
+	w.order = make([]int, len(w.keys))
+	for i := range w.order {
+		w.order[i] = i
+	}
+	sort.Slice(w.order, func(a, b int) bool { return kv.CompareInternal(w.keys[w.order[a]], w.keys[w.order[b]]) < 0 })
+	return w
+}
+
+// at checks that it stands on record i of the table, or is exhausted
+// when i is out of range.
+func (w *windowedTable) at(t *testing.T, it iterator.Iterator, step string, i int) {
+	t.Helper()
+	if i < 0 || i >= len(w.keys) {
+		if it.Valid() {
+			t.Fatalf("%s: valid at %q, want exhausted", step, it.Key())
+		}
+		return
+	}
+	if !it.Valid() {
+		t.Fatalf("%s: exhausted (err %v), want record %d", step, it.Err(), i)
+	}
+	if k, v := w.keys[w.order[i]], w.vals[w.order[i]]; !bytes.Equal(it.Key(), k) || !bytes.Equal(it.Value(), v) {
+		t.Fatalf("%s: at %s, want record %d = %s (values equal: %v)", step,
+			kv.InternalKeyString(it.Key()), i, kv.InternalKeyString(k), bytes.Equal(it.Value(), v))
+	}
+}
+
 // TestWindowedIteration walks a three-sequence table, each sequence
 // several read-ahead windows long, through the merge of its sequence
 // iterators: forward, backward, and seeks interleaved with steps in both
 // directions, against the sorted model.  Without a cache every block is
-// served from the window the iterator refills in place.
+// served from the window the iterator refills in place.  Then iterators
+// over two tables of different content are opened, moved and closed in
+// turn, so the pooled windows one hands back are the ones the next
+// refills (poisoned in between under -tags invariants).
 func TestWindowedIteration(t *testing.T) {
 	for _, withCache := range []bool{false, true} {
 		t.Run(fmt.Sprintf("cache=%v", withCache), func(t *testing.T) {
@@ -151,69 +206,35 @@ func TestWindowedIteration(t *testing.T) {
 			if withCache {
 				opt.Cache = cache.New(64 << 10) // a window's worth: it evicts throughout
 			}
-			tb, err := Create(vfs.NewMemFS(), "w.mst", 1, 4<<20, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tb.Close()
-			var keys, vals [][]byte
-			for s := 0; s < 3; s++ {
-				ks, vs := seededRun(int64(90+s), 400, 700, kv.Seq(1+1000*s))
-				if _, err := tb.Append(iterator.NewSlice(kv.CompareInternal, ks, vs)); err != nil {
-					t.Fatal(err)
-				}
-				if n := tb.SeqMetaAt(s).DataLen; n < 3*readaheadSize {
-					t.Fatalf("sequence %d holds %d bytes, under three windows", s, n)
-				}
-				keys, vals = append(keys, ks...), append(vals, vs...)
-			}
-			order := make([]int, len(keys)) // the model: record i is keys[order[i]]
-			for i := range order {
-				order[i] = i
-			}
-			sort.Slice(order, func(a, b int) bool { return kv.CompareInternal(keys[order[a]], keys[order[b]]) < 0 })
+			fs := vfs.NewMemFS()
+			w := newWindowedTable(t, fs, "w.mst", 90, opt)
+			defer w.tb.Close()
+			loans := WindowsOnLoan()
 
-			it := tb.NewIter().(iterator.ReverseIterator)
-			defer it.Close()
-			at := func(step string, i int) {
-				t.Helper()
-				if i < 0 || i >= len(keys) {
-					if it.Valid() {
-						t.Fatalf("%s: valid at %q, want exhausted", step, it.Key())
-					}
-					return
-				}
-				if !it.Valid() {
-					t.Fatalf("%s: exhausted (err %v), want record %d", step, it.Err(), i)
-				}
-				if k, v := keys[order[i]], vals[order[i]]; !bytes.Equal(it.Key(), k) || !bytes.Equal(it.Value(), v) {
-					t.Fatalf("%s: at %s, want record %d = %s (values equal: %v)", step,
-						kv.InternalKeyString(it.Key()), i, kv.InternalKeyString(k), bytes.Equal(it.Value(), v))
-				}
-			}
+			it := w.tb.NewIterAt(3).(iterator.ReverseIterator)
 			i := 0
-			for it.First(); i < len(keys); it.Next() {
-				at("forward", i)
+			for it.First(); i < len(w.keys); it.Next() {
+				w.at(t, it, "forward", i)
 				i++
 			}
-			at("forward end", i)
-			i = len(keys) - 1
+			w.at(t, it, "forward end", i)
+			i = len(w.keys) - 1
 			for it.Last(); i >= 0; it.Prev() {
-				at("backward", i)
+				w.at(t, it, "backward", i)
 				i--
 			}
-			at("backward end", i)
+			w.at(t, it, "backward end", i)
 
 			rng := rand.New(rand.NewSource(5))
 			for round := 0; round < 300; round++ {
-				i = rng.Intn(len(keys))
+				i = rng.Intn(len(w.keys))
 				if rng.Intn(2) == 0 {
-					it.Seek(keys[order[i]])
+					it.Seek(w.keys[w.order[i]])
 				} else {
-					it.SeekForPrev(keys[order[i]])
+					it.SeekForPrev(w.keys[w.order[i]])
 				}
-				at("seek", i)
-				for steps := rng.Intn(40); steps > 0 && i >= 0 && i < len(keys); steps-- {
+				w.at(t, it, "seek", i)
+				for steps := rng.Intn(40); steps > 0 && i >= 0 && i < len(w.keys); steps-- {
 					if rng.Intn(3) == 0 {
 						it.Prev()
 						i--
@@ -221,13 +242,172 @@ func TestWindowedIteration(t *testing.T) {
 						it.Next()
 						i++
 					}
-					at("step", i)
+					w.at(t, it, "step", i)
 				}
 			}
 			if err := it.Err(); err != nil {
 				t.Fatal(err)
 			}
+			if invariants.Enabled && WindowsOnLoan() != loans+3 {
+				t.Fatalf("an open iterator over three sequences holds %d windows", WindowsOnLoan()-loans)
+			}
+			it.Close()
+			if it.Valid() || it.Key() != nil || it.Value() != nil {
+				t.Fatal("a closed iterator still stands on a record")
+			}
+			it.Close() // and closing it again gives nothing back twice
+
+			other := newWindowedTable(t, fs, "other.mst", 190, opt)
+			defer other.tb.Close()
+			for round := 0; round < 40; round++ {
+				for _, w := range []*windowedTable{w, other} {
+					// Merges and scans alike: both kinds of iterator borrow.
+					var it iterator.Iterator
+					if round%2 == 0 {
+						it = w.tb.NewIter()
+					} else {
+						it = w.tb.NewIterAt(3)
+					}
+					i := rng.Intn(len(w.keys))
+					it.Seek(w.keys[w.order[i]])
+					for steps := 0; steps < 200 && i <= len(w.keys); steps++ {
+						w.at(t, it, "reopened", i)
+						it.Next()
+						i++
+					}
+					if err := it.Err(); err != nil {
+						t.Fatal(err)
+					}
+					it.Close()
+				}
+			}
+			if invariants.Enabled && WindowsOnLoan() != loans {
+				t.Fatalf("%d windows still on loan after every iterator was closed", WindowsOnLoan()-loans)
+			}
 		})
+	}
+}
+
+// readCall is one ReadAt a recordingFS saw.
+type readCall struct {
+	off int64
+	n   int
+}
+
+// recordingFS notes the offset and length of every ReadAt on the files
+// created through it.
+type recordingFS struct {
+	vfs.FS
+	reads *[]readCall
+}
+
+func (fs recordingFS) Create(name string) (vfs.File, error) {
+	f, err := fs.FS.Create(name)
+	return recordingFile{f, fs.reads}, err
+}
+
+type recordingFile struct {
+	vfs.File
+	reads *[]readCall
+}
+
+func (f recordingFile) ReadAt(p []byte, off int64) (int, error) {
+	*f.reads = append(*f.reads, readCall{off, len(p)})
+	return f.File.ReadAt(p, off)
+}
+
+// TestMergeIterLeavesCacheAlone: the iterators of the merges and the
+// tools (NewIter, SeqIter) read a table through the block cache without
+// inserting into it, a user's scan (NewIterAt) fills it as before, and
+// neither asks the device for anything but what it asked before: the
+// (offset, length) list of every pass is pinned, by its length and a
+// hash, as computed at the commit before merges stopped filling.
+func TestMergeIterLeavesCacheAlone(t *testing.T) {
+	var reads []readCall
+	c := cache.New(8 << 20) // holds the whole table
+	w := newWindowedTable(t, recordingFS{vfs.NewMemFS(), &reads}, "m.mst", 90, Options{Cache: c})
+	defer w.tb.Close()
+	drain := func(it iterator.Iterator) {
+		t.Helper()
+		n := 0
+		for it.First(); it.Valid(); it.Next() {
+			n++
+		}
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
+		}
+		it.Close()
+		if n == 0 {
+			t.Fatal("the pass saw no record")
+		}
+	}
+	// pass runs one cold-cache pass and checks its device reads against
+	// the pinned list.
+	pass := func(name string, wantReads int, wantHash string, run func()) (fills int64) {
+		t.Helper()
+		w.tb.EvictBlocks()
+		reads = reads[:0]
+		before, _ := c.Traffic()
+		run()
+		after, _ := c.Traffic()
+		h := sha256.New()
+		for _, r := range reads {
+			fmt.Fprintf(h, "%d+%d\n", r.off, r.n)
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); len(reads) != wantReads || got != wantHash {
+			t.Errorf("%s: %d device reads hashing to %s, pinned %d and %s", name, len(reads), got, wantReads, wantHash)
+		}
+		return after - before
+	}
+	const (
+		fullReads, fullHash   = 30, "416fb265d3c0372fb0843c324031a4618b584792ad90fdac2afc1875bd67e2e3"
+		seqReads, seqHash     = 30, "b15d20f39e9e037cb7f8f009821d757d534494d6d0da07194ca5b70e58d92b36"
+		afterReads, afterHash = 31, "f27d3f7a200a9aea3e08bd3ca875b1e13ddc40f0860ecbcf4733d69bf413a483"
+	)
+
+	if fills := pass("NewIter", fullReads, fullHash, func() { drain(w.tb.NewIter()) }); fills != 0 || c.Used() != 0 {
+		t.Errorf("a NewIter pass inserted %d blocks, %d bytes cached", fills, c.Used())
+	}
+	if fills := pass("SeqIter", seqReads, seqHash, func() {
+		for s := 0; s < 3; s++ {
+			drain(w.tb.SeqIter(s))
+		}
+	}); fills != 0 || c.Used() != 0 {
+		t.Errorf("the SeqIter passes inserted %d blocks, %d bytes cached", fills, c.Used())
+	}
+
+	// A user's Get caches the first block of the newest sequence; the
+	// merge iterator is served that block from the cache and starts its
+	// device reads behind it.
+	var cached readCall
+	newest := w.tb.SeqMetaAt(2)
+	if fills := pass("NewIter after Get", afterReads, afterHash, func() {
+		if _, _, _, found, err := w.tb.Get(kv.UserKey(newest.Smallest), kv.MaxSeq); err != nil || !found {
+			t.Fatalf("Get: found=%v err=%v", found, err)
+		}
+		if len(reads) != 1 || reads[0].off != int64(newest.DataOff) {
+			t.Fatalf("the Get read %v, want one block at %d", reads, newest.DataOff)
+		}
+		cached = reads[0]
+		used := c.Used()
+		drain(w.tb.NewIter())
+		if c.Used() != used {
+			t.Errorf("the pass moved the cached bytes from %d to %d", used, c.Used())
+		}
+	}); fills != 1 {
+		t.Errorf("%d blocks inserted, want the Get's one", fills)
+	}
+	for _, r := range reads[1:] {
+		if r.off < cached.off+int64(cached.n) && cached.off < r.off+int64(r.n) {
+			t.Errorf("device read [%d,+%d) covers the cached block [%d,+%d)", r.off, r.n, cached.off, cached.n)
+		}
+	}
+
+	// The same pass as a user's scan asks the device for the same bytes
+	// and leaves every block it read in the cache.
+	fills := pass("NewIterAt", fullReads, fullHash, func() { drain(w.tb.NewIterAt(3)) })
+	if fills == 0 || c.Used() < w.tb.DataSize()*9/10 {
+		t.Errorf("a user scan of %d data bytes inserted %d blocks, %d bytes cached", w.tb.DataSize(), fills, c.Used())
 	}
 }
 
@@ -264,7 +444,13 @@ func TestTableAppendAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f allocations, %.4f per record", allocs, allocs/records)
-	if perRecord := allocs / records; perRecord > 0.05 {
-		t.Errorf("Append of %d records allocates %.0f times, %.3f per record; want <= 0.05", records, allocs, perRecord)
+	// The writers come from a sync.Pool, which drops some of what is put
+	// back under the race detector.
+	limit := 0.05
+	if raceEnabled {
+		limit = 0.10
+	}
+	if perRecord := allocs / records; perRecord > limit {
+		t.Errorf("Append of %d records allocates %.0f times, %.3f per record; want <= %.2f", records, allocs, perRecord, limit)
 	}
 }

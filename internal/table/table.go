@@ -975,12 +975,13 @@ func (t *Table) wrapIterErr(err error) error {
 		"block iterator corruption")
 }
 
-// SeqIter returns an iterator over sequence i (oldest = 0).
+// SeqIter returns an iterator over sequence i (oldest = 0).  Like
+// NewIter it reads the block cache and leaves it as it found it.
 func (t *Table) SeqIter(i int) iterator.Iterator {
-	return t.seqIterOf(t.snapshotSeqs(), i)
+	return t.seqIterOf(t.snapshotSeqs(), i, false)
 }
 
-func (t *Table) seqIterOf(seqs []SeqMeta, i int) iterator.Iterator {
+func (t *Table) seqIterOf(seqs []SeqMeta, i int, fill bool) iterator.Iterator {
 	s := &seqs[i]
 	if s.Entries == 0 {
 		return iterator.Empty{}
@@ -989,28 +990,32 @@ func (t *Table) seqIterOf(seqs []SeqMeta, i int) iterator.Iterator {
 	if err != nil {
 		return &errIter{t.metaCorrupt(err, "index block malformed")}
 	}
-	return &seqIter{t: t, bounds: *s, idx: idx.Iter()}
+	return &seqIter{t: t, bounds: *s, idx: idx.Iter(), fill: fill}
 }
 
 // NewIter returns an iterator merging every sequence, newest winning
 // nothing special (internal keys are unique); the ordering is plain
-// internal-key order as scans require.
-func (t *Table) NewIter() iterator.Iterator { return t.iterOf(t.snapshotSeqs()) }
+// internal-key order as scans require.  It is the one-pass read of the
+// merges and the tools: a block a user read left in the cache is served
+// from there, but nothing it reads is inserted — the tables a merge
+// reads are dropped, and their blocks evicted, when it publishes.
+func (t *Table) NewIter() iterator.Iterator { return t.iterOf(t.snapshotSeqs(), false) }
 
 // NewIterAt is NewIter over the oldest n sequences only: the table as
 // it stood when NumSeqs returned n, whatever has been appended since.
-func (t *Table) NewIterAt(n int) iterator.Iterator { return t.iterOf(t.snapshotSeqs()[:n]) }
+// It serves user scans, so the blocks it reads fill the cache.
+func (t *Table) NewIterAt(n int) iterator.Iterator { return t.iterOf(t.snapshotSeqs()[:n], true) }
 
-func (t *Table) iterOf(seqs []SeqMeta) iterator.Iterator {
+func (t *Table) iterOf(seqs []SeqMeta, fill bool) iterator.Iterator {
 	if len(seqs) == 0 {
 		return iterator.Empty{}
 	}
 	if len(seqs) == 1 {
-		return t.seqIterOf(seqs, 0)
+		return t.seqIterOf(seqs, 0, fill)
 	}
 	kids := make([]iterator.Iterator, 0, len(seqs))
 	for i := len(seqs) - 1; i >= 0; i-- { // newest first for tie order
-		kids = append(kids, t.seqIterOf(seqs, i))
+		kids = append(kids, t.seqIterOf(seqs, i, fill))
 	}
 	return iterator.NewMerging(kv.CompareInternal, kids...)
 }
@@ -1033,29 +1038,64 @@ func (e *errIter) Close() error  { return nil }
 // which no real deployment does.
 const readaheadSize = 64 * 1024
 
+// windowPool keeps read-ahead windows between iterators: a merge opens
+// one iterator per input sequence and a short scan one per table it
+// crosses, and a fresh window each would be most of what they allocate.
+var windowPool = sync.Pool{New: func() any { return new([readaheadSize]byte) }}
+
+// windowsOut counts the pooled windows iterators hold, under -tags
+// invariants only: an iterator that is dropped without Close shows here.
+var windowsOut atomic.Int64
+
+// WindowsOnLoan reports how many pooled read-ahead windows open
+// iterators hold.  It counts only under -tags invariants and reads 0
+// without the tag.
+func WindowsOnLoan() int64 { return windowsOut.Load() }
+
 // seqIter chains the data blocks of one sequence via its index block.
 // Block fetches that continue sequentially from the previous fetch are
-// served through a read-ahead window the iterator owns and refills in
-// place.
+// served through a read-ahead window the iterator borrows from
+// windowPool at its first physical read, refills in place, and hands
+// back in Close.
 type seqIter struct {
 	t      *Table
 	bounds SeqMeta
 	idx    *block.Iter
 	cur    *block.Iter
 	err    error
+	// fill says whether blocks read from the device are inserted into
+	// the cache: yes for a user's scan, no for the one pass of a merge.
+	fill bool
 
-	ra       []byte // the window: file bytes [raStart, raStart+len(ra))
+	win      *[readaheadSize]byte // the borrowed window, until Close
+	ra       []byte               // file bytes [raStart, raStart+len(ra)), in win unless a block outgrew it
 	raStart  int64
 	fetchEnd int64 // end offset of the previous physical fetch
 	everRead bool
+}
+
+// window returns storage for a refill of n bytes: the pooled window,
+// or, for a block larger than that, a buffer of the block's own size,
+// which is left to the collector.
+func (s *seqIter) window(n int64) []byte {
+	if n > readaheadSize {
+		return make([]byte, n)
+	}
+	if s.win == nil {
+		if invariants.Enabled {
+			windowsOut.Add(1)
+		}
+		s.win = windowPool.Get().(*[readaheadSize]byte)
+	}
+	return s.win[:]
 }
 
 // fetchBlock returns the data block at [off, off+length), using the
 // cache, then the read-ahead window, then a physical read that extends
 // ahead when the access pattern is sequential.  An uncompressed payload
 // that did not come from the cache aliases the window: it is valid until
-// this iterator's next positioning call, which may refill the window.
-// The cache is therefore given a copy.
+// this iterator's next positioning call, which may refill the window, or
+// its Close.  A filling iterator therefore gives the cache a copy.
 func (s *seqIter) fetchBlock(off, length uint64) ([]byte, error) {
 	t := s.t
 	if t.cache != nil {
@@ -1081,7 +1121,7 @@ func (s *seqIter) fetchBlock(off, length uint64) ([]byte, error) {
 		buf := s.ra[:0]
 		s.ra = buf
 		if int64(cap(buf)) < chunk {
-			buf = make([]byte, chunk)
+			buf = s.window(chunk)
 		} else if invariants.Enabled {
 			invariants.Poison(buf)
 		}
@@ -1102,7 +1142,7 @@ func (s *seqIter) fetchBlock(off, length uint64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if t.cache != nil {
+	if s.fill && t.cache != nil {
 		t.cache.Set(t.id, off, append([]byte(nil), payload...))
 	}
 	return payload, nil
@@ -1207,8 +1247,21 @@ func (s *seqIter) Value() []byte {
 // Err implements Iterator.
 func (s *seqIter) Err() error { return s.t.wrapIterErr(s.err) }
 
-// Close implements Iterator.
-func (s *seqIter) Close() error { return nil }
+// Close implements Iterator.  The window goes back to the pool, so the
+// iterator and every key and value it returned are invalid from here
+// on; closing again does nothing.
+func (s *seqIter) Close() error {
+	s.cur, s.ra = nil, nil
+	if s.win != nil {
+		if invariants.Enabled {
+			invariants.Poison(s.win[:])
+			windowsOut.Add(-1)
+		}
+		windowPool.Put(s.win)
+		s.win = nil
+	}
+	return nil
+}
 
 // Last implements iterator.ReverseIterator.
 func (e *errIter) Last() {}

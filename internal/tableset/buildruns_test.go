@@ -5,13 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
+	"iamdb/internal/cache"
 	"iamdb/internal/engine"
 	"iamdb/internal/invariants"
 	"iamdb/internal/iterator"
 	"iamdb/internal/kv"
+	"iamdb/internal/table"
 	"iamdb/internal/vfs"
 )
 
@@ -193,7 +196,88 @@ func TestBuildRunsAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f allocations, %.4f per record", allocs, allocs/records)
-	if perRecord := allocs / records; perRecord > 0.05 {
-		t.Errorf("BuildRuns of %d records allocates %.0f times, %.3f per record; want <= 0.05", records, allocs, perRecord)
+	// The gather and the table writers come from sync.Pools, which drop
+	// some of what is put back under the race detector.
+	limit := 0.05
+	if raceEnabled {
+		limit = 0.10
+	}
+	if perRecord := allocs / records; perRecord > limit {
+		t.Errorf("BuildRuns of %d records allocates %.0f times, %.3f per record; want <= %.2f", records, allocs, perRecord, limit)
+	}
+}
+
+// TestMergeReadAllocs is the allocation gate of a whole merge, its read
+// side included: two real input tables of three sequences each, behind a
+// block cache as the engines open them, merged through their iterators
+// and the retention filter into fresh tables.  A merge reads its inputs
+// once and keeps nothing — no cache fill, read-ahead windows and the
+// gather borrowed and handed back — so it allocates a small fraction of
+// a byte per byte it reads (a fresh window per sequence, a fresh gather
+// per merge and a cache copy per block came to 1.9 bytes per byte).
+func TestMergeReadAllocs(t *testing.T) {
+	if invariants.Enabled {
+		t.Skip("assertions box their arguments once per record")
+	}
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops what is put back")
+	}
+	mem := vfs.NewMemFS()
+	opt := table.Options{Cache: cache.New(1 << 20)}
+	var inputs []*table.Table
+	var inputBytes int64
+	seq := kv.Seq(0)
+	for i := 0; i < 2; i++ {
+		tb, err := table.Create(mem, fmt.Sprintf("input%d", i), uint64(100+i), 4<<20, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tb.Close()
+		for j := 0; j < 3; j++ {
+			src := versionedRun(int64(10*i+j), 340, 1, 1024-31)
+			for n, k := range src.Keys { // every sequence newer than the one before
+				src.Keys[n] = kv.MakeInternalKey(kv.UserKey(k), kv.SeqOf(k)+seq, kv.KindSet)
+			}
+			seq += 1000
+			if _, err := tb.Append(src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		inputs = append(inputs, tb)
+		inputBytes += tb.DataSize()
+	}
+	s, err := Open(Config{FS: tableDiscardFS{vfs.NewMemFS()}, Dir: "db", MinLevel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Mu.Lock()
+	defer s.Mu.Unlock()
+	merge := func() {
+		src := engine.DropObsolete(iterator.NewMerging(kv.CompareInternal, inputs[1].NewIter(), inputs[0].NewIter()), 0, false, nil)
+		defer src.Close()
+		src.First()
+		tables, _, err := s.BuildRuns(src, 1<<20, 2<<20)
+		if err != nil || len(tables) != 2 {
+			t.Fatalf("%d tables, %v", len(tables), err)
+		}
+	}
+	// One processor, as testing.AllocsPerRun measures: a pool keeps what
+	// is put back per processor, and the first merge fills this one's.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	merge()
+	const rounds = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		merge()
+	}
+	runtime.ReadMemStats(&after)
+	perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(rounds*inputBytes)
+	blocks := float64(rounds*inputBytes) / 4096
+	t.Logf("%d input bytes: %.3f bytes allocated per byte read, %.2f mallocs per 4 KiB block",
+		inputBytes, perByte, float64(after.Mallocs-before.Mallocs)/blocks)
+	if perByte > 0.15 {
+		t.Errorf("a merge of %d bytes allocates %.3f bytes per byte it reads; want <= 0.15", inputBytes, perByte)
 	}
 }

@@ -42,12 +42,17 @@ func (s *Set) newConcatIter(tables []*Table) *concatIter {
 	return l
 }
 
+// open makes table i's iterator the current one, or none when i is out
+// of range, and closes the one it replaces: a positioned iterator that is
+// re-positioned holds a read-ahead window per sequence of its table.
 func (l *concatIter) open(i int) {
+	if l.cur != nil {
+		l.cur.Close()
+		l.cur = nil
+	}
 	l.idx = i
 	if i >= 0 && i < len(l.views) {
 		l.cur = l.views[i].tb.NewIterAt(l.views[i].nseq)
-	} else {
-		l.cur = nil
 	}
 }
 
@@ -88,10 +93,9 @@ func (l *concatIter) skipExhausted() {
 	for l.cur != nil && !l.cur.Valid() {
 		if err := l.cur.Err(); err != nil {
 			l.err = err
-			l.cur = nil
+			l.open(-1)
 			return
 		}
-		l.cur.Close()
 		l.open(l.idx + 1)
 		if l.cur != nil {
 			l.cur.First()
@@ -166,11 +170,6 @@ func (l *concatIter) SeekForPrev(target []byte) {
 	i := sort.Search(len(l.views), func(j int) bool {
 		return kv.CompareUser(l.views[j].rng.Lo, u) > 0
 	}) - 1
-	if i < 0 {
-		l.cur = nil
-		l.idx = 0
-		return
-	}
 	l.open(i)
 	if l.cur != nil {
 		l.cur.(iterator.ReverseIterator).SeekForPrev(target)
@@ -182,12 +181,7 @@ func (l *concatIter) skipExhaustedBackward() {
 	for l.cur != nil && !l.cur.Valid() {
 		if err := l.cur.Err(); err != nil {
 			l.err = err
-			l.cur = nil
-			return
-		}
-		l.cur.Close()
-		if l.idx == 0 {
-			l.cur = nil
+			l.open(-1)
 			return
 		}
 		l.open(l.idx - 1)

@@ -530,33 +530,32 @@ func (s *Set) Build(capacity int64, src iterator.Iterator) (*Table, int64, error
 func (s *Set) BuildRuns(it iterator.Iterator, limit, floorCapacity int64) ([]*Table, int64, error) {
 	var tables []*Table
 	var total int64
-	// The gather belongs to this call and serves all its runs: a record
-	// is copied once, into storage the previous run has finished with.
-	var arena kv.Arena
-	var keys, vals [][]byte
+	// One gather serves all the runs of this call: a record is copied
+	// once, into storage the previous run has finished with.
+	g := kv.NewGather()
+	defer g.Release()
 	var lastUser []byte
 	for it.Valid() {
-		arena.Reset()
-		keys, vals, lastUser = keys[:0], vals[:0], lastUser[:0]
+		g.Reset()
+		lastUser = lastUser[:0]
 		var bytes int64
 		for ; it.Valid(); it.Next() {
 			u := kv.UserKey(it.Key())
 			if bytes >= limit && string(u) != string(lastUser) {
 				break
 			}
-			keys = append(keys, arena.Copy(it.Key()))
-			vals = append(vals, arena.Copy(it.Value()))
+			g.Add(it.Key(), it.Value())
 			bytes += int64(len(it.Key()) + len(it.Value()))
 			lastUser = append(lastUser[:0], u...)
 		}
 		if err := it.Err(); err != nil {
 			return tables, total, err
 		}
-		if len(keys) == 0 {
+		if len(g.Keys) == 0 {
 			break
 		}
 		capacity := max(floorCapacity, bytes+bytes/2+64*1024)
-		tb, written, err := s.Build(capacity, iterator.NewSlice(kv.CompareInternal, keys, vals))
+		tb, written, err := s.Build(capacity, iterator.NewSlice(kv.CompareInternal, g.Keys, g.Vals))
 		if err != nil {
 			return tables, total, err
 		}

@@ -89,55 +89,62 @@ func verifyTable(lvl int, tb *Table, rep *VerifyReport) error {
 	numSeqs := tb.NumSeqs()
 	rep.Sequences += numSeqs
 	for s := 0; s < numSeqs; s++ {
-		meta := tb.SeqMetaAt(s)
-		it := tb.SeqIter(s)
-		var prev []byte
-		var count uint64
-		var sampleKeys [][]byte
-		for it.First(); it.Valid(); it.Next() {
-			k := it.Key()
-			if prev != nil && kv.CompareInternal(prev, k) >= 0 {
-				return fmt.Errorf("L%d node %d seq %d: keys out of order", lvl, tb.ID(), s)
-			}
-			u, _, _, ok := kv.ParseInternalKey(k)
-			if !ok {
-				return fmt.Errorf("L%d node %d seq %d: bad internal key", lvl, tb.ID(), s)
-			}
-			if !tb.rng.Contains(u) {
-				return fmt.Errorf("L%d node %d seq %d: key %q outside assigned range %v",
-					lvl, tb.ID(), s, u, tb.rng)
-			}
-			if kv.CompareInternal(k, meta.Smallest) < 0 || kv.CompareInternal(k, meta.Largest) > 0 {
-				return fmt.Errorf("L%d node %d seq %d: key %q outside metadata bounds",
-					lvl, tb.ID(), s, u)
-			}
-			if !meta.Bloom.MayContain(u) {
-				return fmt.Errorf("L%d node %d seq %d: bloom false negative for %q",
-					lvl, tb.ID(), s, u)
-			}
-			rep.BloomProbes++
-			if count%97 == 0 {
-				sampleKeys = append(sampleKeys, append([]byte(nil), u...))
-			}
-			prev = append(prev[:0], k...)
-			count++
+		if err := verifySeq(lvl, tb, s, rep); err != nil {
+			return err
 		}
-		if err := it.Err(); err != nil {
-			return fmt.Errorf("L%d node %d seq %d: %w", lvl, tb.ID(), s, err)
+	}
+	return nil
+}
+
+func verifySeq(lvl int, tb *Table, s int, rep *VerifyReport) error {
+	meta := tb.SeqMetaAt(s)
+	it := tb.SeqIter(s)
+	defer it.Close()
+	var prev []byte
+	var count uint64
+	var sampleKeys [][]byte
+	for it.First(); it.Valid(); it.Next() {
+		k := it.Key()
+		if prev != nil && kv.CompareInternal(prev, k) >= 0 {
+			return fmt.Errorf("L%d node %d seq %d: keys out of order", lvl, tb.ID(), s)
 		}
-		it.Close()
-		if count != meta.Entries {
-			return fmt.Errorf("L%d node %d seq %d: %d records, metadata says %d",
-				lvl, tb.ID(), s, count, meta.Entries)
+		u, _, _, ok := kv.ParseInternalKey(k)
+		if !ok {
+			return fmt.Errorf("L%d node %d seq %d: bad internal key", lvl, tb.ID(), s)
 		}
-		rep.Records += count
-		// Sampled point lookups through the table's own Get path.
-		for _, u := range sampleKeys {
-			if _, _, _, found, err := tb.Get(u, kv.MaxSeq); err != nil || !found {
-				return fmt.Errorf("L%d node %d: own key %q unfindable (%v)", lvl, tb.ID(), u, err)
-			}
-			rep.RangeChecked++
+		if !tb.rng.Contains(u) {
+			return fmt.Errorf("L%d node %d seq %d: key %q outside assigned range %v",
+				lvl, tb.ID(), s, u, tb.rng)
 		}
+		if kv.CompareInternal(k, meta.Smallest) < 0 || kv.CompareInternal(k, meta.Largest) > 0 {
+			return fmt.Errorf("L%d node %d seq %d: key %q outside metadata bounds",
+				lvl, tb.ID(), s, u)
+		}
+		if !meta.Bloom.MayContain(u) {
+			return fmt.Errorf("L%d node %d seq %d: bloom false negative for %q",
+				lvl, tb.ID(), s, u)
+		}
+		rep.BloomProbes++
+		if count%97 == 0 {
+			sampleKeys = append(sampleKeys, append([]byte(nil), u...))
+		}
+		prev = append(prev[:0], k...)
+		count++
+	}
+	if err := it.Err(); err != nil {
+		return fmt.Errorf("L%d node %d seq %d: %w", lvl, tb.ID(), s, err)
+	}
+	if count != meta.Entries {
+		return fmt.Errorf("L%d node %d seq %d: %d records, metadata says %d",
+			lvl, tb.ID(), s, count, meta.Entries)
+	}
+	rep.Records += count
+	// Sampled point lookups through the table's own Get path.
+	for _, u := range sampleKeys {
+		if _, _, _, found, err := tb.Get(u, kv.MaxSeq); err != nil || !found {
+			return fmt.Errorf("L%d node %d: own key %q unfindable (%v)", lvl, tb.ID(), u, err)
+		}
+		rep.RangeChecked++
 	}
 	return nil
 }

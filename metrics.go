@@ -38,6 +38,11 @@ type Metrics struct {
 	UserBytes int64
 	// CacheHitRate is the block-cache hit fraction since open.
 	CacheHitRate float64
+	// CacheFills counts the blocks inserted into the block cache since
+	// open — by user reads only; merges look blocks up and insert none —
+	// and CacheEvictions those that capacity pushed out again.
+	CacheFills     int64
+	CacheEvictions int64
 
 	// MemtableBytes is the approximate size of the mutable memtable.
 	MemtableBytes int64
@@ -169,6 +174,9 @@ func (db *DB) metricsOf(stores []*store) Metrics {
 		_, h, miss := st.cache.HitRate()
 		hits += h
 		lookups += h + miss
+		fills, evictions := st.cache.Traffic()
+		m.CacheFills += fills
+		m.CacheEvictions += evictions
 		m.StallCount += st.stallCount.Load()
 		m.StallTime += time.Duration(st.stallNanos.Load())
 		m.CorruptionsDetected += st.corrDetected.Load()
@@ -362,7 +370,7 @@ func (m Metrics) String() string {
 		m.Engine.Flushes, mb(m.UserBytes), m.WriteAmplification(), mb(m.SpaceUsed))
 	fmt.Fprintf(&b, "Memtable: %.1f MB (+%d immutable)  WAL: file %06d, %.1f MB written, %d rotations\n",
 		mb(m.MemtableBytes), m.ImmutableMemtables, m.WALNum, mb(m.WALBytes), m.WALRotations)
-	fmt.Fprintf(&b, "Block cache hit rate: %.1f%%\n", 100*m.CacheHitRate)
+	fmt.Fprintf(&b, "Block cache hit rate: %.1f%%, %d fills, %d evictions\n", 100*m.CacheHitRate, m.CacheFills, m.CacheEvictions)
 	fmt.Fprintf(&b, "Write stalls: %d, total %v\n", m.StallCount, m.StallTime)
 	// Value-log line only with separation active, so inline runs keep
 	// their familiar (and golden-tested) report shape.

@@ -206,6 +206,8 @@ func TestMetricsStringTable(t *testing.T) {
 		SpaceUsed:          7 << 20,
 		UserBytes:          3 << 20,
 		CacheHitRate:       0.5,
+		CacheFills:         640,
+		CacheEvictions:     128,
 		MemtableBytes:      1 << 20,
 		ImmutableMemtables: 1,
 		WALNum:             9,
@@ -225,7 +227,7 @@ func TestMetricsStringTable(t *testing.T) {
 		"total |     4     6       7.0 |      12.0       2.0 |       7       8      2       1         1",
 		"Flushes: 42  UserWrite(MB): 3.0  WriteAmp: 4.00  SpaceUsed(MB): 7.0",
 		"Memtable: 1.0 MB (+1 immutable)  WAL: file 000009, 2.0 MB written, 4 rotations",
-		"Block cache hit rate: 50.0%",
+		"Block cache hit rate: 50.0%, 640 fills, 128 evictions",
 		"Write stalls: 3, total 1.5s",
 		"Device IO: 20.0 MB written (100 ops), 10.0 MB read (50 ops), 25 seeks",
 		"Latency put  n=10  mean=1ms  p50=1ms  p99=2ms  p99.9=2ms  max=3ms",

@@ -47,8 +47,14 @@ go test -tags invariants ./internal/invariants/
 # the tag (DESIGN.md, "Known defects").
 go test -tags invariants -count=1 ./internal/block ./internal/table ./internal/tableset ./internal/lsm
 
-echo "== metrics smoke test (-tags invariants)"
-go test -tags invariants -run TestMetricsSmoke -count=1 .
+echo "== metrics smoke test, merge-read tests (-tags invariants)"
+# The merge-read tests under the tag: windows and gathers are poisoned on
+# their way back to their pools, and the count of windows on loan (kept
+# under the tag only) must return to zero on all four engines.
+go test -tags invariants -run 'TestMetricsSmoke|TestNoWindowLeftOnLoan|TestMergesDoNotEvictUserBlocks|TestScansBesideFlushCascades' -count=1 .
+# User scans beside flush cascades borrow from the same pools: repeatedly,
+# under the detector.
+go test -race -run TestScansBesideFlushCascades -count=10 .
 
 echo "== hot-path allocation gate"
 # A disabled EventListener must add zero allocations per op to Get/Put.
@@ -58,6 +64,9 @@ go test -run TestConcurrentZeroAlloc -count=1 ./internal/histogram/
 # writer and the gather under every flush, merge and split.
 go test -run TestTableAppendAllocs -count=1 ./internal/table/
 go test -run TestBuildRunsAllocs -count=1 ./internal/tableset/
+# Nor may reading the inputs of a merge: no cache fill, pooled read-ahead
+# windows and gather, at most 0.15 bytes allocated per byte read.
+go test -run TestMergeReadAllocs -count=1 ./internal/tableset/
 
 echo "== commit-pipeline bench smoke"
 # One iteration proves the contention benchmark still compiles and
