@@ -7,8 +7,8 @@ import (
 	"sort"
 )
 
-// program is the interprocedural substrate shared by the lockorder,
-// syncorder and goexit passes: every declared function's summary, a
+// program is the interprocedural substrate shared by the lockorder
+// and goexit passes: every declared function's summary, a
 // type-resolved call graph (interface methods resolve to every
 // implementation declared in the linted packages), and the fixpoint
 // results the passes consume.
@@ -94,7 +94,6 @@ func buildProgram(pkgs []*pkg) *program {
 		return pr.named[i].String() < pr.named[j].String()
 	})
 	pr.fixpointAcquire()
-	pr.fixpointSync()
 	return pr
 }
 
@@ -143,9 +142,6 @@ func (pr *program) importClosure(p *pkg) map[string]bool {
 // node; interface calls resolve to the matching method on every
 // implementing type in the caller's import closure.
 func (pr *program) callees(n *funcNode, ev sumEvent) []*funcNode {
-	if ev.callee == nil {
-		return nil
-	}
 	if !ev.iface {
 		if cn, ok := pr.nodes[ev.callee]; ok {
 			return []*funcNode{cn}
@@ -245,9 +241,6 @@ func (pr *program) fixpointAcquire() {
 		changed = false
 		for _, n := range pr.order {
 			for _, ev := range n.sum.events {
-				if ev.callee == nil {
-					continue
-				}
 				for _, cn := range pr.callees(n, ev) {
 					for lock, origin := range cn.sum.mayAcquire {
 						if _, ok := n.sum.mayAcquire[lock]; ok {
@@ -266,45 +259,6 @@ func (pr *program) fixpointAcquire() {
 	}
 }
 
-// fixpointSync computes, for every function, whether it can reach a
-// manifest edit and whether it can return with fresh table data
-// written but not yet synced.
-func (pr *program) fixpointSync() {
-	for changed := true; changed; {
-		changed = false
-		for _, n := range pr.order {
-			edits, dirty := false, false
-			for _, ev := range n.sum.events {
-				switch ev.kind {
-				case evWrite:
-					dirty = true
-				case evSync:
-					dirty = false
-				case evEdit:
-					edits = true
-				case evCall:
-					for _, cn := range pr.callees(n, ev) {
-						if cn.sum.editsManifest {
-							edits = true
-						}
-						if cn.sum.dirtyAtExit {
-							dirty = true
-						}
-					}
-				}
-			}
-			if edits && !n.sum.editsManifest {
-				n.sum.editsManifest = true
-				changed = true
-			}
-			if dirty && !n.sum.dirtyAtExit {
-				n.sum.dirtyAtExit = true
-				changed = true
-			}
-		}
-	}
-}
-
 // reachable returns every node reachable through the call graph from
 // the given roots (inclusive).
 func (pr *program) reachable(roots []*funcNode) map[*funcNode]bool {
@@ -318,9 +272,6 @@ func (pr *program) reachable(roots []*funcNode) map[*funcNode]bool {
 		}
 		seen[n] = true
 		for _, ev := range n.sum.events {
-			if ev.callee == nil {
-				continue
-			}
 			for _, cn := range pr.callees(n, ev) {
 				if !seen[cn] {
 					work = append(work, cn)
@@ -338,7 +289,7 @@ func (pr *program) reachable(roots []*funcNode) map[*funcNode]bool {
 	return seen
 }
 
-// analyzeProgram runs the three interprocedural passes.
+// analyzeProgram runs the two interprocedural passes.
 func analyzeProgram(pr *program) []diag {
 	var diags []diag
 	emit := func(d diag) {
@@ -347,7 +298,6 @@ func analyzeProgram(pr *program) []diag {
 		}
 	}
 	lockorder(pr, emit)
-	syncorder(pr, emit)
 	goexit(pr, emit)
 	return diags
 }

@@ -72,7 +72,6 @@ var knownPasses = map[string]bool{
 	"alias":       true,
 	"atomicpub":   true,
 	"lockorder":   true,
-	"syncorder":   true,
 	"goexit":      true,
 	"directive":   true,
 }

@@ -158,7 +158,7 @@ func collectEdges(pr *program) []lockEdge {
 			}
 		}
 		for _, ev := range n.sum.events {
-			if ev.callee == nil || len(ev.held) == 0 {
+			if len(ev.held) == 0 {
 				continue
 			}
 			for _, cn := range pr.callees(n, ev) {

@@ -35,9 +35,6 @@
 //	             calls) must match the //iamlint:lockorder declared
 //	             hierarchy; cycles and undeclared edges are potential
 //	             deadlocks
-//	syncorder    every interprocedural path reaching a manifest
-//	             append/edit must sync fresh table data first — the
-//	             static twin of the crash-matrix oracle
 //	goexit       every `go` statement needs a provable join: WaitGroup
 //	             Add before the spawn, Done in the body, Wait reachable
 //	             from Close/Shutdown/Stop/main

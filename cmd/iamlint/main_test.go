@@ -89,7 +89,7 @@ func TestDeterminismScope(t *testing.T) {
 func TestBadFixtures(t *testing.T) {
 	for _, dir := range []string{
 		"lockbad", "ioerrbad", "determbad", "aliasbad", "atomicpubbad",
-		"lockorderbad", "syncorderbad", "goexitbad",
+		"lockorderbad", "goexitbad",
 	} {
 		t.Run(dir, func(t *testing.T) {
 			pattern := "./testdata/" + dir
@@ -112,7 +112,7 @@ func TestAllBadFixturesTogether(t *testing.T) {
 		"./testdata/lockbad", "./testdata/ioerrbad",
 		"./testdata/determbad", "./testdata/aliasbad",
 		"./testdata/atomicpubbad", "./testdata/lockorderbad",
-		"./testdata/syncorderbad", "./testdata/goexitbad",
+		"./testdata/goexitbad",
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -120,7 +120,7 @@ func TestAllBadFixturesTogether(t *testing.T) {
 	want := 0
 	for _, dir := range []string{
 		"lockbad", "ioerrbad", "determbad", "aliasbad", "atomicpubbad",
-		"lockorderbad", "syncorderbad", "goexitbad",
+		"lockorderbad", "goexitbad",
 	} {
 		want += len(loadWants(t, filepath.Join("testdata", dir)))
 	}
@@ -254,6 +254,155 @@ func TestJSONOutput(t *testing.T) {
 		}
 		if d.Pass == "" || d.File == "" || d.Line == 0 || d.Msg == "" {
 			t.Errorf("JSON diagnostic missing fields: %q", line)
+		}
+	}
+}
+
+// TestEveryPassCatchesARealMutation is the standing answer to "why is
+// this pass here": each pass must flag, in the repository's own packages
+// and on the edited line, a bug a person could plausibly write — which
+// neither `go vet` nor the compiler reports.  The edits are applied
+// together to one temporary copy of the module and linted in one run.  A
+// pass with no row, or whose row stops being flagged, has lost its claim
+// to its lines: a pass that tracked sync-before-manifest-edit went this
+// way, having flagged neither a deleted tbl.Sync() in tableset.Build nor a
+// dropped kid.Sync() in core.appendToChild, both of which the crash matrix
+// fails on in seconds (DESIGN.md, "Static analysis & invariants").
+func TestEveryPassCatchesARealMutation(t *testing.T) {
+	mutations := []struct {
+		pass, file string
+		old, new   string
+		at         string // the part of new on the line the diagnostic names
+	}{
+		// DB.write takes a store's commit lock inside its hold of the
+		// sequencer's, against "commitMu < Sequencer.Mu".
+		{"lockorder", "db.go",
+			"\tdb.seqr.Mu.Unlock()\n\tvar firstErr error",
+			"\tops[0].st.commitMu.Lock()\n\tops[0].st.commitMu.Unlock()\n\tdb.seqr.Mu.Unlock()\n\tvar firstErr error",
+			"commitMu.Lock()"},
+		// store.resume returns ErrClosed with st.mu still held.
+		{"lockcheck", "store.go",
+			"\tif st.closed {\n\t\tst.mu.Unlock()\n\t\treturn ErrClosed\n\t}\n\tst.mu.Unlock()\n\tif err := st.set.Resume()",
+			"\tif st.closed {\n\t\treturn ErrClosed\n\t}\n\tst.mu.Unlock()\n\tif err := st.set.Resume()",
+			"return ErrClosed"},
+		// The sequence writer drops the result of a block's device write.
+		{"ioerr", "internal/table/table.go",
+			"\tif _, err := w.t.f.WriteAt(enc, w.off); err != nil {\n\t\treturn err\n\t}\n",
+			"\tw.t.f.WriteAt(enc, w.off)\n",
+			"WriteAt"},
+		// A worker is started that Close does not wait for.
+		{"goexit", "store.go",
+			"\tst.wg.Add(1)\n\tgo st.flushWorker()\n",
+			"\tst.wg.Add(1)\n\tgo st.flushWorker()\n\tgo st.drainImm()\n",
+			"go st.drainImm()"},
+		// The tree's flush reads the wall clock.
+		{"", "internal/core/flush.go", "\t\"slices\"\n", "\t\"slices\"\n\t\"time\"\n", ""},
+		{"determinism", "internal/core/flush.go",
+			"\tdefer t.Mu.Unlock()\n",
+			"\tdefer t.Mu.Unlock()\n\t_ = time.Now()\n",
+			"time.Now()"},
+		// The flush worker writes a field of the published read state.
+		{"atomicpub", "store.go",
+			"\t\tst.imm = nil\n\t\tst.publishStateLocked()\n",
+			"\t\tst.imm = nil\n\t\tst.state.Load().imm = nil\n\t\tst.publishStateLocked()\n",
+			"st.state.Load().imm = nil"},
+		// The user iterator keeps the inner iterator's value buffer.
+		{"alias", "iterator.go",
+			"it.val = append(it.val[:0], it.in.Value()...)",
+			"it.val = it.in.Value()",
+			"it.in.Value()"},
+	}
+
+	// The copy: go.mod and every non-test Go file outside bench/, testdata
+	// and dot directories.
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := t.TempDir()
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		if d.IsDir() {
+			if name := d.Name(); rel != "." && (strings.HasPrefix(name, ".") || name == "testdata" || rel == "bench") {
+				return filepath.SkipDir
+			}
+			return os.MkdirAll(filepath.Join(tmp, rel), 0o755)
+		}
+		if rel != "go.mod" && (!strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go")) {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(tmp, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutated := map[string]string{} // file -> source with every edit in
+	for _, m := range mutations {
+		src, ok := mutated[m.file]
+		if !ok {
+			data, err := os.ReadFile(filepath.Join(tmp, m.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			src = string(data)
+		}
+		if n := strings.Count(src, m.old); n != 1 {
+			t.Fatalf("%s mutation: its site occurs %d times in %s; restate the edit", m.pass, n, m.file)
+		}
+		mutated[m.file] = strings.Replace(src, m.old, m.new, 1)
+	}
+	for file, src := range mutated {
+		if err := os.WriteFile(filepath.Join(tmp, file), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(tmp); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	diags, err := run([]string{"./..."})
+	if err != nil {
+		t.Fatalf("run on the mutated copy: %v", err)
+	}
+	tried := map[string]bool{"directive": true}
+	for _, m := range mutations {
+		if m.pass == "" {
+			continue // an import the next row's edit needs
+		}
+		// Lines are taken with every edit in: two edits may share a file.
+		src := mutated[m.file]
+		line := 1 + strings.Count(src[:strings.Index(src, m.new)+strings.Index(m.new, m.at)], "\n")
+		caught := false
+		for _, d := range diags {
+			if d.pass == m.pass && d.pos.Line == line && d.pos.Filename == filepath.Join(tmp, m.file) {
+				caught = true
+			}
+		}
+		if !caught {
+			t.Errorf("%s did not flag its mutation at %s:%d", m.pass, m.file, line)
+		}
+		tried[m.pass] = true
+	}
+	for pass := range knownPasses {
+		if !tried[pass] {
+			t.Errorf("pass %s has no mutation to catch", pass)
+		}
+	}
+	if t.Failed() {
+		for _, d := range diags {
+			t.Logf("%s", d)
 		}
 	}
 }

@@ -12,9 +12,8 @@ import (
 // This file builds the interprocedural substrate's per-function
 // summaries: which locks a function acquires (and what was held at
 // each acquisition), which functions it calls (and what was held at
-// each call), which goroutines it spawns, which WaitGroups it
-// Add/Done/Waits, and — for the syncorder pass — the ordered sequence
-// of table writes, syncs and manifest edits it performs.
+// each call), which goroutines it spawns and which WaitGroups it
+// Add/Done/Waits.
 //
 // The walk is source-order and deliberately simple: branches are
 // visited in order with one mutable held-set, `defer mu.Unlock()`
@@ -25,33 +24,12 @@ import (
 // literal usually runs on another goroutine or as a callback, where
 // the enclosing frame's locks are not reliably held).
 
-// sumEventKind labels one entry of a function's ordered effect trace.
-type sumEventKind int
-
-const (
-	// evWrite is a fresh-table data write: table.Create or
-	// (*table.Table).Append.  AppendFrom (append into an existing,
-	// already-published node) is deliberately excluded: its
-	// edit-before-sync protocol is the documented inverse (see
-	// core.deliverToChild).
-	evWrite sumEventKind = iota
-	// evSync is any zero-arg Sync() method call (tables, vfs files,
-	// WAL writers all expose one).
-	evSync
-	// evEdit is a direct manifest edit: (*manifest.Log).Append or
-	// manifest.Create.
-	evEdit
-	// evCall is a call to a resolvable function; callee effects are
-	// folded in by the passes via the call graph.
-	evCall
-)
-
-// sumEvent is one step of a function's effect trace.
+// sumEvent is one call to a resolvable function, in source order; callee
+// effects are folded in by the passes via the call graph.
 type sumEvent struct {
-	kind   sumEventKind
 	pos    token.Pos
-	callee *types.Func // evCall only
-	iface  bool        // evCall: dispatches through an interface method
+	callee *types.Func
+	iface  bool // dispatches through an interface method
 	// ifaceT is the full interface type at the call site.  It can be
 	// wider than the method's declaring interface (vfs.File embeds
 	// io.Closer, so walF.Close()'s method object belongs to io.Closer;
@@ -96,11 +74,6 @@ type summary struct {
 	// mayAcquire maps canonical lock -> how it can be reached from
 	// this function (directly or through calls).
 	mayAcquire map[string]acqOrigin
-	// editsManifest reports a reachable manifest edit.
-	editsManifest bool
-	// dirtyAtExit reports that the function may return with a fresh
-	// table written but not yet synced.
-	dirtyAtExit bool
 }
 
 // acqOrigin records how a lock became reachable from a function.
@@ -446,69 +419,9 @@ func (b *sumBuilder) classifyCall(call *ast.CallExpr) {
 	if fn == nil {
 		return // dynamic call (func value, conversion, builtin)
 	}
-	// Every resolvable call keeps its callee — a durability primitive
-	// like tbl.Sync() is still a call whose body may take locks — and
-	// the kind tells syncorder what the call means.
-	ev := sumEvent{kind: evCall, pos: call.Pos(), held: b.heldCopy(), callee: fn}
+	ev := sumEvent{pos: call.Pos(), held: b.heldCopy(), callee: fn}
 	ev.iface, ev.ifaceT = ifaceCallType(b.p, call, fn)
-	switch {
-	case isTableWrite(b.p, call, fn):
-		ev.kind = evWrite
-	case isDataSync(fn, call):
-		ev.kind = evSync
-	case isManifestEdit(b.p, call, fn):
-		ev.kind = evEdit
-	}
 	b.sum.events = append(b.sum.events, ev)
-}
-
-// isTableWrite reports a fresh-table data write: table.Create or
-// (*table.Table).Append.
-func isTableWrite(p *pkg, call *ast.CallExpr, fn *types.Func) bool {
-	if fn == nil {
-		return false
-	}
-	if fn.Name() == "Create" && strings.HasSuffix(pkgPathOf(fn), "internal/table") {
-		return true
-	}
-	if fn.Name() == "Append" {
-		if named := receiverNamed(p, call); named != nil &&
-			named.Obj().Name() == "Table" &&
-			strings.HasSuffix(named.Obj().Pkg().Path(), "internal/table") {
-			return true
-		}
-	}
-	return false
-}
-
-// isDataSync reports a zero-arg Sync() method call — tables, vfs
-// files and WAL writers all expose one, and any of them establishes
-// the durability point syncorder requires.
-func isDataSync(fn *types.Func, call *ast.CallExpr) bool {
-	if fn == nil || fn.Name() != "Sync" || len(call.Args) != 0 {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() != nil
-}
-
-// isManifestEdit reports a direct manifest edit: (*manifest.Log).Append
-// or manifest.Create (which writes the snapshot edit).
-func isManifestEdit(p *pkg, call *ast.CallExpr, fn *types.Func) bool {
-	if fn == nil {
-		return false
-	}
-	if fn.Name() == "Create" && strings.HasSuffix(pkgPathOf(fn), "internal/manifest") {
-		return true
-	}
-	if fn.Name() == "Append" {
-		if named := receiverNamed(p, call); named != nil &&
-			named.Obj().Name() == "Log" &&
-			strings.HasSuffix(named.Obj().Pkg().Path(), "internal/manifest") {
-			return true
-		}
-	}
-	return false
 }
 
 // ifaceCallType reports whether a call dispatches through an

@@ -1,7 +1,6 @@
 // Clean counterparts for the interprocedural passes: nested locks in
-// the declared order, the write-sync-edit durability protocol, a
-// WaitGroup-disciplined worker, and suppressions that work inside
-// function literals.
+// the declared order, a WaitGroup-disciplined worker, and suppressions
+// that work inside function literals.
 //
 //iamlint:lockorder outer.mu < inner.mu
 package good
@@ -9,9 +8,6 @@ package good
 import (
 	"sync"
 
-	"iamdb/internal/iterator"
-	"iamdb/internal/manifest"
-	"iamdb/internal/table"
 	"iamdb/internal/vfs"
 )
 
@@ -35,22 +31,6 @@ func (o *outer) nestedPromoted(w *wrapper) {
 	w.mu.Lock()
 	w.mu.Unlock()
 	o.mu.Unlock()
-}
-
-// writeSyncEdit is the durability protocol syncorder enforces: table
-// data is synced before the manifest references it.
-func writeSyncEdit(fs vfs.FS, man *manifest.Log, it iterator.Iterator) error {
-	t, err := table.Create(fs, "ok.mst", 9, 1<<20, table.Options{})
-	if err != nil {
-		return err
-	}
-	if _, err := t.Append(it); err != nil {
-		return err
-	}
-	if err := t.Sync(); err != nil {
-		return err
-	}
-	return man.Append(&manifest.Edit{})
 }
 
 // joined is the WaitGroup discipline goexit requires: Add before the

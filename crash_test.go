@@ -10,27 +10,72 @@ import (
 	"iamdb/internal/vfs"
 )
 
-// TestCrashMatrix is the systematic crash-point exploration: for each
-// engine it calibrates the scripted workload's filesystem-operation
-// landscape, then crashes at every sync boundary (downsampled to a
-// budget) plus evenly-strided write indices, recovering and checking
-// the oracle each time.  Torn- and bit-flip-tail variants run on a
-// subset of the same points.
+// crashMatrices states the four crash matrices.  Each row calibrates the
+// scripted workload's filesystem-operation landscape per engine, then
+// crashes at every sync boundary (downsampled to a budget) plus
+// evenly-strided write indices, recovering and checking the verdict each
+// time; torn- and bit-flip-tail variants run on a subset of the same
+// points.  A row's two numbers are pickPoints' sync cap and stride count.
 //
-// The bounded default keeps `go test -run Crash` in seconds; set
-// IAMDB_CRASH_FULL=1 for the exhaustive sweep (every operation index,
-// all four engines, all three crash modes).
-func TestCrashMatrix(t *testing.T) {
-	full := os.Getenv("IAMDB_CRASH_FULL") != ""
-	engines := []iamdb.EngineKind{iamdb.IAM, iamdb.LSA}
+// The bounded default keeps `go test -run Crash` in seconds; for the rows
+// marked full, IAMDB_CRASH_FULL=1 is the exhaustive sweep (every operation
+// index, all four engines, every crash mode on every point).
+var crashMatrices = map[string]struct {
+	w          harness.Workload
+	engines    []iamdb.EngineKind
+	full       bool
+	points     [2]int
+	floor      int // fewest distinct crash points the main sweep may have
+	modes      []vfs.CrashMode
+	modePoints [2]int
+}{
+	"TestCrashMatrix": {
+		engines: []iamdb.EngineKind{iamdb.IAM, iamdb.LSA}, full: true, points: [2]int{80, 48}, floor: 100,
+		modes: []vfs.CrashMode{vfs.CrashTorn, vfs.CrashFlip}, modePoints: [2]int{14, 8},
+	},
+	// Key-value separation on (threshold 8 separates every scripted value,
+	// ~18 bytes): values live in the value log, so crashes land between log
+	// appends, log syncs and WAL pointer commits, and recovery must honor
+	// value-durable-before-pointer — a surviving pointer whose value is gone
+	// would surface as a corruption read, which the verdict rejects for
+	// acknowledged keys.
+	"TestCrashMatrixKVSep": {
+		w:       harness.Workload{ValueThreshold: 8},
+		engines: []iamdb.EngineKind{iamdb.IAM, iamdb.LSA}, full: true, points: [2]int{50, 30},
+		modes: []vfs.CrashMode{vfs.CrashTorn, vfs.CrashFlip}, modePoints: [2]int{10, 6},
+	},
+	// A 4-shard front-end: each shard has its own WAL and recovery path,
+	// and the crash may land in any of them (or in the SHARDS marker write).
+	"TestCrashMatrixSharded": {
+		w:       harness.Workload{Shards: 4},
+		engines: []iamdb.EngineKind{iamdb.IAM, iamdb.LSA}, points: [2]int{40, 24},
+		modes: []vfs.CrashMode{vfs.CrashTorn}, modePoints: [2]int{10, 6},
+	},
+	// Both fronts: a 4-shard store with one value log per shard.
+	"TestCrashMatrixShardedKVSep": {
+		w:       harness.Workload{Shards: 4, ValueThreshold: 8},
+		engines: []iamdb.EngineKind{iamdb.IAM}, points: [2]int{24, 16},
+	},
+}
+
+func TestCrashMatrix(t *testing.T)             { runCrashMatrix(t) }
+func TestCrashMatrixKVSep(t *testing.T)        { runCrashMatrix(t) }
+func TestCrashMatrixSharded(t *testing.T)      { runCrashMatrix(t) }
+func TestCrashMatrixShardedKVSep(t *testing.T) { runCrashMatrix(t) }
+
+// runCrashMatrix runs the row named after the calling test.
+func runCrashMatrix(t *testing.T) {
+	m := crashMatrices[t.Name()]
+	full := m.full && os.Getenv("IAMDB_CRASH_FULL") != ""
 	if full {
-		engines = append(engines, iamdb.LevelDB, iamdb.RocksDB)
+		m.engines = append(m.engines, iamdb.LevelDB, iamdb.RocksDB)
 	}
-	for _, eng := range engines {
-		eng := eng
+	modeNames := map[vfs.CrashMode]string{vfs.CrashTorn: "Torn", vfs.CrashFlip: "Flip"}
+	for _, eng := range m.engines {
 		t.Run(eng.String(), func(t *testing.T) {
-			w := harness.CrashWorkload{Engine: eng}
-			cal, err := w.Calibrate()
+			w := m.w
+			w.Engine = eng
+			cal, err := w.CalibrateCrash()
 			if err != nil {
 				t.Fatalf("calibrate: %v", err)
 			}
@@ -38,154 +83,34 @@ func TestCrashMatrix(t *testing.T) {
 				t.Fatalf("workload too small to explore: %d ops, %d sync points",
 					cal.OpCount, len(cal.SyncPoints))
 			}
-
-			var points []int64
+			points := pickPoints(cal, m.points[0], m.points[1])
 			if full {
+				points = points[:0]
 				for i := int64(0); i <= cal.OpCount; i++ {
 					points = append(points, i)
 				}
-			} else {
-				points = pickPoints(cal, 80, 48)
 			}
-			if len(points) < 100 {
-				t.Fatalf("only %d distinct crash points; want >= 100", len(points))
+			if len(points) < m.floor {
+				t.Fatalf("only %d distinct crash points; want >= %d", len(points), m.floor)
 			}
 			for _, p := range points {
-				if err := w.Trial(p); err != nil {
+				if err := w.CrashTrial(vfs.CrashDrop, p); err != nil {
 					t.Fatal(err)
 				}
 			}
-
-			for _, md := range []struct {
-				name string
-				mode vfs.CrashMode
-			}{{"Torn", vfs.CrashTorn}, {"Flip", vfs.CrashFlip}} {
-				md := md
-				t.Run(md.name, func(t *testing.T) {
-					wm := w
-					wm.Mode = md.mode
+			for _, mode := range m.modes {
+				t.Run(modeNames[mode], func(t *testing.T) {
 					sub := points
 					if !full {
-						sub = pickPoints(cal, 14, 8)
+						sub = pickPoints(cal, m.modePoints[0], m.modePoints[1])
 					}
 					for _, p := range sub {
-						if err := wm.Trial(p); err != nil {
+						if err := w.CrashTrial(mode, p); err != nil {
 							t.Fatal(err)
 						}
 					}
 				})
 			}
-		})
-	}
-}
-
-// TestCrashMatrixKVSep runs the crash oracle with key-value separation
-// on: values above the threshold live in the value log, so crashes land
-// between log appends, log syncs and WAL pointer commits, and recovery
-// must honor value-durable-before-pointer — a surviving pointer whose
-// value is gone would surface as a corruption read, which the oracle
-// rejects for acknowledged keys.
-func TestCrashMatrixKVSep(t *testing.T) {
-	full := os.Getenv("IAMDB_CRASH_FULL") != ""
-	engines := []iamdb.EngineKind{iamdb.IAM, iamdb.LSA}
-	if full {
-		engines = append(engines, iamdb.LevelDB, iamdb.RocksDB)
-	}
-	for _, eng := range engines {
-		eng := eng
-		t.Run(eng.String(), func(t *testing.T) {
-			// Threshold 8 separates every scripted value (~18 bytes).
-			w := harness.CrashWorkload{Engine: eng, ValueThreshold: 8}
-			cal, err := w.Calibrate()
-			if err != nil {
-				t.Fatalf("calibrate: %v", err)
-			}
-			if cal.OpCount < 200 || len(cal.SyncPoints) < 50 {
-				t.Fatalf("workload too small to explore: %d ops, %d sync points",
-					cal.OpCount, len(cal.SyncPoints))
-			}
-			var points []int64
-			if full {
-				for i := int64(0); i <= cal.OpCount; i++ {
-					points = append(points, i)
-				}
-			} else {
-				points = pickPoints(cal, 50, 30)
-			}
-			for _, p := range points {
-				if err := w.Trial(p); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, md := range []struct {
-				name string
-				mode vfs.CrashMode
-			}{{"Torn", vfs.CrashTorn}, {"Flip", vfs.CrashFlip}} {
-				md := md
-				t.Run(md.name, func(t *testing.T) {
-					wm := w
-					wm.Mode = md.mode
-					sub := points
-					if !full {
-						sub = pickPoints(cal, 10, 6)
-					}
-					for _, p := range sub {
-						if err := wm.Trial(p); err != nil {
-							t.Fatal(err)
-						}
-					}
-				})
-			}
-		})
-	}
-}
-
-// TestCrashMatrixShardedKVSep combines both fronts: a 4-shard store
-// with one value log per shard.
-func TestCrashMatrixShardedKVSep(t *testing.T) {
-	w := harness.CrashWorkload{Engine: iamdb.IAM, Shards: 4, ValueThreshold: 8}
-	cal, err := w.Calibrate()
-	if err != nil {
-		t.Fatalf("calibrate: %v", err)
-	}
-	for _, p := range pickPoints(cal, 24, 16) {
-		if err := w.Trial(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestCrashMatrixSharded runs the same oracle against a 4-shard
-// front-end: each shard has its own WAL and recovery path, and the
-// crash may land in any of them (or in the SHARDS marker write).
-func TestCrashMatrixSharded(t *testing.T) {
-	for _, eng := range []iamdb.EngineKind{iamdb.IAM, iamdb.LSA} {
-		eng := eng
-		t.Run(eng.String(), func(t *testing.T) {
-			w := harness.CrashWorkload{Engine: eng, Shards: 4}
-			cal, err := w.Calibrate()
-			if err != nil {
-				t.Fatalf("calibrate: %v", err)
-			}
-			if cal.OpCount < 200 || len(cal.SyncPoints) < 50 {
-				t.Fatalf("workload too small to explore: %d ops, %d sync points",
-					cal.OpCount, len(cal.SyncPoints))
-			}
-			points := pickPoints(cal, 40, 24)
-			for _, p := range points {
-				if err := w.Trial(p); err != nil {
-					t.Fatal(err)
-				}
-			}
-			t.Run("Torn", func(t *testing.T) {
-				wm := w
-				wm.Mode = vfs.CrashTorn
-				for _, p := range pickPoints(cal, 10, 6) {
-					if err := wm.Trial(p); err != nil {
-						t.Fatal(err)
-					}
-				}
-			})
 		})
 	}
 }

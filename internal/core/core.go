@@ -110,10 +110,6 @@ func (c *Config) fill() {
 	if c.MemBudget == 0 && c.Cache != nil {
 		c.MemBudget = c.Cache.Capacity()
 	}
-	c.Events = c.Events.EnsureDefaults()
-	if c.Clock == nil {
-		c.Clock = metrics.NopClock
-	}
 }
 
 // capFactor scales the MSTable file capacity relative to Ct, leaving hole
@@ -138,11 +134,10 @@ type Tree struct {
 
 	// curM/curK cache the IAM policy tuning for the current flush.
 	curM, curK int
-	// curSpan is the trace span the cascade currently runs under, so
-	// recursive flush/split/combine jobs nest (guarded by Mu).
-	curSpan uint64
 
-	stats engine.Stats
+	// rep takes every structural step of the cascade: its span (nested
+	// under the step that caused it), its counters and its event.
+	rep *engine.Reporter
 }
 
 var _ engine.Engine = (*Tree)(nil)
@@ -160,7 +155,7 @@ func Open(cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tree{Set: set, cfg: cfg}, nil
+	return &Tree{Set: set, cfg: cfg, rep: engine.NewReporter("core", cfg.Events, cfg.Clock, cfg.Trace)}, nil
 }
 
 // n returns the number of on-disk levels.
@@ -225,7 +220,7 @@ func (t *Tree) StallLevel() int         { return 0 }
 func (t *Tree) Settle() error           { return nil }
 
 // Stats implements engine.Engine.
-func (t *Tree) Stats() engine.StatsSnapshot { return t.stats.Snapshot() }
+func (t *Tree) Stats() engine.StatsSnapshot { return t.rep.Snapshot() }
 
 // levelDataSizesLocked returns D_1..D_n, the inputs to Eq. (2); caller
 // holds Mu.

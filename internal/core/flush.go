@@ -10,7 +10,6 @@ import (
 	"iamdb/internal/invariants"
 	"iamdb/internal/iterator"
 	"iamdb/internal/kv"
-	"iamdb/internal/metrics"
 	"iamdb/internal/table"
 	"iamdb/internal/tableset"
 )
@@ -75,27 +74,17 @@ func collect(it iterator.Iterator) (*batch, error) {
 func (t *Tree) Flush(it iterator.Iterator) error {
 	t.Mu.Lock()
 	defer t.Mu.Unlock()
-	t.stats.CountFlush()
-	start := t.cfg.Clock.Now()
-	var flushed int64
-	sp := t.cfg.Trace.Begin("core.flush")
-	prevSpan := t.curSpan
-	t.curSpan = sp.ID()
-	// Fired via defer so the event pairs 1:1 with the CountFlush above
-	// even on error paths.
-	defer func() {
-		t.curSpan = prevSpan
-		sp.SetBytes(flushed)
-		sp.End()
-		t.cfg.Events.FlushEnd(metrics.FlushInfo{Bytes: flushed, Duration: t.cfg.Clock.Now() - start})
-	}()
+	st := t.rep.Begin(engine.StepFlush, engine.NoLevel)
+	defer st.End()
 	atBottom := t.treeEmptyLocked()
 	b, err := collect(engine.DropObsolete(it, t.Horizon(), atBottom, t.cfg.OnDrop))
 	if err != nil {
 		return err
 	}
 	defer b.release()
-	flushed = int64(batchBytes(b))
+	// Deferred: the flush is announced after its cascade, on error paths
+	// too, with the bytes that left the memtable.
+	defer st.Done(int64(batchBytes(b)), 0)
 	if b.len() == 0 {
 		return nil
 	}
@@ -165,20 +154,9 @@ func (t *Tree) flushBatch(src int, srcRange kv.Range, b *batch) error {
 // node: its records move to its children and the node empties.  With
 // destroy (a combine, Sec. 4.2.3) the node is removed afterwards.
 func (t *Tree) flushNode(i int, x *tableset.Table, destroy bool) error {
-	t.stats.CountFlush()
-	start := t.cfg.Clock.Now()
-	var flushed int64
-	sp := t.cfg.Trace.BeginAt("core.flushnode", t.curSpan)
-	sp.SetLevel(i)
-	sp.AddIn(x.ID())
-	prevSpan := t.curSpan
-	t.curSpan = sp.ID()
-	defer func() {
-		t.curSpan = prevSpan
-		sp.SetBytes(flushed)
-		sp.End()
-		t.cfg.Events.FlushEnd(metrics.FlushInfo{Bytes: flushed, Duration: t.cfg.Clock.Now() - start})
-	}()
+	st := t.rep.Begin(engine.StepFlushNode, i)
+	defer st.End()
+	st.In(x.ID())
 	// Precondition 1: fewer than 2t children, else the split replaces
 	// the flush.  When a combine picked the wide node, x no longer exists
 	// either way: the caller's maintain loop picks a new candidate.
@@ -191,22 +169,19 @@ func (t *Tree) flushNode(i int, x *tableset.Table, destroy bool) error {
 		if i+1 > t.n() {
 			return fmt.Errorf("core: move below leaf level from L%d", i)
 		}
-		mv := t.cfg.Trace.BeginAt("core.move", sp.ID())
-		mv.SetLevel(i + 1)
-		mv.AddIn(x.ID())
-		mv.AddOut(x.ID()) // the file survives the move, re-homed a level down
-		t.stats.CountMove(i + 1)
+		mv := t.rep.Begin(engine.StepMove, i+1)
+		mv.In(x.ID())
+		mv.Out(x.ID()) // the file survives the move, re-homed a level down
 		mv.End()
-		t.cfg.Events.MoveEnd(metrics.MoveInfo{FromLevel: i, ToLevel: i + 1})
 		return t.Apply(new(tableset.Change).Drop(i, x).Place(i+1, x))
 	}
-	t.stats.AddReadBytes(i, x.DataSize())
+	st.Read(i, x.DataSize())
 	b, err := t.loadNode(x)
 	if err != nil {
 		return err
 	}
 	defer b.release()
-	flushed = int64(batchBytes(b))
+	defer st.Done(int64(batchBytes(b)), 0) // deferred as in Flush
 	if err := t.flushBatch(i, x.Range(), b); err != nil {
 		return err
 	}
@@ -410,22 +385,17 @@ func (t *Tree) deliverToChild(dst int, kid *tableset.Table, sub *batch) error {
 // alone is one that was abandoned: for lack of space (the merge that
 // replaces it is its next sibling) or on an I/O error.
 func (t *Tree) appendToChild(dst int, kid *tableset.Table, sub *batch) error {
-	sp := t.cfg.Trace.BeginAt("core.append", t.curSpan)
-	defer sp.End()
-	sp.SetLevel(dst)
-	sp.AddIn(kid.ID())
+	st := t.rep.Begin(engine.StepAppend, dst)
+	defer st.End()
+	st.In(kid.ID())
 	it := sub.iter()
 	it.First()
 	res, err := kid.AppendFrom(it)
 	if err != nil {
 		return err
 	}
-	t.stats.CountAppend(dst)
-	t.stats.AddFlushBytes(dst, res.Bytes)
-	sp.SetBytes(res.Bytes)
-	sp.SetCount(int64(sub.len()))
-	sp.AddOut(kid.ID())
-	t.cfg.Events.AppendEnd(metrics.AppendInfo{Level: dst, Bytes: res.Bytes})
+	st.Out(kid.ID())
+	st.Done(res.Bytes, int64(sub.len()))
 	if newRng := kid.Range().Union(sub.span()); !newRng.Equal(kid.Range()) {
 		// Widen the manifest range before syncing the data: a crash in
 		// between leaves a wide range over old data (harmless), whereas
@@ -445,17 +415,15 @@ func (t *Tree) appendToChild(dst int, kid *tableset.Table, sub *batch) error {
 // nodes start at Cts = Ct/LeafInitFrac (Sec. 4.2.1, Fig. 4); at
 // internal merging levels the merge yields a single node.
 func (t *Tree) mergeChild(dst int, kid *tableset.Table, sub *batch) error {
-	start := t.cfg.Clock.Now()
-	sp := t.cfg.Trace.BeginAt("core.merge", t.curSpan)
-	defer sp.End()
-	sp.SetLevel(dst)
-	sp.AddIn(kid.ID())
+	st := t.rep.Begin(engine.StepMerge, dst)
+	defer st.End()
+	st.In(kid.ID())
 	atBottom := dst == t.n()
 	chunk := t.cfg.NodeCapacity // internal merge: one (near-)full node
 	if atBottom && kid.DataSize()+int64(batchBytes(sub)) > t.cfg.NodeCapacity {
 		chunk = t.cfg.NodeCapacity / int64(t.cfg.LeafInitFrac)
 	}
-	t.stats.AddReadBytes(dst, kid.DataSize())
+	st.Read(dst, kid.DataSize())
 	merged := iterator.NewMerging(kv.CompareInternal, sub.iter(), kid.NewIter())
 	filtered := engine.DropObsolete(merged, t.Horizon(), atBottom, t.cfg.OnDrop)
 	defer filtered.Close()
@@ -464,14 +432,10 @@ func (t *Tree) mergeChild(dst int, kid *tableset.Table, sub *batch) error {
 	if err != nil {
 		return err
 	}
-	t.stats.CountMerge(dst)
-	t.stats.AddFlushBytes(dst, bytes)
-	t.cfg.Events.MergeEnd(metrics.MergeInfo{Level: dst, Bytes: bytes, Duration: t.cfg.Clock.Now() - start})
-
 	for _, nd := range newNodes {
-		sp.AddOut(nd.ID())
+		st.Out(nd.ID())
 	}
-	sp.SetBytes(bytes)
+	st.Done(bytes, 0)
 	return t.Apply(new(tableset.Change).Drop(dst, kid).Place(dst, newNodes...))
 }
 
@@ -492,7 +456,7 @@ func (t *Tree) writeNodes(dst int, b *batch, limit int64) error {
 	if err != nil {
 		return err
 	}
-	t.stats.AddFlushBytes(dst, bytes)
+	t.rep.Wrote(dst, bytes)
 	return t.Apply(new(tableset.Change).Place(dst, nodes...))
 }
 
@@ -504,14 +468,13 @@ func (t *Tree) splitNode(i int, x *tableset.Table) error {
 	if len(kids) < 2 {
 		return fmt.Errorf("core: split of L%d node %d with %d children", i, x.ID(), len(kids))
 	}
-	sp := t.cfg.Trace.BeginAt("core.split", t.curSpan)
-	defer sp.End()
-	sp.SetLevel(i)
-	sp.AddIn(x.ID())
+	st := t.rep.Begin(engine.StepSplit, i)
+	defer st.End()
+	st.In(x.ID())
 	half := len(kids) / 2
 	mid := kids[half].Range().Lo
 
-	t.stats.AddReadBytes(i, x.DataSize())
+	st.Read(i, x.DataSize())
 	b, err := t.loadNode(x)
 	if err != nil {
 		return err
@@ -567,14 +530,10 @@ func (t *Tree) splitNode(i int, x *tableset.Table) error {
 		change.PlaceAs(i, nds[0], part.rng).Place(i, nds[1:]...)
 		newNodes = append(newNodes, nds...)
 	}
-	t.stats.CountSplit(i)
-	t.stats.AddFlushBytes(i, total)
-	t.cfg.Events.SplitEnd(metrics.SplitInfo{Level: i, Bytes: total, NewNodes: len(newNodes)})
 	for _, nd := range newNodes {
-		sp.AddOut(nd.ID())
+		st.Out(nd.ID())
 	}
-	sp.SetBytes(total)
-	sp.SetCount(int64(len(newNodes)))
+	st.Done(total, int64(len(newNodes)))
 	return t.Apply(change)
 }
 
@@ -651,15 +610,8 @@ func (t *Tree) combineOne(i int) error {
 	if best < 0 {
 		return nil // every node fenced; maintain's active count excuses them
 	}
-	t.stats.CountCombine(i)
-	sp := t.cfg.Trace.BeginAt("core.combine", t.curSpan)
-	sp.SetLevel(i)
-	sp.AddIn(lvl[best].ID())
-	prevSpan := t.curSpan
-	t.curSpan = sp.ID()
-	t.cfg.Events.CombineEnd(metrics.CombineInfo{Level: i})
-	err := t.flushNode(i, lvl[best], true)
-	t.curSpan = prevSpan
-	sp.End()
-	return err
+	st := t.rep.Begin(engine.StepCombine, i)
+	defer st.End()
+	st.In(lvl[best].ID())
+	return t.flushNode(i, lvl[best], true)
 }

@@ -1,9 +1,11 @@
 // Package engine holds what the two engine families (the LSM baselines in
 // internal/lsm, the LSA/IAM trees in internal/core) share as policy code:
 // the contract the DB layer drives them through, the per-level
-// write-amplification statistics, and the MVCC record filter applied
-// during merges.  Everything below the policy — levels, manifest, reads,
-// reporting — is internal/tableset, which the DB layer asks directly.
+// write-amplification statistics with the Reporter that feeds them (and
+// the trace span and the event of the same structural step), and the MVCC
+// record filter applied during merges.  Everything below the policy —
+// levels, manifest, reads, reporting — is internal/tableset, which the DB
+// layer asks directly.
 package engine
 
 import (
@@ -78,70 +80,28 @@ type StatsSnapshot struct {
 	Flushes    int64 // node flushes (incl. memtable flushes)
 }
 
-// grow extends the per-level slice to cover level.  Caller holds mu.
-func (st *Stats) grow(level int) {
+// add folds d into level's row, growing the table to reach it.  It and
+// addFlush are the only writers, and the Reporter their only caller: what
+// a structural step counts is decided in steps, nowhere else.
+func (st *Stats) add(level int, d LevelStats) {
+	st.mu.Lock()
 	for len(st.perLevel) <= level {
 		st.perLevel = append(st.perLevel, LevelStats{})
 	}
-}
-
-// AddFlushBytes attributes written bytes to a destination level.
-func (st *Stats) AddFlushBytes(level int, n int64) {
-	st.mu.Lock()
-	st.grow(level)
-	st.perLevel[level].WriteBytes += n
+	l := &st.perLevel[level]
+	l.WriteBytes += d.WriteBytes
+	l.ReadBytes += d.ReadBytes
+	l.Appends += d.Appends
+	l.Merges += d.Merges
+	l.Moves += d.Moves
+	l.Splits += d.Splits
+	l.Combines += d.Combines
 	st.mu.Unlock()
 }
 
-// AddReadBytes attributes compaction-input bytes to a source level.
-func (st *Stats) AddReadBytes(level int, n int64) {
-	st.mu.Lock()
-	st.grow(level)
-	st.perLevel[level].ReadBytes += n
-	st.mu.Unlock()
-}
-
-// CountAppend, CountMerge, CountMove, CountSplit and CountCombine
-// increment the per-level operation counters; appends, merges and
-// moves are attributed to the destination level, splits and combines
-// to the level where the node lives.  CountFlush counts one node
-// flush (level attribution for flushes is carried by AddFlushBytes).
-func (st *Stats) CountAppend(level int) {
-	st.mu.Lock()
-	st.grow(level)
-	st.perLevel[level].Appends++
-	st.mu.Unlock()
-}
-
-func (st *Stats) CountMerge(level int) {
-	st.mu.Lock()
-	st.grow(level)
-	st.perLevel[level].Merges++
-	st.mu.Unlock()
-}
-
-func (st *Stats) CountMove(level int) {
-	st.mu.Lock()
-	st.grow(level)
-	st.perLevel[level].Moves++
-	st.mu.Unlock()
-}
-
-func (st *Stats) CountSplit(level int) {
-	st.mu.Lock()
-	st.grow(level)
-	st.perLevel[level].Splits++
-	st.mu.Unlock()
-}
-
-func (st *Stats) CountCombine(level int) {
-	st.mu.Lock()
-	st.grow(level)
-	st.perLevel[level].Combines++
-	st.mu.Unlock()
-}
-
-func (st *Stats) CountFlush() { st.mu.Lock(); st.flushes++; st.mu.Unlock() }
+// addFlush counts one node flush (a flush has no level row of its own: the
+// bytes it moves are attributed where they land).
+func (st *Stats) addFlush() { st.mu.Lock(); st.flushes++; st.mu.Unlock() }
 
 // Snapshot returns a copy of the counters, with the per-level rows
 // folded into the legacy totals and FlushBytes mirror.

@@ -114,19 +114,24 @@ func TestDropObsoleteEmptyAndSingle(t *testing.T) {
 }
 
 func TestStatsAccumulate(t *testing.T) {
-	var st Stats
-	st.AddFlushBytes(3, 100)
-	st.AddFlushBytes(1, 50)
-	st.AddFlushBytes(3, 100)
-	st.AddReadBytes(2, 75)
-	st.CountAppend(1)
-	st.CountMerge(2)
-	st.CountMerge(3)
-	st.CountMove(2)
-	st.CountSplit(1)
-	st.CountCombine(1)
-	st.CountFlush()
-	s := st.Snapshot()
+	r := NewReporter("x", nil, nil, nil)
+	step := func(kind StepKind, level int, bytes int64) {
+		st := r.Begin(kind, level)
+		st.Done(bytes, 0)
+		st.End()
+	}
+	step(StepMerge, 3, 100)
+	step(StepAppend, 1, 50)
+	step(StepMerge, 3, 100)
+	reader := r.Begin(StepMerge, 2)
+	reader.Read(2, 75)
+	reader.Done(0, 0)
+	reader.End()
+	step(StepMove, 2, 0)
+	step(StepSplit, 1, 0)
+	step(StepCombine, 1, 0)
+	step(StepFlush, NoLevel, 0)
+	s := r.Snapshot()
 	if s.FlushBytes[3] != 200 || s.FlushBytes[1] != 50 || s.FlushBytes[0] != 0 {
 		t.Fatalf("flush bytes: %v", s.FlushBytes)
 	}
@@ -136,13 +141,13 @@ func TestStatsAccumulate(t *testing.T) {
 	if s.TotalReadBytes() != 75 {
 		t.Fatalf("read total: %d", s.TotalReadBytes())
 	}
-	if s.Appends != 1 || s.Merges != 2 || s.Moves != 1 || s.Splits != 1 || s.Combines != 1 || s.Flushes != 1 {
+	if s.Appends != 1 || s.Merges != 3 || s.Moves != 1 || s.Splits != 1 || s.Combines != 1 || s.Flushes != 1 {
 		t.Fatalf("counters: %+v", s)
 	}
 	if len(s.PerLevel) != 4 {
 		t.Fatalf("per-level rows: %d", len(s.PerLevel))
 	}
-	if l := s.PerLevel[3]; l.WriteBytes != 200 || l.Merges != 1 {
+	if l := s.PerLevel[3]; l.WriteBytes != 200 || l.Merges != 2 {
 		t.Fatalf("L3 stats: %+v", l)
 	}
 	if l := s.PerLevel[2]; l.ReadBytes != 75 || l.Merges != 1 || l.Moves != 1 {
@@ -154,7 +159,7 @@ func TestStatsAccumulate(t *testing.T) {
 	// Snapshot is a copy.
 	s.FlushBytes[3] = 0
 	s.PerLevel[3].WriteBytes = 0
-	if got := st.Snapshot(); got.FlushBytes[3] != 200 || got.PerLevel[3].WriteBytes != 200 {
+	if got := r.Snapshot(); got.FlushBytes[3] != 200 || got.PerLevel[3].WriteBytes != 200 {
 		t.Fatal("snapshot aliases internal state")
 	}
 }

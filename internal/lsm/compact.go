@@ -4,7 +4,6 @@ import (
 	"iamdb/internal/engine"
 	"iamdb/internal/iterator"
 	"iamdb/internal/kv"
-	"iamdb/internal/metrics"
 	"iamdb/internal/tableset"
 )
 
@@ -13,23 +12,18 @@ import (
 func (d *DB) Flush(it iterator.Iterator) error {
 	d.Mu.Lock()
 	defer d.Mu.Unlock()
-	d.stats.CountFlush()
-	start := d.cfg.Clock.Now()
-	sp := d.cfg.Trace.Begin("lsm.flush")
-	defer sp.End()
-	sp.SetLevel(0)
+	st := d.rep.Begin(engine.StepFlush, 0)
+	defer st.End()
 	filtered := engine.DropObsolete(it, d.Horizon(), false, d.cfg.OnDrop)
 	filtered.First()
 	files, bytes, err := d.BuildRuns(filtered, 1<<62, 0)
-	d.cfg.Events.FlushEnd(metrics.FlushInfo{Bytes: bytes, Duration: d.cfg.Clock.Now() - start})
 	if err != nil {
 		return err
 	}
-	d.stats.AddFlushBytes(0, bytes)
 	for _, f := range files {
-		sp.AddOut(f.ID())
+		st.Out(f.ID())
 	}
-	sp.SetBytes(bytes)
+	st.Done(bytes, 0)
 	return d.Apply(new(tableset.Change).Place(0, files...))
 }
 
@@ -183,15 +177,11 @@ func (d *DB) compactLevel(i int) error {
 	// metadata change only.
 	if len(inputs) == 1 && len(overlaps) == 0 {
 		f := inputs[0]
-		mv := d.cfg.Trace.Begin("lsm.move")
-		mv.SetLevel(i + 1)
-		mv.AddIn(f.ID())
-		mv.AddOut(f.ID()) // the file survives the move, re-homed a level down
-		d.stats.CountMove(i + 1)
-		d.cfg.Events.MoveEnd(metrics.MoveInfo{FromLevel: i, ToLevel: i + 1})
-		err := d.Apply(new(tableset.Change).Drop(i, f).Place(i+1, f))
-		mv.End()
-		return err
+		mv := d.rep.Begin(engine.StepMove, i+1)
+		defer mv.End()
+		mv.In(f.ID())
+		mv.Out(f.ID()) // the file survives the move, re-homed a level down
+		return d.Apply(new(tableset.Change).Drop(i, f).Place(i+1, f))
 	}
 
 	// Merge: newest sources first so the merge iterator's tie order is
@@ -209,17 +199,15 @@ func (d *DB) compactLevel(i int) error {
 	for _, f := range overlaps {
 		kids = append(kids, f.NewIter())
 	}
-	start := d.cfg.Clock.Now()
-	sp := d.cfg.Trace.Begin("lsm.compact")
-	defer sp.End()
-	sp.SetLevel(i + 1)
+	st := d.rep.Begin(engine.StepCompact, i+1)
+	defer st.End()
 	for _, f := range inputs {
-		d.stats.AddReadBytes(i, f.DataSize())
-		sp.AddIn(f.ID())
+		st.Read(i, f.DataSize())
+		st.In(f.ID())
 	}
 	for _, f := range overlaps {
-		d.stats.AddReadBytes(i+1, f.DataSize())
-		sp.AddIn(f.ID())
+		st.Read(i+1, f.DataSize())
+		st.In(f.ID())
 	}
 	merged := iterator.NewMerging(kv.CompareInternal, kids...)
 	atBottom := d.isBottom(i + 1)
@@ -230,15 +218,10 @@ func (d *DB) compactLevel(i int) error {
 	if err != nil {
 		return err
 	}
-	d.stats.CountMerge(i + 1)
-	d.stats.AddFlushBytes(i+1, bytes)
-	d.cfg.Events.MergeEnd(metrics.MergeInfo{Level: i + 1, Bytes: bytes, Duration: d.cfg.Clock.Now() - start})
-
 	for _, f := range files {
-		sp.AddOut(f.ID())
+		st.Out(f.ID())
 	}
-	sp.SetBytes(bytes)
-	sp.SetCount(int64(len(files)))
+	st.Done(bytes, int64(len(files)))
 	return d.Apply(new(tableset.Change).Drop(i, inputs...).Drop(i+1, overlaps...).Place(i+1, files...))
 }
 

@@ -101,10 +101,6 @@ func (c *Config) fill() {
 	if c.MaxLevels == 0 {
 		c.MaxLevels = 7
 	}
-	c.Events = c.Events.EnsureDefaults()
-	if c.Clock == nil {
-		c.Clock = metrics.NopClock
-	}
 }
 
 // DB is the baseline leveled LSM engine over a table set: a file is a
@@ -121,7 +117,9 @@ type DB struct {
 	// cursor[i] remembers where round-robin compaction of level i
 	// stopped (the LevelDB compact pointer).
 	cursor map[int][]byte
-	stats  engine.Stats
+	// rep takes every flush, move and compaction: its span, its counters
+	// and its event.
+	rep *engine.Reporter
 }
 
 var _ engine.Engine = (*DB)(nil)
@@ -139,7 +137,10 @@ func Open(cfg Config) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DB{Set: set, cfg: cfg, cursor: make(map[int][]byte)}, nil
+	return &DB{
+		Set: set, cfg: cfg, cursor: make(map[int][]byte),
+		rep: engine.NewReporter("lsm", cfg.Events, cfg.Clock, cfg.Trace),
+	}, nil
 }
 
 // threshold returns level i's size threshold in bytes.
@@ -165,7 +166,7 @@ func (d *DB) levelBytes(i int) int64 {
 }
 
 // Stats implements engine.Engine.
-func (d *DB) Stats() engine.StatsSnapshot { return d.stats.Snapshot() }
+func (d *DB) Stats() engine.StatsSnapshot { return d.rep.Snapshot() }
 
 // CheckInvariants implements engine.Engine.  The set's structure is all a
 // baseline promises: its size thresholds are triggers, and the LevelDB

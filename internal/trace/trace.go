@@ -104,8 +104,8 @@ func (r *Recorder) Begin(name string) Ctx {
 }
 
 // BeginAt opens a span under an existing span ID — for parents tracked
-// across structures (e.g. the flush cascade threads the current cascade
-// span through the tree).  parent 0 means root.
+// across structures (engine.Reporter opens each step of a flush cascade
+// under the step that caused it).  parent 0 means root.
 func (r *Recorder) BeginAt(name string, parent uint64) Ctx {
 	c := r.Begin(name)
 	c.parent = parent

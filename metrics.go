@@ -108,8 +108,10 @@ type Metrics struct {
 	Scan histogram.Summary
 }
 
-// WriteAmplification is total compaction writes over user writes,
-// excluding the WAL, as the paper computes it (Sec. 6.2).
+// WriteAmplification is total compaction writes over user writes, as the
+// paper computes it (Sec. 6.2) — tree only: excludes the WAL and the value
+// log, so it reads near zero for a store whose values are separated.
+// IO.BytesWritten over UserBytes is what the device saw.
 func (m Metrics) WriteAmplification() float64 {
 	if m.UserBytes == 0 {
 		return 0

@@ -9,100 +9,59 @@ import (
 	"iamdb/internal/vfs"
 )
 
-// TestCorruptionMatrix is the latent-fault sibling of TestCrashMatrix:
-// for each engine it builds a deterministic store, then — per sampled
-// (file × offset) point — damages exactly one byte of the synced image
-// (bit-flip and zeroing variants), reopens, and checks the rot oracle:
-// open succeeds or fails with a typed corruption error naming the
-// file; no read ever returns bytes that were never acknowledged; an
-// acknowledged key goes missing only when the store flagged the
-// corruption; provably harmless damage changes nothing.
+// corruptionMatrices states the three corruption matrices, the latent-fault
+// siblings of the crash matrices: each row builds a deterministic store per
+// engine, then — per sampled (file × offset) point — damages exactly one
+// byte of the synced image (bit-flip and zeroing variants), reopens, and
+// checks the rot verdict: open succeeds or fails with a typed corruption
+// error naming the file; no read ever returns bytes that were never
+// acknowledged; an acknowledged key goes missing only when the store
+// flagged the corruption; provably harmless damage changes nothing.
 //
-// The bounded default samples the matrix so `go test -run Corruption`
-// stays in seconds; IAMDB_ROT_FULL=1 sweeps every point of every file
-// for all four engines in both damage modes.
-func TestCorruptionMatrix(t *testing.T) {
-	full := os.Getenv("IAMDB_ROT_FULL") != ""
-	engines := []iamdb.EngineKind{iamdb.IAM, iamdb.LSA, iamdb.LevelDB, iamdb.RocksDB}
-	for _, eng := range engines {
-		eng := eng
-		t.Run(eng.String(), func(t *testing.T) {
-			t.Parallel()
-			n, err := harness.RotWorkload{Engine: eng}.PointCount()
-			if err != nil {
-				t.Fatalf("calibrate: %v", err)
-			}
-			if n < 100 {
-				t.Fatalf("store exposes only %d corruption points; want >= 100", n)
-			}
-			for _, md := range []struct {
-				name string
-				mode vfs.RotMode
-			}{{"Flip", vfs.RotFlip}, {"Zero", vfs.RotZero}} {
-				md := md
-				t.Run(md.name, func(t *testing.T) {
-					t.Parallel()
-					w := harness.RotWorkload{Engine: eng, Mode: md.mode}
-					slots := pickSlots(n, 52, full)
-					for _, s := range slots {
-						if err := w.Trial(s); err != nil {
-							t.Fatal(err)
-						}
-					}
-				})
-			}
-		})
-	}
+// The bounded default samples cap points per mode so `go test -run
+// Corruption` stays in seconds; for the rows marked full, IAMDB_ROT_FULL=1
+// sweeps every point of every file in both damage modes.
+var corruptionMatrices = map[string]struct {
+	w       harness.Workload
+	engines []iamdb.EngineKind
+	full    bool
+	cap     int
+}{
+	"TestCorruptionMatrix": {
+		engines: []iamdb.EngineKind{iamdb.IAM, iamdb.LSA, iamdb.LevelDB, iamdb.RocksDB}, full: true, cap: 52,
+	},
+	// A KV-separated store (threshold 8 separates every scripted value,
+	// ~18 bytes): the point enumeration walks value-log segments alongside
+	// tables, WALs and the manifest, so single-byte damage lands on record
+	// CRCs, segment magic and live value payloads — every read of a damaged
+	// value must fail typed or be flagged, never return rotted bytes.
+	"TestCorruptionMatrixKVSep": {
+		w:       harness.Workload{ValueThreshold: 8},
+		engines: []iamdb.EngineKind{iamdb.IAM, iamdb.LSA}, full: true, cap: 40,
+	},
+	// A 4-shard store: the matrix spans four independent file sets plus the
+	// SHARDS routing marker, and the verdict holds per shard (damage in one
+	// shard never costs another shard's acknowledged keys silently).
+	"TestCorruptionMatrixSharded": {
+		w:       harness.Workload{Shards: 4},
+		engines: []iamdb.EngineKind{iamdb.IAM, iamdb.LevelDB}, cap: 32,
+	},
 }
 
-// TestCorruptionMatrixKVSep rots a KV-separated store: the point
-// enumeration walks value-log segments alongside tables, WALs and the
-// manifest, so single-byte damage lands on record CRCs, segment magic
-// and live value payloads — every read of a damaged value must fail
-// typed or be flagged, never return rotted bytes.
-func TestCorruptionMatrixKVSep(t *testing.T) {
-	full := os.Getenv("IAMDB_ROT_FULL") != ""
-	for _, eng := range []iamdb.EngineKind{iamdb.IAM, iamdb.LSA} {
-		eng := eng
-		t.Run(eng.String(), func(t *testing.T) {
-			t.Parallel()
-			// Threshold 8 separates every scripted value (~18 bytes).
-			n, err := harness.RotWorkload{Engine: eng, ValueThreshold: 8}.PointCount()
-			if err != nil {
-				t.Fatalf("calibrate: %v", err)
-			}
-			if n < 100 {
-				t.Fatalf("store exposes only %d corruption points; want >= 100", n)
-			}
-			for _, md := range []struct {
-				name string
-				mode vfs.RotMode
-			}{{"Flip", vfs.RotFlip}, {"Zero", vfs.RotZero}} {
-				md := md
-				t.Run(md.name, func(t *testing.T) {
-					t.Parallel()
-					w := harness.RotWorkload{Engine: eng, Mode: md.mode, ValueThreshold: 8}
-					for _, s := range pickSlots(n, 40, full) {
-						if err := w.Trial(s); err != nil {
-							t.Fatal(err)
-						}
-					}
-				})
-			}
-		})
-	}
-}
+func TestCorruptionMatrix(t *testing.T)        { runCorruptionMatrix(t) }
+func TestCorruptionMatrixKVSep(t *testing.T)   { runCorruptionMatrix(t) }
+func TestCorruptionMatrixSharded(t *testing.T) { runCorruptionMatrix(t) }
 
-// TestCorruptionMatrixSharded damages a 4-shard store: the matrix now
-// spans four independent file sets plus the SHARDS routing marker, and
-// the oracle holds per shard (damage in one shard never costs another
-// shard's acknowledged keys silently).
-func TestCorruptionMatrixSharded(t *testing.T) {
-	for _, eng := range []iamdb.EngineKind{iamdb.IAM, iamdb.LevelDB} {
-		eng := eng
+// runCorruptionMatrix runs the row named after the calling test.
+func runCorruptionMatrix(t *testing.T) {
+	m := corruptionMatrices[t.Name()]
+	full := m.full && os.Getenv("IAMDB_ROT_FULL") != ""
+	for _, eng := range m.engines {
 		t.Run(eng.String(), func(t *testing.T) {
 			t.Parallel()
-			n, err := harness.RotWorkload{Engine: eng, Shards: 4}.PointCount()
+			w := m.w
+			w.Engine = eng
+			n, err := w.RotPoints()
 			if err != nil {
 				t.Fatalf("calibrate: %v", err)
 			}
@@ -113,12 +72,10 @@ func TestCorruptionMatrixSharded(t *testing.T) {
 				name string
 				mode vfs.RotMode
 			}{{"Flip", vfs.RotFlip}, {"Zero", vfs.RotZero}} {
-				md := md
 				t.Run(md.name, func(t *testing.T) {
 					t.Parallel()
-					w := harness.RotWorkload{Engine: eng, Mode: md.mode, Shards: 4}
-					for _, s := range pickSlots(n, 32, false) {
-						if err := w.Trial(s); err != nil {
+					for _, s := range pickSlots(n, m.cap, full) {
+						if err := w.RotTrial(md.mode, s); err != nil {
 							t.Fatal(err)
 						}
 					}

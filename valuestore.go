@@ -114,7 +114,8 @@ func (st *store) onDrop(kind kv.Kind, val []byte) {
 // batches are filtered against the current state, and the log is synced
 // before the WAL append when SyncWrites is on, so a surviving pointer
 // always has a surviving value underneath it — the same
-// data-before-metadata discipline iamlint's syncorder pass checks.
+// data-before-metadata discipline tableset.Build keeps for tables, and
+// the crash matrix (TestCrashMatrixKVSep) checks.
 //
 // The returned byte count is what separation removed from the encoded
 // group relative to what the user logically wrote (original value bytes
