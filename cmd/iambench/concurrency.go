@@ -16,8 +16,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"iamdb"
@@ -33,37 +35,41 @@ const (
 	concValueSize = harness.DefaultValueSize
 )
 
-// syncLatFS wraps an FS so every file Sync sleeps for the modeled
-// device latency before delegating.  Reads and writes stay free, which
-// isolates the one cost the commit pipeline amortizes.
-type syncLatFS struct {
+// latFS wraps an FS so every file Sync sleeps for the modeled device
+// time before delegating: base, plus perByte for each byte written to
+// that file since its previous Sync (zero charges no transfer time).
+// Reads and writes stay free, which isolates the costs a commit pipeline
+// amortizes (the sync) and several overlap (the transfer).
+type latFS struct {
 	vfs.FS
-	lat time.Duration
+	base    time.Duration
+	perByte float64 // nanoseconds
 }
 
-func (fs syncLatFS) Create(name string) (vfs.File, error) {
-	f, err := fs.FS.Create(name)
+func (fs latFS) wrap(f vfs.File, err error) (vfs.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return syncLatFile{File: f, lat: fs.lat}, nil
+	return &latFile{File: f, fs: fs}, nil
 }
 
-func (fs syncLatFS) Open(name string) (vfs.File, error) {
-	f, err := fs.FS.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return syncLatFile{File: f, lat: fs.lat}, nil
-}
+func (fs latFS) Create(name string) (vfs.File, error) { return fs.wrap(fs.FS.Create(name)) }
+func (fs latFS) Open(name string) (vfs.File, error)   { return fs.wrap(fs.FS.Open(name)) }
 
-type syncLatFile struct {
+type latFile struct {
 	vfs.File
-	lat time.Duration
+	fs      latFS
+	pending atomic.Int64 // bytes written since the last Sync
 }
 
-func (f syncLatFile) Sync() error {
-	time.Sleep(f.lat)
+func (f *latFile) WriteAt(p []byte, off int64) (int, error) {
+	n, err := f.File.WriteAt(p, off)
+	f.pending.Add(int64(n))
+	return n, err
+}
+
+func (f *latFile) Sync() error {
+	time.Sleep(f.fs.base + time.Duration(float64(f.pending.Swap(0))*f.fs.perByte))
 	return f.File.Sync()
 }
 
@@ -81,7 +87,12 @@ func runConcurrency(s harness.Scale) (harness.Table, error) {
 	}
 	var base float64
 	for _, w := range []int{1, 4, 8, 16} {
-		opsPerSec, meanGroup, err := concurrencyRun(w, ops)
+		opsPerSec, m, err := writersRun(latFS{FS: vfs.NewMemFS(), base: concSyncLat},
+			harness.MetricsRecord{
+				Engine: fmt.Sprintf("IAM-%dwriters", w),
+				Disk:   fmt.Sprintf("mem+sync%v", concSyncLat),
+			}, w, 1, ops, concValueSize,
+			func(key []byte, w, i int) []byte { return fmt.Appendf(key, "w%03d-%09d", w, i) })
 		if err != nil {
 			return harness.Table{}, err
 		}
@@ -91,24 +102,27 @@ func runConcurrency(s harness.Scale) (harness.Table, error) {
 		tbl.Rows = append(tbl.Rows, []string{
 			fmt.Sprintf("%d", w),
 			fmt.Sprintf("%.0f", opsPerSec),
-			fmt.Sprintf("%.2f", meanGroup),
+			fmt.Sprintf("%.2f", m.MeanCommitGroupSize()),
 			fmt.Sprintf("%.2fx", opsPerSec/base),
 		})
 	}
 	return tbl, nil
 }
 
-// concurrencyRun times writers concurrent goroutines splitting totalOps
-// synchronous Puts over a fresh DB.
-func concurrencyRun(writers, totalOps int) (opsPerSec, meanGroup float64, err error) {
-	fs := syncLatFS{FS: vfs.NewMemFS(), lat: concSyncLat}
+// writersRun times writers concurrent goroutines splitting totalOps
+// synchronous Puts of valueSize bytes over a fresh IAM DB on fs with the
+// given shard count; key appends the key of writer w's op i to an empty
+// buffer.  The DB's final metrics go to the harness sink in rec and come
+// back for the caller's own columns.
+func writersRun(fs vfs.FS, rec harness.MetricsRecord, writers, shards, totalOps, valueSize int,
+	key func(buf []byte, w, i int) []byte) (opsPerSec float64, m iamdb.Metrics, err error) {
 	db, err := iamdb.Open("db", &iamdb.Options{
-		Engine: iamdb.IAM, FS: fs, SyncWrites: true,
+		Engine: iamdb.IAM, FS: fs, SyncWrites: true, Shards: shards,
 	})
 	if err != nil {
-		return 0, 0, err
+		return 0, m, err
 	}
-	val := bytes.Repeat([]byte("v"), concValueSize)
+	val := bytes.Repeat([]byte("v"), valueSize)
 	perW := totalOps / writers
 	errs := make([]error, writers)
 	var wg sync.WaitGroup
@@ -117,32 +131,16 @@ func concurrencyRun(writers, totalOps int) (opsPerSec, meanGroup float64, err er
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			key := make([]byte, 0, 32)
-			for i := 0; i < perW; i++ {
-				key = fmt.Appendf(key[:0], "w%03d-%09d", w, i)
-				if err := db.Put(key, val); err != nil {
-					errs[w] = err
-					return
-				}
+			buf := make([]byte, 0, 32)
+			for i := 0; i < perW && errs[w] == nil; i++ {
+				errs[w] = db.Put(key(buf[:0], w, i), val)
 			}
 		}(w)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	for _, e := range errs {
-		if e != nil {
-			_ = db.Close()
-			return 0, 0, e
-		}
-	}
-	m := db.Metrics()
-	harness.Report(harness.MetricsRecord{
-		Engine:  fmt.Sprintf("IAM-%dwriters", writers),
-		Disk:    fmt.Sprintf("mem+sync%v", concSyncLat),
-		Metrics: m,
-	})
-	if err := db.Close(); err != nil {
-		return 0, 0, err
-	}
-	return float64(perW*writers) / elapsed.Seconds(), m.MeanCommitGroupSize(), nil
+	rec.Metrics = db.Metrics()
+	harness.Report(rec)
+	err = errors.Join(append(errs, db.Close())...)
+	return float64(perW*writers) / elapsed.Seconds(), rec.Metrics, err
 }

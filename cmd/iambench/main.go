@@ -13,9 +13,14 @@
 // figure7a figure7b figure7c figure8 figure9 figure10 tuning
 // stability kvsep concurrency shards
 //
-// All experiments except `concurrency` and `shards` run on the
-// deterministic virtual-disk harness; those two measure the commit
-// pipeline(s) in wall-clock time, so their numbers vary with the host.
+// All experiments except three run their background work inline on the
+// virtual-disk harness and repeat to the byte: `go test
+// ./internal/harness` compares each table with its golden under
+// testdata/small.  The three: `kvsep`'s separated rows keep real workers
+// for the value-log collector, which has no inline driver, so those
+// cells move a little between runs; `concurrency` and `shards` measure
+// the commit pipeline(s) in wall-clock time, so their numbers vary with
+// the host.
 package main
 
 import (
@@ -26,6 +31,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -33,49 +39,13 @@ import (
 	"iamdb/internal/harness"
 )
 
-type experiment struct {
-	id   string
-	desc string
-	run  func(harness.Scale) (harness.Table, error)
-}
-
-func experiments() []experiment {
-	return []experiment{
-		{"table1", "amplifications of LSM/LSA/IAM",
-			func(s harness.Scale) (harness.Table, error) { return s.Table1() }},
-		{"table2", "append-tree traits (seq writes, moves, scans)",
-			func(s harness.Scale) (harness.Table, error) { return s.Table2() }},
-		{"table3", "IAM per-level write amp vs k (mixed level pinned)",
-			func(s harness.Scale) (harness.Table, error) { return s.Table3() }},
-		{"table4", "per-level write amp after 1T-class hash load",
-			func(s harness.Scale) (harness.Table, error) { return s.Table4() }},
-		{"table5", "99% latencies of query-intensive workloads",
-			func(s harness.Scale) (harness.Table, error) { return s.Table5() }},
-		{"figure6", "hash-load throughput normalized to LevelDB",
-			func(s harness.Scale) (harness.Table, error) { return s.Figure6() }},
-		{"figure7a", "YCSB A-G throughput, SSD-100G",
-			func(s harness.Scale) (harness.Table, error) { return s.Figure7(harness.ClassSSD100G) }},
-		{"figure7b", "YCSB A-G throughput, HDD-100G",
-			func(s harness.Scale) (harness.Table, error) { return s.Figure7(harness.ClassHDD100G) }},
-		{"figure7c", "YCSB A-G throughput, HDD-1T",
-			func(s harness.Scale) (harness.Table, error) { return s.Figure7(harness.ClassHDD1T) }},
-		{"figure8", "stable throughput, query-intensive, SSD-100G",
-			func(s harness.Scale) (harness.Table, error) { return s.Figure8() }},
-		{"figure9", "fillseq/readseq throughput",
-			func(s harness.Scale) (harness.Table, error) { return s.Figure9() }},
-		{"figure10", "space usage after write tests",
-			func(s harness.Scale) (harness.Table, error) { return s.Figure10() }},
-		{"tuning", "tuning phase: compaction debt left after a hash load",
-			func(s harness.Scale) (harness.Table, error) { return s.TuningPhase() }},
-		{"stability", "sustained-workload throughput variance and worst-window tails",
-			func(s harness.Scale) (harness.Table, error) { return s.Stability() }},
-		{"kvsep", "key-value separation: large-value throughput and write-byte crossover",
-			func(s harness.Scale) (harness.Table, error) { return s.KVSep() }},
-		{"concurrency", "group-commit throughput vs writer count (wall clock)",
-			runConcurrency},
-		{"shards", "sharded front-end throughput vs shard count (wall clock)",
-			runShards},
-	}
+// experiments is the harness's list plus the two that read the wall
+// clock and so cannot live in it.
+func experiments() []harness.Experiment {
+	return slices.Concat(harness.Experiments, []harness.Experiment{
+		{ID: "concurrency", Desc: "group-commit throughput vs writer count (wall clock)", Run: runConcurrency},
+		{ID: "shards", Desc: "sharded front-end throughput vs shard count (wall clock)", Run: runShards},
+	})
 }
 
 func main() {
@@ -89,7 +59,7 @@ func main() {
 
 	if *list {
 		for _, e := range experiments() {
-			fmt.Printf("%-9s  %s\n", e.id, e.desc)
+			fmt.Printf("%-9s  %s\n", e.ID, e.Desc)
 		}
 		return
 	}
@@ -116,7 +86,7 @@ func main() {
 		// The id list is in presentation order, not sorted: scan.
 		idx := -1
 		for i, e := range exps {
-			if e.id == *expID {
+			if e.ID == *expID {
 				idx = i
 				break
 			}
@@ -147,16 +117,16 @@ func main() {
 	for _, e := range exps {
 		start := time.Now()
 		records = records[:0]
-		tbl, err := e.run(s)
+		tbl, err := e.Run(s)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.id, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
 		fmt.Println(tbl.Format())
-		fmt.Printf("(%s finished in %v)\n\n", e.id, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("(%s finished in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		if *jsonDir != "" {
-			if err := writeBench(*jsonDir, newRunMeta(e.id, s), tbl, records); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", e.id, err)
+			if err := writeBench(*jsonDir, newRunMeta(e.ID, s), tbl, records); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
 				os.Exit(1)
 			}
 		}

@@ -3,8 +3,8 @@ package main
 // The shards experiment measures what the range-sharded front-end buys
 // under real write contention: N goroutines issue synchronous Puts
 // against a DB with S independent shards, and throughput is wall-clock
-// ops/sec.  Like the concurrency experiment it lives in cmd/iambench
-// because it reads the wall clock.
+// ops/sec.  Like the concurrency experiment, whose driver it runs, it
+// lives in cmd/iambench because it reads the wall clock.
 //
 // The filesystem models the two costs sharding attacks: a fixed
 // per-sync device latency (what group commit amortizes within one
@@ -19,12 +19,9 @@ package main
 // the ranges.
 
 import (
-	"bytes"
 	"fmt"
-	"sync"
 	"time"
 
-	"iamdb"
 	"iamdb/internal/harness"
 	"iamdb/internal/vfs"
 )
@@ -41,52 +38,6 @@ const (
 	// shardWriters is the contention level of the headline comparison.
 	shardWriters = 16
 )
-
-// bwLatFS wraps an FS so every Sync sleeps base latency plus the
-// modeled transfer time of the bytes written since the previous Sync on
-// that file.
-type bwLatFS struct {
-	vfs.FS
-}
-
-func (fs bwLatFS) Create(name string) (vfs.File, error) {
-	f, err := fs.FS.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &bwLatFile{File: f}, nil
-}
-
-func (fs bwLatFS) Open(name string) (vfs.File, error) {
-	f, err := fs.FS.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &bwLatFile{File: f}, nil
-}
-
-type bwLatFile struct {
-	vfs.File
-	mu      sync.Mutex
-	pending int64 // bytes written since the last Sync
-}
-
-func (f *bwLatFile) WriteAt(p []byte, off int64) (int, error) {
-	n, err := f.File.WriteAt(p, off)
-	f.mu.Lock()
-	f.pending += int64(n)
-	f.mu.Unlock()
-	return n, err
-}
-
-func (f *bwLatFile) Sync() error {
-	f.mu.Lock()
-	n := f.pending
-	f.pending = 0
-	f.mu.Unlock()
-	time.Sleep(shardSyncBase + time.Duration(float64(n)/shardSyncBW*float64(time.Second)))
-	return f.File.Sync()
-}
 
 // shardKeyByte picks op i of writer w's routing byte: spread uniformly
 // over the key space, or 90% concentrated in shard 0's quarter of it.
@@ -112,8 +63,20 @@ func runShards(s harness.Scale) (harness.Table, error) {
 		Header: []string{"keys", "shards", "ops/sec", "speedup"},
 	}
 	var base float64
-	for _, sh := range []int{1, 2, 4, 8} {
-		opsPerSec, err := shardsRun(shardWriters, sh, ops, false)
+	for _, row := range []struct {
+		dist   string
+		shards int
+	}{{"uniform", 1}, {"uniform", 2}, {"uniform", 4}, {"uniform", 8}, {"skewed", 1}, {"skewed", 4}} {
+		skewed := row.dist == "skewed"
+		opsPerSec, _, err := writersRun(
+			latFS{FS: vfs.NewMemFS(), base: shardSyncBase, perByte: float64(time.Second) / shardSyncBW},
+			harness.MetricsRecord{
+				Engine: fmt.Sprintf("IAM-%dshards-%s", row.shards, row.dist),
+				Disk:   fmt.Sprintf("mem+sync%v+%dMBps", shardSyncBase, shardSyncBW>>20),
+			}, shardWriters, row.shards, ops, shardValueSize,
+			func(key []byte, w, i int) []byte {
+				return fmt.Appendf(append(key, shardKeyByte(w, i, skewed)), "w%03d-%09d", w, i)
+			})
 		if err != nil {
 			return harness.Table{}, err
 		}
@@ -121,79 +84,11 @@ func runShards(s harness.Scale) (harness.Table, error) {
 			base = opsPerSec
 		}
 		tbl.Rows = append(tbl.Rows, []string{
-			"uniform",
-			fmt.Sprintf("%d", sh),
-			fmt.Sprintf("%.0f", opsPerSec),
-			fmt.Sprintf("%.2fx", opsPerSec/base),
-		})
-	}
-	for _, sh := range []int{1, 4} {
-		opsPerSec, err := shardsRun(shardWriters, sh, ops, true)
-		if err != nil {
-			return harness.Table{}, err
-		}
-		tbl.Rows = append(tbl.Rows, []string{
-			"skewed",
-			fmt.Sprintf("%d", sh),
+			row.dist,
+			fmt.Sprintf("%d", row.shards),
 			fmt.Sprintf("%.0f", opsPerSec),
 			fmt.Sprintf("%.2fx", opsPerSec/base),
 		})
 	}
 	return tbl, nil
-}
-
-// shardsRun times writers concurrent goroutines splitting totalOps
-// synchronous Puts over a fresh DB with the given shard count.
-func shardsRun(writers, shards, totalOps int, skewed bool) (opsPerSec float64, err error) {
-	fs := bwLatFS{FS: vfs.NewMemFS()}
-	o := &iamdb.Options{Engine: iamdb.IAM, FS: fs, SyncWrites: true}
-	if shards > 1 {
-		o.Shards = shards
-	}
-	db, err := iamdb.Open("db", o)
-	if err != nil {
-		return 0, err
-	}
-	val := bytes.Repeat([]byte("v"), shardValueSize)
-	perW := totalOps / writers
-	errs := make([]error, writers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			key := make([]byte, 0, 32)
-			for i := 0; i < perW; i++ {
-				key = append(key[:0], shardKeyByte(w, i, skewed))
-				key = fmt.Appendf(key, "w%03d-%09d", w, i)
-				if err := db.Put(key, val); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, e := range errs {
-		if e != nil {
-			_ = db.Close()
-			return 0, e
-		}
-	}
-	m := db.Metrics()
-	dist := "uniform"
-	if skewed {
-		dist = "skewed"
-	}
-	harness.Report(harness.MetricsRecord{
-		Engine:  fmt.Sprintf("IAM-%dshards-%s", shards, dist),
-		Disk:    fmt.Sprintf("mem+sync%v+%dMBps", shardSyncBase, shardSyncBW>>20),
-		Metrics: m,
-	})
-	if err := db.Close(); err != nil {
-		return 0, err
-	}
-	return float64(perW*writers) / elapsed.Seconds(), nil
 }

@@ -217,3 +217,49 @@ func TestCombineOnePicksCandidateWithSiblings(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMixedLevelPinned pins the (m, k) Eq. (2) yields on six trees, as
+// the tuner written out in this package chose them before it became a
+// call to amp.TuneMK.  Each budget is stated against the tree's own
+// level sizes D_1..D_n, so a row keeps its meaning if table sizes move.
+func TestMixedLevelPinned(t *testing.T) {
+	sum := func(d []int64, upto int) (s int64) {
+		for j := 1; j <= upto; j++ {
+			s += d[j]
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name    string
+		records int
+		seed    int64
+		maxK    int
+		budget  func(d []int64) int64
+		m, k    int
+	}{
+		{"below L1", 3000, 21, 3, func(d []int64) int64 { return d[1] - 1 }, 1, 3},
+		{"exactly L1", 4000, 22, 3, func(d []int64) int64 { return d[1] }, 2, 1},
+		{"between levels", 5000, 23, 3, func(d []int64) int64 { return sum(d, 2) + d[3]/8 }, 3, 1},
+		{"every level fits", 2500, 24, 3, func(d []int64) int64 { return sum(d, len(d)-1) }, 0, 3},
+		{"k limited to 1", 6000, 25, 5, func(d []int64) int64 { return d[1] + d[2]/4 - 1 }, 2, 1},
+		{"k limited to 2", 3500, 26, 5, func(d []int64) int64 { return d[1] + d[2]/2 - 1 }, 2, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, _ := testTree(t, IAM, 20*1024)
+			defer tr.Close()
+			loadRandom(t, tr, tc.records, tc.seed)
+			tr.Mu.Lock()
+			defer tr.Mu.Unlock()
+			d := tr.levelDataSizesLocked()
+			tr.cfg.MemBudget, tr.cfg.K = tc.budget(d), tc.maxK
+			wantM := tc.m
+			if wantM == 0 {
+				wantM = tr.n() + 1 // appending everywhere
+			}
+			if m, k := tr.mixedLevelLocked(); m != wantM || k != tc.k {
+				t.Fatalf("sizes %v budget %d: m=%d k=%d, want m=%d k=%d",
+					d[1:], tr.cfg.MemBudget, m, k, wantM, tc.k)
+			}
+		})
+	}
+}

@@ -1,6 +1,9 @@
 package core
 
-import "iamdb/internal/tableset"
+import (
+	"iamdb/internal/amp"
+	"iamdb/internal/tableset"
+)
 
 // This file implements the flush strategy of Sec. 5.1: the choice
 // between appending and merging when a flush delivers records to a
@@ -71,36 +74,15 @@ func (t *Tree) retuneMK() {
 // where D_m*(k-1)/t is S_{m,k}, the expected bytes of appended
 // sequences in the mixed level (Eq. 1).  The largest m, then the
 // largest k <= cfg.K satisfying the inequality are preferred, since
-// larger values mean fewer merges (Sec. 5.1.3).
+// larger values mean fewer merges (Sec. 5.1.3): amp.TuneMK, the model's
+// statement of it, is what runs.
 func (t *Tree) mixedLevelLocked() (int, int) {
 	if t.cfg.FixedM > 0 {
 		return t.cfg.FixedM, t.cfg.K
 	}
-	m := t.cfg.MemBudget
-	if m <= 0 {
+	if t.cfg.MemBudget <= 0 {
 		// No budget information: degenerate to LSA (append always).
 		return t.n() + 1, t.cfg.K
 	}
-	d := t.levelDataSizesLocked()
-	var sum int64
-	mixed := 1
-	for j := 1; j <= t.n(); j++ {
-		if sum+d[j] <= m {
-			sum += d[j]
-			mixed = j + 1
-		} else {
-			break
-		}
-	}
-	if mixed > t.n() {
-		return mixed, t.cfg.K
-	}
-	k := 1
-	for kk := t.cfg.K; kk >= 1; kk-- {
-		if sum+d[mixed]*int64(kk-1)/int64(t.cfg.Fanout) <= m {
-			k = kk
-			break
-		}
-	}
-	return mixed, k
+	return amp.TuneMK(t.levelDataSizesLocked(), t.cfg.MemBudget, t.cfg.K, t.cfg.Fanout)
 }

@@ -57,7 +57,7 @@ var (
 )
 
 // ConfigFor builds the experiment config for an engine in a class.
-func (s Scale) ConfigFor(e iamdb.EngineKind, c Class, threads int) Config {
+func (s Scale) ConfigFor(e iamdb.EngineKind, c Class) Config {
 	records := s.Records100G
 	ratio := int64(25) // 100 GB : 16 GB = 6.25 : 1, times 4 for /4 below
 	if c.OneT {
@@ -68,24 +68,56 @@ func (s Scale) ConfigFor(e iamdb.EngineKind, c Class, threads int) Config {
 	return Config{
 		Engine: e, Disk: c.Disk, Records: records,
 		ValueSize: s.ValueSize, Ct: s.Ct,
-		CacheBytes: data * 4 / ratio,
-		Threads:    threads, Seed: 1,
+		CacheBytes: data * 4 / ratio, Seed: 1,
 	}
+}
+
+// Experiment is one table or figure under the id cmd/iambench runs it by.
+type Experiment struct {
+	ID, Desc string
+	Run      func(Scale) (Table, error)
+}
+
+// Experiments lists every harness experiment in presentation order.  All
+// but kvsep repeat to the byte, and testdata/small holds their tables.
+var Experiments = []Experiment{
+	{"table1", "amplifications of LSM/LSA/IAM", Scale.Table1},
+	{"table2", "append-tree traits (seq writes, moves, scans)", Scale.Table2},
+	{"table3", "IAM per-level write amp vs k (mixed level pinned)", Scale.Table3},
+	{"table4", "per-level write amp after 1T-class hash load", Scale.Table4},
+	{"table5", "99% latencies of query-intensive workloads", Scale.Table5},
+	{"figure6", "hash-load throughput normalized to LevelDB", Scale.Figure6},
+	{"figure7a", "YCSB A-G throughput, SSD-100G",
+		func(s Scale) (Table, error) { return s.Figure7(ClassSSD100G) }},
+	{"figure7b", "YCSB A-G throughput, HDD-100G",
+		func(s Scale) (Table, error) { return s.Figure7(ClassHDD100G) }},
+	{"figure7c", "YCSB A-G throughput, HDD-1T",
+		func(s Scale) (Table, error) { return s.Figure7(ClassHDD1T) }},
+	{"figure8", "stable throughput, query-intensive, SSD-100G", Scale.Figure8},
+	{"figure9", "fillseq/readseq throughput", Scale.Figure9},
+	{"figure10", "space usage after write tests", Scale.Figure10},
+	{"tuning", "tuning phase: compaction debt left after a hash load", Scale.TuningPhase},
+	{"stability", "sustained-workload throughput variance and worst-window tails", Scale.Stability},
+	{"kvsep", "key-value separation: large-value throughput and write-byte crossover", Scale.KVSep},
 }
 
 // engines used across experiments, in the paper's presentation order.
 var paperEngines = []iamdb.EngineKind{iamdb.LevelDB, iamdb.RocksDB, iamdb.LSA, iamdb.IAM}
 
-func engineTag(e iamdb.EngineKind, threads int) string {
+// engineTag is the paper's one-letter name for an engine's rows and
+// columns.  The paper's -1t / -4t suffix is absent: compaction threads
+// overlap nothing on the harness's one device clock (EXPERIMENTS.md,
+// "Thread count").
+func engineTag(e iamdb.EngineKind) string {
 	switch e {
 	case iamdb.LevelDB:
 		return "L"
 	case iamdb.RocksDB:
-		return fmt.Sprintf("R-%dt", threads)
+		return "R"
 	case iamdb.LSA:
-		return fmt.Sprintf("A-%dt", threads)
+		return "A"
 	default:
-		return fmt.Sprintf("I-%dt", threads)
+		return "I"
 	}
 }
 
@@ -105,7 +137,7 @@ func (s Scale) Table1() (Table, error) {
 		Header: []string{"engine", "write-amp", "seeks/scan", "space-amp"},
 	}
 	for _, e := range []iamdb.EngineKind{iamdb.RocksDB, iamdb.LSA, iamdb.IAM} {
-		env, err := NewEnv(s.ConfigFor(e, ClassSSD100G, 1))
+		env, err := NewEnv(s.ConfigFor(e, ClassSSD100G))
 		if err != nil {
 			return t, err
 		}
@@ -156,7 +188,7 @@ func (s Scale) Table2() (Table, error) {
 		Header: []string{"engine", "seq-write-amp", "moves", "splits", "scan-ok"},
 	}
 	for _, e := range []iamdb.EngineKind{iamdb.RocksDB, iamdb.LSA, iamdb.IAM} {
-		env, err := NewEnv(s.ConfigFor(e, ClassSSD100G, 1))
+		env, err := NewEnv(s.ConfigFor(e, ClassSSD100G))
 		if err != nil {
 			return t, err
 		}
@@ -191,7 +223,7 @@ func (s Scale) Table3() (Table, error) {
 		Header: []string{"k", "L1", "L2", "L3", "L4", "total"},
 	}
 	for k := 1; k <= 3; k++ {
-		cfg := s.ConfigFor(iamdb.IAM, ClassSSD100G, 1)
+		cfg := s.ConfigFor(iamdb.IAM, ClassSSD100G)
 		cfg.FixedM = 3
 		cfg.K = k
 		env, err := NewEnv(cfg)
@@ -219,24 +251,14 @@ func (s Scale) Table3() (Table, error) {
 }
 
 // Table4 reproduces Table 4: per-level write amplification after the
-// 1 TB-class hash load for L, R-1t, R-4t, A-1t, A-4t, I-1t and I-4t.
+// 1 TB-class hash load for L, R, A and I.
 func (s Scale) Table4() (Table, error) {
 	t := Table{
 		Title:  "Table 4: per-level write amp, 1T-class hash load",
 		Header: []string{"config", "L0", "L1", "L2", "L3", "L4", "L5", "sum"},
 	}
-	type combo struct {
-		e       iamdb.EngineKind
-		threads int
-	}
-	combos := []combo{
-		{iamdb.LevelDB, 1},
-		{iamdb.RocksDB, 1}, {iamdb.RocksDB, 4},
-		{iamdb.LSA, 1}, {iamdb.LSA, 4},
-		{iamdb.IAM, 1}, {iamdb.IAM, 4},
-	}
-	for _, c := range combos {
-		env, err := NewEnv(s.ConfigFor(c.e, ClassHDD1T, c.threads))
+	for _, e := range paperEngines {
+		env, err := NewEnv(s.ConfigFor(e, ClassHDD1T))
 		if err != nil {
 			return t, err
 		}
@@ -245,7 +267,7 @@ func (s Scale) Table4() (Table, error) {
 			env.Close()
 			return t, err
 		}
-		row := []string{engineTag(c.e, c.threads)}
+		row := []string{engineTag(e)}
 		for lvl := 0; lvl <= 5; lvl++ {
 			if lvl < len(res.PerLevel) && res.PerLevel[lvl] > 0 {
 				row = append(row, f2(res.PerLevel[lvl]))
@@ -274,7 +296,7 @@ func (s Scale) Table5() (Table, error) {
 	}
 	for _, class := range []Class{ClassSSD100G, ClassHDD100G, ClassHDD1T} {
 		for _, e := range paperEngines {
-			env, err := NewEnv(s.ConfigFor(e, class, 1))
+			env, err := NewEnv(s.ConfigFor(e, class))
 			if err != nil {
 				return t, err
 			}
@@ -282,7 +304,7 @@ func (s Scale) Table5() (Table, error) {
 				env.Close()
 				return t, err
 			}
-			row := []string{engineTag(e, 1), class.Name}
+			row := []string{engineTag(e), class.Name}
 			for _, w := range queryWorkloads {
 				ops := s.WorkloadOps
 				if w.MaxScanLen >= 1000 {
@@ -307,13 +329,13 @@ func (s Scale) Table5() (Table, error) {
 func (s Scale) Figure6() (Table, error) {
 	t := Table{
 		Title:  "Figure 6: hash-load throughput normalized to L",
-		Header: []string{"class", "L(kops)", "R-1t", "A-1t", "I-1t"},
+		Header: []string{"class", "L(kops)", "R", "A", "I"},
 	}
 	for _, class := range []Class{ClassSSD100G, ClassHDD100G, ClassHDD1T} {
 		var base float64
 		row := []string{class.Name}
 		for _, e := range paperEngines {
-			env, err := NewEnv(s.ConfigFor(e, class, 1))
+			env, err := NewEnv(s.ConfigFor(e, class))
 			if err != nil {
 				return t, err
 			}
@@ -346,11 +368,11 @@ var allWorkloads = []ycsb.Workload{
 func (s Scale) Figure7(class Class) (Table, error) {
 	t := Table{
 		Title:  fmt.Sprintf("Figure 7 (%s): YCSB throughput normalized to L", class.Name),
-		Header: []string{"workload", "L(ops/s)", "R-1t", "A-1t", "I-1t"},
+		Header: []string{"workload", "L(ops/s)", "R", "A", "I"},
 	}
 	per := make(map[string][]float64) // workload -> by engine
 	for _, e := range paperEngines {
-		env, err := NewEnv(s.ConfigFor(e, class, 1))
+		env, err := NewEnv(s.ConfigFor(e, class))
 		if err != nil {
 			return t, err
 		}
@@ -388,11 +410,11 @@ func (s Scale) Figure7(class Class) (Table, error) {
 func (s Scale) Figure8() (Table, error) {
 	t := Table{
 		Title:  "Figure 8: stable throughput, query-intensive, SSD-100G",
-		Header: []string{"workload", "L(ops/s)", "R-1t", "A-1t", "I-1t"},
+		Header: []string{"workload", "L(ops/s)", "R", "A", "I"},
 	}
 	per := make(map[string][]float64)
 	for _, e := range paperEngines {
-		env, err := NewEnv(s.ConfigFor(e, ClassSSD100G, 1))
+		env, err := NewEnv(s.ConfigFor(e, ClassSSD100G))
 		if err != nil {
 			return t, err
 		}
@@ -434,14 +456,14 @@ func (s Scale) Figure8() (Table, error) {
 func (s Scale) Figure9() (Table, error) {
 	t := Table{
 		Title:  "Figure 9: fillseq / readseq throughput normalized to L",
-		Header: []string{"test", "L(kops)", "R-1t", "A-1t", "I-1t"},
+		Header: []string{"test", "L(kops)", "R", "A", "I"},
 	}
 	for _, class := range []Class{ClassSSD100G, ClassHDD100G} {
 		var fillBase, readBase float64
 		fillRow := []string{"fillseq-" + class.Disk.Name}
 		readRow := []string{"readseq-" + class.Disk.Name}
 		for _, e := range paperEngines {
-			env, err := NewEnv(s.ConfigFor(e, class, 1))
+			env, err := NewEnv(s.ConfigFor(e, class))
 			if err != nil {
 				return t, err
 			}
@@ -475,7 +497,7 @@ func (s Scale) Figure9() (Table, error) {
 func (s Scale) Figure10() (Table, error) {
 	t := Table{
 		Title:  "Figure 10: space usage (MiB) after write tests",
-		Header: []string{"test", "L", "R-1t", "A-1t", "I-1t"},
+		Header: []string{"test", "L", "R", "A", "I"},
 	}
 	mib := func(n int64) string { return fmt.Sprintf("%.1f", float64(n)/(1<<20)) }
 	tests := []struct {
@@ -496,7 +518,7 @@ func (s Scale) Figure10() (Table, error) {
 	for _, test := range tests {
 		row := []string{test.name}
 		for _, e := range paperEngines {
-			env, err := NewEnv(s.ConfigFor(e, ClassSSD100G, 1))
+			env, err := NewEnv(s.ConfigFor(e, ClassSSD100G))
 			if err != nil {
 				return t, err
 			}
@@ -522,7 +544,7 @@ func (s Scale) TuningPhase() (Table, error) {
 		Header: []string{"config", "load(disk-s)", "tuning(disk-s)", "debt-ratio"},
 	}
 	for _, e := range paperEngines {
-		env, err := NewEnv(s.ConfigFor(e, ClassSSD100G, 1))
+		env, err := NewEnv(s.ConfigFor(e, ClassSSD100G))
 		if err != nil {
 			return t, err
 		}
@@ -537,7 +559,7 @@ func (s Scale) TuningPhase() (Table, error) {
 			return t, err
 		}
 		t.Rows = append(t.Rows, []string{
-			engineTag(e, 1),
+			engineTag(e),
 			fmt.Sprintf("%.2f", res.DiskTime.Seconds()),
 			fmt.Sprintf("%.2f", tune.Seconds()),
 			fmt.Sprintf("%.2f", tune.Seconds()/res.DiskTime.Seconds()),

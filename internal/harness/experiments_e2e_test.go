@@ -2,33 +2,115 @@ package harness
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
-	"time"
 )
 
-// TestAllExperimentsEndToEnd regenerates every remaining table and
-// figure once at small scale — the full-pipeline integration test.
-// Skipped under -short (several minutes of simulated workloads).
+// exact reports whether an experiment repeats to the byte and so has a
+// golden: all but kvsep, whose separated runs keep real workers for the
+// value-log collector (NewEnv).
+func exact(e Experiment) bool { return e.ID != "kvsep" }
+
+// golden reads an experiment's table at SmallScale as cmd/iambench
+// prints it.
+func golden(t *testing.T, id string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "small", id+".txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestAllExperimentsEndToEnd regenerates every exact table and figure
+// at small scale and compares it with its golden, cell for cell.  A
+// golden is Table.Format() and nothing else, so after an intended change
+// the table a failing subtest prints is the new file.  Skipped under
+// -short (several minutes of simulated workloads).
 func TestAllExperimentsEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep skipped in -short mode")
 	}
-	s := SmallScale
-	run := func(name string, f func() (Table, error)) {
-		t0 := time.Now()
-		tbl, err := f()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	for _, e := range Experiments {
+		if !exact(e) {
+			continue
 		}
-		fmt.Println(tbl.Format())
-		fmt.Printf("(%s took %v)\n\n", name, time.Since(t0))
+		t.Run(e.ID, func(t *testing.T) {
+			tbl, err := e.Run(SmallScale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := tbl.Format(), golden(t, e.ID)
+			if got == want {
+				return
+			}
+			gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+			for i := 0; i < len(gl) || i < len(wl); i++ {
+				var g, w string
+				if i < len(gl) {
+					g = gl[i]
+				}
+				if i < len(wl) {
+					w = wl[i]
+				}
+				if g != w {
+					t.Errorf("line %d:\n got  %q\n want %q", i+1, g, w)
+				}
+			}
+			t.Errorf("%s differs from testdata/small/%s.txt; the table it got is printed flush left", e.ID, e.ID)
+			fmt.Print(got) // not through t: the file is this text, unindented
+		})
 	}
-	run("table1", s.Table1)
-	run("table2", s.Table2)
-	run("table5", s.Table5)
-	run("figure7a", func() (Table, error) { return s.Figure7(ClassSSD100G) })
-	run("figure7c", func() (Table, error) { return s.Figure7(ClassHDD1T) })
-	run("figure8", s.Figure8)
-	run("figure9", s.Figure9)
-	run("figure10", s.Figure10)
+}
+
+// TestExperimentRepeatsExactly runs two experiments twice in one
+// process: the tables and the full metrics of every environment at Close
+// must be equal, which is what lets a golden stand for a run.
+func TestExperimentRepeatsExactly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs four experiments")
+	}
+	defer SetMetricsSink(nil)
+	for _, run := range []func(Scale) (Table, error){Scale.Table3, Scale.Stability} {
+		var out [2]string
+		for i := range out {
+			var b strings.Builder
+			SetMetricsSink(func(r MetricsRecord) {
+				fmt.Fprintf(&b, "%s %s %+v\n", r.Engine, r.Disk, r.Metrics)
+			})
+			tbl, err := run(SmallScale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = tbl.Format() + b.String()
+		}
+		if out[0] != out[1] {
+			t.Errorf("two runs differ:\n%s\n%s", out[0], out[1])
+		}
+	}
+}
+
+// TestExperimentsDocQuotesGoldens keeps EXPERIMENTS.md from going stale:
+// every line of every golden must stand in it verbatim.
+func TestExperimentsDocQuotesGoldens(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := make(map[string]bool)
+	for _, line := range strings.Split(string(data), "\n") {
+		doc[line] = true
+	}
+	for _, e := range Experiments {
+		if !exact(e) {
+			continue
+		}
+		for _, line := range strings.Split(strings.TrimSuffix(golden(t, e.ID), "\n"), "\n") {
+			if !doc[line] {
+				t.Errorf("EXPERIMENTS.md lacks this line of testdata/small/%s.txt:\n%s", e.ID, line)
+			}
+		}
+	}
 }

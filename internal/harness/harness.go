@@ -42,8 +42,6 @@ type Config struct {
 	Ct int64
 	// CacheBytes models available RAM for data blocks.
 	CacheBytes int64
-	// Threads is the compaction thread count (paper's -1t/-4t).
-	Threads int
 	// CPUPerOp charges fixed non-I/O time per operation so fully
 	// cached workloads have finite throughput.
 	CPUPerOp time.Duration
@@ -52,11 +50,6 @@ type Config struct {
 	// FixedM/K pin IAM's mixed level (Table 3); zero = auto.
 	FixedM int
 	K      int
-	// Inline runs flushes and compactions synchronously on the writer
-	// (iamdb.Options.InlineBackground): with the virtual clock this
-	// makes whole runs deterministic, at the cost of commit latency
-	// absorbing background work.  The stability experiment uses it.
-	Inline bool
 	// TimelineWindow is the initial width of the timeline sampler's
 	// windows in virtual disk time (default 100ms; it doubles as the
 	// run outgrows the ring).  TimelineCapacity bounds the ring
@@ -84,9 +77,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheBytes == 0 {
 		c.CacheBytes = int64(c.Records) * int64(c.ValueSize) / 6
-	}
-	if c.Threads == 0 {
-		c.Threads = 1
 	}
 	if c.CPUPerOp == 0 {
 		c.CPUPerOp = 5 * time.Microsecond
@@ -144,20 +134,25 @@ func NewEnv(cfg Config) (*Env, error) {
 	fs := vfs.NewStatsFS(disk, stats)
 
 	db, err := iamdb.Open("db", &iamdb.Options{
-		Engine:            cfg.Engine,
-		FS:                fs,
-		MemtableSize:      cfg.Ct,
-		CacheSize:         cfg.CacheBytes,
-		MemBudget:         cfg.CacheBytes / 2, // Sec. 5.1.3's M/2 refinement
-		K:                 cfg.K,
-		FixedM:            cfg.FixedM,
-		CompactionThreads: cfg.Threads,
+		Engine:       cfg.Engine,
+		FS:           fs,
+		MemtableSize: cfg.Ct,
+		CacheSize:    cfg.CacheBytes,
+		MemBudget:    cfg.CacheBytes / 2, // Sec. 5.1.3's M/2 refinement
+		K:            cfg.K,
+		FixedM:       cfg.FixedM,
 		// The disk's virtual clock is the experiment's time base, so
 		// event durations and latency histograms report simulated
 		// device time, not host time.
-		Clock:            clock,
-		Trace:            cfg.Trace,
-		InlineBackground: cfg.Inline,
+		Clock: clock,
+		Trace: cfg.Trace,
+		// Flushes and compactions run on the writer: every handle charges
+		// the one serial clock above, so worker goroutines could overlap
+		// nothing on it and only let the scheduler pick the interleaving.
+		// Inline, a run is an exact repeat (testdata/small holds each
+		// table).  A value log keeps its workers: the collector has no
+		// inline driver, and without it separated runs reclaim nothing.
+		InlineBackground: cfg.ValueThreshold == 0,
 		ValueThreshold:   cfg.ValueThreshold,
 		VlogSegmentSize:  cfg.VlogSegmentSize,
 	})
@@ -442,7 +437,8 @@ type Table struct {
 	Rows   [][]string
 }
 
-// Format renders the table with aligned columns.
+// Format renders the table with aligned columns; the last is not padded,
+// so no line ends in blanks (the goldens under testdata are this text).
 func (t Table) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s ==\n", t.Title)
@@ -462,7 +458,11 @@ func (t Table) Format() string {
 			if i > 0 {
 				b.WriteString("  ")
 			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
+			if i == len(cells)-1 {
+				b.WriteString(c)
+			} else {
+				fmt.Fprintf(&b, "%-*s", widths[i], c)
+			}
 		}
 		b.WriteByte('\n')
 	}

@@ -153,8 +153,8 @@ func TestDiskProfilesDiffer(t *testing.T) {
 
 func TestConfigForPreservesRatios(t *testing.T) {
 	s := SmallScale
-	c100 := s.ConfigFor(iamdb.IAM, ClassSSD100G, 1)
-	c1t := s.ConfigFor(iamdb.IAM, ClassHDD1T, 1)
+	c100 := s.ConfigFor(iamdb.IAM, ClassSSD100G)
+	c1t := s.ConfigFor(iamdb.IAM, ClassHDD1T)
 	// 100G class: data / cache = 6.25; 1T: 16.
 	d100 := int64(c100.Records) * int64(c100.ValueSize)
 	if r := float64(d100) / float64(c100.CacheBytes); r < 6 || r > 6.5 {

@@ -46,7 +46,7 @@ func (s Scale) kvsepConfig(e iamdb.EngineKind, valueSize int, separated bool, th
 	}
 	cfg := Config{
 		Engine: e, Disk: vfs.SSDProfile(), Records: uint64(records),
-		ValueSize: valueSize, Ct: s.Ct, Threads: 1, Seed: 1,
+		ValueSize: valueSize, Ct: s.Ct, Seed: 1,
 	}
 	if separated {
 		cfg.ValueThreshold = threshold
@@ -157,7 +157,7 @@ func (s Scale) KVSep() (Table, error) {
 				if err != nil {
 					return t, err
 				}
-				addRow(engineTag(e, 1), dist, 64<<10, sep, c)
+				addRow(engineTag(e), dist, 64<<10, sep, c)
 			}
 		}
 	}
@@ -172,7 +172,7 @@ func (s Scale) KVSep() (Table, error) {
 			if err != nil {
 				return t, err
 			}
-			addRow(engineTag(iamdb.IAM, 1), "uniform", v, sep, c)
+			addRow(engineTag(iamdb.IAM), "uniform", v, sep, c)
 		}
 	}
 

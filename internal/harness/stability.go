@@ -72,9 +72,8 @@ func ScoreTimeline(pts []iamdb.TimelinePoint) StabilityScore {
 
 // Stability runs the sustained-mixed-workload stability experiment:
 // hash load, then 8×WorkloadOps of YCSB A (50/50 read/update) on the
-// SSD-100G class with inline background work — fully deterministic on
-// the virtual clock — scoring each engine's timeline on throughput
-// variance and worst-window tail latency.  The per-window numbers come
+// SSD-100G class, scoring each engine's timeline on throughput variance
+// and worst-window tail latency.  The per-window numbers come
 // from the timeline sampler, scoped to the measured phase.
 func (s Scale) Stability() (Table, error) {
 	t := Table{
@@ -83,9 +82,7 @@ func (s Scale) Stability() (Table, error) {
 			"worst-kops", "worst-p99", "worst-p99.9", "stall%"},
 	}
 	for _, e := range paperEngines {
-		cfg := s.ConfigFor(e, ClassSSD100G, 1)
-		cfg.Inline = true
-		env, err := NewEnv(cfg)
+		env, err := NewEnv(s.ConfigFor(e, ClassSSD100G))
 		if err != nil {
 			return t, err
 		}
@@ -103,7 +100,7 @@ func (s Scale) Stability() (Table, error) {
 		sc := ScoreTimeline(env.Timeline())
 		env.Stability = &sc
 		t.Rows = append(t.Rows, []string{
-			engineTag(e, 1),
+			engineTag(e),
 			fmt.Sprint(sc.Windows),
 			fmt.Sprintf("%.2f", float64(sc.Window.Microseconds())/1000),
 			fmt.Sprintf("%.1f", sc.MeanOpsPerSec/1000),

@@ -48,9 +48,7 @@ func TestScoreTimeline(t *testing.T) {
 // acceptance shape: a timeline with at least 50 uniform windows whose
 // bounds tile the measured phase, and a score with finite variance.
 func TestStabilityTimeline(t *testing.T) {
-	cfg := SmallScale.ConfigFor(iamdb.IAM, ClassSSD100G, 1)
-	cfg.Inline = true
-	env, err := NewEnv(cfg)
+	env, err := NewEnv(SmallScale.ConfigFor(iamdb.IAM, ClassSSD100G))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,15 +83,5 @@ func TestStabilityTimeline(t *testing.T) {
 	sc := ScoreTimeline(pts)
 	if sc.MeanOpsPerSec <= 0 {
 		t.Fatalf("score %+v", sc)
-	}
-}
-
-// BenchmarkStability is the check.sh smoke: one full stability
-// experiment at small scale (all four engines) with -benchtime 1x.
-func BenchmarkStability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := SmallScale.Stability(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

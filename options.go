@@ -169,7 +169,11 @@ type Options struct {
 	L0CompactTrigger int
 
 	// CompactionThreads is the number of background compaction
-	// goroutines (default 1; the paper's -4t configs use 4).
+	// goroutines (default 1; the paper's -4t configs use 4).  Today it
+	// has no effect for IAM / LSA, whose WorkStep does nothing (the whole
+	// cascade runs inside Flush), and buys the baselines no parallelism:
+	// their WorkStep holds Set.Mu across its table I/O, so N workers take
+	// turns until compaction I/O leaves that lock.
 	CompactionThreads int
 
 	// Shards, when > 1, range-partitions the keyspace across that many
@@ -236,8 +240,10 @@ type Options struct {
 	// virtual clock this makes entire runs deterministic — two
 	// identical runs produce byte-identical metrics, timelines and
 	// traces — at the cost of commit latency absorbing background work.
-	// The harness's stability experiment and the golden determinism
-	// tests use it; production configurations should not.
+	// The value-log collector does not run: it has a worker and no
+	// inline driver, so with ValueThreshold > 0 no dead value is
+	// reclaimed.  The harness's paper experiments and the golden
+	// determinism tests use it; production configurations should not.
 	InlineBackground bool
 
 	// BgRetryLimit is how many consecutive background flush/compaction

@@ -836,20 +836,20 @@ func (st *store) noteBgError(op string, err error) bool {
 // attempt, leaving read-only mode and recording the heal duration.
 func (st *store) noteBgSuccess() {
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	if st.bgErr == nil && !st.readonly {
-		st.mu.Unlock()
 		return
 	}
-	cause := st.bgErr
-	wasRO := st.readonly
 	heal := int64(st.clock.Now()) - st.bgErrSince
+	if st.readonly {
+		// Fired under st.mu and before the flag clears (listeners may run
+		// with locks held): no write is accepted before its Exit is seen,
+		// so Enter / Exit pair up for a listener that counts them.
+		st.events.ReadOnlyExit(metrics.ReadOnlyInfo{Cause: st.bgErr, Duration: time.Duration(heal)})
+	}
 	st.bgErr, st.readonly, st.bgFails = nil, false, 0
 	st.bgHealNanos.Add(heal)
 	st.cond.Broadcast()
-	st.mu.Unlock()
-	if wasRO {
-		st.events.ReadOnlyExit(metrics.ReadOnlyInfo{Cause: cause, Duration: time.Duration(heal)})
-	}
 }
 
 func (st *store) flushWorker() {
