@@ -10,7 +10,8 @@
 //	iamdump file -verify <path.mst>    # ... plus re-read every block,
 //	                                   # checking every stored CRC
 //	iamdump db <dir>                   # manifest + level summary
-//	iamdump verify <dir>               # deep structural verification
+//	iamdump verify <dir>               # structure, then every table re-read
+//	                                   # as scrub does; prints the totals
 //	iamdump vlog <path.vlg>            # one value-log segment's records
 //	iamdump vlog -verify <path.vlg>    # ... re-checking every record CRC
 package main
@@ -88,6 +89,11 @@ func dumpFile(path string, withRecords, verify bool) {
 	fmt.Printf("  hole:       %d bytes (%.1f%% free for appends)\n",
 		hole, 100*float64(hole)/float64(tbl.Capacity()))
 	fmt.Printf("  sequences:  %d, records: %d\n", tbl.NumSeqs(), tbl.Entries())
+	if err := tbl.Suspect(); err != nil {
+		// Lost-commit evidence at open: the listing below is the file at
+		// the generation it fell back to.
+		fmt.Printf("  suspect:    %v\n", err)
+	}
 	if r := tbl.UserRange(); !r.Empty() {
 		fmt.Printf("  user range: %q .. %q\n", r.Lo, r.Hi)
 	}
@@ -141,7 +147,7 @@ func dumpVlog(path string, withRecords, verify bool) {
 	fmt.Printf("value-log segment %s\n", path)
 	var records int
 	var keyBytes, valBytes int64
-	scanned, err := vlog.ScanFile(vfs.NewOSFS(), path, func(key, val []byte, off int64, n int) error {
+	sc, err := vlog.ScanFile(vfs.NewOSFS(), path, func(key, val []byte, off int64, n int) error {
 		records++
 		keyBytes += int64(len(key))
 		valBytes += int64(len(val))
@@ -163,9 +169,9 @@ func dumpVlog(path string, withRecords, verify bool) {
 		fatalf("scan: %v", err)
 	}
 	fmt.Printf("  records:    %d (%d key bytes, %d value bytes)\n", records, keyBytes, valBytes)
-	fmt.Printf("  scanned:    %d bytes\n", scanned)
+	fmt.Printf("  scanned:    %d bytes\n", sc.Valid)
 	if verify {
-		fmt.Printf("  verify:     OK — %d records, %d bytes, every CRC checked\n", records, scanned)
+		fmt.Printf("  verify:     OK — %d records, %d bytes, every CRC checked\n", records, sc.Valid)
 	}
 }
 
@@ -201,9 +207,12 @@ func verifyDB(dir string) {
 		fatalf("open table set: %v", err)
 	}
 	defer set.Close()
-	rep, err := set.DeepVerify() // the structural invariants first, then every block
+	rep, err := set.DeepVerify() // the structural invariants first, then scrub's pass over every table
 	if err != nil {
 		fatalf("FAILED: %v\n(partial: %v)", err, rep)
+	}
+	for _, q := range set.Quarantined() {
+		fmt.Printf("suspect at open: %s: %s\n", q.Path, q.Reason)
 	}
 	fmt.Printf("OK: %v\n", rep)
 }

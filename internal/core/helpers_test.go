@@ -132,7 +132,7 @@ func TestDeepVerifyCleanTree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v (%v)", p, err, rep)
 		}
-		if rep.Records == 0 || rep.Nodes == 0 {
+		if rep.Entries == 0 || rep.Tables == 0 {
 			t.Fatalf("%v: empty report %v", p, rep)
 		}
 		if rep.String() == "" {

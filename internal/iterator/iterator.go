@@ -58,6 +58,16 @@ func (Empty) Err() error { return nil }
 // Close implements Iterator.
 func (Empty) Close() error { return nil }
 
+// Failed is Empty with an error to report: what a source that could not
+// be opened hands to a merge, which surfaces it through Err.
+type Failed struct {
+	Empty
+	Cause error
+}
+
+// Err implements Iterator.
+func (f Failed) Err() error { return f.Cause }
+
 // Merging merges n child iterators into one ascending stream.  When two
 // children are positioned at equal keys the one added earlier wins ties;
 // callers therefore order children newest-first when duplicate internal

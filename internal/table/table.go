@@ -108,14 +108,14 @@ type Table struct {
 	// what it cannot afford.
 	nseq atomic.Int32
 
-	// metaFloor and gen belong to the appender (like the write side of
-	// dataEnd): metaFloor is the start of the last committed metadata
-	// copy — the next copy is written strictly below it — and gen is
-	// the committed footer generation.  metaLen is the committed copy's
-	// length, kept for Verify's raw re-read.
+	// metaFloor belongs to the appender (like the write side of dataEnd):
+	// the start of the last committed metadata copy — the next copy is
+	// written strictly below it.  gen is the committed footer generation,
+	// stored by writeMeta once its footer slot is written, so a Verify
+	// running beside the appender knows the oldest generation the file
+	// may legitimately reopen at.
 	metaFloor int64
-	metaLen   int64
-	gen       uint64
+	gen       atomic.Uint64
 
 	// suspect records lost-commit evidence noticed at Open: a non-zero
 	// footer slot that failed validation, or a higher-generation
@@ -217,36 +217,43 @@ func parseFooter(p []byte) (footerInfo, bool) {
 	}, true
 }
 
-// Open reads an existing MSTable's footers and metadata, committing to
-// the highest-generation slot whose metadata checks out.
-func Open(fs vfs.FS, name string, id uint64, opt Options) (*Table, error) {
-	f, err := fs.Open(name)
-	if err != nil {
-		return nil, err
+// discovery is what reading a file's footer tail and the metadata
+// beneath it found: the commit the file reopens at.
+type discovery struct {
+	size int64
+	foot footerInfo // the highest generation whose metadata checks out
+	seqs []SeqMeta  // that metadata, parsed
+	// suspect is lost-commit evidence met on the way to foot: a non-zero
+	// footer slot that failed validation, or a higher-generation
+	// candidate whose metadata did not check out.
+	suspect *corrupt.Error
+}
+
+// discover is the one reader of the tail: Open commits from what it
+// returns and Verify re-runs it, so what scrub accepts and what a reopen
+// accepts are the same opinion.  Both slots are parsed and tried from the
+// highest generation down; the first whose metadata lies in bounds,
+// matches its CRC and parses wins.  With no such candidate the error is
+// the first suspicious finding, typed.
+func discover(f vfs.File, name string) (d discovery, err error) {
+	if d.size, err = f.Size(); err != nil {
+		return d, err
 	}
-	size, err := f.Size()
-	if err != nil {
-		_ = f.Close()
-		return nil, err
-	}
-	if size < tailLen {
-		_ = f.Close()
-		return nil, corrupt.New(corrupt.LayerTableFooter, name, size, ErrCorrupt,
+	if d.size < tailLen {
+		return d, corrupt.New(corrupt.LayerTableFooter, name, d.size, ErrCorrupt,
 			"file shorter than footer tail")
 	}
 	var tail [tailLen]byte
-	if _, err := f.ReadAt(tail[:], size-tailLen); err != nil {
-		_ = f.Close()
-		return nil, err
+	if _, err := f.ReadAt(tail[:], d.size-tailLen); err != nil {
+		return d, err
 	}
 	// A slot that fails validation without being virgin zeros is either
 	// a torn in-flight footer write (crash) or rot of a committed slot;
 	// the two are indistinguishable by content, so remember the first
 	// such finding and let the caller quarantine conservatively.
-	var suspect *corrupt.Error
 	note := func(layer string, off int64, detail string, got, want uint32) {
-		if suspect == nil {
-			suspect = corrupt.New(layer, name, off, ErrCorrupt, detail).WithCRC(got, want)
+		if d.suspect == nil {
+			d.suspect = corrupt.New(layer, name, off, ErrCorrupt, detail).WithCRC(got, want)
 		}
 	}
 	var cands []footerInfo
@@ -257,7 +264,7 @@ func Open(fs vfs.FS, name string, id uint64, opt Options) (*Table, error) {
 			continue
 		}
 		if !allZero(slot) {
-			note(corrupt.LayerTableFooter, size-tailLen+int64(s*footerSlot),
+			note(corrupt.LayerTableFooter, d.size-tailLen+int64(s*footerSlot),
 				"non-empty footer slot fails validation", 0, 0)
 		}
 	}
@@ -265,7 +272,7 @@ func Open(fs vfs.FS, name string, id uint64, opt Options) (*Table, error) {
 		cands[0], cands[1] = cands[1], cands[0]
 	}
 	for _, fi := range cands {
-		if fi.metaOff < 0 || fi.metaLen < 0 || fi.metaOff+fi.metaLen > size-tailLen {
+		if fi.metaOff < 0 || fi.metaLen < 0 || fi.metaOff+fi.metaLen > d.size-tailLen {
 			note(corrupt.LayerTableMeta, fi.metaOff,
 				fmt.Sprintf("gen %d metadata pointer out of bounds", fi.gen), 0, 0)
 			continue
@@ -283,30 +290,45 @@ func Open(fs vfs.FS, name string, id uint64, opt Options) (*Table, error) {
 				fmt.Sprintf("gen %d metadata checksum mismatch", fi.gen), fi.metaCRC, got)
 			continue
 		}
-		t := &Table{fs: fs, f: f, name: name, id: id, capacity: size,
-			cache: opt.Cache, bitsKey: opt.bits(), compress: opt.Compression,
-			metaFloor: fi.metaOff, metaLen: fi.metaLen, gen: fi.gen, suspect: suspect}
-		if err := t.parseMeta(raw, fi.seqCount); err != nil {
-			t.seqs = nil
+		seqs, err := parseMeta(raw, fi.seqCount)
+		if err != nil {
 			note(corrupt.LayerTableMeta, fi.metaOff,
 				fmt.Sprintf("gen %d metadata malformed: %v", fi.gen, err), 0, 0)
 			continue
 		}
-		t.suspect = suspect
-		t.nseq.Store(int32(len(t.seqs)))
-		for _, s := range t.seqs {
-			if end := int64(s.DataOff + s.DataLen); end > t.dataEnd {
-				t.dataEnd = end
-			}
-		}
-		return t, nil
+		d.foot, d.seqs = fi, seqs
+		return d, nil
 	}
-	_ = f.Close()
-	if suspect != nil {
-		return nil, suspect
+	if d.suspect != nil {
+		return d, d.suspect
 	}
-	return nil, corrupt.New(corrupt.LayerTableFooter, name, size-tailLen, ErrCorrupt,
+	return d, corrupt.New(corrupt.LayerTableFooter, name, d.size-tailLen, ErrCorrupt,
 		"no valid footer")
+}
+
+// Open reads an existing MSTable's footers and metadata, committing to
+// the highest-generation slot whose metadata checks out.
+func Open(fs vfs.FS, name string, id uint64, opt Options) (*Table, error) {
+	f, err := fs.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	d, err := discover(f, name)
+	if err != nil {
+		_ = f.Close()
+		return nil, err
+	}
+	t := &Table{fs: fs, f: f, name: name, id: id, capacity: d.size,
+		cache: opt.Cache, bitsKey: opt.bits(), compress: opt.Compression,
+		metaFloor: d.foot.metaOff, seqs: d.seqs, suspect: d.suspect}
+	t.gen.Store(d.foot.gen)
+	t.nseq.Store(int32(len(t.seqs)))
+	for _, s := range t.seqs {
+		if end := int64(s.DataOff + s.DataLen); end > t.dataEnd {
+			t.dataEnd = end
+		}
+	}
+	return t, nil
 }
 
 func allZero(p []byte) bool {
@@ -343,7 +365,7 @@ func (t *Table) writeMeta() error {
 			return err
 		}
 	}
-	gen := t.gen + 1
+	gen := t.gen.Load() + 1
 	var foot [footerSlot]byte
 	binary.LittleEndian.PutUint64(foot[0:8], magic)
 	binary.LittleEndian.PutUint32(foot[8:12], version)
@@ -357,9 +379,8 @@ func (t *Table) writeMeta() error {
 	if _, err := t.f.WriteAt(foot[:], t.capacity-tailLen+slot*footerSlot); err != nil {
 		return err
 	}
-	t.gen = gen
+	t.gen.Store(gen)
 	t.metaFloor = metaOff
-	t.metaLen = int64(len(buf))
 	return nil
 }
 
@@ -376,44 +397,37 @@ func readBytes(p []byte) ([]byte, []byte, error) {
 	return p[w : w+int(n)], p[w+int(n):], nil
 }
 
-func (t *Table) parseMeta(raw []byte, seqCount int) error {
+// parseMeta decodes seqCount sequence descriptions as writeMeta wrote them.
+func parseMeta(raw []byte, seqCount int) ([]SeqMeta, error) {
+	var seqs []SeqMeta
 	p := raw
 	for i := 0; i < seqCount; i++ {
 		var s SeqMeta
-		var w int
-		s.Entries, w = binary.Uvarint(p)
-		if w <= 0 {
-			return ErrCorrupt
+		for _, field := range []*uint64{&s.Entries, &s.DataOff, &s.DataLen} {
+			var w int
+			if *field, w = binary.Uvarint(p); w <= 0 {
+				return nil, ErrCorrupt
+			}
+			p = p[w:]
 		}
-		p = p[w:]
-		s.DataOff, w = binary.Uvarint(p)
-		if w <= 0 {
-			return ErrCorrupt
-		}
-		p = p[w:]
-		s.DataLen, w = binary.Uvarint(p)
-		if w <= 0 {
-			return ErrCorrupt
-		}
-		p = p[w:]
 		var err error
 		if s.Smallest, p, err = readBytes(p); err != nil {
-			return err
+			return nil, err
 		}
 		if s.Largest, p, err = readBytes(p); err != nil {
-			return err
+			return nil, err
 		}
 		var bl []byte
 		if bl, p, err = readBytes(p); err != nil {
-			return err
+			return nil, err
 		}
 		s.Bloom = bloom.Filter(bl)
 		if s.RawIndex, p, err = readBytes(p); err != nil {
-			return err
+			return nil, err
 		}
-		t.seqs = append(t.seqs, s)
+		seqs = append(seqs, s)
 	}
-	return nil
+	return seqs, nil
 }
 
 // Close releases the file handle.
@@ -563,11 +577,7 @@ func (t *Table) readBlock(off, length uint64) ([]byte, error) {
 		}
 	}
 	buf := make([]byte, length)
-	if _, err := t.f.ReadAt(buf, int64(off)); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, corrupt.New(corrupt.LayerTableBlock, t.name, int64(off), ErrCorrupt,
-				"block extends past end of file")
-		}
+	if err := t.readAt(buf, int64(off)); err != nil {
 		return nil, err
 	}
 	payload, err := verifyBlockAt(buf, t.name, off)
@@ -578,6 +588,30 @@ func (t *Table) readBlock(off, length uint64) ([]byte, error) {
 		t.cache.Set(t.id, off, payload)
 	}
 	return payload, nil
+}
+
+// readAt fills buf with the block bytes at off.  The index that named
+// them is covered by the metadata CRC, so a file that ends first has lost
+// its tail: corruption of that block, not an I/O failure.
+func (t *Table) readAt(buf []byte, off int64) error {
+	_, err := t.f.ReadAt(buf, off)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return corrupt.New(corrupt.LayerTableBlock, t.name, off, ErrCorrupt,
+			"block extends past end of file")
+	}
+	return err
+}
+
+// blockHandle decodes an index entry's value: the offset and length of
+// the data block the entry names.
+func (t *Table) blockHandle(v []byte) (off, length uint64, err error) {
+	off, n := binary.Uvarint(v)
+	if n > 0 {
+		if length, n = binary.Uvarint(v[n:]); n > 0 {
+			return off, length, nil
+		}
+	}
+	return 0, 0, t.metaCorrupt(ErrCorrupt, "index handle malformed")
 }
 
 // AppendResult reports what an append wrote.
@@ -646,61 +680,65 @@ func (t *Table) AppendFrom(it iterator.Iterator) (AppendResult, error) {
 // Sync flushes the table file.
 func (t *Table) Sync() error { return t.f.Sync() }
 
-// VerifyStats reports what a Verify pass covered.
+// VerifyStats reports what a Verify pass covered; Add sums passes, so
+// Tables counts them.
 type VerifyStats struct {
+	Tables  int
 	Seqs    int
 	Blocks  int64
 	Bytes   int64
 	Entries uint64
 }
 
+// Add folds another pass's coverage into st.
+func (st *VerifyStats) Add(o VerifyStats) {
+	st.Tables += o.Tables
+	st.Seqs += o.Seqs
+	st.Blocks += o.Blocks
+	st.Bytes += o.Bytes
+	st.Entries += o.Entries
+}
+
+func (st VerifyStats) String() string {
+	return fmt.Sprintf("tables=%d seqs=%d blocks=%d bytes=%d entries=%d",
+		st.Tables, st.Seqs, st.Blocks, st.Bytes, st.Entries)
+}
+
 // Verify re-reads the table from disk and checks everything the format
-// protects: footer + metadata discovery (the same procedure Open
+// protects: footer + metadata discovery (discover, the procedure Open
 // uses), every data block's CRC (bypassing the cache — scrub checks
 // the disk, not memory), index structure, record ordering, record
 // containment in the sequence bounds, Bloom membership of every user
-// key, and per-sequence entry counts.  onBlock, when non-nil, runs
+// key, and per-sequence entry counts — of the sequences the file
+// describes, not the copy in memory.  onBlock, when non-nil, runs
 // after each verified data block with its on-disk size, for progress
 // counting and rate limiting.  The first failure is returned as a
-// *corrupt.Error.  Safe against a concurrent appender: committed
-// sequences and their blocks are immutable, and at least one footer
-// slot is always intact mid-commit.
+// *corrupt.Error.
+//
+// The file must still reopen at the generation this handle holds or a
+// newer one: a discovery that falls back below it has lost a commit a
+// reopen would silently lose too.  That is also what makes the pass safe
+// beside a concurrent appender: committed sequences and their blocks are
+// immutable, the appender only ever writes the standby slot, and gen is
+// stored after that write, so the appender can only make the discovery
+// newer than the generation read here.  A damaged standby slot is for the
+// same reason not a finding: it is what an in-flight footer write looks
+// like, and the next Open reports it (Suspect).
 func (t *Table) Verify(onBlock func(n int64)) (VerifyStats, error) {
-	var st VerifyStats
-	size, err := t.f.Size()
+	st := VerifyStats{Tables: 1}
+	gen := t.gen.Load()
+	d, err := discover(t.f, t.name)
 	if err != nil {
 		return st, err
 	}
-	if size < tailLen {
-		return st, corrupt.New(corrupt.LayerTableFooter, t.name, size, ErrCorrupt,
-			"file shorter than footer tail")
+	if d.foot.gen < gen {
+		return st, corrupt.New(corrupt.LayerTableFooter, t.name,
+			d.size-tailLen+int64(gen%2)*footerSlot, ErrCorrupt,
+			fmt.Sprintf("committed generation %d no longer validates, the file reopens at %d",
+				gen, d.foot.gen))
 	}
-	var tail [tailLen]byte
-	if _, err := t.f.ReadAt(tail[:], size-tailLen); err != nil {
-		return st, err
-	}
-	footOK := false
-	for s := 0; s < 2 && !footOK; s++ {
-		fi, valid := parseFooter(tail[s*footerSlot : (s+1)*footerSlot])
-		if !valid || fi.metaOff < 0 || fi.metaLen < 0 || fi.metaOff+fi.metaLen > size-tailLen {
-			continue
-		}
-		raw := make([]byte, fi.metaLen)
-		if fi.metaLen > 0 {
-			if _, err := t.f.ReadAt(raw, fi.metaOff); err != nil {
-				continue
-			}
-		}
-		footOK = crc32.Checksum(raw, castagnoli) == fi.metaCRC
-	}
-	if !footOK {
-		return st, corrupt.New(corrupt.LayerTableFooter, t.name, size-tailLen, ErrCorrupt,
-			"no footer slot with intact metadata")
-	}
-
-	seqs := t.snapshotSeqs()
-	for i := range seqs {
-		s := &seqs[i]
+	for i := range d.seqs {
+		s := &d.seqs[i]
 		st.Seqs++
 		if s.Entries == 0 {
 			continue
@@ -713,17 +751,13 @@ func (t *Table) Verify(onBlock func(n int64)) (VerifyStats, error) {
 		var prev []byte
 		ii := idx.Iter()
 		for ii.First(); ii.Valid(); ii.Next() {
-			off, n := binary.Uvarint(ii.Value())
-			if n <= 0 {
-				return st, t.metaCorrupt(ErrCorrupt, fmt.Sprintf("seq %d index handle malformed", i))
-			}
-			length, n2 := binary.Uvarint(ii.Value()[n:])
-			if n2 <= 0 {
-				return st, t.metaCorrupt(ErrCorrupt, fmt.Sprintf("seq %d index handle malformed", i))
+			off, length, err := t.blockHandle(ii.Value())
+			if err != nil {
+				return st, err
 			}
 			buf := make([]byte, length)
-			if _, err := t.f.ReadAt(buf, int64(off)); err != nil {
-				return st, t.blockCorrupt(off, ErrCorrupt, fmt.Sprintf("block unreadable: %v", err))
+			if err := t.readAt(buf, int64(off)); err != nil {
+				return st, err
 			}
 			payload, err := verifyBlockAt(buf, t.name, off)
 			if err != nil {
@@ -919,13 +953,9 @@ func (t *Table) getInSeq(s *SeqMeta, ukey, target []byte) ([]byte, kv.Kind, kv.S
 	if !ii.Valid() {
 		return nil, 0, 0, false, t.wrapIterErr(ii.Err())
 	}
-	off, n := binary.Uvarint(ii.Value())
-	if n <= 0 {
-		return nil, 0, 0, false, t.metaCorrupt(ErrCorrupt, "index handle malformed")
-	}
-	length, n2 := binary.Uvarint(ii.Value()[n:])
-	if n2 <= 0 {
-		return nil, 0, 0, false, t.metaCorrupt(ErrCorrupt, "index handle malformed")
+	off, length, err := t.blockHandle(ii.Value())
+	if err != nil {
+		return nil, 0, 0, false, err
 	}
 	data, err := t.readBlock(off, length)
 	if err != nil {
@@ -988,7 +1018,7 @@ func (t *Table) seqIterOf(seqs []SeqMeta, i int, fill bool) iterator.Iterator {
 	}
 	idx, err := block.NewReader(s.RawIndex, kv.CompareInternal)
 	if err != nil {
-		return &errIter{t.metaCorrupt(err, "index block malformed")}
+		return iterator.Failed{Cause: t.metaCorrupt(err, "index block malformed")}
 	}
 	return &seqIter{t: t, bounds: *s, idx: idx.Iter(), fill: fill}
 }
@@ -1019,17 +1049,6 @@ func (t *Table) iterOf(seqs []SeqMeta, fill bool) iterator.Iterator {
 	}
 	return iterator.NewMerging(kv.CompareInternal, kids...)
 }
-
-type errIter struct{ err error }
-
-func (e *errIter) First()        {}
-func (e *errIter) Seek([]byte)   {}
-func (e *errIter) Next()         {}
-func (e *errIter) Valid() bool   { return false }
-func (e *errIter) Key() []byte   { return nil }
-func (e *errIter) Value() []byte { return nil }
-func (e *errIter) Err() error    { return e.err }
-func (e *errIter) Close() error  { return nil }
 
 // readaheadSize is the sequential read-ahead window of sequence
 // iterators.  The paper's testbed runs with filesystem read-ahead
@@ -1126,11 +1145,7 @@ func (s *seqIter) fetchBlock(off, length uint64) ([]byte, error) {
 			invariants.Poison(buf)
 		}
 		buf = buf[:chunk]
-		if _, err := t.f.ReadAt(buf, o); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return nil, corrupt.New(corrupt.LayerTableBlock, t.name, o, ErrCorrupt,
-					"block extends past end of file")
-			}
+		if err := t.readAt(buf, o); err != nil {
 			return nil, err
 		}
 		s.everRead = true
@@ -1153,15 +1168,9 @@ func (s *seqIter) loadBlock() bool {
 		s.cur = nil
 		return false
 	}
-	v := s.idx.Value()
-	off, n := binary.Uvarint(v)
-	if n <= 0 {
-		s.err = s.t.metaCorrupt(ErrCorrupt, "index handle malformed")
-		return false
-	}
-	length, n2 := binary.Uvarint(v[n:])
-	if n2 <= 0 {
-		s.err = s.t.metaCorrupt(ErrCorrupt, "index handle malformed")
+	off, length, err := s.t.blockHandle(s.idx.Value())
+	if err != nil {
+		s.err = err
 		return false
 	}
 	data, err := s.fetchBlock(off, length)
@@ -1262,15 +1271,6 @@ func (s *seqIter) Close() error {
 	}
 	return nil
 }
-
-// Last implements iterator.ReverseIterator.
-func (e *errIter) Last() {}
-
-// Prev implements iterator.ReverseIterator.
-func (e *errIter) Prev() {}
-
-// SeekForPrev implements iterator.ReverseIterator.
-func (e *errIter) SeekForPrev([]byte) {}
 
 // Last implements iterator.ReverseIterator.
 func (s *seqIter) Last() {

@@ -205,10 +205,14 @@ func TestLargeSequenceManyBlocks(t *testing.T) {
 			t.Fatalf("get %s: %v %v", k, found, err)
 		}
 	}
-	// Full scan count.
+	// Full scan count, and the table finds every key it yields.
 	it := tb.NewIter()
+	defer it.Close()
 	count := 0
 	for it.First(); it.Valid(); it.Next() {
+		if _, _, _, found, err := tb.Get(kv.UserKey(it.Key()), kv.MaxSeq); err != nil || !found {
+			t.Fatalf("own key %q unfindable: found=%v err=%v", kv.UserKey(it.Key()), found, err)
+		}
 		count++
 	}
 	if count != n {
@@ -320,7 +324,7 @@ func TestTornFooterFallsBackToPreviousGeneration(t *testing.T) {
 	if _, err := tb.Append(kvIter(2, "c", "d")); err != nil {
 		t.Fatal(err)
 	}
-	gen := tb.gen // generation of the newest commit
+	gen := tb.gen.Load() // generation of the newest commit
 	tb.Close()
 	f, _ := fs.Open("1.mst")
 	size, _ := f.Size()

@@ -423,7 +423,7 @@ func TestLoadFailuresAndFlags(t *testing.T) {
 				if err != nil {
 					t.Fatalf("read-only open: %v", err)
 				}
-				if rep, err := ro.DeepVerify(); err != nil || rep.Nodes != 1 || rep.Records < 2 {
+				if rep, err := ro.DeepVerify(); err != nil || rep.Tables != 1 || rep.Entries < 2 {
 					t.Fatalf("read-only DeepVerify: %v, %v", rep, err)
 				}
 				ro.Close()
@@ -465,7 +465,7 @@ func TestOpenReadOnlyWritesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, err := ro.DeepVerify()
-	if err != nil || rep.Nodes != 2 {
+	if err != nil || rep.Tables != 2 {
 		t.Fatalf("DeepVerify: %v, %v", rep, err)
 	}
 	if err := ro.Close(); err != nil {

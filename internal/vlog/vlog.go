@@ -1,6 +1,7 @@
 package vlog
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -137,37 +138,32 @@ func Open(fs vfs.FS, dir string, segSize int64) (*Log, OpenStats, error) {
 		return l, st, nil
 	}
 	head := segs[len(segs)-1]
-	valid, suspect, headerOK, err := l.scanHead(head)
-	if err != nil {
+	sc, err := scan(l.files[head], SegmentName(dir, head), nil)
+	if err != nil && !errors.Is(err, ErrBad) {
 		l.closeAll()
 		return nil, OpenStats{}, err
 	}
 	l.headNum = head
 	l.head = l.files[head]
-	size, err := l.head.Size()
-	if err != nil {
-		l.closeAll()
-		return nil, OpenStats{}, err
-	}
-	if !headerOK {
+	size := sc.Valid + sc.Suspect
+	if !sc.HeaderOK && size < int64(HeaderSize) {
 		// A header shorter than HeaderSize is a torn creation: records
 		// are only synced after the header write, so nothing durable can
-		// live here — rewrite the header in place and continue.  A
-		// full-size header with wrong magic could be rotted synced bytes:
+		// live here — rewrite the header in place and continue.
+		if _, err := l.head.WriteAt([]byte(Magic), 0); err != nil {
+			l.closeAll()
+			return nil, OpenStats{}, err
+		}
+		l.headOff = int64(HeaderSize)
+		l.written[head] = 0
+		l.dirty = true
+		return l, st, nil
+	}
+	st.SuspectBytes, st.SuspectOffset = sc.Suspect, sc.Valid
+	if !sc.HeaderOK {
+		// A full-size header with wrong magic could be rotted synced bytes:
 		// quarantine the whole segment as suspect (CRC'd records inside
 		// still resolve by direct read) and start a fresh head after it.
-		if size < int64(HeaderSize) {
-			if _, err := l.head.WriteAt([]byte(Magic), 0); err != nil {
-				l.closeAll()
-				return nil, OpenStats{}, err
-			}
-			l.headOff = int64(HeaderSize)
-			l.written[head] = 0
-			l.dirty = true
-			return l, st, nil
-		}
-		st.SuspectBytes = size
-		st.SuspectOffset = 0
 		l.statsMu.Lock()
 		l.bad[head] = true
 		l.statsMu.Unlock()
@@ -182,43 +178,7 @@ func Open(fs vfs.FS, dir string, segSize int64) (*Log, OpenStats, error) {
 	// is left in place (reads into it fail with typed errors; with
 	// sync-before-WAL ordering no surviving pointer can reference it).
 	l.headOff = size
-	if suspect > 0 {
-		st.SuspectBytes = suspect
-		st.SuspectOffset = valid
-	}
 	return l, st, nil
-}
-
-// scanHead walks the head segment's records, returning the offset up
-// to which they parse and how many trailing bytes do not.  A short or
-// mismatched header makes every byte untrustworthy; headerOK=false
-// reports that without failing the open (a crash can tear the header
-// write itself, before any record could have been acknowledged).
-func (l *Log) scanHead(num uint64) (validLen, suspect int64, headerOK bool, err error) {
-	f := l.files[num]
-	size, err := f.Size()
-	if err != nil {
-		return 0, 0, false, err
-	}
-	if size < int64(HeaderSize) {
-		return 0, size, false, nil
-	}
-	data := make([]byte, size)
-	if _, err := f.ReadAt(data, 0); err != nil {
-		return 0, 0, false, err
-	}
-	if string(data[:HeaderSize]) != Magic {
-		return 0, size, false, nil
-	}
-	off := int64(HeaderSize)
-	for off < size {
-		_, _, n, derr := DecodeRecord(data[off:])
-		if derr != nil {
-			return off, size - off, true, nil
-		}
-		off += int64(n)
-	}
-	return off, 0, true, nil
 }
 
 // createSegmentLocked starts a fresh head segment.  Caller holds mu
@@ -337,47 +297,65 @@ func (l *Log) Read(p Pointer, wantKey []byte) ([]byte, error) {
 	return val, nil
 }
 
+// ScanResult classifies a segment file's bytes after one walk from the
+// front: Valid is the prefix that parses (the header and whole records),
+// Suspect what follows it and does not — a torn append or rot, the walk
+// cannot tell which.  A short or mismatched header makes every byte
+// untrustworthy: HeaderOK is false and Valid 0.
+type ScanResult struct {
+	Valid, Suspect int64
+	HeaderOK       bool
+}
+
 // ScanFile walks every record of one segment file, calling fn with
-// slices that alias an internal buffer.  Used by GC, Scrub and the
-// iamdump vlog subcommand.  A header or record failure yields a typed
-// corruption error; scanned reports the bytes validated so far.
-func ScanFile(fs vfs.FS, path string, fn func(key, val []byte, off int64, n int) error) (scanned int64, err error) {
+// slices that alias an internal buffer.  It is the only walk there is:
+// Open classifies the head segment with it, GC, Scrub and the iamdump
+// vlog subcommand read segments through it.  A header or record failure
+// ends the walk with a typed corruption error beside the classification.
+func ScanFile(fs vfs.FS, path string, fn func(key, val []byte, off int64, n int) error) (ScanResult, error) {
 	f, err := fs.Open(path)
 	if err != nil {
-		return 0, err
+		return ScanResult{}, err
 	}
 	defer f.Close()
+	return scan(f, path, fn)
+}
+
+// scan is ScanFile on an open handle; path only names the file in errors.
+func scan(f vfs.File, path string, fn func(key, val []byte, off int64, n int) error) (ScanResult, error) {
 	size, err := f.Size()
 	if err != nil {
-		return 0, err
+		return ScanResult{}, err
 	}
 	if size < int64(HeaderSize) {
-		return 0, corrupt.New(corrupt.LayerVLog, path, 0, ErrBad,
+		// A crash can tear the header write itself, before any record
+		// could have been acknowledged; the caller decides what that means.
+		return ScanResult{Suspect: size}, corrupt.New(corrupt.LayerVLog, path, 0, ErrBad,
 			fmt.Sprintf("segment shorter than header: %d bytes", size))
 	}
 	data := make([]byte, size)
 	if _, err := f.ReadAt(data, 0); err != nil {
-		return 0, err
+		return ScanResult{}, err
 	}
 	if string(data[:HeaderSize]) != Magic {
-		return int64(HeaderSize), corrupt.New(corrupt.LayerVLog, path, 0, ErrBad,
+		return ScanResult{Suspect: size}, corrupt.New(corrupt.LayerVLog, path, 0, ErrBad,
 			"bad segment magic")
 	}
 	off := int64(HeaderSize)
 	for off < size {
 		key, val, n, derr := DecodeRecord(data[off:])
 		if derr != nil {
-			return off, corrupt.New(corrupt.LayerVLog, path, off, ErrBad,
+			return ScanResult{Valid: off, Suspect: size - off, HeaderOK: true}, corrupt.New(corrupt.LayerVLog, path, off, ErrBad,
 				fmt.Sprintf("record failed CRC or framing check (%v)", derr))
 		}
 		if fn != nil {
 			if err := fn(key, val, off, n); err != nil {
-				return off, err
+				return ScanResult{Valid: off, HeaderOK: true}, err
 			}
 		}
 		off += int64(n)
 	}
-	return off, nil
+	return ScanResult{Valid: off, HeaderOK: true}, nil
 }
 
 // ScanSegment walks one of this log's segments.

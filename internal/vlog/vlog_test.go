@@ -165,55 +165,99 @@ func TestReopenContinuesAppends(t *testing.T) {
 	}
 }
 
+// Open and scrub classify a damaged head segment with one walk: whatever
+// the damage, OpenStats' suspect tail is the figure ScanFile (the call
+// scrub and the collector make) reports for the same file.
 func TestOpenReportsTornTail(t *testing.T) {
-	fs := vfs.NewMemFS()
-	l := openT(t, fs, 1<<20)
-	if _, err := l.Append([]byte("whole"), []byte("value")); err != nil {
-		t.Fatal(err)
-	}
-	p, err := l.Append([]byte("torn"), bytes.Repeat([]byte("x"), 100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Tear the last record mid-way, as a crash between append and sync
-	// could leave it.
-	name := SegmentName("v", p.Segment)
-	f, err := fs.Open(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Truncate(p.Offset + int64(p.Len)/2); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	for _, c := range []struct {
+		name   string
+		damage func(t *testing.T, fs vfs.FS, name string, p Pointer)
+		// suspect is the unparseable tail the damage leaves behind.
+		suspect func(p Pointer) (n, off int64)
+	}{
+		// Tear the last record mid-way, as a crash between append and
+		// sync could leave it.
+		{"torn tail", func(t *testing.T, fs vfs.FS, name string, p Pointer) {
+			f, err := fs.Open(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if err := f.Truncate(p.Offset + int64(p.Len)/2); err != nil {
+				t.Fatal(err)
+			}
+		}, func(p Pointer) (int64, int64) { return int64(p.Len) / 2, p.Offset }},
+		{"flipped byte in the last record", func(t *testing.T, fs vfs.FS, name string, p Pointer) {
+			if _, _, _, err := vfs.CorruptByte(fs, name, p.Offset+int64(p.Len)-1, vfs.RotFlip); err != nil {
+				t.Fatal(err)
+			}
+		}, func(p Pointer) (int64, int64) { return int64(p.Len), p.Offset }},
+		// A full-size header with the wrong magic: every byte is suspect
+		// and appends move to a fresh head after it.
+		{"bad magic", func(t *testing.T, fs vfs.FS, name string, p Pointer) {
+			if _, _, _, err := vfs.CorruptByte(fs, name, 0, vfs.RotFlip); err != nil {
+				t.Fatal(err)
+			}
+		}, func(p Pointer) (int64, int64) { return p.Offset + int64(p.Len), 0 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fs := vfs.NewMemFS()
+			l := openT(t, fs, 1<<20)
+			if _, err := l.Append([]byte("whole"), []byte("value")); err != nil {
+				t.Fatal(err)
+			}
+			p, err := l.Append([]byte("torn"), bytes.Repeat([]byte("x"), 100))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			name := SegmentName("v", p.Segment)
+			c.damage(t, fs, name, p)
 
-	l2, st, err := Open(fs, "v", 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if st.SuspectBytes != int64(p.Len)/2 || st.SuspectOffset != p.Offset {
-		t.Fatalf("suspect = %d@%d, want %d@%d",
-			st.SuspectBytes, st.SuspectOffset, p.Len/2, p.Offset)
-	}
-	// The intact record still resolves; the torn one fails typed.
-	if _, err := l2.Read(Pointer{Segment: p.Segment, Offset: int64(HeaderSize),
-		Len: uint32(RecordLen([]byte("whole"), []byte("value")))}, []byte("whole")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l2.Read(p, []byte("torn")); !isCorrupt(err) {
-		t.Fatalf("read into torn tail: %v", err)
-	}
-	// New appends go after the suspect region.
-	p3, err := l2.Append([]byte("after"), []byte("tail"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p3.Offset < p.Offset+int64(p.Len)/2 {
-		t.Fatalf("append overwrote the suspect region at %d", p3.Offset)
+			// What scrub is told about the file, sealed or head: a typed
+			// corruption and where the bytes stop parsing.
+			sc, serr := ScanFile(fs, name, nil)
+			if !isCorrupt(serr) {
+				t.Fatalf("ScanFile of the damaged segment: %+v, %v", sc, serr)
+			}
+			l2, st, err := Open(fs, "v", 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l2.Close()
+			wantN, wantOff := c.suspect(p)
+			if st.SuspectBytes != wantN || st.SuspectOffset != wantOff {
+				t.Fatalf("suspect = %d@%d, want %d@%d", st.SuspectBytes, st.SuspectOffset, wantN, wantOff)
+			}
+			if st.SuspectBytes != sc.Suspect || st.SuspectOffset != sc.Valid {
+				t.Fatalf("Open says %d@%d, the scrub-side walk %d@%d",
+					st.SuspectBytes, st.SuspectOffset, sc.Suspect, sc.Valid)
+			}
+			// The intact record still resolves; the damaged one fails typed.
+			if _, err := l2.Read(Pointer{Segment: p.Segment, Offset: int64(HeaderSize),
+				Len: uint32(RecordLen([]byte("whole"), []byte("value")))}, []byte("whole")); err != nil {
+				t.Fatal(err)
+			}
+			// New appends go after the suspect region.
+			p3, err := l2.Append([]byte("after"), []byte("tail"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sc.HeaderOK {
+				if st.Segments != 2 || l2.Head() != p.Segment+1 || p3.Segment != l2.Head() {
+					t.Fatalf("bad magic: %d segments, head %d, append in %d", st.Segments, l2.Head(), p3.Segment)
+				}
+				return
+			}
+			if _, err := l2.Read(p, []byte("torn")); !isCorrupt(err) {
+				t.Fatalf("read into the suspect tail: %v", err)
+			}
+			if p3.Segment != p.Segment || p3.Offset < st.SuspectOffset+st.SuspectBytes {
+				t.Fatalf("append overwrote the suspect region at %d", p3.Offset)
+			}
+		})
 	}
 }
 
@@ -260,7 +304,7 @@ func TestScanFileCountsRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got int
-	scanned, err := ScanFile(fs, SegmentName("v", 1), func(key, val []byte, off int64, n int) error {
+	sc, err := ScanFile(fs, SegmentName("v", 1), func(key, val []byte, off int64, n int) error {
 		got++
 		return nil
 	})
@@ -270,8 +314,8 @@ func TestScanFileCountsRecords(t *testing.T) {
 	f, _ := fs.Open(SegmentName("v", 1))
 	size, _ := f.Size()
 	f.Close()
-	if scanned != size {
-		t.Fatalf("scanned %d of %d bytes", scanned, size)
+	if sc != (ScanResult{Valid: size, HeaderOK: true}) {
+		t.Fatalf("scanned %+v of %d bytes", sc, size)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"iamdb/internal/table"
+	"iamdb/internal/vfs"
 	"iamdb/internal/vlog"
 	"iamdb/internal/wal"
 )
@@ -195,6 +196,9 @@ func (st *store) scrubPass(rep *ScrubReport) error {
 	for _, num := range logNums(names) {
 		path := logName(st.dir, num)
 		f, err := st.fs.Open(path)
+		if errors.Is(err, vfs.ErrNotFound) {
+			continue // retired by a flush while the pass was running
+		}
 		if err != nil {
 			return err
 		}
@@ -230,17 +234,16 @@ func (st *store) scrubPass(rep *ScrubReport) error {
 			if st.db.closedA.Load() {
 				return ErrClosed
 			}
-			path := vs.segmentPath(seg)
-			if !st.fs.Exists(path) {
-				continue // collected while the pass was running
-			}
-			scanned, serr := vlog.ScanFile(st.fs, path, func(key, val []byte, off int64, n int) error {
+			sc, serr := vlog.ScanFile(st.fs, vs.segmentPath(seg), func(key, val []byte, off int64, n int) error {
 				rep.VLogRecords++
 				progress.bytes.Add(int64(n))
 				return nil
 			})
+			if errors.Is(serr, vfs.ErrNotFound) {
+				continue // collected while the pass was running
+			}
 			rep.VLogSegments++
-			rep.VLogBytes += scanned
+			rep.VLogBytes += sc.Valid
 			if serr == nil {
 				continue
 			}
@@ -248,12 +251,7 @@ func (st *store) scrubPass(rep *ScrubReport) error {
 				return serr
 			}
 			if seg == head {
-				if f, ferr := st.fs.Open(path); ferr == nil {
-					if sz, szerr := f.Size(); szerr == nil && sz > scanned {
-						rep.VLogSuspect += sz - scanned
-					}
-					_ = f.Close()
-				}
+				rep.VLogSuspect += sc.Suspect // the figure vlog.Open reports for the same bytes
 				continue
 			}
 			note(serr)

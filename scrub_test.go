@@ -1,6 +1,7 @@
 package iamdb
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
@@ -66,98 +67,136 @@ func TestScrubDetectsAndQuarantines(t *testing.T) {
 	for _, e := range []EngineKind{IAM, LevelDB} {
 		e := e
 		t.Run(e.String(), func(t *testing.T) {
-			db, fs := buildScrubDB(t, e)
-			defer db.Close()
-
-			// Rot a few interior bytes of one live table.
-			names, err := fs.List("db")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var victim string
-			for _, n := range names {
-				if strings.HasSuffix(n, ".mst") {
-					victim = "db/" + n
-					break
-				}
-			}
-			if victim == "" {
-				t.Fatal("no table file after flush")
-			}
 			// MSTable files are preallocated to capacity with data written
 			// from the head; damage the written extent, not unused space.
-			for _, off := range []int64{100, 600, 1200} {
-				if _, _, _, err := vfs.CorruptByte(fs, victim, off, vfs.RotFlip); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			rep, err := db.Scrub()
-			if err == nil {
-				t.Fatalf("scrub missed the damage: %s", rep.String())
-			}
-			if !IsCorruption(err) {
-				t.Fatalf("scrub failed with untyped error: %v", err)
-			}
-			ce := AsCorruption(err)
-			if ce.Path != victim {
-				t.Fatalf("corruption attributed to %q, want %q", ce.Path, victim)
-			}
-			if len(rep.Corruptions) == 0 {
-				t.Fatal("report lists no corruptions")
-			}
-			if rep.Quarantined == 0 {
-				t.Fatal("damaged table was not quarantined")
-			}
-			m := db.Metrics()
-			if m.CorruptionsDetected == 0 || m.TablesQuarantined == 0 {
-				t.Fatalf("counters: %d detected, %d quarantined",
-					m.CorruptionsDetected, m.TablesQuarantined)
-			}
-
-			// The store keeps serving: each key either reads correctly or
-			// fails typed; nothing panics, nothing returns wrong bytes.
-			var served, failed int
-			for i := 0; i < 1500; i++ {
-				k := fmt.Sprintf("k%05d", i)
-				v, gerr := db.Get([]byte(k))
-				switch {
-				case gerr == nil:
-					if !strings.HasPrefix(string(v), "v") {
-						t.Fatalf("key %s returned garbage %q", k, v)
-					}
-					served++
-				case gerr == ErrNotFound, IsCorruption(gerr):
-					failed++
-				default:
-					t.Fatalf("key %s: untyped error %v", k, gerr)
-				}
-			}
-			if served == 0 {
-				t.Fatal("no key readable after quarantine")
-			}
-
-			// Debug endpoints reflect the pass.
-			h := db.DebugHandler()
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest("GET", "/scrub", nil))
-			var out struct {
-				Running     bool
-				LastSummary string
-			}
-			if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-				t.Fatalf("/scrub JSON: %v", err)
-			}
-			if out.Running || !strings.Contains(out.LastSummary, "corruption") {
-				t.Fatalf("/scrub = %+v", out)
-			}
-			rec = httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest("GET", "/levels", nil))
-			if !strings.Contains(rec.Body.String(), "quarantined") {
-				t.Fatalf("/levels does not show quarantine:\n%s", rec.Body.String())
-			}
+			t.Run("data blocks", func(t *testing.T) {
+				scrubFindsDamage(t, e, func(int64, uint64) []int64 { return []int64{100, 600, 1200} })
+			})
+			// One byte of the footer slot the table is committed in: every
+			// block still verifies, and the next reopen would fall back a
+			// generation and serve the older values.  Scrub says so now.
+			t.Run("committed footer", func(t *testing.T) {
+				scrubFindsDamage(t, e, func(size int64, gen uint64) []int64 {
+					return []int64{size - 96 + int64(gen%2)*48 + 20}
+				})
+			})
 		})
 	}
+}
+
+// scrubFindsDamage flips the bytes offsets picks (given the file's size
+// and the generation of its newest footer) in one live table of a loaded
+// store and wants the running store's Scrub to find, attribute, count and
+// quarantine — before any reopen.
+func scrubFindsDamage(t *testing.T, e EngineKind, offsets func(size int64, gen uint64) []int64) {
+	db, fs := buildScrubDB(t, e)
+	defer db.Close()
+
+	names, err := fs.List("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var victim string
+	for _, n := range names {
+		if strings.HasSuffix(n, ".mst") {
+			victim = "db/" + n
+			break
+		}
+	}
+	if victim == "" {
+		t.Fatal("no table file after flush")
+	}
+	size, gen := footerGeneration(t, fs, victim)
+	for _, off := range offsets(size, gen) {
+		if _, _, _, err := vfs.CorruptByte(fs, victim, off, vfs.RotFlip); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rep, err := db.Scrub()
+	if err == nil {
+		t.Fatalf("scrub missed the damage: %s", rep.String())
+	}
+	if !IsCorruption(err) {
+		t.Fatalf("scrub failed with untyped error: %v", err)
+	}
+	ce := AsCorruption(err)
+	if ce.Path != victim {
+		t.Fatalf("corruption attributed to %q, want %q", ce.Path, victim)
+	}
+	if len(rep.Corruptions) == 0 {
+		t.Fatal("report lists no corruptions")
+	}
+	if rep.Quarantined == 0 {
+		t.Fatal("damaged table was not quarantined")
+	}
+	m := db.Metrics()
+	if m.CorruptionsDetected == 0 || m.TablesQuarantined == 0 {
+		t.Fatalf("counters: %d detected, %d quarantined",
+			m.CorruptionsDetected, m.TablesQuarantined)
+	}
+
+	// The store keeps serving: each key either reads correctly or
+	// fails typed; nothing panics, nothing returns wrong bytes.
+	var served, failed int
+	for i := 0; i < 1500; i++ {
+		k := fmt.Sprintf("k%05d", i)
+		v, gerr := db.Get([]byte(k))
+		switch {
+		case gerr == nil:
+			if !strings.HasPrefix(string(v), "v") {
+				t.Fatalf("key %s returned garbage %q", k, v)
+			}
+			served++
+		case gerr == ErrNotFound, IsCorruption(gerr):
+			failed++
+		default:
+			t.Fatalf("key %s: untyped error %v", k, gerr)
+		}
+	}
+	if served == 0 {
+		t.Fatal("no key readable after quarantine")
+	}
+
+	// Debug endpoints reflect the pass.
+	h := db.DebugHandler()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/scrub", nil))
+	var out struct {
+		Running     bool
+		LastSummary string
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatalf("/scrub JSON: %v", err)
+	}
+	if out.Running || !strings.Contains(out.LastSummary, "corruption") {
+		t.Fatalf("/scrub = %+v", out)
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/levels", nil))
+	if !strings.Contains(rec.Body.String(), "quarantined") {
+		t.Fatalf("/levels does not show quarantine:\n%s", rec.Body.String())
+	}
+}
+
+// footerGeneration reads a table file's size and the higher generation of
+// its two footer slots (FORMAT.md: the generation is bytes 36..44 of a
+// 48-byte slot, the two slots end the file).
+func footerGeneration(t *testing.T, fs vfs.FS, name string) (size int64, gen uint64) {
+	t.Helper()
+	f, err := fs.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if size, err = f.Size(); err != nil {
+		t.Fatal(err)
+	}
+	var tail [96]byte
+	if _, err := f.ReadAt(tail[:], size-96); err != nil {
+		t.Fatal(err)
+	}
+	return size, max(binary.LittleEndian.Uint64(tail[36:44]), binary.LittleEndian.Uint64(tail[48+36:48+44]))
 }
 
 func TestScrubEndpointStartsAsyncPass(t *testing.T) {
