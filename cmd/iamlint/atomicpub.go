@@ -17,7 +17,9 @@ import (
 //
 // The pass collects every named type T that appears as the pointee of
 // an atomic.Pointer[T] field (directly or inside an array/slice) and
-// flags assignments and ++/-- on fields of such types, unless the value
+// flags assignments and ++/-- on fields of such types, and on elements of
+// their slice and array fields (v.levels[i] = ..., v.levels[i][j] = ...:
+// the table set's version is its level slices), unless the value
 // being written is provably fresh within the function: built there by a
 // &T{...} composite literal, a new(T), or a same-package new*/New*
 // constructor, and therefore not yet published.  Anything reached
@@ -94,7 +96,11 @@ func derefType(t types.Type) types.Type {
 func checkPublishedWrites(p *pkg, emit func(diag), fn *ast.FuncDecl, pub map[*types.TypeName]bool) {
 	fresh := freshLocals(p, fn)
 	check := func(lhs ast.Expr, verb string) {
-		sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+		lhs = ast.Unparen(lhs)
+		for ix, ok := lhs.(*ast.IndexExpr); ok; ix, ok = lhs.(*ast.IndexExpr) {
+			lhs = ast.Unparen(ix.X) // an element of a field is the field's
+		}
+		sel, ok := lhs.(*ast.SelectorExpr)
 		if !ok {
 			return
 		}

@@ -306,6 +306,12 @@ func TestEveryPassCatchesARealMutation(t *testing.T) {
 			"\t\tst.imm = nil\n\t\tst.publishStateLocked()\n",
 			"\t\tst.imm = nil\n\t\tst.state.Load().imm = nil\n\t\tst.publishStateLocked()\n",
 			"st.state.Load().imm = nil"},
+		// Apply writes a level of the version readers hold instead of
+		// its successor's copy.
+		{"atomicpub", "internal/tableset/tableset.go",
+			"\t\t\tnv.levels[d.level] = slices.Delete(lvl, j, j+1)\n",
+			"\t\t\told.levels[d.level] = slices.Delete(lvl, j, j+1)\n",
+			"old.levels[d.level]"},
 		// The user iterator keeps the inner iterator's value buffer.
 		{"alias", "iterator.go",
 			"it.val = append(it.val[:0], it.in.Value()...)",

@@ -43,3 +43,19 @@ type wrapper struct {
 func (w *wrapper) reachedThroughField(k []byte) {
 	w.e.key = k // want [atomicpub] published via atomic.Pointer
 }
+
+// snapshot is published whole: the slices it holds are part of what
+// readers see, so an element written after the swap is the same race.
+type snapshot struct {
+	levels [][]int
+}
+
+type set struct {
+	cur atomic.Pointer[snapshot]
+}
+
+func (s *set) mutateElements() {
+	s.cur.Load().levels[0] = nil // want [atomicpub] published via atomic.Pointer
+	v := s.cur.Load()
+	v.levels[1][2] = 7 // want [atomicpub] published via atomic.Pointer
+}

@@ -115,3 +115,20 @@ func (h *holder) publishConstructed(v []byte) {
 func (h *holder) publishSuppressed() {
 	h.cur.Load().val = nil //iamlint:ignore atomicpub
 }
+
+// levels is published too; a successor is built in a fresh value, its
+// slices copied before an element is written, and then stored.
+type levels struct {
+	tables [][]int
+}
+
+type levelSet struct {
+	cur atomic.Pointer[levels]
+}
+
+func (s *levelSet) publishSuccessor() {
+	old := s.cur.Load()
+	nv := &levels{tables: append([][]int(nil), old.tables...)}
+	nv.tables[0] = append([]int{1}, old.tables[0]...) // fresh: elements of a literal's field
+	s.cur.Store(nv)
+}

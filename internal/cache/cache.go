@@ -45,12 +45,47 @@ type shard struct {
 	capacity int64
 	used     int64
 	ll       *list.List // front = most recent
-	items    map[Key]*list.Element
+	items    map[Key]*entry
+	// tables indexes the entries by table: the head of the chain through
+	// each entry's next and prev, so EvictTable visits a table's own
+	// blocks and no others.
+	tables map[uint64]*entry
 }
 
 type entry struct {
-	key  Key
-	data []byte
+	key        Key
+	data       []byte
+	el         *list.Element // the entry's place in ll
+	next, prev *entry        // the table's other entries in this shard
+}
+
+// add stores e at the front of the LRU order and of its table's chain.
+func (s *shard) add(e *entry) {
+	e.el = s.ll.PushFront(e)
+	s.items[e.key] = e
+	s.used += int64(len(e.data))
+	if e.next = s.tables[e.key.Table]; e.next != nil {
+		e.next.prev = e
+	}
+	s.tables[e.key.Table] = e
+}
+
+// remove takes e out of the shard.
+func (s *shard) remove(e *entry) {
+	s.ll.Remove(e.el)
+	delete(s.items, e.key)
+	s.used -= int64(len(e.data))
+	if e.next != nil {
+		e.next.prev = e.prev
+	}
+	switch {
+	case e.prev != nil:
+		e.prev.next = e.next
+	case e.next != nil:
+		s.tables[e.key.Table] = e.next
+	default:
+		delete(s.tables, e.key.Table)
+	}
 }
 
 // New creates a cache holding at most capacity bytes.  A capacity <= 0
@@ -60,7 +95,7 @@ func New(capacity int64) *Cache {
 	c := &Cache{}
 	per := capacity / numShards
 	for i := range c.shards {
-		c.shards[i] = shard{capacity: per, ll: list.New(), items: make(map[Key]*list.Element)}
+		c.shards[i] = shard{capacity: per, ll: list.New(), items: make(map[Key]*entry), tables: make(map[uint64]*entry)}
 	}
 	return c
 }
@@ -77,10 +112,10 @@ func (c *Cache) Get(table, off uint64) []byte {
 	s := c.shardFor(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[k]; ok {
-		s.ll.MoveToFront(el)
+	if e, ok := s.items[k]; ok {
+		s.ll.MoveToFront(e.el)
 		c.hits.Add(1)
-		return el.Value.(*entry).data
+		return e.data
 	}
 	c.misses.Add(1)
 	return nil
@@ -96,15 +131,13 @@ func (c *Cache) Set(table, off uint64, data []byte) {
 	}
 	c.fills.Add(1)
 	s.mu.Lock()
-	if el, ok := s.items[k]; ok {
-		old := el.Value.(*entry)
+	if old, ok := s.items[k]; ok {
 		s.used += int64(len(data)) - int64(len(old.data))
 		c.addResident(table, int64(len(data))-int64(len(old.data)))
 		old.data = data
-		s.ll.MoveToFront(el)
+		s.ll.MoveToFront(old.el)
 	} else {
-		s.items[k] = s.ll.PushFront(&entry{key: k, data: data})
-		s.used += int64(len(data))
+		s.add(&entry{key: k, data: data})
 		c.addResident(table, int64(len(data)))
 	}
 	for s.used > s.capacity {
@@ -113,9 +146,7 @@ func (c *Cache) Set(table, off uint64, data []byte) {
 			break
 		}
 		e := back.Value.(*entry)
-		s.ll.Remove(back)
-		delete(s.items, e.key)
-		s.used -= int64(len(e.data))
+		s.remove(e)
 		c.addResident(e.key.Table, -int64(len(e.data)))
 		c.evictions.Add(1)
 	}
@@ -135,31 +166,27 @@ func (c *Cache) addResident(table uint64, delta int64) {
 	v.(*atomic.Int64).Add(delta)
 }
 
-// EvictTable removes every block of a table, e.g. after the table file
-// is deleted by a compaction.  Most dropped tables were only ever read
-// by a merge and hold nothing here; those cost one map lookup and no
-// shard lock.
-func (c *Cache) EvictTable(table uint64) {
+// EvictTable removes every block of a table, once the table file is
+// deleted by a compaction and its last reader has let go, and reports how
+// many it removed.  Most dropped tables were only ever read by a merge and
+// hold nothing here; those cost one map lookup and no shard lock.  The
+// others cost their own blocks: each shard is held for its share of them.
+func (c *Cache) EvictTable(table uint64) (blocks int) {
 	if v, ok := c.resident.Load(table); !ok || v.(*atomic.Int64).Load() == 0 {
 		c.resident.Delete(table)
-		return
+		return 0
 	}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for el := s.ll.Front(); el != nil; {
-			next := el.Next()
-			e := el.Value.(*entry)
-			if e.key.Table == table {
-				s.ll.Remove(el)
-				delete(s.items, e.key)
-				s.used -= int64(len(e.data))
-			}
-			el = next
+		for e := s.tables[table]; e != nil; e = s.tables[table] {
+			s.remove(e)
+			blocks++
 		}
 		s.mu.Unlock()
 	}
 	c.resident.Delete(table)
+	return blocks
 }
 
 // Used reports total cached bytes.

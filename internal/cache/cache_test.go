@@ -2,6 +2,8 @@ package cache
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -193,6 +195,149 @@ func TestResidencyMatchesUsedUnderChurn(t *testing.T) {
 	check("at the end")
 	if fills, evictions := c.Traffic(); fills != 1000 || evictions == 0 || evictions >= fills {
 		t.Fatalf("1000 blocks set into a cache too small for them: %d fills, %d evictions", fills, evictions)
+	}
+}
+
+// TestMatchesNaiveModel drives a seeded mix of Set, Get and EvictTable
+// against the obvious model — per shard, a slice in recency order — and
+// compares, after every step, what the cache reports and how it is linked:
+// Used, every table's residency, each shard's LRU order, and the per-table
+// chains EvictTable walks (each names exactly the table's entries).
+func TestMatchesNaiveModel(t *testing.T) {
+	const tables = 6
+	c := New(numShards * 3000) // room for a handful of blocks per shard
+	type block struct {
+		key Key
+		n   int
+	}
+	var model [numShards][]block // front = most recent
+	shardOf := func(k Key) int {
+		for i := range c.shards {
+			if c.shardFor(k) == &c.shards[i] {
+				return i
+			}
+		}
+		panic("unreachable")
+	}
+	touch := func(k Key, n int) { // n < 0: a Get
+		lst := model[shardOf(k)]
+		at := slices.IndexFunc(lst, func(b block) bool { return b.key == k })
+		switch {
+		case at >= 0 && n < 0:
+			n = lst[at].n
+			lst = slices.Delete(lst, at, at+1)
+		case at >= 0:
+			lst = slices.Delete(lst, at, at+1)
+		case n < 0:
+			return
+		}
+		lst = slices.Insert(lst, 0, block{k, n})
+		for used := 0; ; lst = lst[:len(lst)-1] {
+			used = 0
+			for _, b := range lst {
+				used += b.n
+			}
+			if used <= 3000 {
+				break
+			}
+		}
+		model[shardOf(k)] = lst
+	}
+	evicted := map[uint64]bool{} // evicted and not set since: no counter may remain
+	rng := rand.New(rand.NewSource(5))
+	for step := 0; step < 4000; step++ {
+		k := Key{Table: uint64(rng.Intn(tables)), Off: uint64(rng.Intn(40)) * 4096}
+		switch op := rng.Intn(20); {
+		case op == 0:
+			want := 0
+			for i := range model {
+				want += len(model[i])
+				model[i] = slices.DeleteFunc(model[i], func(b block) bool { return b.key.Table == k.Table })
+				want -= len(model[i])
+			}
+			if got := c.EvictTable(k.Table); got != want {
+				t.Fatalf("step %d: EvictTable visited %d entries, the table had %d", step, got, want)
+			}
+			evicted[k.Table] = true
+		case op < 8:
+			hit := c.Get(k.Table, k.Off) != nil
+			touch(k, -1)
+			if at := slices.IndexFunc(model[shardOf(k)], func(b block) bool { return b.key == k }); hit != (at >= 0) {
+				t.Fatalf("step %d: Get(%v) hit=%v, the model holds it: %v", step, k, hit, at >= 0)
+			}
+		default:
+			n := 100 + rng.Intn(1200)
+			if rng.Intn(50) == 0 {
+				n = 3001 // larger than a shard: not cached, and nothing else moves
+			} else {
+				touch(k, n)
+				delete(evicted, k.Table)
+			}
+			c.Set(k.Table, k.Off, make([]byte, n))
+		}
+
+		var used int64
+		resident := map[uint64]int64{}
+		for i := range model {
+			s := &c.shards[i]
+			el := s.ll.Front()
+			chained := 0
+			for _, b := range model[i] {
+				if el == nil || el.Value.(*entry).key != b.key || len(el.Value.(*entry).data) != b.n {
+					t.Fatalf("step %d: shard %d departs from the model's recency order at %v", step, i, b.key)
+				}
+				el = el.Next()
+				used += int64(b.n)
+				resident[b.key.Table] += int64(b.n)
+			}
+			if el != nil || len(s.items) != len(model[i]) {
+				t.Fatalf("step %d: shard %d holds %d entries, the model %d", step, i, len(s.items), len(model[i]))
+			}
+			for id, head := range s.tables {
+				if head == nil || head.prev != nil {
+					t.Fatalf("step %d: shard %d has a bad chain head for table %d", step, i, id)
+				}
+				for e := head; e != nil; e = e.next {
+					if e.key.Table != id || s.items[e.key] != e || e.next != nil && e.next.prev != e {
+						t.Fatalf("step %d: shard %d, table %d: chain broken at %v", step, i, id, e.key)
+					}
+					chained++
+				}
+			}
+			if chained != len(model[i]) {
+				t.Fatalf("step %d: shard %d chains %d of its %d entries", step, i, chained, len(model[i]))
+			}
+		}
+		if c.Used() != used {
+			t.Fatalf("step %d: Used %d, the model %d", step, c.Used(), used)
+		}
+		for id := uint64(0); id < tables; id++ {
+			if c.ResidentBytes(id) != resident[id] {
+				t.Fatalf("step %d: table %d resident %d, the model %d", step, id, c.ResidentBytes(id), resident[id])
+			}
+			if _, ok := c.resident.Load(id); ok && evicted[id] {
+				t.Fatalf("step %d: table %d keeps a residency counter after EvictTable", step, id)
+			}
+		}
+	}
+}
+
+// Evicting a table costs its own blocks, however full the cache is.
+func TestEvictTableVisitsOnlyItsOwnBlocks(t *testing.T) {
+	c := New(16 << 20)
+	blk := make([]byte, 4096)
+	for i := uint64(0); i < 3*4096; i++ { // other tables' blocks, three times what fits
+		c.Set(1+i%7, i*4133, blk)
+	}
+	for i := uint64(0); i < 3; i++ {
+		c.Set(99, i*4096, blk)
+	}
+	if c.Used() < 15<<20 {
+		t.Fatalf("the cache holds %d bytes; the test wants it full", c.Used())
+	}
+	used := c.Used()
+	if visited := c.EvictTable(99); visited != 3 || c.Used() != used-3*4096 {
+		t.Fatalf("evicting a 3-block table visited %d entries and freed %d bytes", visited, used-c.Used())
 	}
 }
 

@@ -404,6 +404,8 @@ func (t *Tree) appendToChild(dst int, kid *tableset.Table, sub *batch) error {
 		if err := t.Apply(new(tableset.Change).Drop(dst, kid).PlaceAs(dst, kid, newRng)); err != nil {
 			return err
 		}
+	} else {
+		t.Appended(dst, kid) // the re-placement above counts the sequence too
 	}
 	// The flush completes (and the WAL is retired) only once the
 	// appended sequence is durable.

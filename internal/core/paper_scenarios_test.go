@@ -60,8 +60,10 @@ func TestFigure4LeafFlushMergesFullChildOnly(t *testing.T) {
 		// The node object may have been replaced by a merge already;
 		// refresh the pointer by range lookup.
 		tr.Mu.Lock()
-		if nd := tr.Find(leaf, mid); nd != nil {
-			victim = nd
+		for _, nd := range tr.Level(leaf) {
+			if nd.Range().Contains(mid) {
+				victim = nd
+			}
 		}
 		tr.Mu.Unlock()
 	}

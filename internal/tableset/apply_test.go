@@ -173,8 +173,8 @@ func TestApplyMatchesReplay(t *testing.T) {
 }
 
 // A table named on both sides of a change moves, or is re-ranged where it
-// stands: it keeps the set's reference, so its handle stays open, and it
-// keeps its file.
+// stands: the successor version names it too, so its handle stays open,
+// and it keeps its file.
 func TestApplyKeepsTableNamedOnBothSides(t *testing.T) {
 	fs := vfs.NewFaultFS(vfs.NewMemFS())
 	s := openSet(t, fs, 1, 3)
@@ -202,11 +202,16 @@ func TestApplyKeepsTableNamedOnBothSides(t *testing.T) {
 		if fs.Hits(vfs.FaultClose) != 0 {
 			t.Fatalf("%s: the handle was closed", c.kind)
 		}
+		// A Table is one placement: the level holds the one this change
+		// published, of the same file.
 		s.Mu.Lock()
-		on, rng := s.Level(c.level), b.Range()
+		j := slices.IndexFunc(s.Level(c.level), func(tb *Table) bool { return tb.ID() == b.ID() })
+		if j >= 0 {
+			b = s.Level(c.level)[j]
+		}
 		s.Mu.Unlock()
-		if !slices.Contains(on, b) || !rng.Equal(wide) {
-			t.Fatalf("%s: level %d holds the table: %v, with range %v", c.kind, c.level, slices.Contains(on, b), rng)
+		if j < 0 || !b.Range().Equal(wide) {
+			t.Fatalf("%s: level %d holds the table: %v, with range %v", c.kind, c.level, j >= 0, b.Range())
 		}
 		if got := get(t, s, "c2"); got != "c2@1" {
 			t.Fatalf("%s: the table serves %q for c2", c.kind, got)

@@ -8,38 +8,28 @@ import (
 )
 
 // concatIter concatenates tables with disjoint sorted ranges (one level
-// >= 1, or a single level 0 table): concatenation preserves order.  It
-// holds a reference on every table until Close, so it outlives their
-// removal from the set.
+// >= 1, or a single level 0 table): concatenation preserves order.  The
+// tables are a slice of the version v, on which it holds a reference until
+// Close, so it outlives their removal from the set and stays the view it
+// was made from.  The trees append to live tables in place: a later append
+// may widen a table's range and adds a sequence — possibly of keys below
+// ones the scan already emitted (gap records a neighbour shed) — so the
+// iterator routes by the ranges, and reads exactly the sequences, that v
+// was published with.
 type concatIter struct {
 	s      *Set
-	views  []tableView
+	v      *version
+	tables []*Table
 	idx    int
 	cur    iterator.Iterator
 	err    error
 	closed bool
 }
 
-// tableView is one table as a concatIter saw it at creation, under
-// Set.Mu.  The iterator is a point-in-time view and the trees append to
-// live tables in place: a later append may widen the table's range and
-// adds a sequence — possibly of keys below ones the scan already emitted
-// (gap records a neighbour shed) — so the iterator routes by the range,
-// and reads exactly the sequences, it captured.
-type tableView struct {
-	tb   *Table
-	rng  kv.Range
-	nseq int
-}
-
-// newConcatIter pins tables and captures their views; caller holds Mu.
-func (s *Set) newConcatIter(tables []*Table) *concatIter {
-	l := &concatIter{s: s, views: make([]tableView, len(tables))}
-	for j, tb := range tables {
-		tb.refs++
-		l.views[j] = tableView{tb: tb, rng: tb.rng, nseq: tb.NumSeqs()}
-	}
-	return l
+// newConcatIter takes its own reference on v, which the caller has pinned.
+func (s *Set) newConcatIter(v *version, tables []*Table) *concatIter {
+	v.refs.Add(1)
+	return &concatIter{s: s, v: v, tables: tables}
 }
 
 // open makes table i's iterator the current one, or none when i is out
@@ -51,8 +41,8 @@ func (l *concatIter) open(i int) {
 		l.cur = nil
 	}
 	l.idx = i
-	if i >= 0 && i < len(l.views) {
-		l.cur = l.views[i].tb.NewIterAt(l.views[i].nseq)
+	if i >= 0 && i < len(l.tables) {
+		l.cur = l.tables[i].NewIterAt(l.tables[i].nseq)
 	}
 }
 
@@ -70,8 +60,8 @@ func (l *concatIter) First() {
 func (l *concatIter) Seek(target []byte) {
 	l.err = nil
 	u := kv.UserKey(target)
-	i := sort.Search(len(l.views), func(j int) bool {
-		return kv.CompareUser(u, l.views[j].rng.Hi) <= 0
+	i := sort.Search(len(l.tables), func(j int) bool {
+		return kv.CompareUser(u, l.tables[j].rng.Hi) <= 0
 	})
 	l.open(i)
 	if l.cur != nil {
@@ -135,18 +125,14 @@ func (l *concatIter) Close() error {
 	if l.cur != nil {
 		err = l.cur.Close()
 	}
-	l.s.Mu.Lock()
-	for _, v := range l.views {
-		l.s.unrefLocked(v.tb)
-	}
-	l.s.Mu.Unlock()
+	l.s.unpin(l.v)
 	return err
 }
 
 // Last implements iterator.ReverseIterator.
 func (l *concatIter) Last() {
 	l.err = nil
-	l.open(len(l.views) - 1)
+	l.open(len(l.tables) - 1)
 	if l.cur != nil {
 		l.cur.(iterator.ReverseIterator).Last()
 		l.skipExhaustedBackward()
@@ -167,8 +153,8 @@ func (l *concatIter) SeekForPrev(target []byte) {
 	l.err = nil
 	u := kv.UserKey(target)
 	// Last table whose range starts at or below the target key.
-	i := sort.Search(len(l.views), func(j int) bool {
-		return kv.CompareUser(l.views[j].rng.Lo, u) > 0
+	i := sort.Search(len(l.tables), func(j int) bool {
+		return kv.CompareUser(l.tables[j].rng.Lo, u) > 0
 	}) - 1
 	l.open(i)
 	if l.cur != nil {

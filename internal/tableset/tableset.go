@@ -1,6 +1,6 @@
 // Package tableset is the substrate both engine families stand on: levels
-// of refcounted, range-assigned table files, the manifest that makes the
-// placement durable, and the read paths over them.  The paper's point is
+// of range-assigned table files published as immutable versions, the
+// manifest that makes the placement durable, and the read paths over them.  The paper's point is
 // that IAM, LSA and the leveled LSM baselines differ only in when a node
 // flushes and whether its data moves by append or by merge (Sec. 4-5);
 // everything underneath is common ground, and this package is that ground.
@@ -26,6 +26,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"iamdb/internal/cache"
 	"iamdb/internal/corrupt"
@@ -66,49 +67,99 @@ type Config struct {
 	MinLevel, MaxLevels int
 }
 
-// Table is one table file placed in the set: the MSTable plus its
-// assigned range, which always covers the table's data but may be wider
-// (the trees assign ranges; the LSM baselines use the data bounds).
+// Table is one placement of a table file: the file, the range assigned to
+// it — which always covers the table's data but may be wider (the trees
+// assign ranges; the LSM baselines use the data bounds) — and the number
+// of sequences the file held when the placement was published.  A Table is
+// immutable: Apply re-ranges a file, and Appended counts its new sequence,
+// by publishing another Table of the same file, so one read off a level
+// stays what it was and is refreshed by reading the level again.
 type Table struct {
-	*table.Table
-	// rng is guarded by Set.Mu.  It starts as the manifest's record (load)
-	// or the data span (Build); after that only Apply writes it.
+	*file
 	rng  kv.Range
-	refs int32 // guarded by Set.Mu; the handle closes at zero
-	// quarantined fences the table after detected corruption: it keeps
-	// serving whatever reads still succeed, but engines never pick it as
-	// compaction input and do not count it toward their triggers (an
-	// uncompactable table would otherwise wedge their schedulers).
-	quarantined bool
-	qreason     string
+	nseq int
 }
 
-// Quarantined reports the fence; caller holds Set.Mu.
-func (tb *Table) Quarantined() bool { return tb.quarantined }
+// file is a table file as the set holds it, shared by its placements.
+type file struct {
+	*table.Table
+	// The versions naming the file are numbered born..last: born is the
+	// first version published after the file was made, last is set, under
+	// Set.vmu, by the change that drops it.
+	born, last uint64
+	// fence is why the table is quarantined, nil while it is not.  A
+	// quarantined table keeps serving whatever reads still succeed, but
+	// engines never pick it as compaction input and do not count it toward
+	// their triggers (an uncompactable table would otherwise wedge their
+	// schedulers).
+	fence atomic.Pointer[string]
+}
 
-// Range returns the assigned range; caller holds Set.Mu.  A reader that
-// outlives Mu keeps the value it read under it (see tableView): Apply
-// replaces the range, it never writes through the slices handed out here.
+// Quarantined reports the fence.
+func (tb *Table) Quarantined() bool { return tb.fence.Load() != nil }
+
+// Range returns the assigned range of this placement.
 func (tb *Table) Range() kv.Range { return tb.rng }
 
-// Set is the table set.  Methods documented "caller holds Mu" are the
-// engines' structural vocabulary: they read the levels, Build tables and
-// publish every change of placement through Apply.  Every other method
-// takes Mu itself and is safe for concurrent use.  Reads go through table
-// handles pinned by reference counts, so they hold Mu only to pick their
-// tables; a view that outlives Mu is the tables, ranges and sequence
-// counts captured under it (the trees append to live tables in place,
-// see tableView).
+// version is the table set at one moment: every level's placements, in
+// level order.  It is frozen once published through Set.cur; a change
+// publishes a successor that shares the levels it left alone.
+type version struct {
+	levels [][]*Table
+	num    uint64       // versions are numbered in the order published
+	refs   atomic.Int32 // one for being current, one per reader
+}
+
+// newVersion returns an unpublished successor of v holding v's levels.
+func newVersion(v *version) *version {
+	nv := &version{levels: slices.Clone(v.levels), num: v.num + 1}
+	nv.refs.Store(1)
+	return nv
+}
+
+// find returns the table of lvl, a level >= 1, whose range contains ukey.
+func find(lvl []*Table, ukey []byte) *Table {
+	idx := sort.Search(len(lvl), func(j int) bool {
+		return kv.CompareUser(ukey, lvl[j].rng.Hi) <= 0
+	})
+	if idx < len(lvl) && lvl[idx].rng.Contains(ukey) {
+		return lvl[idx]
+	}
+	return nil
+}
+
+// Set is the table set.  What it holds is one immutable version behind an
+// atomic pointer.  Writers are the engines: with Mu held they read the
+// current version (the methods documented "caller holds Mu" are their
+// structural vocabulary), Build tables, and publish every change of
+// placement through Apply, which swaps in a successor version (so do Grow
+// and Appended).  Readers — Get, NewIter, the reporting methods — take no
+// lock: they pin the current version with one reference, read its slices
+// and let go, so a read never waits for a cascade and an iterator stays the
+// point-in-time view it pinned (ranges and sequence counts included: the
+// trees append to live tables in place).  A table file's handle closes,
+// and its cache blocks go, when the last version naming it is released:
+// for a dropped table that is the drop itself unless a reader still pins
+// an older version, and then it is that reader's release.
 // Filesystem-layer locks nest below Mu (manifest rotation renames under
 // it), and the trace recorder's ring lock is a leaf the engines take
-// while holding it:
+// while holding it.  vmu, the ledger of version lifetimes, is a leaf
+// below Mu that readers take alone, and only when they release the last
+// reference of a superseded version:
 //
-//iamlint:lockorder tableset.Set.Mu < vfs.*; tableset.Set.Mu < trace.Recorder.mu
+//iamlint:lockorder tableset.Set.Mu < vfs.*; tableset.Set.Mu < trace.Recorder.mu; tableset.Set.Mu < tableset.Set.vmu
 type Set struct {
 	Mu  sync.Mutex
 	cfg Config
 
-	levels   [][]*Table
+	cur atomic.Pointer[version]
+	// vmu guards live, the numbers of the versions not yet released
+	// (oldest first, the current one last), and dead, the tables a change
+	// dropped whose handles are still open.
+	vmu  sync.Mutex
+	live []uint64
+	dead []*Table
+
 	nextFile uint64
 	// nextFileMoved: Build took a file number the manifest has not been
 	// told about; the next edit of Apply records the counter.
@@ -120,6 +171,61 @@ type Set struct {
 	// recoveryDropped is the byte count the manifest replay discarded at
 	// its tail on open (a torn final append).
 	recoveryDropped int64
+}
+
+// pin returns the current version with a reference taken: its tables stay
+// open until unpin.  A version whose count reached zero is never revived,
+// so the loop retries on the successor that replaced it.
+func (s *Set) pin() *version {
+	for {
+		v := s.cur.Load()
+		for n := v.refs.Load(); n > 0; n = v.refs.Load() {
+			if v.refs.CompareAndSwap(n, n+1) {
+				return v
+			}
+		}
+	}
+}
+
+// unpin gives back one reference.  The last one out retires the version:
+// every dropped table that no unreleased version names any more has its
+// blocks evicted — here and not at the drop, or a reader that still
+// pinned the table would put blocks back behind the eviction — and its
+// handle closed (a read-only handle by then; nothing is left to flush).
+func (s *Set) unpin(v *version) {
+	if v.refs.Add(-1) != 0 {
+		return
+	}
+	var gone []*Table
+	s.vmu.Lock()
+	s.live = slices.DeleteFunc(s.live, func(n uint64) bool { return n == v.num })
+	s.dead = slices.DeleteFunc(s.dead, func(tb *Table) bool {
+		named := slices.ContainsFunc(s.live, func(n uint64) bool { return tb.born <= n && n <= tb.last })
+		if !named {
+			gone = append(gone, tb)
+		}
+		return !named
+	})
+	s.vmu.Unlock()
+	for _, tb := range gone {
+		tb.EvictBlocks()
+		_ = tb.Close()
+	}
+}
+
+// publish makes nv, built from the current version, the current one.  The
+// tables in dropped are those nv no longer names.  Caller holds Mu.
+func (s *Set) publish(nv *version, dropped ...*Table) {
+	old := s.cur.Load()
+	s.vmu.Lock()
+	s.live = append(s.live, nv.num)
+	for _, tb := range dropped {
+		tb.last = old.num
+	}
+	s.dead = append(s.dead, dropped...)
+	s.vmu.Unlock()
+	s.cur.Store(nv)
+	s.unpin(old)
 }
 
 // Open creates or reopens the table set in cfg.Dir and compacts its
@@ -160,10 +266,10 @@ func OpenReadOnly(cfg Config) (*Set, error) {
 // configured bounds is ErrLayout, checked before any file is opened.
 func load(cfg Config) (s *Set, existed bool, err error) {
 	cfg.Events = cfg.Events.EnsureDefaults()
-	s = &Set{cfg: cfg, horizon: kv.MaxSeq, nextFile: 1}
+	s = &Set{cfg: cfg, horizon: kv.MaxSeq, nextFile: 1, live: []uint64{1}}
 	slots := max(cfg.MaxLevels, cfg.MinLevel+1)
 	if !cfg.FS.Exists(s.manifestPath()) {
-		s.levels = make([][]*Table, slots)
+		s.cur.Store(newVersion(&version{levels: make([][]*Table, slots)}))
 		return s, false, nil
 	}
 	st, dropped, err := manifest.Replay(cfg.FS, s.manifestPath())
@@ -181,7 +287,7 @@ func load(cfg Config) (s *Set, existed bool, err error) {
 	if cfg.MaxLevels == 0 {
 		slots = max(slots, st.NumLevels+cfg.MinLevel, len(st.Levels))
 	}
-	s.levels = make([][]*Table, slots)
+	levels := make([][]*Table, slots)
 	for lvl, recs := range st.Levels {
 		for _, rec := range recs {
 			tbl, err := table.Open(cfg.FS, s.path(rec.FileNum), rec.FileNum, s.tableOptions())
@@ -196,18 +302,17 @@ func load(cfg Config) (s *Set, existed bool, err error) {
 				}
 				return nil, true, fmt.Errorf("tableset: open table %d: %w", rec.FileNum, err)
 			}
-			tb := &Table{Table: tbl, rng: kv.MakeRange(rec.Lo, rec.Hi), refs: 1}
+			tb := &Table{file: &file{Table: tbl, born: 1}, rng: kv.MakeRange(rec.Lo, rec.Hi), nseq: tbl.NumSeqs()}
 			if serr := tbl.Suspect(); serr != nil {
 				// Opened on a fallback footer slot or with other evidence
 				// of damage: keep the table readable but fenced.
-				tb.quarantined, tb.qreason = true, serr.Error()
+				reason := serr.Error()
+				tb.fence.Store(&reason)
 			}
-			s.levels[lvl] = append(s.levels[lvl], tb)
+			levels[lvl] = insert(levels[lvl], lvl, tb)
 		}
 	}
-	for lvl := range s.levels {
-		s.sortLevel(lvl)
-	}
+	s.cur.Store(newVersion(&version{levels: levels}))
 	return s, true, nil
 }
 
@@ -237,12 +342,13 @@ func (s *Set) tableOptions() table.Options {
 }
 
 func (s *Set) snapshot() *manifest.State {
+	levels := s.cur.Load().levels
 	st := &manifest.State{
 		NextFile: s.nextFile, LastSeq: s.logSeq, LogNum: s.logNum,
-		NumLevels: len(s.levels) - s.cfg.MinLevel,
-		Levels:    make([][]manifest.NodeRecord, len(s.levels)),
+		NumLevels: len(levels) - s.cfg.MinLevel,
+		Levels:    make([][]manifest.NodeRecord, len(levels)),
 	}
-	for lvl, tables := range s.levels {
+	for lvl, tables := range levels {
 		for _, tb := range tables {
 			st.Levels[lvl] = append(st.Levels[lvl], record(lvl, tb))
 		}
@@ -281,11 +387,7 @@ func (s *Set) Resume() error {
 // RecoveryDropped reports the manifest bytes dropped as a torn tail
 // during Open; >0 means the recovered state may lag the last acknowledged
 // edit and the DB layer flags it as suspected corruption.
-func (s *Set) RecoveryDropped() int64 {
-	s.Mu.Lock()
-	defer s.Mu.Unlock()
-	return s.recoveryDropped
-}
+func (s *Set) RecoveryDropped() int64 { return s.recoveryDropped }
 
 // SetHorizon records the oldest snapshot still active, so merges know
 // which record versions remain reachable.
@@ -322,16 +424,31 @@ func (s *Set) LogMeta() (kv.Seq, uint64) {
 // held.
 
 // NumLevels returns the number of level slots, level 0 included.
-func (s *Set) NumLevels() int { return len(s.levels) }
+func (s *Set) NumLevels() int { return len(s.cur.Load().levels) }
 
-// Level returns level i's tables in level order.  The slice is the live
-// one: read it under Mu; only Apply changes it.
-func (s *Set) Level(i int) []*Table { return s.levels[i] }
+// Level returns level i's tables in level order, as the current version
+// has them: the slice is never written again, and Apply publishes another.
+func (s *Set) Level(i int) []*Table { return s.cur.Load().levels[i] }
 
 // Grow opens a new empty deepest level and records the new level count.
 func (s *Set) Grow() error {
-	s.levels = append(s.levels, nil)
-	return s.commit(&manifest.Edit{NumLevels: len(s.levels) - s.cfg.MinLevel, SetLevels: true})
+	nv := newVersion(s.cur.Load())
+	nv.levels = append(nv.levels, nil)
+	s.publish(nv)
+	return s.commit(&manifest.Edit{NumLevels: len(nv.levels) - s.cfg.MinLevel, SetLevels: true})
+}
+
+// Appended publishes the sequence an in-place append has just added to
+// tb, a table of level: new readers see the table with it, those that
+// pinned an earlier version without.  No edit goes to the manifest; the
+// append committed in the table's own metadata.
+func (s *Set) Appended(level int, tb *Table) {
+	nv := newVersion(s.cur.Load())
+	lvl := slices.Clone(nv.levels[level])
+	j := slices.IndexFunc(lvl, func(e *Table) bool { return e.file == tb.file })
+	lvl[j] = &Table{file: tb.file, rng: lvl[j].rng, nseq: tb.NumSeqs()}
+	nv.levels[level] = lvl
+	s.publish(nv)
 }
 
 // Change is one structural step, stated as placement and nothing else:
@@ -374,57 +491,71 @@ func (c *Change) PlaceAs(level int, tb *Table, rng kv.Range) *Change {
 
 // Apply publishes c, in this order:
 //
-//  1. memory: the drops leave their levels, each arrival takes its range
-//     and joins its level, and the levels that gained a table are put
-//     back in order (file number on level 0, range low end below);
+//  1. a successor of the current version is built: the drops leave copies
+//     of their levels and each arrival joins the copy of its level, with
+//     its range and the sequence count its file has now, where the level's
+//     order puts it (file number on level 0, range low end below);
 //  2. manifest: one edit — the drops as deletions and the arrivals as
 //     additions, both in the order stated, plus the file counter if Build
 //     moved it since the manifest last named it — is appended and synced;
-//  3. release: every dropped table c does not place again loses the
-//     set's reference (the handle closes once the last reader lets go)
-//     and, only if the edit is durable, its file: a crash between a
-//     durable remove and an unsynced edit would leave the manifest naming
-//     a missing file and the set unopenable.  After a failed edit the file
-//     stays: an orphan wastes space but cannot be resurrected (recovery
-//     loads only files the manifest names), and Resume rewrites the
-//     manifest from memory anyway.
+//  3. the successor becomes the current version, and every dropped table
+//     c does not place again loses, only if the edit is durable, its file:
+//     a crash between a durable remove and an unsynced edit would leave
+//     the manifest naming a missing file and the set unopenable.  After a
+//     failed edit the file stays: an orphan wastes space but cannot be
+//     resurrected (recovery loads only files the manifest names), and
+//     Resume rewrites the manifest from memory anyway.  The handle of a
+//     dropped table outlives this by as long as a reader pins a version
+//     that names it (see unpin).
 //
 // The edit's error is returned; memory keeps the change either way.
 // Apply neither refuses nor repairs a level >= 1 whose ranges overlap.
 func (s *Set) Apply(c *Change) error {
+	old := s.cur.Load()
+	nv := newVersion(old)
+	// own returns nv's private copy of a level, made at its first change.
+	var copied uint64
+	own := func(level int) []*Table {
+		if copied&(1<<level) == 0 {
+			copied |= 1 << level
+			nv.levels[level] = append(make([]*Table, 0, len(old.levels[level])+len(c.places)), old.levels[level]...)
+		}
+		return nv.levels[level]
+	}
 	e := &manifest.Edit{}
+	gone := make([]*Table, 0, len(c.drops)) // dropped and not placed again: no longer the set's
 	for _, d := range c.drops {
-		found := s.remove(d.level, d.tb)
+		lvl := own(d.level)
+		j := slices.IndexFunc(lvl, func(tb *Table) bool { return tb.file == d.tb.file })
 		if invariants.Enabled {
-			invariants.Assertf(found, "table %d dropped from level %d, where it is not", d.tb.ID(), d.level)
+			invariants.Assertf(j >= 0, "table %d dropped from level %d, where it is not", d.tb.ID(), d.level)
+		}
+		if j >= 0 {
+			nv.levels[d.level] = slices.Delete(lvl, j, j+1)
 		}
 		e.Deleted = append(e.Deleted, manifest.NodeRef{Level: d.level, FileNum: d.tb.ID()})
+		if !slices.ContainsFunc(c.places, func(p placement) bool { return p.tb.file == d.tb.file }) {
+			gone = append(gone, d.tb)
+		}
 	}
 	for j, p := range c.places {
 		if invariants.Enabled {
-			twice := slices.ContainsFunc(c.places[:j], func(q placement) bool { return q.tb == p.tb })
+			twice := slices.ContainsFunc(c.places[:j], func(q placement) bool { return q.tb.file == p.tb.file })
 			invariants.Assertf(!twice, "table %d placed twice", p.tb.ID())
 		}
-		p.tb.rng = p.rng
-		s.levels[p.level] = append(s.levels[p.level], p.tb)
-		e.Added = append(e.Added, record(p.level, p.tb))
-		if j+1 == len(c.places) || c.places[j+1].level != p.level {
-			s.sortLevel(p.level)
-		}
+		tb := &Table{file: p.tb.file, rng: p.rng, nseq: p.tb.NumSeqs()}
+		nv.levels[p.level] = insert(own(p.level), p.level, tb)
+		e.Added = append(e.Added, record(p.level, tb))
 	}
 	if s.nextFileMoved {
 		e.NextFile, e.SetNextFile = s.nextFile, true
 	}
 	err := s.commit(e)
-	for _, d := range c.drops {
-		if slices.ContainsFunc(c.places, func(p placement) bool { return p.tb == d.tb }) {
-			continue // moved or re-ranged: still the set's
-		}
-		s.cfg.Events.TableDeleted(metrics.TableInfo{FileNum: d.tb.ID(), Level: -1, Bytes: d.tb.DataSize()})
-		d.tb.EvictBlocks()
-		s.unrefLocked(d.tb)
+	s.publish(nv, gone...)
+	for _, tb := range gone {
+		s.cfg.Events.TableDeleted(metrics.TableInfo{FileNum: tb.ID(), Level: -1, Bytes: tb.DataSize()})
 		if err == nil {
-			_ = s.cfg.FS.Remove(s.path(d.tb.ID()))
+			_ = s.cfg.FS.Remove(s.path(tb.ID()))
 		}
 	}
 	return err
@@ -441,44 +572,24 @@ func (s *Set) commit(e *manifest.Edit) error {
 	return err
 }
 
-// remove takes tb off level i, reporting whether it was there.
-func (s *Set) remove(i int, tb *Table) bool {
-	lvl := s.levels[i]
-	j := slices.Index(lvl, tb)
-	if j >= 0 {
-		s.levels[i] = append(lvl[:j], lvl[j+1:]...)
-	}
-	return j >= 0
-}
-
-// sortLevel restores level i's order: file number on level 0, range below.
-func (s *Set) sortLevel(i int) {
-	lvl := s.levels[i]
-	if i == 0 {
-		sort.Slice(lvl, func(a, b int) bool { return lvl[a].ID() < lvl[b].ID() })
-		return
-	}
-	sort.Slice(lvl, func(a, b int) bool { return kv.CompareUser(lvl[a].rng.Lo, lvl[b].rng.Lo) < 0 })
-}
-
-// Find returns the table of level i >= 1 whose range contains ukey.
-func (s *Set) Find(i int, ukey []byte) *Table {
-	lvl := s.levels[i]
-	idx := sort.Search(len(lvl), func(j int) bool {
-		return kv.CompareUser(ukey, lvl[j].rng.Hi) <= 0
+// insert puts tb into lvl, level i in level order, where that order has
+// it: by file number on level 0, by range low end below.
+func insert(lvl []*Table, i int, tb *Table) []*Table {
+	at := sort.Search(len(lvl), func(j int) bool {
+		if i == 0 {
+			return lvl[j].ID() > tb.ID()
+		}
+		return kv.CompareUser(lvl[j].rng.Lo, tb.rng.Lo) > 0
 	})
-	if idx < len(lvl) && lvl[idx].rng.Contains(ukey) {
-		return lvl[idx]
-	}
-	return nil
+	return slices.Insert(lvl, at, tb)
 }
 
 // ActiveCount counts level i's tables eligible for compaction work, i.e.
 // not quarantined.
 func (s *Set) ActiveCount(i int) int {
 	n := 0
-	for _, tb := range s.levels[i] {
-		if !tb.quarantined {
+	for _, tb := range s.Level(i) {
+		if !tb.Quarantined() {
 			n++
 		}
 	}
@@ -493,8 +604,8 @@ func record(lvl int, tb *Table) manifest.NodeRecord {
 // Build creates the next table file, writes src into it as one sorted
 // sequence (nil leaves the table empty) and syncs it: a *Table exists
 // only once its file is durable, which is the sync-before-edit rule.  A
-// failed build removes its half-written file.  The table comes back
-// referenced once, on no level, with its range set to its data span.
+// failed build removes its half-written file.  The table comes back on no
+// level, with its range set to its data span.
 func (s *Set) Build(capacity int64, src iterator.Iterator) (*Table, int64, error) {
 	num := s.nextFile
 	s.nextFile, s.nextFileMoved = num+1, true
@@ -516,7 +627,8 @@ func (s *Set) Build(capacity int64, src iterator.Iterator) (*Table, int64, error
 		return nil, 0, err
 	}
 	s.cfg.Events.TableCreated(metrics.TableInfo{FileNum: num, Level: -1, Bytes: res.Bytes})
-	return &Table{Table: tbl, rng: tbl.UserRange(), refs: 1}, res.Bytes, nil
+	f := &file{Table: tbl, born: s.cur.Load().num + 1}
+	return &Table{file: f, rng: tbl.UserRange(), nseq: tbl.NumSeqs()}, res.Bytes, nil
 }
 
 // BuildRuns drains a positioned iterator into fresh tables of at most
@@ -571,62 +683,28 @@ func (s *Set) BuildRuns(it iterator.Iterator, limit, floorCapacity int64) ([]*Ta
 	return tables, total, nil
 }
 
-func (s *Set) unrefLocked(tb *Table) {
-	tb.refs--
-	if invariants.Enabled {
-		invariants.Assertf(tb.refs >= 0, "table %d refcount went negative (%d)", tb.ID(), tb.refs)
-	}
-	if tb.refs == 0 {
-		// Read-only handle of a dropped table; nothing left to flush.
-		_ = tb.Close()
-	}
-}
-
 // ---------------------------------------------------------------------
-// Reads and reporting.
-
-// unref releases a reader's pin.
-func (s *Set) unref(tb *Table) {
-	s.Mu.Lock()
-	s.unrefLocked(tb)
-	s.Mu.Unlock()
-}
+// Reads and reporting: none of these takes Mu.
 
 // Get finds the newest version of ukey visible at snapshot snap: level 0
 // tables newest first, then at most one table per deeper level, and
 // within a table its sequences newest first behind their Bloom filters
 // (Sec. 5.2).
 func (s *Set) Get(ukey []byte, snap kv.Seq) ([]byte, kv.Kind, kv.Seq, bool, error) {
-	s.Mu.Lock()
-	var cands []*Table
-	for l0, i := s.levels[0], len(s.levels[0])-1; i >= 0; i-- {
+	v := s.pin()
+	defer s.unpin(v)
+	for l0, i := v.levels[0], len(v.levels[0])-1; i >= 0; i-- {
 		if l0[i].rng.Contains(ukey) {
-			l0[i].refs++
-			cands = append(cands, l0[i])
+			if val, k, sq, found, err := l0[i].Get(ukey, snap); found || err != nil {
+				return val, k, sq, found, err
+			}
 		}
 	}
-	for i := 1; i < len(s.levels); i++ {
-		if tb := s.Find(i, ukey); tb != nil {
-			tb.refs++
-			cands = append(cands, tb)
-		}
-	}
-	s.Mu.Unlock()
-	// Released in one hold, as they were taken.
-	defer func() {
-		s.Mu.Lock()
-		for _, tb := range cands {
-			s.unrefLocked(tb)
-		}
-		s.Mu.Unlock()
-	}()
-	for _, tb := range cands {
-		v, k, sq, found, err := tb.Get(ukey, snap)
-		if err != nil {
-			return nil, 0, 0, false, err
-		}
-		if found {
-			return v, k, sq, true, nil
+	for _, lvl := range v.levels[1:] {
+		if tb := find(lvl, ukey); tb != nil {
+			if val, k, sq, found, err := tb.Get(ukey, snap); found || err != nil {
+				return val, k, sq, found, err
+			}
 		}
 	}
 	return nil, 0, 0, false, nil
@@ -635,17 +713,18 @@ func (s *Set) Get(ukey []byte, snap kv.Seq) ([]byte, kv.Kind, kv.Seq, bool, erro
 // NewIter returns a merged iterator over all on-disk data: every level 0
 // table is its own child (their ranges overlap), each deeper level is one
 // concatenating child, so a scan consults at most one table per level
-// below 0.
+// below 0.  The children read the slices of the version current now, each
+// holding a reference on it until it is closed.
 func (s *Set) NewIter() iterator.Iterator {
-	s.Mu.Lock()
-	defer s.Mu.Unlock()
+	v := s.pin()
+	defer s.unpin(v)
 	var kids []iterator.Iterator
-	for l0, i := s.levels[0], len(s.levels[0])-1; i >= 0; i-- {
-		kids = append(kids, s.newConcatIter(l0[i:i+1]))
+	for l0, i := v.levels[0], len(v.levels[0])-1; i >= 0; i-- {
+		kids = append(kids, s.newConcatIter(v, l0[i:i+1]))
 	}
-	for _, lvl := range s.levels[1:] {
+	for _, lvl := range v.levels[1:] {
 		if len(lvl) > 0 {
-			kids = append(kids, s.newConcatIter(lvl))
+			kids = append(kids, s.newConcatIter(v, lvl))
 		}
 	}
 	return iterator.NewMerging(kv.CompareInternal, kids...)
@@ -673,15 +752,15 @@ func (l LevelInfo) String() string {
 
 // Levels summarizes the shape of the levels the engine places tables on.
 func (s *Set) Levels() []LevelInfo {
-	s.Mu.Lock()
-	defer s.Mu.Unlock()
-	out := make([]LevelInfo, 0, len(s.levels))
-	for i := s.cfg.MinLevel; i < len(s.levels); i++ {
-		info := LevelInfo{Level: i, Nodes: len(s.levels[i])}
-		for _, tb := range s.levels[i] {
+	v := s.pin()
+	defer s.unpin(v)
+	out := make([]LevelInfo, 0, len(v.levels))
+	for i := s.cfg.MinLevel; i < len(v.levels); i++ {
+		info := LevelInfo{Level: i, Nodes: len(v.levels[i])}
+		for _, tb := range v.levels[i] {
 			info.Bytes += tb.DataSize()
 			info.Seqs += tb.NumSeqs()
-			if tb.quarantined {
+			if tb.Quarantined() {
 				info.Quarantined++
 			}
 		}
@@ -692,14 +771,11 @@ func (s *Set) Levels() []LevelInfo {
 
 // SpaceUsed reports on-disk bytes (data + metadata, holes free).
 func (s *Set) SpaceUsed() int64 {
-	s.Mu.Lock()
-	defer s.Mu.Unlock()
 	var n int64
-	for _, lvl := range s.levels {
-		for _, tb := range lvl {
-			n += tb.UsedBytes()
-		}
-	}
+	_ = s.VisitTables(func(_ int, _ uint64, t *table.Table) error {
+		n += t.UsedBytes()
+		return nil
+	})
 	return n
 }
 
@@ -708,10 +784,10 @@ func (s *Set) SpaceUsed() int64 {
 // overlaps.
 func (s *Set) ApproximateSize(lo, hi []byte) int64 {
 	rng := kv.MakeRange(lo, hi)
-	s.Mu.Lock()
-	defer s.Mu.Unlock()
+	v := s.pin()
+	defer s.unpin(v)
 	var total int64
-	for _, lvl := range s.levels {
+	for _, lvl := range v.levels {
 		for _, tb := range lvl {
 			switch {
 			case !tb.rng.Overlaps(rng):
@@ -731,16 +807,12 @@ func (s *Set) ApproximateSize(lo, hi []byte) int64 {
 // neither loops on an unreadable file nor rewrites (and thereby discards)
 // a partially readable one before an operator intervenes.
 func (s *Set) Quarantine(num uint64, reason string) bool {
-	s.Mu.Lock()
-	defer s.Mu.Unlock()
-	for _, lvl := range s.levels {
+	v := s.pin()
+	defer s.unpin(v)
+	for _, lvl := range v.levels {
 		for _, tb := range lvl {
 			if tb.ID() == num {
-				fresh := !tb.quarantined
-				if fresh {
-					tb.quarantined, tb.qreason = true, reason
-				}
-				return fresh
+				return tb.fence.CompareAndSwap(nil, &reason)
 			}
 		}
 	}
@@ -757,14 +829,14 @@ type QuarantineInfo struct {
 
 // Quarantined lists the currently fenced tables.
 func (s *Set) Quarantined() []QuarantineInfo {
-	s.Mu.Lock()
-	defer s.Mu.Unlock()
+	v := s.pin()
+	defer s.unpin(v)
 	var out []QuarantineInfo
-	for i, lvl := range s.levels {
+	for i, lvl := range v.levels {
 		for _, tb := range lvl {
-			if tb.quarantined {
+			if reason := tb.fence.Load(); reason != nil {
 				out = append(out, QuarantineInfo{
-					Level: i, FileNum: tb.ID(), Path: s.path(tb.ID()), Reason: tb.qreason,
+					Level: i, FileNum: tb.ID(), Path: s.path(tb.ID()), Reason: *reason,
 				})
 			}
 		}
@@ -772,40 +844,29 @@ func (s *Set) Quarantined() []QuarantineInfo {
 	return out
 }
 
-// VisitTables walks a referenced snapshot of the current tables for
-// offline-style verification (DB.Scrub).  fn runs without Mu so a slow
-// scrub does not block flushes; returning an error stops the walk.
+// VisitTables walks the tables of the version current now, which stays
+// pinned meanwhile, for offline-style verification (DB.Scrub).  fn runs
+// beside flushes, not instead of them; returning an error stops the walk.
 func (s *Set) VisitTables(fn func(level int, num uint64, t *table.Table) error) error {
-	type ent struct {
-		level int
-		tb    *Table
-	}
-	s.Mu.Lock()
-	var ents []ent
-	for i, lvl := range s.levels {
+	v := s.pin()
+	defer s.unpin(v)
+	for i, lvl := range v.levels {
 		for _, tb := range lvl {
-			tb.refs++
-			ents = append(ents, ent{i, tb})
+			if err := fn(i, tb.ID(), tb.Table); err != nil {
+				return err
+			}
 		}
 	}
-	s.Mu.Unlock()
-	var err error
-	for _, e := range ents {
-		if err == nil {
-			err = fn(e.level, e.tb.ID(), e.tb.Table)
-		}
-		s.unref(e.tb)
-	}
-	return err
+	return nil
 }
 
-// Close releases every table handle and the manifest.  The set must be
-// reopenable from its manifest afterwards.
+// Close releases every table handle of the current version and the
+// manifest.  The set must be reopenable from its manifest afterwards.
 func (s *Set) Close() error {
 	s.Mu.Lock()
 	defer s.Mu.Unlock()
 	var errs []error
-	for _, lvl := range s.levels {
+	for _, lvl := range s.cur.Load().levels {
 		for _, tb := range lvl {
 			errs = append(errs, tb.Close())
 		}

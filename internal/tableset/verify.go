@@ -12,7 +12,7 @@ import (
 // data lies inside its assigned range, level 0 is ordered by file number,
 // deeper levels are sorted and disjoint.  Caller holds Mu.
 func (s *Set) CheckStructure() error {
-	for i, lvl := range s.levels {
+	for i, lvl := range s.cur.Load().levels {
 		for j, tb := range lvl {
 			if kv.CompareUser(tb.rng.Lo, tb.rng.Hi) > 0 {
 				return fmt.Errorf("L%d table %d has inverted range %v", i, tb.ID(), tb.rng)

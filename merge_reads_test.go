@@ -219,11 +219,45 @@ func (m *scanModel) walk(it *Iterator, start, dir, steps int, c *cut) error {
 	return nil
 }
 
+// handleFS counts the file handles open on the filesystem it wraps.
+type handleFS struct {
+	vfs.FS
+	open atomic.Int64
+}
+
+type countedFile struct {
+	vfs.File
+	fs *handleFS
+}
+
+func (h *handleFS) Create(name string) (vfs.File, error) { return h.counted(h.FS.Create(name)) }
+func (h *handleFS) Open(name string) (vfs.File, error)   { return h.counted(h.FS.Open(name)) }
+
+func (h *handleFS) counted(f vfs.File, err error) (vfs.File, error) {
+	if err != nil {
+		return nil, err
+	}
+	h.open.Add(1)
+	return &countedFile{f, h}, nil
+}
+
+func (f *countedFile) Close() error {
+	f.fs.open.Add(-1)
+	return f.File.Close()
+}
+
 // TestScansBesideFlushCascades runs forward, reverse and re-seeking user
-// scans beside a writer whose memtables the store's background worker
-// flushes through the cascade, on all four engines, and checks every
-// scan against the model: exactly the keys of one prefix of the write
-// history, in order, each with its value.  Merges and scans take their
+// scans, scans through iterators held open across several flushes, and
+// Gets of every acknowledged key beside a writer whose memtables the
+// store's background worker flushes through the cascade, on all four
+// engines, and checks every read against the model: a scan shows exactly
+// the keys of one prefix of the write history, in order, each with its
+// value, and a Get finds every key acknowledged before it began.  Readers
+// see every version the cascade publishes, not only the state between two
+// cascades, so there must be no moment at which a record has left its old
+// table and is not yet in its new one.  Every table handle a version kept
+// open for a reader is closed, and every window handed back, by the time
+// the store is closed.  Merges and scans take their
 // read-ahead windows from one pool and the merges' tables are dropped
 // under the scans, so a window or a gather handed back too early shows
 // as a wrong byte here (0xDB under -tags invariants) and as a race under
@@ -239,7 +273,9 @@ func TestScansBesideFlushCascades(t *testing.T) {
 	const preload, inserts = 3000, 3000
 	for _, e := range allEngines {
 		t.Run(e.String(), func(t *testing.T) {
-			db, err := Open("db", smallOpts(e, vfs.NewMemFS()))
+			fs := &handleFS{FS: vfs.NewMemFS()}
+			loans := table.WindowsOnLoan()
+			db, err := Open("db", smallOpts(e, fs))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -334,6 +370,30 @@ func TestScansBesideFlushCascades(t *testing.T) {
 				}
 				return nil
 			})
+			// An iterator held open while the writer fills and flushes
+			// several more memtables still shows the prefix it was made at.
+			wg.Add(1)
+			go scanner(4, func(_ *rand.Rand, it *Iterator, c *cut) error {
+				for until := min(acked.Load()+400, inserts); acked.Load() < until; {
+					runtime.Gosched()
+				}
+				it.First()
+				return m.walk(it, 0, +1, -1, c)
+			})
+			// Gets of every key acknowledged so far, preload included.
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for last := false; !last; {
+					last = done.Load()
+					for i, n := 0, preload+int(acked.Load()); i < n; i++ {
+						if v, err := db.Get([]byte(keyOf(i))); err != nil || !bytes.Equal(v, scanValue(keyOf(i))) {
+							t.Errorf("Get of %s, acknowledged: %d bytes, %v", keyOf(i), len(v), err)
+							return
+						}
+					}
+				}
+			}()
 			// Scrub passes beside the same flushes: an append it overlaps
 			// is writing the standby footer slot of a table the pass is
 			// reading, which must not read as a finding.
@@ -354,8 +414,21 @@ func TestScansBesideFlushCascades(t *testing.T) {
 			}
 			done.Store(true)
 			wg.Wait()
-			if st := db.Metrics().Engine; st.Merges == 0 || st.Flushes < 50 {
-				t.Fatalf("the scans ran beside %d flushes and %d merges", st.Flushes, st.Merges)
+			eng := db.Metrics().Engine
+			if eng.Merges == 0 || eng.Flushes < 50 || eng.Moves == 0 {
+				t.Fatalf("the reads ran beside %d flushes, %d merges and %d moves", eng.Flushes, eng.Merges, eng.Moves)
+			}
+			if tree := e == IAM || e == LSA; tree && (eng.Splits == 0 || eng.Combines == 0 || eng.Appends == 0) {
+				t.Fatalf("the reads ran beside %d appends, %d splits and %d combines", eng.Appends, eng.Splits, eng.Combines)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if n := fs.open.Load(); n != 0 {
+				t.Errorf("%d file handles open after Close", n)
+			}
+			if n := table.WindowsOnLoan() - loans; n != 0 {
+				t.Errorf("%d read-ahead windows on loan after Close", n)
 			}
 		})
 	}

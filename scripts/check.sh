@@ -54,6 +54,9 @@ go test -run TestBuildRunsAllocs -count=1 ./internal/tableset/
 # Nor may reading the inputs of a merge: no cache fill, pooled read-ahead
 # windows and gather, at most 0.15 bytes allocated per byte read.
 go test -run TestMergeReadAllocs -count=1 ./internal/tableset/
+# A read pins a version of the table set without allocating, and an
+# iterator costs a child per level however many tables the levels hold.
+go test -run TestPinAndNewIterAllocs -count=1 ./internal/tableset/
 
 echo "== commit-pipeline bench smoke"
 # iambench runs three experiments here and below — concurrency, shards,
@@ -143,6 +146,24 @@ gains = min(m["sep"] / m["inline"] for m in big.values())
 print(f"kvsep blob OK: 64K separated >= {gains:.2f}x inline, crossover {cross['measured']:.0f}B vs {cross['predicted']:.0f}B predicted")
 EOF
 rm -rf "$kvtmp"
+
+echo "== hand-in check: the benchmark builds, tests and runs clean"
+# What the driver does after every PR, from the committed files: bench/
+# vets and passes its tests, and each of the seven workloads of
+# BENCHMARK.json runs for 5 s and reports no failed operation.
+go vet ./bench
+go test -count=1 ./bench
+benchbin=$(mktemp -d)
+go build -o "$benchbin/bench" ./bench
+for w in $(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+    if ! out=$("$benchbin/bench" --workload "$w" --seed 1 --seconds 5 --trace 0) || ! grep -q '"failed":0[,}]' <<<"$out"; then
+        echo "bench workload $w did not finish with \"failed\":0:"
+        tail -n 3 <<<"$out"
+        exit 1
+    fi
+    echo "$w: $(tail -n 1 <<<"$out" | grep -o '"ops_s":{[^}]*}')"
+done
+rm -rf "$benchbin"
 
 # The gate must leave the work tree as it found it (clean, when run on a
 # commit): anything it, or a build, test or bench it runs, drops into the
