@@ -312,6 +312,18 @@ func TestEveryPassCatchesARealMutation(t *testing.T) {
 			"\t\t\tnv.levels[d.level] = slices.Delete(lvl, j, j+1)\n",
 			"\t\t\told.levels[d.level] = slices.Delete(lvl, j, j+1)\n",
 			"old.levels[d.level]"},
+		// Appended refreshes the fence of the table it re-publishes in the
+		// array the current version's readers search.
+		{"atomicpub", "internal/tableset/tableset.go",
+			"\tnv.levels[level] = lvl\n\ts.publish(nv)\n",
+			"\tnv.levels[level] = lvl\n\ts.cur.Load().fences[level][j] = fence(lvl[j].rng.Hi)\n\ts.publish(nv)\n",
+			"s.cur.Load().fences[level][j]"},
+		// An append adds its sequence to the list readers hold instead of
+		// publishing the list it committed.
+		{"atomicpub", "internal/table/table.go",
+			"\tt.cur.Store(next)\n\treturn AppendResult{",
+			"\tcur := t.cur.Load()\n\tcur.seqs = next.seqs\n\treturn AppendResult{",
+			"cur.seqs = next.seqs"},
 		// The user iterator keeps the inner iterator's value buffer.
 		{"alias", "iterator.go",
 			"it.val = append(it.val[:0], it.in.Value()...)",

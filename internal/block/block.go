@@ -122,34 +122,50 @@ func (b *Builder) Reuse(block []byte) {
 	b.buf = block[:0]
 }
 
-// Reader provides lookups and iteration over one encoded block.
+// Reader provides lookups and iteration over one encoded block.  Its
+// restart offsets are read where they lie, in the block's trailer.  A
+// Reader may be pointed at one block after another with Init.
 type Reader struct {
 	data       []byte // entries only, trailer stripped
-	restarts   []uint32
+	restarts   []byte // the trailer's offsets, 4 bytes each
 	numRestart int
 	cmp        Compare
 }
 
 // NewReader parses an encoded block.
 func NewReader(data []byte, cmp Compare) (*Reader, error) {
+	r := new(Reader)
+	if err := r.Init(data, cmp); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Init points r at an encoded block, after checking that every restart
+// offset lies within the block's entries.  After an error r must not be
+// iterated until a later Init succeeds.
+func (r *Reader) Init(data []byte, cmp Compare) error {
 	if len(data) < 4 {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
 	n := int(binary.LittleEndian.Uint32(data[len(data)-4:]))
 	trailer := 4 * (n + 1)
 	if n <= 0 || trailer > len(data) {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
 	restartStart := len(data) - trailer
-	restarts := make([]uint32, n)
+	restarts := data[restartStart : len(data)-4]
 	for i := 0; i < n; i++ {
-		restarts[i] = binary.LittleEndian.Uint32(data[restartStart+4*i:])
-		if int(restarts[i]) > restartStart {
-			return nil, ErrCorrupt
+		if int(binary.LittleEndian.Uint32(restarts[4*i:])) > restartStart {
+			return ErrCorrupt
 		}
 	}
-	return &Reader{data: data[:restartStart], restarts: restarts, numRestart: n, cmp: cmp}, nil
+	*r = Reader{data: data[:restartStart], restarts: restarts, numRestart: n, cmp: cmp}
+	return nil
 }
+
+// restart returns the offset of restart point i.
+func (r *Reader) restart(i int) int { return int(binary.LittleEndian.Uint32(r.restarts[4*i:])) }
 
 // decodeEntry parses the entry at off, returning the key suffix parts
 // and value, plus the offset of the next entry.
@@ -191,6 +207,10 @@ type Iter struct {
 
 // Iter returns a new iterator positioned before the first entry.
 func (r *Reader) Iter() *Iter { return &Iter{r: r} }
+
+// Reset points it at r, before the first entry, keeping its key storage
+// for the entries it decodes next.
+func (it *Iter) Reset(r *Reader) { *it = Iter{r: r, key: it.key[:0]} }
 
 // First positions at the first entry.
 func (it *Iter) First() {
@@ -234,8 +254,7 @@ func (it *Iter) Seek(target []byte) {
 	lo, hi := 0, it.r.numRestart-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		off := int(it.r.restarts[mid])
-		_, unshared, _, keyOff, err := it.r.decodeEntry(off)
+		_, unshared, _, keyOff, err := it.r.decodeEntry(it.r.restart(mid))
 		if err != nil {
 			it.err = err
 			it.valid = false
@@ -248,7 +267,7 @@ func (it *Iter) Seek(target []byte) {
 			hi = mid - 1
 		}
 	}
-	it.next = int(it.r.restarts[lo])
+	it.next = it.r.restart(lo)
 	it.key = it.key[:0]
 	it.err = nil
 	for {
@@ -280,7 +299,7 @@ func (it *Iter) Last() {
 	if len(r.data) == 0 {
 		return
 	}
-	it.next = int(r.restarts[r.numRestart-1])
+	it.next = r.restart(r.numRestart - 1)
 	it.key = it.key[:0]
 	for {
 		it.Next()
@@ -307,13 +326,13 @@ func (it *Iter) Prev() {
 	lo, hi := 0, it.r.numRestart-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		if int(it.r.restarts[mid]) < cur {
+		if it.r.restart(mid) < cur {
 			lo = mid
 		} else {
 			hi = mid - 1
 		}
 	}
-	it.next = int(it.r.restarts[lo])
+	it.next = it.r.restart(lo)
 	it.key = it.key[:0]
 	it.valid = false
 	for {

@@ -80,7 +80,11 @@ func (f Filter) add(h uint32) {
 // MayContain reports whether the key might be in the set the filter was
 // built over.  False positives occur at roughly 0.2% with 14 bits/key;
 // false negatives never occur.
-func (f Filter) MayContain(key []byte) bool {
+func (f Filter) MayContain(key []byte) bool { return f.MayContainHash(Hash(key)) }
+
+// MayContainHash is MayContain for the key whose Hash is h: a point read
+// hashes its key once and probes every filter on its way with the result.
+func (f Filter) MayContainHash(h uint32) bool {
 	if len(f) < 2 {
 		return false
 	}
@@ -90,7 +94,6 @@ func (f Filter) MayContain(key []byte) bool {
 		return true
 	}
 	bits := uint32((len(f) - 1) * 8)
-	h := Hash(key)
 	delta := h>>17 | h<<15
 	for i := 0; i < k; i++ {
 		pos := h % bits

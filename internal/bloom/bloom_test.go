@@ -124,6 +124,12 @@ func TestPropertyMembership(t *testing.T) {
 				return false
 			}
 		}
+		// A probe by hash answers as the probe by key, absent keys included.
+		for i := 0; i < 64; i++ {
+			if k := key(i); filt.MayContainHash(Hash(k)) != filt.MayContain(k) {
+				return false
+			}
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

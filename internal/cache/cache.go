@@ -9,7 +9,6 @@
 package cache
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 )
@@ -32,49 +31,71 @@ type Cache struct {
 	misses    atomic.Int64
 	fills     atomic.Int64 // blocks Set stored
 	evictions atomic.Int64 // blocks pushed out for lack of room
-
-	// resident maps table id -> *atomic.Int64 of cached bytes.  The
-	// sync.Map plus per-table counters keep the hot Set/evict paths off
-	// any single lock: once a table's counter exists, adjustments are
-	// one atomic add, and the 16 shards never rendezvous.
-	resident sync.Map
 }
 
 type shard struct {
 	mu       sync.Mutex
 	capacity int64
 	used     int64
-	ll       *list.List // front = most recent
-	items    map[Key]*entry
-	// tables indexes the entries by table: the head of the chain through
-	// each entry's next and prev, so EvictTable visits a table's own
-	// blocks and no others.
-	tables map[uint64]*entry
+	// lru is the sentinel of the recency ring, which closes through it:
+	// lru.older is the most recently used entry, lru.newer the least.
+	lru   entry
+	items map[Key]*entry
+	// tables indexes the entries by table, so EvictTable visits a table's
+	// own blocks and no others, and ResidentBytes reads one sum per shard.
+	tables map[uint64]*chain
+}
+
+// chain is one table's entries in a shard, linked through their next and
+// prev, and the bytes they hold.
+type chain struct {
+	head  *entry
+	bytes int64
 }
 
 type entry struct {
-	key        Key
-	data       []byte
-	el         *list.Element // the entry's place in ll
-	next, prev *entry        // the table's other entries in this shard
+	key          Key
+	data         []byte
+	newer, older *entry // the entry's neighbours in the recency ring
+	next, prev   *entry // the table's other entries in this shard
 }
 
-// add stores e at the front of the LRU order and of its table's chain.
+// unlink takes e out of the recency ring.
+func (e *entry) unlink() {
+	e.newer.older, e.older.newer = e.older, e.newer
+}
+
+// touch links e, which is not in the ring, in as its most recent entry.
+func (s *shard) touch(e *entry) {
+	e.newer, e.older = &s.lru, s.lru.older
+	e.older.newer, s.lru.older = e, e
+}
+
+// add stores e as the most recent entry and at the head of its table's
+// chain.
 func (s *shard) add(e *entry) {
-	e.el = s.ll.PushFront(e)
+	s.touch(e)
 	s.items[e.key] = e
 	s.used += int64(len(e.data))
-	if e.next = s.tables[e.key.Table]; e.next != nil {
+	ch := s.tables[e.key.Table]
+	if ch == nil {
+		ch = &chain{}
+		s.tables[e.key.Table] = ch
+	}
+	if e.next = ch.head; e.next != nil {
 		e.next.prev = e
 	}
-	s.tables[e.key.Table] = e
+	ch.head = e
+	ch.bytes += int64(len(e.data))
 }
 
 // remove takes e out of the shard.
 func (s *shard) remove(e *entry) {
-	s.ll.Remove(e.el)
+	e.unlink()
 	delete(s.items, e.key)
 	s.used -= int64(len(e.data))
+	ch := s.tables[e.key.Table]
+	ch.bytes -= int64(len(e.data))
 	if e.next != nil {
 		e.next.prev = e.prev
 	}
@@ -82,7 +103,7 @@ func (s *shard) remove(e *entry) {
 	case e.prev != nil:
 		e.prev.next = e.next
 	case e.next != nil:
-		s.tables[e.key.Table] = e.next
+		ch.head = e.next
 	default:
 		delete(s.tables, e.key.Table)
 	}
@@ -95,7 +116,9 @@ func New(capacity int64) *Cache {
 	c := &Cache{}
 	per := capacity / numShards
 	for i := range c.shards {
-		c.shards[i] = shard{capacity: per, ll: list.New(), items: make(map[Key]*entry), tables: make(map[uint64]*entry)}
+		s := &c.shards[i]
+		s.capacity, s.items, s.tables = per, make(map[Key]*entry), make(map[uint64]*chain)
+		s.lru.newer, s.lru.older = &s.lru, &s.lru
 	}
 	return c
 }
@@ -113,7 +136,8 @@ func (c *Cache) Get(table, off uint64) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.items[k]; ok {
-		s.ll.MoveToFront(e.el)
+		e.unlink()
+		s.touch(e)
 		c.hits.Add(1)
 		return e.data
 	}
@@ -132,60 +156,31 @@ func (c *Cache) Set(table, off uint64, data []byte) {
 	c.fills.Add(1)
 	s.mu.Lock()
 	if old, ok := s.items[k]; ok {
-		s.used += int64(len(data)) - int64(len(old.data))
-		c.addResident(table, int64(len(data))-int64(len(old.data)))
-		old.data = data
-		s.ll.MoveToFront(old.el)
-	} else {
-		s.add(&entry{key: k, data: data})
-		c.addResident(table, int64(len(data)))
+		s.remove(old)
 	}
+	s.add(&entry{key: k, data: data})
 	for s.used > s.capacity {
-		back := s.ll.Back()
-		if back == nil {
-			break
-		}
-		e := back.Value.(*entry)
-		s.remove(e)
-		c.addResident(e.key.Table, -int64(len(e.data)))
+		s.remove(s.lru.newer)
 		c.evictions.Add(1)
 	}
 	s.mu.Unlock()
 }
 
-// addResident adjusts per-table residency with one atomic add (after
-// a lock-free map hit on the steady state).  Counters are removed only
-// by EvictTable, so a table whose blocks cycle through the cache keeps
-// its counter — an empty counter is a few words, and table ids are not
-// reused within a run.
-func (c *Cache) addResident(table uint64, delta int64) {
-	v, ok := c.resident.Load(table)
-	if !ok {
-		v, _ = c.resident.LoadOrStore(table, new(atomic.Int64))
-	}
-	v.(*atomic.Int64).Add(delta)
-}
-
 // EvictTable removes every block of a table, once the table file is
 // deleted by a compaction and its last reader has let go, and reports how
-// many it removed.  Most dropped tables were only ever read by a merge and
-// hold nothing here; those cost one map lookup and no shard lock.  The
-// others cost their own blocks: each shard is held for its share of them.
+// many it removed.  It costs a map lookup per shard and the table's own
+// blocks; most dropped tables were only ever read by a merge and hold
+// none.
 func (c *Cache) EvictTable(table uint64) (blocks int) {
-	if v, ok := c.resident.Load(table); !ok || v.(*atomic.Int64).Load() == 0 {
-		c.resident.Delete(table)
-		return 0
-	}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for e := s.tables[table]; e != nil; e = s.tables[table] {
-			s.remove(e)
+		for ch := s.tables[table]; ch != nil; ch = s.tables[table] {
+			s.remove(ch.head)
 			blocks++
 		}
 		s.mu.Unlock()
 	}
-	c.resident.Delete(table)
 	return blocks
 }
 
@@ -204,10 +199,16 @@ func (c *Cache) Used() int64 {
 // ResidentBytes reports how many bytes of the given table are cached.
 // This is the deterministic analogue of the paper's mincore sampling.
 func (c *Cache) ResidentBytes(table uint64) int64 {
-	if v, ok := c.resident.Load(table); ok {
-		return v.(*atomic.Int64).Load()
+	var n int64
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		if ch := s.tables[table]; ch != nil {
+			n += ch.bytes
+		}
+		s.mu.Unlock()
 	}
-	return 0
+	return n
 }
 
 // HitRate reports the fraction of Gets served from cache, and the raw

@@ -201,8 +201,9 @@ func TestResidencyMatchesUsedUnderChurn(t *testing.T) {
 // TestMatchesNaiveModel drives a seeded mix of Set, Get and EvictTable
 // against the obvious model — per shard, a slice in recency order — and
 // compares, after every step, what the cache reports and how it is linked:
-// Used, every table's residency, each shard's LRU order, and the per-table
-// chains EvictTable walks (each names exactly the table's entries).
+// Used, every table's residency, each shard's recency ring, and the
+// per-table chains EvictTable walks (each names exactly the table's
+// entries and counts their bytes).
 func TestMatchesNaiveModel(t *testing.T) {
 	const tables = 6
 	c := New(numShards * 3000) // room for a handful of blocks per shard
@@ -243,7 +244,7 @@ func TestMatchesNaiveModel(t *testing.T) {
 		}
 		model[shardOf(k)] = lst
 	}
-	evicted := map[uint64]bool{} // evicted and not set since: no counter may remain
+	evicted := map[uint64]bool{} // evicted and not set since: no chain may remain
 	rng := rand.New(rand.NewSource(5))
 	for step := 0; step < 4000; step++ {
 		k := Key{Table: uint64(rng.Intn(tables)), Off: uint64(rng.Intn(40)) * 4096}
@@ -280,28 +281,36 @@ func TestMatchesNaiveModel(t *testing.T) {
 		resident := map[uint64]int64{}
 		for i := range model {
 			s := &c.shards[i]
-			el := s.ll.Front()
+			e := s.lru.older
 			chained := 0
 			for _, b := range model[i] {
-				if el == nil || el.Value.(*entry).key != b.key || len(el.Value.(*entry).data) != b.n {
+				if e == &s.lru || e.key != b.key || len(e.data) != b.n || e.older.newer != e {
 					t.Fatalf("step %d: shard %d departs from the model's recency order at %v", step, i, b.key)
 				}
-				el = el.Next()
+				e = e.older
 				used += int64(b.n)
 				resident[b.key.Table] += int64(b.n)
 			}
-			if el != nil || len(s.items) != len(model[i]) {
+			if e != &s.lru || s.lru.newer.older != &s.lru || len(s.items) != len(model[i]) {
 				t.Fatalf("step %d: shard %d holds %d entries, the model %d", step, i, len(s.items), len(model[i]))
 			}
-			for id, head := range s.tables {
-				if head == nil || head.prev != nil {
+			for id, ch := range s.tables {
+				if ch.head == nil || ch.head.prev != nil {
 					t.Fatalf("step %d: shard %d has a bad chain head for table %d", step, i, id)
 				}
-				for e := head; e != nil; e = e.next {
+				var bytes int64
+				for e := ch.head; e != nil; e = e.next {
 					if e.key.Table != id || s.items[e.key] != e || e.next != nil && e.next.prev != e {
 						t.Fatalf("step %d: shard %d, table %d: chain broken at %v", step, i, id, e.key)
 					}
 					chained++
+					bytes += int64(len(e.data))
+				}
+				if ch.bytes != bytes {
+					t.Fatalf("step %d: shard %d, table %d: the chain counts %d bytes and holds %d", step, i, id, ch.bytes, bytes)
+				}
+				if evicted[id] {
+					t.Fatalf("step %d: shard %d keeps a chain for table %d after EvictTable", step, i, id)
 				}
 			}
 			if chained != len(model[i]) {
@@ -314,9 +323,6 @@ func TestMatchesNaiveModel(t *testing.T) {
 		for id := uint64(0); id < tables; id++ {
 			if c.ResidentBytes(id) != resident[id] {
 				t.Fatalf("step %d: table %d resident %d, the model %d", step, id, c.ResidentBytes(id), resident[id])
-			}
-			if _, ok := c.resident.Load(id); ok && evicted[id] {
-				t.Fatalf("step %d: table %d keeps a residency counter after EvictTable", step, id)
 			}
 		}
 	}
@@ -336,8 +342,12 @@ func TestEvictTableVisitsOnlyItsOwnBlocks(t *testing.T) {
 		t.Fatalf("the cache holds %d bytes; the test wants it full", c.Used())
 	}
 	used := c.Used()
-	if visited := c.EvictTable(99); visited != 3 || c.Used() != used-3*4096 {
-		t.Fatalf("evicting a 3-block table visited %d entries and freed %d bytes", visited, used-c.Used())
+	if n := c.ResidentBytes(99); n != 3*4096 {
+		t.Fatalf("the 3-block table is resident with %d bytes", n)
+	}
+	if visited := c.EvictTable(99); visited != 3 || c.Used() != used-3*4096 || c.ResidentBytes(99) != 0 {
+		t.Fatalf("evicting a 3-block table visited %d entries, freed %d bytes and left %d resident",
+			visited, used-c.Used(), c.ResidentBytes(99))
 	}
 }
 

@@ -176,10 +176,11 @@ func (m *MemTable) Add(seq kv.Seq, kind kv.Kind, ukey, value []byte) {
 	m.count.Add(1)
 }
 
-// Get returns the newest record for ukey visible at snapshot snap.
+// Get returns the newest record for ukey visible at snapshot snap.  The
+// search key is built on the stack unless ukey is long.
 func (m *MemTable) Get(ukey []byte, snap kv.Seq) (value []byte, kind kv.Kind, seq kv.Seq, found bool) {
-	target := kv.MakeInternalKey(ukey, snap, kv.MaxKind)
-	n := m.findGreaterOrEqual(target)
+	var buf [64]byte
+	n := m.findGreaterOrEqual(kv.AppendInternalKey(buf[:0], ukey, snap, kv.MaxKind))
 	if n == nil {
 		return nil, 0, 0, false
 	}

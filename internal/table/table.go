@@ -82,9 +82,8 @@ type SeqMeta struct {
 	RawIndex []byte
 }
 
-// Table is an open MSTable.  Methods are safe for concurrent readers;
-// Append must be externally serialized with respect to readers of the
-// same Table (the engines guarantee this via their version sets).
+// Table is an open MSTable.  Methods are safe for any number of readers
+// beside one appender; the engines serialize appenders.
 type Table struct {
 	fs       vfs.FS
 	f        vfs.File
@@ -95,25 +94,16 @@ type Table struct {
 	bitsKey  int
 	compress bool
 
-	// mu guards seqs and dataEnd: the engines serialize appenders, but
-	// readers run concurrently with one appender, so the commit of a
-	// new sequence must be atomic with respect to them.  Existing
-	// SeqMeta entries are never modified, so readers may use a
-	// snapshot of the slice header without further locking.
-	mu      sync.RWMutex
-	dataEnd int64
-	seqs    []SeqMeta // oldest first; appends push back
-	// nseq publishes the committed len(seqs) for NumSeqs: a view over
-	// many tables captures each one's count, and a lock per table is
-	// what it cannot afford.
-	nseq atomic.Int32
+	// cur is the table as its last metadata commit describes it, stored
+	// only once that commit is written: a reader loads it and takes no
+	// lock, and never sees a sequence the file would not reopen with.
+	cur atomic.Pointer[committed]
 
-	// metaFloor belongs to the appender (like the write side of dataEnd):
-	// the start of the last committed metadata copy — the next copy is
-	// written strictly below it.  gen is the committed footer generation,
-	// stored by writeMeta once its footer slot is written, so a Verify
-	// running beside the appender knows the oldest generation the file
-	// may legitimately reopen at.
+	// metaFloor belongs to the appender: the start of the last committed
+	// metadata copy — the next copy is written strictly below it.  gen is
+	// the committed footer generation, stored by writeMeta once its footer
+	// slot is written, so a Verify running beside the appender knows the
+	// oldest generation the file may legitimately reopen at.
 	metaFloor int64
 	gen       atomic.Uint64
 
@@ -135,12 +125,16 @@ func (t *Table) Suspect() error {
 	return t.suspect
 }
 
-// snapshotSeqs returns the current sequence list for lock-free reads.
-func (t *Table) snapshotSeqs() []SeqMeta {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.seqs
+// committed is the content of one metadata commit: the sequences,
+// oldest first, and the end of their data.  It is never written once
+// published; an append publishes a successor.
+type committed struct {
+	seqs    []SeqMeta
+	dataEnd int64
 }
+
+// snapshotSeqs returns the committed sequence list.
+func (t *Table) snapshotSeqs() []SeqMeta { return t.cur.Load().seqs }
 
 // Options configure table creation and opening.
 type Options struct {
@@ -180,10 +174,12 @@ func Create(fs vfs.FS, name string, id uint64, capacity int64, opt Options) (*Ta
 	t := &Table{fs: fs, f: f, name: name, id: id, capacity: capacity,
 		cache: opt.Cache, bitsKey: opt.bits(), compress: opt.Compression,
 		metaFloor: capacity - tailLen}
-	if err := t.writeMeta(); err != nil {
+	empty := &committed{}
+	if err := t.writeMeta(empty); err != nil {
 		_ = f.Close()
 		return nil, err
 	}
+	t.cur.Store(empty)
 	return t, nil
 }
 
@@ -320,14 +316,13 @@ func Open(fs vfs.FS, name string, id uint64, opt Options) (*Table, error) {
 	}
 	t := &Table{fs: fs, f: f, name: name, id: id, capacity: d.size,
 		cache: opt.Cache, bitsKey: opt.bits(), compress: opt.Compression,
-		metaFloor: d.foot.metaOff, seqs: d.seqs, suspect: d.suspect}
+		metaFloor: d.foot.metaOff, suspect: d.suspect}
 	t.gen.Store(d.foot.gen)
-	t.nseq.Store(int32(len(t.seqs)))
-	for _, s := range t.seqs {
-		if end := int64(s.DataOff + s.DataLen); end > t.dataEnd {
-			t.dataEnd = end
-		}
+	c := &committed{seqs: d.seqs}
+	for _, s := range d.seqs {
+		c.dataEnd = max(c.dataEnd, int64(s.DataOff+s.DataLen))
 	}
+	t.cur.Store(c)
 	return t, nil
 }
 
@@ -340,14 +335,15 @@ func allZero(p []byte) bool {
 	return true
 }
 
-// writeMeta serializes all sequence metadata into fresh tail space
+// writeMeta serializes the sequence metadata of c into fresh tail space
 // below the last committed copy and commits it by writing the next
-// generation's footer slot.  Nothing the previous generation depends on
-// is touched, so a crash anywhere in here leaves the old commit intact.
-// Returns ErrNoSpace if metadata would collide with data.
-func (t *Table) writeMeta() error {
-	buf := make([]byte, 0, t.MetaSize())
-	for _, s := range t.seqs {
+// generation's footer slot; the caller publishes c once it returns nil.
+// Nothing the previous generation depends on is touched, so a crash
+// anywhere in here leaves the old commit intact.  Returns ErrNoSpace if
+// metadata would collide with data.
+func (t *Table) writeMeta(c *committed) error {
+	buf := make([]byte, 0, metaSize(c.seqs))
+	for _, s := range c.seqs {
 		buf = binary.AppendUvarint(buf, s.Entries)
 		buf = binary.AppendUvarint(buf, s.DataOff)
 		buf = binary.AppendUvarint(buf, s.DataLen)
@@ -357,7 +353,7 @@ func (t *Table) writeMeta() error {
 		buf = appendBytes(buf, s.RawIndex)
 	}
 	metaOff := t.metaFloor - int64(len(buf))
-	if metaOff < t.dataEnd {
+	if metaOff < c.dataEnd {
 		return ErrNoSpace
 	}
 	if len(buf) > 0 {
@@ -369,7 +365,7 @@ func (t *Table) writeMeta() error {
 	var foot [footerSlot]byte
 	binary.LittleEndian.PutUint64(foot[0:8], magic)
 	binary.LittleEndian.PutUint32(foot[8:12], version)
-	binary.LittleEndian.PutUint32(foot[12:16], uint32(len(t.seqs)))
+	binary.LittleEndian.PutUint32(foot[12:16], uint32(len(c.seqs)))
 	binary.LittleEndian.PutUint64(foot[16:24], uint64(metaOff))
 	binary.LittleEndian.PutUint64(foot[24:32], uint64(len(buf)))
 	binary.LittleEndian.PutUint32(foot[32:36], crc32.Checksum(buf, castagnoli))
@@ -442,21 +438,19 @@ func (t *Table) ID() uint64 { return t.id }
 // Capacity returns the fixed file capacity.
 func (t *Table) Capacity() int64 { return t.capacity }
 
-// NumSeqs reports how many sorted sequences the table holds, without
-// taking the table's lock.
-func (t *Table) NumSeqs() int { return int(t.nseq.Load()) }
+// NumSeqs reports how many sorted sequences the table holds.
+func (t *Table) NumSeqs() int { return len(t.snapshotSeqs()) }
 
 // DataSize reports the bytes of record blocks (excludes hole/metadata).
-func (t *Table) DataSize() int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.dataEnd
-}
+func (t *Table) DataSize() int64 { return t.cur.Load().dataEnd }
 
 // MetaSize reports the serialized metadata size.
-func (t *Table) MetaSize() int64 {
+func (t *Table) MetaSize() int64 { return metaSize(t.snapshotSeqs()) }
+
+// metaSize bounds the metadata writeMeta serializes for seqs.
+func metaSize(seqs []SeqMeta) int64 {
 	var n int64
-	for _, s := range t.snapshotSeqs() {
+	for _, s := range seqs {
 		n += int64(len(s.Smallest) + len(s.Largest) + len(s.Bloom) + len(s.RawIndex) + 24)
 	}
 	return n
@@ -659,18 +653,12 @@ func (t *Table) AppendFrom(it iterator.Iterator) (AppendResult, error) {
 	if meta.Entries == 0 {
 		return AppendResult{}, nil
 	}
-	t.mu.Lock()
-	t.seqs = append(t.seqs, meta)
-	t.dataEnd = off
-	t.mu.Unlock()
-	if err := t.writeMeta(); err != nil {
-		t.mu.Lock()
-		t.seqs = t.seqs[:len(t.seqs)-1]
-		t.dataEnd = int64(meta.DataOff)
-		t.mu.Unlock()
+	seqs := t.snapshotSeqs()
+	next := &committed{seqs: append(seqs[:len(seqs):len(seqs)], meta), dataEnd: off}
+	if err := t.writeMeta(next); err != nil {
 		return AppendResult{}, err
 	}
-	t.nseq.Store(int32(len(t.seqs)))
+	t.cur.Store(next)
 	return AppendResult{
 		Entries: meta.Entries,
 		Bytes:   int64(meta.DataLen) + t.MetaSize() + footerSlot,
@@ -834,7 +822,8 @@ var seqWriterPool = sync.Pool{New: func() any {
 // newSeqWriter returns a writer positioned at t's data end.
 func newSeqWriter(t *Table) *seqWriter {
 	w := seqWriterPool.Get().(*seqWriter)
-	w.t, w.startOff, w.off, w.entries = t, t.dataEnd, t.dataEnd, 0
+	end := t.DataSize()
+	w.t, w.startOff, w.off, w.entries = t, end, end, 0
 	w.hashes, w.smallest = w.hashes[:0], nil
 	return w
 }
@@ -914,25 +903,62 @@ func (w *seqWriter) finish() (SeqMeta, error) {
 	}, nil
 }
 
-// Get looks up the newest record for ukey visible at snapshot seq.
+// Probe carries one point read through the tables it visits: the user
+// key, its Bloom hash, taken once for every filter on the way, the seek
+// target at the read's snapshot, and the index and data readers each
+// sequence search points at its blocks.  Probes are recycled, so a read
+// served from the block cache allocates nothing.
+type Probe struct {
+	ukey      []byte
+	hash      uint32
+	target    []byte
+	idx, data block.Reader
+	ii, di    block.Iter
+}
+
+var probePool = sync.Pool{New: func() any { return new(Probe) }}
+
+// NewProbe starts a point read of ukey at snapshot snap.  Release ends
+// it; the values it found stay valid.
+func NewProbe(ukey []byte, snap kv.Seq) *Probe {
+	p := probePool.Get().(*Probe)
+	p.ukey, p.hash = ukey, bloom.Hash(ukey)
+	p.target = kv.AppendInternalKey(p.target[:0], ukey, snap, kv.MaxKind)
+	return p
+}
+
+// Release hands p back for another read.
+func (p *Probe) Release() {
+	p.ukey = nil
+	probePool.Put(p)
+}
+
+// Get looks up the newest record for ukey visible at snapshot snap: Find
+// with a probe of its own.
+func (t *Table) Get(ukey []byte, snap kv.Seq) (val []byte, kind kv.Kind, seq kv.Seq, found bool, err error) {
+	p := NewProbe(ukey, snap)
+	defer p.Release()
+	return t.Find(p)
+}
+
+// Find looks up the newest record of p's key visible at p's snapshot.
 // It searches sequences newest-first, consulting Bloom filters, and
 // stops at the first hit (Sec. 5.2).  The returned value aliases cache
 // or freshly-read memory and must be copied if retained.
-// found=false means no sequence holds any visible version of ukey.
-func (t *Table) Get(ukey []byte, snap kv.Seq) (val []byte, kind kv.Kind, seq kv.Seq, found bool, err error) {
-	target := kv.MakeInternalKey(ukey, snap, kv.MaxKind)
+// found=false means no sequence holds any visible version of the key.
+func (t *Table) Find(p *Probe) (val []byte, kind kv.Kind, seq kv.Seq, found bool, err error) {
 	seqs := t.snapshotSeqs()
 	for i := len(seqs) - 1; i >= 0; i-- {
 		s := &seqs[i]
-		if s.Entries == 0 || !s.Bloom.MayContain(ukey) {
+		if s.Entries == 0 || !s.Bloom.MayContainHash(p.hash) {
 			continue
 		}
 		// Quick range rejection on user keys.
-		if kv.CompareUser(ukey, kv.UserKey(s.Smallest)) < 0 ||
-			kv.CompareUser(ukey, kv.UserKey(s.Largest)) > 0 {
+		if kv.CompareUser(p.ukey, kv.UserKey(s.Smallest)) < 0 ||
+			kv.CompareUser(p.ukey, kv.UserKey(s.Largest)) > 0 {
 			continue
 		}
-		v, k, sq, ok, err := t.getInSeq(s, ukey, target)
+		v, k, sq, ok, err := t.getInSeq(s, p)
 		if err != nil {
 			return nil, 0, 0, false, err
 		}
@@ -943,17 +969,16 @@ func (t *Table) Get(ukey []byte, snap kv.Seq) (val []byte, kind kv.Kind, seq kv.
 	return nil, 0, 0, false, nil
 }
 
-func (t *Table) getInSeq(s *SeqMeta, ukey, target []byte) ([]byte, kv.Kind, kv.Seq, bool, error) {
-	idx, err := block.NewReader(s.RawIndex, kv.CompareInternal)
-	if err != nil {
+func (t *Table) getInSeq(s *SeqMeta, p *Probe) ([]byte, kv.Kind, kv.Seq, bool, error) {
+	if err := p.idx.Init(s.RawIndex, kv.CompareInternal); err != nil {
 		return nil, 0, 0, false, t.metaCorrupt(err, "index block malformed")
 	}
-	ii := idx.Iter()
-	ii.Seek(target)
-	if !ii.Valid() {
-		return nil, 0, 0, false, t.wrapIterErr(ii.Err())
+	p.ii.Reset(&p.idx)
+	p.ii.Seek(p.target)
+	if !p.ii.Valid() {
+		return nil, 0, 0, false, t.wrapIterErr(p.ii.Err())
 	}
-	off, length, err := t.blockHandle(ii.Value())
+	off, length, err := t.blockHandle(p.ii.Value())
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
@@ -961,23 +986,22 @@ func (t *Table) getInSeq(s *SeqMeta, ukey, target []byte) ([]byte, kv.Kind, kv.S
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
-	br, err := block.NewReader(data, kv.CompareInternal)
-	if err != nil {
+	if err := p.data.Init(data, kv.CompareInternal); err != nil {
 		return nil, 0, 0, false, t.blockCorrupt(off, err, "block structure invalid despite valid checksum")
 	}
-	bi := br.Iter()
-	bi.Seek(target)
-	if !bi.Valid() {
-		return nil, 0, 0, false, t.wrapIterErr(bi.Err())
+	p.di.Reset(&p.data)
+	p.di.Seek(p.target)
+	if !p.di.Valid() {
+		return nil, 0, 0, false, t.wrapIterErr(p.di.Err())
 	}
-	gotUser, gotSeq, gotKind, ok := kv.ParseInternalKey(bi.Key())
+	gotUser, gotSeq, gotKind, ok := kv.ParseInternalKey(p.di.Key())
 	if !ok {
 		return nil, 0, 0, false, t.blockCorrupt(off, ErrCorrupt, "record key malformed")
 	}
-	if !bytes.Equal(gotUser, ukey) {
+	if !bytes.Equal(gotUser, p.ukey) {
 		return nil, 0, 0, false, nil
 	}
-	return bi.Value(), gotKind, gotSeq, true, nil
+	return p.di.Value(), gotKind, gotSeq, true, nil
 }
 
 // metaCorrupt attributes a metadata/index-structure failure to this
@@ -1016,11 +1040,12 @@ func (t *Table) seqIterOf(seqs []SeqMeta, i int, fill bool) iterator.Iterator {
 	if s.Entries == 0 {
 		return iterator.Empty{}
 	}
-	idx, err := block.NewReader(s.RawIndex, kv.CompareInternal)
-	if err != nil {
+	it := &seqIter{t: t, bounds: *s, fill: fill}
+	if err := it.idxR.Init(s.RawIndex, kv.CompareInternal); err != nil {
 		return iterator.Failed{Cause: t.metaCorrupt(err, "index block malformed")}
 	}
-	return &seqIter{t: t, bounds: *s, idx: idx.Iter(), fill: fill}
+	it.idx.Reset(&it.idxR)
+	return it
 }
 
 // NewIter returns an iterator merging every sequence, newest winning
@@ -1075,13 +1100,15 @@ func WindowsOnLoan() int64 { return windowsOut.Load() }
 // Block fetches that continue sequentially from the previous fetch are
 // served through a read-ahead window the iterator borrows from
 // windowPool at its first physical read, refills in place, and hands
-// back in Close.
+// back in Close.  Its readers are its own: each block it loads is read
+// by the one data reader, into the one key storage.
 type seqIter struct {
-	t      *Table
-	bounds SeqMeta
-	idx    *block.Iter
-	cur    *block.Iter
-	err    error
+	t          *Table
+	bounds     SeqMeta
+	idxR, curR block.Reader
+	idx, cur   block.Iter
+	inBlock    bool // cur is positioned in a loaded block
+	err        error
 	// fill says whether blocks read from the device are inserted into
 	// the cache: yes for a user's scan, no for the one pass of a merge.
 	fill bool
@@ -1164,8 +1191,8 @@ func (s *seqIter) fetchBlock(off, length uint64) ([]byte, error) {
 }
 
 func (s *seqIter) loadBlock() bool {
+	s.inBlock = false
 	if !s.idx.Valid() {
-		s.cur = nil
 		return false
 	}
 	off, length, err := s.t.blockHandle(s.idx.Value())
@@ -1178,12 +1205,12 @@ func (s *seqIter) loadBlock() bool {
 		s.err = err
 		return false
 	}
-	br, err := block.NewReader(data, kv.CompareInternal)
-	if err != nil {
+	if err := s.curR.Init(data, kv.CompareInternal); err != nil {
 		s.err = s.t.blockCorrupt(off, err, "block structure invalid despite valid checksum")
 		return false
 	}
-	s.cur = br.Iter()
+	s.cur.Reset(&s.curR)
+	s.inBlock = true
 	return true
 }
 
@@ -1204,14 +1231,12 @@ func (s *seqIter) Seek(target []byte) {
 	if s.loadBlock() {
 		s.cur.Seek(target)
 		s.skipEmptyForward()
-	} else {
-		s.cur = nil
 	}
 }
 
 // Next implements Iterator.
 func (s *seqIter) Next() {
-	if s.cur == nil || s.err != nil {
+	if !s.inBlock || s.err != nil {
 		return
 	}
 	s.cur.Next()
@@ -1220,14 +1245,13 @@ func (s *seqIter) Next() {
 
 // skipEmptyForward advances to the next non-exhausted block.
 func (s *seqIter) skipEmptyForward() {
-	for s.cur != nil && !s.cur.Valid() && s.err == nil {
+	for s.inBlock && !s.cur.Valid() && s.err == nil {
 		if err := s.cur.Err(); err != nil {
 			s.err = err
 			return
 		}
 		s.idx.Next()
 		if !s.loadBlock() {
-			s.cur = nil
 			return
 		}
 		s.cur.First()
@@ -1235,11 +1259,11 @@ func (s *seqIter) skipEmptyForward() {
 }
 
 // Valid implements Iterator.
-func (s *seqIter) Valid() bool { return s.err == nil && s.cur != nil && s.cur.Valid() }
+func (s *seqIter) Valid() bool { return s.err == nil && s.inBlock && s.cur.Valid() }
 
 // Key implements Iterator.
 func (s *seqIter) Key() []byte {
-	if s.cur == nil {
+	if !s.inBlock {
 		return nil
 	}
 	return s.cur.Key()
@@ -1247,7 +1271,7 @@ func (s *seqIter) Key() []byte {
 
 // Value implements Iterator.
 func (s *seqIter) Value() []byte {
-	if s.cur == nil {
+	if !s.inBlock {
 		return nil
 	}
 	return s.cur.Value()
@@ -1260,7 +1284,7 @@ func (s *seqIter) Err() error { return s.t.wrapIterErr(s.err) }
 // iterator and every key and value it returned are invalid from here
 // on; closing again does nothing.
 func (s *seqIter) Close() error {
-	s.cur, s.ra = nil, nil
+	s.inBlock, s.ra = false, nil
 	if s.win != nil {
 		if invariants.Enabled {
 			invariants.Poison(s.win[:])
@@ -1279,14 +1303,12 @@ func (s *seqIter) Last() {
 	if s.loadBlock() {
 		s.cur.Last()
 		s.skipEmptyBackward()
-	} else {
-		s.cur = nil
 	}
 }
 
 // Prev implements iterator.ReverseIterator.
 func (s *seqIter) Prev() {
-	if s.cur == nil || s.err != nil {
+	if !s.inBlock || s.err != nil {
 		return
 	}
 	s.cur.Prev()
@@ -1306,7 +1328,6 @@ func (s *seqIter) SeekForPrev(target []byte) {
 		return
 	}
 	if !s.loadBlock() {
-		s.cur = nil
 		return
 	}
 	s.cur.SeekForPrev(target)
@@ -1316,14 +1337,13 @@ func (s *seqIter) SeekForPrev(target []byte) {
 // skipEmptyBackward steps to the previous block while the current one
 // is exhausted.
 func (s *seqIter) skipEmptyBackward() {
-	for s.cur != nil && !s.cur.Valid() && s.err == nil {
+	for s.inBlock && !s.cur.Valid() && s.err == nil {
 		if err := s.cur.Err(); err != nil {
 			s.err = err
 			return
 		}
 		s.idx.Prev()
 		if !s.loadBlock() {
-			s.cur = nil
 			return
 		}
 		s.cur.Last()

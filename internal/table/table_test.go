@@ -627,3 +627,71 @@ func TestSeqIterReverse(t *testing.T) {
 		t.Fatalf("merged next after prev: %q", kv.UserKey(m.Key()))
 	}
 }
+
+// hookFS runs onWrite before every WriteAt to a file it created; an error
+// from onWrite fails the write.
+type hookFS struct {
+	vfs.FS
+	onWrite func(off int64) error
+}
+
+func (h *hookFS) Create(name string) (vfs.File, error) {
+	f, err := h.FS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return hookFile{f, h}, nil
+}
+
+type hookFile struct {
+	vfs.File
+	fs *hookFS
+}
+
+func (f hookFile) WriteAt(p []byte, off int64) (int, error) {
+	if f.fs.onWrite != nil {
+		if err := f.fs.onWrite(off); err != nil {
+			return 0, err
+		}
+	}
+	return f.File.WriteAt(p, off)
+}
+
+// A sequence is readable once the metadata commit naming it is written,
+// and not before: a Get beside the footer write that commits it does not
+// find its keys, and when that write fails the append returns the error
+// and the sequence never appears.
+func TestAppendPublishesAfterCommit(t *testing.T) {
+	fs := &hookFS{FS: vfs.NewMemFS()}
+	tb := mustCreate(t, fs, "1.mst")
+	defer tb.Close()
+	if _, err := tb.Append(kvIter(10, "apple")); err != nil {
+		t.Fatal(err)
+	}
+	failed := errors.New("footer write failed")
+	var sawUncommitted bool
+	fs.onWrite = func(off int64) error {
+		if off < testCap-tailLen {
+			return nil // data and metadata: only the footer commits
+		}
+		_, _, _, found, err := tb.Get([]byte("banana"), kv.MaxSeq)
+		sawUncommitted = found || err != nil
+		return failed
+	}
+	if _, err := tb.Append(kvIter(11, "banana")); !errors.Is(err, failed) {
+		t.Fatalf("append over a failing footer write: %v", err)
+	}
+	fs.onWrite = nil
+	if sawUncommitted {
+		t.Fatal("a Get during the commit read the sequence it commits")
+	}
+	if _, _, _, found, _ := tb.Get([]byte("banana"), kv.MaxSeq); found || tb.NumSeqs() != 1 {
+		t.Fatalf("after the failed commit: banana found %v, %d sequences", found, tb.NumSeqs())
+	}
+	if _, err := tb.Append(kvIter(12, "cherry")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, found, _ := tb.Get([]byte("cherry"), kv.MaxSeq); !found || tb.NumSeqs() != 2 {
+		t.Fatalf("the next append: cherry found %v, %d sequences", found, tb.NumSeqs())
+	}
+}

@@ -281,3 +281,58 @@ func TestMergeReadAllocs(t *testing.T) {
 		t.Errorf("a merge of %d bytes allocates %.3f bytes per byte it reads; want <= 0.15", inputBytes, perByte)
 	}
 }
+
+// The allocation gate of a short scan, the read appends make dearer: a
+// Seek and 50 Next over a node of four sequences, its blocks cached, from
+// the iterator's opening to its Close.  Each sequence's iterator reads
+// every block it loads with its own index and data reader into its own
+// key storage (45 allocations when each block load made a reader, a
+// restart array and an iterator); what is left is an iterator per
+// sequence and the heaps that merge them.
+func TestShortScanAllocs(t *testing.T) {
+	if invariants.Enabled {
+		t.Skip("assertions box their arguments")
+	}
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops what is put back")
+	}
+	s, err := Open(Config{FS: vfs.NewMemFS(), Dir: "db", MinLevel: 1, Cache: cache.New(8 << 20)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	keys := func(from int) []string {
+		var out []string
+		for i := from; i < 2000; i += 4 {
+			out = append(out, fmt.Sprintf("k%05d", i))
+		}
+		return out
+	}
+	node := place(t, s, 1, run(1, keys(0)...))
+	s.Mu.Lock()
+	for i := 1; i < 4; i++ {
+		if _, err := node.Append(run(kv.Seq(1+i), keys(i)...)); err != nil {
+			t.Fatal(err)
+		}
+		s.Appended(1, node)
+	}
+	s.Mu.Unlock()
+	target := seekKey("k01000")
+	scan := func() {
+		it := s.NewIter()
+		it.Seek(target)
+		for i := 0; i < 50; i++ {
+			it.Next()
+		}
+		if !it.Valid() || string(kv.UserKey(it.Key())) != "k01050" {
+			t.Fatalf("the scan ended at %q", it.Key())
+		}
+		it.Close()
+	}
+	scan() // fills the cache
+	n := testing.AllocsPerRun(100, scan)
+	t.Logf("Seek + 50 Next over a node of 4 sequences: %.0f allocations", n)
+	if n > 21 {
+		t.Errorf("Seek + 50 Next over a node of 4 sequences allocates %.0f times; want <= 21", n)
+	}
+}

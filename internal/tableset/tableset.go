@@ -19,6 +19,7 @@
 package tableset
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -106,24 +107,55 @@ func (tb *Table) Range() kv.Range { return tb.rng }
 // publishes a successor that shares the levels it left alone.
 type version struct {
 	levels [][]*Table
+	// fences holds, beside each level >= 1, the fence of every placement's
+	// range high end: what find searches.  A level's fences are rebuilt
+	// where a change copies the level and shared with it everywhere else.
+	fences [][]uint64
 	num    uint64       // versions are numbered in the order published
 	refs   atomic.Int32 // one for being current, one per reader
 }
 
 // newVersion returns an unpublished successor of v holding v's levels.
 func newVersion(v *version) *version {
-	nv := &version{levels: slices.Clone(v.levels), num: v.num + 1}
+	nv := &version{levels: slices.Clone(v.levels), fences: slices.Clone(v.fences), num: v.num + 1}
 	nv.refs.Store(1)
 	return nv
 }
 
-// find returns the table of lvl, a level >= 1, whose range contains ukey.
-func find(lvl []*Table, ukey []byte) *Table {
-	idx := sort.Search(len(lvl), func(j int) bool {
-		return kv.CompareUser(ukey, lvl[j].rng.Hi) <= 0
-	})
-	if idx < len(lvl) && lvl[idx].rng.Contains(ukey) {
-		return lvl[idx]
+// fence is the first 8 bytes of a key, big-endian and zero-padded: keys
+// in bytewise order have fences in the same order, or equal ones.
+func fence(key []byte) uint64 {
+	var b [8]byte
+	copy(b[:], key)
+	return binary.BigEndian.Uint64(b[:])
+}
+
+// fencesOf returns the fences of lvl's range high ends.
+func fencesOf(lvl []*Table) []uint64 {
+	fences := make([]uint64, len(lvl))
+	for j, tb := range lvl {
+		fences[j] = fence(tb.rng.Hi)
+	}
+	return fences
+}
+
+// find returns the table of lvl, a level >= 1 with the given fences,
+// whose range contains ukey.  It binary-searches the fences for the
+// first range ending at or above ukey and compares full keys only where
+// a fence ties with ukey's.
+func find(lvl []*Table, fences []uint64, ukey []byte) *Table {
+	f := fence(ukey)
+	i, j := 0, len(fences)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if fences[h] < f || fences[h] == f && kv.CompareUser(ukey, lvl[h].rng.Hi) > 0 {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	if i < len(lvl) && !lvl[i].rng.Empty() && kv.CompareUser(lvl[i].rng.Lo, ukey) <= 0 {
+		return lvl[i]
 	}
 	return nil
 }
@@ -216,6 +248,12 @@ func (s *Set) unpin(v *version) {
 // publish makes nv, built from the current version, the current one.  The
 // tables in dropped are those nv no longer names.  Caller holds Mu.
 func (s *Set) publish(nv *version, dropped ...*Table) {
+	if invariants.Enabled {
+		for l := 1; l < len(nv.levels); l++ {
+			invariants.Assertf(slices.Equal(nv.fences[l], fencesOf(nv.levels[l])),
+				"version %d: the fences of level %d are not its range high ends", nv.num, l)
+		}
+	}
 	old := s.cur.Load()
 	s.vmu.Lock()
 	s.live = append(s.live, nv.num)
@@ -269,7 +307,7 @@ func load(cfg Config) (s *Set, existed bool, err error) {
 	s = &Set{cfg: cfg, horizon: kv.MaxSeq, nextFile: 1, live: []uint64{1}}
 	slots := max(cfg.MaxLevels, cfg.MinLevel+1)
 	if !cfg.FS.Exists(s.manifestPath()) {
-		s.cur.Store(newVersion(&version{levels: make([][]*Table, slots)}))
+		s.cur.Store(newVersion(&version{levels: make([][]*Table, slots), fences: make([][]uint64, slots)}))
 		return s, false, nil
 	}
 	st, dropped, err := manifest.Replay(cfg.FS, s.manifestPath())
@@ -312,7 +350,11 @@ func load(cfg Config) (s *Set, existed bool, err error) {
 			levels[lvl] = insert(levels[lvl], lvl, tb)
 		}
 	}
-	s.cur.Store(newVersion(&version{levels: levels}))
+	fences := make([][]uint64, slots)
+	for lvl := 1; lvl < slots; lvl++ {
+		fences[lvl] = fencesOf(levels[lvl])
+	}
+	s.cur.Store(newVersion(&version{levels: levels, fences: fences}))
 	return s, true, nil
 }
 
@@ -433,15 +475,16 @@ func (s *Set) Level(i int) []*Table { return s.cur.Load().levels[i] }
 // Grow opens a new empty deepest level and records the new level count.
 func (s *Set) Grow() error {
 	nv := newVersion(s.cur.Load())
-	nv.levels = append(nv.levels, nil)
+	nv.levels, nv.fences = append(nv.levels, nil), append(nv.fences, nil)
 	s.publish(nv)
 	return s.commit(&manifest.Edit{NumLevels: len(nv.levels) - s.cfg.MinLevel, SetLevels: true})
 }
 
 // Appended publishes the sequence an in-place append has just added to
 // tb, a table of level: new readers see the table with it, those that
-// pinned an earlier version without.  No edit goes to the manifest; the
-// append committed in the table's own metadata.
+// pinned an earlier version without.  No range changes, so the level's
+// fences are shared.  No edit goes to the manifest; the append committed
+// in the table's own metadata.
 func (s *Set) Appended(level int, tb *Table) {
 	nv := newVersion(s.cur.Load())
 	lvl := slices.Clone(nv.levels[level])
@@ -494,7 +537,8 @@ func (c *Change) PlaceAs(level int, tb *Table, rng kv.Range) *Change {
 //  1. a successor of the current version is built: the drops leave copies
 //     of their levels and each arrival joins the copy of its level, with
 //     its range and the sequence count its file has now, where the level's
-//     order puts it (file number on level 0, range low end below);
+//     order puts it (file number on level 0, range low end below); each
+//     copied level >= 1 gets its fences, every other level keeps its own;
 //  2. manifest: one edit — the drops as deletions and the arrivals as
 //     additions, both in the order stated, plus the file counter if Build
 //     moved it since the manifest last named it — is appended and synced;
@@ -546,6 +590,11 @@ func (s *Set) Apply(c *Change) error {
 		tb := &Table{file: p.tb.file, rng: p.rng, nseq: p.tb.NumSeqs()}
 		nv.levels[p.level] = insert(own(p.level), p.level, tb)
 		e.Added = append(e.Added, record(p.level, tb))
+	}
+	for level := 1; level < len(nv.levels); level++ {
+		if copied&(1<<level) != 0 {
+			nv.fences[level] = fencesOf(nv.levels[level])
+		}
 	}
 	if s.nextFileMoved {
 		e.NextFile, e.SetNextFile = s.nextFile, true
@@ -687,22 +736,24 @@ func (s *Set) BuildRuns(it iterator.Iterator, limit, floorCapacity int64) ([]*Ta
 // Reads and reporting: none of these takes Mu.
 
 // Get finds the newest version of ukey visible at snapshot snap: level 0
-// tables newest first, then at most one table per deeper level, and
-// within a table its sequences newest first behind their Bloom filters
-// (Sec. 5.2).
+// tables newest first, then at most one table per deeper level, found by
+// a search of its fences, and within a table its sequences newest first
+// behind their Bloom filters, probed with one hash of ukey (Sec. 5.2).
 func (s *Set) Get(ukey []byte, snap kv.Seq) ([]byte, kv.Kind, kv.Seq, bool, error) {
 	v := s.pin()
 	defer s.unpin(v)
+	p := table.NewProbe(ukey, snap)
+	defer p.Release()
 	for l0, i := v.levels[0], len(v.levels[0])-1; i >= 0; i-- {
 		if l0[i].rng.Contains(ukey) {
-			if val, k, sq, found, err := l0[i].Get(ukey, snap); found || err != nil {
+			if val, k, sq, found, err := l0[i].Find(p); found || err != nil {
 				return val, k, sq, found, err
 			}
 		}
 	}
-	for _, lvl := range v.levels[1:] {
-		if tb := find(lvl, ukey); tb != nil {
-			if val, k, sq, found, err := tb.Get(ukey, snap); found || err != nil {
+	for l := 1; l < len(v.levels); l++ {
+		if tb := find(v.levels[l], v.fences[l], ukey); tb != nil {
+			if val, k, sq, found, err := tb.Find(p); found || err != nil {
 				return val, k, sq, found, err
 			}
 		}

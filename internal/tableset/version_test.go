@@ -7,6 +7,7 @@ import (
 
 	"iamdb/internal/cache"
 	"iamdb/internal/invariants"
+	"iamdb/internal/kv"
 	"iamdb/internal/vfs"
 )
 
@@ -162,5 +163,56 @@ func TestPinAndNewIterAllocs(t *testing.T) {
 	t.Logf("NewIter + Close: %.0f allocations over 12 tables, %.0f over 252", few, many)
 	if many != few || many > 12 {
 		t.Errorf("NewIter + Close allocates %.0f times over 12 tables and %.0f over 252; want the same, and <= 4 per level", few, many)
+	}
+}
+
+// The allocation gate of a point read: a Get served from cached blocks,
+// through a table of several sequences and past levels whose tables miss,
+// allocates nothing (the fence search, the one hash, the probe's readers
+// and the version pin all reuse what they have).
+func TestSetGetAllocs(t *testing.T) {
+	if invariants.Enabled {
+		t.Skip("assertions box their arguments")
+	}
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops what is put back")
+	}
+	s, err := Open(Config{FS: vfs.NewMemFS(), Dir: "db", MinLevel: 1, MaxLevels: 4, Cache: cache.New(1 << 20)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 30; i++ {
+		place(t, s, 1+i%3, run(1, fmt.Sprintf("k%05d", 2*i)))
+	}
+	node := place(t, s, 3, run(2, "m0", "m2", "m4"))
+	s.Mu.Lock()
+	for seq := kv.Seq(3); seq < 6; seq++ {
+		if _, err := node.Append(run(seq, "m1", "m3")); err != nil {
+			t.Fatal(err)
+		}
+		s.Appended(3, node)
+	}
+	s.Mu.Unlock()
+	for _, k := range []string{"m2", "m3", "k00020"} {
+		if get(t, s, k) == "" {
+			t.Fatalf("%s not found", k)
+		}
+		key := []byte(k)
+		if n := testing.AllocsPerRun(100, func() {
+			if _, _, _, found, err := s.Get(key, kv.MaxSeq); !found || err != nil {
+				t.Fatal(found, err)
+			}
+		}); n != 0 {
+			t.Errorf("Get(%s) from cached blocks allocates %.0f times", k, n)
+		}
+	}
+	absent := []byte("m25") // inside the node's range, in none of its filters' keys
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, _, found, err := s.Get(absent, kv.MaxSeq); found || err != nil {
+			t.Fatal(found, err)
+		}
+	}); n != 0 {
+		t.Errorf("a Get that misses allocates %.0f times", n)
 	}
 }

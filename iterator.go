@@ -28,7 +28,10 @@ type Iterator struct {
 	// pointer that Value resolves lazily — scans that never call Value on
 	// a key pay nothing for its large value — through the store that
 	// owns the key.
-	vkind    kv.Kind
+	vkind kv.Kind
+	// shadow is advance's copy of the user key whose newest visible
+	// version it consumed, kept between calls for its storage.
+	shadow   []byte
 	valid    bool
 	err      error
 	backward bool
@@ -120,10 +123,8 @@ func (it *Iterator) Next() {
 // above the snapshot, shadowed versions, tombstones, and skipKey.
 func (it *Iterator) advance(skipKey []byte) {
 	it.valid = false
-	var shadowed []byte // user key whose newest visible version was consumed
-	if skipKey != nil {
-		shadowed = append([]byte(nil), skipKey...)
-	}
+	shadowed := skipKey != nil
+	it.shadow = append(it.shadow[:0], skipKey...)
 	for it.in.Valid() {
 		u, seq, kind, ok := kv.ParseInternalKey(it.in.Key())
 		if !ok {
@@ -134,12 +135,12 @@ func (it *Iterator) advance(skipKey []byte) {
 			it.in.Next()
 			continue
 		}
-		if shadowed != nil && kv.CompareUser(u, shadowed) == 0 {
+		if shadowed && kv.CompareUser(u, it.shadow) == 0 {
 			it.in.Next()
 			continue
 		}
 		if kind == kv.KindDelete {
-			shadowed = append(shadowed[:0], u...)
+			shadowed, it.shadow = true, append(it.shadow[:0], u...)
 			it.in.Next()
 			continue
 		}

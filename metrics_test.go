@@ -313,4 +313,36 @@ func TestHotPathAllocations(t *testing.T) {
 	if nilPut > 8 {
 		t.Errorf("1-store Put allocates %.2f per op, want <= 8", nilPut)
 	}
+
+	// A GetInto served from a flushed table with its block cached
+	// allocates nothing: not the memtables' search keys, not the table's
+	// seek target, readers or lock, not the level search.
+	if raceEnabled {
+		return // sync.Pool drops what is put back
+	}
+	opts := smallOpts(IAM, vfs.NewMemFS())
+	opts.MemtableSize = 64 << 20
+	db, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	key, val := []byte("key-000042"), make([]byte, 64)
+	if err := db.Put(key, val); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, 0, len(val))
+	if _, err := db.GetInto(key, dst); err != nil { // caches the block
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(500, func() {
+		if _, err := db.GetInto(key, dst); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("GetInto from a cached table block allocates %.2f per op, want 0", n)
+	}
 }

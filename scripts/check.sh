@@ -54,9 +54,20 @@ go test -run TestBuildRunsAllocs -count=1 ./internal/tableset/
 # Nor may reading the inputs of a merge: no cache fill, pooled read-ahead
 # windows and gather, at most 0.15 bytes allocated per byte read.
 go test -run TestMergeReadAllocs -count=1 ./internal/tableset/
-# A read pins a version of the table set without allocating, and an
-# iterator costs a child per level however many tables the levels hold.
-go test -run TestPinAndNewIterAllocs -count=1 ./internal/tableset/
+# A read pins a version of the table set without allocating, an iterator
+# costs a child per level however many tables the levels hold, a point
+# read served from cached blocks allocates nothing (TestSetGetAllocs; and
+# TestHotPathAllocations above, through the DB), and a short scan over a
+# node of several sequences stays at its pinned count.
+go test -run 'TestPinAndNewIterAllocs|TestSetGetAllocs|TestShortScanAllocs' -count=1 ./internal/tableset/
+
+echo "== examples"
+# Each example opens a store in a temp directory of its own, drives it and
+# removes the directory: exit 0, and the tree check at the end sees
+# nothing left behind.
+for ex in examples/*/; do
+    go run "./$ex" >/dev/null
+done
 
 echo "== commit-pipeline bench smoke"
 # iambench runs three experiments here and below — concurrency, shards,
