@@ -13,14 +13,12 @@
 // figure7a figure7b figure7c figure8 figure9 figure10 tuning
 // stability kvsep concurrency shards
 //
-// All experiments except three run their background work inline on the
+// All experiments except two run their background work inline on the
 // virtual-disk harness and repeat to the byte: `go test
 // ./internal/harness` compares each table with its golden under
-// testdata/small.  The three: `kvsep`'s separated rows keep real workers
-// for the value-log collector, which has no inline driver, so those
-// cells move a little between runs; `concurrency` and `shards` measure
-// the commit pipeline(s) in wall-clock time, so their numbers vary with
-// the host.
+// testdata/small.  The two, `concurrency` and `shards`, measure the
+// commit pipeline(s) in wall-clock time, so their numbers vary with the
+// host.
 package main
 
 import (

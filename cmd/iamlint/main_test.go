@@ -290,21 +290,21 @@ func TestEveryPassCatchesARealMutation(t *testing.T) {
 			"\tif _, err := w.t.f.WriteAt(enc, w.off); err != nil {\n\t\treturn err\n\t}\n",
 			"\tw.t.f.WriteAt(enc, w.off)\n",
 			"WriteAt"},
-		// A worker is started that Close does not wait for.
-		{"goexit", "store.go",
-			"\tst.wg.Add(1)\n\tgo st.flushWorker()\n",
-			"\tst.wg.Add(1)\n\tgo st.flushWorker()\n\tgo st.drainImm()\n",
-			"go st.drainImm()"},
+		// A step is started on a goroutine Close does not wait for.
+		{"goexit", "sched.go",
+			"\t\ts.st.wg.Add(1)\n\t\tgo func() {\n",
+			"\t\tgo s.st.drainStep()\n\t\ts.st.wg.Add(1)\n\t\tgo func() {\n",
+			"go s.st.drainStep()"},
 		// The tree's flush reads the wall clock.
 		{"", "internal/core/flush.go", "\t\"slices\"\n", "\t\"slices\"\n\t\"time\"\n", ""},
 		{"determinism", "internal/core/flush.go",
 			"\tdefer t.Mu.Unlock()\n",
 			"\tdefer t.Mu.Unlock()\n\t_ = time.Now()\n",
 			"time.Now()"},
-		// The flush worker writes a field of the published read state.
+		// The drain step writes a field of the published read state.
 		{"atomicpub", "store.go",
-			"\t\tst.imm = nil\n\t\tst.publishStateLocked()\n",
-			"\t\tst.imm = nil\n\t\tst.state.Load().imm = nil\n\t\tst.publishStateLocked()\n",
+			"\tst.imm = nil\n\tst.publishStateLocked()\n",
+			"\tst.imm = nil\n\tst.state.Load().imm = nil\n\tst.publishStateLocked()\n",
 			"st.state.Load().imm = nil"},
 		// Apply writes a level of the version readers hold instead of
 		// its successor's copy.

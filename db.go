@@ -51,7 +51,8 @@ var (
 // compaction work fails.  It wraps the underlying cause, so
 // errors.Is/As see through it.
 type BackgroundError struct {
-	// Op names the failed operation ("flush" or "compact").
+	// Op names the failed operation: a background step ("flush",
+	// "compact", "gc") or a commit-path append ("wal", "vlog").
 	Op string
 	// Err is the underlying error.
 	Err error
@@ -215,7 +216,7 @@ func Open(dir string, opt *Options) (*DB, error) {
 	// Workers start only now: they pull their drop horizon from it.
 	db.seqr = shard.NewSequencer(maxSeq)
 	for _, st := range db.stores {
-		st.startWorkers()
+		st.bg.start()
 	}
 	if o.DebugAddr != "" {
 		if err := db.startDebugServer(o.DebugAddr); err != nil {
@@ -297,13 +298,11 @@ func (db *DB) viewsOpen() bool {
 	return len(db.snaps) != 0
 }
 
-// kickVlogGC nudges every value-log collector: deferred segment
-// deletions wait for the last open view.
+// kickVlogGC wakes every store's GC step: deferred segment deletions
+// wait for the last open view.
 func (db *DB) kickVlogGC() {
 	for _, st := range db.stores {
-		if st.vs != nil {
-			st.vs.kick()
-		}
+		st.bg.wake(stepGC)
 	}
 }
 
@@ -354,7 +353,7 @@ func (db *DB) Write(b *Batch) error {
 // lookup of store.getAt relies on it), and a value-log GC rewrite is
 // always checked against every write sequenced before it
 // (valueStore.filterGCBatch).  And inline background work
-// (Options.InlineBackground) runs after End: with nothing concurrently
+// (sched.afterCommit) runs after End: with nothing concurrently
 // invisible the horizon then covers the records just committed, and
 // merges drop exactly what an unclamped horizon would.
 //
@@ -384,15 +383,15 @@ func (db *DB) write(b *Batch) error {
 		// covers what actually failed.
 		op := &ops[i]
 		var err error
-		op.bg, err = op.st.commit(op)
+		op.rotated, err = op.st.commit(op)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	db.seqr.End(t)
 	for i := range ops {
-		if ops[i].bg {
-			ops[i].st.runInlineBG()
+		if ops[i].rotated {
+			ops[i].st.bg.afterCommit()
 		}
 	}
 	if firstErr != nil {
@@ -529,7 +528,7 @@ func (db *DB) Close() error {
 
 // Resume clears background-error state once the operator believes the
 // underlying fault is gone: the engines rewrite their manifests, the
-// stores leave read-only mode, and the background workers are kicked.
+// stores leave read-only mode, and every background step is woken.
 // A store also heals itself when a background retry succeeds; Resume
 // just forces the attempt now.
 func (db *DB) Resume() error { return db.fanout((*store).resume) }

@@ -79,7 +79,7 @@ type Experiment struct {
 }
 
 // Experiments lists every harness experiment in presentation order.  All
-// but kvsep repeat to the byte, and testdata/small holds their tables.
+// repeat to the byte, and testdata/small holds their tables.
 var Experiments = []Experiment{
 	{"table1", "amplifications of LSM/LSA/IAM", Scale.Table1},
 	{"table2", "append-tree traits (seq writes, moves, scans)", Scale.Table2},

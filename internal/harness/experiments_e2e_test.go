@@ -6,12 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-)
 
-// exact reports whether an experiment repeats to the byte and so has a
-// golden: all but kvsep, whose separated runs keep real workers for the
-// value-log collector (NewEnv).
-func exact(e Experiment) bool { return e.ID != "kvsep" }
+	"iamdb"
+)
 
 // golden reads an experiment's table at SmallScale as cmd/iambench
 // prints it.
@@ -24,8 +21,8 @@ func golden(t *testing.T, id string) string {
 	return string(data)
 }
 
-// TestAllExperimentsEndToEnd regenerates every exact table and figure
-// at small scale and compares it with its golden, cell for cell.  A
+// TestAllExperimentsEndToEnd regenerates every table and figure at
+// small scale and compares it with its golden, cell for cell.  A
 // golden is Table.Format() and nothing else, so after an intended change
 // the table a failing subtest prints is the new file.  Skipped under
 // -short (several minutes of simulated workloads).
@@ -34,9 +31,6 @@ func TestAllExperimentsEndToEnd(t *testing.T) {
 		t.Skip("full experiment sweep skipped in -short mode")
 	}
 	for _, e := range Experiments {
-		if !exact(e) {
-			continue
-		}
 		t.Run(e.ID, func(t *testing.T) {
 			tbl, err := e.Run(SmallScale)
 			if err != nil {
@@ -65,15 +59,20 @@ func TestAllExperimentsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestExperimentRepeatsExactly runs two experiments twice in one
-// process: the tables and the full metrics of every environment at Close
-// must be equal, which is what lets a golden stand for a run.
+// TestExperimentRepeatsExactly runs two experiments and one separated
+// kvsep cell, whose writers collect the value log, twice in one process:
+// the tables and the full metrics of every environment at Close must be
+// equal, which is what lets a golden stand for a run.
 func TestExperimentRepeatsExactly(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs four experiments")
+		t.Skip("runs two experiments and a kvsep cell, twice each")
 	}
 	defer SetMetricsSink(nil)
-	for _, run := range []func(Scale) (Table, error){Scale.Table3, Scale.Stability} {
+	sepZipf := func(s Scale) (Table, error) {
+		c, err := s.kvsepRun(iamdb.IAM, 64<<10, true, 1<<10, true)
+		return Table{Rows: [][]string{{fmt.Sprintf("%+v", c)}}}, err
+	}
+	for _, run := range []func(Scale) (Table, error){Scale.Table3, Scale.Stability, sepZipf} {
 		var out [2]string
 		for i := range out {
 			var b strings.Builder
@@ -104,9 +103,6 @@ func TestExperimentsDocQuotesGoldens(t *testing.T) {
 		doc[line] = true
 	}
 	for _, e := range Experiments {
-		if !exact(e) {
-			continue
-		}
 		for _, line := range strings.Split(strings.TrimSuffix(golden(t, e.ID), "\n"), "\n") {
 			if !doc[line] {
 				t.Errorf("EXPERIMENTS.md lacks this line of testdata/small/%s.txt:\n%s", e.ID, line)

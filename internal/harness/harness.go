@@ -146,13 +146,11 @@ func NewEnv(cfg Config) (*Env, error) {
 		// device time, not host time.
 		Clock: clock,
 		Trace: cfg.Trace,
-		// Flushes and compactions run on the writer: every handle charges
-		// the one serial clock above, so worker goroutines could overlap
-		// nothing on it and only let the scheduler pick the interleaving.
-		// Inline, a run is an exact repeat (testdata/small holds each
-		// table).  A value log keeps its workers: the collector has no
-		// inline driver, and without it separated runs reclaim nothing.
-		InlineBackground: cfg.ValueThreshold == 0,
+		// Background steps run on the writer: every handle charges the one
+		// serial clock above, so worker goroutines could overlap nothing
+		// on it and only let the scheduler pick the interleaving.  Inline,
+		// a run is an exact repeat (testdata/small holds each table).
+		InlineBackground: true,
 		ValueThreshold:   cfg.ValueThreshold,
 		VlogSegmentSize:  cfg.VlogSegmentSize,
 	})

@@ -168,12 +168,12 @@ type Options struct {
 	// L0CompactTrigger is the baselines' L0 file trigger (default 4).
 	L0CompactTrigger int
 
-	// CompactionThreads is the number of background compaction
-	// goroutines (default 1; the paper's -4t configs use 4).  Today it
-	// has no effect for IAM / LSA, whose WorkStep does nothing (the whole
-	// cascade runs inside Flush), and buys the baselines no parallelism:
-	// their WorkStep holds Set.Mu across its table I/O, so N workers take
-	// turns until compaction I/O leaves that lock.
+	// CompactionThreads sizes each store's background workers:
+	// CompactionThreads + 1 goroutines (default 1, so 2) take the flush,
+	// compaction and value-log GC steps, one worker per kind at a time;
+	// with InlineBackground none start and every step, GC included, runs
+	// inline.  It buys no parallelism: IAM / LSA's WorkStep does nothing
+	// (the cascade runs inside Flush), the baselines' holds Set.Mu.
 	CompactionThreads int
 
 	// Shards, when > 1, range-partitions the keyspace across that many
@@ -235,14 +235,13 @@ type Options struct {
 	// listener closes on DB.Close.
 	DebugAddr string
 
-	// InlineBackground runs flushes and compactions synchronously on
-	// the committing goroutine instead of background workers.  With a
-	// virtual clock this makes entire runs deterministic — two
-	// identical runs produce byte-identical metrics, timelines and
-	// traces — at the cost of commit latency absorbing background work.
-	// The value-log collector does not run: it has a worker and no
-	// inline driver, so with ValueThreshold > 0 no dead value is
-	// reclaimed.  The harness's paper experiments and the golden
+	// InlineBackground starts no background worker: the writer whose
+	// commit rotated the memtable runs the ready steps itself — flush
+	// and compaction under the commit lock, then value-log GC — before
+	// it returns.  With a virtual clock this makes entire runs
+	// deterministic — two identical runs produce byte-identical metrics,
+	// timelines and traces — at the cost of commit latency absorbing
+	// background work.  The harness's paper experiments and the golden
 	// determinism tests use it; production configurations should not.
 	InlineBackground bool
 

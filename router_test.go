@@ -293,7 +293,11 @@ func TestGCRewriteCannotUndoOpenWrite(t *testing.T) {
 	}
 	o := kvsepOpts(IAM, hfs)
 	o.Shards = 2
-	o.InlineBackground = true // deterministic merges; collector driven by hand
+	// Inline, with one memtable for the whole history: nothing rotates, so
+	// the GC step never runs on a writer and the collector is driven by
+	// hand; the drops that fuel it come from CompactAll's flush.
+	o.InlineBackground = true
+	o.MemtableSize = 64 << 10
 	db, err := Open("db", o)
 	if err != nil {
 		t.Fatal(err)
@@ -341,8 +345,7 @@ func TestGCRewriteCannotUndoOpenWrite(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for st.vs.gcOnce() {
-		}
+		collectAll(st)
 	}()
 	waitFor(t, "the collector's first rewrite to commit", func() bool {
 		return st.commitBatches.Load() > committed
@@ -379,7 +382,10 @@ func TestGetSurvivesValueLogGC(t *testing.T) {
 			var detections atomic.Int64
 			o := kvsepOpts(IAM, hfs)
 			o.VlogSegmentSize = 4 << 10
-			o.InlineBackground = true // no collector goroutine: the hook is the collector
+			// Inline, and every key is written once: no merge drops a
+			// pointer, so the GC step finds nothing and the hook is the
+			// collector.
+			o.InlineBackground = true
 			o.EventListener = &EventListener{
 				CorruptionDetected: func(CorruptionInfo) { detections.Add(1) },
 			}

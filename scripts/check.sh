@@ -70,10 +70,10 @@ for ex in examples/*/; do
 done
 
 echo "== commit-pipeline bench smoke"
-# iambench runs three experiments here and below — concurrency, shards,
-# kvsep — because they are the three no golden can hold: two read the
-# wall clock and kvsep's value log keeps real workers.  Every other table
-# is compared with internal/harness/testdata/small in go test.
+# iambench runs two experiments here and below — concurrency and shards
+# — because they are the two no golden can hold: both read the wall
+# clock.  Every other table is compared with internal/harness/testdata/small
+# in go test.
 # One iteration proves the contention benchmark still compiles and
 # runs; real numbers come from -benchtime 2s or the iambench
 # concurrency experiment below.
@@ -124,39 +124,15 @@ go test -run 'TestGoldenDeterminism|TestStepStreamPinned|TestTraceSpansPresent|T
 go test -count=1 ./internal/trace/ ./internal/metrics/
 
 echo "== key-value separation gates"
-# Value-log unit suite, the DB-level separation tests (with -race: the
-# GC worker, commit leader and readers share the log), and a small
-# kvsep bench smoke: separated Put throughput at 64 KiB values must
-# clear 1.5x inline on every engine (medium scale shows >= 2x), and the
-# measured write-byte crossover must land within 2x of the closed-form
-# prediction.
+# Value-log unit suite and the DB-level separation tests (with -race: the
+# GC step, commit leader and readers share the log).  The kvsep
+# experiment's cells, throughput ratios and crossover are a golden under
+# internal/harness/testdata/small.  The scheduler test runs every kind of
+# background step on real workers and counts the goroutines Close leaves:
+# repeatedly, under the detector.
 go test -count=1 ./internal/vlog/ ./internal/amp/
 go test -race -run 'KVSep|Vlog|VLog' -count=1 .
-kvtmp=$(mktemp -d)
-go run ./cmd/iambench -experiment kvsep -scale small -json "$kvtmp" >/dev/null
-python3 - "$kvtmp" <<'EOF'
-import json, sys, os
-d = sys.argv[1]
-blob = json.load(open(os.path.join(d, "BENCH_kvsep.json")))
-assert blob["Meta"]["Schema"] >= 2, "missing run metadata"
-assert blob["Header"][:5] == ["config", "dist", "value", "mode", "put-ops/s"], blob["Header"]
-rows = blob["Rows"]
-big = {}
-for r in rows:
-    if r[2] == "64K" and r[1] == "uniform" and not r[0].endswith("probe"):
-        big.setdefault(r[0], {})[r[3]] = float(r[4])
-assert big, "no 64K rows"
-for cfg, m in big.items():
-    ratio = m["sep"] / m["inline"]
-    assert ratio >= 1.5, f"{cfg}: separated 64K Put only {ratio:.2f}x inline"
-cross = {r[3]: float(r[2]) for r in rows if r[0] == "crossover"}
-assert "predicted" in cross and "measured" in cross, "crossover rows missing"
-ratio = cross["measured"] / cross["predicted"]
-assert 0.5 <= ratio <= 2.0, f"measured crossover {cross['measured']:.0f}B vs predicted {cross['predicted']:.0f}B"
-gains = min(m["sep"] / m["inline"] for m in big.values())
-print(f"kvsep blob OK: 64K separated >= {gains:.2f}x inline, crossover {cross['measured']:.0f}B vs {cross['predicted']:.0f}B predicted")
-EOF
-rm -rf "$kvtmp"
+go test -race -run TestSchedulerRunsEveryStep -count=10 .
 
 echo "== hand-in check: the benchmark builds, tests and runs clean"
 # What the driver does after every PR, from the committed files: bench/
@@ -219,7 +195,7 @@ go test -run '^$' -fuzz FuzzTableOpen -fuzztime 5s ./internal/table/
 go test -run '^$' -fuzz FuzzVLogDecode -fuzztime 5s ./internal/vlog/
 
 echo "== go test -race"
-# Everything under the detector except the fourteen golden experiments of
+# Everything under the detector except the fifteen golden experiments of
 # internal/harness: each is one goroutine by construction (InlineBackground,
 # a pull-based sampler, no debug server), so the detector has nothing to
 # observe in them and used to spend ~65 minutes not observing it.  -short

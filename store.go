@@ -31,10 +31,10 @@ import (
 
 // store is one key range's storage stack: a WAL, a memtable pair, an
 // engine, the leader/follower commit pipeline in front of them, the
-// background workers behind them and the background-error state they
-// share.  The DB router owns 1..N of them; sequence numbers, visibility
-// and the drop horizon are the router's (store.db), everything durable
-// is the store's.
+// scheduler of the background work behind them and the background-error
+// state they share.  The DB router owns 1..N of them; sequence numbers,
+// visibility and the drop horizon are the router's (store.db),
+// everything durable is the store's.
 type store struct {
 	db     *DB
 	opt    Options
@@ -69,12 +69,13 @@ type store struct {
 	// hierarchy below is checked statically by iamlint's lockorder pass
 	// against the inferred acquisition graph.
 	//
-	// With Options.InlineBackground the flush and compaction pipeline
-	// runs under commitMu too, so the router's snapshot registry (the
-	// horizon pull) and the engine locks (and through them the trace
-	// recorder and vfs locks) nest under it.
+	// Drain and compaction steps run under commitMu too (inline, and
+	// whenever a caller needs the immutable memtable empty), so the
+	// router's snapshot registry (the horizon pull) and the engine locks
+	// (and through them the trace recorder and vfs locks) nest under it.
+	// The scheduler's mutex is a leaf any of them may hold.
 	//
-	//iamlint:lockorder commitMu < Sequencer.Mu; commitMu < iamdb.store.mu; iamdb.store.mu < vfs.*; commitMu < trace.Recorder.mu; iamdb.store.mu < trace.Recorder.mu; commitMu < tableset.Set.Mu; commitMu < vlog.Log.mu; commitMu < vlog.Log.statsMu; commitMu < snapMu
+	//iamlint:lockorder commitMu < Sequencer.Mu; commitMu < iamdb.store.mu; iamdb.store.mu < vfs.*; commitMu < trace.Recorder.mu; iamdb.store.mu < trace.Recorder.mu; commitMu < tableset.Set.Mu; commitMu < vlog.Log.mu; commitMu < vlog.Log.statsMu; commitMu < snapMu; iamdb.store.mu < iamdb.sched.mu; iamdb.sched.mu leaf
 	pendingQ []*commitOp // guarded by db.seqr.Mu
 	commitMu sync.Mutex
 	// seq is the largest sequence number in this store's WAL, owned by
@@ -134,10 +135,11 @@ type store struct {
 	// that drops bytes must always be visible to the operator.
 	walDrops []walDrop
 
-	flushC   chan struct{}
-	compactC chan struct{}
-	quit     chan struct{}
-	wg       sync.WaitGroup
+	// bg schedules the background steps; immFlushed tells the drain's
+	// next attempt that only the last one's log-number record failed.
+	bg         *sched
+	immFlushed bool
+	wg         sync.WaitGroup
 }
 
 // storeState is the immutable read view published through store.state
@@ -161,20 +163,20 @@ func (st *store) publishStateLocked() {
 // err are written by the leader while it holds commitMu and read by the
 // owner only after it acquires commitMu itself, so the mutex orders
 // them.  base is the first sequence number of the range the router
-// allocated for this batch; bg is the owner's note that its commit left
-// inline background work due.
+// allocated for this batch; rotated is the owner's note that its commit
+// rotated the memtable, for sched.afterCommit.
 type commitOp struct {
-	st   *store
-	b    *Batch
-	base kv.Seq
-	err  error
-	done bool
-	bg   bool
+	st      *store
+	b       *Batch
+	base    kv.Seq
+	err     error
+	done    bool
+	rotated bool
 }
 
 // openStore opens one store in dir: engine, WAL recovery, value log.
-// No goroutine runs yet — the router calls startWorkers once its
-// sequencer exists.  o must already have defaults applied and carries
+// No goroutine runs yet — the router starts st.bg once its sequencer
+// exists.  o must already have defaults applied and carries
 // the shared StatsFS, Clock, EventListener and TraceRecorder, so
 // observability stays coherent across stores.
 func openStore(db *DB, dir string, o Options) (*store, error) {
@@ -187,8 +189,6 @@ func openStore(db *DB, dir string, o Options) (*store, error) {
 		timing:    db.timing,
 		groupSize: histogram.NewConcurrent(),
 		mem:       memtable.New(),
-		flushC:    make(chan struct{}, 1), compactC: make(chan struct{}, 1),
-		quit: make(chan struct{}),
 	}
 	st.cond = sync.NewCond(&st.mu)
 	if err := st.fs.MkdirAll(dir); err != nil {
@@ -207,28 +207,11 @@ func openStore(db *DB, dir string, o Options) (*store, error) {
 		return nil, err
 	}
 	st.noteOpenSuspicion()
+	st.bg = newSched(st)
 	st.mu.Lock()
 	st.publishStateLocked()
 	st.mu.Unlock()
 	return st, nil
-}
-
-// startWorkers launches the flush, compaction and value-log collector
-// goroutines (none with Options.InlineBackground).
-func (st *store) startWorkers() {
-	if st.opt.InlineBackground {
-		return
-	}
-	st.wg.Add(1)
-	go st.flushWorker()
-	for i := 0; i < st.opt.CompactionThreads; i++ {
-		st.wg.Add(1)
-		go st.compactWorker()
-	}
-	if st.vs != nil {
-		st.wg.Add(1)
-		go st.vs.gcWorker()
-	}
 }
 
 func (st *store) openEngine() error {
@@ -401,9 +384,9 @@ func (st *store) workStep() (bool, error) {
 }
 
 // commit resolves op, which the router has already appended to
-// pendingQ, through the group-commit queue.  bg reports that the commit
-// rotated the memtable under Options.InlineBackground: the caller runs
-// runInlineBG once it has ended its allocation.
+// pendingQ, through the group-commit queue.  rotated reports that the
+// commit rotated the memtable: the caller hands the turn to
+// sched.afterCommit once it has ended its allocation.
 //
 // The writer races for commitMu.  The winner is the leader: it drains
 // everything queued so far and commits the whole group.  A loser wakes
@@ -412,7 +395,7 @@ func (st *store) workStep() (bool, error) {
 // op is therefore resolved by exactly one leader, with no lost wakeups
 // and no condition variable.  The commit.enqueue span and commit.wait
 // cover the time an enqueued op waits for the lock.
-func (st *store) commit(op *commitOp) (bg bool, err error) {
+func (st *store) commit(op *commitOp) (rotated bool, err error) {
 	esp := st.tr.Begin("commit.enqueue")
 	var qstart time.Duration
 	if st.timing {
@@ -428,10 +411,10 @@ func (st *store) commit(op *commitOp) (bg bool, err error) {
 		group := st.pendingQ
 		st.pendingQ = nil
 		st.db.seqr.Mu.Unlock()
-		bg = st.commitGroup(group)
+		rotated = st.commitGroup(group)
 	}
 	st.commitMu.Unlock()
-	return bg, op.err
+	return rotated, op.err
 }
 
 // finishGroup resolves every op in the group.  Caller holds commitMu.
@@ -449,21 +432,18 @@ func finishGroup(group []*commitOp, err error) {
 // its allocation after this returns, and the watermark passes a batch
 // only once every store it touches has applied it — so a reader can
 // never observe part of a batch, and one fsync covers the whole group.
-// It reports whether inline background work is now due.  Caller holds
-// commitMu.
-func (st *store) commitGroup(group []*commitOp) (bg bool) {
+// It reports whether it rotated the memtable.  Caller holds commitMu.
+func (st *store) commitGroup(group []*commitOp) (rotated bool) {
 	st.mu.Lock()
 	for !st.closed && !st.readonly && st.imm != nil &&
 		st.mem.ApproximateSize() >= st.opt.MemtableSize {
-		if st.opt.InlineBackground {
-			// No flusher to wait for: the writer that rotated has not run
-			// its inline pipeline yet (it needs commitMu), so run it here.
-			st.mu.Unlock()
-			st.inlineBG()
-			st.mu.Lock()
-			continue
+		// Both memtables full: drain here, or wait for the worker draining.
+		st.mu.Unlock()
+		ran := st.bg.drainOnCaller()
+		st.mu.Lock()
+		if !ran && st.imm != nil {
+			st.cond.Wait()
 		}
-		st.cond.Wait() // both memtables full: wait for the flusher
 	}
 	if st.closed {
 		st.mu.Unlock()
@@ -573,43 +553,12 @@ func (st *store) commitGroup(group []*commitOp) (bg bool) {
 		st.mu.Lock()
 		if st.mem == mem && st.imm == nil && !st.closed {
 			err = st.rotateLocked()
+			rotated = err == nil
 		}
 		st.mu.Unlock()
-		bg = err == nil && st.opt.InlineBackground
 	}
 	finishGroup(group, err)
-	return bg
-}
-
-// runInlineBG is the writer's half of Options.InlineBackground: after
-// ending the allocation whose commit rotated the memtable, it re-takes
-// commitMu and runs the background pipeline synchronously.
-func (st *store) runInlineBG() {
-	st.commitMu.Lock()
-	st.inlineBG()
-	st.commitMu.Unlock()
-}
-
-// inlineBG runs the background pipeline synchronously
-// (Options.InlineBackground): drain the immutable memtable just
-// rotated out, then run compaction steps until the engine is settled.
-// Caller holds commitMu, so the engine locks nest under it — the
-// declared lock order covers this nesting.
-func (st *store) inlineBG() {
-	st.drainImm()
-	for {
-		did, err := st.workStep()
-		if err != nil {
-			if !st.noteBgError("compact", err) {
-				return
-			}
-			continue
-		}
-		if !did {
-			return
-		}
-		st.noteBgSuccess()
-	}
+	return rotated
 }
 
 // throttle applies the engine's write-stall policy in the writer's own
@@ -628,32 +577,23 @@ func (st *store) throttle() {
 	sp := st.tr.Begin("write.stall")
 	sp.SetLevel(lvl)
 	st.events.WriteStallBegin(metrics.StallInfo{Level: lvl})
-	st.stallWork(lvl)
+	// The writer steps compaction itself: a hard stall (2) until no work
+	// is left, a slowdown (1) once.  A failed step is noted like a commit
+	// fault (counted and reported, no backoff) and ends the writer's share.
+	for l := lvl; l > 0; l = st.eng.StallLevel() {
+		did, err := st.workStep()
+		if err != nil {
+			st.noteCommitError("compact", err)
+		}
+		if err != nil || !did || l == 1 {
+			break
+		}
+	}
 	d := st.clock.Now() - start
 	st.stallCount.Inc()
 	st.stallNanos.Add(int64(d))
 	sp.End()
 	st.events.WriteStallEnd(metrics.StallInfo{Level: lvl, Duration: d})
-}
-
-// stallWork runs compaction steps in the stalled writer's goroutine
-// until the stall clears: a hard stall (2) works until no work is
-// left, a slowdown (1) contributes one step.
-func (st *store) stallWork(lvl int) {
-	for {
-		switch lvl {
-		case 2:
-			if did, _ := st.workStep(); !did {
-				return
-			}
-		case 1:
-			st.workStep()
-			return
-		default:
-			return
-		}
-		lvl = st.eng.StallLevel()
-	}
 }
 
 // rotateLocked swaps the full memtable to the immutable slot and opens
@@ -688,10 +628,7 @@ func (st *store) rotateLocked() error {
 	st.walW = wal.NewWriter(f)
 	st.walW.SetSync(st.opt.SyncWrites)
 	st.walNum = newNum
-	select {
-	case st.flushC <- struct{}{}:
-	default:
-	}
+	st.bg.wake(stepDrain)
 	return nil
 }
 
@@ -805,13 +742,13 @@ func (st *store) noteCommitError(op string, err error) int {
 	return try
 }
 
-// noteBgError records one failed background attempt: it latches the
-// error (degrading to read-only after BgRetryLimit consecutive
-// failures), asks the engine to Resume (rewrite its manifest so
-// half-applied edits are superseded before the retry), and applies the
-// backoff policy.  It reports whether the worker should retry; false
-// means the store is closing or the backoff abandoned the loop (the
-// worker goes back to waiting for a kick).
+// noteBgError records one failed background step (sched.run): it
+// latches the error (degrading to read-only after BgRetryLimit
+// consecutive failures), asks the engine to Resume (rewrite its manifest
+// so half-applied edits are superseded before the retry), and applies
+// the backoff policy.  It reports whether the step should run again;
+// false means the store is closing or the backoff abandoned the step
+// until its next wake.
 func (st *store) noteBgError(op string, err error) bool {
 	st.noteCorruption(err)
 	try := st.noteCommitError(op, err)
@@ -825,7 +762,7 @@ func (st *store) noteBgError(op string, err error) bool {
 	}
 	d := time.Millisecond << uint(min(try, 7))
 	select {
-	case <-st.quit:
+	case <-st.db.quit: // Close
 		return false
 	case <-time.After(d):
 		return true
@@ -852,94 +789,39 @@ func (st *store) noteBgSuccess() {
 	st.cond.Broadcast()
 }
 
-func (st *store) flushWorker() {
-	defer st.wg.Done()
-	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-		pprof.Labels("iamdb", "flush-worker")))
-	for {
-		select {
-		case <-st.quit:
-			return
-		case <-st.flushC:
-		}
-		st.drainImm()
+// drainStep flushes the immutable memtable into the engine and retires
+// its log, reporting false when the slot is empty.  A failure leaves the
+// memtable in place; when only the log-number record failed, the next
+// attempt skips the engine flush.
+func (st *store) drainStep() (bool, error) {
+	st.mu.Lock()
+	imm, immWal, immSeq, curWal := st.imm, st.immWalNum, st.immLastSeq, st.walNum
+	st.mu.Unlock()
+	if imm == nil {
+		return false, nil
 	}
-}
-
-// drainImm flushes the immutable memtable, retrying failures until it
-// succeeds, the backoff abandons, or the store closes.  The worker
-// never exits on error: a healed store resumes without reopening.
-func (st *store) drainImm() {
-	flushed := false // the Flush itself succeeded; only SetLogMeta remains
-	for {
-		st.mu.Lock()
-		imm := st.imm
-		immWal := st.immWalNum
-		immSeq := st.immLastSeq
-		curWal := st.walNum
-		st.mu.Unlock()
-		if imm == nil {
-			return
+	if !st.immFlushed {
+		if err := st.flushEngine(imm.NewIter()); err != nil {
+			return false, err
 		}
-		var err error
-		if !flushed {
-			err = st.flushEngine(imm.NewIter())
-		}
-		if err == nil {
-			flushed = true
-			err = st.set.SetLogMeta(immSeq, curWal)
-		}
-		if err != nil {
-			if !st.noteBgError("flush", err) {
-				return
-			}
-			continue
-		}
-		st.noteBgSuccess()
-		flushed = false
-		// The flushed log is re-deleted on next recovery if this
-		// best-effort removal fails.  It goes before the slot empties:
-		// whoever waits on that (a checkpoint, holding commitMu) may then
-		// take the directory listing as final.
-		_ = st.fs.Remove(logName(st.dir, immWal))
-		st.mu.Lock()
-		st.imm = nil
-		st.publishStateLocked()
-		st.cond.Broadcast()
-		st.mu.Unlock()
-		select {
-		case st.compactC <- struct{}{}:
-		default:
-		}
+		st.immFlushed = true
 	}
-}
-
-func (st *store) compactWorker() {
-	defer st.wg.Done()
-	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-		pprof.Labels("iamdb", "compact-worker")))
-	for {
-		did, err := st.workStep()
-		if err != nil {
-			if !st.noteBgError("compact", err) {
-				select {
-				case <-st.quit:
-					return
-				case <-st.compactC:
-				}
-			}
-			continue
-		}
-		if did {
-			st.noteBgSuccess()
-			continue
-		}
-		select {
-		case <-st.quit:
-			return
-		case <-st.compactC:
-		}
+	if err := st.set.SetLogMeta(immSeq, curWal); err != nil {
+		return false, err
 	}
+	st.immFlushed = false
+	// The flushed log is re-deleted on next recovery if this best-effort
+	// removal fails.  It goes before the slot empties: whoever waits on
+	// that (a checkpoint, holding commitMu) may then take the directory
+	// listing as final.
+	_ = st.fs.Remove(logName(st.dir, immWal))
+	st.mu.Lock()
+	st.imm = nil
+	st.publishStateLocked()
+	st.cond.Broadcast()
+	st.mu.Unlock()
+	st.bg.wake(stepCompact)
+	return true, nil
 }
 
 // resume is one store's share of DB.Resume.
@@ -954,13 +836,8 @@ func (st *store) resume() error {
 		return err
 	}
 	st.noteBgSuccess()
-	select {
-	case st.flushC <- struct{}{}:
-	default:
-	}
-	select {
-	case st.compactC <- struct{}{}:
-	default:
+	for k := range numSteps {
+		st.bg.wake(k)
 	}
 	return nil
 }
@@ -1017,7 +894,7 @@ func (st *store) close() error {
 	st.closed = true
 	st.cond.Broadcast()
 	st.mu.Unlock()
-	close(st.quit)
+	st.bg.stop()
 	st.wg.Wait()
 	// Barrier: wait out any in-flight commit leader so the WAL writer
 	// is idle before closing it.  Leaders that acquire commitMu later
@@ -1058,11 +935,9 @@ func (st *store) flush() error {
 // flushLocked empties both memtables into the engine.  Caller holds
 // commitMu, so no commit can refill them before it lets go.
 func (st *store) flushLocked() error {
-	if st.opt.InlineBackground {
-		// No workers in inline mode: drain any leftover immutable
-		// memtable (e.g. from an earlier failed Flush) ourselves.
-		st.inlineBG()
-	}
+	// Drain any leftover immutable memtable (e.g. from an earlier failed
+	// Flush) first, or wait for the worker draining it.
+	st.bg.drainOnCaller()
 	st.mu.Lock()
 	for st.imm != nil && !st.closed && !st.readonly {
 		st.cond.Wait()
@@ -1093,9 +968,7 @@ func (st *store) flushLocked() error {
 		st.noteCommitError("wal", err)
 		return err
 	}
-	if st.opt.InlineBackground {
-		st.inlineBG()
-	}
+	st.bg.drainOnCaller()
 	st.mu.Lock()
 	for st.imm != nil && !st.closed && !st.readonly && st.bgErr == nil {
 		st.cond.Wait()
@@ -1106,8 +979,7 @@ func (st *store) flushLocked() error {
 	case st.readonly:
 		err = errors.Join(ErrReadOnly, st.bgErr)
 	case st.bgErr != nil:
-		// The flush attempt failed; the background worker keeps
-		// retrying with the data safe in the immutable memtable.
+		// The drain failed; it is retried, the data safe in the slot.
 		err = st.bgErr
 	default:
 		err = ErrClosed

@@ -1,9 +1,7 @@
 package iamdb
 
 import (
-	"context"
 	"errors"
-	"runtime/pprof"
 	"slices"
 	"sync"
 
@@ -20,9 +18,9 @@ import (
 // splits and combines move O(pointer) bytes per large value instead of
 // O(value).  The commit leader performs the separation inside the group
 // commit — value durable before the WAL record carrying its pointer —
-// and a background collector rewrites the live remainder of
-// low-density segments through the normal write path, deleting a
-// segment only once its replacement records are engine-durable.
+// and the scheduler's GC step rewrites the live remainder of low-density
+// segments through the normal write path, deleting a segment only once
+// its replacement records are engine-durable.
 
 // errVlogGCUncertain aborts a segment collection whose conditional
 // rewrite could not prove every surviving record was superseded.
@@ -36,7 +34,6 @@ type valueStore struct {
 	st     *store
 	log    *vlog.Log
 	openSt vlog.OpenStats
-	gcC    chan struct{} // collector wake-up; never blocks the sender
 
 	// pend queues fully-rewritten segments for deletion until no open
 	// view can still chase pointers into them; pendMu is a leaf lock.
@@ -75,7 +72,7 @@ func (st *store) openValueStore() error {
 	if err != nil {
 		return err
 	}
-	st.vs = &valueStore{st: st, log: log, openSt: openSt, gcC: make(chan struct{}, 1)}
+	st.vs = &valueStore{st: st, log: log, openSt: openSt}
 	return nil
 }
 
@@ -83,20 +80,12 @@ func (vs *valueStore) segmentPath(seg uint64) string {
 	return vlog.SegmentName(vs.st.dir, seg)
 }
 
-// kick nudges the collector; safe from any goroutine, never blocks.
-func (vs *valueStore) kick() {
-	select {
-	case vs.gcC <- struct{}{}:
-	default:
-	}
-}
-
 // onDrop is the engine's drop observer: every value-pointer record a
 // merge discards credits its segment's discard bytes — the signal
 // density GC runs on.  It runs with engine locks held, so it touches
-// only the log's stats leaf lock.  Recovery flushes run before the log
-// opens; their drops are skipped (their segments' density is simply
-// undercounted until later drops).
+// only leaf locks: the log's stats and the scheduler's.  Recovery
+// flushes run before the log opens; their drops are skipped (their
+// segments' density is simply undercounted until later drops).
 func (st *store) onDrop(kind kv.Kind, val []byte) {
 	vs := st.vs
 	if vs == nil || !vlog.IsValuePointer(kind, val) {
@@ -104,7 +93,7 @@ func (st *store) onDrop(kind kv.Kind, val []byte) {
 	}
 	p, _ := vlog.DecodePointer(val)
 	vs.log.NoteDiscard(p.Segment, int64(p.Len))
-	vs.kick()
+	st.bg.wake(stepGC)
 }
 
 // separateGroup is the commit leader's separation step, called with
@@ -255,54 +244,33 @@ func (st *store) resolvePointer(key, enc []byte) ([]byte, error) {
 	return v, err
 }
 
-// gcWorker is the background collector: woken by discard credits (and
-// by iterators/snapshots releasing), it collects low-density segments
-// until none qualifies.
-func (vs *valueStore) gcWorker() {
-	defer vs.st.wg.Done()
-	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-		pprof.Labels("iamdb", "vlog-gc-worker")))
-	for {
-		select {
-		case <-vs.st.quit:
-			return
-		case <-vs.gcC:
-		}
-		for vs.gcOnce() {
-			select {
-			case <-vs.st.quit:
-				return
-			default:
-			}
-		}
-	}
-}
-
 // vlogGCDiscardRatio is the dead-bytes fraction at which a sealed
 // segment becomes a collection candidate.
 const vlogGCDiscardRatio = 0.5
 
-// gcOnce retries deferred deletions and collects at most one segment,
-// reporting whether it did rewrite work.
-func (vs *valueStore) gcOnce() bool {
+// gcOnce is the GC step: it retries deferred deletions and collects at
+// most one segment, reporting whether it did.  A failure (a full disk) is
+// its error; an outcome is no work: Close, unprovable liveness (the
+// segment is kept), another step's *BackgroundError (which a read-only
+// store's writes carry), or an unreadable segment — fenced and reported
+// as a detection, so it cannot wedge the collector.
+func (vs *valueStore) gcOnce() (bool, error) {
 	vs.tryDeletes()
 	seg, ok := vs.log.PickGC(vlogGCDiscardRatio)
 	if !ok {
-		return false
+		return false, nil
 	}
-	if err := vs.collect(seg); err != nil {
-		if vs.st.db.closedA.Load() {
-			return false
-		}
-		if IsCorruption(err) {
-			// An unreadable segment must not wedge the collector; fence
-			// it and surface the detection.
-			vs.st.noteCorruption(err)
-			vs.log.MarkBad(seg)
-		}
-		return false
+	err := vs.collect(seg)
+	var be *BackgroundError
+	if err == nil || vs.st.db.closedA.Load() || errors.Is(err, errVlogGCUncertain) || errors.As(err, &be) {
+		return err == nil, nil
 	}
-	return true
+	if IsCorruption(err) {
+		vs.st.noteCorruption(err)
+		vs.log.MarkBad(seg)
+		return false, nil
+	}
+	return false, err
 }
 
 // collect rewrites segment seg's live records through the normal write

@@ -26,6 +26,13 @@ func bigVal(tag string, i int) []byte {
 	return bytes.Repeat([]byte(fmt.Sprintf("%s-%04d.", tag, i)), 20)
 }
 
+// collectAll runs a store's GC step until it finds nothing to collect,
+// under the scheduler's claim, as a worker or an inline writer would.
+func collectAll(st *store) {
+	st.bg.wake(stepGC)
+	st.bg.runReady(stepGC, stepGC, false)
+}
+
 func TestKVSepThresholdAllEngines(t *testing.T) {
 	for _, e := range allEngines {
 		t.Run(e.String(), func(t *testing.T) {
@@ -150,11 +157,14 @@ func TestKVSepSnapshotSeesOldValue(t *testing.T) {
 // TestKVSepGCReclaimsAndPreserves overwrites most of a separated
 // working set so merges report dead log records, runs the collector to
 // exhaustion, and checks that space came back without losing a value
-// or resurrecting an overwritten or deleted one.
+// or resurrecting an overwritten or deleted one.  Inline, the writers
+// that rotate already collect during the overwrites; the test relies on
+// the merges of the final Flush leaving dead records that only the
+// collection it drives by hand reclaims.
 func TestKVSepGCReclaimsAndPreserves(t *testing.T) {
 	fs := vfs.NewMemFS()
 	o := kvsepOpts(IAM, fs)
-	o.InlineBackground = true // deterministic merges; collector driven by hand
+	o.InlineBackground = true
 	db, err := Open("db", o)
 	if err != nil {
 		t.Fatal(err)
@@ -184,8 +194,7 @@ func TestKVSepGCReclaimsAndPreserves(t *testing.T) {
 	if before.DiscardBytes == 0 {
 		t.Fatal("merges reported no dead value-log records; GC has no fuel")
 	}
-	for vs.gcOnce() {
-	}
+	collectAll(db.stores[0])
 	after := db.Metrics()
 	if after.VLogGCSegments == 0 {
 		t.Fatal("collector rewrote no segments")
@@ -374,8 +383,8 @@ func TestKVSepRottedValueDetected(t *testing.T) {
 	}
 }
 
-// TestSeparatedPutAllocations: with no collector running, a value log
-// costs an inline Put nothing and a separated Put exactly its own three
+// TestSeparatedPutAllocations: with no background step running, a value
+// log costs an inline Put nothing and a separated Put exactly its own three
 // allocations (the substituted op slice, its Batch, the pointer
 // encoding).  The set of user keys a GC rewrite is checked against is
 // only built for a commit group that carries a rewrite.
@@ -384,7 +393,8 @@ func TestSeparatedPutAllocations(t *testing.T) {
 		opts := smallOpts(IAM, vfs.NewMemFS())
 		opts.MemtableSize = 64 << 20 // no flushes during measurement
 		opts.ValueThreshold = threshold
-		opts.InlineBackground = true // no collector goroutine
+		// Inline, and nothing rotates: no step runs during the measurement.
+		opts.InlineBackground = true
 		opts.Clock = new(metrics.ManualClock)
 		db, err := Open("db", opts)
 		if err != nil {
