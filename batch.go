@@ -14,12 +14,14 @@ type Batch struct {
 	ops []batchOp
 
 	// gcOld, when non-nil, marks this as a value-log GC rewrite batch:
-	// gcOld[i] is the pointer encoding op i is replacing, and the
-	// commit leader drops any op whose key no longer resolves to that
-	// exact pointer — or whose key any ordinary batch in the same
-	// commit group writes — so a GC rewrite can never resurrect a
-	// value a concurrent write or delete superseded, regardless of
-	// sequence order within the group (see separateGroup).
+	// op i carries a live record's value and gcOld[i] the pointer
+	// encoding it is replacing.  The commit leader drops any op whose key
+	// no longer resolves to that exact pointer — or whose key any
+	// ordinary batch in the same commit group writes — so a GC rewrite
+	// can never resurrect a value a concurrent write or delete
+	// superseded, regardless of sequence order within the group; it
+	// appends the values of the rest to the value log (see
+	// separateGroup).
 	gcOld [][]byte
 
 	// gcFailed is set by the commit leader when a rewrite op's liveness
@@ -44,18 +46,6 @@ func (b *Batch) Put(key, value []byte) {
 // Delete queues a key deletion.
 func (b *Batch) Delete(key []byte) {
 	b.ops = append(b.ops, batchOp{kv.KindDelete, append([]byte(nil), key...), nil})
-}
-
-// putPointer queues a pre-separated value-log pointer record (GC
-// rewrites), conditional on oldPtr still being the key's current
-// value at commit time.
-func (b *Batch) putPointer(key, ptr, oldPtr []byte) {
-	for len(b.gcOld) < len(b.ops) {
-		b.gcOld = append(b.gcOld, nil)
-	}
-	b.ops = append(b.ops, batchOp{kv.KindValuePtr,
-		append([]byte(nil), key...), append([]byte(nil), ptr...)})
-	b.gcOld = append(b.gcOld, append([]byte(nil), oldPtr...))
 }
 
 // Len reports the number of queued operations.

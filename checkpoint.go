@@ -66,8 +66,9 @@ func (st *store) checkpoint(dstDir string) error {
 	// copy.  With commits held, both memtables flushed and the engine
 	// settled, no worker has work left: the engine state plus the (now
 	// empty) live WAL describe the whole store, and the directory stands
-	// still.  (The value-log collector commits through commitMu too, and
-	// its deletions are held below.)
+	// still.  (The value log changes only under commitMu too: the commit
+	// leader is its one writer, the collector's rewrites included, and
+	// collected segments are removed with commitMu held.)
 	st.commitMu.Lock()
 	defer st.commitMu.Unlock()
 	if err := st.flushLocked(); err != nil {
@@ -83,14 +84,6 @@ func (st *store) checkpoint(dstDir string) error {
 		return fmt.Errorf("iamdb: checkpoint target %s already holds a database", dstDir)
 	}
 
-	// Value-log segments are data the copied tree's pointer records
-	// reference, so they join the data-before-metadata copy set.  GC
-	// deletion is held across List and the copy loop so a concurrent
-	// collection cannot remove a segment between the two.
-	if st.vs != nil {
-		st.vs.log.HoldDeletes()
-		defer st.vs.log.ReleaseDeletes()
-	}
 	names, err := st.fs.List(st.dir)
 	if err != nil {
 		return err
@@ -99,7 +92,8 @@ func (st *store) checkpoint(dstDir string) error {
 		return fmt.Errorf("iamdb: checkpoint source %s has no manifest", st.dir)
 	}
 	// Data before metadata: every file the manifest will reference must
-	// be durable before the manifest exists at the destination.
+	// be durable before the manifest exists at the destination.  Value-log
+	// segments are data the copied tree's pointer records reference.
 	for _, name := range names {
 		if !strings.HasSuffix(name, ".mst") && !strings.HasSuffix(name, vlog.SegmentSuffix) {
 			continue

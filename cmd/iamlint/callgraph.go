@@ -15,9 +15,9 @@ import (
 type program struct {
 	pkgs  []*pkg
 	fset  *token.FileSet
-	nodes map[*types.Func]*funcNode
-	anon  []*funcNode // function literals, in discovery order
-	order []*funcNode // all nodes, deterministic order
+	nodes map[string]*funcNode // by funcKey
+	anon  []*funcNode          // function literals, in discovery order
+	order []*funcNode          // all nodes, deterministic order
 
 	// byFile maps a filename to its package, so program-level passes
 	// can honour per-package suppression directives.
@@ -42,7 +42,7 @@ type resolveKey struct {
 func buildProgram(pkgs []*pkg) *program {
 	pr := &program{
 		pkgs:         pkgs,
-		nodes:        make(map[*types.Func]*funcNode),
+		nodes:        make(map[string]*funcNode),
 		byFile:       make(map[string]*pkg),
 		resolveCache: make(map[resolveKey][]*funcNode),
 	}
@@ -68,7 +68,7 @@ func buildProgram(pkgs []*pkg) *program {
 					pos:   fd.Pos(),
 					sum:   buildSummary(p, fnLabel(obj), fd.Body, &pr.anon),
 				}
-				pr.nodes[obj] = node
+				pr.nodes[funcKey(obj)] = node
 				pr.order = append(pr.order, node)
 			}
 		}
@@ -95,6 +95,15 @@ func buildProgram(pkgs []*pkg) *program {
 	})
 	pr.fixpointAcquire()
 	return pr
+}
+
+// funcKey names a function identically in every type-checking world:
+// a linted package is checked from source, and the packages that import
+// it see its functions through export data, as different objects.  Keyed
+// by package path, receiver and name, a static call into another linted
+// package reaches the callee's summary.
+func funcKey(fn *types.Func) string {
+	return pkgPathOf(fn) + "." + fnLabel(fn.Origin())
 }
 
 // suppress consults the owning package's directives for a
@@ -143,7 +152,7 @@ func (pr *program) importClosure(p *pkg) map[string]bool {
 // implementing type in the caller's import closure.
 func (pr *program) callees(n *funcNode, ev sumEvent) []*funcNode {
 	if !ev.iface {
-		if cn, ok := pr.nodes[ev.callee]; ok {
+		if cn, ok := pr.nodes[funcKey(ev.callee)]; ok {
 			return []*funcNode{cn}
 		}
 		return nil
@@ -152,7 +161,7 @@ func (pr *program) callees(n *funcNode, ev sumEvent) []*funcNode {
 	if iface == nil {
 		// Selector through an interface-typed expression but the
 		// method object is concrete (embedded): treat as static.
-		if cn, found := pr.nodes[ev.callee]; found {
+		if cn, found := pr.nodes[funcKey(ev.callee)]; found {
 			return []*funcNode{cn}
 		}
 		return nil
@@ -175,7 +184,7 @@ func (pr *program) callees(n *funcNode, ev sumEvent) []*funcNode {
 		if !isFunc {
 			continue
 		}
-		if cn, found := pr.nodes[m.Origin()]; found {
+		if cn, found := pr.nodes[funcKey(m)]; found {
 			out = append(out, cn)
 		}
 	}
@@ -280,7 +289,7 @@ func (pr *program) reachable(roots []*funcNode) map[*funcNode]bool {
 		}
 		for _, sp := range n.sum.spawns {
 			if sp.callee != nil {
-				if cn, ok := pr.nodes[sp.callee]; ok && !seen[cn] {
+				if cn, ok := pr.nodes[funcKey(sp.callee)]; ok && !seen[cn] {
 					work = append(work, cn)
 				}
 			}

@@ -58,7 +58,7 @@ func goexit(pr *program, emit func(diag)) {
 					}
 				}
 			case sp.callee != nil:
-				if cn, ok := pr.nodes[sp.callee]; ok {
+				if cn, ok := pr.nodes[funcKey(sp.callee)]; ok {
 					for _, d := range cn.sum.wgDones {
 						dones = append(dones, d.name)
 					}

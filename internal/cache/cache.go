@@ -33,6 +33,10 @@ type Cache struct {
 	evictions atomic.Int64 // blocks pushed out for lack of room
 }
 
+// A flush or merge caches the blocks it writes with the table set's
+// mutex held; a shard takes no lock of its own under mu.
+//
+//iamlint:lockorder tableset.Set.Mu < cache.shard.mu; cache.shard.mu leaf
 type shard struct {
 	mu       sync.Mutex
 	capacity int64

@@ -44,6 +44,11 @@ type Engine interface {
 // All engines attribute every table write to the level it lands in and
 // every compaction read to the level it came from; Table 3 and Table 4
 // are ratios of these counters to user bytes.
+//
+// The engines report steps with the table set's mutex held; mu guards
+// only the counters.
+//
+//iamlint:lockorder tableset.Set.Mu < engine.Stats.mu; engine.Stats.mu leaf
 type Stats struct {
 	mu       sync.Mutex
 	perLevel []LevelStats

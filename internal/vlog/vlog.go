@@ -39,17 +39,15 @@ func ParseSegmentName(name string) (uint64, bool) {
 	return n, true
 }
 
-// Log is one DB's (or one shard's) value log.  Appends are serialized
-// by the commit leader and the GC goroutine through mu; Read is safe
-// for any number of concurrent readers.  Discard statistics take their
-// own leaf lock because engines report drops mid-merge with tree locks
-// held.
+// Log is one DB's (or one shard's) value log.  It has one writer: the
+// DB calls Append (which seals a full head), Sync and RemoveSegment with
+// its store's commit lock held (commitMu < vlog.Log.mu is declared and
+// checked), and Close after the last commit, so a checkpoint holding
+// that lock copies a log nobody can change.  mu guards the segment maps against concurrent Reads and
+// the collector's PickGC.  Discard statistics take their own leaf lock
+// because engines report drops mid-merge with tree locks held.
 //
-// The lock hierarchy (checked by iamlint's lockorder pass): delMu
-// pauses segment deletion and nests outside mu so a checkpoint can pin
-// every segment while it copies; statsMu is a leaf.
-//
-//iamlint:lockorder vlog.Log.delMu < vlog.Log.mu; vlog.Log.delMu < vlog.Log.statsMu; vlog.Log.mu < vfs.*; vlog.Log.statsMu leaf
+//iamlint:lockorder vlog.Log.mu < vfs.*; vlog.Log.statsMu leaf
 type Log struct {
 	fs      vfs.FS
 	dir     string
@@ -67,11 +65,6 @@ type Log struct {
 	statsMu sync.Mutex
 	discard map[uint64]int64 // dropped record bytes per segment
 	bad     map[uint64]bool  // segments GC must skip (detected damage)
-
-	// delMu serializes segment deletion against checkpoint copies: a
-	// checkpoint holds it across the copy loop so no segment listed for
-	// the snapshot disappears mid-copy.
-	delMu sync.Mutex
 }
 
 // OpenStats reports what Open found.
@@ -414,12 +407,8 @@ func (l *Log) PickGC(minRatio float64) (seg uint64, ok bool) {
 	return seg, ok
 }
 
-// RemoveSegment deletes a fully-rewritten segment.  Deletion nests
-// inside delMu so a concurrent checkpoint holding HoldDeletes keeps
-// every listed segment on disk until its copy completes.
+// RemoveSegment deletes a fully-rewritten segment.
 func (l *Log) RemoveSegment(num uint64) error {
-	l.delMu.Lock()
-	defer l.delMu.Unlock()
 	l.mu.Lock()
 	if num == l.headNum {
 		l.mu.Unlock()
@@ -437,14 +426,6 @@ func (l *Log) RemoveSegment(num uint64) error {
 	l.statsMu.Unlock()
 	return l.fs.Remove(SegmentName(l.dir, num))
 }
-
-// HoldDeletes pauses segment deletion until ReleaseDeletes; checkpoint
-// holds it across its copy loop.  The hold is an intentional
-// cross-function handoff: the paired unlock lives in ReleaseDeletes.
-//
-//iamlint:ignore lockcheck
-func (l *Log) HoldDeletes()    { l.delMu.Lock() }
-func (l *Log) ReleaseDeletes() { l.delMu.Unlock() }
 
 // Segments returns the current segment numbers, ascending.
 func (l *Log) Segments() []uint64 {

@@ -19,13 +19,16 @@ import (
 
 // hookFS wraps an FS for the router tests: files whose path contains
 // match run before(name) ahead of every sequential Write (a WAL append)
-// and every ReadAt, and — like an operating-system file — refuse reads
-// once closed.  MemFS handles keep reading after Close and Remove, which
-// would hide exactly the window the Get-vs-GC test is about.
+// and every ReadAt, hand every WriteAt (a table block, a value-log
+// record) to writeAt when it is set, and — like an operating-system
+// file — refuse reads once closed.  MemFS handles keep reading after
+// Close and Remove, which would hide exactly the window the Get-vs-GC
+// test is about.
 type hookFS struct {
 	vfs.FS
-	match  string
-	before func(name string)
+	match   string
+	before  func(name string)
+	writeAt func(f vfs.File, name string, p []byte, off int64) (int, error)
 }
 
 type hookFile struct {
@@ -55,6 +58,13 @@ func (h *hookFS) Open(name string) (vfs.File, error) {
 func (f *hookFile) Write(p []byte) (int, error) {
 	f.fs.before(f.name)
 	return f.File.Write(p)
+}
+
+func (f *hookFile) WriteAt(p []byte, off int64) (int, error) {
+	if f.fs.writeAt == nil {
+		return f.File.WriteAt(p, off)
+	}
+	return f.fs.writeAt(f.File, f.name, p, off)
 }
 
 func (f *hookFile) ReadAt(p []byte, off int64) (int, error) {
@@ -280,16 +290,29 @@ func TestCommitQueueIsSequenceOrdered(t *testing.T) {
 // old values under a later sequence.  The rewrite must lose: were it
 // checked against a state without the batch and committed first, the
 // acknowledged overwrite would land beneath it and the old values come
-// back.
+// back.  And a rewrite that loses writes nothing: the commit leader
+// appends only the rewrites that survive its check, so no rewritten
+// record reaches the value log while the collection runs (the group the
+// collector leads does append the open batch's own values).
 func TestGCRewriteCannotUndoOpenWrite(t *testing.T) {
 	gate := make(chan struct{})
 	var armed, blocked atomic.Bool
-	hfs := &hookFS{FS: vfs.NewMemFS(), match: "shard-000/"}
+	var counting atomic.Bool
+	var rewriteBytes atomic.Int64
+	hfs := &hookFS{FS: vfs.NewMemFS(), match: "db/"}
 	hfs.before = func(name string) {
-		if strings.HasSuffix(name, ".log") && armed.Load() {
+		if strings.Contains(name, "shard-000/") && strings.HasSuffix(name, ".log") && armed.Load() {
 			blocked.Store(true)
 			<-gate
 		}
+	}
+	hfs.writeAt = func(f vfs.File, name string, p []byte, off int64) (int, error) {
+		if counting.Load() && strings.HasSuffix(name, vlog.SegmentSuffix) {
+			if _, val, _, err := vlog.DecodeRecord(p); err == nil && !bytes.HasPrefix(val, []byte("final-")) {
+				rewriteBytes.Add(int64(len(p)))
+			}
+		}
+		return f.WriteAt(p, off)
 	}
 	o := kvsepOpts(IAM, hfs)
 	o.Shards = 2
@@ -345,7 +368,9 @@ func TestGCRewriteCannotUndoOpenWrite(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		counting.Store(true)
 		collectAll(st)
+		counting.Store(false)
 	}()
 	waitFor(t, "the collector's first rewrite to commit", func() bool {
 		return st.commitBatches.Load() > committed
@@ -355,6 +380,9 @@ func TestGCRewriteCannotUndoOpenWrite(t *testing.T) {
 
 	if n := st.vs.gcRewrites.Load(); n == 0 {
 		t.Fatal("collector rewrote no record")
+	}
+	if n := rewriteBytes.Load(); n != 0 {
+		t.Fatalf("%d bytes of rewrites that lost to the open batch reached the value log", n)
 	}
 	for i := 0; i < keys; i++ {
 		got, err := db.Get(key(i))

@@ -129,10 +129,12 @@ echo "== key-value separation gates"
 # experiment's cells, throughput ratios and crossover are a golden under
 # internal/harness/testdata/small.  The scheduler test runs every kind of
 # background step on real workers and counts the goroutines Close leaves:
-# repeatedly, under the detector.
+# repeatedly, under the detector.  So does the checkpoint taken while the
+# commit leader is halfway through writing a collector's rewrite.
 go test -count=1 ./internal/vlog/ ./internal/amp/
 go test -race -run 'KVSep|Vlog|VLog' -count=1 .
 go test -race -run TestSchedulerRunsEveryStep -count=10 .
+go test -race -run TestKVSepCheckpointDuringCollection -count=20 .
 
 echo "== hand-in check: the benchmark builds, tests and runs clean"
 # What the driver does after every PR, from the committed files: bench/

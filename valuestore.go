@@ -3,7 +3,6 @@ package iamdb
 import (
 	"errors"
 	"slices"
-	"sync"
 
 	"iamdb/internal/corrupt"
 	"iamdb/internal/kv"
@@ -18,9 +17,11 @@ import (
 // splits and combines move O(pointer) bytes per large value instead of
 // O(value).  The commit leader performs the separation inside the group
 // commit — value durable before the WAL record carrying its pointer —
-// and the scheduler's GC step rewrites the live remainder of low-density
-// segments through the normal write path, deleting a segment only once
-// its replacement records are engine-durable.
+// and is the log's only writer: the scheduler's GC step proposes the
+// live remainder of low-density segments through the normal write path,
+// the leader appends the rewrites that are still current, and the
+// segment is deleted, under commitMu, once its replacement records are
+// engine-durable.
 
 // errVlogGCUncertain aborts a segment collection whose conditional
 // rewrite could not prove every surviving record was superseded.
@@ -36,9 +37,8 @@ type valueStore struct {
 	openSt vlog.OpenStats
 
 	// pend queues fully-rewritten segments for deletion until no open
-	// view can still chase pointers into them; pendMu is a leaf lock.
-	pendMu sync.Mutex
-	pend   []uint64
+	// view can still chase pointers into them (commitMu).
+	pend []uint64
 
 	appends    metrics.Counter
 	resolves   metrics.Counter
@@ -97,19 +97,21 @@ func (st *store) onDrop(kind kv.Kind, val []byte) {
 }
 
 // separateGroup is the commit leader's separation step, called with
-// commitMu held before the group is encoded: large values move to the
-// value log (their batches are substituted with shallow copies carrying
-// pointer records — the caller's Batch is never mutated), GC rewrite
-// batches are filtered against the current state, and the log is synced
-// before the WAL append when SyncWrites is on, so a surviving pointer
-// always has a surviving value underneath it — the same
-// data-before-metadata discipline tableset.Build keeps for tables, and
-// the crash matrix (TestCrashMatrixKVSep) checks.
+// commitMu held before the group is encoded.  The leader is the value
+// log's only writer: large user values and the GC rewrites that survive
+// filterGCBatch move to the log, and their batches carry pointer records
+// instead (a user's batch is substituted with a shallow copy — the
+// caller's Batch is never mutated).  The log is synced before the WAL
+// append when SyncWrites is on, so a surviving pointer always has a
+// surviving value underneath it — the same data-before-metadata
+// discipline tableset.Build keeps for tables, and the crash matrix
+// (TestCrashMatrixKVSep) checks.
 //
 // The returned byte count is what separation removed from the encoded
 // group relative to what the user logically wrote (original value bytes
 // minus pointer bytes), so user-byte accounting — the denominator of
-// write amplification — stays in terms of user payload.
+// write amplification — stays in terms of user payload.  A rewrite is
+// not user payload: it counts as its pointer, and not in vs.appends.
 func (vs *valueStore) separateGroup(group []*commitOp) (int64, error) {
 	// Keys ordinary batches in this group write: a GC rewrite op for any
 	// of them is dropped outright, so a rewrite can never shadow — and
@@ -132,18 +134,13 @@ func (vs *valueStore) separateGroup(group []*commitOp) (int64, error) {
 	var extra int64
 	appended := false
 	for _, op := range group {
-		if op.b.gcOld != nil {
-			if vs.filterGCBatch(op.b, userKeys) {
-				appended = true // rewritten values await the sync below
-			}
-			continue
-		}
-		if th <= 0 {
-			continue
+		gc := op.b.gcOld != nil
+		if gc {
+			vs.filterGCBatch(op.b, userKeys)
 		}
 		need := false
 		for _, bop := range op.b.ops {
-			if bop.kind == kv.KindSet && len(bop.val) >= th {
+			if separates(bop, gc, th) {
 				need = true
 				break
 			}
@@ -151,22 +148,26 @@ func (vs *valueStore) separateGroup(group []*commitOp) (int64, error) {
 		if !need {
 			continue
 		}
-		ops := make([]batchOp, len(op.b.ops))
-		copy(ops, op.b.ops)
+		ops := op.b.ops // the collector's own batch: rewritten in place
+		if !gc {
+			ops = slices.Clone(ops)
+			op.b = &Batch{ops: ops}
+		}
 		for i := range ops {
-			if ops[i].kind != kv.KindSet || len(ops[i].val) < th {
+			if !separates(ops[i], gc, th) {
 				continue
 			}
 			p, err := vs.log.Append(ops[i].key, ops[i].val)
 			if err != nil {
 				return 0, err
 			}
-			extra += int64(len(ops[i].val)) - vlog.PointerLen
+			if !gc {
+				extra += int64(len(ops[i].val)) - vlog.PointerLen
+				vs.appends.Inc()
+			}
 			ops[i] = batchOp{kind: kv.KindValuePtr, key: ops[i].key, val: p.Encode()}
-			vs.appends.Inc()
 			appended = true
 		}
-		op.b = &Batch{ops: ops}
 	}
 	if appended && vs.st.opt.SyncWrites {
 		if err := vs.log.Sync(); err != nil {
@@ -176,42 +177,40 @@ func (vs *valueStore) separateGroup(group []*commitOp) (int64, error) {
 	return extra, nil
 }
 
+// separates reports whether the leader moves op's value to the log:
+// every value of a rewrite batch (gc), which filterGCBatch has already
+// cut to the survivors, and a user value at or above the threshold th.
+func separates(op batchOp, gc bool, th int) bool {
+	return op.kind == kv.KindSet && (gc || th > 0 && len(op.val) >= th)
+}
+
 // filterGCBatch drops every rewrite op whose key no longer resolves to
 // exactly the pointer it is replacing — the key was overwritten,
-// deleted, or is being written in this very group — and reports whether
-// any op survived.  Caller holds commitMu, so the view it checks
-// against includes every previously committed group — and because the
-// commit queue is in sequence order (DB.write), every write sequenced
-// below this rewrite is in that view or in this group: no acknowledged
-// write can land under a rewrite that was checked without it.  A read
-// failure (not ErrNotFound) leaves liveness unprovable: the op is
-// dropped and the batch poisoned so the collector keeps the old segment.
-func (vs *valueStore) filterGCBatch(b *Batch, userKeys map[string]struct{}) bool {
+// deleted, or is being written in this very group.  A dropped op was
+// never written, so it leaves nothing to credit as discard.  Caller
+// holds commitMu, so the view it checks against includes every
+// previously committed group — and because the commit queue is in
+// sequence order (DB.write), every write sequenced below this rewrite is
+// in that view or in this group: no acknowledged write can land under a
+// rewrite that was checked without it.  A read failure (not ErrNotFound)
+// leaves liveness unprovable: the op is dropped and the batch poisoned
+// so the collector keeps the old segment.
+func (vs *valueStore) filterGCBatch(b *Batch, userKeys map[string]struct{}) {
 	kept := b.ops[:0]
 	for i, op := range b.ops {
-		stale := false
 		if _, ok := userKeys[string(op.key)]; ok {
-			stale = true
-		} else {
-			cur, kind, err := vs.st.getAt(op.key, kv.MaxSeq)
-			if err != nil && !errors.Is(err, ErrNotFound) {
-				b.gcFailed = true
-			}
-			stale = err != nil || kind != kv.KindValuePtr ||
-				string(cur) != string(b.gcOld[i])
+			continue
 		}
-		if stale {
-			// The freshly re-appended copy is garbage before it was ever
-			// referenced; credit it so density accounting stays honest.
-			if p, ok := vlog.DecodePointer(op.val); ok {
-				vs.log.NoteDiscard(p.Segment, int64(p.Len))
-			}
+		cur, kind, err := vs.st.getAt(op.key, kv.MaxSeq)
+		if err != nil && !errors.Is(err, ErrNotFound) {
+			b.gcFailed = true
+		}
+		if err != nil || kind != kv.KindValuePtr || string(cur) != string(b.gcOld[i]) {
 			continue
 		}
 		kept = append(kept, op)
 	}
 	b.ops = kept
-	return len(kept) > 0
 }
 
 // readPointer reads one pointer's value from the log.  Every failure —
@@ -255,7 +254,9 @@ const vlogGCDiscardRatio = 0.5
 // store's writes carry), or an unreadable segment — fenced and reported
 // as a detection, so it cannot wedge the collector.
 func (vs *valueStore) gcOnce() (bool, error) {
+	vs.st.commitMu.Lock()
 	vs.tryDeletes()
+	vs.st.commitMu.Unlock()
 	seg, ok := vs.log.PickGC(vlogGCDiscardRatio)
 	if !ok {
 		return false, nil
@@ -273,12 +274,14 @@ func (vs *valueStore) gcOnce() (bool, error) {
 	return false, err
 }
 
-// collect rewrites segment seg's live records through the normal write
-// path and schedules the segment for deletion.  Liveness is checked
-// twice: a lock-free pre-filter here (key still resolves to exactly
-// this record's pointer) and the authoritative conditional check the
-// commit leader runs under commitMu (filterGCBatch) — so a rewrite
-// never resurrects a value a concurrent write or delete superseded.
+// collect proposes a rewrite of segment seg's live records through the
+// normal write path and schedules the segment for deletion.  Liveness is
+// checked twice: a lock-free pre-filter here (key still resolves to
+// exactly this record's pointer) and the authoritative conditional check
+// the commit leader runs under commitMu (filterGCBatch) — so a rewrite
+// never resurrects a value a concurrent write or delete superseded.  The
+// collector writes nothing itself: each op carries the record's value
+// and the pointer it replaces, and the leader appends the survivors.
 // Rewrite batches commit through the router like any other write (their
 // keys all belong to this store's range, so the single-store fast path
 // keeps the batch and its conditional metadata intact) and so take
@@ -292,8 +295,7 @@ func (vs *valueStore) collect(seg uint64) error {
 		maxBatchBytes = 4 << 20
 	)
 	st := vs.st
-	newGC := func() *Batch { return &Batch{gcOld: make([][]byte, 0)} }
-	b := newGC()
+	b := &Batch{} // its first gcOld entry marks it a rewrite batch
 	var pending int
 	flush := func() error {
 		if b.Len() == 0 {
@@ -305,7 +307,7 @@ func (vs *valueStore) collect(seg uint64) error {
 		if b.gcFailed {
 			return errVlogGCUncertain
 		}
-		b = newGC()
+		b = &Batch{}
 		pending = 0
 		return nil
 	}
@@ -327,11 +329,8 @@ func (vs *valueStore) collect(seg uint64) error {
 		if !ok || curp != p {
 			return nil // superseded by a newer log record
 		}
-		np, err := vs.log.Append(key, val)
-		if err != nil {
-			return err
-		}
-		b.putPointer(key, np.Encode(), cur)
+		b.ops = append(b.ops, batchOp{kv.KindSet, slices.Clone(key), slices.Clone(val)})
+		b.gcOld = append(b.gcOld, slices.Clone(cur))
 		vs.gcRewrites.Inc()
 		pending += len(val)
 		if b.Len() >= maxBatchOps || pending >= maxBatchBytes {
@@ -348,20 +347,15 @@ func (vs *valueStore) collect(seg uint64) error {
 	// Durability order: flush pushes the rewritten pointers out of
 	// WAL+memtable into the engine, whose manifest commit syncs them —
 	// deleting the segment can then never orphan a recoverable pointer.
-	if err := st.flush(); err != nil {
+	st.commitMu.Lock()
+	defer st.commitMu.Unlock()
+	if err := st.flushLocked(); err != nil {
 		return err
 	}
 	vs.gcSegments.Inc()
-	vs.deferDelete(seg)
+	vs.pend = append(vs.pend, seg)
 	vs.tryDeletes()
 	return nil
-}
-
-// deferDelete queues a fully-rewritten segment for deletion.
-func (vs *valueStore) deferDelete(seg uint64) {
-	vs.pendMu.Lock()
-	vs.pend = append(vs.pend, seg)
-	vs.pendMu.Unlock()
 }
 
 // tryDeletes removes queued segments once no iterator or snapshot is
@@ -369,18 +363,18 @@ func (vs *valueStore) deferDelete(seg uint64) {
 // rewritten pointers (newer sequences shadow the old ones), so the
 // instant zero-check is sufficient: a view opened concurrently with the
 // removal is already safe, and one opened before it holds the count
-// above zero.
+// above zero.  Caller holds commitMu, like every other change to the
+// log, so a checkpoint (which holds it too) copies a log that stands
+// still.
 func (vs *valueStore) tryDeletes() {
 	if vs.st.db.viewsOpen() {
 		return
 	}
-	vs.pendMu.Lock()
-	pend := vs.pend
-	vs.pend = nil
-	vs.pendMu.Unlock()
-	for _, seg := range pend {
+	kept := vs.pend[:0]
+	for _, seg := range vs.pend {
 		if err := vs.log.RemoveSegment(seg); err != nil {
-			vs.deferDelete(seg) // head or transient failure: retry later
+			kept = append(kept, seg) // head or transient failure: retry later
 		}
 	}
+	vs.pend = kept
 }

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"iamdb/internal/metrics"
 	"iamdb/internal/vfs"
@@ -276,6 +279,105 @@ func TestKVSepCheckpointCarriesValues(t *testing.T) {
 		got, err := cp.Get([]byte(k))
 		if err != nil || !bytes.Equal(got, v) {
 			t.Fatalf("checkpoint Get(%s): %d bytes, %v", k, len(got), err)
+		}
+	}
+}
+
+// TestKVSepCheckpointDuringCollection copies a store while the collector
+// is halfway through writing a rewritten record.  Every value-log change
+// happens with commitMu held, the checkpoint's lock, so the copy waits
+// for the record to be whole.  The write is released once the checkpoint
+// returns or 200 ms pass: a checkpoint that copied the half record opens
+// with a suspect value-log tail.
+func TestKVSepCheckpointDuringCollection(t *testing.T) {
+	gate := make(chan struct{})
+	var armed, blocked atomic.Bool
+	mem := vfs.NewMemFS()
+	hfs := &hookFS{FS: mem, match: "db/", before: func(string) {}}
+	hfs.writeAt = func(f vfs.File, name string, p []byte, off int64) (int, error) {
+		if !strings.HasSuffix(name, vlog.SegmentSuffix) || len(p) <= vlog.HeaderSize || !armed.CompareAndSwap(true, false) {
+			return f.WriteAt(p, off)
+		}
+		half := len(p) / 2
+		if n, err := f.WriteAt(p[:half], off); err != nil {
+			return n, err
+		}
+		blocked.Store(true)
+		<-gate
+		n, err := f.WriteAt(p[half:], off+int64(half))
+		return half + n, err
+	}
+	o := kvsepOpts(IAM, hfs)
+	// One memtable for the whole history, as in
+	// TestGCRewriteCannotUndoOpenWrite: the collector runs only by hand.
+	o.InlineBackground = true
+	o.MemtableSize = 64 << 10
+	db, err := Open("db", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	openGate := sync.OnceFunc(func() { close(gate) })
+	defer openGate()
+	const keys = 60
+	want := make(map[string][]byte)
+	for round := 0; round < 3; round++ {
+		for i := 0; i < keys; i++ {
+			if round == 2 && i%3 == 0 {
+				continue
+			}
+			k := fmt.Sprintf("k%04d", i)
+			want[k] = bigVal(fmt.Sprintf("r%d", round), i)
+			if err := db.Put([]byte(k), want[k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := db.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	armed.Store(true)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		collectAll(db.stores[0])
+	}()
+	waitFor(t, "a rewritten record's write to block halfway", blocked.Load)
+	ckpt := make(chan error, 1)
+	go func() { ckpt <- db.Checkpoint("copy") }()
+	var ckErr error
+	returned := false
+	select {
+	case ckErr = <-ckpt:
+		returned = true
+	case <-time.After(200 * time.Millisecond):
+	}
+	openGate()
+	if !returned {
+		ckErr = <-ckpt
+	}
+	wg.Wait()
+	if ckErr != nil {
+		t.Fatal(ckErr)
+	}
+	if db.Metrics().VLogGCSegments == 0 {
+		t.Fatal("collector collected no segment")
+	}
+
+	cp, err := Open("copy", kvsepOpts(IAM, mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cp.Close()
+	if n := cp.Metrics().CorruptionsDetected; n != 0 {
+		t.Fatalf("the copy reports %d corruption(s): it caught a record half written", n)
+	}
+	for k, v := range want {
+		got, err := cp.Get([]byte(k))
+		if err != nil || !bytes.Equal(got, v) {
+			t.Fatalf("copy lost Put(%s): %.12q, %v", k, got, err)
 		}
 	}
 }
