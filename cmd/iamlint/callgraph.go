@@ -7,8 +7,8 @@ import (
 	"sort"
 )
 
-// program is the interprocedural substrate shared by the lockorder
-// and goexit passes: every declared function's summary, a
+// program is the substrate shared by the lockcheck, lockorder and
+// goexit passes: every declared function's summary, a
 // type-resolved call graph (interface methods resolve to every
 // implementation declared in the linted packages), and the fixpoint
 // results the passes consume.
@@ -239,11 +239,9 @@ func implementsIface(named *types.Named, iface *types.Interface) bool {
 // any callee may acquire.
 func (pr *program) fixpointAcquire() {
 	for _, n := range pr.order {
-		n.sum.mayAcquire = make(map[string]acqOrigin)
+		n.sum.mayAcquire = make(map[string]bool)
 		for _, a := range n.sum.acquires {
-			if _, ok := n.sum.mayAcquire[a.name]; !ok {
-				n.sum.mayAcquire[a.name] = acqOrigin{pos: a.pos}
-			}
+			n.sum.mayAcquire[a.name] = false
 		}
 	}
 	for changed := true; changed; {
@@ -251,16 +249,11 @@ func (pr *program) fixpointAcquire() {
 		for _, n := range pr.order {
 			for _, ev := range n.sum.events {
 				for _, cn := range pr.callees(n, ev) {
-					for lock, origin := range cn.sum.mayAcquire {
-						if _, ok := n.sum.mayAcquire[lock]; ok {
-							continue
+					for lock, viaIface := range cn.sum.mayAcquire {
+						if _, ok := n.sum.mayAcquire[lock]; !ok {
+							n.sum.mayAcquire[lock] = ev.iface || viaIface
+							changed = true
 						}
-						n.sum.mayAcquire[lock] = acqOrigin{
-							pos:   origin.pos,
-							via:   ev.callee,
-							iface: ev.iface || origin.iface,
-						}
-						changed = true
 					}
 				}
 			}
@@ -298,7 +291,7 @@ func (pr *program) reachable(roots []*funcNode) map[*funcNode]bool {
 	return seen
 }
 
-// analyzeProgram runs the two interprocedural passes.
+// analyzeProgram runs the passes that read the function summaries.
 func analyzeProgram(pr *program) []diag {
 	var diags []diag
 	emit := func(d diag) {
@@ -306,6 +299,7 @@ func analyzeProgram(pr *program) []diag {
 			diags = append(diags, d)
 		}
 	}
+	lockcheck(pr, emit)
 	lockorder(pr, emit)
 	goexit(pr, emit)
 	return diags

@@ -1,390 +1,56 @@
 package main
 
-import (
-	"fmt"
-	"go/ast"
-	"go/token"
-	"go/types"
-	"strings"
-)
+import "fmt"
 
 // lockcheck enforces the repo's lock discipline: every sync.Mutex /
 // sync.RWMutex Lock() or RLock() inside a function must be released
 // before every return path of that same function, either by a matching
-// `defer Unlock()` or by explicit Unlock calls on each path.
+// `defer Unlock()` or by explicit Unlock calls on each path, and in the
+// mode it was taken.
 //
-// The pass runs a conservative path-sensitive walk over each function
-// body.  Lock identity is the source text of the receiver expression
-// ("db.mu", "h.f.mu"), plus the read/write mode, so distinct mutexes
-// reached through the same expression text are treated as one — which
-// matches how this codebase names locks.  Intentional cross-function
-// handoffs (none exist today) would use //iamlint:ignore lockcheck.
-func lockcheck(p *pkg, emit func(diag)) {
-	for _, f := range p.files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
-			}
-			if body == nil {
-				return true
-			}
-			c := &lockChecker{p: p, emit: emit}
-			held := c.checkBlock(body.List, lockSet{})
-			for key, pos := range held {
-				c.report(body.Rbrace, key, pos)
-			}
-			// Function literals are visited separately when encountered;
-			// returning true would double-visit nested literals, but the
-			// walk of the outer body skips statement-level literals only
-			// through GoStmt/DeferStmt handling, so keep descending.
-			return true
-		})
-	}
-}
-
-// lockSet maps lock key -> position of the Lock call.
-type lockSet map[string]ast.Node
-
-func (s lockSet) clone() lockSet {
-	out := make(lockSet, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
-type lockChecker struct {
-	p        *pkg
-	emit     func(diag)
-	deferred map[string]bool // keys released by a defer for the rest of the function
-}
-
-func (c *lockChecker) report(at token.Pos, key string, lockPos ast.Node) {
-	i := strings.LastIndexByte(key, '/')
-	name, mode := key[:i], key[i+1:]
-	lock, unlock := "Lock", "Unlock"
-	if mode == "r" {
-		lock, unlock = "RLock", "RUnlock"
-	}
-	c.emit(diag{
-		pass: "lockcheck",
-		pos:  c.p.fset.Position(at),
-		msg: fmt.Sprintf("%s.%s() at line %d is not released on this path (add defer %s.%s() or unlock before returning)",
-			name, lock, c.p.fset.Position(lockPos.Pos()).Line, name, unlock),
-	})
-}
-
-// otherModeKey flips the read/write mode suffix of a lock key.
-func otherModeKey(key string) string {
-	if strings.HasSuffix(key, "/w") {
-		return key[:len(key)-1] + "r"
-	}
-	return key[:len(key)-1] + "w"
-}
-
-// reportModeMismatch flags a release whose mode does not match the
-// acquisition still held: RLock released by Unlock (which would
-// corrupt an RWMutex's state) or Lock released by RUnlock.
-func (c *lockChecker) reportModeMismatch(at token.Pos, heldKey string) {
-	i := strings.LastIndexByte(heldKey, '/')
-	name, heldMode := heldKey[:i], heldKey[i+1:]
-	took, right, wrong := "Lock", "Unlock", "RUnlock"
-	if heldMode == "r" {
-		took, right, wrong = "RLock", "RUnlock", "Unlock"
-	}
-	c.emit(diag{
-		pass: "lockcheck",
-		pos:  c.p.fset.Position(at),
-		msg: fmt.Sprintf("%s.%s() released by %s() — mode mismatch, use %s.%s()",
-			name, took, wrong, name, right),
-	})
-}
-
-// releaseWithModeCheck removes key from held; if the same mutex is
-// held in the opposite mode instead, that is a mode-mismatched
-// release — report it and clear the mismatched entry so it is not
-// also reported as leaked.
-func (c *lockChecker) releaseWithModeCheck(at token.Pos, key string, held lockSet) {
-	if _, ok := held[key]; !ok && !c.deferred[key] {
-		other := otherModeKey(key)
-		if _, heldOther := held[other]; heldOther {
-			c.reportModeMismatch(at, other)
-			delete(held, other)
-		}
-	}
-	delete(held, key)
-}
-
-// lockCall classifies a call as Lock/RLock/Unlock/RUnlock on a
-// sync.Mutex or sync.RWMutex, returning the lock key and whether it
-// acquires (true) or releases (false).
-func (c *lockChecker) lockCall(call *ast.CallExpr) (key string, acquire, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel || len(call.Args) != 0 {
-		return "", false, false
-	}
-	name := sel.Sel.Name
-	var mode string
-	switch name {
-	case "Lock", "Unlock":
-		mode = "w"
-	case "RLock", "RUnlock":
-		mode = "r"
-	default:
-		return "", false, false
-	}
-	// Require the method to come from package sync, so arbitrary
-	// Lock()/Unlock() methods on app types don't confuse the pass.
-	// Fall back to a receiver-name heuristic when types are missing.
-	if fn := c.p.funcFor(call); fn != nil {
-		if pkgPathOf(fn) != "sync" {
-			return "", false, false
-		}
-	} else if !receiverLooksLikeMutex(sel.X) {
-		return "", false, false
-	}
-	return types.ExprString(sel.X) + "/" + mode, name == "Lock" || name == "RLock", true
-}
-
-func receiverLooksLikeMutex(x ast.Expr) bool {
-	switch e := x.(type) {
-	case *ast.Ident:
-		return looksMu(e.Name)
-	case *ast.SelectorExpr:
-		return looksMu(e.Sel.Name)
-	}
-	return false
-}
-
-func looksMu(name string) bool {
-	n := len(name)
-	return name == "mu" || (n >= 2 && (name[n-2:] == "mu" || name[n-2:] == "Mu")) ||
-		(n >= 5 && (name[n-5:] == "mutex" || name[n-5:] == "Mutex"))
-}
-
-// checkBlock walks stmts with the set of held locks, reporting any
-// return reached while a lock is held.  It returns the locks still
-// held after the block falls through its end.
-func (c *lockChecker) checkBlock(stmts []ast.Stmt, held lockSet) lockSet {
-	if c.deferred == nil {
-		c.deferred = make(map[string]bool)
-	}
-	for _, stmt := range stmts {
-		switch s := stmt.(type) {
-		case *ast.ExprStmt:
-			if call, ok := s.X.(*ast.CallExpr); ok {
-				if key, acquire, ok := c.lockCall(call); ok {
-					if acquire {
-						if !c.deferred[key] {
-							held[key] = s
-						}
-					} else {
-						c.releaseWithModeCheck(s.Pos(), key, held)
-					}
+// The pass reads the summary walk (summary.go): a lock held without a
+// deferred release at a return, or at the end of a body a path reaches,
+// is reported there, and so is a release in the other mode.  Lock
+// identity is the source text of the receiver expression ("db.mu",
+// "h.f.mu") plus the mode, which matches how this codebase names
+// locks.  Intentional cross-function handoffs (none exist today) would
+// use //iamlint:ignore lockcheck.
+func lockcheck(pr *program, emit func(diag)) {
+	for _, n := range pr.order {
+		for _, x := range n.sum.exits {
+			for _, h := range x.held {
+				if h.deferred {
 					continue
 				}
-				if isTerminatorCall(call) {
-					return lockSet{}
-				}
+				lock, unlock := h.methods()
+				emit(diag{
+					pass: "lockcheck",
+					pos:  pr.fset.Position(x.pos),
+					msg: fmt.Sprintf("%s.%s() at line %d is not released on this path (add defer %s.%s() or unlock before returning)",
+						h.expr, lock, pr.fset.Position(h.pos).Line, h.expr, unlock),
+				})
 			}
-		case *ast.DeferStmt:
-			for _, key := range deferredUnlocks(c, s) {
-				c.releaseWithModeCheck(s.Pos(), key, held)
-				c.deferred[key] = true
-			}
-		case *ast.ReturnStmt:
-			for key, pos := range held {
-				c.report(s.Pos(), key, pos)
-			}
-			return lockSet{}
-		case *ast.BranchStmt:
-			// break/continue/goto leave the block; balanced use around
-			// loops is the caller's concern, so stop scanning here.
-			return lockSet{}
-		case *ast.BlockStmt:
-			held = c.checkBlock(s.List, held)
-		case *ast.IfStmt:
-			held = c.checkIf(s, held)
-		case *ast.ForStmt:
-			exit := c.checkBlock(s.Body.List, held.clone())
-			held = union(held, exit)
-			if s.Cond == nil && !hasBreak(s.Body) {
-				// `for {}` with no break never falls through; anything
-				// after is unreachable.
-				return lockSet{}
-			}
-		case *ast.RangeStmt:
-			exit := c.checkBlock(s.Body.List, held.clone())
-			held = union(held, exit)
-		case *ast.SwitchStmt:
-			held = c.checkCases(s.Body, held, false)
-		case *ast.TypeSwitchStmt:
-			held = c.checkCases(s.Body, held, false)
-		case *ast.SelectStmt:
-			held = c.checkCases(s.Body, held, true)
-		case *ast.LabeledStmt:
-			held = c.checkBlock([]ast.Stmt{s.Stmt}, held)
 		}
-	}
-	return held
-}
-
-// checkIf handles both branches and merges the fall-through states:
-// a lock is considered held after the if when any non-terminating path
-// still holds it.
-func (c *lockChecker) checkIf(s *ast.IfStmt, held lockSet) lockSet {
-	bodyExit := c.checkBlock(s.Body.List, held.clone())
-	bodyTerm := terminates(s.Body.List)
-	if s.Else == nil {
-		if bodyTerm {
-			return held
+		for _, s := range n.sum.slips {
+			took, right := s.held.methods()
+			wrong := "RUnlock"
+			if s.held.read {
+				wrong = "Unlock"
+			}
+			emit(diag{
+				pass: "lockcheck",
+				pos:  pr.fset.Position(s.pos),
+				msg:  fmt.Sprintf("%s.%s() released by %s() — mode mismatch, use %s.%s()", s.held.expr, took, wrong, s.held.expr, right),
+			})
 		}
-		return union(held, bodyExit)
-	}
-	var elseExit lockSet
-	var elseTerm bool
-	switch e := s.Else.(type) {
-	case *ast.BlockStmt:
-		elseExit = c.checkBlock(e.List, held.clone())
-		elseTerm = terminates(e.List)
-	case *ast.IfStmt:
-		elseExit = c.checkIf(e, held.clone())
-		elseTerm = false // nested else-if fall-through handled by union
-	}
-	switch {
-	case bodyTerm && elseTerm:
-		return lockSet{}
-	case bodyTerm:
-		return elseExit
-	case elseTerm:
-		return bodyExit
-	default:
-		return union(bodyExit, elseExit)
 	}
 }
 
-func (c *lockChecker) checkCases(body *ast.BlockStmt, held lockSet, isSelect bool) lockSet {
-	merged := held
-	hasDefault := false
-	for _, cl := range body.List {
-		var stmts []ast.Stmt
-		switch cc := cl.(type) {
-		case *ast.CaseClause:
-			stmts = cc.Body
-			if cc.List == nil {
-				hasDefault = true
-			}
-		case *ast.CommClause:
-			stmts = cc.Body
-			if cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		exit := c.checkBlock(stmts, held.clone())
-		if !terminates(stmts) {
-			merged = union(merged, exit)
-		}
+// methods names the call that took a lock in its mode and the one that
+// releases it.
+func (id lockID) methods() (lock, unlock string) {
+	if id.read {
+		return "RLock", "RUnlock"
 	}
-	_ = hasDefault // without a default the zero-case fall-through keeps `held`, already merged
-	_ = isSelect
-	return merged
-}
-
-// deferredUnlocks returns lock keys released by a defer statement:
-// either `defer mu.Unlock()` directly or unlock calls inside a
-// deferred func literal.
-func deferredUnlocks(c *lockChecker, s *ast.DeferStmt) []string {
-	var keys []string
-	if key, acquire, ok := c.lockCall(s.Call); ok && !acquire {
-		return []string{key}
-	}
-	if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if key, acquire, ok := c.lockCall(call); ok && !acquire {
-					keys = append(keys, key)
-				}
-			}
-			return true
-		})
-	}
-	return keys
-}
-
-// terminates reports whether a statement list always transfers control
-// out (return, panic, break/continue, or an endless for).
-func terminates(stmts []ast.Stmt) bool {
-	if len(stmts) == 0 {
-		return false
-	}
-	switch s := stmts[len(stmts)-1].(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			return isTerminatorCall(call)
-		}
-	case *ast.ForStmt:
-		return s.Cond == nil && !hasBreak(s.Body)
-	case *ast.IfStmt:
-		if s.Else == nil {
-			return false
-		}
-		elseTerm := false
-		switch e := s.Else.(type) {
-		case *ast.BlockStmt:
-			elseTerm = terminates(e.List)
-		case *ast.IfStmt:
-			elseTerm = terminates([]ast.Stmt{e})
-		}
-		return terminates(s.Body.List) && elseTerm
-	case *ast.BlockStmt:
-		return terminates(s.List)
-	}
-	return false
-}
-
-func isTerminatorCall(call *ast.CallExpr) bool {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun.Name == "panic"
-	case *ast.SelectorExpr:
-		if x, ok := fun.X.(*ast.Ident); ok {
-			return (x.Name == "os" && fun.Sel.Name == "Exit") ||
-				(x.Name == "log" && (fun.Sel.Name == "Fatal" || fun.Sel.Name == "Fatalf" || fun.Sel.Name == "Fatalln"))
-		}
-	}
-	return false
-}
-
-func hasBreak(body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.BranchStmt:
-			if s.Tok.String() == "break" {
-				found = true
-			}
-		case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-			return false // break inside belongs to the inner statement
-		}
-		return !found
-	})
-	return found
-}
-
-func union(a, b lockSet) lockSet {
-	out := a.clone()
-	for k, v := range b {
-		if _, ok := out[k]; !ok {
-			out[k] = v
-		}
-	}
-	return out
+	return "Lock", "Unlock"
 }

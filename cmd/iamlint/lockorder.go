@@ -27,12 +27,11 @@ import (
 // trailing ".*" is a prefix wildcard ("vfs.*" matches every lock in
 // package vfs).
 //
-// Reports: any cycle in the acquisition graph (potential deadlock),
-// any acquisition while a declared leaf is held, and — once at least
-// one directive exists in the linted program — any observed edge not
-// covered by the declared order's transitive closure.  With no
-// directives at all only cycles are reported, so the pass is adoptable
-// incrementally.
+// Reports: every observed edge the declared order's transitive closure
+// does not cover (one whose reverse it does cover completes a cycle, a
+// potential deadlock), any acquisition while a declared leaf is held,
+// any lock taken while it may already be held, and, once at its
+// directive, a declared order that itself permits a cycle.
 
 // lockRule is one parsed directive clause.
 type lockRule struct {
@@ -47,7 +46,6 @@ type lockEdge struct {
 	src, dst string
 	pos      token.Pos
 	via      *types.Func // immediate callee for interprocedural edges
-	iface    bool        // resolution crossed an interface method
 }
 
 func parseLockDecls(pkgs []*pkg, emit func(diag)) []lockRule {
@@ -93,48 +91,26 @@ func lockMatches(pattern, canon string) bool {
 }
 
 // declaredClosure computes the transitive closure of the "order"
-// rules over directive name spellings.
-func declaredClosure(rules []lockRule) [][2]string {
-	succ := make(map[string]map[string]bool)
-	add := func(a, b string) bool {
-		la, lb := strings.ToLower(a), strings.ToLower(b)
-		if succ[la] == nil {
-			succ[la] = make(map[string]bool)
-		}
-		if succ[la][lb] {
-			return false
-		}
-		succ[la][lb] = true
-		return true
-	}
-	names := make(map[string]string) // lower -> original spelling
+// rules over directive name spellings, lowercased.
+func declaredClosure(rules []lockRule) map[[2]string]bool {
+	closure := make(map[[2]string]bool)
 	for _, r := range rules {
-		if r.kind != "order" {
-			continue
+		if r.kind == "order" {
+			closure[[2]string{strings.ToLower(r.a), strings.ToLower(r.b)}] = true
 		}
-		add(r.a, r.b)
-		names[strings.ToLower(r.a)] = r.a
-		names[strings.ToLower(r.b)] = r.b
 	}
 	for changed := true; changed; {
 		changed = false
-		for a, bs := range succ {
-			for b := range bs {
-				for c := range succ[b] {
-					if add(a, c) {
-						changed = true
-					}
+		for ab := range closure {
+			for bc := range closure {
+				if ac := [2]string{ab[0], bc[1]}; ab[1] == bc[0] && !closure[ac] {
+					closure[ac] = true
+					changed = true
 				}
 			}
 		}
 	}
-	var out [][2]string
-	for a, bs := range succ {
-		for b := range bs {
-			out = append(out, [2]string{a, b})
-		}
-	}
-	return out
+	return closure
 }
 
 // collectEdges walks every function summary producing the observed
@@ -162,17 +138,16 @@ func collectEdges(pr *program) []lockEdge {
 				continue
 			}
 			for _, cn := range pr.callees(n, ev) {
-				for lock, origin := range cn.sum.mayAcquire {
-					viaIface := ev.iface || origin.iface
+				for lock, viaIface := range cn.sum.mayAcquire {
 					for _, h := range ev.held {
-						if h == lock && viaIface {
+						if h == lock && (ev.iface || viaIface) {
 							// A self-edge reached only through interface
 							// resolution is an over-approximation artifact
 							// (e.g. a vfs wrapper delegating to its inner
 							// FS, which "may" be itself): skip.
 							continue
 						}
-						addEdge(lockEdge{src: h, dst: lock, pos: ev.pos, via: ev.callee, iface: viaIface})
+						addEdge(lockEdge{src: h, dst: lock, pos: ev.pos, via: ev.callee})
 					}
 				}
 			}
@@ -181,67 +156,12 @@ func collectEdges(pr *program) []lockEdge {
 	return edges
 }
 
-// sccOf groups the edge graph's nodes into strongly connected
-// components (Tarjan), returning a component id per lock name.
-func sccOf(edges []lockEdge) map[string]int {
-	adj := make(map[string][]string)
-	for _, e := range edges {
-		adj[e.src] = append(adj[e.src], e.dst)
-		if _, ok := adj[e.dst]; !ok {
-			adj[e.dst] = nil
-		}
-	}
-	index := make(map[string]int)
-	low := make(map[string]int)
-	onStack := make(map[string]bool)
-	comp := make(map[string]int)
-	var stack []string
-	next, ncomp := 0, 0
-
-	var strongconnect func(v string)
-	strongconnect = func(v string) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp[w] = ncomp
-				if w == v {
-					break
-				}
-			}
-			ncomp++
-		}
-	}
-	for v := range adj {
-		if _, seen := index[v]; !seen {
-			strongconnect(v)
-		}
-	}
-	return comp
-}
-
 func lockorder(pr *program, emit func(diag)) {
 	rules := parseLockDecls(pr.pkgs, emit)
 	closure := declaredClosure(rules)
 
 	declared := func(src, dst string) bool {
-		for _, pair := range closure {
+		for pair := range closure {
 			if lockMatches(pair[0], src) && lockMatches(pair[1], dst) {
 				return true
 			}
@@ -256,13 +176,13 @@ func lockorder(pr *program, emit func(diag)) {
 		}
 		return false
 	}
-	leafRule := func(src string) *lockRule {
-		for i, r := range rules {
+	isLeaf := func(src string) bool {
+		for _, r := range rules {
 			if r.kind == "leaf" && lockMatches(r.a, src) {
-				return &rules[i]
+				return true
 			}
 		}
-		return nil
+		return false
 	}
 	viaSuffix := func(e lockEdge) string {
 		if e.via == nil {
@@ -270,84 +190,40 @@ func lockorder(pr *program, emit func(diag)) {
 		}
 		return fmt.Sprintf(" (via call to %s)", fnLabel(e.via))
 	}
-	position := func(p token.Pos) token.Position { return pr.fset.Position(p) }
 
-	all := collectEdges(pr)
-	var edges []lockEdge
-	for _, e := range all {
+	// A declared order that orders a lock before itself is reported
+	// once, at its directive, whether or not code takes the locks.
+	reported := make(map[token.Position]bool)
+	for _, r := range rules {
+		if r.kind == "order" && closure[[2]string{strings.ToLower(r.a), strings.ToLower(r.a)}] && !reported[r.pos] {
+			reported[r.pos] = true
+			emit(diag{
+				pass: "lockorder",
+				pos:  r.pos,
+				msg:  fmt.Sprintf("declared lock order permits a cycle through %s and %s — fix the //iamlint:lockorder directives", r.a, r.b),
+			})
+		}
+	}
+
+	for _, e := range collectEdges(pr) {
 		if internalExempt(e.src, e.dst) {
 			continue
 		}
-		edges = append(edges, e)
-	}
-
-	comp := sccOf(edges)
-	inCycle := func(e lockEdge) bool {
-		if e.src == e.dst {
-			return true
-		}
-		return comp[e.src] == comp[e.dst]
-	}
-
-	// Count members per component to tell real multi-lock cycles from
-	// singleton components, and note which cycles contain an
-	// undeclared edge: there the undeclared edges are the offenders
-	// and the declared ones stay silent.
-	size := make(map[int]int)
-	for _, c := range comp {
-		size[c]++
-	}
-	undeclaredIn := make(map[int]bool)
-	for _, e := range edges {
-		if e.src != e.dst && comp[e.src] == comp[e.dst] && size[comp[e.src]] > 1 && !declared(e.src, e.dst) {
-			undeclaredIn[comp[e.src]] = true
-		}
-	}
-
-	haveDecls := len(rules) > 0
-	for _, e := range edges {
 		src, dst := displayLock(e.src), displayLock(e.dst)
+		var msg string
 		switch {
 		case e.src == e.dst:
-			emit(diag{
-				pass: "lockorder",
-				pos:  position(e.pos),
-				msg:  fmt.Sprintf("%s may be acquired while already held%s — recursive locking, self-deadlock", dst, viaSuffix(e)),
-			})
-		case inCycle(e) && size[comp[e.src]] > 1 && !declared(e.src, e.dst):
-			emit(diag{
-				pass: "lockorder",
-				pos:  position(e.pos),
-				msg:  fmt.Sprintf("acquiring %s while holding %s%s completes a lock-order cycle — potential deadlock", dst, src, viaSuffix(e)),
-			})
-		case inCycle(e) && size[comp[e.src]] > 1:
-			if undeclaredIn[comp[e.src]] {
-				// The cycle's undeclared edges were reported above; this
-				// declared edge is consistent with the hierarchy.
-				continue
-			}
-			// Every edge of this cycle is individually declared: the
-			// declared hierarchy itself is contradictory.
-			emit(diag{
-				pass: "lockorder",
-				pos:  position(e.pos),
-				msg:  fmt.Sprintf("declared lock order permits a cycle through %s and %s — fix the //iamlint:lockorder directives", src, dst),
-			})
+			msg = fmt.Sprintf("%s may be acquired while already held%s — recursive locking, self-deadlock", dst, viaSuffix(e))
+		case !declared(e.src, e.dst) && declared(e.dst, e.src):
+			msg = fmt.Sprintf("acquiring %s while holding %s%s completes a lock-order cycle — potential deadlock", dst, src, viaSuffix(e))
+		case isLeaf(e.src):
+			msg = fmt.Sprintf("%s is declared a leaf lock but %s is acquired while it is held%s", src, dst, viaSuffix(e))
+		case !declared(e.src, e.dst):
+			msg = fmt.Sprintf("acquiring %s while holding %s%s is not in the declared lock order; add \"//iamlint:lockorder %s < %s\" or restructure",
+				dst, src, viaSuffix(e), src, dst)
 		default:
-			if lr := leafRule(e.src); lr != nil {
-				emit(diag{
-					pass: "lockorder",
-					pos:  position(e.pos),
-					msg:  fmt.Sprintf("%s is declared a leaf lock but %s is acquired while it is held%s", src, dst, viaSuffix(e)),
-				})
-			} else if haveDecls && !declared(e.src, e.dst) {
-				emit(diag{
-					pass: "lockorder",
-					pos:  position(e.pos),
-					msg: fmt.Sprintf("acquiring %s while holding %s%s is not in the declared lock order; add \"//iamlint:lockorder %s < %s\" or restructure",
-						dst, src, viaSuffix(e), src, dst),
-				})
-			}
+			continue
 		}
+		emit(diag{pass: "lockorder", pos: pr.fset.Position(e.pos), msg: msg})
 	}
 }

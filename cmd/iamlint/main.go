@@ -2,12 +2,8 @@
 // invariants that generic tooling cannot know about — the discipline
 // the IAM-tree's concurrent compaction model depends on.
 //
-// Intraprocedural passes (per package):
+// Passes over one package's syntax:
 //
-//	lockcheck    every mu.Lock() is released by a defer mu.Unlock() or
-//	             an Unlock on every return path of the same function,
-//	             and the release mode matches the acquire mode (an
-//	             RLock released by Unlock is flagged)
 //	ioerr        no call into internal/vfs, internal/wal, internal/table
 //	             or internal/manifest may silently discard an error
 //	             result (write `_ = f.Close()` to discard on purpose;
@@ -27,10 +23,15 @@
 //	             writes are allowed only on provably fresh values
 //	             (&T{...}, new(T), or a same-package new* constructor)
 //
-// Interprocedural passes (whole program: per-function summaries plus
-// a type-resolved call graph where interface methods resolve to every
+// Passes over the function summaries (summary.go: one path-sensitive
+// walk per function body, recording what each path holds; and a
+// type-resolved call graph where interface methods resolve to every
 // implementation in the linted packages):
 //
+//	lockcheck    every mu.Lock() is released by a defer mu.Unlock() or
+//	             an Unlock on every return path of the same function,
+//	             and the release mode matches the acquire mode (an
+//	             RLock released by Unlock is flagged)
 //	lockorder    the inferred mutex-acquisition graph (which locks are
 //	             held when each other lock is taken, propagated through
 //	             calls) must match the //iamlint:lockorder declared
@@ -108,7 +109,7 @@ type jsonDiag struct {
 }
 
 // run loads the packages matched by patterns and applies every pass —
-// the per-package ones, then the interprocedural ones over the whole
+// the syntax passes per package, then the summary passes over the whole
 // loaded program — returning diagnostics in file:line order.
 func run(patterns []string) ([]diag, error) {
 	pkgs, err := load(patterns)
@@ -132,7 +133,7 @@ func run(patterns []string) ([]diag, error) {
 	return all, nil
 }
 
-// analyze runs the per-package passes over one loaded package,
+// analyze runs the syntax passes over one loaded package,
 // honouring the package's suppression directives.
 func analyze(p *pkg) []diag {
 	var diags []diag
@@ -144,7 +145,6 @@ func analyze(p *pkg) []diag {
 	for _, d := range p.pending {
 		emit(d)
 	}
-	lockcheck(p, emit)
 	ioerr(p, emit)
 	determinism(p, emit)
 	aliascheck(p, emit)

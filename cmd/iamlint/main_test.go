@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -287,6 +288,14 @@ func TestEveryPassCatchesARealMutation(t *testing.T) {
 			"\tif err := st.set.SetLogMeta(immSeq, curWal); err != nil {\n",
 			"\tst.mu.Lock()\n\terr := st.set.SetLogMeta(immSeq, curWal)\n\tst.mu.Unlock()\n\tif err != nil {\n",
 			"st.set.SetLogMeta"},
+		// The commit-error path takes the sequencer's lock after an early
+		// return that released st.mu only on its own branch: the path
+		// that falls through still holds st.mu, and no clause declares
+		// "iamdb.store.mu < Sequencer.Mu".
+		{"lockorder", "store.go",
+			"\t\treturn 0\n\t}\n\tif st.bgErr == nil {",
+			"\t\treturn 0\n\t}\n\tst.db.seqr.Mu.Lock()\n\tst.db.seqr.Mu.Unlock()\n\tif st.bgErr == nil {",
+			"st.db.seqr.Mu.Lock()"},
 		// store.resume returns ErrClosed with st.mu still held.
 		{"lockcheck", "store.go",
 			"\tif st.closed {\n\t\tst.mu.Unlock()\n\t\treturn ErrClosed\n\t}\n\tst.mu.Unlock()\n\tif err := st.set.Resume()",
@@ -429,5 +438,20 @@ func TestEveryPassCatchesARealMutation(t *testing.T) {
 		for _, d := range diags {
 			t.Logf("%s", d)
 		}
+	}
+}
+
+// TestDeclaredCycleIsReportedAtItsDirective pins the report of a
+// hierarchy that contradicts itself: it is made once, at the directive,
+// with no code taking the locks.
+func TestDeclaredCycleIsReportedAtItsDirective(t *testing.T) {
+	at := token.Position{Filename: "x.go", Line: 3}
+	pr := &program{fset: token.NewFileSet(), pkgs: []*pkg{{
+		lockDecls: []lockDecl{{text: "a.mu < b.mu; b.mu < c.mu; c.mu < a.mu", pos: at}},
+	}}}
+	var got []diag
+	lockorder(pr, func(d diag) { got = append(got, d) })
+	if len(got) != 1 || got[0].pos != at || !strings.Contains(got[0].msg, "permits a cycle") {
+		t.Fatalf("got %v, want one cycle report at %v", got, at)
 	}
 }

@@ -5,21 +5,25 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// This file builds the interprocedural substrate's per-function
-// summaries: which locks a function acquires (and what was held at
+// This file builds the per-function summaries the lock and goroutine
+// passes read: which locks a function acquires (and what was held at
 // each acquisition), which functions it calls (and what was held at
-// each call), which goroutines it spawns and which WaitGroups it
-// Add/Done/Waits.
+// each call), what it still holds where it returns, which goroutines it
+// spawns and which WaitGroups it Add/Done/Waits.  It is the one walk
+// over a function body.
 //
-// The walk is source-order and deliberately simple: branches are
-// visited in order with one mutable held-set, `defer mu.Unlock()`
-// keeps the lock in the held-set for the rest of the function (the
-// lock really is held until return — the opposite convention from
-// lockcheck, which tracks release obligations), and function literals
+// The walk is path-sensitive: `if`, `switch`, `select` and loops fork
+// the held-set and join (union) the states that fall out of them, and
+// return, panic, os.Exit, log.Fatal* and branch statements end a path;
+// a loop body is walked once.  A held lock carries its canonical name
+// (what lockorder orders), its receiver text and mode (the instance
+// lockcheck tracks) and whether a defer releases it: `defer
+// mu.Unlock()` keeps the lock held until return.  Function literals
 // become anonymous summary nodes analyzed with an empty held-set (a
 // literal usually runs on another goroutine or as a callback, where
 // the enclosing frame's locks are not reliably held).
@@ -60,7 +64,7 @@ type spawnSite struct {
 	lit    *ast.FuncLit
 }
 
-// summary holds everything the interprocedural passes need to know
+// summary holds everything the summary passes need to know
 // about one function without re-reading its body.
 type summary struct {
 	acquires []lockAcq
@@ -69,18 +73,13 @@ type summary struct {
 	wgAdds   []wgRef
 	wgDones  []wgRef
 	wgWaits  []wgRef
+	exits    []lockExit
+	slips    []lockSlip
 
-	// Fixpoint results (computed in callgraph.go):
-	// mayAcquire maps canonical lock -> how it can be reached from
-	// this function (directly or through calls).
-	mayAcquire map[string]acqOrigin
-}
-
-// acqOrigin records how a lock became reachable from a function.
-type acqOrigin struct {
-	pos   token.Pos   // example acquisition position
-	via   *types.Func // first callee on the path, nil if acquired directly
-	iface bool        // some hop was an interface resolution
+	// mayAcquire (computed in callgraph.go) holds every lock the
+	// function may take, directly or through calls, and whether the
+	// first path found to it crosses an interface call.
+	mayAcquire map[string]bool
 }
 
 // funcNode is one analyzed function, method, or function literal.
@@ -194,51 +193,150 @@ func syncRecv(p *pkg, call *ast.CallExpr) (recv ast.Expr, typ, method string, ok
 	return sel.X, named.Obj().Name(), fn.Name(), true
 }
 
+// lockID is one lock instance in one mode, as lockcheck tracks it: the
+// receiver's source text ("db.mu", "h.f.mu") and whether it is the
+// read side of an RWMutex.
+type lockID struct {
+	expr string
+	read bool
+}
+
+// heldLock is one lock a path holds.
+type heldLock struct {
+	lockID
+	name     string    // canonical name: what lockorder orders
+	pos      token.Pos // the acquiring call
+	deferred bool      // a defer releases it when the function returns
+}
+
+// lockExit is one place a path leaves the function: a return, or the
+// end of the body when a path reaches it.
+type lockExit struct {
+	pos  token.Pos
+	held []heldLock
+}
+
+// lockSlip is a release in the other mode from the held acquisition:
+// an RLock released by Unlock, or a Lock by RUnlock.
+type lockSlip struct {
+	pos  token.Pos
+	held heldLock
+}
+
+// path is the walk's state at one point of a function body: the locks
+// held on the union of the paths that reach it.
+type path struct {
+	held []heldLock
+	dead bool // no path reaches this point
+}
+
+func (s path) fork() path {
+	return path{held: slices.Clone(s.held), dead: s.dead}
+}
+
+// join merges the paths of o into s.
+func (s *path) join(o path) {
+	switch {
+	case o.dead:
+	case s.dead:
+		*s = o
+	default:
+		for _, h := range o.held {
+			if s.find(h.lockID) < 0 {
+				s.held = append(s.held, h)
+			}
+		}
+	}
+}
+
+func (s path) find(id lockID) int {
+	return slices.IndexFunc(s.held, func(h heldLock) bool { return h.lockID == id })
+}
+
 // sumBuilder walks one function body accumulating its summary.
 type sumBuilder struct {
-	p      *pkg
-	fnName string
-	sum    *summary
-	held   []string
-	anon   *[]*funcNode // literals found along the way
+	p        *pkg
+	fnName   string
+	sum      *summary
+	at       path
+	deferred map[lockID]bool // released by a defer met so far in source order
+	anon     *[]*funcNode    // literals found along the way
 }
 
 // buildSummary summarizes one function body.  anon collects function
 // literals as separate anonymous nodes.
 func buildSummary(p *pkg, fnName string, body *ast.BlockStmt, anon *[]*funcNode) *summary {
-	b := &sumBuilder{p: p, fnName: fnName, sum: &summary{}, anon: anon}
+	b := &sumBuilder{p: p, fnName: fnName, sum: &summary{}, deferred: make(map[lockID]bool), anon: anon}
 	b.walkStmts(body.List)
+	if !b.at.dead {
+		b.exit(body.Rbrace)
+	}
 	return b.sum
 }
 
-func (b *sumBuilder) heldCopy() []string {
-	return append([]string(nil), b.held...)
-}
-
-func (b *sumBuilder) acquire(name string, pos token.Pos) {
-	for _, h := range b.held {
-		if h == name {
-			// Recursive acquisition of a held lock: record the
-			// self-edge (lockorder reports it) but do not grow the set.
-			b.sum.acquires = append(b.sum.acquires, lockAcq{name: name, pos: pos, held: b.heldCopy()})
-			return
-		}
+func (b *sumBuilder) heldNames() []string {
+	names := make([]string, len(b.at.held))
+	for i, h := range b.at.held {
+		names[i] = h.name
 	}
-	b.sum.acquires = append(b.sum.acquires, lockAcq{name: name, pos: pos, held: b.heldCopy()})
-	b.held = append(b.held, name)
+	return names
 }
 
-func (b *sumBuilder) release(name string) {
-	for i, h := range b.held {
-		if h == name {
-			b.held = append(b.held[:i], b.held[i+1:]...)
-			return
-		}
+func (b *sumBuilder) exit(pos token.Pos) {
+	b.sum.exits = append(b.sum.exits, lockExit{pos: pos, held: slices.Clone(b.at.held)})
+	b.at.dead = true
+}
+
+// acquire records the acquisition with what is held (a lock already
+// held gives lockorder its self-edge) and holds the lock.
+func (b *sumBuilder) acquire(id lockID, name string, pos token.Pos) {
+	b.sum.acquires = append(b.sum.acquires, lockAcq{name: name, pos: pos, held: b.heldNames()})
+	if b.at.find(id) < 0 {
+		b.at.held = append(b.at.held, heldLock{lockID: id, name: name, pos: pos, deferred: b.deferred[id]})
 	}
 }
 
+// release handles an Unlock or RUnlock.  An immediate one drops the
+// lock; a deferred one keeps it held until the function returns, where
+// it no longer leaks.  With only the other mode held, and no defer
+// already releasing this one, it records a slip against that one.
+func (b *sumBuilder) release(id lockID, pos token.Pos, deferred bool) {
+	i := b.at.find(id)
+	if i < 0 && !b.deferred[id] {
+		if i = b.at.find(lockID{id.expr, !id.read}); i >= 0 {
+			b.sum.slips = append(b.sum.slips, lockSlip{pos: pos, held: b.at.held[i]})
+		}
+	}
+	switch {
+	case i < 0:
+	case deferred:
+		b.at.held[i].deferred = true
+	default:
+		b.at.held = slices.Delete(b.at.held, i, i+1)
+	}
+	if deferred {
+		b.deferred[id] = true
+	}
+}
+
+// deferRelease handles a call a defer runs; it reports whether the call
+// is a release.
+func (b *sumBuilder) deferRelease(call *ast.CallExpr, pos token.Pos) bool {
+	id, _, acquires, ok := b.mutexCall(call)
+	if !ok || acquires {
+		return false
+	}
+	b.release(id, pos, true)
+	return true
+}
+
+// walkStmts walks a statement list until its path ends; a statement
+// after that is unreachable (goto is not modeled).
 func (b *sumBuilder) walkStmts(stmts []ast.Stmt) {
 	for _, s := range stmts {
+		if b.at.dead {
+			return
+		}
 		b.walkStmt(s)
 	}
 }
@@ -252,60 +350,142 @@ func (b *sumBuilder) walkStmt(s ast.Stmt) {
 			b.walkStmt(st.Init)
 		}
 		b.scanExpr(st.Cond)
+		orElse := b.at.fork()
 		b.walkStmt(st.Body)
+		then := b.at
+		b.at = orElse
 		if st.Else != nil {
 			b.walkStmt(st.Else)
 		}
+		b.at.join(then)
 	case *ast.ForStmt:
 		if st.Init != nil {
 			b.walkStmt(st.Init)
 		}
-		if st.Cond != nil {
-			b.scanExpr(st.Cond)
-		}
-		b.walkStmt(st.Body)
-		if st.Post != nil {
-			b.walkStmt(st.Post)
-		}
+		b.scanExpr(st.Cond)
+		b.loop(st.Body, st.Post, st.Cond == nil && !hasBreak(st.Body))
 	case *ast.RangeStmt:
 		b.scanExpr(st.X)
-		b.walkStmt(st.Body)
+		b.loop(st.Body, nil, false)
 	case *ast.SwitchStmt:
 		if st.Init != nil {
 			b.walkStmt(st.Init)
 		}
-		if st.Tag != nil {
-			b.scanExpr(st.Tag)
-		}
-		b.walkStmt(st.Body)
+		b.scanExpr(st.Tag)
+		b.cases(st.Body, false)
 	case *ast.TypeSwitchStmt:
 		if st.Init != nil {
 			b.walkStmt(st.Init)
 		}
-		b.walkStmt(st.Body)
+		b.walkStmt(st.Assign)
+		b.cases(st.Body, false)
 	case *ast.SelectStmt:
-		b.walkStmt(st.Body)
-	case *ast.CaseClause:
-		for _, e := range st.List {
-			b.scanExpr(e)
-		}
-		b.walkStmts(st.Body)
-	case *ast.CommClause:
-		if st.Comm != nil {
-			b.walkStmt(st.Comm)
-		}
-		b.walkStmts(st.Body)
+		b.cases(st.Body, true)
 	case *ast.LabeledStmt:
 		b.walkStmt(st.Stmt)
 	case *ast.GoStmt:
 		b.spawn(st)
 	case *ast.DeferStmt:
 		b.deferCall(st)
+	case *ast.ReturnStmt:
+		b.scanNode(st)
+		b.exit(st.Pos())
+	case *ast.BranchStmt:
+		// break, continue, goto and fallthrough end the path here; the
+		// loop or switch they leave joins only its body's fall-through.
+		b.at.dead = true
 	default:
-		// Leaf statements (expressions, assignments, returns, sends,
+		// Leaf statements (expressions, assignments, sends,
 		// declarations): classify every call in source order.
 		b.scanNode(s)
+		if es, ok := st.(*ast.ExprStmt); ok {
+			if call, ok := es.X.(*ast.CallExpr); ok && isTerminatorCall(call) {
+				b.at.dead = true
+			}
+		}
 	}
+}
+
+// loop walks a loop body once from the loop's entry state.  The loop is
+// left with the entry's locks or the body's, or never when it is endless.
+func (b *sumBuilder) loop(body *ast.BlockStmt, post ast.Stmt, endless bool) {
+	entry := b.at.fork()
+	b.walkStmt(body)
+	b.at.join(entry)
+	if post != nil {
+		b.walkStmt(post)
+	}
+	if endless {
+		b.at.dead = true
+	}
+}
+
+// cases walks every clause of a switch or select from the entry state
+// and joins the clauses that fall out.  A switch without a default can
+// also match nothing; a select always runs a clause.
+func (b *sumBuilder) cases(body *ast.BlockStmt, exhaustive bool) {
+	entry := b.at
+	out := path{dead: true}
+	for _, clause := range body.List {
+		b.at = entry.fork()
+		switch cc := clause.(type) {
+		case *ast.CaseClause:
+			exhaustive = exhaustive || cc.List == nil
+			for _, e := range cc.List {
+				b.scanExpr(e)
+			}
+			b.walkStmts(cc.Body)
+		case *ast.CommClause:
+			if cc.Comm != nil {
+				b.walkStmt(cc.Comm)
+			}
+			b.walkStmts(cc.Body)
+		}
+		out.join(b.at)
+	}
+	if !exhaustive {
+		out.join(entry)
+	}
+	b.at = out
+}
+
+// isTerminatorCall reports a call that never returns: panic, os.Exit,
+// log.Fatal*.
+func isTerminatorCall(call *ast.CallExpr) bool {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return fun.Name == "panic"
+	case *ast.SelectorExpr:
+		if x, ok := fun.X.(*ast.Ident); ok {
+			return (x.Name == "os" && fun.Sel.Name == "Exit") ||
+				(x.Name == "log" && (fun.Sel.Name == "Fatal" || fun.Sel.Name == "Fatalf" || fun.Sel.Name == "Fatalln"))
+		}
+	}
+	return false
+}
+
+// hasBreak reports whether a loop body can break out of its loop: by a
+// break outside any nested loop, switch or select, or by a labeled
+// break, which may name this loop.
+func hasBreak(body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch s := n.(type) {
+		case *ast.BranchStmt:
+			found = found || s.Tok == token.BREAK
+		case *ast.FuncLit:
+			return false
+		case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
+			ast.Inspect(s, func(m ast.Node) bool {
+				br, ok := m.(*ast.BranchStmt)
+				found = found || ok && br.Tok == token.BREAK && br.Label != nil
+				return !found
+			})
+			return false
+		}
+		return !found
+	})
+	return found
 }
 
 // spawn records a `go` statement.  A spawned literal is analyzed as
@@ -324,24 +504,26 @@ func (b *sumBuilder) spawn(st *ast.GoStmt) {
 	b.sum.spawns = append(b.sum.spawns, sp)
 }
 
-// deferCall handles defer statements.  A deferred Unlock keeps the
-// lock held for the rest of the walk (it releases at return); other
-// deferred calls are recorded like immediate ones.
+// deferCall handles defer statements.  A deferred release, directly or
+// inside a deferred literal, marks the lock; other deferred calls are
+// recorded like immediate ones.
 func (b *sumBuilder) deferCall(st *ast.DeferStmt) {
-	if recv, typ, method, ok := syncRecv(b.p, st.Call); ok &&
-		(typ == "Mutex" || typ == "RWMutex") &&
-		(method == "Unlock" || method == "RUnlock") {
-		_ = recv // held until return: deliberately not released here
-		return
-	}
 	if lit, ok := st.Call.Fun.(*ast.FuncLit); ok {
+		ast.Inspect(lit.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				b.deferRelease(call, st.Pos())
+			}
+			return true
+		})
 		b.liftLiteral(lit)
 		for _, arg := range st.Call.Args {
 			b.scanExpr(arg)
 		}
 		return
 	}
-	b.scanNode(st)
+	if !b.deferRelease(st.Call, st.Pos()) {
+		b.scanNode(st)
+	}
 }
 
 // liftLiteral registers a function literal as an anonymous node.
@@ -388,21 +570,40 @@ func (b *sumBuilder) scanNode(n ast.Node) {
 	})
 }
 
+// mutexCall classifies a Lock, RLock, TryLock, TryRLock, Unlock or
+// RUnlock call on a sync.Mutex or sync.RWMutex.
+func (b *sumBuilder) mutexCall(call *ast.CallExpr) (id lockID, name string, acquires, ok bool) {
+	recv, typ, method, ok := syncRecv(b.p, call)
+	if !ok || (typ != "Mutex" && typ != "RWMutex") {
+		return id, "", false, false
+	}
+	switch method {
+	case "Lock", "TryLock":
+		acquires = true
+	case "RLock", "TryRLock":
+		acquires, id.read = true, true
+	case "Unlock":
+	case "RUnlock":
+		id.read = true
+	default:
+		return id, "", false, false
+	}
+	id.expr = types.ExprString(recv)
+	return id, canonicalName(b.p, recv), acquires, true
+}
+
 func (b *sumBuilder) classifyCall(call *ast.CallExpr) {
+	if id, name, acquires, ok := b.mutexCall(call); ok {
+		if acquires {
+			b.acquire(id, name, call.Pos())
+		} else {
+			b.release(id, call.Pos(), false)
+		}
+		return
+	}
 	if recv, typ, method, ok := syncRecv(b.p, call); ok {
-		name := canonicalName(b.p, recv)
-		switch {
-		case typ == "Mutex" || typ == "RWMutex":
-			switch method {
-			case "Lock", "RLock":
-				b.acquire(name, call.Pos())
-			case "Unlock", "RUnlock":
-				b.release(name)
-			case "TryLock", "TryRLock":
-				b.acquire(name, call.Pos())
-			}
-		case typ == "WaitGroup":
-			ref := wgRef{name: name, pos: call.Pos()}
+		if typ == "WaitGroup" {
+			ref := wgRef{name: canonicalName(b.p, recv), pos: call.Pos()}
 			switch method {
 			case "Add":
 				b.sum.wgAdds = append(b.sum.wgAdds, ref)
@@ -419,7 +620,7 @@ func (b *sumBuilder) classifyCall(call *ast.CallExpr) {
 	if fn == nil {
 		return // dynamic call (func value, conversion, builtin)
 	}
-	ev := sumEvent{pos: call.Pos(), held: b.heldCopy(), callee: fn}
+	ev := sumEvent{pos: call.Pos(), held: b.heldNames(), callee: fn}
 	ev.iface, ev.ifaceT = ifaceCallType(b.p, call, fn)
 	b.sum.events = append(b.sum.events, ev)
 }

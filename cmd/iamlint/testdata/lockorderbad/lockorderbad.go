@@ -67,3 +67,21 @@ func recursive() {
 	dv.mu.Unlock()
 	dv.mu.Unlock()
 }
+
+type e struct{ mu sync.Mutex }
+
+var ev e
+
+// earlyReturn releases a.mu only on the branch that returns, so the path
+// that falls through still holds it when it takes e.mu, which no clause
+// orders.
+func earlyReturn(done bool) {
+	av.mu.Lock()
+	if done {
+		av.mu.Unlock()
+		return
+	}
+	ev.mu.Lock() // want [lockorder] not in the declared lock order
+	ev.mu.Unlock()
+	av.mu.Unlock()
+}

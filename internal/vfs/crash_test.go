@@ -296,10 +296,10 @@ func TestFaultFSShortWrite(t *testing.T) {
 	mem := NewMemFS()
 	ffs := NewFaultFS(mem)
 	f, _ := ffs.Create("x")
-	ffs.FailShortWrite("x", 0, 3)
+	ffs.FailWithNoSpace(3)
 	n, err := f.Write([]byte("abcdef"))
-	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("want injected error, got %v", err)
+	if !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("want no-space error, got %v", err)
 	}
 	if n != 3 {
 		t.Fatalf("short write n=%d", n)

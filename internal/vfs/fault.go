@@ -50,9 +50,8 @@ const (
 )
 
 type fault struct {
-	after  int    // fire when counter reaches zero
-	path   string // substring the file path must contain; "" = any
-	shortN int    // for FaultWrite: bytes to let through first; < 0 = none
+	after int    // fire when counter reaches zero
+	path  string // substring the file path must contain; "" = any
 }
 
 // NewFaultFS wraps fs with no faults armed.
@@ -64,7 +63,7 @@ func NewFaultFS(fs FS) *FaultFS {
 // next one).  Re-arming replaces the previous schedule for op.
 func (f *FaultFS) FailAfter(op FaultOp, n int) {
 	f.mu.Lock()
-	f.arm[op] = []*fault{{after: n, shortN: -1}}
+	f.arm[op] = []*fault{{after: n}}
 	f.mu.Unlock()
 }
 
@@ -73,16 +72,7 @@ func (f *FaultFS) FailAfter(op FaultOp, n int) {
 // several path-scoped faults can be armed at once.
 func (f *FaultFS) FailAfterPath(op FaultOp, substr string, n int) {
 	f.mu.Lock()
-	f.arm[op] = append(f.arm[op], &fault{after: n, path: substr, shortN: -1})
-	f.mu.Unlock()
-}
-
-// FailShortWrite arms a write fault scoped to paths containing substr
-// that, when it fires, lets the first n bytes of the buffer through to
-// the inner file and then fails — a short write.
-func (f *FaultFS) FailShortWrite(substr string, after, n int) {
-	f.mu.Lock()
-	f.arm[FaultWrite] = append(f.arm[FaultWrite], &fault{after: after, path: substr, shortN: n})
+	f.arm[op] = append(f.arm[op], &fault{after: n, path: substr})
 	f.mu.Unlock()
 }
 
@@ -148,11 +138,9 @@ func (f *FaultFS) Hits(op FaultOp) int {
 }
 
 // check decides whether the next operation of class op on path fails.
-// It returns the short-write byte count (< 0 when the whole operation
-// must fail) alongside the error.  Only the first fault whose path
-// scope matches is considered, so countdowns are not consumed by
-// operations outside their scope.
-func (f *FaultFS) check(op FaultOp, path string) (int, error) {
+// Only the first fault whose path scope matches is considered, so
+// countdowns are not consumed by operations outside their scope.
+func (f *FaultFS) check(op FaultOp, path string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for i, fa := range f.arm[op] {
@@ -161,21 +149,20 @@ func (f *FaultFS) check(op FaultOp, path string) (int, error) {
 		}
 		if fa.after > 0 {
 			fa.after--
-			return -1, nil
+			return nil
 		}
 		f.hits[op]++
-		shortN := fa.shortN
 		if !f.sticky {
 			f.arm[op] = append(f.arm[op][:i], f.arm[op][i+1:]...)
 		}
-		return shortN, ErrInjected
+		return ErrInjected
 	}
-	return -1, nil
+	return nil
 }
 
 // Create implements FS.
 func (f *FaultFS) Create(name string) (File, error) {
-	if _, err := f.check(FaultCreate, name); err != nil {
+	if err := f.check(FaultCreate, name); err != nil {
 		return nil, err
 	}
 	if _, err := f.chargeWrite(0); err != nil {
@@ -199,7 +186,7 @@ func (f *FaultFS) Open(name string) (File, error) {
 
 // Remove implements FS.
 func (f *FaultFS) Remove(name string) error {
-	if _, err := f.check(FaultRemove, name); err != nil {
+	if err := f.check(FaultRemove, name); err != nil {
 		return err
 	}
 	return f.inner.Remove(name)
@@ -208,7 +195,7 @@ func (f *FaultFS) Remove(name string) error {
 // Rename implements FS.  A FaultRename fault matches when either the
 // old or the new name contains the fault's path substring.
 func (f *FaultFS) Rename(o, n string) error {
-	if _, err := f.check(FaultRename, o+" -> "+n); err != nil {
+	if err := f.check(FaultRename, o+" -> "+n); err != nil {
 		return err
 	}
 	return f.inner.Rename(o, n)
@@ -230,7 +217,7 @@ type faultFile struct {
 }
 
 func (f *faultFile) ReadAt(p []byte, off int64) (int, error) {
-	if _, err := f.fs.check(FaultRead, f.name); err != nil {
+	if err := f.fs.check(FaultRead, f.name); err != nil {
 		return 0, err
 	}
 	return f.inner.ReadAt(p, off)
@@ -245,18 +232,7 @@ func (f *faultFile) WriteAt(p []byte, off int64) (int, error) {
 		}
 		return allowed, err
 	}
-	shortN, err := f.fs.check(FaultWrite, f.name)
-	if err != nil {
-		if shortN > 0 {
-			if shortN > len(p) {
-				shortN = len(p)
-			}
-			n, werr := f.inner.WriteAt(p[:shortN], off)
-			if werr != nil {
-				n = 0
-			}
-			return n, err
-		}
+	if err := f.fs.check(FaultWrite, f.name); err != nil {
 		return 0, err
 	}
 	return f.inner.WriteAt(p, off)
@@ -271,32 +247,21 @@ func (f *faultFile) Write(p []byte) (int, error) {
 		}
 		return allowed, err
 	}
-	shortN, err := f.fs.check(FaultWrite, f.name)
-	if err != nil {
-		if shortN > 0 {
-			if shortN > len(p) {
-				shortN = len(p)
-			}
-			n, werr := f.inner.Write(p[:shortN])
-			if werr != nil {
-				n = 0
-			}
-			return n, err
-		}
+	if err := f.fs.check(FaultWrite, f.name); err != nil {
 		return 0, err
 	}
 	return f.inner.Write(p)
 }
 
 func (f *faultFile) Sync() error {
-	if _, err := f.fs.check(FaultSync, f.name); err != nil {
+	if err := f.fs.check(FaultSync, f.name); err != nil {
 		return err
 	}
 	return f.inner.Sync()
 }
 
 func (f *faultFile) Close() error {
-	if _, err := f.fs.check(FaultClose, f.name); err != nil {
+	if err := f.fs.check(FaultClose, f.name); err != nil {
 		return err
 	}
 	return f.inner.Close()

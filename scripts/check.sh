@@ -23,6 +23,9 @@ go vet ./...
 
 echo "== iamlint"
 go run ./cmd/iamlint ./...
+# The analyzer's own tests: every bad fixture flagged, good fixtures
+# clean, and one real mutation per pass caught on its line.
+go test -count=1 ./cmd/iamlint
 
 echo "== go build -tags invariants"
 go build -tags invariants ./...
