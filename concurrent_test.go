@@ -228,42 +228,3 @@ func TestConcurrentWriteClose(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// BenchmarkConcurrentCommit measures commit throughput under write
-// contention.  The group-commit pipeline should make N writers cheaper
-// than N sequential commits: one WAL append, one sync and one throttle
-// check amortize over the whole group.  Run via
-//
-//	go test -bench ConcurrentCommit -benchtime 1x
-//
-// for a smoke pass, or with -benchtime 2s for real numbers.
-func BenchmarkConcurrentCommit(b *testing.B) {
-	val := bytes.Repeat([]byte("v"), 100)
-	for _, writers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
-			db, err := Open("db", &Options{Engine: IAM, FS: vfs.NewMemFS()})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			var id atomic.Int64
-			b.SetParallelism(writers)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				w := id.Add(1)
-				key := make([]byte, 0, 32)
-				for i := 0; pb.Next(); i++ {
-					key = fmt.Appendf(key[:0], "w%03d-%09d", w, i)
-					if err := db.Put(key, val); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			if m := db.Metrics(); m.CommitGroups > 0 {
-				b.ReportMetric(m.MeanCommitGroupSize(), "batches/group")
-			}
-		})
-	}
-}

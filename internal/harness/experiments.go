@@ -99,6 +99,8 @@ var Experiments = []Experiment{
 	{"tuning", "tuning phase: compaction debt left after a hash load", Scale.TuningPhase},
 	{"stability", "sustained-workload throughput variance and worst-window tails", Scale.Stability},
 	{"kvsep", "key-value separation: large-value throughput and write-byte crossover", Scale.KVSep},
+	{"ablations", "design ablations: Bloom bits, leaf merge chunk, split/combine, compression", Scale.Ablations},
+	{"theory", "closed-form write amplification, Eq. (3)-(5), at paper scale", Scale.Theory},
 }
 
 // engines used across experiments, in the paper's presentation order.

@@ -67,7 +67,7 @@ func TestExperimentRepeatsExactly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two experiments and a kvsep cell, twice each")
 	}
-	defer SetMetricsSink(nil)
+	defer func() { closeHook = nil }()
 	sepZipf := func(s Scale) (Table, error) {
 		c, err := s.kvsepRun(iamdb.IAM, 64<<10, true, 1<<10, true)
 		return Table{Rows: [][]string{{fmt.Sprintf("%+v", c)}}}, err
@@ -76,9 +76,9 @@ func TestExperimentRepeatsExactly(t *testing.T) {
 		var out [2]string
 		for i := range out {
 			var b strings.Builder
-			SetMetricsSink(func(r MetricsRecord) {
-				fmt.Fprintf(&b, "%s %s %+v\n", r.Engine, r.Disk, r.Metrics)
-			})
+			closeHook = func(e *Env) {
+				fmt.Fprintf(&b, "%s %s %+v\n", e.Cfg.Engine, e.Cfg.Disk.Name, e.DB.Metrics())
+			}
 			tbl, err := run(SmallScale)
 			if err != nil {
 				t.Fatal(err)

@@ -105,11 +105,6 @@ type Env struct {
 	// sampler is the timeline sampler the op loops poll; ResetTimeline
 	// replaces it to scope the timeline to a measured phase.
 	sampler *iamdb.Sampler
-	// Stability, when set by an experiment before Close, rides along in
-	// the metrics record the sink receives.
-	Stability *StabilityScore
-	// reported guards the metrics sink against double Close.
-	reported bool
 }
 
 // paperCt is the paper's node capacity (Sec. 6.1): disk seek latency
@@ -188,50 +183,14 @@ func (e *Env) Timeline() []iamdb.TimelinePoint { return e.DB.Timeline() }
 // atomic load when no window boundary has been crossed).
 func (e *Env) poll() { e.sampler.Poll() }
 
-// MetricsRecord is one environment's final metrics snapshot, tagged
-// with the engine and disk profile that produced it.
-type MetricsRecord struct {
-	Engine  string
-	Disk    string
-	Metrics iamdb.Metrics
-	// Timeline is the run's windowed time-series (empty when the
-	// environment closed before any window did).
-	Timeline []iamdb.TimelinePoint `json:",omitempty"`
-	// Stability carries the stability experiment's score for this run.
-	Stability *StabilityScore `json:",omitempty"`
-}
+// closeHook, when set, sees every environment just before it closes:
+// TestExperimentRepeatsExactly reads each one's final metrics there.
+var closeHook func(*Env)
 
-// metricsSink, when installed, observes every environment's final
-// metrics snapshot at Close.  cmd/iambench uses it to emit a
-// BENCH_*.json blob per experiment so result trajectories capture
-// per-level amplification, not just throughput.
-var metricsSink func(MetricsRecord)
-
-// SetMetricsSink installs fn (nil to remove) as the metrics sink.  Not
-// safe to call while experiments are running.
-func SetMetricsSink(fn func(MetricsRecord)) { metricsSink = fn }
-
-// Report feeds one record to the installed sink, for experiments that
-// run a DB outside a harness Env (e.g. the wall-clock contention
-// benchmark in cmd/iambench).  A no-op without a sink.
-func Report(r MetricsRecord) {
-	if metricsSink != nil {
-		metricsSink(r)
-	}
-}
-
-// Close shuts the environment down, reporting final metrics to the
-// sink if one is installed.
+// Close shuts the environment down.
 func (e *Env) Close() error {
-	if metricsSink != nil && !e.reported {
-		e.reported = true
-		metricsSink(MetricsRecord{
-			Engine:    e.Cfg.Engine.String(),
-			Disk:      e.Cfg.Disk.Name,
-			Metrics:   e.DB.Metrics(),
-			Timeline:  e.Timeline(),
-			Stability: e.Stability,
-		})
+	if closeHook != nil {
+		closeHook(e)
 	}
 	return e.DB.Close()
 }

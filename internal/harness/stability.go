@@ -98,7 +98,6 @@ func (s Scale) Stability() (Table, error) {
 			return t, err
 		}
 		sc := ScoreTimeline(env.Timeline())
-		env.Stability = &sc
 		t.Rows = append(t.Rows, []string{
 			engineTag(e),
 			fmt.Sprint(sc.Windows),

@@ -20,7 +20,7 @@ import (
 // hookFS wraps an FS for the router tests: files whose path contains
 // match run before(name) ahead of every sequential Write (a WAL append)
 // and every ReadAt, hand every WriteAt (a table block, a value-log
-// record) to writeAt when it is set, and — like an operating-system
+// record) to writeAt and every Sync to sync when set, and — like an operating-system
 // file — refuse reads once closed.  MemFS handles keep reading after
 // Close and Remove, which would hide exactly the window the Get-vs-GC
 // test is about.
@@ -29,6 +29,7 @@ type hookFS struct {
 	match   string
 	before  func(name string)
 	writeAt func(f vfs.File, name string, p []byte, off int64) (int, error)
+	sync    func(f vfs.File, name string) error
 }
 
 type hookFile struct {
@@ -65,6 +66,13 @@ func (f *hookFile) WriteAt(p []byte, off int64) (int, error) {
 		return f.File.WriteAt(p, off)
 	}
 	return f.fs.writeAt(f.File, f.name, p, off)
+}
+
+func (f *hookFile) Sync() error {
+	if f.fs.sync == nil {
+		return f.File.Sync()
+	}
+	return f.fs.sync(f.File, f.name)
 }
 
 func (f *hookFile) ReadAt(p []byte, off int64) (int, error) {
@@ -213,7 +221,8 @@ func TestHorizonRespectsLaggingWatermark(t *testing.T) {
 // seats in the stores' commit queues are taken in one step, so every
 // store commits in sequence order however writers interleave.  With
 // every leader held off, concurrent single-store and cross-store writes
-// must leave each queue sorted by sequence.
+// must leave each queue sorted by sequence, and once released each store
+// must commit its whole queue as one group.
 func TestCommitQueueIsSequenceOrdered(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -257,7 +266,9 @@ func TestCommitQueueIsSequenceOrdered(t *testing.T) {
 			}
 			waitFor(t, "every write to be queued", func() bool { return queued() == want })
 			db.seqr.Mu.Lock()
+			queues := make([]int, len(db.stores))
 			for i, st := range db.stores {
+				queues[i] = len(st.pendingQ)
 				for j := 1; j < len(st.pendingQ); j++ {
 					if st.pendingQ[j-1].base >= st.pendingQ[j].base {
 						t.Errorf("store %d queue: seq %d ahead of seq %d",
@@ -270,6 +281,14 @@ func TestCommitQueueIsSequenceOrdered(t *testing.T) {
 				st.commitMu.Unlock()
 			}
 			wg.Wait()
+			// Group commit: the first writer to take a store's commitMu
+			// leads, and commits everything queued there as one group.
+			for i, st := range db.stores {
+				if g, b := st.commitGroups.Load(), st.commitBatches.Load(); g != 1 || b != int64(queues[i]) {
+					t.Errorf("store %d: %d batches queued, committed as %d groups of %d batches in all; want one group",
+						i, queues[i], g, b)
+				}
+			}
 			it := db.NewIterator()
 			defer it.Close()
 			n := 0

@@ -299,6 +299,74 @@ func TestShardedSnapshotConsistentCut(t *testing.T) {
 	}
 }
 
+// TestShardedStoresSyncInParallel pins what the shard router is for: each
+// store commits through a pipeline of its own, so writers on different
+// shards make their WALs durable at the same time.  With SyncWrites on and
+// one writer per shard, every WAL Sync is held until all four are in
+// flight at once.  A lock the stores' commits shared would let one in at a
+// time, and the syncs would give up at the deadline.
+func TestShardedStoresSyncInParallel(t *testing.T) {
+	const shards = 4
+	// Once armed, each WAL Sync waits until shards of them are in flight
+	// at once or the deadline passes; peak is the most seen at once.
+	var (
+		armed          atomic.Bool
+		deadline       time.Time // set before armed
+		all            = make(chan struct{})
+		mu             sync.Mutex
+		inFlight, peak int
+	)
+	hfs := &hookFS{FS: vfs.NewMemFS(), match: "db/", before: func(string) {}}
+	hfs.sync = func(f vfs.File, name string) error {
+		if armed.Load() && strings.HasSuffix(name, ".log") {
+			mu.Lock()
+			inFlight++
+			if inFlight > peak {
+				peak = inFlight
+				if peak == shards {
+					close(all)
+				}
+			}
+			mu.Unlock()
+			select {
+			case <-all:
+			case <-time.After(time.Until(deadline)):
+			}
+			mu.Lock()
+			inFlight--
+			mu.Unlock()
+		}
+		return f.Sync()
+	}
+	o := smallOpts(IAM, hfs)
+	o.Shards = shards
+	o.SyncWrites = true
+	db, err := Open("db", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	deadline = time.Now().Add(5 * time.Second)
+	armed.Store(true)
+	var wg sync.WaitGroup
+	for s := 0; s < shards; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			if err := db.Put(shardKey(s, 0), []byte("v")); err != nil {
+				t.Errorf("shard %d: %v", s, err)
+			}
+		}(s)
+	}
+	wg.Wait()
+	armed.Store(false)
+	mu.Lock()
+	defer mu.Unlock()
+	if peak < shards {
+		t.Fatalf("at most %d WAL syncs in flight; want %d, one per shard", peak, shards)
+	}
+}
+
 // TestShardedCrossShardHammer is the torn-batch hunt: writers commit
 // cross-shard batches carrying one round number per batch while readers
 // point-get, snapshot-read and walk iterators both ways.  A reader
