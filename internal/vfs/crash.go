@@ -44,7 +44,7 @@ const (
 // journaled filesystem; only file *data* needs Sync.  Reads see the
 // union of durable and buffered data, as the page cache would serve.
 type CrashFS struct {
-	inner FS
+	FS
 
 	mu         sync.Mutex
 	mode       CrashMode
@@ -61,7 +61,7 @@ type CrashFS struct {
 // NewCrashFS wraps inner with an empty write buffer and no crash armed.
 func NewCrashFS(inner FS, mode CrashMode) *CrashFS {
 	return &CrashFS{
-		inner:   inner,
+		FS:      inner,
 		mode:    mode,
 		files:   make(map[string]*crashFile),
 		crashAt: -1,
@@ -200,7 +200,7 @@ func (fs *CrashFS) Create(name string) (File, error) {
 	if err := fs.step(false); err != nil {
 		return nil, err
 	}
-	inner, err := fs.inner.Create(name)
+	inner, err := fs.FS.Create(name)
 	if err != nil {
 		return nil, err
 	}
@@ -222,7 +222,7 @@ func (fs *CrashFS) Open(name string) (File, error) {
 	}
 	cf := fs.files[name]
 	if cf == nil {
-		inner, err := fs.inner.Open(name)
+		inner, err := fs.FS.Open(name)
 		if err != nil {
 			return nil, err
 		}
@@ -251,7 +251,7 @@ func (fs *CrashFS) Remove(name string) error {
 		}
 		delete(fs.files, name)
 	}
-	return fs.inner.Remove(name)
+	return fs.FS.Remove(name)
 }
 
 // Rename implements FS.  Durable immediately; open handles follow the
@@ -263,7 +263,7 @@ func (fs *CrashFS) Rename(oldname, newname string) error {
 	if err := fs.step(false); err != nil {
 		return err
 	}
-	if err := fs.inner.Rename(oldname, newname); err != nil {
+	if err := fs.FS.Rename(oldname, newname); err != nil {
 		return err
 	}
 	if cf := fs.files[oldname]; cf != nil {
@@ -279,9 +279,6 @@ func (fs *CrashFS) Rename(oldname, newname string) error {
 	return nil
 }
 
-// List implements FS.
-func (fs *CrashFS) List(dir string) ([]string, error) { return fs.inner.List(dir) }
-
 // MkdirAll implements FS.
 func (fs *CrashFS) MkdirAll(dir string) error {
 	fs.mu.Lock()
@@ -289,11 +286,8 @@ func (fs *CrashFS) MkdirAll(dir string) error {
 	if fs.crashed {
 		return ErrCrashed
 	}
-	return fs.inner.MkdirAll(dir)
+	return fs.FS.MkdirAll(dir)
 }
-
-// Exists implements FS.
-func (fs *CrashFS) Exists(name string) bool { return fs.inner.Exists(clean(name)) }
 
 type crashHandle struct {
 	fs *CrashFS

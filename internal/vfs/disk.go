@@ -1,13 +1,13 @@
 package vfs
 
 import (
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// DiskProfile parameterizes the virtual disk: a positioned I/O that is
-// not sequential with the handle's previous access pays SeekLatency, and
-// every byte pays 1/Bandwidth.  The two stock profiles approximate the
+// DiskProfile parameterizes the virtual disk: a positioned I/O that
+// seeks (seekMarks, the model StatsFS counts) pays SeekLatency, and every
+// byte pays 1/Bandwidth.  The two stock profiles approximate the
 // paper's testbed (Intel DC S3710 SSD and a 10k-RPM SEAGATE HDD); what
 // matters for reproduction is their *ratio* of seek cost to bandwidth,
 // which is what separates HDD results from SSD results in the paper.
@@ -35,40 +35,22 @@ func SSDProfile() DiskProfile {
 // the bandwidth-saturation regime the paper's write-heavy experiments
 // operate in.
 type DiskClock struct {
-	mu      sync.Mutex
-	elapsed time.Duration
+	elapsed atomic.Int64 // nanoseconds
 }
 
 // Elapsed reports total simulated device time so far.
-func (c *DiskClock) Elapsed() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.elapsed
-}
+func (c *DiskClock) Elapsed() time.Duration { return time.Duration(c.elapsed.Load()) }
 
 // Now is Elapsed under the name the metrics layer's Clock interface
 // expects, so a DiskClock can drive event durations and latency
 // histograms in virtual device time.
 func (c *DiskClock) Now() time.Duration { return c.Elapsed() }
 
-// Reset zeroes the clock.
-func (c *DiskClock) Reset() {
-	c.mu.Lock()
-	c.elapsed = 0
-	c.mu.Unlock()
-}
-
-func (c *DiskClock) charge(d time.Duration) {
-	c.mu.Lock()
-	c.elapsed += d
-	c.mu.Unlock()
-}
-
 // Disk wraps an FS with the virtual-clock cost model.  It performs the
 // underlying I/O for real (against MemFS or OSFS) and charges the clock
 // as the modelled device would.
 type Disk struct {
-	inner   FS
+	FS
 	profile DiskProfile
 	clock   *DiskClock
 }
@@ -79,111 +61,60 @@ func NewDisk(fs FS, p DiskProfile, clock *DiskClock) *Disk {
 	if clock == nil {
 		clock = new(DiskClock)
 	}
-	return &Disk{inner: fs, profile: p, clock: clock}
+	return &Disk{FS: fs, profile: p, clock: clock}
 }
 
 // Clock returns the disk's virtual clock.
 func (d *Disk) Clock() *DiskClock { return d.clock }
 
-// Profile returns the disk's cost profile.
-func (d *Disk) Profile() DiskProfile { return d.profile }
-
-func (d *Disk) transferCost(n int, bw int64) time.Duration {
-	if bw <= 0 {
-		return 0
+// charge bills one I/O of n bytes at bandwidth bw, plus a seek if it
+// seeked.
+func (d *Disk) charge(n int, bw int64, seek bool) {
+	var cost time.Duration
+	if bw > 0 {
+		cost = time.Duration(int64(n) * int64(time.Second) / bw)
 	}
-	return time.Duration(int64(n) * int64(time.Second) / bw)
+	if seek {
+		cost += d.profile.SeekLatency
+	}
+	d.clock.elapsed.Add(int64(cost))
 }
 
 // Create implements FS.
-func (d *Disk) Create(name string) (File, error) {
-	f, err := d.inner.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &diskFile{inner: f, d: d, lastRead: -1, lastWrite: -1}, nil
-}
+func (d *Disk) Create(name string) (File, error) { return d.wrap(d.FS.Create(name)) }
 
 // Open implements FS.
-func (d *Disk) Open(name string) (File, error) {
-	f, err := d.inner.Open(name)
+func (d *Disk) Open(name string) (File, error) { return d.wrap(d.FS.Open(name)) }
+
+func (d *Disk) wrap(f File, err error) (File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &diskFile{inner: f, d: d, lastRead: -1, lastWrite: -1}, nil
+	return &diskFile{File: f, d: d}, nil
 }
 
-// Remove implements FS.
-func (d *Disk) Remove(name string) error { return d.inner.Remove(name) }
-
-// Rename implements FS.
-func (d *Disk) Rename(o, n string) error { return d.inner.Rename(o, n) }
-
-// List implements FS.
-func (d *Disk) List(dir string) ([]string, error) { return d.inner.List(dir) }
-
-// MkdirAll implements FS.
-func (d *Disk) MkdirAll(dir string) error { return d.inner.MkdirAll(dir) }
-
-// Exists implements FS.
-func (d *Disk) Exists(name string) bool { return d.inner.Exists(name) }
-
 type diskFile struct {
-	inner File
+	File
 	d     *Disk
-	mu    sync.Mutex
-	// lastRead/lastWrite hold the offset that would continue the
-	// previous access sequentially; -1 forces a seek on first access.
-	lastRead  int64
-	lastWrite int64
-	seqWrite  int64 // sequential Write() position tracker
+	marks seekMarks
 }
 
 func (f *diskFile) ReadAt(p []byte, off int64) (int, error) {
-	f.mu.Lock()
-	seek := off != f.lastRead
-	f.mu.Unlock()
-	n, err := f.inner.ReadAt(p, off)
-	cost := f.d.transferCost(n, f.d.profile.ReadBandwidth)
-	if seek {
-		cost += f.d.profile.SeekLatency
-	}
-	f.d.clock.charge(cost)
-	f.mu.Lock()
-	f.lastRead = off + int64(n)
-	f.mu.Unlock()
+	n, err := f.File.ReadAt(p, off)
+	f.d.charge(n, f.d.profile.ReadBandwidth, seeked(&f.marks.read, off, n))
 	return n, err
 }
 
 func (f *diskFile) WriteAt(p []byte, off int64) (int, error) {
-	f.mu.Lock()
-	seek := off != f.lastWrite
-	f.mu.Unlock()
-	n, err := f.inner.WriteAt(p, off)
-	cost := f.d.transferCost(n, f.d.profile.WriteBandwidth)
-	if seek {
-		cost += f.d.profile.SeekLatency
-	}
-	f.d.clock.charge(cost)
-	f.mu.Lock()
-	f.lastWrite = off + int64(n)
-	f.mu.Unlock()
+	n, err := f.File.WriteAt(p, off)
+	f.d.charge(n, f.d.profile.WriteBandwidth, seeked(&f.marks.write, off, n))
 	return n, err
 }
 
+// Write is a sequential append: transfer cost only (the OS coalesces log
+// appends; charging a seek per WAL record would double-count).
 func (f *diskFile) Write(p []byte) (int, error) {
-	n, err := f.inner.Write(p)
-	// Appends are sequential: transfer cost only (the OS coalesces log
-	// appends; charging a seek per WAL record would double-count).
-	f.d.clock.charge(f.d.transferCost(n, f.d.profile.WriteBandwidth))
-	f.mu.Lock()
-	f.seqWrite += int64(n)
-	f.lastWrite = f.seqWrite
-	f.mu.Unlock()
+	n, err := f.File.Write(p)
+	f.d.charge(n, f.d.profile.WriteBandwidth, false)
 	return n, err
 }
-
-func (f *diskFile) Close() error           { return f.inner.Close() }
-func (f *diskFile) Sync() error            { return f.inner.Sync() }
-func (f *diskFile) Size() (int64, error)   { return f.inner.Size() }
-func (f *diskFile) Truncate(n int64) error { return f.inner.Truncate(n) }

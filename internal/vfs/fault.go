@@ -22,7 +22,7 @@ var ErrNoSpace = errors.New("vfs: no space left on device")
 // file before the error surfaces, like a disk that ran out of space
 // mid-write.
 type FaultFS struct {
-	inner FS
+	FS
 
 	mu     sync.Mutex
 	arm    map[FaultOp][]*fault
@@ -56,7 +56,7 @@ type fault struct {
 
 // NewFaultFS wraps fs with no faults armed.
 func NewFaultFS(fs FS) *FaultFS {
-	return &FaultFS{inner: fs, arm: make(map[FaultOp][]*fault), hits: make(map[FaultOp]int)}
+	return &FaultFS{FS: fs, arm: make(map[FaultOp][]*fault), hits: make(map[FaultOp]int)}
 }
 
 // FailAfter arms op to fail after n more operations (n=0 fails the
@@ -168,20 +168,18 @@ func (f *FaultFS) Create(name string) (File, error) {
 	if _, err := f.chargeWrite(0); err != nil {
 		return nil, err
 	}
-	file, err := f.inner.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &faultFile{inner: file, fs: f, name: name}, nil
+	return f.wrap(name, f.FS.Create)
 }
 
 // Open implements FS.
-func (f *FaultFS) Open(name string) (File, error) {
-	file, err := f.inner.Open(name)
+func (f *FaultFS) Open(name string) (File, error) { return f.wrap(name, f.FS.Open) }
+
+func (f *FaultFS) wrap(name string, open func(string) (File, error)) (File, error) {
+	file, err := open(name)
 	if err != nil {
 		return nil, err
 	}
-	return &faultFile{inner: file, fs: f, name: name}, nil
+	return &faultFile{File: file, fs: f, name: name}, nil
 }
 
 // Remove implements FS.
@@ -189,7 +187,7 @@ func (f *FaultFS) Remove(name string) error {
 	if err := f.check(FaultRemove, name); err != nil {
 		return err
 	}
-	return f.inner.Remove(name)
+	return f.FS.Remove(name)
 }
 
 // Rename implements FS.  A FaultRename fault matches when either the
@@ -198,50 +196,35 @@ func (f *FaultFS) Rename(o, n string) error {
 	if err := f.check(FaultRename, o+" -> "+n); err != nil {
 		return err
 	}
-	return f.inner.Rename(o, n)
+	return f.FS.Rename(o, n)
 }
 
-// List implements FS.
-func (f *FaultFS) List(dir string) ([]string, error) { return f.inner.List(dir) }
-
-// MkdirAll implements FS.
-func (f *FaultFS) MkdirAll(dir string) error { return f.inner.MkdirAll(dir) }
-
-// Exists implements FS.
-func (f *FaultFS) Exists(name string) bool { return f.inner.Exists(name) }
-
 type faultFile struct {
-	inner File
-	fs    *FaultFS
-	name  string
+	File
+	fs   *FaultFS
+	name string
 }
 
 func (f *faultFile) ReadAt(p []byte, off int64) (int, error) {
 	if err := f.fs.check(FaultRead, f.name); err != nil {
 		return 0, err
 	}
-	return f.inner.ReadAt(p, off)
+	return f.File.ReadAt(p, off)
 }
 
 func (f *faultFile) WriteAt(p []byte, off int64) (int, error) {
-	if allowed, err := f.fs.chargeWrite(len(p)); err != nil {
-		if allowed > 0 {
-			if n, werr := f.inner.WriteAt(p[:allowed], off); werr != nil {
-				return n, werr
-			}
-		}
-		return allowed, err
-	}
-	if err := f.fs.check(FaultWrite, f.name); err != nil {
-		return 0, err
-	}
-	return f.inner.WriteAt(p, off)
+	return f.write(p, func(b []byte) (int, error) { return f.File.WriteAt(b, off) })
 }
 
-func (f *faultFile) Write(p []byte) (int, error) {
+func (f *faultFile) Write(p []byte) (int, error) { return f.write(p, f.File.Write) }
+
+// write is the one path of Write and WriteAt: a write straddling the
+// disk-full budget lands its allowed prefix through w and reports a
+// short write; otherwise a scheduled write fault may fail it whole.
+func (f *faultFile) write(p []byte, w func([]byte) (int, error)) (int, error) {
 	if allowed, err := f.fs.chargeWrite(len(p)); err != nil {
 		if allowed > 0 {
-			if n, werr := f.inner.Write(p[:allowed]); werr != nil {
+			if n, werr := w(p[:allowed]); werr != nil {
 				return n, werr
 			}
 		}
@@ -250,22 +233,19 @@ func (f *faultFile) Write(p []byte) (int, error) {
 	if err := f.fs.check(FaultWrite, f.name); err != nil {
 		return 0, err
 	}
-	return f.inner.Write(p)
+	return w(p)
 }
 
 func (f *faultFile) Sync() error {
 	if err := f.fs.check(FaultSync, f.name); err != nil {
 		return err
 	}
-	return f.inner.Sync()
+	return f.File.Sync()
 }
 
 func (f *faultFile) Close() error {
 	if err := f.fs.check(FaultClose, f.name); err != nil {
 		return err
 	}
-	return f.inner.Close()
+	return f.File.Close()
 }
-
-func (f *faultFile) Size() (int64, error)   { return f.inner.Size() }
-func (f *faultFile) Truncate(n int64) error { return f.inner.Truncate(n) }

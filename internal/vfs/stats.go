@@ -14,8 +14,8 @@ type IOStats struct {
 	BytesRead    atomic.Int64
 	WriteOps     atomic.Int64
 	ReadOps      atomic.Int64
-	// Seeks counts positioned I/Os that were not sequential with the
-	// handle's previous operation.
+	// Seeks counts positioned I/Os that did not continue the handle's
+	// previous one of the same kind (seekMarks).
 	Seeks atomic.Int64
 }
 
@@ -50,90 +50,76 @@ func (s IOSnapshot) Sub(o IOSnapshot) IOSnapshot {
 	}
 }
 
+// seekMarks is the one seek model: StatsFS counts it in Seeks and Disk
+// charges SeekLatency by it, so the counter and the clock agree.  An
+// access seeks unless it starts where the handle's previous access of
+// the same kind ended; a sequential Write moves neither mark.
+type seekMarks struct {
+	read, write atomic.Int64 // end of the previous ReadAt / WriteAt plus one; 0 before the first
+}
+
+// seeked moves mark past an access of n bytes at off and reports
+// whether the access was a seek.
+func seeked(mark *atomic.Int64, off int64, n int) bool {
+	return mark.Swap(off+int64(n)+1) != off+1
+}
+
 // StatsFS wraps an FS and records traffic into an IOStats.
 type StatsFS struct {
-	inner FS
+	FS
 	stats *IOStats
 }
 
 // NewStatsFS wraps fs; all handles opened through the wrapper feed st.
 func NewStatsFS(fs FS, st *IOStats) *StatsFS {
-	return &StatsFS{inner: fs, stats: st}
+	return &StatsFS{FS: fs, stats: st}
 }
 
 // Stats returns the wrapped counter set.
 func (s *StatsFS) Stats() *IOStats { return s.stats }
 
 // Create implements FS.
-func (s *StatsFS) Create(name string) (File, error) {
-	f, err := s.inner.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &statsFile{inner: f, stats: s.stats, lastRead: -1, lastWrite: -1}, nil
-}
+func (s *StatsFS) Create(name string) (File, error) { return s.wrap(s.FS.Create(name)) }
 
 // Open implements FS.
-func (s *StatsFS) Open(name string) (File, error) {
-	f, err := s.inner.Open(name)
+func (s *StatsFS) Open(name string) (File, error) { return s.wrap(s.FS.Open(name)) }
+
+func (s *StatsFS) wrap(f File, err error) (File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &statsFile{inner: f, stats: s.stats, lastRead: -1, lastWrite: -1}, nil
+	return &statsFile{File: f, stats: s.stats}, nil
 }
 
-// Remove implements FS.
-func (s *StatsFS) Remove(name string) error { return s.inner.Remove(name) }
-
-// Rename implements FS.
-func (s *StatsFS) Rename(o, n string) error { return s.inner.Rename(o, n) }
-
-// List implements FS.
-func (s *StatsFS) List(dir string) ([]string, error) { return s.inner.List(dir) }
-
-// MkdirAll implements FS.
-func (s *StatsFS) MkdirAll(dir string) error { return s.inner.MkdirAll(dir) }
-
-// Exists implements FS.
-func (s *StatsFS) Exists(name string) bool { return s.inner.Exists(name) }
-
 type statsFile struct {
-	inner     File
-	stats     *IOStats
-	lastRead  int64 // next offset that would continue the previous read
-	lastWrite int64
+	File
+	stats *IOStats
+	marks seekMarks
 }
 
 func (f *statsFile) ReadAt(p []byte, off int64) (int, error) {
-	n, err := f.inner.ReadAt(p, off)
+	n, err := f.File.ReadAt(p, off)
 	f.stats.BytesRead.Add(int64(n))
 	f.stats.ReadOps.Add(1)
-	if off != atomic.LoadInt64(&f.lastRead) {
+	if seeked(&f.marks.read, off, n) {
 		f.stats.Seeks.Add(1)
 	}
-	atomic.StoreInt64(&f.lastRead, off+int64(n))
 	return n, err
 }
 
 func (f *statsFile) WriteAt(p []byte, off int64) (int, error) {
-	n, err := f.inner.WriteAt(p, off)
+	n, err := f.File.WriteAt(p, off)
 	f.stats.BytesWritten.Add(int64(n))
 	f.stats.WriteOps.Add(1)
-	if off != atomic.LoadInt64(&f.lastWrite) {
+	if seeked(&f.marks.write, off, n) {
 		f.stats.Seeks.Add(1)
 	}
-	atomic.StoreInt64(&f.lastWrite, off+int64(n))
 	return n, err
 }
 
 func (f *statsFile) Write(p []byte) (int, error) {
-	n, err := f.inner.Write(p)
+	n, err := f.File.Write(p)
 	f.stats.BytesWritten.Add(int64(n))
 	f.stats.WriteOps.Add(1)
 	return n, err
 }
-
-func (f *statsFile) Close() error           { return f.inner.Close() }
-func (f *statsFile) Sync() error            { return f.inner.Sync() }
-func (f *statsFile) Size() (int64, error)   { return f.inner.Size() }
-func (f *statsFile) Truncate(n int64) error { return f.inner.Truncate(n) }

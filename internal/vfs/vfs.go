@@ -10,6 +10,12 @@
 //     transfer time per I/O, with HDD and SSD profiles, so throughput
 //     *shape* (who wins, by what factor) is reproducible on any machine.
 //
+// Each wrapper (Stats, Disk, Fault, Crash) embeds the FS it wraps, and
+// its files the File, and declares only the methods whose behaviour it
+// changes; the rest reach the layer below unchanged.  Stats' Seeks and
+// Disk's seek charges read one model (seekMarks), so the counter and the
+// clock see the same seeks.
+//
 // The wrappers stack (Stats over Crash over Mem, etc.), so vfs-level
 // locks nest within the package in wrapper order; the type-granular
 // lockorder analysis cannot distinguish instances, so the package is

@@ -225,9 +225,7 @@ func TestDiskClockCharges(t *testing.T) {
 	d := NewDisk(NewMemFS(), prof, clock)
 	f, _ := d.Create("x")
 
-	f.WriteAt(make([]byte, 1<<20), 0)                              // 1 MiB: seek + transfer
-	want := prof.SeekLatency + prof.SeekLatency/prof.SeekLatency*0 // placeholder, computed below
-	_ = want
+	f.WriteAt(make([]byte, 1<<20), 0) // 1 MiB: seek + transfer
 	transfer := int64(1<<20) * int64(1e9) / prof.WriteBandwidth
 	got := clock.Elapsed().Nanoseconds()
 	exp := prof.SeekLatency.Nanoseconds() + transfer
@@ -235,19 +233,38 @@ func TestDiskClockCharges(t *testing.T) {
 		t.Errorf("clock %d want about %d", got, exp)
 	}
 
-	clock.Reset()
+	start := clock.Elapsed()
 	f.WriteAt(make([]byte, 1<<20), 1<<20) // sequential continuation: no seek
-	got = clock.Elapsed().Nanoseconds()
+	got = (clock.Elapsed() - start).Nanoseconds()
 	if got < transfer*95/100 || got > transfer*105/100 {
 		t.Errorf("sequential write clock %d want about %d", got, transfer)
 	}
 
-	clock.Reset()
+	start = clock.Elapsed()
 	buf := make([]byte, 4096)
 	f.ReadAt(buf, 0)
-	if clock.Elapsed() < prof.SeekLatency {
+	if clock.Elapsed()-start < prof.SeekLatency {
 		t.Error("random read must pay a seek")
 	}
+
+	// The clock charges exactly the seeks StatsFS counts: a sequential
+	// Write leaves the positioned-write mark alone, so the WriteAt that
+	// follows it seeks in both.
+	t.Run("one seek model", func(t *testing.T) {
+		clock := new(DiskClock)
+		var st IOStats
+		fs := NewStatsFS(NewDisk(NewMemFS(), DiskProfile{SeekLatency: 1000}, clock), &st)
+		f, _ := fs.Create("x")
+		f.Write(make([]byte, 100))
+		f.WriteAt(make([]byte, 100), 100)
+		buf := make([]byte, 100)
+		f.ReadAt(buf, 0)
+		f.ReadAt(buf, 100)
+		f.ReadAt(buf, 0)
+		if charged := int64(clock.Elapsed() / 1000); st.Seeks.Load() != charged {
+			t.Errorf("StatsFS counted %d seeks, Disk charged %d", st.Seeks.Load(), charged)
+		}
+	})
 }
 
 func TestDiskSSDFasterThanHDD(t *testing.T) {

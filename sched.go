@@ -65,26 +65,37 @@ func (s *sched) start() {
 
 // runReady runs the ready, unclaimed steps of kinds from..to, highest
 // priority first, until none is left, or for a worker (wait) until stop.
+// No lock is held while a step runs, so a step that panics unwinds with
+// its own message.
 func (s *sched) runReady(from, to stepKind, wait bool) {
+	for {
+		k, ok := s.claim(from, to, wait)
+		if !ok {
+			return
+		}
+		s.run(k)
+	}
+}
+
+// claim takes the first ready, unclaimed step of kinds from..to, waiting
+// for one if wait; ok is false when there is none to take or the store
+// stopped.
+func (s *sched) claim(from, to stepKind, wait bool) (k stepKind, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for !s.stopped {
-		k := from
-		for k <= to && (!s.ready[k] || s.claimed[k]) {
-			k++
-		}
-		if k > to {
-			if !wait {
-				return
+		for k = from; k <= to; k++ {
+			if s.ready[k] && !s.claimed[k] {
+				s.ready[k], s.claimed[k] = false, true
+				return k, true
 			}
-			s.cond.Wait()
-			continue
 		}
-		s.ready[k], s.claimed[k] = false, true
-		s.mu.Unlock()
-		s.run(k)
-		s.mu.Lock()
+		if !wait {
+			break
+		}
+		s.cond.Wait()
 	}
+	return 0, false
 }
 
 // wake marks kind k ready.  Safe from any goroutine and under any lock:

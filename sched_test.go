@@ -93,6 +93,30 @@ func TestInlineStoreCollectsWithoutGoroutines(t *testing.T) {
 	}
 }
 
+// TestPanickingStepKeepsItsMessage: a step that panics unwinds out of
+// runReady with its own panic value, so a recover above it sees it,
+// rather than dying on an unlock of the scheduler's mutex.
+func TestPanickingStepKeepsItsMessage(t *testing.T) {
+	o := smallOpts(IAM, vfs.NewMemFS())
+	o.InlineBackground = true
+	db, err := Open("db", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	bg := db.stores[0].bg
+	bg.steps[stepCompact] = func() (bool, error) { panic("step exploded") }
+	bg.wake(stepCompact)
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		bg.runReady(stepCompact, stepCompact, false)
+		return nil
+	}()
+	if got != "step exploded" {
+		t.Fatalf("recovered %v, want the step's panic", got)
+	}
+}
+
 // bgErrorOps records the Op of every BackgroundError event.
 type bgErrorOps struct {
 	mu  sync.Mutex

@@ -64,6 +64,10 @@ go test -run TestMergeReadAllocs -count=1 ./internal/tableset/
 # node of several sequences stays at its pinned count.
 go test -run 'TestPinAndNewIterAllocs|TestSetGetAllocs|TestShortScanAllocs' -count=1 ./internal/tableset/
 
+echo "== vfs"
+# The wrappers and the seek model every test stands on; the race suite only reruns them in the full gate.
+go test -count=1 ./internal/vfs
+
 echo "== examples"
 # Each example opens a store in a temp directory of its own, drives it and
 # removes the directory: exit 0, and the tree check at the end sees
