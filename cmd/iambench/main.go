@@ -10,7 +10,7 @@
 //
 // Experiment ids: table1 table2 table3 table4 table5 figure6
 // figure7a figure7b figure7c figure8 figure9 figure10 tuning
-// stability kvsep ablations theory
+// openloop kvsep ablations theory
 //
 // Every experiment runs its background work inline on the virtual-disk
 // harness and repeats to the byte: `go test ./internal/harness` compares

@@ -97,7 +97,7 @@ var Experiments = []Experiment{
 	{"figure9", "fillseq/readseq throughput", Scale.Figure9},
 	{"figure10", "space usage after write tests", Scale.Figure10},
 	{"tuning", "tuning phase: compaction debt left after a hash load", Scale.TuningPhase},
-	{"stability", "sustained-workload throughput variance and worst-window tails", Scale.Stability},
+	{"openloop", "YCSB-A latency from arrival at 0.5, 0.8 and 0.95 of peak", Scale.OpenLoop},
 	{"kvsep", "key-value separation: large-value throughput and write-byte crossover", Scale.KVSep},
 	{"ablations", "design ablations: Bloom bits, leaf merge chunk, split/combine, compression", Scale.Ablations},
 	{"theory", "closed-form write amplification, Eq. (3)-(5), at paper scale", Scale.Theory},

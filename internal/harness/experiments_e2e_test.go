@@ -72,7 +72,7 @@ func TestExperimentRepeatsExactly(t *testing.T) {
 		c, err := s.kvsepRun(iamdb.IAM, 64<<10, true, 1<<10, true)
 		return Table{Rows: [][]string{{fmt.Sprintf("%+v", c)}}}, err
 	}
-	for _, run := range []func(Scale) (Table, error){Scale.Table3, Scale.Stability, sepZipf} {
+	for _, run := range []func(Scale) (Table, error){Scale.Table3, Scale.OpenLoop, sepZipf} {
 		var out [2]string
 		for i := range out {
 			var b strings.Builder

@@ -42,31 +42,20 @@ type Config struct {
 	Ct int64
 	// CacheBytes models available RAM for data blocks.
 	CacheBytes int64
-	// CPUPerOp charges fixed non-I/O time per operation so fully
-	// cached workloads have finite throughput.
-	CPUPerOp time.Duration
 	// Seed fixes workload randomness.
 	Seed int64
 	// FixedM/K pin IAM's mixed level (Table 3); zero = auto.
 	FixedM int
 	K      int
-	// TimelineWindow is the initial width of the timeline sampler's
-	// windows in virtual disk time (default 100ms; it doubles as the
-	// run outgrows the ring).  TimelineCapacity bounds the ring
-	// (default 128 — a run always yields 64–128 windows once full).
-	// The default is deliberately coarse: a boundary crossing costs a
-	// full metrics snapshot, so a fine window taxes every op of every
-	// experiment (the stability experiment re-arms a 50µs window for
-	// just its measured phase via ResetTimeline).
-	TimelineWindow   time.Duration
-	TimelineCapacity int
-	// Trace, when non-nil, records structural spans for the run.
-	Trace *iamdb.TraceRecorder
 }
 
 // DefaultValueSize is the value size experiments use unless they
 // override it (the paper's 1 KiB records, Sec. 6.1).
 const DefaultValueSize = 1024
+
+// cpuPerOp is the fixed non-I/O time charged to every operation, so
+// fully cached workloads have finite throughput.
+const cpuPerOp = 5 * time.Microsecond
 
 func (c Config) withDefaults() Config {
 	if c.ValueSize == 0 {
@@ -78,17 +67,11 @@ func (c Config) withDefaults() Config {
 	if c.CacheBytes == 0 {
 		c.CacheBytes = int64(c.Records) * int64(c.ValueSize) / 6
 	}
-	if c.CPUPerOp == 0 {
-		c.CPUPerOp = 5 * time.Microsecond
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	if c.K == 0 {
 		c.K = 3
-	}
-	if c.TimelineWindow == 0 {
-		c.TimelineWindow = 100 * time.Millisecond
 	}
 	return c
 }
@@ -97,14 +80,10 @@ func (c Config) withDefaults() Config {
 type Env struct {
 	Cfg   Config
 	DB    *iamdb.DB
-	mem   *vfs.MemFS
 	clock *vfs.DiskClock
 	stats *vfs.IOStats
 	rng   *rand.Rand
 	value []byte
-	// sampler is the timeline sampler the op loops poll; ResetTimeline
-	// replaces it to scope the timeline to a measured phase.
-	sampler *iamdb.Sampler
 }
 
 // paperCt is the paper's node capacity (Sec. 6.1): disk seek latency
@@ -120,11 +99,10 @@ const paperCt = 128 << 20
 // NewEnv builds the FS stack and opens the DB.
 func NewEnv(cfg Config) (*Env, error) {
 	cfg = cfg.withDefaults()
-	mem := vfs.NewMemFS()
 	clock := new(vfs.DiskClock)
 	profile := cfg.Disk
 	profile.SeekLatency = time.Duration(int64(profile.SeekLatency) * cfg.Ct / paperCt)
-	disk := vfs.NewDisk(mem, profile, clock)
+	disk := vfs.NewDisk(vfs.NewMemFS(), profile, clock)
 	stats := new(vfs.IOStats)
 	fs := vfs.NewStatsFS(disk, stats)
 
@@ -140,7 +118,6 @@ func NewEnv(cfg Config) (*Env, error) {
 		// event durations and latency histograms report simulated
 		// device time, not host time.
 		Clock: clock,
-		Trace: cfg.Trace,
 		// Background steps run on the writer: every handle charges the one
 		// serial clock above, so worker goroutines could overlap nothing
 		// on it and only let the scheduler pick the interleaving.  Inline,
@@ -154,34 +131,11 @@ func NewEnv(cfg Config) (*Env, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	return &Env{
-		Cfg: cfg, DB: db, mem: mem, clock: clock, stats: stats,
-		rng:     rng,
-		value:   ycsb.Value(rng, cfg.ValueSize),
-		sampler: db.NewSampler(cfg.TimelineWindow, cfg.TimelineCapacity),
+		Cfg: cfg, DB: db, clock: clock, stats: stats,
+		rng:   rng,
+		value: ycsb.Value(rng, cfg.ValueSize),
 	}, nil
 }
-
-// ResetTimeline discards the timeline so far and starts a fresh one at
-// the clock's current reading — used to scope the timeline to a
-// measured phase (e.g. after a load).  window/capacity ≤ 0 keep the
-// config's values.
-func (e *Env) ResetTimeline(window time.Duration, capacity int) {
-	if window <= 0 {
-		window = e.Cfg.TimelineWindow
-	}
-	if capacity <= 0 {
-		capacity = e.Cfg.TimelineCapacity
-	}
-	e.sampler = e.DB.NewSampler(window, capacity)
-}
-
-// Timeline polls and returns the closed windows of the current
-// timeline, oldest first.
-func (e *Env) Timeline() []iamdb.TimelinePoint { return e.DB.Timeline() }
-
-// poll advances the timeline; op loops call it once per operation (one
-// atomic load when no window boundary has been crossed).
-func (e *Env) poll() { e.sampler.Poll() }
 
 // closeHook, when set, sees every environment just before it closes:
 // TestExperimentRepeatsExactly reads each one's final metrics there.
@@ -204,16 +158,11 @@ type LoadResult struct {
 	OpsPerSec float64
 	WriteAmp  float64
 	PerLevel  []float64
-	P99       time.Duration
-	Max       time.Duration
 	SpaceUsed int64
-	// Metrics is the DB's full observability snapshot at the end of
-	// the load (per-level traffic, stalls, IO, latency digests).
-	Metrics iamdb.Metrics
 }
 
 // HashLoad inserts Records keys in hash order (YCSB's default load,
-// Sec. 6.2), measuring per-op latency against the virtual disk clock.
+// Sec. 6.2), timed on the virtual disk clock.
 func (e *Env) HashLoad() (LoadResult, error) {
 	return e.load(ycsb.KeyName)
 }
@@ -242,18 +191,14 @@ func (e *Env) Overwrite() (LoadResult, error) {
 }
 
 func (e *Env) load(key func(i uint64) []byte) (LoadResult, error) {
-	hist := histogram.New()
 	start := e.clock.Elapsed()
 	for i := uint64(0); i < e.Cfg.Records; i++ {
-		t0 := e.clock.Elapsed()
 		if err := e.DB.Put(key(i), e.value); err != nil {
 			return LoadResult{}, err
 		}
-		hist.Record(e.clock.Elapsed() - t0 + e.Cfg.CPUPerOp)
-		e.poll()
 	}
 	elapsed := e.clock.Elapsed() - start +
-		time.Duration(e.Cfg.Records)*e.Cfg.CPUPerOp
+		time.Duration(e.Cfg.Records)*cpuPerOp
 	m := e.DB.Metrics()
 	res := LoadResult{
 		Engine:    e.Cfg.Engine.String(),
@@ -263,10 +208,7 @@ func (e *Env) load(key func(i uint64) []byte) (LoadResult, error) {
 		OpsPerSec: rate(e.Cfg.Records, elapsed),
 		WriteAmp:  m.WriteAmplification(),
 		PerLevel:  perLevelAmp(m),
-		P99:       hist.Percentile(0.99),
-		Max:       hist.Max(),
 		SpaceUsed: m.SpaceUsed,
-		Metrics:   m,
 	}
 	return res, nil
 }
@@ -305,14 +247,17 @@ type RunResult struct {
 	Ops       int
 	OpsPerSec float64
 	P99       time.Duration
-	Max       time.Duration
 	ReadMiss  int
+	// Service is each operation's service time, in order: device time
+	// plus cpuPerOp.
+	Service []time.Duration
 }
 
 // RunWorkload executes ops operations of workload w against the store.
 func (e *Env) RunWorkload(w ycsb.Workload, ops int) (RunResult, error) {
 	runner := ycsb.NewRunner(w, e.Cfg.Records, e.Cfg.Seed+17)
 	hist := histogram.New()
+	service := make([]time.Duration, ops)
 	start := e.clock.Elapsed()
 	misses := 0
 	for i := 0; i < ops; i++ {
@@ -348,18 +293,18 @@ func (e *Env) RunWorkload(w ycsb.Workload, ops int) (RunResult, error) {
 			}
 			it.Close()
 		}
-		hist.Record(e.clock.Elapsed() - t0 + e.Cfg.CPUPerOp)
-		e.poll()
+		service[i] = e.clock.Elapsed() - t0 + cpuPerOp
+		hist.Record(service[i])
 	}
-	elapsed := e.clock.Elapsed() - start + time.Duration(ops)*e.Cfg.CPUPerOp
+	elapsed := e.clock.Elapsed() - start + time.Duration(ops)*cpuPerOp
 	return RunResult{
 		Engine:    e.Cfg.Engine.String(),
 		Workload:  w.Name,
 		Ops:       ops,
 		OpsPerSec: rate(uint64(ops), elapsed),
 		P99:       hist.Percentile(0.99),
-		Max:       hist.Max(),
 		ReadMiss:  misses,
+		Service:   service,
 	}, nil
 }
 
@@ -372,12 +317,11 @@ func (e *Env) ReadSeq() (RunResult, error) {
 	n := 0
 	for it.First(); it.Valid(); it.Next() {
 		n++
-		e.poll()
 	}
 	if err := it.Err(); err != nil {
 		return RunResult{}, err
 	}
-	elapsed := e.clock.Elapsed() - start + time.Duration(n)*e.Cfg.CPUPerOp
+	elapsed := e.clock.Elapsed() - start + time.Duration(n)*cpuPerOp
 	return RunResult{
 		Engine: e.Cfg.Engine.String(), Workload: "readseq",
 		Ops: n, OpsPerSec: rate(uint64(n), elapsed),

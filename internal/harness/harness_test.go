@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -179,5 +180,35 @@ func TestTableFormat(t *testing.T) {
 	out := tbl.Format()
 	if out == "" || len(out) < 20 {
 		t.Fatal("format too short")
+	}
+}
+
+// TestQueue checks the open-loop queue against hand-computed cases.
+func TestQueue(t *testing.T) {
+	us := func(v ...int) []time.Duration {
+		out := make([]time.Duration, len(v))
+		for i, x := range v {
+			out[i] = time.Duration(x) * time.Microsecond
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name            string
+		service, arrive []time.Duration
+		lat             []time.Duration
+		deepest         int
+	}{
+		// Each operation arrives after the last has finished (one exactly
+		// at its end): latency is service time and nothing queues.
+		{"idle", us(2, 3, 1, 4), us(0, 10, 13, 20), us(2, 3, 1, 4), 0},
+		// A burst behind one long operation: it ends at 10, then 11, 12,
+		// 13.  The fourth arrival finds three ahead of it; the last
+		// arrives to an idle store again.
+		{"burst", us(10, 1, 1, 1, 2), us(0, 1, 2, 3, 20), us(10, 10, 10, 10, 2), 3},
+	} {
+		lat, deepest := queue(c.service, c.arrive)
+		if !slices.Equal(lat, c.lat) || deepest != c.deepest {
+			t.Errorf("%s: latencies %v, deepest %d; want %v, %d", c.name, lat, deepest, c.lat, c.deepest)
+		}
 	}
 }

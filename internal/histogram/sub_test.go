@@ -41,8 +41,8 @@ func TestSub(t *testing.T) {
 	}
 }
 
-// TestSummaryP999 pins the Summary digest fields, P999 included — the
-// stability experiment scores worst-window p99.9.
+// TestSummaryP999 pins the Summary digest fields, P999 included — a
+// timeline window reports its Put p99.9.
 func TestSummaryP999(t *testing.T) {
 	h := New()
 	for i := 0; i < 999; i++ {

@@ -244,7 +244,7 @@ func (s *Sampler) Poll() {
 	// The whole delta since the last capture lands in the first crossed
 	// window; the remaining gap closes as zero windows.  A long stall
 	// thus renders as one busy window followed by flat zeros — which is
-	// exactly the shape the stability score must see.
+	// exactly the shape a reader of the timeline must see.
 	for now >= s.winStart+s.window {
 		end := s.winStart + s.window
 		s.push(samplerWindow{start: s.winStart, end: end, d: cum.sub(s.prev)})

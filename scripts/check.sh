@@ -68,6 +68,10 @@ echo "== vfs"
 # The wrappers and the seek model every test stands on; the race suite only reruns them in the full gate.
 go test -count=1 ./internal/vfs
 
+echo "== open-loop golden"
+# The judge of ROADMAP item 3 (the cascade off the writer), about 7 s.
+go test -count=1 -run 'TestAllExperimentsEndToEnd/openloop$' ./internal/harness
+
 echo "== examples"
 # Each example opens a store in a temp directory of its own, drives it and
 # removes the directory: exit 0, and the tree check at the end sees
@@ -175,11 +179,12 @@ go test -run '^$' -fuzz FuzzVLogDecode -fuzztime 5s ./internal/vlog/
 echo "== go test -race"
 # Everything under the detector except the seventeen golden experiments of
 # internal/harness: each is one goroutine by construction (InlineBackground,
-# a pull-based sampler, no debug server), so the detector has nothing to
-# observe in them and used to spend ~65 minutes not observing it.  -short
-# skips exactly those two tests (TestAllExperimentsEndToEnd,
-# TestExperimentRepeatsExactly); the rest of the package still runs raced,
-# and the goldens run plain, cell for cell, in the line after.
+# no sampler, no debug server), so the detector has nothing to observe in
+# them and used to spend ~65 minutes not observing it.  -short skips
+# exactly those two tests (TestAllExperimentsEndToEnd,
+# TestExperimentRepeatsExactly); the rest of the package, its small hash
+# loads and workloads, still runs raced, and the goldens run plain, cell
+# for cell, in the line after.
 go test -race $(go list ./... | grep -v '/internal/harness$')
 go test -race -short ./internal/harness
 go test -count=1 ./internal/harness

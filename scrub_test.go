@@ -17,10 +17,15 @@ import (
 // quarantined without stopping the pass; progress and the debug
 // endpoints reflect both.
 
-func buildScrubDB(t *testing.T, e EngineKind) (*DB, vfs.FS) {
+// buildScrubDB loads and flushes a store.  inline runs its background
+// work on the writer: no worker can merge a table away between a test
+// damaging it and the scrub quarantining it.
+func buildScrubDB(t *testing.T, e EngineKind, inline bool) (*DB, vfs.FS) {
 	t.Helper()
 	fs := vfs.NewMemFS()
-	db, err := Open("db", smallOpts(e, fs))
+	opts := smallOpts(e, fs)
+	opts.InlineBackground = inline
+	db, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +45,7 @@ func TestScrubCleanStore(t *testing.T) {
 	for _, e := range allEngines {
 		e := e
 		t.Run(e.String(), func(t *testing.T) {
-			db, _ := buildScrubDB(t, e)
+			db, _ := buildScrubDB(t, e, false)
 			defer db.Close()
 			rep, err := db.Scrub()
 			if err != nil {
@@ -89,7 +94,7 @@ func TestScrubDetectsAndQuarantines(t *testing.T) {
 // store and wants the running store's Scrub to find, attribute, count and
 // quarantine — before any reopen.
 func scrubFindsDamage(t *testing.T, e EngineKind, offsets func(size int64, gen uint64) []int64) {
-	db, fs := buildScrubDB(t, e)
+	db, fs := buildScrubDB(t, e, true)
 	defer db.Close()
 
 	names, err := fs.List("db")
@@ -200,7 +205,7 @@ func footerGeneration(t *testing.T, fs vfs.FS, name string) (size int64, gen uin
 }
 
 func TestScrubEndpointStartsAsyncPass(t *testing.T) {
-	db, _ := buildScrubDB(t, IAM)
+	db, _ := buildScrubDB(t, IAM, false)
 	defer db.Close()
 	h := db.DebugHandler()
 	rec := httptest.NewRecorder()
