@@ -285,8 +285,8 @@ func TestEveryPassCatchesARealMutation(t *testing.T) {
 		// call into another package takes tableset.Set.Mu, against an order
 		// that declares no "iamdb.store.mu < tableset.Set.Mu".
 		{"lockorder", "store.go",
-			"\tif err := st.set.SetLogMeta(immSeq, curWal); err != nil {\n",
-			"\tst.mu.Lock()\n\terr := st.set.SetLogMeta(immSeq, curWal)\n\tst.mu.Unlock()\n\tif err != nil {\n",
+			"\tif err := st.set.SetLogMeta(head.lastSeq, nextWal); err != nil {\n",
+			"\tst.mu.Lock()\n\terr := st.set.SetLogMeta(head.lastSeq, nextWal)\n\tst.mu.Unlock()\n\tif err != nil {\n",
 			"st.set.SetLogMeta"},
 		// The commit-error path takes the sequencer's lock after an early
 		// return that released st.mu only on its own branch: the path
@@ -317,11 +317,12 @@ func TestEveryPassCatchesARealMutation(t *testing.T) {
 			"\tdefer t.Mu.Unlock()\n",
 			"\tdefer t.Mu.Unlock()\n\t_ = time.Now()\n",
 			"time.Now()"},
-		// The drain step writes a field of the published read state.
+		// The drain step trims the drained memtable off the queue readers
+		// hold (newest first) instead of publishing a new one.
 		{"atomicpub", "store.go",
-			"\tst.imm = nil\n\tst.publishStateLocked()\n",
-			"\tst.imm = nil\n\tst.state.Load().imm = nil\n\tst.publishStateLocked()\n",
-			"st.state.Load().imm = nil"},
+			"\tst.imm = slices.Delete(st.imm, 0, 1)\n\tst.publishStateLocked()\n",
+			"\tst.imm = slices.Delete(st.imm, 0, 1)\n\tview := st.state.Load()\n\tview.imm = view.imm[:len(view.imm)-1]\n",
+			"view.imm = view.imm[:len(view.imm)-1]"},
 		// Apply writes a level of the version readers hold instead of
 		// its successor's copy.
 		{"atomicpub", "internal/tableset/tableset.go",

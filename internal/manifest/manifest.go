@@ -10,7 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"iamdb/internal/corrupt"
 	"iamdb/internal/kv"
@@ -186,14 +186,16 @@ func decodeEdit(rec []byte) (*Edit, error) {
 
 // State is the materialized tree metadata after replaying all edits.
 type State struct {
-	Levels    [][]NodeRecord // Levels[i] sorted by Lo
+	Levels    [][]NodeRecord // Levels[i] sorted by Lo once Replay returns
 	NextFile  uint64
 	LastSeq   kv.Seq
 	LogNum    uint64
 	NumLevels int
 }
 
-// Apply folds one edit into the state.
+// Apply folds one edit into the state.  A level keeps its records in
+// the order the edits added them; Replay sorts each level once, after
+// the last edit.
 func (s *State) Apply(e *Edit) error {
 	for _, d := range e.Deleted {
 		if d.Level >= len(s.Levels) {
@@ -217,11 +219,6 @@ func (s *State) Apply(e *Edit) error {
 			s.Levels = append(s.Levels, nil)
 		}
 		s.Levels[n.Level] = append(s.Levels[n.Level], n)
-	}
-	for i := range s.Levels {
-		sort.Slice(s.Levels[i], func(a, b int) bool {
-			return kv.CompareUser(s.Levels[i][a].Lo, s.Levels[i][b].Lo) < 0
-		})
 	}
 	if e.SetNextFile {
 		s.NextFile = e.NextFile
@@ -313,6 +310,11 @@ func Replay(fs vfs.FS, name string) (*State, int64, error) {
 	})
 	if err != nil {
 		return nil, dropped, err
+	}
+	// Stable: records with the same Lo (overlapping level-0 tables) keep
+	// the order their edits added them.
+	for _, lvl := range st.Levels {
+		slices.SortStableFunc(lvl, func(a, b NodeRecord) int { return kv.CompareUser(a.Lo, b.Lo) })
 	}
 	return st, dropped, nil
 }

@@ -2,6 +2,9 @@ package manifest
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -56,8 +59,9 @@ func TestStateApply(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Levels[1]) != 2 || st.Levels[1][0].FileNum != 1 {
-		t.Fatalf("sort by Lo: %+v", st.Levels[1])
+	// Apply keeps edit order; Replay sorts (TestReplaySortsOnce).
+	if len(st.Levels[1]) != 2 || st.Levels[1][0].FileNum != 2 {
+		t.Fatalf("apply: %+v", st.Levels[1])
 	}
 	if err := st.Apply(&Edit{Deleted: []NodeRef{{Level: 1, FileNum: 1}}}); err != nil {
 		t.Fatal(err)
@@ -70,6 +74,59 @@ func TestStateApply(t *testing.T) {
 	}
 	if err := st.Apply(&Edit{Deleted: []NodeRef{{Level: 9, FileNum: 1}}}); err == nil {
 		t.Error("deleting on absent level must fail")
+	}
+}
+
+// TestReplaySortsOnce replays a long random history of adds and deletes
+// across four levels and wants the State that sorting every level after
+// every edit gives, which is what Apply did before Replay took the sort.
+// Level 0 repeats Lo keys, so ties must keep the order they were added.
+func TestReplaySortsOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	fs := vfs.NewMemFS()
+	log, err := Create(fs, "MANIFEST", &State{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &State{}
+	var live []NodeRef
+	for i := range 2000 {
+		e := &Edit{LastSeq: kv.Seq(i), SetLastSeq: true}
+		for range min(rng.Intn(2), len(live)) {
+			j := rng.Intn(len(live))
+			e.Deleted = append(e.Deleted, live[j])
+			live = slices.Delete(live, j, j+1)
+		}
+		for range rng.Intn(4) {
+			lvl := rng.Intn(4)
+			lo := fmt.Sprintf("k%04d", rng.Intn(10000))
+			if lvl == 0 {
+				lo = fmt.Sprintf("k%d", rng.Intn(5))
+			}
+			n := NodeRecord{Level: lvl, FileNum: uint64(i*4 + len(e.Added) + 1), Lo: []byte(lo), Hi: []byte(lo + "z")}
+			e.Added = append(e.Added, n)
+			live = append(live, NodeRef{Level: lvl, FileNum: n.FileNum})
+		}
+		if err := log.Append(e); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.Apply(e); err != nil {
+			t.Fatal(err)
+		}
+		for _, lvl := range want.Levels {
+			slices.SortStableFunc(lvl, func(a, b NodeRecord) int { return kv.CompareUser(a.Lo, b.Lo) })
+		}
+	}
+	log.Close()
+	got, _, err := Replay(fs, "MANIFEST")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(live) < 100 {
+		t.Fatalf("history left %d live tables; want a longer one", len(live))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed state differs from sorting after every edit:\n got %+v\nwant %+v", got.Levels, want.Levels)
 	}
 }
 

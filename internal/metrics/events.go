@@ -82,7 +82,8 @@ type TableInfo struct {
 
 // StallInfo describes a write stall imposed on the commit path.
 type StallInfo struct {
-	// Level is the engine's stall level (1 = soft, 2 = hard).
+	// Level is the stall level: 1 = soft (the engine's slowdown), 2 =
+	// hard (the engine's stop, or a full immutable-memtable queue).
 	Level int
 	// Duration is how long the writer was stalled; zero in the
 	// begin event.

@@ -264,10 +264,8 @@ const maxRecordLen = 1 << 30
 // stored key matches the key the pointer was found under.  The
 // returned value is a fresh allocation the caller may retain.
 func (l *Log) Read(p Pointer, wantKey []byte) ([]byte, error) {
-	path := SegmentName(l.dir, p.Segment)
 	if p.Len < uint32(crcLen+2) || p.Len > maxRecordLen {
-		return nil, corrupt.New(corrupt.LayerVLog, path, p.Offset, ErrBad,
-			fmt.Sprintf("implausible record length %d", p.Len))
+		return nil, l.readErr(p, fmt.Sprintf("implausible record length %d", p.Len))
 	}
 	f, err := l.handle(p.Segment)
 	if err != nil {
@@ -275,19 +273,22 @@ func (l *Log) Read(p Pointer, wantKey []byte) ([]byte, error) {
 	}
 	buf := make([]byte, p.Len)
 	if _, err := f.ReadAt(buf, p.Offset); err != nil {
-		return nil, corrupt.New(corrupt.LayerVLog, path, p.Offset, ErrBad,
-			fmt.Sprintf("record read failed: %v", err))
+		return nil, l.readErr(p, fmt.Sprintf("record read failed: %v", err))
 	}
 	key, val, n, err := DecodeRecord(buf)
 	if err != nil || n != int(p.Len) {
-		return nil, corrupt.New(corrupt.LayerVLog, path, p.Offset, ErrBad,
-			"record failed CRC or framing check")
+		return nil, l.readErr(p, "record failed CRC or framing check")
 	}
 	if string(key) != string(wantKey) {
-		return nil, corrupt.New(corrupt.LayerVLog, path, p.Offset, ErrBad,
-			"record key does not match pointer's key")
+		return nil, l.readErr(p, "record key does not match pointer's key")
 	}
 	return val, nil
+}
+
+// readErr is Read's corruption error, naming the segment file only on
+// the failure path: a read that succeeds formats no path.
+func (l *Log) readErr(p Pointer, detail string) error {
+	return corrupt.New(corrupt.LayerVLog, SegmentName(l.dir, p.Segment), p.Offset, ErrBad, detail)
 }
 
 // ScanResult classifies a segment file's bytes after one walk from the

@@ -291,7 +291,7 @@ func TestScansBesideFlushCascades(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for st.state.Load().imm != nil {
+				for len(st.state.Load().imm) > 0 {
 					runtime.Gosched()
 				}
 			}

@@ -46,7 +46,7 @@ type Metrics struct {
 
 	// MemtableBytes is the approximate size of the mutable memtable.
 	MemtableBytes int64
-	// ImmutableMemtables counts memtables waiting to flush (0 or 1).
+	// ImmutableMemtables counts memtables waiting to flush (0–8).
 	ImmutableMemtables int
 	// WALNum is the current write-ahead log file number.
 	WALNum uint64
@@ -148,9 +148,7 @@ func (db *DB) metricsOf(stores []*store) Metrics {
 	for _, st := range stores {
 		view := st.state.Load()
 		m.MemtableBytes += view.mem.ApproximateSize()
-		if view.imm != nil {
-			m.ImmutableMemtables++
-		}
+		m.ImmutableMemtables += len(view.imm)
 		st.mu.Lock()
 		m.WALNum = max(m.WALNum, st.walNum)
 		m.WALBytes += st.walRetired

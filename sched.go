@@ -11,7 +11,7 @@ import (
 type stepKind int
 
 const (
-	stepDrain   stepKind = iota // flush the immutable memtable (store.drainStep)
+	stepDrain   stepKind = iota // flush the oldest immutable memtable (store.drainStep)
 	stepCompact                 // one engine WorkStep (store.workStep)
 	stepGC                      // collect one value-log segment (valueStore.gcOnce)
 	numSteps
@@ -143,10 +143,11 @@ func (s *sched) afterCommit() {
 	s.runReady(stepGC, stepGC, false)
 }
 
-// drainOnCaller is the rule for a caller holding commitMu that needs the
-// immutable memtable empty: it runs the drain, ready or not, unless a
-// worker holds the claim, and reports which (the caller then waits on
-// st.cond).  Inline, the steps the drain made ready follow.
+// drainOnCaller is the rule for a caller holding commitMu that needs
+// room in the immutable queue, or the queue empty: it drains the oldest
+// memtable, ready or not, unless a worker holds the claim, and reports
+// which (the caller then waits on st.cond).  Inline, the steps the drain
+// made ready follow, the rest of the queue included.
 func (s *sched) drainOnCaller() bool {
 	s.mu.Lock()
 	own := !s.claimed[stepDrain]

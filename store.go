@@ -29,12 +29,13 @@ import (
 	"iamdb/internal/wal"
 )
 
-// store is one key range's storage stack: a WAL, a memtable pair, an
-// engine, the leader/follower commit pipeline in front of them, the
-// scheduler of the background work behind them and the background-error
-// state they share.  The DB router owns 1..N of them; sequence numbers,
-// visibility and the drop horizon are the router's (store.db),
-// everything durable is the store's.
+// store is one key range's storage stack: a WAL, a memtable pipeline
+// (one active memtable and a queue of immutable ones), an engine, the
+// leader/follower commit pipeline in front of them, the scheduler of the
+// background work behind them and the background-error state they share.
+// The DB router owns 1..N of them; sequence numbers, visibility and the
+// drop horizon are the router's (store.db), everything durable is the
+// store's.
 type store struct {
 	db     *DB
 	opt    Options
@@ -70,7 +71,7 @@ type store struct {
 	// against the inferred acquisition graph.
 	//
 	// Drain and compaction steps run under commitMu too (inline, and
-	// whenever a caller needs the immutable memtable empty), so the
+	// whenever a caller needs room in the immutable queue), so the
 	// router's snapshot registry (the horizon pull) and the engine locks
 	// (and through them the trace recorder and vfs locks) nest under it.
 	// The scheduler's mutex is a leaf any of them may hold.
@@ -103,12 +104,12 @@ type store struct {
 	commitWait    metrics.Counter
 	groupSize     *histogram.Concurrent
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	mem        *memtable.MemTable
-	imm        *memtable.MemTable
-	immWalNum  uint64
-	immLastSeq kv.Seq
+	mu   sync.Mutex
+	cond *sync.Cond
+	mem  *memtable.MemTable
+	// imm is the queue of full memtables waiting for the drain, oldest
+	// first, at most maxImmutable long.
+	imm        []immEntry
 	walW       *wal.Writer
 	walF       vfs.File
 	walNum     uint64
@@ -142,6 +143,21 @@ type store struct {
 	wg         sync.WaitGroup
 }
 
+// maxImmutable bounds the immutable-memtable queue.  It is the
+// baselines' own slowdown point (2 × L0CompactTrigger in
+// lsm.stallLocked): writers fill memtables while a cascade drains the
+// oldest, and wait only when eight are queued (DESIGN.md, "Background
+// work").
+const maxImmutable = 8
+
+// immEntry is one full memtable in the queue: its records, the WAL that
+// holds them, and the last sequence number in that WAL.
+type immEntry struct {
+	mem     *memtable.MemTable
+	walNum  uint64
+	lastSeq kv.Seq
+}
+
 // storeState is the immutable read view published through store.state
 // after every memtable swap.  A reader that loads the watermark and
 // then state gets a state that is current or newer than that sequence,
@@ -150,13 +166,25 @@ type store struct {
 // sequence.
 type storeState struct {
 	mem *memtable.MemTable
-	imm *memtable.MemTable
+	imm []*memtable.MemTable // the queue, newest first: the order reads probe it
 }
 
-// publishStateLocked re-publishes the (mem, imm) pair.  Caller holds
-// st.mu, which serializes all memtable swaps.
+// publishStateLocked re-publishes the active memtable and the queue.
+// Caller holds st.mu, which serializes all memtable swaps.
 func (st *store) publishStateLocked() {
-	st.state.Store(&storeState{mem: st.mem, imm: st.imm})
+	imm := make([]*memtable.MemTable, len(st.imm))
+	for i, e := range st.imm {
+		imm[len(imm)-1-i] = e.mem
+	}
+	st.state.Store(&storeState{mem: st.mem, imm: imm})
+}
+
+// queueFullLocked reports whether a commit must wait for the drain: the
+// active memtable is full and the queue has no room for it.  Caller
+// holds st.mu.
+func (st *store) queueFullLocked() bool {
+	return !st.closed && !st.readonly && len(st.imm) == maxImmutable &&
+		st.mem.ApproximateSize() >= st.opt.MemtableSize
 }
 
 // commitOp is one writer's seat in one store's commit queue.  done and
@@ -435,15 +463,10 @@ func finishGroup(group []*commitOp, err error) {
 // It reports whether it rotated the memtable.  Caller holds commitMu.
 func (st *store) commitGroup(group []*commitOp) (rotated bool) {
 	st.mu.Lock()
-	for !st.closed && !st.readonly && st.imm != nil &&
-		st.mem.ApproximateSize() >= st.opt.MemtableSize {
-		// Both memtables full: drain here, or wait for the worker draining.
+	if st.queueFullLocked() {
 		st.mu.Unlock()
-		ran := st.bg.drainOnCaller()
+		st.stall(2, st.waitForRoom)
 		st.mu.Lock()
-		if !ran && st.imm != nil {
-			st.cond.Wait()
-		}
 	}
 	if st.closed {
 		st.mu.Unlock()
@@ -456,6 +479,17 @@ func (st *store) commitGroup(group []*commitOp) (rotated bool) {
 		st.mu.Unlock()
 		finishGroup(group, err)
 		return false
+	}
+	if st.mem.ApproximateSize() >= st.opt.MemtableSize {
+		// The last commit filled the memtable while the queue was full:
+		// queue it now, so a memtable ends with the commit that filled it
+		// however long the drain took.
+		if err := st.rotateLocked(); err != nil {
+			st.mu.Unlock()
+			finishGroup(group, err)
+			return false
+		}
+		rotated = true
 	}
 	mem, walW := st.mem, st.walW
 	// A successful append below heals a previously-latched WAL error
@@ -551,9 +585,9 @@ func (st *store) commitGroup(group []*commitOp) (rotated bool) {
 	var err error
 	if mem.ApproximateSize() >= st.opt.MemtableSize {
 		st.mu.Lock()
-		if st.mem == mem && st.imm == nil && !st.closed {
+		if st.mem == mem && len(st.imm) < maxImmutable && !st.closed {
 			err = st.rotateLocked()
-			rotated = err == nil
+			rotated = rotated || err == nil
 		}
 		st.mu.Unlock()
 	}
@@ -573,22 +607,32 @@ func (st *store) throttle() {
 	if lvl == 0 {
 		return
 	}
+	// The writer steps compaction itself: a hard stall (2) until no work
+	// is left, a slowdown (1) once.  A failed step is noted like a commit
+	// fault (counted and reported, no backoff) and ends the writer's share.
+	st.stall(lvl, func() {
+		for l := lvl; l > 0; l = st.eng.StallLevel() {
+			did, err := st.workStep()
+			if err != nil {
+				st.noteCommitError("compact", err)
+			}
+			if err != nil || !did || l == 1 {
+				break
+			}
+		}
+	})
+}
+
+// stall runs wait as one write stall at level lvl: a write.stall span,
+// a WriteStallBegin/WriteStallEnd pair and the stall counters.  Both
+// stalls a writer can meet go through it: the engine's (throttle) and a
+// full immutable queue (commitGroup).
+func (st *store) stall(lvl int, wait func()) {
 	start := st.clock.Now()
 	sp := st.tr.Begin("write.stall")
 	sp.SetLevel(lvl)
 	st.events.WriteStallBegin(metrics.StallInfo{Level: lvl})
-	// The writer steps compaction itself: a hard stall (2) until no work
-	// is left, a slowdown (1) once.  A failed step is noted like a commit
-	// fault (counted and reported, no backoff) and ends the writer's share.
-	for l := lvl; l > 0; l = st.eng.StallLevel() {
-		did, err := st.workStep()
-		if err != nil {
-			st.noteCommitError("compact", err)
-		}
-		if err != nil || !did || l == 1 {
-			break
-		}
-	}
+	wait()
 	d := st.clock.Now() - start
 	st.stallCount.Inc()
 	st.stallNanos.Add(int64(d))
@@ -596,8 +640,25 @@ func (st *store) throttle() {
 	st.events.WriteStallEnd(metrics.StallInfo{Level: lvl, Duration: d})
 }
 
-// rotateLocked swaps the full memtable to the immutable slot and opens
-// a fresh WAL.  Caller holds st.mu.
+// waitForRoom is the stall on a full queue: it drains the oldest
+// memtable itself, or waits for the worker draining it, until the queue
+// has room or the store stops taking writes.  Caller holds commitMu.
+func (st *store) waitForRoom() {
+	st.mu.Lock()
+	for st.queueFullLocked() {
+		st.mu.Unlock()
+		ran := st.bg.drainOnCaller()
+		st.mu.Lock()
+		if !ran && st.queueFullLocked() {
+			st.cond.Wait()
+		}
+	}
+	st.mu.Unlock()
+}
+
+// rotateLocked queues the full memtable behind the immutable ones and
+// opens a fresh WAL.  Caller holds st.mu and has checked the queue has
+// room.
 func (st *store) rotateLocked() error {
 	newNum := st.walNum + 1
 	f, err := st.fs.Create(logName(st.dir, newNum))
@@ -619,9 +680,7 @@ func (st *store) rotateLocked() error {
 	sp.SetBytes(oldBytes)
 	sp.End()
 	st.events.WALRotated(metrics.WALRotationInfo{OldNum: oldNum, NewNum: newNum, OldBytes: oldBytes})
-	st.imm = st.mem
-	st.immWalNum = st.walNum
-	st.immLastSeq = st.seq
+	st.imm = append(st.imm, immEntry{mem: st.mem, walNum: st.walNum, lastSeq: st.seq})
 	st.mem = memtable.New()
 	st.publishStateLocked()
 	st.walF = f
@@ -789,34 +848,40 @@ func (st *store) noteBgSuccess() {
 	st.cond.Broadcast()
 }
 
-// drainStep flushes the immutable memtable into the engine and retires
-// its log, reporting false when the slot is empty.  A failure leaves the
-// memtable in place; when only the log-number record failed, the next
-// attempt skips the engine flush.
+// drainStep flushes the oldest immutable memtable into the engine and
+// retires its log, reporting false when the queue is empty.  The log
+// number it records is the next queued memtable's WAL, or the live one:
+// recovery replays every log from there.  A failure leaves the memtable
+// at the head of the queue; when only the log-number record failed, the
+// next attempt skips the engine flush.
 func (st *store) drainStep() (bool, error) {
 	st.mu.Lock()
-	imm, immWal, immSeq, curWal := st.imm, st.immWalNum, st.immLastSeq, st.walNum
-	st.mu.Unlock()
-	if imm == nil {
+	if len(st.imm) == 0 {
+		st.mu.Unlock()
 		return false, nil
 	}
+	head, nextWal := st.imm[0], st.walNum
+	if len(st.imm) > 1 {
+		nextWal = st.imm[1].walNum
+	}
+	st.mu.Unlock()
 	if !st.immFlushed {
-		if err := st.flushEngine(imm.NewIter()); err != nil {
+		if err := st.flushEngine(head.mem.NewIter()); err != nil {
 			return false, err
 		}
 		st.immFlushed = true
 	}
-	if err := st.set.SetLogMeta(immSeq, curWal); err != nil {
+	if err := st.set.SetLogMeta(head.lastSeq, nextWal); err != nil {
 		return false, err
 	}
 	st.immFlushed = false
 	// The flushed log is re-deleted on next recovery if this best-effort
-	// removal fails.  It goes before the slot empties: whoever waits on
-	// that (a checkpoint, holding commitMu) may then take the directory
-	// listing as final.
-	_ = st.fs.Remove(logName(st.dir, immWal))
+	// removal fails.  It goes before the head leaves the queue: whoever
+	// waits for an empty queue (a checkpoint, holding commitMu) may then
+	// take the directory listing as final.
+	_ = st.fs.Remove(logName(st.dir, head.walNum))
 	st.mu.Lock()
-	st.imm = nil
+	st.imm = slices.Delete(st.imm, 0, 1)
 	st.publishStateLocked()
 	st.cond.Broadcast()
 	st.mu.Unlock()
@@ -852,8 +917,8 @@ func (st *store) getAt(key []byte, snap kv.Seq) ([]byte, kv.Kind, error) {
 	if v, kind, _, found := view.mem.Get(key, snap); found {
 		return v, kind, nil
 	}
-	if view.imm != nil {
-		if v, kind, _, found := view.imm.Get(key, snap); found {
+	for _, imm := range view.imm {
+		if v, kind, _, found := imm.Get(key, snap); found {
 			return v, kind, nil
 		}
 	}
@@ -875,14 +940,15 @@ func finishGet(v []byte, kind kv.Kind) ([]byte, error) {
 	return append([]byte(nil), v...), nil
 }
 
-// newIter merges the store's current read view — both memtables and
+// newIter merges the store's current read view — every memtable and
 // the engine's tables, captured (and referenced) now — into one
 // iterator over internal keys.
 func (st *store) newIter() iterator.ReverseIterator {
 	view := st.state.Load()
-	kids := []iterator.Iterator{view.mem.NewIter()}
-	if view.imm != nil {
-		kids = append(kids, view.imm.NewIter())
+	kids := make([]iterator.Iterator, 0, len(view.imm)+2)
+	kids = append(kids, view.mem.NewIter())
+	for _, imm := range view.imm {
+		kids = append(kids, imm.NewIter())
 	}
 	kids = append(kids, st.set.NewIter())
 	return iterator.NewMerging(kv.CompareInternal, kids...)
@@ -932,14 +998,14 @@ func (st *store) flush() error {
 	return st.flushLocked()
 }
 
-// flushLocked empties both memtables into the engine.  Caller holds
+// flushLocked empties every memtable into the engine.  Caller holds
 // commitMu, so no commit can refill them before it lets go.
 func (st *store) flushLocked() error {
-	// Drain any leftover immutable memtable (e.g. from an earlier failed
-	// Flush) first, or wait for the worker draining it.
+	// Drain the queued memtables (e.g. left by an earlier failed Flush)
+	// first, or wait for the workers draining them.
 	st.bg.drainOnCaller()
 	st.mu.Lock()
-	for st.imm != nil && !st.closed && !st.readonly {
+	for len(st.imm) > 0 && !st.closed && !st.readonly {
 		st.cond.Wait()
 	}
 	if st.closed {
@@ -955,10 +1021,9 @@ func (st *store) flushLocked() error {
 		st.mu.Unlock()
 		return nil
 	}
-	// Move the memtable through the same immutable-slot pipeline as
-	// automatic flushes: a failed engine flush then keeps the data
-	// readable (and retried) in the immutable memtable instead of
-	// dropping acknowledged writes on the floor.
+	// Move the memtable through the same queue as automatic flushes: a
+	// failed engine flush then keeps the data readable (and retried) in
+	// the queue instead of dropping acknowledged writes on the floor.
 	err := st.rotateLocked()
 	st.mu.Unlock()
 	if err != nil {
@@ -970,16 +1035,16 @@ func (st *store) flushLocked() error {
 	}
 	st.bg.drainOnCaller()
 	st.mu.Lock()
-	for st.imm != nil && !st.closed && !st.readonly && st.bgErr == nil {
+	for len(st.imm) > 0 && !st.closed && !st.readonly && st.bgErr == nil {
 		st.cond.Wait()
 	}
 	switch {
-	case st.imm == nil:
+	case len(st.imm) == 0:
 		err = nil
 	case st.readonly:
 		err = errors.Join(ErrReadOnly, st.bgErr)
 	case st.bgErr != nil:
-		// The drain failed; it is retried, the data safe in the slot.
+		// The drain failed; it is retried, the data safe in the queue.
 		err = st.bgErr
 	default:
 		err = ErrClosed
