@@ -37,13 +37,15 @@ type batchOp struct {
 	val  []byte
 }
 
-// Put queues a key/value insert.
+// Put queues a key/value insert.  It copies key and value: a batch can
+// outlive the caller's buffers, which may change before Write.  (DB.Put,
+// which is synchronous, commits the caller's slices without a copy.)
 func (b *Batch) Put(key, value []byte) {
 	b.ops = append(b.ops, batchOp{kv.KindSet,
 		append([]byte(nil), key...), append([]byte(nil), value...)})
 }
 
-// Delete queues a key deletion.
+// Delete queues a key deletion.  Like Put, it copies key.
 func (b *Batch) Delete(key []byte) {
 	b.ops = append(b.ops, batchOp{kv.KindDelete, append([]byte(nil), key...), nil})
 }

@@ -306,18 +306,48 @@ func (db *DB) kickVlogGC() {
 	}
 }
 
-// Put stores a key/value pair.
+// Put stores a key/value pair.  The store keeps none of key or value:
+// the call is synchronous, and before it returns both are copied once
+// into the WAL record and once into the memtable arena (or, when the
+// value is separated, into the value-log record), so the caller may
+// reuse the buffers as soon as it returns.
 func (db *DB) Put(key, value []byte) error {
-	var b Batch
-	b.Put(key, value)
-	return db.Write(&b)
+	return db.writeOne(batchOp{kv.KindSet, key, value})
 }
 
-// Delete removes a key.
+// Delete removes a key.  Like Put, it keeps none of key.
 func (db *DB) Delete(key []byte) error {
-	var b Batch
-	b.Delete(key)
-	return db.Write(&b)
+	return db.writeOne(batchOp{kv.KindDelete, key, nil})
+}
+
+// writeReq is the bookkeeping of one write in flight, pooled so the
+// commit path allocates none of it: the one-op batch Put and Delete
+// commit, whose op holds the caller's slices uncopied, and the seat a
+// single-store write takes in its store's commit queue.  A request goes
+// back to the pool only after its write returned, when every leader has
+// resolved its seat and dropped the group that named it.
+type writeReq struct {
+	b    Batch
+	one  [1]batchOp
+	seat [1]commitOp
+}
+
+var writeReqs = sync.Pool{New: func() any { return new(writeReq) }}
+
+// release clears the request, so the pool keeps no reference to the
+// caller's bytes or to a store, and returns it.
+func (r *writeReq) release() {
+	*r = writeReq{}
+	writeReqs.Put(r)
+}
+
+// writeOne commits one op as a batch of its own.
+func (db *DB) writeOne(op batchOp) error {
+	r := writeReqs.Get().(*writeReq)
+	defer r.release()
+	r.one[0] = op
+	r.b.ops = r.one[:]
+	return db.timedWrite(&r.b, &r.seat)
 }
 
 // Write applies a batch atomically: one WAL record per store it
@@ -328,11 +358,18 @@ func (db *DB) Write(b *Batch) error {
 	if b.Len() == 0 {
 		return nil
 	}
+	r := writeReqs.Get().(*writeReq)
+	defer r.release()
+	return db.timedWrite(b, &r.seat)
+}
+
+// timedWrite is write, recorded in the put histogram when timing is on.
+func (db *DB) timedWrite(b *Batch, seat *[1]commitOp) error {
 	if !db.timing {
-		return db.write(b)
+		return db.write(b, seat)
 	}
 	start := db.clock.Now()
-	err := db.write(b)
+	err := db.write(b, seat)
 	db.putHist.Record(db.clock.Now() - start)
 	return err
 }
@@ -361,8 +398,11 @@ func (db *DB) Write(b *Batch) error {
 // sub-batches are already durable and become visible once the watermark
 // passes them — a cross-store batch is atomic under concurrency, not
 // under mid-commit I/O failure (see DESIGN.md "Commit pipeline").
-func (db *DB) write(b *Batch) error {
-	ops := db.split(b)
+//
+// seat is the commit queue seat of a batch that lands on one store;
+// seat must not be in use by another write.
+func (db *DB) write(b *Batch, seat *[1]commitOp) error {
+	ops := db.split(b, seat)
 	for i := range ops {
 		ops[i].st.throttle()
 	}
@@ -403,9 +443,10 @@ func (db *DB) write(b *Batch) error {
 
 // split cuts b by key range into one commitOp per store it touches, in
 // store order.  A batch that lands on one store (always true for
-// Put/Delete) is passed through as it is, so no sub-batch is assembled
-// and a GC rewrite batch keeps its conditional metadata.
-func (db *DB) split(b *Batch) []commitOp {
+// Put/Delete) is passed through as it is, in seat, so no sub-batch is
+// assembled, nothing is allocated and a GC rewrite batch keeps its
+// conditional metadata.
+func (db *DB) split(b *Batch, seat *[1]commitOp) []commitOp {
 	first := db.part.IndexOf(b.ops[0].key)
 	multi := false
 	for _, op := range b.ops[1:] {
@@ -415,7 +456,8 @@ func (db *DB) split(b *Batch) []commitOp {
 		}
 	}
 	if !multi {
-		return []commitOp{{st: db.stores[first], b: b}}
+		seat[0] = commitOp{st: db.stores[first], b: b}
+		return seat[:]
 	}
 	subs := make([]Batch, len(db.stores))
 	for _, op := range b.ops {

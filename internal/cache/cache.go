@@ -33,8 +33,11 @@ type Cache struct {
 	evictions atomic.Int64 // blocks pushed out for lack of room
 }
 
-// A flush or merge caches the blocks it writes with the table set's
-// mutex held; a shard takes no lock of its own under mu.
+// Nothing caches the blocks it writes (user reads fill the cache, see the
+// package comment), but a merge looks its input blocks up, and unpin
+// evicts a dropped table's blocks (EvictBlocks) from inside Apply, both
+// with the table set's mutex held; a shard takes no lock of its own
+// under mu.
 //
 //iamlint:lockorder tableset.Set.Mu < cache.shard.mu; cache.shard.mu leaf
 type shard struct {

@@ -302,7 +302,10 @@ type ScanResult struct {
 }
 
 // ScanFile walks every record of one segment file, calling fn with
-// slices that alias an internal buffer.  It is the only walk there is:
+// slices into the walk's own buffer: the whole file, read once, which
+// nothing else shares and nothing writes after the read.  fn may keep
+// the slices past its return (the collector's rewrite batches do); a
+// kept slice keeps the whole buffer alive.  It is the only walk there is:
 // Open classifies the head segment with it, GC, Scrub and the iamdump
 // vlog subcommand read segments through it.  A header or record failure
 // ends the walk with a typed corruption error beside the classification.

@@ -39,6 +39,24 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// typeCRC holds the checksum of each fragment type byte alone: a
+// fragment's checksum continues it over the payload, so neither side
+// copies the payload behind its type byte to checksum the two.
+var typeCRC = func() (t [typeLast + 1]uint32) {
+	for typ := range t {
+		t[typ] = crc32.Checksum([]byte{byte(typ)}, castagnoli)
+	}
+	return t
+}()
+
+// fragmentCRC is the checksum of type‖payload.
+func fragmentCRC(typ byte, payload []byte) uint32 {
+	return crc32.Update(typeCRC[typ], castagnoli, payload)
+}
+
+// zeros pads a block tail too short for a fragment header.
+var zeros [headerSize]byte
+
 // ErrCorrupt reports a malformed or torn log record.  A Reader
 // distinguishes the two cases a crash cannot: corruption at the tail
 // with nothing after it is a torn write and ends iteration cleanly,
@@ -75,7 +93,7 @@ func (w *Writer) Append(rec []byte) error {
 		if avail < headerSize {
 			// Zero-fill the tail and move to a fresh block.
 			if avail > 0 {
-				if _, err := w.f.Write(make([]byte, avail)); err != nil {
+				if _, err := w.f.Write(zeros[:avail]); err != nil {
 					return err
 				}
 				w.written.Add(int64(avail))
@@ -104,8 +122,7 @@ func (w *Writer) Append(rec []byte) error {
 
 		w.buf = w.buf[:0]
 		var hdr [headerSize]byte
-		crc := crc32.Checksum(append([]byte{typ}, frag...), castagnoli)
-		binary.LittleEndian.PutUint32(hdr[0:4], crc)
+		binary.LittleEndian.PutUint32(hdr[0:4], fragmentCRC(typ, frag))
 		binary.LittleEndian.PutUint16(hdr[4:6], uint16(len(frag)))
 		hdr[6] = typ
 		w.buf = append(w.buf, hdr[:]...)
@@ -211,7 +228,7 @@ func (r *Reader) Next() ([]byte, error) {
 			continue
 		}
 		payload := r.block[r.blockOff+headerSize : r.blockOff+headerSize+length]
-		crc := crc32.Checksum(append([]byte{typ}, payload...), castagnoli)
+		crc := fragmentCRC(typ, payload)
 		if crc != wantCRC {
 			r.note(fragOff, wantCRC, crc, "fragment checksum mismatch")
 			r.Dropped += int64(headerSize + length)

@@ -2,8 +2,10 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"testing"
@@ -207,6 +209,68 @@ func TestRoundTripQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// discardFile takes every write and keeps nothing, so an allocation
+// count sees the writer alone.
+type discardFile struct{ vfs.File }
+
+func (discardFile) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestAppendInOneBlockAllocatesNothing checks that the writer frames a
+// fragment in its own buffer and checksums the payload where it lies.
+func TestAppendInOneBlockAllocatesNothing(t *testing.T) {
+	w := NewWriter(discardFile{})
+	rec := make([]byte, 1000)
+	// 21 appends (AllocsPerRun's warm-up and 20 runs) of 1 007 bytes
+	// each stay inside the first block.
+	if n := testing.AllocsPerRun(20, func() {
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Append allocates %.2f per call, want 0", n)
+	}
+	if w.Offset() > BlockSize {
+		t.Fatalf("appends ran %d bytes past one block", w.Offset()-BlockSize)
+	}
+}
+
+// TestFragmentChecksumsCoverTypeAndPayload checks each fragment header
+// of a record spanning three blocks against crc32.Checksum over the
+// fragment's type byte followed by its payload: the log format's
+// definition, computed the slow way.
+func TestFragmentChecksumsCoverTypeAndPayload(t *testing.T) {
+	fs, f := newLog(t)
+	rec := make([]byte, 2*BlockSize+100)
+	rand.New(rand.NewSource(3)).Read(rec)
+	if err := NewWriter(f).Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 3*BlockSize)
+	n, _ := reopen(t, fs).ReadAt(data, 0)
+	data = data[:n]
+	table := crc32.MakeTable(crc32.Castagnoli)
+	var types []byte
+	for off := 0; off < len(data); off += BlockSize {
+		hdr := data[off : off+headerSize]
+		length := int(binary.LittleEndian.Uint16(hdr[4:6]))
+		typ := hdr[6]
+		payload := data[off+headerSize : off+headerSize+length]
+		want := crc32.Checksum(append([]byte{typ}, payload...), table)
+		if got := binary.LittleEndian.Uint32(hdr[0:4]); got != want {
+			t.Errorf("block %d: fragment CRC %#x, want %#x over type %d and %d payload bytes",
+				off/BlockSize, got, want, typ, length)
+		}
+		types = append(types, typ)
+	}
+	if want := []byte{typeFirst, typeMiddle, typeLast}; !bytes.Equal(types, want) {
+		t.Fatalf("fragment types %v, want %v", types, want)
+	}
+	got, err := NewReader(reopen(t, fs), "test.log").Next()
+	if err != nil || !bytes.Equal(got, rec) {
+		t.Fatalf("read back %d bytes, %v", len(got), err)
 	}
 }
 

@@ -99,8 +99,9 @@ go test -race -run TestShardedCrossShardHammer -count=10 .
 echo "== observability gates"
 # Tracing/timeline units, byte-identical golden determinism, the pinned
 # stream of structural steps (events, spans, counters), the disabled-path
-# allocation gate, and the debug-handler endpoints.
-go test -run 'TestGoldenDeterminism|TestStepStreamPinned|TestTraceSpansPresent|TestDebugHandlers|TestDebugTracesDisabled|TestDebugServerLive|TestObservabilityHotPathZeroAlloc' -count=1 .
+# allocation gate, the commit path's pinned allocation count, and the
+# debug-handler endpoints.
+go test -run 'TestGoldenDeterminism|TestStepStreamPinned|TestTraceSpansPresent|TestDebugHandlers|TestDebugTracesDisabled|TestDebugServerLive|TestObservabilityHotPathZeroAlloc|TestCommitPathAllocs' -count=1 .
 go test -count=1 ./internal/trace/ ./internal/metrics/
 
 echo "== key-value separation gates"
@@ -187,8 +188,11 @@ echo "== go test -race"
 # for cell, in the line after.  First, by name: the one test that fills
 # the immutable-memtable queue by construction (each drain held on a
 # hook, not by timing), once, so a race between the queue's publish, the
-# drain and the readers fails under its own name.
+# drain and the readers fails under its own name.  Then the test whose
+# writers scribble on their buffers as soon as Put returns: a leader
+# still reading a follower's uncopied slices races with the scribble.
 go test -race -run TestImmutableQueue -count=1 .
+go test -race -run TestStoreKeepsNoCallerBytes -count=1 .
 go test -race $(go list ./... | grep -v '/internal/harness$')
 go test -race -short ./internal/harness
 go test -count=1 ./internal/harness

@@ -78,6 +78,10 @@ type store struct {
 	//
 	//iamlint:lockorder commitMu < Sequencer.Mu; commitMu < iamdb.store.mu; iamdb.store.mu < vfs.*; commitMu < trace.Recorder.mu; iamdb.store.mu < trace.Recorder.mu; commitMu < tableset.Set.Mu; commitMu < vlog.Log.mu; commitMu < vlog.Log.statsMu; commitMu < snapMu; iamdb.store.mu < iamdb.sched.mu; iamdb.sched.mu leaf
 	pendingQ []*commitOp // guarded by db.seqr.Mu
+	// spareQ is the array the next leader swaps in for pendingQ: the
+	// queue and the group being committed trade two arrays, so a group
+	// allocates none (commitMu).
+	spareQ   []*commitOp
 	commitMu sync.Mutex
 	// seq is the largest sequence number in this store's WAL, owned by
 	// whoever holds commitMu (and by open before any writer exists).
@@ -437,9 +441,11 @@ func (st *store) commit(op *commitOp) (rotated bool, err error) {
 	if !op.done {
 		st.db.seqr.Mu.Lock()
 		group := st.pendingQ
-		st.pendingQ = nil
+		st.pendingQ = st.spareQ
 		st.db.seqr.Mu.Unlock()
 		rotated = st.commitGroup(group)
+		clear(group) // the spare must not keep a returned seat reachable
+		st.spareQ = group[:0]
 	}
 	st.commitMu.Unlock()
 	return rotated, op.err

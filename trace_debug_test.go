@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"iamdb/internal/invariants"
 	"iamdb/internal/metrics"
 	"iamdb/internal/vfs"
 )
@@ -359,6 +360,47 @@ func TestObservabilityHotPathZeroAlloc(t *testing.T) {
 	}
 	if barePut != samPut {
 		t.Errorf("Put allocs differ: bare %.2f, detached sampler %.2f", barePut, samPut)
+	}
+}
+
+// TestCommitPathAllocs pins what the commit path allocates.  A Put or
+// Delete into an inline IAM store whose memtable does not fill copies
+// the caller's bytes into the WAL record and the memtable arena and
+// allocates nothing of its own: no batch, no commit seat, no group
+// queue, no checksum temporary.  AllocsPerRun counts whole allocations
+// per call, so the arena chunks and file growth, spread over many
+// writes, round away.
+func TestCommitPathAllocs(t *testing.T) {
+	if raceEnabled || invariants.Enabled {
+		t.Skip("sync.Pool drops what is put back under -race; assertions box their arguments under the tag")
+	}
+	opts := smallOpts(IAM, vfs.NewMemFS())
+	opts.MemtableSize = 64 << 20 // no rotation during measurement
+	opts.InlineBackground = true
+	db, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	key, val := []byte("key-000042"), make([]byte, 1024)
+	put := func() {
+		if err := db.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 100 {
+		put()
+	}
+	if n := testing.AllocsPerRun(1000, put); n != 0 {
+		t.Errorf("Put of a 1 KiB value allocates %.2f per call, want 0", n)
+	}
+	del := func() {
+		if err := db.Delete(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(1000, del); n != 0 {
+		t.Errorf("Delete allocates %.2f per call, want 0", n)
 	}
 }
 

@@ -296,12 +296,13 @@ func (vs *valueStore) collect(seg uint64) error {
 	)
 	st := vs.st
 	b := &Batch{} // its first gcOld entry marks it a rewrite batch
+	var seat [1]commitOp
 	var pending int
 	flush := func() error {
 		if b.Len() == 0 {
 			return nil
 		}
-		if err := st.db.write(b); err != nil {
+		if err := st.db.write(b, &seat); err != nil {
 			return err
 		}
 		if b.gcFailed {
@@ -329,7 +330,9 @@ func (vs *valueStore) collect(seg uint64) error {
 		if !ok || curp != p {
 			return nil // superseded by a newer log record
 		}
-		b.ops = append(b.ops, batchOp{kv.KindSet, slices.Clone(key), slices.Clone(val)})
+		// key and val point into the walk's own segment buffer, which
+		// outlives the batch; cur aliases the store's and is copied.
+		b.ops = append(b.ops, batchOp{kv.KindSet, key, val})
 		b.gcOld = append(b.gcOld, slices.Clone(cur))
 		vs.gcRewrites.Inc()
 		pending += len(val)
