@@ -1,0 +1,258 @@
+package vfs
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"sync"
+	"testing"
+)
+
+// pattern is n bytes that differ between files (seed) and along a file,
+// so a page read from the wrong file or the wrong offset shows.
+func pattern(seed byte, n int) []byte {
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = seed + byte(i*7+i/memPageSize)
+	}
+	return p
+}
+
+// writeFile creates name holding data and returns the handle, open.
+func writeFile(t *testing.T, fs *MemFS, name string, data []byte) File {
+	t.Helper()
+	f, err := fs.Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// churn creates, fills with 0xEE, closes and removes n files of pages
+// pages each: it takes every page the free list holds and scribbles on
+// it, then hands the pages back.
+func churn(t *testing.T, fs *MemFS, n, pages int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("churn-%d", i)
+		f := writeFile(t, fs, name, bytes.Repeat([]byte{0xEE}, pages*memPageSize))
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Remove(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func freeLen(fs *MemFS) int {
+	fs.freeMu.Lock()
+	defer fs.freeMu.Unlock()
+	return len(fs.free)
+}
+
+// wantContent reads all of f and compares it with want.
+func wantContent(t *testing.T, f File, want []byte, what string) {
+	t.Helper()
+	got := make([]byte, len(want))
+	if n, err := f.ReadAt(got, 0); n != len(want) || (err != nil && err != io.EOF) {
+		t.Fatalf("%s: read %d of %d bytes, %v", what, n, len(want), err)
+	}
+	if i := firstDiff(got, want); i >= 0 {
+		t.Fatalf("%s: byte %d is %#x, want %#x", what, i, got[i], want[i])
+	}
+}
+
+func firstDiff(a, b []byte) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestMemFSRecyclesOnlyClosedUnlinkedFiles checks the free list's
+// contract: a file's pages are reused only once no name refers to it and
+// its last handle has closed, a reused page reads as zeros wherever it
+// was not written, and Truncate's dropped pages come back zeroed too.
+func TestMemFSRecyclesOnlyClosedUnlinkedFiles(t *testing.T) {
+	const pages = 3
+	size := pages*memPageSize - 123
+
+	t.Run("open_after_remove", func(t *testing.T) {
+		fs := NewMemFS()
+		want := pattern(1, size)
+		w := writeFile(t, fs, "a", want)
+		r, err := fs.Open("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Remove("a"); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		churn(t, fs, 4, pages+1)
+		wantContent(t, r, want, "a handle open across Remove")
+		if n := freeLen(fs); n != pages+1 {
+			t.Fatalf("free list holds %d pages with the removed file open, want the churn's %d", n, pages+1)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := freeLen(fs); n != 2*pages+1 {
+			t.Fatalf("free list holds %d pages after the last Close, want %d", n, 2*pages+1)
+		}
+	})
+
+	t.Run("reused_pages_read_zeros", func(t *testing.T) {
+		fs := NewMemFS()
+		churn(t, fs, 1, pages)
+		if n := freeLen(fs); n != pages {
+			t.Fatalf("free list holds %d pages, want %d", n, pages)
+		}
+		f, err := fs.Create("b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A write in the middle of the first page, then a footer at the
+		// end of the third, as an MSTable writes its metadata.
+		mid := []byte("middle")
+		if _, err := f.WriteAt(mid, 5000); err != nil {
+			t.Fatal(err)
+		}
+		tail := []byte("footer")
+		tailOff := int64(pages*memPageSize - len(tail))
+		if _, err := f.WriteAt(tail, tailOff); err != nil {
+			t.Fatal(err)
+		}
+		if n := freeLen(fs); n != pages-2 {
+			t.Fatalf("free list holds %d pages after two pages were written, want %d", n, pages-2)
+		}
+		want := make([]byte, pages*memPageSize)
+		copy(want[5000:], mid)
+		copy(want[tailOff:], tail)
+		wantContent(t, f, want, "a file on reused pages")
+	})
+
+	t.Run("create_and_rename_over_open_name", func(t *testing.T) {
+		fs := NewMemFS()
+		wantC := pattern(2, size)
+		old := writeFile(t, fs, "c", wantC)
+		fresh := writeFile(t, fs, "c", pattern(3, size))
+		wantR := pattern(4, size)
+		dst := writeFile(t, fs, "r", wantR)
+		src := writeFile(t, fs, "r.tmp", pattern(5, size))
+		if err := fs.Rename("r.tmp", "r"); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []File{fresh, src} {
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		churn(t, fs, 4, pages)
+		wantContent(t, old, wantC, "a handle open across Create over its name")
+		wantContent(t, dst, wantR, "a handle open across Rename over its name")
+		before := freeLen(fs)
+		for _, f := range []File{old, dst} {
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := freeLen(fs); n != before+2*pages {
+			t.Fatalf("free list holds %d pages after closing two replaced files, want %d", n, before+2*pages)
+		}
+	})
+
+	t.Run("second_close_does_nothing", func(t *testing.T) {
+		fs := NewMemFS()
+		want := pattern(6, size)
+		w := writeFile(t, fs, "d", want)
+		r, err := fs.Open("d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Remove("d"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		churn(t, fs, 4, pages)
+		wantContent(t, r, want, "a handle open beside a handle closed twice")
+	})
+
+	t.Run("truncate_then_regrow", func(t *testing.T) {
+		fs := NewMemFS()
+		f := writeFile(t, fs, "e", pattern(7, size))
+		const cut = memPageSize + 100
+		if err := f.Truncate(cut); err != nil {
+			t.Fatal(err)
+		}
+		if n := freeLen(fs); n != pages-2 {
+			t.Fatalf("free list holds %d pages after Truncate, want %d", n, pages-2)
+		}
+		end := []byte("end")
+		if _, err := f.WriteAt(end, int64(size)); err != nil {
+			t.Fatal(err)
+		}
+		want := make([]byte, size+len(end))
+		copy(want, pattern(7, cut))
+		copy(want[size:], end)
+		wantContent(t, f, want, "a file truncated and regrown")
+	})
+
+	// Under -race: a reader of a removed file that is still open, beside
+	// a writer that creates, fills and removes other files.
+	t.Run("reader_beside_churn", func(t *testing.T) {
+		fs := NewMemFS()
+		want := pattern(8, size)
+		r := writeFile(t, fs, "f", want)
+		if err := fs.Remove("f"); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				name := fmt.Sprintf("g-%d", i)
+				g, err := fs.Create(name)
+				if err == nil {
+					_, err = g.WriteAt(bytes.Repeat([]byte{0xEE}, pages*memPageSize), 0)
+				}
+				if err == nil {
+					err = g.Close()
+				}
+				if err == nil {
+					err = fs.Remove(name)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		got := make([]byte, size)
+		for i := 0; i < 50; i++ {
+			if _, err := r.ReadAt(got, 0); err != nil && err != io.EOF {
+				t.Fatal(err)
+			}
+			if j := firstDiff(got, want); j >= 0 {
+				t.Fatalf("read %d: byte %d of the removed file is %#x, want %#x", i, j, got[j], want[j])
+			}
+		}
+		wg.Wait()
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -79,14 +79,18 @@ type FS interface {
 // map and never materializes the hole.
 const memPageSize = 16 * 1024
 
+type memPage = [memPageSize]byte
+
 type memFile struct {
+	fs    *MemFS
 	mu    sync.RWMutex
 	size  int64
-	pages map[int64]*[memPageSize]byte
-}
-
-func newMemFile() *memFile {
-	return &memFile{pages: make(map[int64]*[memPageSize]byte)}
+	pages map[int64]*memPage
+	// handles counts the open handles; unlinked is set once no name
+	// refers to the file.  When both say the file is unreachable its
+	// pages go to fs's free list.
+	handles  int
+	unlinked bool
 }
 
 // readAtLocked copies [off, off+len(p)) into p, zero-filling holes.
@@ -110,9 +114,7 @@ func (f *memFile) readAtLocked(p []byte, off int64) (int, error) {
 		if pg := f.pages[pageIdx]; pg != nil {
 			copy(p[done:done+chunk], pg[pageOff:pageOff+chunk])
 		} else {
-			for i := done; i < done+chunk; i++ {
-				p[i] = 0
-			}
+			clear(p[done : done+chunk])
 		}
 		done += chunk
 	}
@@ -122,8 +124,8 @@ func (f *memFile) readAtLocked(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// writeAtLocked stores p at off, allocating pages as needed.  Caller
-// holds mu for writing.
+// writeAtLocked stores p at off, taking pages from the free list as
+// needed.  Caller holds mu for writing.
 func (f *memFile) writeAtLocked(p []byte, off int64) {
 	done := 0
 	for done < len(p) {
@@ -135,7 +137,7 @@ func (f *memFile) writeAtLocked(p []byte, off int64) {
 		}
 		pg := f.pages[pageIdx]
 		if pg == nil {
-			pg = new([memPageSize]byte)
+			pg = f.fs.takePage()
 			f.pages[pageIdx] = pg
 		}
 		copy(pg[pageOff:pageOff+chunk], p[done:done+chunk])
@@ -146,11 +148,42 @@ func (f *memFile) writeAtLocked(p []byte, off int64) {
 	}
 }
 
+// releaseIfUnreachableLocked hands every page to the free list once the
+// file is unlinked and its last handle closed.  Caller holds mu for
+// writing.
+func (f *memFile) releaseIfUnreachableLocked() {
+	if !f.unlinked || f.handles > 0 {
+		return
+	}
+	f.fs.freePages(f.pages, 0)
+}
+
+// unlink marks f as named by nothing.  Caller holds the MemFS's mu for
+// writing.
+func (f *memFile) unlink() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.unlinked = true
+	f.releaseIfUnreachableLocked()
+}
+
 // MemFS is an in-memory FS safe for concurrent use.
+//
+// It keeps POSIX unlink semantics: Remove, or a Create or Rename over a
+// file's name, unlinks the file, and every handle already open on it
+// still reads and writes all of its bytes.  An unlinked file's pages go
+// to the filesystem's free list once its last handle has closed (Create
+// and Open each add a handle, Close removes it once), and Truncate hands
+// over the pages it drops; writes take pages from the list, cleared,
+// before they allocate.  A handle never closed keeps its file's pages
+// for good.  The list never holds more than this filesystem's own peak.
 type MemFS struct {
 	mu    sync.RWMutex
 	files map[string]*memFile
 	dirs  map[string]bool
+
+	freeMu sync.Mutex
+	free   []*memPage
 }
 
 // NewMemFS returns an empty in-memory filesystem.
@@ -160,12 +193,44 @@ func NewMemFS() *MemFS {
 
 func clean(name string) string { return filepath.Clean(name) }
 
+// takePage returns a zeroed page, from the free list when it has one.
+func (fs *MemFS) takePage() *memPage {
+	var pg *memPage
+	fs.freeMu.Lock()
+	if n := len(fs.free); n > 0 {
+		pg = fs.free[n-1]
+		fs.free = fs.free[:n-1]
+	}
+	fs.freeMu.Unlock()
+	if pg == nil {
+		return new(memPage)
+	}
+	clear(pg[:])
+	return pg
+}
+
+// freePages moves every page of pages at index from or above to the free
+// list.
+func (fs *MemFS) freePages(pages map[int64]*memPage, from int64) {
+	fs.freeMu.Lock()
+	defer fs.freeMu.Unlock()
+	for idx, pg := range pages {
+		if idx >= from {
+			fs.free = append(fs.free, pg)
+			delete(pages, idx)
+		}
+	}
+}
+
 // Create implements FS.
 func (fs *MemFS) Create(name string) (File, error) {
 	name = clean(name)
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f := newMemFile()
+	if old, ok := fs.files[name]; ok {
+		old.unlink()
+	}
+	f := &memFile{fs: fs, pages: make(map[int64]*memPage), handles: 1}
 	fs.files[name] = f
 	return &memHandle{f: f}, nil
 }
@@ -179,6 +244,9 @@ func (fs *MemFS) Open(name string) (File, error) {
 	if !ok {
 		return nil, &os.PathError{Op: "open", Path: name, Err: ErrNotFound}
 	}
+	f.mu.Lock()
+	f.handles++
+	f.mu.Unlock()
 	return &memHandle{f: f, pos: -1}, nil
 }
 
@@ -187,10 +255,12 @@ func (fs *MemFS) Remove(name string) error {
 	name = clean(name)
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if _, ok := fs.files[name]; !ok {
+	f, ok := fs.files[name]
+	if !ok {
 		return &os.PathError{Op: "remove", Path: name, Err: ErrNotFound}
 	}
 	delete(fs.files, name)
+	f.unlink()
 	return nil
 }
 
@@ -202,6 +272,9 @@ func (fs *MemFS) Rename(oldname, newname string) error {
 	f, ok := fs.files[oldname]
 	if !ok {
 		return &os.PathError{Op: "rename", Path: oldname, Err: ErrNotFound}
+	}
+	if old, ok := fs.files[newname]; ok && old != f {
+		old.unlink()
 	}
 	fs.files[newname] = f
 	delete(fs.files, oldname)
@@ -247,7 +320,9 @@ func (fs *MemFS) Exists(name string) bool {
 }
 
 // AllocatedBytes reports the bytes actually materialized (holes are
-// free), mirroring what a hole-punching filesystem would charge.
+// free), mirroring what a hole-punching filesystem would charge.  It
+// counts the pages of named files only: neither an unlinked file still
+// open nor the free list is counted.
 func (fs *MemFS) AllocatedBytes() int64 {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -261,9 +336,10 @@ func (fs *MemFS) AllocatedBytes() int64 {
 }
 
 type memHandle struct {
-	f   *memFile
-	mu  sync.Mutex
-	pos int64 // sequential-write position; -1 means "end of file"
+	f      *memFile
+	mu     sync.Mutex
+	pos    int64 // sequential-write position; -1 means "end of file"
+	closed bool
 }
 
 func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
@@ -292,8 +368,23 @@ func (h *memHandle) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func (h *memHandle) Close() error { return nil }
-func (h *memHandle) Sync() error  { return nil }
+// Close gives up the handle's hold on the file; a second Close does
+// nothing.
+func (h *memHandle) Close() error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.closed {
+		return nil
+	}
+	h.closed = true
+	h.f.mu.Lock()
+	defer h.f.mu.Unlock()
+	h.f.handles--
+	h.f.releaseIfUnreachableLocked()
+	return nil
+}
+
+func (h *memHandle) Sync() error { return nil }
 
 func (h *memHandle) Size() (int64, error) {
 	h.f.mu.RLock()
@@ -305,20 +396,11 @@ func (h *memHandle) Truncate(n int64) error {
 	h.f.mu.Lock()
 	defer h.f.mu.Unlock()
 	if n < h.f.size {
-		// Drop pages entirely past the new end and zero the partial
+		// Free pages entirely past the new end and zero the partial
 		// tail page so regrowth reads zeros.
-		lastPage := (n + memPageSize - 1) / memPageSize
-		for idx := range h.f.pages {
-			if idx >= lastPage {
-				delete(h.f.pages, idx)
-			}
-		}
-		if rem := n % memPageSize; rem != 0 {
-			if pg := h.f.pages[n/memPageSize]; pg != nil {
-				for i := rem; i < memPageSize; i++ {
-					pg[i] = 0
-				}
-			}
+		h.f.fs.freePages(h.f.pages, (n+memPageSize-1)/memPageSize)
+		if pg := h.f.pages[n/memPageSize]; pg != nil {
+			clear(pg[n%memPageSize:])
 		}
 	}
 	h.f.size = n

@@ -10,7 +10,23 @@ cd "$(dirname "$0")/.."
 quick=${CHECK_QUICK:-0}
 tree_before=$(git status --porcelain)
 
-echo "== gofmt"
+# stage NAME ends the running stage, printing its elapsed seconds, and
+# starts NAME; a bare "stage" only ends the running one.  The times are
+# reported, not gated.
+stage_name=
+stage_start=$SECONDS
+stage() {
+    if [ -n "$stage_name" ]; then
+        echo "   ($stage_name: $((SECONDS - stage_start)) s)"
+    fi
+    stage_name=${1:-}
+    stage_start=$SECONDS
+    if [ -n "$stage_name" ]; then
+        echo "== $stage_name"
+    fi
+}
+
+stage "gofmt"
 unformatted=$(gofmt -s -l .)
 if [ -n "$unformatted" ]; then
     echo "gofmt -s needed:"
@@ -18,16 +34,16 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "== go vet"
+stage "go vet"
 go vet ./...
 
-echo "== iamlint"
+stage "iamlint"
 go run ./cmd/iamlint ./...
 # The analyzer's own tests: every bad fixture flagged, good fixtures
 # clean, and one real mutation per pass caught on its line.
 go test -count=1 ./cmd/iamlint
 
-echo "== go build -tags invariants"
+stage "go build -tags invariants"
 go build -tags invariants ./...
 go test -tags invariants ./internal/invariants/
 # The data-movement layers under the tag: recycled block buffers, gather
@@ -37,7 +53,7 @@ go test -tags invariants ./internal/invariants/
 # the tag (DESIGN.md, "Known defects").
 go test -tags invariants -count=1 ./internal/block ./internal/table ./internal/tableset ./internal/lsm
 
-echo "== metrics smoke test, merge-read tests (-tags invariants)"
+stage "metrics smoke test, merge-read tests (-tags invariants)"
 # The merge-read tests under the tag: windows and gathers are poisoned on
 # their way back to their pools, and the count of windows on loan (kept
 # under the tag only) must return to zero on all four engines.
@@ -46,7 +62,7 @@ go test -tags invariants -run 'TestMetricsSmoke|TestNoWindowLeftOnLoan|TestMerge
 # under the detector.
 go test -race -run TestScansBesideFlushCascades -count=10 .
 
-echo "== hot-path allocation gate"
+stage "hot-path allocation gate"
 # A disabled EventListener must add zero allocations per op to Get/Put.
 go test -run 'TestInstrumentationZeroAlloc|TestHotPathAllocations' -count=1 .
 go test -run TestConcurrentZeroAlloc -count=1 ./internal/histogram/
@@ -64,15 +80,15 @@ go test -run TestMergeReadAllocs -count=1 ./internal/tableset/
 # node of several sequences stays at its pinned count.
 go test -run 'TestPinAndNewIterAllocs|TestSetGetAllocs|TestShortScanAllocs' -count=1 ./internal/tableset/
 
-echo "== vfs"
+stage "vfs"
 # The wrappers and the seek model every test stands on; the race suite only reruns them in the full gate.
 go test -count=1 ./internal/vfs
 
-echo "== open-loop golden"
+stage "open-loop golden"
 # The judge of ROADMAP item 3 (the cascade off the writer), about 7 s.
 go test -count=1 -run 'TestAllExperimentsEndToEnd/openloop$' ./internal/harness
 
-echo "== examples"
+stage "examples"
 # Each example opens a store in a temp directory of its own, drives it and
 # removes the directory: exit 0, and the tree check at the end sees
 # nothing left behind.
@@ -80,7 +96,7 @@ for ex in examples/*/; do
     go run "./$ex" >/dev/null
 done
 
-echo "== sharded front-end gates"
+stage "sharded front-end gates"
 # Routing, cross-shard atomicity, iterators, recovery markers, the
 # sharded golden-determinism run, and what the router is for: one
 # pipeline per store, shown exactly rather than timed.  Its WAL syncs run
@@ -96,7 +112,7 @@ go test -run TestSharded -count=1 .
 go test -run TestShardedCrossShardHammer -count=50 .
 go test -race -run TestShardedCrossShardHammer -count=10 .
 
-echo "== observability gates"
+stage "observability gates"
 # Tracing/timeline units, byte-identical golden determinism, the pinned
 # stream of structural steps (events, spans, counters), the disabled-path
 # allocation gate, the commit path's pinned allocation count, and the
@@ -104,7 +120,7 @@ echo "== observability gates"
 go test -run 'TestGoldenDeterminism|TestStepStreamPinned|TestTraceSpansPresent|TestDebugHandlers|TestDebugTracesDisabled|TestDebugServerLive|TestObservabilityHotPathZeroAlloc|TestCommitPathAllocs' -count=1 .
 go test -count=1 ./internal/trace/ ./internal/metrics/
 
-echo "== key-value separation gates"
+stage "key-value separation gates"
 # Value-log unit suite and the DB-level separation tests (with -race: the
 # GC step, commit leader and readers share the log).  The kvsep
 # experiment's cells, throughput ratios and crossover are a golden under
@@ -117,7 +133,7 @@ go test -race -run 'KVSep|Vlog|VLog' -count=1 .
 go test -race -run TestSchedulerRunsEveryStep -count=10 .
 go test -race -run TestKVSepCheckpointDuringCollection -count=20 .
 
-echo "== hand-in check: the benchmark builds, tests and runs clean"
+stage "hand-in check: the benchmark builds, tests and runs clean"
 # What the driver does after every PR, from the committed files: bench/
 # vets and passes its tests, and each of the seven workloads of
 # BENCHMARK.json runs for 5 s and reports no failed operation.
@@ -149,26 +165,27 @@ clean_tree() {
 
 if [ "$quick" = "1" ]; then
     echo "CHECK_QUICK=1: skipping crash matrix, corruption matrix, fuzz smokes and race suite."
+    stage
     clean_tree
-    echo "All quick checks passed."
+    echo "All quick checks passed in $SECONDS s."
     exit 0
 fi
 
-echo "== crash matrix (bounded)"
+stage "crash matrix (bounded)"
 # Systematic crash-point exploration: crash at sampled sync/write
 # boundaries of the IAM and LSA engines, reopen, and check the
 # durability oracle.  IAMDB_CRASH_FULL=1 runs the exhaustive sweep
 # (every op index, all engines, all corruption modes — ~20s).
 go test -run Crash -count=1 .
 
-echo "== corruption matrix (bounded)"
+stage "corruption matrix (bounded)"
 # Latent-fault exploration: flip/zero single bytes at ≥100 sampled
 # (file, offset) points per engine, reopen, and check the no-wrong-
 # bytes oracle (the test itself asserts the point-count floor).
 # IAMDB_ROT_FULL=1 sweeps every point, all engines, both modes.
 go test -run Corruption -count=1 .
 
-echo "== fuzz smokes"
+stage "fuzz smokes"
 # Short fuzz bursts over the byte-level decoders: arbitrary input must
 # yield typed errors or clean success, never a panic or hang.  The
 # checked-in corpora under testdata/fuzz/ replay first.
@@ -177,7 +194,7 @@ go test -run '^$' -fuzz FuzzWALReplay -fuzztime 5s ./internal/wal/
 go test -run '^$' -fuzz FuzzTableOpen -fuzztime 5s ./internal/table/
 go test -run '^$' -fuzz FuzzVLogDecode -fuzztime 5s ./internal/vlog/
 
-echo "== go test -race"
+stage "go test -race"
 # Everything under the detector except the seventeen golden experiments of
 # internal/harness: each is one goroutine by construction (InlineBackground,
 # no sampler, no debug server), so the detector has nothing to observe in
@@ -197,5 +214,6 @@ go test -race $(go list ./... | grep -v '/internal/harness$')
 go test -race -short ./internal/harness
 go test -count=1 ./internal/harness
 
+stage
 clean_tree
-echo "All checks passed."
+echo "All checks passed in $SECONDS s."
