@@ -18,9 +18,9 @@ import (
 // The pass collects every named type T that appears as the pointee of
 // an atomic.Pointer[T] field (directly or inside an array/slice) and
 // flags assignments and ++/-- on fields of such types, and on elements of
-// their slice and array fields (v.levels[i] = ..., v.fences[i][j] = ...:
-// the table set's version is its level and fence slices, a table's
-// committed state its sequence list), unless the value
+// their slice and array fields (v.levels[i] = ..., v.levels[i][j] = ...:
+// the table set's version is its level slices, a table's committed
+// state its sequence list), unless the value
 // being written is provably fresh within the function: built there by a
 // &T{...} composite literal, a new(T), or a same-package new*/New*
 // constructor, and therefore not yet published.  Anything reached

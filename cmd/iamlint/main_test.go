@@ -329,12 +329,12 @@ func TestEveryPassCatchesARealMutation(t *testing.T) {
 			"\t\t\tnv.levels[d.level] = slices.Delete(lvl, j, j+1)\n",
 			"\t\t\told.levels[d.level] = slices.Delete(lvl, j, j+1)\n",
 			"old.levels[d.level]"},
-		// Appended refreshes the fence of the table it re-publishes in the
-		// array the current version's readers search.
+		// Appended writes the table it re-publishes into the level the
+		// current version's readers search.
 		{"atomicpub", "internal/tableset/tableset.go",
 			"\tnv.levels[level] = lvl\n\ts.publish(nv)\n",
-			"\tnv.levels[level] = lvl\n\ts.cur.Load().fences[level][j] = fence(lvl[j].rng.Hi)\n\ts.publish(nv)\n",
-			"s.cur.Load().fences[level][j]"},
+			"\tnv.levels[level] = lvl\n\ts.cur.Load().levels[level][j] = lvl[j]\n\ts.publish(nv)\n",
+			"s.cur.Load().levels[level][j]"},
 		// An append adds its sequence to the list readers hold instead of
 		// publishing the list it committed.
 		{"atomicpub", "internal/table/table.go",

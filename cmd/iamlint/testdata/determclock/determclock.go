@@ -1,7 +1,7 @@
 // Package determclock opts into the determinism scope and measures
 // time the sanctioned way: through an injected metrics.Clock instead
 // of the wall clock.  Every pattern here — interface clock reads,
-// manual test clocks, registry instruments, event listeners with
+// manual test clocks, atomic counters, event listeners with
 // clock-derived durations — must lint clean, while the same code
 // written with time.Now stays rejected (see determbad).
 //
@@ -9,6 +9,7 @@
 package determclock
 
 import (
+	"sync/atomic"
 	"time"
 
 	"iamdb/internal/metrics"
@@ -38,8 +39,8 @@ func manual() time.Duration {
 
 // instruments exercises a counter without any ambient time source.
 func instruments() int64 {
-	var stalls metrics.Counter
-	stalls.Inc()
+	var stalls atomic.Int64
+	stalls.Add(1)
 	stalls.Add(2)
 	return stalls.Load()
 }

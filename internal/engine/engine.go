@@ -70,6 +70,17 @@ type LevelStats struct {
 	Combines  int64 // node combines at this level
 }
 
+// Add folds o into l, field by field.
+func (l *LevelStats) Add(o LevelStats) {
+	l.WriteBytes += o.WriteBytes
+	l.ReadBytes += o.ReadBytes
+	l.Appends += o.Appends
+	l.Merges += o.Merges
+	l.Moves += o.Moves
+	l.Splits += o.Splits
+	l.Combines += o.Combines
+}
+
 // StatsSnapshot is a copyable view of Stats.
 type StatsSnapshot struct {
 	// PerLevel[i] is the cumulative traffic for level i.
@@ -93,14 +104,7 @@ func (st *Stats) add(level int, d LevelStats) {
 	for len(st.perLevel) <= level {
 		st.perLevel = append(st.perLevel, LevelStats{})
 	}
-	l := &st.perLevel[level]
-	l.WriteBytes += d.WriteBytes
-	l.ReadBytes += d.ReadBytes
-	l.Appends += d.Appends
-	l.Merges += d.Merges
-	l.Moves += d.Moves
-	l.Splits += d.Splits
-	l.Combines += d.Combines
+	st.perLevel[level].Add(d)
 	st.mu.Unlock()
 }
 
@@ -118,14 +122,12 @@ func (st *Stats) Snapshot() StatsSnapshot {
 		FlushBytes: make([]int64, len(st.perLevel)),
 		Flushes:    st.flushes,
 	}
+	var tot LevelStats
 	for i, l := range st.perLevel {
 		out.FlushBytes[i] = l.WriteBytes
-		out.Appends += l.Appends
-		out.Merges += l.Merges
-		out.Moves += l.Moves
-		out.Splits += l.Splits
-		out.Combines += l.Combines
+		tot.Add(l)
 	}
+	out.Appends, out.Merges, out.Moves, out.Splits, out.Combines = tot.Appends, tot.Merges, tot.Moves, tot.Splits, tot.Combines
 	return out
 }
 

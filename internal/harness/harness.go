@@ -172,17 +172,9 @@ func (e *Env) SeqLoad() (LoadResult, error) {
 	return e.load(ycsb.OrderedKeyName)
 }
 
-// RandomLoad inserts with random (possibly repeating) keys, i.e.
-// db_bench fillrandom: updates occur.
-func (e *Env) RandomLoad() (LoadResult, error) {
-	n := e.Cfg.Records
-	return e.load(func(uint64) []byte {
-		return ycsb.KeyName(uint64(e.rng.Int63n(int64(n))))
-	})
-}
-
-// Overwrite re-writes every existing key once in random order
-// (db_bench overwrite); call after a load.
+// Overwrite puts Records keys drawn at random, with repeats, from the
+// key space (db_bench overwrite after a load, fillrandom on an empty
+// store).
 func (e *Env) Overwrite() (LoadResult, error) {
 	n := e.Cfg.Records
 	return e.load(func(uint64) []byte {

@@ -274,98 +274,3 @@ func NewLoggingListener(logf func(format string, args ...any)) *EventListener {
 		},
 	}
 }
-
-// TeeListener fans every event out to each listener in order.
-func TeeListener(ls ...*EventListener) *EventListener {
-	filled := make([]*EventListener, len(ls))
-	for i, l := range ls {
-		filled[i] = l.EnsureDefaults()
-	}
-	return &EventListener{
-		FlushEnd: func(i FlushInfo) {
-			for _, l := range filled {
-				l.FlushEnd(i)
-			}
-		},
-		AppendEnd: func(i AppendInfo) {
-			for _, l := range filled {
-				l.AppendEnd(i)
-			}
-		},
-		MergeEnd: func(i MergeInfo) {
-			for _, l := range filled {
-				l.MergeEnd(i)
-			}
-		},
-		MoveEnd: func(i MoveInfo) {
-			for _, l := range filled {
-				l.MoveEnd(i)
-			}
-		},
-		SplitEnd: func(i SplitInfo) {
-			for _, l := range filled {
-				l.SplitEnd(i)
-			}
-		},
-		CombineEnd: func(i CombineInfo) {
-			for _, l := range filled {
-				l.CombineEnd(i)
-			}
-		},
-		WALRotated: func(i WALRotationInfo) {
-			for _, l := range filled {
-				l.WALRotated(i)
-			}
-		},
-		ManifestEdit: func(i ManifestEditInfo) {
-			for _, l := range filled {
-				l.ManifestEdit(i)
-			}
-		},
-		TableCreated: func(i TableInfo) {
-			for _, l := range filled {
-				l.TableCreated(i)
-			}
-		},
-		TableDeleted: func(i TableInfo) {
-			for _, l := range filled {
-				l.TableDeleted(i)
-			}
-		},
-		WriteStallBegin: func(i StallInfo) {
-			for _, l := range filled {
-				l.WriteStallBegin(i)
-			}
-		},
-		WriteStallEnd: func(i StallInfo) {
-			for _, l := range filled {
-				l.WriteStallEnd(i)
-			}
-		},
-		BackgroundError: func(i BackgroundErrorInfo) {
-			for _, l := range filled {
-				l.BackgroundError(i)
-			}
-		},
-		ReadOnlyEnter: func(i ReadOnlyInfo) {
-			for _, l := range filled {
-				l.ReadOnlyEnter(i)
-			}
-		},
-		ReadOnlyExit: func(i ReadOnlyInfo) {
-			for _, l := range filled {
-				l.ReadOnlyExit(i)
-			}
-		},
-		CorruptionDetected: func(i CorruptionInfo) {
-			for _, l := range filled {
-				l.CorruptionDetected(i)
-			}
-		},
-		TableQuarantined: func(i TableInfo) {
-			for _, l := range filled {
-				l.TableQuarantined(i)
-			}
-		},
-	}
-}

@@ -1,7 +1,6 @@
-// Package metrics is the storage engine's observability substrate:
-// atomic counters, an injectable monotonic clock, the windowed Sampler
-// and the structured EventListener the engines fire compaction events
-// through.
+// Package metrics is the storage engine's observability substrate: an
+// injectable monotonic clock, the windowed Sampler and the structured
+// EventListener the engines fire compaction events through.
 //
 // Everything here is deterministic by construction — the package never
 // reads the wall clock or the OS (it is inside the iamlint determinism
@@ -23,12 +22,6 @@ type Clock interface {
 	Now() time.Duration
 }
 
-// ClockFunc adapts a function to Clock.
-type ClockFunc func() time.Duration
-
-// Now implements Clock.
-func (f ClockFunc) Now() time.Duration { return f() }
-
 // ManualClock is a Clock tests drive by hand.
 type ManualClock struct {
 	d atomic.Int64
@@ -48,19 +41,3 @@ var NopClock Clock = nopClock{}
 type nopClock struct{}
 
 func (nopClock) Now() time.Duration { return 0 }
-
-// Counter is a monotonically increasing atomic counter.  The zero
-// value is ready to use; all methods are safe for concurrent use and
-// allocation-free.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Load reports the current value.
-func (c *Counter) Load() int64 { return c.v.Load() }

@@ -8,10 +8,9 @@ import (
 	"iamdb/internal/histogram"
 )
 
-// Cumulative is the since-open totals a Sampler differences into
-// per-window deltas.  The source closure the DB supplies fills it from
-// its cheap always-on counters; the sampler never inspects the DB
-// directly.
+// Cumulative is the since-open totals a Sampler snapshots at every
+// window edge.  The source closure the DB supplies fills it from its
+// cheap always-on counters; the sampler never inspects the DB directly.
 type Cumulative struct {
 	// Ops counts user operations (batch records + point reads).
 	Ops int64
@@ -47,40 +46,6 @@ func subSlice(a, b []int64) []int64 {
 	return out
 }
 
-func addSlice(a, b []int64) []int64 {
-	if len(b) > len(a) {
-		a = append(a, make([]int64, len(b)-len(a))...)
-	}
-	for i := range b {
-		a[i] += b[i]
-	}
-	return a
-}
-
-// sub returns the interval c − prev.
-func (c Cumulative) sub(prev Cumulative) Cumulative {
-	d := Cumulative{
-		Ops:           c.Ops - prev.Ops,
-		StallNanos:    c.StallNanos - prev.StallNanos,
-		WriteBytes:    c.WriteBytes - prev.WriteBytes,
-		ReadBytes:     c.ReadBytes - prev.ReadBytes,
-		PerLevelWrite: subSlice(c.PerLevelWrite, prev.PerLevelWrite),
-		PerLevelRead:  subSlice(c.PerLevelRead, prev.PerLevelRead),
-		CacheHits:     c.CacheHits - prev.CacheHits,
-		CacheLookups:  c.CacheLookups - prev.CacheLookups,
-		CommitGroups:  c.CommitGroups - prev.CommitGroups,
-		CommitBatches: c.CommitBatches - prev.CommitBatches,
-	}
-	if c.Put != nil {
-		if prev.Put != nil {
-			d.Put = c.Put.Sub(prev.Put)
-		} else {
-			d.Put = c.Put
-		}
-	}
-	return d
-}
-
 // TimelinePoint is one closed window of the timeline: rates and
 // interval percentiles over [Start, End).  Durations serialize as
 // nanoseconds.
@@ -109,78 +74,48 @@ type TimelinePoint struct {
 	Put histogram.Summary `json:"put"`
 }
 
-// window is a closed window held internally: the raw delta plus its
-// bounds, folded on demand.
-type samplerWindow struct {
-	start, end time.Duration
-	d          Cumulative
-}
-
-func (w samplerWindow) point() TimelinePoint {
+// between is the window [start, end) whose edges read a and b.
+func between(start, end time.Duration, a, b Cumulative) TimelinePoint {
 	p := TimelinePoint{
-		Start: w.start, End: w.end,
-		Ops:           w.d.Ops,
-		StallFrac:     float64(w.d.StallNanos) / float64(w.end-w.start),
-		WriteBytes:    w.d.WriteBytes,
-		ReadBytes:     w.d.ReadBytes,
-		PerLevelWrite: w.d.PerLevelWrite,
-		PerLevelRead:  w.d.PerLevelRead,
-		CommitGroups:  w.d.CommitGroups,
+		Start: start, End: end,
+		Ops:           b.Ops - a.Ops,
+		StallFrac:     float64(b.StallNanos-a.StallNanos) / float64(end-start),
+		WriteBytes:    b.WriteBytes - a.WriteBytes,
+		ReadBytes:     b.ReadBytes - a.ReadBytes,
+		PerLevelWrite: subSlice(b.PerLevelWrite, a.PerLevelWrite),
+		PerLevelRead:  subSlice(b.PerLevelRead, a.PerLevelRead),
+		CommitGroups:  b.CommitGroups - a.CommitGroups,
 	}
-	if sec := (w.end - w.start).Seconds(); sec > 0 {
-		p.OpsPerSec = float64(w.d.Ops) / sec
+	if sec := (end - start).Seconds(); sec > 0 {
+		p.OpsPerSec = float64(p.Ops) / sec
 	}
-	if w.d.CacheLookups > 0 {
-		p.CacheHitRate = float64(w.d.CacheHits) / float64(w.d.CacheLookups)
+	if lookups := b.CacheLookups - a.CacheLookups; lookups > 0 {
+		p.CacheHitRate = float64(b.CacheHits-a.CacheHits) / float64(lookups)
 	}
-	if w.d.CommitGroups > 0 {
-		p.MeanGroupSize = float64(w.d.CommitBatches) / float64(w.d.CommitGroups)
+	if p.CommitGroups > 0 {
+		p.MeanGroupSize = float64(b.CommitBatches-a.CommitBatches) / float64(p.CommitGroups)
 	}
-	if w.d.Put != nil {
-		p.Put = w.d.Put.Summary()
+	switch {
+	case b.Put != nil && a.Put != nil:
+		p.Put = b.Put.Sub(a.Put).Summary()
+	case b.Put != nil:
+		p.Put = b.Put.Summary()
 	}
 	return p
 }
 
-func mergeWindows(a, b samplerWindow) samplerWindow {
-	m := samplerWindow{start: a.start, end: b.end}
-	m.d = Cumulative{
-		Ops:           a.d.Ops + b.d.Ops,
-		StallNanos:    a.d.StallNanos + b.d.StallNanos,
-		WriteBytes:    a.d.WriteBytes + b.d.WriteBytes,
-		ReadBytes:     a.d.ReadBytes + b.d.ReadBytes,
-		PerLevelWrite: addSlice(append([]int64(nil), a.d.PerLevelWrite...), b.d.PerLevelWrite),
-		PerLevelRead:  addSlice(append([]int64(nil), a.d.PerLevelRead...), b.d.PerLevelRead),
-		CacheHits:     a.d.CacheHits + b.d.CacheHits,
-		CacheLookups:  a.d.CacheLookups + b.d.CacheLookups,
-		CommitGroups:  a.d.CommitGroups + b.d.CommitGroups,
-		CommitBatches: a.d.CommitBatches + b.d.CommitBatches,
-	}
-	switch {
-	case a.d.Put != nil && b.d.Put != nil:
-		h := histogram.New()
-		h.Merge(a.d.Put)
-		h.Merge(b.d.Put)
-		m.d.Put = h
-	case a.d.Put != nil:
-		m.d.Put = a.d.Put
-	default:
-		m.d.Put = b.d.Put
-	}
-	return m
-}
-
-// Sampler captures windowed deltas of a Cumulative source into a
-// bounded ring of timeline points.  It is pull-based: callers invoke
-// Poll from their own loops (the harness polls between operations, the
-// DB's debug server from a ticker goroutine); Poll's fast path is one
-// atomic load, so polling per operation is cheap.
+// Sampler snapshots a Cumulative source at the edges of uniform time
+// windows, into a bounded ring; a window is the difference of its two
+// edges.  It is pull-based: callers invoke Poll from their own loops
+// (a workload between operations, the DB's debug server from a ticker
+// goroutine); Poll's fast path is one atomic load, so polling per
+// operation is cheap.
 //
-// When the ring fills, adjacent windows fold pairwise and the window
-// width doubles — so an arbitrarily long run always yields between
-// capacity/2 and capacity uniform windows, with resolution matched to
-// run length (the HdrHistogram-style log-compaction idea applied to
-// time).
+// When the ring fills, every other edge goes and the window width
+// doubles — so an arbitrarily long run always yields at least
+// capacity/2 and fewer than capacity uniform windows, with resolution
+// matched to run length (the HdrHistogram-style log-compaction idea
+// applied to time).
 //
 // All state is guarded by mu, a leaf lock: the source snapshot (which
 // may take DB and engine locks) is read before mu is acquired.
@@ -195,11 +130,12 @@ type Sampler struct {
 	boundary atomic.Int64
 
 	mu       sync.Mutex
+	start    time.Duration // the first edge
 	window   time.Duration
 	capacity int
-	wins     []samplerWindow
-	prev     Cumulative
-	winStart time.Duration
+	// edges[i] is the source as read at start + i·window; edges[0] is
+	// the baseline read when the sampler started.
+	edges []Cumulative
 }
 
 // NewSampler starts a timeline at the clock's current reading.  window
@@ -219,16 +155,21 @@ func NewSampler(clock Clock, window time.Duration, capacity int, source func() C
 	s := &Sampler{
 		clock: clock, source: source,
 		window: window, capacity: capacity,
-		prev:     source(),
-		winStart: clock.Now(),
+		edges: []Cumulative{source()},
+		start: clock.Now(),
 	}
-	s.boundary.Store(int64(s.winStart + s.window))
+	s.boundary.Store(int64(s.start + s.window))
 	return s
 }
 
-// Poll closes any window boundaries the clock has crossed.  Nil-safe
-// and allocation-free when no boundary was crossed (the detached /
-// disabled path), so hot loops call it unconditionally.
+// next is the edge that closes the open window.  Caller holds mu.
+func (s *Sampler) next() time.Duration {
+	return s.start + time.Duration(len(s.edges))*s.window
+}
+
+// Poll closes any window edges the clock has crossed.  Nil-safe and
+// allocation-free when no edge was crossed (the detached / disabled
+// path), so hot loops call it unconditionally.
 func (s *Sampler) Poll() {
 	if s == nil {
 		return
@@ -241,33 +182,25 @@ func (s *Sampler) Poll() {
 	// and engine locks, so mu stays a leaf.
 	cum := s.source()
 	s.mu.Lock()
-	// The whole delta since the last capture lands in the first crossed
-	// window; the remaining gap closes as zero windows.  A long stall
-	// thus renders as one busy window followed by flat zeros — which is
-	// exactly the shape a reader of the timeline must see.
-	for now >= s.winStart+s.window {
-		end := s.winStart + s.window
-		s.push(samplerWindow{start: s.winStart, end: end, d: cum.sub(s.prev)})
-		s.prev = cum
-		s.winStart = end
+	// Every crossed edge reads the same snapshot, so the whole change
+	// since the last edge lands in the first crossed window and the rest
+	// of the gap closes as zero windows.  A long stall thus renders as one
+	// busy window followed by flat zeros — which is exactly the shape a
+	// reader of the timeline must see.
+	for now >= s.next() {
+		s.edges = append(s.edges, cum)
+		if len(s.edges) > s.capacity {
+			// Fold: keep every other edge, so each window spans two.
+			half := s.edges[:0]
+			for i := 0; i < len(s.edges); i += 2 {
+				half = append(half, s.edges[i])
+			}
+			s.edges = half
+			s.window *= 2
+		}
 	}
-	s.boundary.Store(int64(s.winStart + s.window))
+	s.boundary.Store(int64(s.next()))
 	s.mu.Unlock()
-}
-
-// push appends one closed window, folding the ring when full.  Caller
-// holds mu.
-func (s *Sampler) push(w samplerWindow) {
-	s.wins = append(s.wins, w)
-	if len(s.wins) < s.capacity {
-		return
-	}
-	half := s.wins[:0]
-	for i := 0; i+1 < len(s.wins); i += 2 {
-		half = append(half, mergeWindows(s.wins[i], s.wins[i+1]))
-	}
-	s.wins = half
-	s.window *= 2
 }
 
 // Points renders the closed windows, oldest first.  Nil-safe.
@@ -277,19 +210,10 @@ func (s *Sampler) Points() []TimelinePoint {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pts := make([]TimelinePoint, len(s.wins))
-	for i, w := range s.wins {
-		pts[i] = w.point()
+	pts := make([]TimelinePoint, len(s.edges)-1)
+	for i := range pts {
+		start := s.start + time.Duration(i)*s.window
+		pts[i] = between(start, start+s.window, s.edges[i], s.edges[i+1])
 	}
 	return pts
-}
-
-// Window reports the current window width (after any folding).
-func (s *Sampler) Window() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.window
 }

@@ -9,20 +9,80 @@ import (
 
 // samplerSource is a hand-driven Cumulative for sampler tests.  Like
 // the DB's real source it returns an independent histogram snapshot on
-// every read — the sampler differences successive reads, so aliasing a
-// live histogram would make every interval empty.
+// every read — the sampler differences snapshots, so aliasing a live
+// histogram would make every interval empty.  With a clock attached it
+// logs every read with the time it was taken.
 type samplerSource struct {
-	c Cumulative
+	c     Cumulative
+	clock Clock
+	reads []sourceRead
+}
+
+type sourceRead struct {
+	at time.Duration
+	c  Cumulative
 }
 
 func (s *samplerSource) read() Cumulative {
 	out := s.c
+	out.PerLevelWrite = append([]int64(nil), s.c.PerLevelWrite...)
 	if s.c.Put != nil {
 		h := histogram.New()
 		h.Merge(s.c.Put)
 		out.Put = h
 	}
+	if s.clock != nil {
+		s.reads = append(s.reads, sourceRead{s.clock.Now(), out})
+	}
 	return out
+}
+
+// at is the source's cumulative value at edge t: the first read at or
+// after t, which is the read of the poll that crossed t.
+func (s *samplerSource) at(t *testing.T, edge time.Duration) Cumulative {
+	t.Helper()
+	for _, r := range s.reads {
+		if r.at >= edge {
+			return r.c
+		}
+	}
+	t.Fatalf("no read at or after edge %v", edge)
+	return Cumulative{}
+}
+
+// checkEdges asserts that every point is the difference of the source's
+// cumulative values at its Start and End, that the points tile time
+// from 0, and that they share one width; it returns the width.
+func checkEdges(t *testing.T, src *samplerSource, pts []TimelinePoint) time.Duration {
+	t.Helper()
+	if len(pts) == 0 {
+		t.Fatal("no points")
+	}
+	width := pts[0].End - pts[0].Start
+	for i, p := range pts {
+		if want := time.Duration(i) * width; p.Start != want || p.End-p.Start != width {
+			t.Errorf("window %d is [%v, %v), want width %v from %v", i, p.Start, p.End, width, want)
+		}
+		a, b := src.at(t, p.Start), src.at(t, p.End)
+		if p.Ops != b.Ops-a.Ops || p.WriteBytes != b.WriteBytes-a.WriteBytes {
+			t.Errorf("window %d: ops %d, write bytes %d; edges say %d, %d",
+				i, p.Ops, p.WriteBytes, b.Ops-a.Ops, b.WriteBytes-a.WriteBytes)
+		}
+		for l := range b.PerLevelWrite {
+			var prev int64
+			if l < len(a.PerLevelWrite) {
+				prev = a.PerLevelWrite[l]
+			}
+			if l >= len(p.PerLevelWrite) || p.PerLevelWrite[l] != b.PerLevelWrite[l]-prev {
+				t.Errorf("window %d: per-level write %v, edges %v and %v", i, p.PerLevelWrite, a.PerLevelWrite, b.PerLevelWrite)
+				break
+			}
+		}
+		if a.Put != nil && p.Put.Count != b.Put.Count()-a.Put.Count() {
+			t.Errorf("window %d: %d puts, edges say %d", i, p.Put.Count, b.Put.Count()-a.Put.Count())
+		}
+	}
+	return width
 }
 
 // TestSamplerWindows drives the clock across boundaries and checks each
@@ -89,9 +149,10 @@ func TestSamplerWindows(t *testing.T) {
 	}
 }
 
-// TestSamplerGapWindows pins the stall shape: when many boundaries pass
-// between polls, the whole delta lands in the first crossed window and
-// the rest close as zeros — a stall renders flat, not smeared.
+// TestSamplerGapWindows pins the stall shape: when many edges pass
+// between polls, they all read the same snapshot, so the whole delta
+// lands in the first crossed window and the rest close as zeros — a
+// stall renders flat, not smeared.
 func TestSamplerGapWindows(t *testing.T) {
 	mc := new(ManualClock)
 	src := &samplerSource{}
@@ -121,51 +182,75 @@ func TestSamplerGapWindows(t *testing.T) {
 			t.Errorf("window %d width = %v", i, p.End-p.Start)
 		}
 	}
+
+	// At capacity 4, polls that each cross several edges, folds among
+	// them: every point still reads its two edges.
+	mc = new(ManualClock)
+	src = &samplerSource{clock: mc}
+	s = NewSampler(mc, time.Millisecond, 4, src.read)
+	for _, step := range []struct {
+		advance time.Duration
+		ops     int64
+	}{{5, 100}, {1, 3}, {7, 40}, {2, 0}, {9, 11}, {1, 1}} {
+		src.c.Ops += step.ops
+		src.c.WriteBytes += 10 * step.ops
+		mc.Advance(step.advance * time.Millisecond)
+		s.Poll()
+		pts := s.Points()
+		if len(pts) < 2 || len(pts) >= 4 {
+			t.Fatalf("at %v: %d windows, want in [2, 4)", mc.Now(), len(pts))
+		}
+		checkEdges(t, src, pts)
+	}
 }
 
 // TestSamplerFolding runs long past capacity and checks the pairwise
-// fold: window count stays within [capacity/2, capacity], widths
-// double, totals are conserved, and windows keep tiling.
+// fold: window count stays within [capacity/2, capacity), widths
+// double, windows keep tiling, and after every poll each window is the
+// difference of the source's values at its two edges, so totals are
+// conserved.
 func TestSamplerFolding(t *testing.T) {
 	mc := new(ManualClock)
-	src := &samplerSource{}
+	src := &samplerSource{clock: mc}
 	src.c.Put = histogram.New()
-	const cap = 8
+	const cap = 4
 	s := NewSampler(mc, time.Millisecond, cap, src.read)
 
+	var width time.Duration
 	for i := 0; i < 100; i++ {
 		src.c.Ops += 7
 		src.c.Put.Record(time.Duration(i+1) * time.Microsecond)
+		if i%10 == 0 {
+			src.c.PerLevelWrite = append(src.c.PerLevelWrite, 0)
+		}
+		src.c.PerLevelWrite[len(src.c.PerLevelWrite)-1] += int64(i)
 		mc.Advance(time.Millisecond)
 		s.Poll()
+		pts := s.Points()
+		if i+1 >= cap && (len(pts) < cap/2 || len(pts) >= cap) {
+			t.Fatalf("after %d polls got %d windows, want in [%d, %d)", i+1, len(pts), cap/2, cap)
+		}
+		w := checkEdges(t, src, pts)
+		if w < width {
+			t.Fatalf("after %d polls the width fell from %v to %v", i+1, width, w)
+		}
+		width = w
+	}
+	// 100 windows at capacity 4 fold at least five times, each doubling
+	// the width.
+	if w := width / time.Millisecond; width%time.Millisecond != 0 || w < 32 || w&(w-1) != 0 {
+		t.Errorf("window width = %v, want 1ms doubled at least 5 times", width)
 	}
 	pts := s.Points()
-	if len(pts) < cap/2 || len(pts) >= cap {
-		t.Fatalf("after folding got %d windows, want in [%d, %d)", len(pts), cap/2, cap)
-	}
-	// 100 windows at capacity 8 fold at least four times, each doubling
-	// the width.
-	w := s.Window() / time.Millisecond
-	if s.Window()%time.Millisecond != 0 || w < 16 || w&(w-1) != 0 {
-		t.Errorf("window width = %v, want 1ms doubled at least 4 times", s.Window())
-	}
 	var total, hist int64
-	for i, p := range pts {
+	for _, p := range pts {
 		total += p.Ops
 		hist += p.Put.Count
-		if i > 0 && p.Start != pts[i-1].End {
-			t.Errorf("windows %d/%d do not tile: %v vs %v", i-1, i, pts[i-1].End, p.Start)
-		}
-		if p.End-p.Start != s.Window() {
-			t.Errorf("window %d width %v, want uniform %v", i, p.End-p.Start, s.Window())
-		}
 	}
-	if want := int64(7 * (len(pts) * int(s.Window()/time.Millisecond))); total != want {
-		// Every closed window holds 7 ops per original 1ms slice.
-		t.Errorf("total ops over timeline = %d, want %d", total, want)
-	}
-	if want := int64(len(pts)) * int64(s.Window()/time.Millisecond); hist != want {
-		t.Errorf("histogram samples conserved = %d, want %d", hist, want)
+	// Every closed window holds 7 ops and one put per original 1ms slice.
+	n := int64(len(pts)) * int64(width/time.Millisecond)
+	if total != 7*n || hist != n {
+		t.Errorf("timeline holds %d ops and %d puts, want %d and %d", total, hist, 7*n, n)
 	}
 }
 
@@ -173,7 +258,7 @@ func TestSamplerFolding(t *testing.T) {
 func TestSamplerNil(t *testing.T) {
 	var s *Sampler
 	s.Poll()
-	if s.Points() != nil || s.Window() != 0 {
+	if s.Points() != nil {
 		t.Error("nil sampler leaked state")
 	}
 }

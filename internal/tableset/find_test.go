@@ -42,10 +42,9 @@ func TestFenceSearchMatchesLinearScan(t *testing.T) {
 				continue
 			}
 			j := min(i+rng.Intn(3), len(keys)-1)
-			lvl = append(lvl, &Table{rng: kv.Range{Lo: keys[i], Hi: keys[j]}})
+			lvl = append(lvl, newPlacement(nil, kv.Range{Lo: keys[i], Hi: keys[j]}, 0))
 			i = j
 		}
-		fences := fencesOf(lvl)
 		probes := append([][]byte{nil, {}}, keys...)
 		for _, k := range keys {
 			probes = append(probes, append(slices.Clip(k), 0x00), append(slices.Clip(k), 0xff), k[:len(k)/2])
@@ -60,7 +59,7 @@ func TestFenceSearchMatchesLinearScan(t *testing.T) {
 					want = tb
 				}
 			}
-			if got := find(lvl, fences, k); got != want {
+			if got := find(lvl, k); got != want {
 				t.Fatalf("round %d: find(%q) = %v, a linear scan finds %v", round, k, rangeOf(got), rangeOf(want))
 			}
 		}

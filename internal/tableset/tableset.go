@@ -77,8 +77,15 @@ type Config struct {
 // stays what it was and is refreshed by reading the level again.
 type Table struct {
 	*file
-	rng  kv.Range
+	rng kv.Range
+	// hi is the fence of rng.Hi: what find searches.
+	hi   uint64
 	nseq int
+}
+
+// newPlacement places f with the range rng and nseq sequences.
+func newPlacement(f *file, rng kv.Range, nseq int) *Table {
+	return &Table{file: f, rng: rng, hi: fence(rng.Hi), nseq: nseq}
 }
 
 // file is a table file as the set holds it, shared by its placements.
@@ -107,17 +114,13 @@ func (tb *Table) Range() kv.Range { return tb.rng }
 // publishes a successor that shares the levels it left alone.
 type version struct {
 	levels [][]*Table
-	// fences holds, beside each level >= 1, the fence of every placement's
-	// range high end: what find searches.  A level's fences are rebuilt
-	// where a change copies the level and shared with it everywhere else.
-	fences [][]uint64
 	num    uint64       // versions are numbered in the order published
 	refs   atomic.Int32 // one for being current, one per reader
 }
 
 // newVersion returns an unpublished successor of v holding v's levels.
 func newVersion(v *version) *version {
-	nv := &version{levels: slices.Clone(v.levels), fences: slices.Clone(v.fences), num: v.num + 1}
+	nv := &version{levels: slices.Clone(v.levels), num: v.num + 1}
 	nv.refs.Store(1)
 	return nv
 }
@@ -130,25 +133,16 @@ func fence(key []byte) uint64 {
 	return binary.BigEndian.Uint64(b[:])
 }
 
-// fencesOf returns the fences of lvl's range high ends.
-func fencesOf(lvl []*Table) []uint64 {
-	fences := make([]uint64, len(lvl))
-	for j, tb := range lvl {
-		fences[j] = fence(tb.rng.Hi)
-	}
-	return fences
-}
-
-// find returns the table of lvl, a level >= 1 with the given fences,
-// whose range contains ukey.  It binary-searches the fences for the
-// first range ending at or above ukey and compares full keys only where
-// a fence ties with ukey's.
-func find(lvl []*Table, fences []uint64, ukey []byte) *Table {
+// find returns the table of lvl, a level >= 1, whose range contains
+// ukey.  It binary-searches the placements' fences for the first range
+// ending at or above ukey and compares full keys only where a fence ties
+// with ukey's.
+func find(lvl []*Table, ukey []byte) *Table {
 	f := fence(ukey)
-	i, j := 0, len(fences)
+	i, j := 0, len(lvl)
 	for i < j {
 		h := int(uint(i+j) >> 1)
-		if fences[h] < f || fences[h] == f && kv.CompareUser(ukey, lvl[h].rng.Hi) > 0 {
+		if lvl[h].hi < f || lvl[h].hi == f && kv.CompareUser(ukey, lvl[h].rng.Hi) > 0 {
 			i = h + 1
 		} else {
 			j = h
@@ -248,12 +242,6 @@ func (s *Set) unpin(v *version) {
 // publish makes nv, built from the current version, the current one.  The
 // tables in dropped are those nv no longer names.  Caller holds Mu.
 func (s *Set) publish(nv *version, dropped ...*Table) {
-	if invariants.Enabled {
-		for l := 1; l < len(nv.levels); l++ {
-			invariants.Assertf(slices.Equal(nv.fences[l], fencesOf(nv.levels[l])),
-				"version %d: the fences of level %d are not its range high ends", nv.num, l)
-		}
-	}
 	old := s.cur.Load()
 	s.vmu.Lock()
 	s.live = append(s.live, nv.num)
@@ -307,7 +295,7 @@ func load(cfg Config) (s *Set, existed bool, err error) {
 	s = &Set{cfg: cfg, horizon: kv.MaxSeq, nextFile: 1, live: []uint64{1}}
 	slots := max(cfg.MaxLevels, cfg.MinLevel+1)
 	if !cfg.FS.Exists(s.manifestPath()) {
-		s.cur.Store(newVersion(&version{levels: make([][]*Table, slots), fences: make([][]uint64, slots)}))
+		s.cur.Store(newVersion(&version{levels: make([][]*Table, slots)}))
 		return s, false, nil
 	}
 	st, dropped, err := manifest.Replay(cfg.FS, s.manifestPath())
@@ -340,7 +328,7 @@ func load(cfg Config) (s *Set, existed bool, err error) {
 				}
 				return nil, true, fmt.Errorf("tableset: open table %d: %w", rec.FileNum, err)
 			}
-			tb := &Table{file: &file{Table: tbl, born: 1}, rng: kv.MakeRange(rec.Lo, rec.Hi), nseq: tbl.NumSeqs()}
+			tb := newPlacement(&file{Table: tbl, born: 1}, kv.MakeRange(rec.Lo, rec.Hi), tbl.NumSeqs())
 			if serr := tbl.Suspect(); serr != nil {
 				// Opened on a fallback footer slot or with other evidence
 				// of damage: keep the table readable but fenced.
@@ -350,11 +338,7 @@ func load(cfg Config) (s *Set, existed bool, err error) {
 			levels[lvl] = insert(levels[lvl], lvl, tb)
 		}
 	}
-	fences := make([][]uint64, slots)
-	for lvl := 1; lvl < slots; lvl++ {
-		fences[lvl] = fencesOf(levels[lvl])
-	}
-	s.cur.Store(newVersion(&version{levels: levels, fences: fences}))
+	s.cur.Store(newVersion(&version{levels: levels}))
 	return s, true, nil
 }
 
@@ -475,21 +459,20 @@ func (s *Set) Level(i int) []*Table { return s.cur.Load().levels[i] }
 // Grow opens a new empty deepest level and records the new level count.
 func (s *Set) Grow() error {
 	nv := newVersion(s.cur.Load())
-	nv.levels, nv.fences = append(nv.levels, nil), append(nv.fences, nil)
+	nv.levels = append(nv.levels, nil)
 	s.publish(nv)
 	return s.commit(&manifest.Edit{NumLevels: len(nv.levels) - s.cfg.MinLevel, SetLevels: true})
 }
 
 // Appended publishes the sequence an in-place append has just added to
 // tb, a table of level: new readers see the table with it, those that
-// pinned an earlier version without.  No range changes, so the level's
-// fences are shared.  No edit goes to the manifest; the append committed
-// in the table's own metadata.
+// pinned an earlier version without.  No edit goes to the manifest; the
+// append committed in the table's own metadata.
 func (s *Set) Appended(level int, tb *Table) {
 	nv := newVersion(s.cur.Load())
 	lvl := slices.Clone(nv.levels[level])
 	j := slices.IndexFunc(lvl, func(e *Table) bool { return e.file == tb.file })
-	lvl[j] = &Table{file: tb.file, rng: lvl[j].rng, nseq: tb.NumSeqs()}
+	lvl[j] = &Table{file: tb.file, rng: lvl[j].rng, hi: lvl[j].hi, nseq: tb.NumSeqs()}
 	nv.levels[level] = lvl
 	s.publish(nv)
 }
@@ -537,8 +520,7 @@ func (c *Change) PlaceAs(level int, tb *Table, rng kv.Range) *Change {
 //  1. a successor of the current version is built: the drops leave copies
 //     of their levels and each arrival joins the copy of its level, with
 //     its range and the sequence count its file has now, where the level's
-//     order puts it (file number on level 0, range low end below); each
-//     copied level >= 1 gets its fences, every other level keeps its own;
+//     order puts it (file number on level 0, range low end below);
 //  2. manifest: one edit — the drops as deletions and the arrivals as
 //     additions, both in the order stated, plus the file counter if Build
 //     moved it since the manifest last named it — is appended and synced;
@@ -587,14 +569,9 @@ func (s *Set) Apply(c *Change) error {
 			twice := slices.ContainsFunc(c.places[:j], func(q placement) bool { return q.tb.file == p.tb.file })
 			invariants.Assertf(!twice, "table %d placed twice", p.tb.ID())
 		}
-		tb := &Table{file: p.tb.file, rng: p.rng, nseq: p.tb.NumSeqs()}
+		tb := newPlacement(p.tb.file, p.rng, p.tb.NumSeqs())
 		nv.levels[p.level] = insert(own(p.level), p.level, tb)
 		e.Added = append(e.Added, record(p.level, tb))
-	}
-	for level := 1; level < len(nv.levels); level++ {
-		if copied&(1<<level) != 0 {
-			nv.fences[level] = fencesOf(nv.levels[level])
-		}
 	}
 	if s.nextFileMoved {
 		e.NextFile, e.SetNextFile = s.nextFile, true
@@ -677,7 +654,7 @@ func (s *Set) Build(capacity int64, src iterator.Iterator) (*Table, int64, error
 	}
 	s.cfg.Events.TableCreated(metrics.TableInfo{FileNum: num, Level: -1, Bytes: res.Bytes})
 	f := &file{Table: tbl, born: s.cur.Load().num + 1}
-	return &Table{file: f, rng: tbl.UserRange(), nseq: tbl.NumSeqs()}, res.Bytes, nil
+	return newPlacement(f, tbl.UserRange(), tbl.NumSeqs()), res.Bytes, nil
 }
 
 // BuildRuns drains a positioned iterator into fresh tables of at most
@@ -752,7 +729,7 @@ func (s *Set) Get(ukey []byte, snap kv.Seq) ([]byte, kv.Kind, kv.Seq, bool, erro
 		}
 	}
 	for l := 1; l < len(v.levels); l++ {
-		if tb := find(v.levels[l], v.fences[l], ukey); tb != nil {
+		if tb := find(v.levels[l], ukey); tb != nil {
 			if val, k, sq, found, err := tb.Find(p); found || err != nil {
 				return val, k, sq, found, err
 			}
@@ -790,6 +767,14 @@ type LevelInfo struct {
 	// Quarantined counts nodes fenced off after detected corruption
 	// (still readable, never chosen as compaction input).
 	Quarantined int
+}
+
+// Add folds o's counts into l; l keeps its Level.
+func (l *LevelInfo) Add(o LevelInfo) {
+	l.Nodes += o.Nodes
+	l.Bytes += o.Bytes
+	l.Seqs += o.Seqs
+	l.Quarantined += o.Quarantined
 }
 
 func (l LevelInfo) String() string {

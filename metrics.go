@@ -158,7 +158,7 @@ func (db *DB) metricsOf(stores []*store) Metrics {
 		st.mu.Unlock()
 		m.WALRotations += st.walRotations.Load()
 		mergeEngineStats(&m.Engine, st.eng.Stats())
-		m.Levels = mergeLevelInfos(m.Levels, st.set.Levels())
+		m.Levels = addRows(m.Levels, st.set.Levels())
 		m.SpaceUsed += st.set.SpaceUsed()
 		if vs := st.vs; vs != nil {
 			ls := vs.log.Stats()
@@ -201,23 +201,11 @@ func (db *DB) metricsOf(stores []*store) Metrics {
 
 // mergeEngineStats folds one store's traffic snapshot into the sum.
 func mergeEngineStats(dst *engine.StatsSnapshot, src engine.StatsSnapshot) {
-	for len(dst.PerLevel) < len(src.PerLevel) {
-		dst.PerLevel = append(dst.PerLevel, engine.LevelStats{})
-	}
-	for i, ls := range src.PerLevel {
-		d := &dst.PerLevel[i]
-		d.WriteBytes += ls.WriteBytes
-		d.ReadBytes += ls.ReadBytes
-		d.Appends += ls.Appends
-		d.Merges += ls.Merges
-		d.Moves += ls.Moves
-		d.Splits += ls.Splits
-		d.Combines += ls.Combines
-	}
-	for len(dst.FlushBytes) < len(src.FlushBytes) {
-		dst.FlushBytes = append(dst.FlushBytes, 0)
-	}
+	dst.PerLevel = addRows(dst.PerLevel, src.PerLevel)
 	for i, fb := range src.FlushBytes {
+		if i == len(dst.FlushBytes) {
+			dst.FlushBytes = append(dst.FlushBytes, 0)
+		}
 		dst.FlushBytes[i] += fb
 	}
 	dst.Appends += src.Appends
@@ -228,50 +216,34 @@ func mergeEngineStats(dst *engine.StatsSnapshot, src engine.StatsSnapshot) {
 	dst.Flushes += src.Flushes
 }
 
-// mergeLevelInfos folds per-level shape by level index, keeping the
-// result sorted by level.
-func mergeLevelInfos(dst, src []tableset.LevelInfo) []tableset.LevelInfo {
-	for _, li := range src {
-		found := false
-		for i := range dst {
-			if dst[i].Level == li.Level {
-				dst[i].Nodes += li.Nodes
-				dst[i].Bytes += li.Bytes
-				dst[i].Seqs += li.Seqs
-				dst[i].Quarantined += li.Quarantined
-				found = true
-				break
-			}
-		}
-		if !found {
-			dst = append(dst, li)
-		}
-	}
-	for i := 1; i < len(dst); i++ {
-		for j := i; j > 0 && dst[j].Level < dst[j-1].Level; j-- {
-			dst[j], dst[j-1] = dst[j-1], dst[j]
+// addRows folds src's per-level rows into dst's by position, extending
+// dst where src is longer.  Every store of a DB runs the one engine, so
+// the stores' level lists start at the same level and line up index by
+// index.
+func addRows[T any, PT interface {
+	*T
+	Add(T)
+}](dst, src []T) []T {
+	for i, r := range src {
+		if i == len(dst) {
+			dst = append(dst, r)
+		} else {
+			PT(&dst[i]).Add(r)
 		}
 	}
 	return dst
 }
 
-// SampleCumulative gathers the monotone counters a Sampler diffs into
-// timeline windows: operation and stall totals, device and per-level
+// SampleCumulative gathers the monotone counters a Sampler snapshots at
+// every window edge: operation and stall totals, device and per-level
 // traffic, cache lookups, commit pipeline counts and the put-latency
 // histogram.  It holds no DB locks beyond the engines' own stats locks.
 func (db *DB) SampleCumulative() metrics.Cumulative {
 	var c metrics.Cumulative
+	var levels []engine.LevelStats
 	c.Ops = db.getOps.Load()
 	for _, st := range db.stores {
-		es := st.eng.Stats()
-		for len(c.PerLevelWrite) < len(es.PerLevel) {
-			c.PerLevelWrite = append(c.PerLevelWrite, 0)
-			c.PerLevelRead = append(c.PerLevelRead, 0)
-		}
-		for i, ls := range es.PerLevel {
-			c.PerLevelWrite[i] += ls.WriteBytes
-			c.PerLevelRead[i] += ls.ReadBytes
-		}
+		levels = addRows(levels, st.eng.Stats().PerLevel)
 		c.Ops += st.putOps.Load()
 		c.StallNanos += st.stallNanos.Load()
 		_, hits, misses := st.cache.HitRate()
@@ -280,6 +252,10 @@ func (db *DB) SampleCumulative() metrics.Cumulative {
 		c.CommitGroups += st.commitGroups.Load()
 		c.CommitBatches += st.commitBatches.Load()
 	}
+	for _, ls := range levels {
+		c.PerLevelWrite = append(c.PerLevelWrite, ls.WriteBytes)
+		c.PerLevelRead = append(c.PerLevelRead, ls.ReadBytes)
+	}
 	io := db.io.Snapshot()
 	c.WriteBytes = io.BytesWritten
 	c.ReadBytes = io.BytesRead
@@ -287,10 +263,11 @@ func (db *DB) SampleCumulative() metrics.Cumulative {
 	return c
 }
 
-// NewSampler attaches a timeline sampler: windowed deltas of the DB's
-// cumulative counters (ops/sec, stall fraction, per-level write/read
-// bytes, cache hit rate, commit group size, put latency) kept in a
-// bounded ring that folds pairwise — doubling the window — when full.
+// NewSampler attaches a timeline sampler: the DB's cumulative counters
+// (ops/sec, stall fraction, per-level write/read bytes, cache hit rate,
+// commit group size, put latency) snapshotted at every window edge and
+// kept in a bounded ring that drops every other edge — doubling the
+// window — when full; a window is the difference of its two edges.
 // window ≤ 0 means one second; capacity ≤ 0 means 128 points.  The
 // sampler is pull-based: call Poll from the workload loop (one atomic
 // load when no window boundary passed) or Timeline, which polls first.
@@ -350,16 +327,8 @@ func (m Metrics) String() string {
 			lvl, info.Nodes, info.Seqs, mb(info.Bytes),
 			mb(ls.WriteBytes), mb(ls.ReadBytes),
 			ls.Appends, ls.Merges, ls.Moves, ls.Splits, ls.Combines)
-		totInfo.Nodes += info.Nodes
-		totInfo.Seqs += info.Seqs
-		totInfo.Bytes += info.Bytes
-		totStats.WriteBytes += ls.WriteBytes
-		totStats.ReadBytes += ls.ReadBytes
-		totStats.Appends += ls.Appends
-		totStats.Merges += ls.Merges
-		totStats.Moves += ls.Moves
-		totStats.Splits += ls.Splits
-		totStats.Combines += ls.Combines
+		totInfo.Add(info)
+		totStats.Add(ls)
 	}
 	fmt.Fprintf(&b, "total | %5d %5d %9.1f | %9.1f %9.1f | %7d %7d %6d %7d %9d\n",
 		totInfo.Nodes, totInfo.Seqs, mb(totInfo.Bytes),

@@ -72,7 +72,7 @@ func NewTraceRecorder(capacity int, clock Clock) *TraceRecorder {
 // an outside recorder cannot see).
 func NewWallClock() Clock { return newWallClock() }
 
-// Sampler captures windowed metric deltas into a bounded timeline; see
+// Sampler snapshots the DB's counters into a bounded timeline; see
 // DB.NewSampler.
 type Sampler = metrics.Sampler
 
@@ -83,11 +83,6 @@ type TimelinePoint = metrics.TimelinePoint
 // as one line through logf (e.g. log.Printf or t.Logf).
 func NewLoggingListener(logf func(format string, args ...any)) *EventListener {
 	return metrics.NewLoggingListener(logf)
-}
-
-// TeeListener fans every event out to each listener in order.
-func TeeListener(ls ...*EventListener) *EventListener {
-	return metrics.TeeListener(ls...)
 }
 
 // EngineKind selects the storage tree backing a DB.

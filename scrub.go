@@ -163,7 +163,7 @@ func (st *store) scrubPass(rep *ScrubReport) error {
 			return ErrClosed
 		}
 		vst, verr := t.Verify(func(n int64) {
-			st.scrubBlocks.Inc()
+			st.scrubBlocks.Add(1)
 			progress.blocks.Add(1)
 			progress.bytes.Add(n)
 		})

@@ -100,12 +100,12 @@ type store struct {
 	userBytes atomic.Int64 // total key+value bytes written
 	putOps    atomic.Int64 // records committed (sequence numbers consumed)
 
-	stallCount    metrics.Counter
-	stallNanos    metrics.Counter
-	walRotations  metrics.Counter
-	commitGroups  metrics.Counter
-	commitBatches metrics.Counter
-	commitWait    metrics.Counter
+	stallCount    atomic.Int64
+	stallNanos    atomic.Int64
+	walRotations  atomic.Int64
+	commitGroups  atomic.Int64
+	commitBatches atomic.Int64
+	commitWait    atomic.Int64
 	groupSize     *histogram.Concurrent
 
 	mu   sync.Mutex
@@ -124,15 +124,15 @@ type store struct {
 	bgFails    int   // consecutive background failures
 	bgErrSince int64 // clock nanos when bgErr was first latched
 
-	bgRetries   metrics.Counter
-	bgReadonly  metrics.Counter
-	bgHealNanos metrics.Counter
-	bgNoSpace   metrics.Counter
+	bgRetries   atomic.Int64
+	bgReadonly  atomic.Int64
+	bgHealNanos atomic.Int64
+	bgNoSpace   atomic.Int64
 
 	// Latent-fault accounting (see DESIGN.md "Latent-fault model").
-	corrDetected    metrics.Counter
-	corrQuarantined metrics.Counter
-	scrubBlocks     metrics.Counter
+	corrDetected    atomic.Int64
+	corrQuarantined atomic.Int64
+	scrubBlocks     atomic.Int64
 
 	// walDrops records WAL tails truncated during recovery, reported as
 	// detections by noteOpenSuspicion: a torn tail after a crash and a
@@ -582,7 +582,7 @@ func (st *store) commitGroup(group []*commitOp) (rotated bool) {
 	asp.SetCount(applied)
 	asp.End()
 
-	st.commitGroups.Inc()
+	st.commitGroups.Add(1)
 	st.commitBatches.Add(int64(len(group)))
 	st.groupSize.Record(time.Duration(len(group)))
 	sp.SetBytes(user)
@@ -640,7 +640,7 @@ func (st *store) stall(lvl int, wait func()) {
 	st.events.WriteStallBegin(metrics.StallInfo{Level: lvl})
 	wait()
 	d := st.clock.Now() - start
-	st.stallCount.Inc()
+	st.stallCount.Add(1)
 	st.stallNanos.Add(int64(d))
 	sp.End()
 	st.events.WriteStallEnd(metrics.StallInfo{Level: lvl, Duration: d})
@@ -681,7 +681,7 @@ func (st *store) rotateLocked() error {
 	}
 	oldNum, oldBytes := st.walNum, st.walW.Offset()
 	st.walRetired += oldBytes
-	st.walRotations.Inc()
+	st.walRotations.Add(1)
 	sp := st.tr.Begin("wal.rotate")
 	sp.SetBytes(oldBytes)
 	sp.End()
@@ -709,7 +709,7 @@ func (st *store) noteCorruption(err error) {
 	if ce == nil {
 		return
 	}
-	st.corrDetected.Inc()
+	st.corrDetected.Add(1)
 	st.events.CorruptionDetected(metrics.CorruptionInfo{
 		Path: ce.Path, Layer: ce.Layer, Offset: ce.Offset, Detail: ce.Detail,
 	})
@@ -718,7 +718,7 @@ func (st *store) noteCorruption(err error) {
 		return
 	}
 	if st.set.Quarantine(num, ce.Error()) {
-		st.corrQuarantined.Inc()
+		st.corrQuarantined.Add(1)
 		st.events.TableQuarantined(metrics.TableInfo{FileNum: num, Level: -1})
 	}
 }
@@ -733,29 +733,29 @@ func (st *store) noteCorruption(err error) {
 // from openStore, before workers start.
 func (st *store) noteOpenSuspicion() {
 	for _, qi := range st.set.Quarantined() {
-		st.corrDetected.Inc()
-		st.corrQuarantined.Inc()
+		st.corrDetected.Add(1)
+		st.corrQuarantined.Add(1)
 		st.events.CorruptionDetected(metrics.CorruptionInfo{
 			Path: qi.Path, Layer: corrupt.LayerTableFooter, Offset: -1, Detail: qi.Reason,
 		})
 		st.events.TableQuarantined(metrics.TableInfo{FileNum: qi.FileNum, Level: qi.Level})
 	}
 	for _, wd := range st.walDrops {
-		st.corrDetected.Inc()
+		st.corrDetected.Add(1)
 		st.events.CorruptionDetected(metrics.CorruptionInfo{
 			Path: logName(st.dir, wd.num), Layer: corrupt.LayerWAL, Offset: -1,
 			Detail: fmt.Sprintf("recovery truncated %d trailing bytes", wd.bytes),
 		})
 	}
 	if n := st.set.RecoveryDropped(); n > 0 {
-		st.corrDetected.Inc()
+		st.corrDetected.Add(1)
 		st.events.CorruptionDetected(metrics.CorruptionInfo{
 			Path: st.dir, Layer: corrupt.LayerManifest, Offset: -1,
 			Detail: fmt.Sprintf("manifest replay dropped %d trailing bytes", n),
 		})
 	}
 	if vs := st.vs; vs != nil && vs.openSt.SuspectBytes > 0 {
-		st.corrDetected.Inc()
+		st.corrDetected.Add(1)
 		st.events.CorruptionDetected(metrics.CorruptionInfo{
 			Path:   vs.segmentPath(vs.log.Head()),
 			Layer:  corrupt.LayerVLog,
@@ -777,7 +777,7 @@ func (st *store) noteOpenSuspicion() {
 // no Resume.
 func (st *store) noteCommitError(op string, err error) int {
 	if errors.Is(err, vfs.ErrNoSpace) {
-		st.bgNoSpace.Inc()
+		st.bgNoSpace.Add(1)
 	}
 	st.mu.Lock()
 	if st.closed {
@@ -790,12 +790,12 @@ func (st *store) noteCommitError(op string, err error) int {
 	st.bgErr = &BackgroundError{Op: op, Err: err}
 	st.bgFails++
 	try := st.bgFails
-	st.bgRetries.Inc()
+	st.bgRetries.Add(1)
 	enteredRO := false
 	if !st.readonly && try > st.opt.BgRetryLimit {
 		st.readonly = true
 		enteredRO = true
-		st.bgReadonly.Inc()
+		st.bgReadonly.Add(1)
 	}
 	cause := st.bgErr
 	st.cond.Broadcast()

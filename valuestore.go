@@ -3,10 +3,10 @@ package iamdb
 import (
 	"errors"
 	"slices"
+	"sync/atomic"
 
 	"iamdb/internal/corrupt"
 	"iamdb/internal/kv"
-	"iamdb/internal/metrics"
 	"iamdb/internal/vlog"
 )
 
@@ -40,10 +40,10 @@ type valueStore struct {
 	// view can still chase pointers into them (commitMu).
 	pend []uint64
 
-	appends    metrics.Counter
-	resolves   metrics.Counter
-	gcRewrites metrics.Counter
-	gcSegments metrics.Counter
+	appends    atomic.Int64
+	resolves   atomic.Int64
+	gcRewrites atomic.Int64
+	gcSegments atomic.Int64
 }
 
 // openValueStore opens the store's value log when separation is
@@ -163,7 +163,7 @@ func (vs *valueStore) separateGroup(group []*commitOp) (int64, error) {
 			}
 			if !gc {
 				extra += int64(len(ops[i].val)) - vlog.PointerLen
-				vs.appends.Inc()
+				vs.appends.Add(1)
 			}
 			ops[i] = batchOp{kind: kv.KindValuePtr, key: ops[i].key, val: p.Encode()}
 			appended = true
@@ -228,7 +228,7 @@ func (st *store) readPointer(key, enc []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	st.vs.resolves.Inc()
+	st.vs.resolves.Add(1)
 	return v, nil
 }
 
@@ -334,7 +334,7 @@ func (vs *valueStore) collect(seg uint64) error {
 		// outlives the batch; cur aliases the store's and is copied.
 		b.ops = append(b.ops, batchOp{kv.KindSet, key, val})
 		b.gcOld = append(b.gcOld, slices.Clone(cur))
-		vs.gcRewrites.Inc()
+		vs.gcRewrites.Add(1)
 		pending += len(val)
 		if b.Len() >= maxBatchOps || pending >= maxBatchBytes {
 			return flush()
@@ -355,7 +355,7 @@ func (vs *valueStore) collect(seg uint64) error {
 	if err := st.flushLocked(); err != nil {
 		return err
 	}
-	vs.gcSegments.Inc()
+	vs.gcSegments.Add(1)
 	vs.pend = append(vs.pend, seg)
 	vs.tryDeletes()
 	return nil
