@@ -46,6 +46,9 @@ func (p Profile) String() string {
 	return "RocksDB"
 }
 
+// maxLevels bounds the level count: L0..L6.
+const maxLevels = 7
+
 // Config parameterizes the baseline engine.
 type Config struct {
 	FS    vfs.FS
@@ -62,8 +65,6 @@ type Config struct {
 	// L0CompactTrigger is the L0 file count that starts a compaction
 	// (default 4); slowdown at 2x, stop at 3x.
 	L0CompactTrigger int
-	// MaxLevels bounds the level count (default 7, L0..L6).
-	MaxLevels int
 	// Profile picks LevelDB or RocksDB behaviour.
 	Profile Profile
 	// BitsPerKey sets Bloom density (default 14).
@@ -98,9 +99,6 @@ func (c *Config) fill() {
 	if c.L0CompactTrigger == 0 {
 		c.L0CompactTrigger = 4
 	}
-	if c.MaxLevels == 0 {
-		c.MaxLevels = 7
-	}
 }
 
 // DB is the baseline leveled LSM engine over a table set: a file is a
@@ -125,14 +123,14 @@ type DB struct {
 var _ engine.Engine = (*DB)(nil)
 
 // Open creates or reopens a baseline LSM in cfg.Dir.  A directory whose
-// manifest holds tables at level cfg.MaxLevels or deeper (written by a
+// manifest holds tables at level maxLevels or deeper (written by a
 // tree that grew further) is refused with tableset.ErrLayout.
 func Open(cfg Config) (*DB, error) {
 	cfg.fill()
 	set, err := tableset.Open(tableset.Config{
 		FS: cfg.FS, Dir: cfg.Dir, Cache: cfg.Cache,
 		BitsPerKey: cfg.BitsPerKey, Compression: cfg.Compression,
-		Events: cfg.Events, MaxLevels: cfg.MaxLevels,
+		Events: cfg.Events, MaxLevels: maxLevels,
 	})
 	if err != nil {
 		return nil, err

@@ -112,11 +112,3 @@ func (s *Sequencer) WaitVisible(seq kv.Seq) {
 	}
 	s.Mu.Unlock()
 }
-
-// Last reports the last allocated sequence number (for bookkeeping;
-// racy with concurrent allocation by nature).
-func (s *Sequencer) Last() kv.Seq {
-	s.Mu.Lock()
-	defer s.Mu.Unlock()
-	return s.last
-}

@@ -211,7 +211,7 @@ func TestWindowedIteration(t *testing.T) {
 			defer w.tb.Close()
 			loans := WindowsOnLoan()
 
-			it := w.tb.NewIterAt(3).(iterator.ReverseIterator)
+			it := w.tb.NewIterAt(3)
 			i := 0
 			for it.First(); i < len(w.keys); it.Next() {
 				w.at(t, it, "forward", i)

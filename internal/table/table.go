@@ -1031,11 +1031,11 @@ func (t *Table) wrapIterErr(err error) error {
 
 // SeqIter returns an iterator over sequence i (oldest = 0).  Like
 // NewIter it reads the block cache and leaves it as it found it.
-func (t *Table) SeqIter(i int) iterator.Iterator {
+func (t *Table) SeqIter(i int) iterator.ReverseIterator {
 	return t.seqIterOf(t.snapshotSeqs(), i, false)
 }
 
-func (t *Table) seqIterOf(seqs []SeqMeta, i int, fill bool) iterator.Iterator {
+func (t *Table) seqIterOf(seqs []SeqMeta, i int, fill bool) iterator.ReverseIterator {
 	s := &seqs[i]
 	if s.Entries == 0 {
 		return iterator.Empty{}
@@ -1054,14 +1054,16 @@ func (t *Table) seqIterOf(seqs []SeqMeta, i int, fill bool) iterator.Iterator {
 // merges and the tools: a block a user read left in the cache is served
 // from there, but nothing it reads is inserted — the tables a merge
 // reads are dropped, and their blocks evicted, when it publishes.
-func (t *Table) NewIter() iterator.Iterator { return t.iterOf(t.snapshotSeqs(), false) }
+func (t *Table) NewIter() iterator.ReverseIterator { return t.iterOf(t.snapshotSeqs(), false) }
 
 // NewIterAt is NewIter over the oldest n sequences only: the table as
 // it stood when NumSeqs returned n, whatever has been appended since.
 // It serves user scans, so the blocks it reads fill the cache.
-func (t *Table) NewIterAt(n int) iterator.Iterator { return t.iterOf(t.snapshotSeqs()[:n], true) }
+func (t *Table) NewIterAt(n int) iterator.ReverseIterator {
+	return t.iterOf(t.snapshotSeqs()[:n], true)
+}
 
-func (t *Table) iterOf(seqs []SeqMeta, fill bool) iterator.Iterator {
+func (t *Table) iterOf(seqs []SeqMeta, fill bool) iterator.ReverseIterator {
 	if len(seqs) == 0 {
 		return iterator.Empty{}
 	}

@@ -574,7 +574,7 @@ func TestSeqIterReverse(t *testing.T) {
 		keys = append(keys, fmt.Sprintf("key%06d", i*2))
 	}
 	tb.Append(kvIter(5, keys...))
-	it := tb.SeqIter(0).(iterator.ReverseIterator)
+	it := tb.SeqIter(0)
 
 	it.Last()
 	if !it.Valid() || string(kv.UserKey(it.Key())) != "key005998" {
@@ -613,7 +613,7 @@ func TestSeqIterReverse(t *testing.T) {
 	}
 	// Direction switching through the merged multi-sequence iterator.
 	tb.Append(kvIter(9, "key000101x"))
-	m := tb.NewIter().(iterator.ReverseIterator)
+	m := tb.NewIter()
 	m.Seek(kv.MakeInternalKey([]byte("key000101x"), kv.MaxSeq, kv.KindSet))
 	if string(kv.UserKey(m.Key())) != "key000101x" {
 		t.Fatalf("merged seek: %q", kv.UserKey(m.Key()))

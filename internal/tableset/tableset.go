@@ -743,16 +743,16 @@ func (s *Set) Get(ukey []byte, snap kv.Seq) ([]byte, kv.Kind, kv.Seq, bool, erro
 // concatenating child, so a scan consults at most one table per level
 // below 0.  The children read the slices of the version current now, each
 // holding a reference on it until it is closed.
-func (s *Set) NewIter() iterator.Iterator {
+func (s *Set) NewIter() iterator.ReverseIterator {
 	v := s.pin()
 	defer s.unpin(v)
 	var kids []iterator.Iterator
 	for l0, i := v.levels[0], len(v.levels[0])-1; i >= 0; i-- {
-		kids = append(kids, s.newConcatIter(v, l0[i:i+1]))
+		kids = append(kids, s.newLevelIter(v, l0[i:i+1]))
 	}
 	for _, lvl := range v.levels[1:] {
 		if len(lvl) > 0 {
-			kids = append(kids, s.newConcatIter(v, lvl))
+			kids = append(kids, s.newLevelIter(v, lvl))
 		}
 	}
 	return iterator.NewMerging(kv.CompareInternal, kids...)

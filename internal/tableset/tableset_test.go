@@ -129,7 +129,7 @@ func TestLevelIteratorAcrossTableBoundaries(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			it := s.NewIter().(iterator.ReverseIterator)
+			it := s.NewIter()
 			defer it.Close()
 			c.pos(it)
 			step := it.Next

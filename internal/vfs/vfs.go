@@ -26,12 +26,14 @@ package vfs
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrNotFound is returned when a named file does not exist.
@@ -335,22 +337,36 @@ func (fs *MemFS) AllocatedBytes() int64 {
 	return n
 }
 
+// errHandleClosed is what a closed MemFS handle answers to every call
+// but Close, as an os.File answers os.ErrClosed.
+var errHandleClosed = fmt.Errorf("vfs: use of closed MemFS handle: %w", os.ErrClosed)
+
+// memHandle is one open handle on a memFile.  Every call but Close fails
+// once the handle is closed.  The calls that touch the file check closed
+// under a lock Close takes after setting it (Write under mu, the rest
+// under the file's), so none reads or writes pages the file gave up.
 type memHandle struct {
 	f      *memFile
 	mu     sync.Mutex
 	pos    int64 // sequential-write position; -1 means "end of file"
-	closed bool
+	closed atomic.Bool
 }
 
 func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
 	h.f.mu.RLock()
 	defer h.f.mu.RUnlock()
+	if h.closed.Load() {
+		return 0, errHandleClosed
+	}
 	return h.f.readAtLocked(p, off)
 }
 
 func (h *memHandle) WriteAt(p []byte, off int64) (int, error) {
 	h.f.mu.Lock()
 	defer h.f.mu.Unlock()
+	if h.closed.Load() {
+		return 0, errHandleClosed
+	}
 	h.f.writeAtLocked(p, off)
 	return len(p), nil
 }
@@ -358,6 +374,9 @@ func (h *memHandle) WriteAt(p []byte, off int64) (int, error) {
 func (h *memHandle) Write(p []byte) (int, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if h.closed.Load() {
+		return 0, errHandleClosed
+	}
 	h.f.mu.Lock()
 	if h.pos < 0 {
 		h.pos = h.f.size
@@ -373,10 +392,9 @@ func (h *memHandle) Write(p []byte) (int, error) {
 func (h *memHandle) Close() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
+	if h.closed.Swap(true) {
 		return nil
 	}
-	h.closed = true
 	h.f.mu.Lock()
 	defer h.f.mu.Unlock()
 	h.f.handles--
@@ -384,17 +402,28 @@ func (h *memHandle) Close() error {
 	return nil
 }
 
-func (h *memHandle) Sync() error { return nil }
+func (h *memHandle) Sync() error {
+	if h.closed.Load() {
+		return errHandleClosed
+	}
+	return nil
+}
 
 func (h *memHandle) Size() (int64, error) {
 	h.f.mu.RLock()
 	defer h.f.mu.RUnlock()
+	if h.closed.Load() {
+		return 0, errHandleClosed
+	}
 	return h.f.size, nil
 }
 
 func (h *memHandle) Truncate(n int64) error {
 	h.f.mu.Lock()
 	defer h.f.mu.Unlock()
+	if h.closed.Load() {
+		return errHandleClosed
+	}
 	if n < h.f.size {
 		// Free pages entirely past the new end and zero the partial
 		// tail page so regrowth reads zeros.

@@ -2,7 +2,9 @@ package vfs
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"os"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -80,6 +82,48 @@ func TestOSFSBasics(t *testing.T) {
 	dir := t.TempDir()
 	fs := chrootFS{OSFS{}, dir}
 	testFSBasics(t, fs)
+}
+
+// TestClosedHandleRefusesUse checks that every call but Close on a
+// closed handle fails with os.ErrClosed, on MemFS as on OSFS, and that a
+// second Close does nothing.
+func TestClosedHandleRefusesUse(t *testing.T) {
+	calls := []struct {
+		name string
+		call func(f File) error
+	}{
+		{"ReadAt", func(f File) error { _, err := f.ReadAt(make([]byte, 1), 0); return err }},
+		{"WriteAt", func(f File) error { _, err := f.WriteAt([]byte("x"), 0); return err }},
+		{"Write", func(f File) error { _, err := f.Write([]byte("x")); return err }},
+		{"Sync", func(f File) error { return f.Sync() }},
+		{"Size", func(f File) error { _, err := f.Size(); return err }},
+		{"Truncate", func(f File) error { return f.Truncate(0) }},
+	}
+	for _, dev := range []struct {
+		name string
+		fs   FS
+	}{{"MemFS", NewMemFS()}, {"OSFS", chrootFS{OSFS{}, t.TempDir()}}} {
+		for _, c := range calls {
+			f, err := dev.fs.Create("f-" + c.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write([]byte("payload")); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.call(f); !errors.Is(err, os.ErrClosed) {
+				t.Errorf("%s: %s on a closed handle: %v", dev.name, c.name, err)
+			}
+			if dev.name == "MemFS" {
+				if err := f.Close(); err != nil {
+					t.Errorf("second Close: %v", err)
+				}
+			}
+		}
+	}
 }
 
 // chrootFS prefixes all names with a directory, letting the shared FS

@@ -45,8 +45,9 @@ type Iterator struct {
 // pinned until every store's tables are captured, so no merge in
 // between can drop a version the view needs; the captured tables are
 // referenced and read only through the sequences they held at capture
-// (appends after it are invisible, see tableset's tableView), so the
-// pin is not held for the iterator's life.
+// (appends after it are invisible, see tableset's levelIter), so the
+// pin is not held for the iterator's life.  On a closed DB the
+// iterator is never Valid and its Err is ErrClosed.
 func (db *DB) NewIterator() *Iterator {
 	seq := db.pin()
 	it := db.newIteratorAt(seq)
@@ -59,17 +60,23 @@ func (db *DB) NewIterator() *Iterator {
 // covers it — see DB.getRaw).  A single store's merging iterator is
 // used as is; several are concatenated — the ranges are disjoint and
 // ordered, so no heap is needed and a scan only pays for the stores it
-// actually touches.
+// actually touches.  A closed DB's iterator fails from the start and is
+// not counted open, so its Close does nothing; one opened before Close
+// and used after it is not covered.
 func (db *DB) newIteratorAt(snap kv.Seq) *Iterator {
+	if db.closedA.Load() {
+		return &Iterator{db: db, in: iterator.Failed{Cause: ErrClosed}, err: ErrClosed, closed: true}
+	}
 	db.iters.Add(1)
 	if len(db.stores) == 1 {
 		return &Iterator{db: db, in: db.stores[0].newIter(), snap: snap}
 	}
-	kids := make([]iterator.ReverseIterator, len(db.stores))
+	c := &storeIter{part: db.part, kids: make([]iterator.ReverseIterator, len(db.stores))}
 	for i, st := range db.stores {
-		kids[i] = st.newIter()
+		c.kids[i] = st.newIter()
 	}
-	return &Iterator{db: db, in: &shardConcat{part: db.part, kids: kids, cur: -1}, snap: snap}
+	c.Init(c, len(c.kids))
+	return &Iterator{db: db, in: c, snap: snap}
 }
 
 // First positions at the smallest live key.  Positioning latency
@@ -196,135 +203,25 @@ func (it *Iterator) Close() error {
 	return it.in.Close()
 }
 
-// shardConcat concatenates per-shard iterators into one totally ordered
-// stream over internal keys, in both directions.  Seek targets are
-// routed by user key; exhausting one shard moves to the next (forward)
-// or previous (backward) one.
-type shardConcat struct {
+// storeIter concatenates the stores' iterators, whose ranges are the
+// partition's disjoint, ascending ones.  They are captured together at
+// creation, which keeps the view point-in-time without holding the pin.
+type storeIter struct {
+	iterator.Concat
 	part shard.Partition
 	kids []iterator.ReverseIterator
-	cur  int // current child, -1 when exhausted
-	err  error
 }
 
-func (c *shardConcat) note(err error) {
-	if err != nil && c.err == nil {
-		c.err = err
-	}
+// Open implements iterator.ConcatSource.
+func (c *storeIter) Open(i int) iterator.ReverseIterator { return c.kids[i] }
+
+// Find implements iterator.ConcatSource: the store that owns the key.
+func (c *storeIter) Find(target []byte, _ bool) int {
+	return c.part.IndexOf(kv.UserKey(target))
 }
 
-// fwd settles on the first valid child at or after i; children before i
-// must already be positioned, children after get First.
-func (c *shardConcat) fwd(i int) {
-	for ; i < len(c.kids); i++ {
-		if c.kids[i].Valid() {
-			c.cur = i
-			return
-		}
-		c.note(c.kids[i].Err())
-		if i+1 < len(c.kids) {
-			c.kids[i+1].First()
-		}
-	}
-	c.cur = -1
-}
-
-// bwd settles on the last valid child at or before i.
-func (c *shardConcat) bwd(i int) {
-	for ; i >= 0; i-- {
-		if c.kids[i].Valid() {
-			c.cur = i
-			return
-		}
-		c.note(c.kids[i].Err())
-		if i > 0 {
-			c.kids[i-1].Last()
-		}
-	}
-	c.cur = -1
-}
-
-// First implements iterator.Iterator.
-func (c *shardConcat) First() {
-	c.kids[0].First()
-	c.fwd(0)
-}
-
-// Seek implements iterator.Iterator.
-func (c *shardConcat) Seek(target []byte) {
-	u, _, _, ok := kv.ParseInternalKey(target)
-	if !ok {
-		c.note(errBadBatch)
-		c.cur = -1
-		return
-	}
-	i := c.part.IndexOf(u)
-	c.kids[i].Seek(target)
-	c.fwd(i)
-}
-
-// Next implements iterator.Iterator.
-func (c *shardConcat) Next() {
-	if c.cur < 0 {
-		return
-	}
-	c.kids[c.cur].Next()
-	c.fwd(c.cur)
-}
-
-// Last implements iterator.ReverseIterator.
-func (c *shardConcat) Last() {
-	last := len(c.kids) - 1
-	c.kids[last].Last()
-	c.bwd(last)
-}
-
-// SeekForPrev implements iterator.ReverseIterator.
-func (c *shardConcat) SeekForPrev(target []byte) {
-	u, _, _, ok := kv.ParseInternalKey(target)
-	if !ok {
-		c.note(errBadBatch)
-		c.cur = -1
-		return
-	}
-	i := c.part.IndexOf(u)
-	c.kids[i].SeekForPrev(target)
-	c.bwd(i)
-}
-
-// Prev implements iterator.ReverseIterator.
-func (c *shardConcat) Prev() {
-	if c.cur < 0 {
-		return
-	}
-	c.kids[c.cur].Prev()
-	c.bwd(c.cur)
-}
-
-// Valid implements iterator.Iterator.
-func (c *shardConcat) Valid() bool { return c.cur >= 0 && c.err == nil }
-
-// Key implements iterator.Iterator.
-func (c *shardConcat) Key() []byte {
-	if c.cur < 0 {
-		return nil
-	}
-	return c.kids[c.cur].Key()
-}
-
-// Value implements iterator.Iterator.
-func (c *shardConcat) Value() []byte {
-	if c.cur < 0 {
-		return nil
-	}
-	return c.kids[c.cur].Value()
-}
-
-// Err implements iterator.Iterator.
-func (c *shardConcat) Err() error { return c.err }
-
-// Close implements iterator.Iterator.
-func (c *shardConcat) Close() error {
+// Close implements iterator.Iterator: it closes every store's iterator.
+func (c *storeIter) Close() error {
 	var first error
 	for _, kid := range c.kids {
 		if err := kid.Close(); err != nil && first == nil {

@@ -1,6 +1,7 @@
 package iamdb
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -262,6 +263,56 @@ func TestIteratorIsPointInTimeOverAppends(t *testing.T) {
 					if err := db.CheckInvariants(); err != nil {
 						t.Fatalf("round %d: the history must keep the tree well-formed: %v", round, err)
 					}
+				}
+			})
+		}
+	}
+}
+
+// TestClosedDBServesNoScan checks that NewIterator and
+// Snapshot.NewIterator on a closed DB hand out an iterator that is never
+// Valid and reports ErrClosed, over MemFS and a real directory, with one
+// store and with two, and that it leaves the open-iterator count at 0.
+func TestClosedDBServesNoScan(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		for _, dev := range []string{"MemFS", "OSFS"} {
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, dev), func(t *testing.T) {
+				opts, dir := smallOpts(IAM, vfs.NewMemFS()), "db"
+				if dev == "OSFS" {
+					opts.FS, dir = nil, t.TempDir()
+				}
+				opts.Shards = shards
+				db, err := Open(dir, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 2000; i++ {
+					if err := db.Put([]byte(fmt.Sprintf("k%05d", i)), []byte("v")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := db.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				snap := db.GetSnapshot()
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+				for _, it := range []*Iterator{db.NewIterator(), snap.NewIterator()} {
+					for name, pos := range map[string]func(){
+						"First": it.First, "Last": it.Last, "Seek": func() { it.Seek([]byte("k01000")) },
+					} {
+						pos()
+						if it.Valid() || !errors.Is(it.Err(), ErrClosed) {
+							t.Errorf("%s: valid %v, err %v", name, it.Valid(), it.Err())
+						}
+					}
+					if err := it.Close(); err != nil {
+						t.Error(err)
+					}
+				}
+				if n := db.iters.Load(); n != 0 {
+					t.Errorf("%d iterators counted open", n)
 				}
 			})
 		}

@@ -164,11 +164,20 @@ clean_tree() {
 }
 
 # The ROADMAP's size measure, reported and not gated: the lines of the
-# .go files git tracks outside bench/, less _test.go files and testdata/.
+# .go files git tracks outside bench/, less _test.go files and testdata/;
+# then, by the same filter, the parts a re-anchor counts.
 report_lines() {
-    echo "non-test Go lines outside bench/: $(git ls-files '*.go' |
-        grep -v -e '_test\.go$' -e '\(^\|/\)testdata/' -e '^bench/' |
-        xargs cat | wc -l)"
+    local files
+    files=$(git ls-files '*.go' |
+        grep -v -e '_test\.go$' -e '\(^\|/\)testdata/' -e '^bench/')
+    lines() { grep -e "$1" <<<"$files" | xargs cat | wc -l; }
+    echo "non-test Go lines outside bench/: $(lines .)"
+    echo "  root package: $(lines '^[^/]*$')"
+    for dir in internal cmd examples; do
+        echo "  $dir/: $(lines "^$dir/")"
+    done
+    echo "  tooling, cmd/iamlint + internal/harness + internal/vfs:" \
+        "$(lines '^\(cmd/iamlint\|internal/harness\|internal/vfs\)/')"
 }
 
 if [ "$quick" = "1" ]; then

@@ -55,7 +55,8 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 	return finishGet(v, kind)
 }
 
-// NewIterator iterates the DB as of the snapshot.
+// NewIterator iterates the DB as of the snapshot; on a closed DB it
+// returns an iterator that is never Valid and whose Err is ErrClosed.
 func (s *Snapshot) NewIterator() *Iterator {
 	return s.db.newIteratorAt(s.seq)
 }
