@@ -80,6 +80,7 @@ type SeqMeta struct {
 	Largest  []byte // internal key
 	Bloom    bloom.Filter
 	RawIndex []byte
+	idx      index // RawIndex as fence pointers
 }
 
 // Table is an open MSTable.  Methods are safe for any number of readers
@@ -421,6 +422,11 @@ func parseMeta(raw []byte, seqCount int) ([]SeqMeta, error) {
 		if s.RawIndex, p, err = readBytes(p); err != nil {
 			return nil, err
 		}
+		if s.Entries > 0 {
+			if s.idx, err = decodeIndex(s.RawIndex, s.Smallest, s.Largest); err != nil {
+				return nil, fmt.Errorf("seq %d index: %w", i, err)
+			}
+		}
 		seqs = append(seqs, s)
 	}
 	return seqs, nil
@@ -596,18 +602,6 @@ func (t *Table) readAt(buf []byte, off int64) error {
 	return err
 }
 
-// blockHandle decodes an index entry's value: the offset and length of
-// the data block the entry names.
-func (t *Table) blockHandle(v []byte) (off, length uint64, err error) {
-	off, n := binary.Uvarint(v)
-	if n > 0 {
-		if length, n = binary.Uvarint(v[n:]); n > 0 {
-			return off, length, nil
-		}
-	}
-	return 0, 0, t.metaCorrupt(ErrCorrupt, "index handle malformed")
-}
-
 // AppendResult reports what an append wrote.
 type AppendResult struct {
 	Entries uint64
@@ -728,21 +722,10 @@ func (t *Table) Verify(onBlock func(n int64)) (VerifyStats, error) {
 	for i := range d.seqs {
 		s := &d.seqs[i]
 		st.Seqs++
-		if s.Entries == 0 {
-			continue
-		}
-		idx, err := block.NewReader(s.RawIndex, kv.CompareInternal)
-		if err != nil {
-			return st, t.metaCorrupt(err, fmt.Sprintf("seq %d index malformed", i))
-		}
 		var count uint64
 		var prev []byte
-		ii := idx.Iter()
-		for ii.First(); ii.Valid(); ii.Next() {
-			off, length, err := t.blockHandle(ii.Value())
-			if err != nil {
-				return st, err
-			}
+		for _, b := range s.idx.blocks {
+			off, length := b.off, uint64(b.length)
 			buf := make([]byte, length)
 			if err := t.readAt(buf, int64(off)); err != nil {
 				return st, err
@@ -784,9 +767,6 @@ func (t *Table) Verify(onBlock func(n int64)) (VerifyStats, error) {
 				onBlock(int64(length))
 			}
 		}
-		if err := ii.Err(); err != nil {
-			return st, t.metaCorrupt(err, fmt.Sprintf("seq %d index iterator corruption", i))
-		}
 		if count != s.Entries {
 			return st, t.metaCorrupt(ErrCorrupt,
 				fmt.Sprintf("seq %d holds %d records, metadata claims %d", i, count, s.Entries))
@@ -805,6 +785,7 @@ type seqWriter struct {
 	off      int64
 	bb       *block.Builder
 	ib       *block.Builder
+	idx      index    // what ib holds, as fence pointers
 	hashes   []uint32 // bloom.Hash of each distinct user key, in order
 	lastUser []byte
 	smallest []byte
@@ -825,6 +806,7 @@ func newSeqWriter(t *Table) *seqWriter {
 	end := t.DataSize()
 	w.t, w.startOff, w.off, w.entries = t, end, end, 0
 	w.hashes, w.smallest = w.hashes[:0], nil
+	w.idx.keys, w.idx.blocks = w.idx.keys[:0], w.idx.blocks[:0]
 	return w
 }
 
@@ -872,6 +854,7 @@ func (w *seqWriter) flushBlock() error {
 	n := binary.PutUvarint(handle[:], uint64(w.off))
 	n += binary.PutUvarint(handle[n:], uint64(len(enc)))
 	w.ib.Add(w.lastKey, handle[:n])
+	w.idx.add(w.lastKey, uint64(w.off), uint64(len(enc)))
 	w.off += int64(len(enc))
 	// The device write copied the block, so the builder gets its storage
 	// back for the next one: its own, never flate's output.
@@ -890,7 +873,7 @@ func (w *seqWriter) finish() (SeqMeta, error) {
 	if err := w.flushBlock(); err != nil {
 		return SeqMeta{}, err
 	}
-	return SeqMeta{
+	m := SeqMeta{
 		Entries:  w.entries,
 		DataOff:  uint64(w.startOff),
 		DataLen:  uint64(w.off - w.startOff),
@@ -900,20 +883,31 @@ func (w *seqWriter) finish() (SeqMeta, error) {
 		// The index block is the builder's own storage and stays with
 		// the metadata; it is never handed back.
 		RawIndex: w.ib.Finish(),
-	}, nil
+	}
+	var err error
+	if m.idx, err = w.idx.seal(m.Smallest, m.Largest); err != nil {
+		return SeqMeta{}, err
+	}
+	if invariants.Enabled {
+		// A reopened table searches the index decoded from RawIndex.
+		dec, err := decodeIndex(m.RawIndex, m.Smallest, m.Largest)
+		invariants.Assertf(err == nil && dec.equal(&m.idx),
+			"the index RawIndex decodes to (%v) differs from the one written", err)
+	}
+	return m, nil
 }
 
 // Probe carries one point read through the tables it visits: the user
 // key, its Bloom hash, taken once for every filter on the way, the seek
-// target at the read's snapshot, and the index and data readers each
-// sequence search points at its blocks.  Probes are recycled, so a read
-// served from the block cache allocates nothing.
+// target at the read's snapshot, and the data reader each sequence
+// search points at the block its fence pointers name.  Probes are
+// recycled, so a read served from the block cache allocates nothing.
 type Probe struct {
-	ukey      []byte
-	hash      uint32
-	target    []byte
-	idx, data block.Reader
-	ii, di    block.Iter
+	ukey   []byte
+	hash   uint32
+	target []byte
+	data   block.Reader
+	di     block.Iter
 }
 
 var probePool = sync.Pool{New: func() any { return new(Probe) }}
@@ -970,19 +964,13 @@ func (t *Table) Find(p *Probe) (val []byte, kind kv.Kind, seq kv.Seq, found bool
 }
 
 func (t *Table) getInSeq(s *SeqMeta, p *Probe) ([]byte, kv.Kind, kv.Seq, bool, error) {
-	if err := p.idx.Init(s.RawIndex, kv.CompareInternal); err != nil {
-		return nil, 0, 0, false, t.metaCorrupt(err, "index block malformed")
+	i := s.idx.search(p.target)
+	if i == len(s.idx.blocks) {
+		return nil, 0, 0, false, nil
 	}
-	p.ii.Reset(&p.idx)
-	p.ii.Seek(p.target)
-	if !p.ii.Valid() {
-		return nil, 0, 0, false, t.wrapIterErr(p.ii.Err())
-	}
-	off, length, err := t.blockHandle(p.ii.Value())
-	if err != nil {
-		return nil, 0, 0, false, err
-	}
-	data, err := t.readBlock(off, length)
+	b := &s.idx.blocks[i]
+	off := b.off
+	data, err := t.readBlock(off, uint64(b.length))
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
@@ -1040,12 +1028,7 @@ func (t *Table) seqIterOf(seqs []SeqMeta, i int, fill bool) iterator.ReverseIter
 	if s.Entries == 0 {
 		return iterator.Empty{}
 	}
-	it := &seqIter{t: t, bounds: *s, fill: fill}
-	if err := it.idxR.Init(s.RawIndex, kv.CompareInternal); err != nil {
-		return iterator.Failed{Cause: t.metaCorrupt(err, "index block malformed")}
-	}
-	it.idx.Reset(&it.idxR)
-	return it
+	return &seqIter{t: t, seq: s, fill: fill}
 }
 
 // NewIter returns an iterator merging every sequence, newest winning
@@ -1098,19 +1081,20 @@ var windowsOut atomic.Int64
 // without the tag.
 func WindowsOnLoan() int64 { return windowsOut.Load() }
 
-// seqIter chains the data blocks of one sequence via its index block.
+// seqIter chains the data blocks of one sequence via its fence pointers.
 // Block fetches that continue sequentially from the previous fetch are
 // served through a read-ahead window the iterator borrows from
 // windowPool at its first physical read, refills in place, and hands
-// back in Close.  Its readers are its own: each block it loads is read
+// back in Close.  Its reader is its own: each block it loads is read
 // by the one data reader, into the one key storage.
 type seqIter struct {
-	t          *Table
-	bounds     SeqMeta
-	idxR, curR block.Reader
-	idx, cur   block.Iter
-	inBlock    bool // cur is positioned in a loaded block
-	err        error
+	t       *Table
+	seq     *SeqMeta // a committed sequence: never written again
+	curR    block.Reader
+	cur     block.Iter
+	blk     int  // the block cur reads, while inBlock
+	inBlock bool // cur is positioned in a loaded block
+	err     error
 	// fill says whether blocks read from the device are inserted into
 	// the cache: yes for a user's scan, no for the one pass of a merge.
 	fill bool
@@ -1153,7 +1137,7 @@ func (s *seqIter) fetchBlock(off, length uint64) ([]byte, error) {
 	}
 	o, l := int64(off), int64(length)
 	if o < s.raStart || o+l > s.raStart+int64(len(s.ra)) {
-		seqEnd := int64(s.bounds.DataOff + s.bounds.DataLen)
+		seqEnd := int64(s.seq.DataOff + s.seq.DataLen)
 		chunk := l
 		if s.everRead && o == s.fetchEnd {
 			// Sequential continuation: read ahead like the OS would.
@@ -1192,17 +1176,16 @@ func (s *seqIter) fetchBlock(off, length uint64) ([]byte, error) {
 	return payload, nil
 }
 
-func (s *seqIter) loadBlock() bool {
+// loadBlock points cur at block i, reporting false when there is no
+// such block or it failed to load.
+func (s *seqIter) loadBlock(i int) bool {
 	s.inBlock = false
-	if !s.idx.Valid() {
+	if i < 0 || i >= len(s.seq.idx.blocks) {
 		return false
 	}
-	off, length, err := s.t.blockHandle(s.idx.Value())
-	if err != nil {
-		s.err = err
-		return false
-	}
-	data, err := s.fetchBlock(off, length)
+	b := &s.seq.idx.blocks[i]
+	off := b.off
+	data, err := s.fetchBlock(off, uint64(b.length))
 	if err != nil {
 		s.err = err
 		return false
@@ -1212,15 +1195,14 @@ func (s *seqIter) loadBlock() bool {
 		return false
 	}
 	s.cur.Reset(&s.curR)
-	s.inBlock = true
+	s.blk, s.inBlock = i, true
 	return true
 }
 
 // First implements Iterator.
 func (s *seqIter) First() {
 	s.err = nil
-	s.idx.First()
-	if s.loadBlock() {
+	if s.loadBlock(0) {
 		s.cur.First()
 		s.skipEmptyForward()
 	}
@@ -1229,8 +1211,7 @@ func (s *seqIter) First() {
 // Seek implements Iterator.
 func (s *seqIter) Seek(target []byte) {
 	s.err = nil
-	s.idx.Seek(target)
-	if s.loadBlock() {
+	if s.loadBlock(s.seq.idx.search(target)) {
 		s.cur.Seek(target)
 		s.skipEmptyForward()
 	}
@@ -1252,8 +1233,7 @@ func (s *seqIter) skipEmptyForward() {
 			s.err = err
 			return
 		}
-		s.idx.Next()
-		if !s.loadBlock() {
+		if !s.loadBlock(s.blk + 1) {
 			return
 		}
 		s.cur.First()
@@ -1301,8 +1281,7 @@ func (s *seqIter) Close() error {
 // Last implements iterator.ReverseIterator.
 func (s *seqIter) Last() {
 	s.err = nil
-	s.idx.Last()
-	if s.loadBlock() {
+	if s.loadBlock(len(s.seq.idx.blocks) - 1) {
 		s.cur.Last()
 		s.skipEmptyBackward()
 	}
@@ -1321,15 +1300,15 @@ func (s *seqIter) Prev() {
 // last key <= target.
 func (s *seqIter) SeekForPrev(target []byte) {
 	s.err = nil
-	// Index entries carry each block's largest key, so Seek finds the
-	// first block whose range can contain target.
-	s.idx.Seek(target)
-	if !s.idx.Valid() {
+	// Separators are each block's largest key, so search finds the first
+	// block whose range can contain target.
+	i := s.seq.idx.search(target)
+	if i == len(s.seq.idx.blocks) {
 		// target is above every block: the answer is the last key.
 		s.Last()
 		return
 	}
-	if !s.loadBlock() {
+	if !s.loadBlock(i) {
 		return
 	}
 	s.cur.SeekForPrev(target)
@@ -1344,8 +1323,7 @@ func (s *seqIter) skipEmptyBackward() {
 			s.err = err
 			return
 		}
-		s.idx.Prev()
-		if !s.loadBlock() {
+		if !s.loadBlock(s.blk - 1) {
 			return
 		}
 		s.cur.Last()

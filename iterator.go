@@ -65,7 +65,7 @@ func (db *DB) NewIterator() *Iterator {
 // and used after it is not covered.
 func (db *DB) newIteratorAt(snap kv.Seq) *Iterator {
 	if db.closedA.Load() {
-		return &Iterator{db: db, in: iterator.Failed{Cause: ErrClosed}, err: ErrClosed, closed: true}
+		return db.closedIterator()
 	}
 	db.iters.Add(1)
 	if len(db.stores) == 1 {
@@ -77,6 +77,12 @@ func (db *DB) newIteratorAt(snap kv.Seq) *Iterator {
 	}
 	c.Init(c, len(c.kids))
 	return &Iterator{db: db, in: c, snap: snap}
+}
+
+// closedIterator returns an iterator that fails from the start.  It is
+// not counted open, so its Close does nothing.
+func (db *DB) closedIterator() *Iterator {
+	return &Iterator{db: db, in: iterator.Failed{Cause: ErrClosed}, err: ErrClosed, closed: true}
 }
 
 // First positions at the smallest live key.  Positioning latency

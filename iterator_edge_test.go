@@ -318,3 +318,46 @@ func TestClosedDBServesNoScan(t *testing.T) {
 		}
 	}
 }
+
+// TestReleasedSnapshotServesNoScan checks that a released snapshot's
+// NewIterator, like its Get, reports ErrClosed instead of reading at a
+// sequence no pin protects any longer, with one store and with two, and
+// that the iterator is not counted open.
+func TestReleasedSnapshotServesNoScan(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			opts := smallOpts(IAM, vfs.NewMemFS())
+			opts.Shards = shards
+			db, err := Open("db", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			for i := 0; i < 100; i++ {
+				if err := db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap := db.GetSnapshot()
+			snap.Release()
+			if _, err := snap.Get([]byte("k050")); !errors.Is(err, ErrClosed) {
+				t.Fatalf("Get after Release: %v", err)
+			}
+			it := snap.NewIterator()
+			for name, pos := range map[string]func(){
+				"First": it.First, "Last": it.Last, "Seek": func() { it.Seek([]byte("k050")) },
+			} {
+				pos()
+				if it.Valid() || !errors.Is(it.Err(), ErrClosed) {
+					t.Errorf("%s: valid %v, err %v", name, it.Valid(), it.Err())
+				}
+			}
+			if err := it.Close(); err != nil {
+				t.Error(err)
+			}
+			if n := db.iters.Load(); n != 0 {
+				t.Errorf("%d iterators counted open", n)
+			}
+		})
+	}
+}

@@ -55,8 +55,12 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 	return finishGet(v, kind)
 }
 
-// NewIterator iterates the DB as of the snapshot; on a closed DB it
-// returns an iterator that is never Valid and whose Err is ErrClosed.
+// NewIterator iterates the DB as of the snapshot; on a closed DB or a
+// released snapshot it returns an iterator that is never Valid and whose
+// Err is ErrClosed.
 func (s *Snapshot) NewIterator() *Iterator {
+	if s.released {
+		return s.db.closedIterator()
+	}
 	return s.db.newIteratorAt(s.seq)
 }
