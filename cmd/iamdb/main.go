@@ -29,12 +29,16 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
 	"sync"
+	"time"
 
 	"iamdb"
 	"iamdb/internal/ycsb"
@@ -70,12 +74,11 @@ func main() {
 	}
 	if args[0] == "debug" {
 		// The debug server wants the full observability stack: a span
-		// recorder and (implicitly, via DebugAddr) a timeline sampler,
-		// all on one shared wall clock so /traces timestamps line up
-		// with the latency histograms.
+		// recorder and a timeline sampler (attached below), all on one
+		// shared wall clock so /traces timestamps line up with the
+		// latency histograms.
 		clk := iamdb.NewWallClock()
 		opt.Clock = clk
-		opt.DebugAddr = *addr
 		opt.Trace = iamdb.NewTraceRecorder(0, clk)
 	}
 	db, err := iamdb.Open(*dir, opt)
@@ -194,11 +197,42 @@ func main() {
 			fatalf("scrub: %v", err)
 		}
 	case "debug":
-		fmt.Printf("debug server on http://%s/ (ctrl-c to stop)\n", db.DebugAddr())
 		stop := make(chan os.Signal, 1)
 		signal.Notify(stop, os.Interrupt)
+		ln, err := net.Listen("tcp", *addr)
+		if err != nil {
+			fatalf("debug: %v", err)
+		}
+		srv := &http.Server{Handler: db.DebugHandler()}
+		sampler := db.NewSampler(time.Second, 0)
+		fmt.Printf("debug server on http://%s/ (ctrl-c to stop)\n", ln.Addr())
 		var wg sync.WaitGroup
-		stopLoad := make(chan struct{})
+		quit := make(chan struct{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+				fmt.Fprintf(os.Stderr, "debug server: %v\n", err)
+			}
+		}()
+		// Poll every second: edges crossed between two polls all read
+		// the later poll's counters, so without the ticker a minute
+		// between /timeline requests would show as one busy window
+		// followed by zeros.
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t := time.NewTicker(time.Second)
+			defer t.Stop()
+			for {
+				select {
+				case <-quit:
+					return
+				case <-t.C:
+					sampler.Poll()
+				}
+			}
+		}()
 		if len(args) > 1 {
 			// Optional background load so the timeline and traces move.
 			n, err := strconv.Atoi(args[1])
@@ -214,7 +248,7 @@ func main() {
 				defer wg.Done()
 				for i := 0; i < n; i++ {
 					select {
-					case <-stopLoad:
+					case <-quit:
 						return
 					default:
 					}
@@ -227,7 +261,8 @@ func main() {
 			}()
 		}
 		<-stop
-		close(stopLoad)
+		close(quit)
+		_ = srv.Close()
 		wg.Wait()
 		fmt.Println("stopping")
 	default:

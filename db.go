@@ -17,11 +17,8 @@ package iamdb
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
-	"net"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -110,16 +107,9 @@ type DB struct {
 	iters  atomic.Int64
 
 	// Introspection (see debug.go): tr records structural spans (nil =
-	// disabled, zero-cost), samplerA holds the active timeline sampler,
-	// and the debug server exposes both over HTTP when
-	// Options.DebugAddr is set.  labelCommit, when non-nil, is the
-	// pprof label set commit leaders wear; it stays nil unless the
-	// debug server is on so the default commit path pays nothing.
-	tr          *trace.Recorder
-	samplerA    atomic.Pointer[metrics.Sampler]
-	debugLn     net.Listener
-	debugSrv    *http.Server
-	labelCommit context.Context
+	// disabled, zero-cost), samplerA holds the active timeline sampler.
+	tr       *trace.Recorder
+	samplerA atomic.Pointer[metrics.Sampler]
 
 	// mu orders Close against goroutine spawns (closedA flips under it)
 	// and guards the scrub pass state (see scrub.go).  It is a leaf
@@ -217,12 +207,6 @@ func Open(dir string, opt *Options) (*DB, error) {
 	db.seqr = shard.NewSequencer(maxSeq)
 	for _, st := range db.stores {
 		st.bg.start()
-	}
-	if o.DebugAddr != "" {
-		if err := db.startDebugServer(o.DebugAddr); err != nil {
-			_ = db.Close()
-			return nil, err
-		}
 	}
 	return db, nil
 }
@@ -556,10 +540,6 @@ func (db *DB) Close() error {
 		return ErrClosed
 	}
 	close(db.quit)
-	if db.debugSrv != nil {
-		// Unblocks the Serve goroutine so wg.Wait below can finish.
-		_ = db.debugSrv.Close()
-	}
 	db.wg.Wait()
 	var err error
 	for _, st := range db.stores {

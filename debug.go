@@ -5,85 +5,24 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	httppprof "net/http/pprof"
 	"runtime/pprof"
-	"time"
 )
 
-// startDebugServer brings up the live introspection server on addr
-// (Options.DebugAddr).  It attaches a one-second timeline sampler
-// (DB.NewSampler replaces it), arms the commit-leader pprof labels, and
-// serves DebugHandler until Close.  Called from Open before any writer
-// exists, so the plain field writes are unobserved until the server
-// (and the DB) is visible.
-func (db *DB) startDebugServer(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	db.labelCommit = pprof.WithLabels(context.Background(),
-		pprof.Labels("iamdb", "commit-leader"))
-	db.NewSampler(time.Second, 0)
-	db.debugLn = ln
-	db.debugSrv = &http.Server{Handler: db.DebugHandler()}
-	db.wg.Add(1)
-	go db.serveDebug()
-	db.wg.Add(1)
-	go db.samplerWorker()
-	return nil
-}
-
-// serveDebug runs the debug HTTP server; Close shuts the server down,
-// which unblocks Serve so wg.Wait can finish.
-func (db *DB) serveDebug() {
-	defer db.wg.Done()
-	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-		pprof.Labels("iamdb", "debug-server")))
-	_ = db.debugSrv.Serve(db.debugLn)
-}
-
-// samplerWorker advances the attached sampler on a wall-clock ticker so
-// the /timeline view moves even when no workload loop is polling.  It
-// lives in the public package, outside the iamlint determinism scope:
-// deterministic runs never start a debug server.
-func (db *DB) samplerWorker() {
-	defer db.wg.Done()
-	t := time.NewTicker(time.Second)
-	defer t.Stop()
-	for {
-		select {
-		case <-db.quit:
-			return
-		case <-t.C:
-			if s := db.samplerA.Load(); s != nil {
-				s.Poll()
-			}
-		}
-	}
-}
-
-// DebugAddr reports the address the debug server is listening on, or
-// "" when it is off.  With Options.DebugAddr "127.0.0.1:0" this is how
-// callers learn the kernel-assigned port.
-func (db *DB) DebugAddr() string {
-	if db.debugLn == nil {
-		return ""
-	}
-	return db.debugLn.Addr().String()
-}
-
-// DebugHandler returns the introspection handler the debug server
-// serves; it can also be mounted directly (tests use httptest):
+// DebugHandler returns the introspection handler.  The DB serves
+// nothing itself: the caller mounts the handler on a server of its own
+// (cmd/iamdb debug does; tests use httptest).
 //
 //	/metrics   — Metrics report (text; ?format=json for the struct)
-//	/timeline  — windowed time-series points (JSON array)
+//	/timeline  — windowed time-series points (JSON array; empty until
+//	             the caller attaches a sampler with NewSampler)
 //	/traces    — recorded spans (JSON Lines; ?format=chrome for a
 //	             chrome://tracing / Perfetto trace-event file)
 //	/levels    — per-level tree view (text)
+//	/scrub     — scrub progress (POST or ?start=1 begins a pass)
 //	/debug/pprof/* — standard pprof handlers, with iamdb goroutine
-//	             labels on flush, compaction and commit-leader work
+//	             labels on background workers and scrub passes
 func (db *DB) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", db.handleDebugIndex)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -358,13 +357,7 @@ func keyDistance(a, b []byte) uint64 {
 	for i < len(a) && i < len(b) && a[i] == b[i] {
 		i++
 	}
-	return keyNum(b[i:]) - keyNum(a[i:])
-}
-
-func keyNum(k []byte) uint64 {
-	var buf [8]byte
-	copy(buf[:], k)
-	return binary.BigEndian.Uint64(buf[:])
+	return kv.Fence(b[i:]) - kv.Fence(a[i:])
 }
 
 // deliverToChild appends or merges one child's share.

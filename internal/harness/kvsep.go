@@ -120,10 +120,10 @@ func kvsepSize(v int) string {
 	}
 }
 
-// KVSep runs the experiment and renders one table; every environment
-// also reports its full metrics snapshot through the harness sink, so
-// BENCH_kvsep.json carries per-level write bytes and value-log state
-// for each cell.
+// KVSep runs the experiment and renders one table: a large-value family
+// on every engine, a value-size sweep on IAM, and small-value probes
+// whose device bytes per record give the measured inline/separated
+// crossover, printed beside the one amp.CrossoverValueSize predicts.
 func (s Scale) KVSep() (Table, error) {
 	t := Table{
 		Title: "KV separation: Put throughput and device writes, inline vs separated",

@@ -124,6 +124,16 @@ func SeqOf(ikey []byte) Seq {
 // CompareUser orders user keys bytewise ascending.
 func CompareUser(a, b []byte) int { return bytes.Compare(a, b) }
 
+// Fence is the first 8 bytes of b, big-endian and zero-padded: byte
+// strings in bytewise order have fences in the same order, or equal
+// ones, so a search can compare fences and fall back to full keys only
+// on a tie.
+func Fence(b []byte) uint64 {
+	var buf [8]byte
+	copy(buf[:], b)
+	return binary.BigEndian.Uint64(buf[:])
+}
+
 // CompareInternal orders internal keys: user key ascending, then trailer
 // descending (newer sequence numbers sort first within a user key).
 func CompareInternal(a, b []byte) int {

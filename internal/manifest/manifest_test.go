@@ -179,8 +179,8 @@ func TestReplayTornTail(t *testing.T) {
 	log.Close()
 	f, _ := fs.Open("MANIFEST")
 	size, _ := f.Size()
-	f.Truncate(size - 3) // tear the last record
 	f.Close()
+	fs.Truncate("MANIFEST", size-3) // tear the last record
 	st, dropped, err := Replay(fs, "MANIFEST")
 	if err != nil {
 		t.Fatal(err)

@@ -56,7 +56,7 @@ func (x *index) search(target []byte) int {
 		}
 		return len(x.blocks)
 	}
-	f := fenceOf(u[len(x.prefix):])
+	f := kv.Fence(u[len(x.prefix):])
 	i, j := 0, len(x.blocks)
 	for i < j {
 		h := int(uint(i+j) >> 1)
@@ -67,13 +67,6 @@ func (x *index) search(target []byte) int {
 		}
 	}
 	return i
-}
-
-// fenceOf is the fence of a user key's suffix past the shared prefix.
-func fenceOf(suffix []byte) uint64 {
-	var b [8]byte
-	copy(b[:], suffix)
-	return binary.BigEndian.Uint64(b[:])
 }
 
 // add names the block at [off, off+length) whose last key is sep.
@@ -100,7 +93,7 @@ func (x *index) seal(smallest, largest []byte) (index, error) {
 		if len(sep) < kv.TrailerLen || !bytes.HasPrefix(kv.UserKey(sep), out.prefix) {
 			return index{}, ErrCorrupt
 		}
-		out.blocks[i].fence = fenceOf(kv.UserKey(sep)[n:])
+		out.blocks[i].fence = kv.Fence(kv.UserKey(sep)[n:])
 	}
 	return out, nil
 }

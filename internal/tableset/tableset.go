@@ -19,7 +19,6 @@
 package tableset
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -85,7 +84,7 @@ type Table struct {
 
 // newPlacement places f with the range rng and nseq sequences.
 func newPlacement(f *file, rng kv.Range, nseq int) *Table {
-	return &Table{file: f, rng: rng, hi: fence(rng.Hi), nseq: nseq}
+	return &Table{file: f, rng: rng, hi: kv.Fence(rng.Hi), nseq: nseq}
 }
 
 // file is a table file as the set holds it, shared by its placements.
@@ -125,20 +124,12 @@ func newVersion(v *version) *version {
 	return nv
 }
 
-// fence is the first 8 bytes of a key, big-endian and zero-padded: keys
-// in bytewise order have fences in the same order, or equal ones.
-func fence(key []byte) uint64 {
-	var b [8]byte
-	copy(b[:], key)
-	return binary.BigEndian.Uint64(b[:])
-}
-
 // find returns the table of lvl, a level >= 1, whose range contains
 // ukey.  It binary-searches the placements' fences for the first range
 // ending at or above ukey and compares full keys only where a fence ties
 // with ukey's.
 func find(lvl []*Table, ukey []byte) *Table {
-	f := fence(ukey)
+	f := kv.Fence(ukey)
 	i, j := 0, len(lvl)
 	for i < j {
 		h := int(uint(i+j) >> 1)

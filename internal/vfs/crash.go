@@ -34,8 +34,8 @@ const (
 // is Synced; only synced data reaches the inner FS.  Crash() throws the
 // buffers away, leaving exactly the state a machine would find after
 // power loss under a sync-barrier contract.  A deterministic counter
-// over mutating operations (Create, Write, WriteAt, Truncate, Sync,
-// Remove, Rename) lets a test enumerate crash points: CrashAt(n) makes
+// over mutating operations (Create, Write, WriteAt, Sync, Remove,
+// Rename) lets a test enumerate crash points: CrashAt(n) makes
 // the n-th mutating op from now fail with ErrCrashed before taking
 // effect, crashing the filesystem.
 //
@@ -68,12 +68,10 @@ func NewCrashFS(inner FS, mode CrashMode) *CrashFS {
 	}
 }
 
-// pendingOp is one buffered mutation.  off >= 0 is a WriteAt; off < 0
-// is a Truncate to size.
+// pendingOp is one buffered write of data at off.
 type pendingOp struct {
 	off  int64
 	data []byte
-	size int64
 }
 
 // crashFile is the per-path state shared by every handle open on that
@@ -117,7 +115,7 @@ func (fs *CrashFS) crashLocked() {
 		cf := fs.lastWrite
 		for i := len(cf.pending) - 1; i >= 0; i-- {
 			op := cf.pending[i]
-			if op.off < 0 || len(op.data) == 0 {
+			if len(op.data) == 0 {
 				continue
 			}
 			switch fs.mode {
@@ -315,20 +313,6 @@ func (cf *crashFile) readAtLocked(p []byte, off int64) (int, error) {
 	// Durable base; short reads and EOF just leave zeros.
 	_, _ = cf.inner.ReadAt(buf, off)
 	for _, op := range cf.pending {
-		if op.off < 0 {
-			// Truncate: zero everything at or past the cut within our
-			// window.
-			if op.size < off+int64(n) {
-				from := op.size - off
-				if from < 0 {
-					from = 0
-				}
-				for i := from; i < int64(n); i++ {
-					buf[i] = 0
-				}
-			}
-			continue
-		}
 		lo, hi := op.off, op.off+int64(len(op.data))
 		if lo < off {
 			lo = off
@@ -396,20 +380,6 @@ func (h *crashHandle) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func (h *crashHandle) Truncate(n int64) error {
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
-	if h.cf.dead {
-		return ErrCrashed
-	}
-	if err := h.fs.step(false); err != nil {
-		return err
-	}
-	h.cf.pending = append(h.cf.pending, pendingOp{off: -1, size: n})
-	h.cf.size = n
-	return nil
-}
-
 // Sync makes this file's buffered writes durable, in order, then syncs
 // the inner file.
 func (h *crashHandle) Sync() error {
@@ -423,12 +393,6 @@ func (h *crashHandle) Sync() error {
 	}
 	cf := h.cf
 	for _, op := range cf.pending {
-		if op.off < 0 {
-			if err := cf.inner.Truncate(op.size); err != nil {
-				return err
-			}
-			continue
-		}
 		if _, err := cf.inner.WriteAt(op.data, op.off); err != nil {
 			return err
 		}

@@ -233,33 +233,6 @@ func TestCrashFSRenameKeepsHandle(t *testing.T) {
 	}
 }
 
-func TestCrashFSTruncateBuffered(t *testing.T) {
-	cfs := NewCrashFS(NewMemFS(), CrashDrop)
-	f, _ := cfs.Create("x")
-	_, _ = f.Write([]byte("0123456789"))
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Truncate(4); err != nil {
-		t.Fatal(err)
-	}
-	if sz, _ := f.Size(); sz != 4 {
-		t.Fatalf("volatile size %d", sz)
-	}
-	buf := make([]byte, 10)
-	n, err := f.ReadAt(buf, 0)
-	if err != io.EOF || n != 4 || string(buf[:4]) != "0123" {
-		t.Fatalf("read n=%d err=%v %q", n, err, buf[:n])
-	}
-	// Unsynced truncate is lost at crash.
-	cfs.Crash()
-	cfs.Recover()
-	g, _ := cfs.Open("x")
-	if sz, _ := g.Size(); sz != 10 {
-		t.Fatalf("durable size %d", sz)
-	}
-}
-
 func TestCrashFSRemoveDurable(t *testing.T) {
 	cfs := NewCrashFS(NewMemFS(), CrashDrop)
 	f, _ := cfs.Create("x")

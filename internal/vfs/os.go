@@ -44,18 +44,6 @@ func (f *osFile) Write(p []byte) (int, error) {
 	return n, err
 }
 
-func (f *osFile) Truncate(n int64) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.File.Truncate(n); err != nil {
-		return err
-	}
-	if f.end > n {
-		f.end = n
-	}
-	return nil
-}
-
 // Create implements FS.
 func (OSFS) Create(name string) (File, error) {
 	f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)

@@ -194,7 +194,7 @@ func TestMemFSRecyclesOnlyClosedUnlinkedFiles(t *testing.T) {
 		fs := NewMemFS()
 		f := writeFile(t, fs, "e", pattern(7, size))
 		const cut = memPageSize + 100
-		if err := f.Truncate(cut); err != nil {
+		if err := fs.Truncate("e", cut); err != nil {
 			t.Fatal(err)
 		}
 		if n := freeLen(fs); n != pages-2 {

@@ -50,8 +50,6 @@ type File interface {
 	Sync() error
 	// Size reports the current file length.
 	Size() (int64, error)
-	// Truncate resizes the file.
-	Truncate(int64) error
 }
 
 // FS is the filesystem interface every engine runs against.
@@ -175,8 +173,9 @@ func (f *memFile) unlink() {
 // file's name, unlinks the file, and every handle already open on it
 // still reads and writes all of its bytes.  An unlinked file's pages go
 // to the filesystem's free list once its last handle has closed (Create
-// and Open each add a handle, Close removes it once), and Truncate hands
-// over the pages it drops; writes take pages from the list, cleared,
+// and Open each add a handle, Close removes it once), and Truncate (a
+// MemFS method, not a File one: tests use it to fake a torn write) hands
+// over the pages it cuts off; writes take pages from the list, cleared,
 // before they allocate.  A handle never closed keeps its file's pages
 // for good.  The list never holds more than this filesystem's own peak.
 type MemFS struct {
@@ -321,6 +320,31 @@ func (fs *MemFS) Exists(name string) bool {
 	return ok
 }
 
+// Truncate resizes the named file to n bytes in place, as a torn write
+// leaves a file: every handle already open on it sees the new size.
+// Pages wholly past a cut go to the free list and the rest of the last
+// page is zeroed, so regrowth reads zeros.  It is not part of FS: tests
+// call it to fake damage under a store that holds the file open.
+func (fs *MemFS) Truncate(name string, n int64) error {
+	name = clean(name)
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	f, ok := fs.files[name]
+	if !ok {
+		return &os.PathError{Op: "truncate", Path: name, Err: ErrNotFound}
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if n < f.size {
+		fs.freePages(f.pages, (n+memPageSize-1)/memPageSize)
+		if pg := f.pages[n/memPageSize]; pg != nil {
+			clear(pg[n%memPageSize:])
+		}
+	}
+	f.size = n
+	return nil
+}
+
 // AllocatedBytes reports the bytes actually materialized (holes are
 // free), mirroring what a hole-punching filesystem would charge.  It
 // counts the pages of named files only: neither an unlinked file still
@@ -416,24 +440,6 @@ func (h *memHandle) Size() (int64, error) {
 		return 0, errHandleClosed
 	}
 	return h.f.size, nil
-}
-
-func (h *memHandle) Truncate(n int64) error {
-	h.f.mu.Lock()
-	defer h.f.mu.Unlock()
-	if h.closed.Load() {
-		return errHandleClosed
-	}
-	if n < h.f.size {
-		// Free pages entirely past the new end and zero the partial
-		// tail page so regrowth reads zeros.
-		h.f.fs.freePages(h.f.pages, (n+memPageSize-1)/memPageSize)
-		if pg := h.f.pages[n/memPageSize]; pg != nil {
-			clear(pg[n%memPageSize:])
-		}
-	}
-	h.f.size = n
-	return nil
 }
 
 // ---------------------------------------------------------------------

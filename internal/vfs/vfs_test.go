@@ -97,7 +97,6 @@ func TestClosedHandleRefusesUse(t *testing.T) {
 		{"Write", func(f File) error { _, err := f.Write([]byte("x")); return err }},
 		{"Sync", func(f File) error { return f.Sync() }},
 		{"Size", func(f File) error { _, err := f.Size(); return err }},
-		{"Truncate", func(f File) error { return f.Truncate(0) }},
 	}
 	for _, dev := range []struct {
 		name string
@@ -167,23 +166,28 @@ func TestMemFSWriteAtGrows(t *testing.T) {
 	}
 }
 
+// TestMemFSTruncate cuts a file by name under a handle held open on it:
+// the handle sees the cut, and regrowth past it reads zeros.
 func TestMemFSTruncate(t *testing.T) {
 	fs := NewMemFS()
 	f, _ := fs.Create("x")
 	f.Write([]byte("0123456789"))
-	if err := f.Truncate(4); err != nil {
+	if err := fs.Truncate("x", 4); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := f.Size(); n != 4 {
 		t.Fatalf("size %d", n)
 	}
-	if err := f.Truncate(8); err != nil {
+	if err := fs.Truncate("x", 8); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 8)
 	f.ReadAt(buf, 0)
 	if string(buf[:4]) != "0123" || !bytes.Equal(buf[4:], make([]byte, 4)) {
 		t.Errorf("truncate grow: %q", buf)
+	}
+	if err := fs.Truncate("missing", 0); !errors.Is(err, ErrNotFound) {
+		t.Errorf("truncate of a missing file: %v", err)
 	}
 }
 

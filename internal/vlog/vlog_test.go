@@ -171,30 +171,25 @@ func TestReopenContinuesAppends(t *testing.T) {
 func TestOpenReportsTornTail(t *testing.T) {
 	for _, c := range []struct {
 		name   string
-		damage func(t *testing.T, fs vfs.FS, name string, p Pointer)
+		damage func(t *testing.T, fs *vfs.MemFS, name string, p Pointer)
 		// suspect is the unparseable tail the damage leaves behind.
 		suspect func(p Pointer) (n, off int64)
 	}{
 		// Tear the last record mid-way, as a crash between append and
 		// sync could leave it.
-		{"torn tail", func(t *testing.T, fs vfs.FS, name string, p Pointer) {
-			f, err := fs.Open(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			if err := f.Truncate(p.Offset + int64(p.Len)/2); err != nil {
+		{"torn tail", func(t *testing.T, fs *vfs.MemFS, name string, p Pointer) {
+			if err := fs.Truncate(name, p.Offset+int64(p.Len)/2); err != nil {
 				t.Fatal(err)
 			}
 		}, func(p Pointer) (int64, int64) { return int64(p.Len) / 2, p.Offset }},
-		{"flipped byte in the last record", func(t *testing.T, fs vfs.FS, name string, p Pointer) {
+		{"flipped byte in the last record", func(t *testing.T, fs *vfs.MemFS, name string, p Pointer) {
 			if _, _, _, err := vfs.CorruptByte(fs, name, p.Offset+int64(p.Len)-1, vfs.RotFlip); err != nil {
 				t.Fatal(err)
 			}
 		}, func(p Pointer) (int64, int64) { return int64(p.Len), p.Offset }},
 		// A full-size header with the wrong magic: every byte is suspect
 		// and appends move to a fresh head after it.
-		{"bad magic", func(t *testing.T, fs vfs.FS, name string, p Pointer) {
+		{"bad magic", func(t *testing.T, fs *vfs.MemFS, name string, p Pointer) {
 			if _, _, _, err := vfs.CorruptByte(fs, name, 0, vfs.RotFlip); err != nil {
 				t.Fatal(err)
 			}

@@ -15,7 +15,7 @@ import (
 	"iamdb/internal/vfs"
 )
 
-func newLog(t *testing.T) (vfs.FS, vfs.File) {
+func newLog(t *testing.T) (*vfs.MemFS, vfs.File) {
 	t.Helper()
 	fs := vfs.NewMemFS()
 	f, err := fs.Create("test.log")
@@ -104,8 +104,8 @@ func TestTornTailDiscarded(t *testing.T) {
 	f.Close()
 
 	// Tear the last record by truncating mid-payload.
+	fs.Truncate("test.log", size-1000)
 	g := reopen(t, fs)
-	g.Truncate(size - 1000)
 
 	var got [][]byte
 	dropped, err := Replay(g, "test.log", func(rec []byte) error {

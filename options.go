@@ -223,13 +223,6 @@ type Options struct {
 	// Put/Get.
 	Trace *TraceRecorder
 
-	// DebugAddr, when non-empty, starts the live introspection server
-	// on that address (e.g. "127.0.0.1:6060"): /metrics, /timeline,
-	// /traces, /levels and /debug/pprof, with a one-second timeline
-	// sampler behind /timeline (DB.NewSampler replaces it).  The
-	// listener closes on DB.Close.
-	DebugAddr string
-
 	// InlineBackground starts no background worker: the writer whose
 	// commit rotated the memtable runs the ready steps itself — flush
 	// and compaction under the commit lock, then value-log GC — before

@@ -467,11 +467,7 @@ func TestGetSurvivesValueLogGC(t *testing.T) {
 					}
 					return
 				}
-				f, err := mem.Open(seg1)
-				if err == nil {
-					err = f.Truncate(int64(vlog.HeaderSize))
-				}
-				if err != nil {
+				if err := mem.Truncate(seg1, int64(vlog.HeaderSize)); err != nil {
 					t.Errorf("truncate: %v", err)
 				}
 			}

@@ -118,8 +118,10 @@ stage "observability gates"
 # Tracing/timeline units, byte-identical golden determinism, the pinned
 # stream of structural steps (events, spans, counters), the disabled-path
 # allocation gate, the commit path's pinned allocation count, and the
-# debug-handler endpoints.
-go test -run 'TestGoldenDeterminism|TestStepStreamPinned|TestTraceSpansPresent|TestDebugHandlers|TestDebugTracesDisabled|TestDebugServerLive|TestObservabilityHotPathZeroAlloc|TestCommitPathAllocs' -count=1 .
+# debug-handler endpoints; then the CLI that serves them, built and run
+# over a real directory on an ephemeral port until interrupted.
+go test -run 'TestGoldenDeterminism|TestStepStreamPinned|TestTraceSpansPresent|TestDebugHandlers|TestDebugTracesDisabled|TestObservabilityHotPathZeroAlloc|TestCommitPathAllocs' -count=1 .
+go test -count=1 ./cmd/iamdb
 go test -count=1 ./internal/trace/ ./internal/metrics/
 
 stage "key-value separation gates"
@@ -218,7 +220,7 @@ go test -run '^$' -fuzz FuzzVLogDecode -fuzztime 5s ./internal/vlog/
 stage "go test -race"
 # Everything under the detector except the seventeen golden experiments of
 # internal/harness: each is one goroutine by construction (InlineBackground,
-# no sampler, no debug server), so the detector has nothing to observe in
+# no sampler), so the detector has nothing to observe in
 # them and used to spend ~65 minutes not observing it.  -short skips
 # exactly those two tests (TestAllExperimentsEndToEnd,
 # TestExperimentRepeatsExactly); the rest of the package, its small hash

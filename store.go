@@ -1,10 +1,8 @@
 package iamdb
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"runtime/pprof"
 	"slices"
 	"strconv"
 	"strings"
@@ -507,10 +505,6 @@ func (st *store) commitGroup(group []*commitOp) (rotated bool) {
 	}
 	st.mu.Unlock()
 
-	if ctx := st.db.labelCommit; ctx != nil {
-		pprof.SetGoroutineLabels(ctx)
-		defer pprof.SetGoroutineLabels(context.Background())
-	}
 	sp := st.tr.Begin("commit.group")
 	sp.SetCount(int64(len(group)))
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -270,50 +269,6 @@ func TestDebugTracesDisabled(t *testing.T) {
 	if rec.Code != 200 || strings.TrimSpace(rec.Body.String()) != "[]" {
 		t.Errorf("/timeline without sampler: code %d body %q", rec.Code, rec.Body.String())
 	}
-}
-
-// TestDebugServerLive starts the real listener via Options.DebugAddr on
-// an ephemeral port, fetches over HTTP, and checks Close tears the
-// server down.
-func TestDebugServerLive(t *testing.T) {
-	opts := smallOpts(IAM, vfs.NewMemFS())
-	opts.Trace = NewTraceRecorder(0, nil)
-	opts.DebugAddr = "127.0.0.1:0"
-	db, err := Open("db", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := db.DebugAddr()
-	if addr == "" {
-		t.Fatal("DebugAddr empty with DebugAddr option set")
-	}
-	if err := db.Put([]byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 200 || !strings.Contains(string(body), "Level |") {
-		t.Errorf("live /metrics: code %d body %q", resp.StatusCode, body)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
-		t.Error("debug server still serving after Close")
-	}
-	// A second DB must be able to rebind an ephemeral port immediately.
-	db2, err := Open("db2", &Options{FS: vfs.NewMemFS(), DebugAddr: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db2.DebugAddr() == "" {
-		t.Error("second debug server did not start")
-	}
-	db2.Close()
 }
 
 // TestObservabilityHotPathZeroAlloc is the disabled-path gate of the
