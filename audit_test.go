@@ -241,3 +241,34 @@ func TestEngineContractIsPolicy(t *testing.T) {
 		}
 	}
 }
+
+// TestOnlySchedulerStartsGoroutines keeps the DB's goroutines to its
+// scheduler's workers: the root package's non-test files hold exactly one
+// go statement, sched.start's, so everything else runs on a caller's
+// goroutine and Close has nothing else to join.
+func TestOnlySchedulerStartsGoroutines(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("%d files, %v: the test must run in the module root", len(files), err)
+	}
+	fset := token.NewFileSet()
+	var sites []string
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				sites = append(sites, fset.Position(g.Pos()).String())
+			}
+			return true
+		})
+	}
+	if len(sites) != 1 || !strings.HasPrefix(sites[0], "sched.go:") {
+		t.Errorf("go statements in the root package: %q; want exactly one, in sched.go", sites)
+	}
+}

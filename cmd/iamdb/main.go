@@ -22,12 +22,14 @@
 //	                         findings on corruption
 //	debug [load-n]           serve live introspection on -addr until
 //	                         interrupted: /metrics, /timeline, /traces,
-//	                         /levels, /debug/pprof; the optional
-//	                         argument keeps a background load running
-//	                         so there is something to watch
+//	                         /levels, /scrub (POST runs a pass and
+//	                         answers with its report), /debug/pprof;
+//	                         the optional argument keeps a background
+//	                         load running so there is something to watch
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -203,8 +205,8 @@ func main() {
 		if err != nil {
 			fatalf("debug: %v", err)
 		}
-		srv := &http.Server{Handler: db.DebugHandler()}
 		sampler := db.NewSampler(time.Second, 0)
+		srv := &http.Server{Handler: db.DebugHandler(sampler)}
 		fmt.Printf("debug server on http://%s/ (ctrl-c to stop)\n", ln.Addr())
 		var wg sync.WaitGroup
 		quit := make(chan struct{})
@@ -262,7 +264,9 @@ func main() {
 		}
 		<-stop
 		close(quit)
-		_ = srv.Close()
+		// Shutdown lets an in-flight request (a /scrub pass) finish
+		// before the deferred db.Close.
+		_ = srv.Shutdown(context.Background())
 		wg.Wait()
 		fmt.Println("stopping")
 	default:

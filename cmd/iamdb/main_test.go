@@ -15,8 +15,8 @@ import (
 
 // TestDebugServesUntilInterrupted builds the CLI, runs `debug` on an
 // ephemeral port over a real directory, fetches two endpoints over
-// HTTP, and interrupts it: the command must shut its server down, print
-// "stopping" and exit 0.
+// HTTP, runs a scrub pass through POST /scrub, and interrupts it: the
+// command must shut its server down, print "stopping" and exit 0.
 func TestDebugServesUntilInterrupted(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {
@@ -63,25 +63,34 @@ func TestDebugServesUntilInterrupted(t *testing.T) {
 	}
 
 	client := &http.Client{Timeout: 10 * time.Second}
-	get := func(path string) string {
+	do := func(method, path string) string {
 		t.Helper()
-		resp, err := client.Get("http://" + addr + path)
+		req, err := http.NewRequest(method, "http://"+addr+path, nil)
 		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", method, path, err)
 		}
 		defer resp.Body.Close()
 		body, err := io.ReadAll(resp.Body)
 		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: code %d, %v", path, resp.StatusCode, err)
+			t.Fatalf("%s %s: code %d, %v", method, path, resp.StatusCode, err)
 		}
 		return string(body)
 	}
-	if body := get("/metrics"); !strings.Contains(body, "Level |") {
+	if body := do("GET", "/metrics"); !strings.Contains(body, "Level |") {
 		t.Errorf("/metrics: %q", body)
 	}
 	var points []json.RawMessage
-	if body := get("/timeline"); json.Unmarshal([]byte(body), &points) != nil {
+	if body := do("GET", "/timeline"); json.Unmarshal([]byte(body), &points) != nil {
 		t.Errorf("/timeline is not a JSON array: %q", body)
+	}
+	var scrub struct{ Summary, Err string }
+	body := do("POST", "/scrub")
+	if err := json.Unmarshal([]byte(body), &scrub); err != nil || scrub.Summary == "" || scrub.Err != "" {
+		t.Fatalf("POST /scrub: %q (%v), want a report with no error", body, err)
 	}
 
 	if err := cmd.Process.Signal(os.Interrupt); err != nil {

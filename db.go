@@ -25,7 +25,6 @@ import (
 
 	"iamdb/internal/histogram"
 	"iamdb/internal/kv"
-	"iamdb/internal/metrics"
 	"iamdb/internal/shard"
 	"iamdb/internal/trace"
 	"iamdb/internal/vfs"
@@ -70,7 +69,7 @@ func (e *BackgroundError) Unwrap() error { return e.Err }
 // in the database directory itself.  What is global lives here, once:
 // the sequencer whose watermark is every reader's view, the snapshot
 // registry that bounds what merges may drop, the operation latency
-// histograms, the sampler and the debug server.
+// histograms and the trace recorder.
 type DB struct {
 	opt    Options
 	fs     vfs.FS
@@ -106,27 +105,13 @@ type DB struct {
 	snaps  map[kv.Seq]int
 	iters  atomic.Int64
 
-	// Introspection (see debug.go): tr records structural spans (nil =
-	// disabled, zero-cost), samplerA holds the active timeline sampler.
-	tr       *trace.Recorder
-	samplerA atomic.Pointer[metrics.Sampler]
+	// tr records structural spans (nil = disabled, zero-cost).
+	tr *trace.Recorder
 
-	// mu orders Close against goroutine spawns (closedA flips under it)
-	// and guards the scrub pass state (see scrub.go).  It is a leaf
-	// lock: nothing else is acquired while it is held.
-	mu      sync.Mutex
+	// closedA flips once, in Close, which then closes quit to wake any
+	// store backing off a background failure.
 	closedA atomic.Bool
-	scrub   struct {
-		running bool
-		last    *ScrubReport
-		lastErr error
-		tables  atomic.Int64
-		blocks  atomic.Int64
-		bytes   atomic.Int64
-	}
-
-	quit chan struct{}
-	wg   sync.WaitGroup
+	quit    chan struct{}
 }
 
 // Open opens (creating as needed) a database in dir.  A nil opt uses
@@ -533,14 +518,10 @@ func (db *DB) getRaw(key []byte) ([]byte, kv.Kind, error) {
 // Close flushes nothing (recovery replays the WAL), stops background
 // work and releases resources.
 func (db *DB) Close() error {
-	db.mu.Lock()
-	wasClosed := db.closedA.Swap(true)
-	db.mu.Unlock()
-	if wasClosed {
+	if db.closedA.Swap(true) {
 		return ErrClosed
 	}
 	close(db.quit)
-	db.wg.Wait()
 	var err error
 	for _, st := range db.stores {
 		err = errors.Join(err, st.close())

@@ -100,12 +100,6 @@ func TestStickyFaultDegradesToReadOnlyThenAutoHeals(t *testing.T) {
 		t.Fatalf("read after heal: %q, %v", v, gerr)
 	}
 
-	if db.stores[0].bgRetries.Load() == 0 {
-		t.Error("bg.retries counter never incremented")
-	}
-	if db.stores[0].bgReadonly.Load() == 0 {
-		t.Error("bg.readonly counter never incremented")
-	}
 	if bgEvents.Load() == 0 || roEnter.Load() == 0 || roExit.Load() == 0 {
 		t.Errorf("events: background=%d enter=%d exit=%d, want all > 0",
 			bgEvents.Load(), roEnter.Load(), roExit.Load())

@@ -12,22 +12,29 @@ import (
 
 // DebugHandler returns the introspection handler.  The DB serves
 // nothing itself: the caller mounts the handler on a server of its own
-// (cmd/iamdb debug does; tests use httptest).
+// (cmd/iamdb debug does; tests use httptest).  s is the sampler
+// /timeline reads (from NewSampler; nil serves an empty timeline).
 //
 //	/metrics   — Metrics report (text; ?format=json for the struct)
-//	/timeline  — windowed time-series points (JSON array; empty until
-//	             the caller attaches a sampler with NewSampler)
+//	/timeline  — s's windowed time-series points (JSON array)
 //	/traces    — recorded spans (JSON Lines; ?format=chrome for a
 //	             chrome://tracing / Perfetto trace-event file)
 //	/levels    — per-level tree view (text)
-//	/scrub     — scrub progress (POST or ?start=1 begins a pass)
+//	/scrub     — POST runs a Scrub pass and answers with its report
 //	/debug/pprof/* — standard pprof handlers, with iamdb goroutine
 //	             labels on background workers and scrub passes
-func (db *DB) DebugHandler() http.Handler {
+func (db *DB) DebugHandler(s *Sampler) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", db.handleDebugIndex)
 	mux.HandleFunc("/metrics", db.handleDebugMetrics)
-	mux.HandleFunc("/timeline", db.handleDebugTimeline)
+	mux.HandleFunc("/timeline", func(w http.ResponseWriter, r *http.Request) {
+		s.Poll()
+		pts := s.Points()
+		if pts == nil {
+			pts = []TimelinePoint{}
+		}
+		writeDebugJSON(w, pts)
+	})
 	mux.HandleFunc("/traces", db.handleDebugTraces)
 	mux.HandleFunc("/levels", db.handleDebugLevels)
 	mux.HandleFunc("/scrub", db.handleDebugScrub)
@@ -50,7 +57,7 @@ func (db *DB) handleDebugIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "/timeline       windowed time-series (JSON)")
 	fmt.Fprintln(w, "/traces         spans as JSON Lines (?format=chrome)")
 	fmt.Fprintln(w, "/levels         per-level tree view")
-	fmt.Fprintln(w, "/scrub          scrub progress (POST or ?start=1 to begin a pass)")
+	fmt.Fprintln(w, "/scrub          POST: run a scrub pass, answer with its report")
 	fmt.Fprintln(w, "/debug/pprof/   pprof index")
 }
 
@@ -62,14 +69,6 @@ func (db *DB) handleDebugMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprint(w, m.String())
-}
-
-func (db *DB) handleDebugTimeline(w http.ResponseWriter, r *http.Request) {
-	pts := db.Timeline()
-	if pts == nil {
-		pts = []TimelinePoint{}
-	}
-	writeDebugJSON(w, pts)
 }
 
 func (db *DB) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
@@ -147,41 +146,30 @@ func (db *DB) writeDebugLevels(w io.Writer, i int) {
 	}
 }
 
-// handleDebugScrub reports scrub progress; POST (or ?start=1) kicks
-// off an asynchronous pass when none is running.
+// handleDebugScrub runs one Scrub pass on the request's goroutine,
+// labelled for profiles, and answers with the report's summary, each
+// finding and the pass's error.  Any other method is a 405.
 func (db *DB) handleDebugScrub(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodPost || r.URL.Query().Get("start") == "1" {
-		// The Add-under-mu ordering makes the spawn race-free against
-		// Close's wg.Wait: Close flips closed under the same mutex
-		// before it waits, so either we see closed (and skip) or our
-		// Add happens before the Wait.
-		db.mu.Lock()
-		if !db.closedA.Load() {
-			db.wg.Add(1)
-			go func() {
-				defer db.wg.Done()
-				pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-					pprof.Labels("iamdb", "scrub")))
-				_, _ = db.Scrub() // ErrScrubRunning when one is in flight
-			}()
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		http.Error(w, "/scrub runs a pass: use POST", http.StatusMethodNotAllowed)
+		return
+	}
+	var out struct {
+		Summary  string
+		Findings []string `json:",omitempty"`
+		Err      string   `json:",omitempty"`
+	}
+	pprof.Do(r.Context(), pprof.Labels("iamdb", "scrub"), func(context.Context) {
+		rep, err := db.Scrub()
+		out.Summary = rep.String()
+		for _, c := range rep.Corruptions {
+			out.Findings = append(out.Findings, c.Error())
 		}
-		db.mu.Unlock()
-	}
-	p := db.ScrubProgress()
-	out := struct {
-		Running        bool
-		Tables, Blocks int64
-		Bytes          int64
-		Last           *ScrubReport `json:",omitempty"`
-		LastSummary    string       `json:",omitempty"`
-		LastErr        string       `json:",omitempty"`
-	}{Running: p.Running, Tables: p.Tables, Blocks: p.Blocks, Bytes: p.Bytes, Last: p.Last}
-	if p.Last != nil {
-		out.LastSummary = p.Last.String()
-	}
-	if p.LastErr != nil {
-		out.LastErr = p.LastErr.Error()
-	}
+		if err != nil {
+			out.Err = err.Error()
+		}
+	})
 	writeDebugJSON(w, out)
 }
 

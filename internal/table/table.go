@@ -694,7 +694,7 @@ func (st VerifyStats) String() string {
 // key, and per-sequence entry counts — of the sequences the file
 // describes, not the copy in memory.  onBlock, when non-nil, runs
 // after each verified data block with its on-disk size, for progress
-// counting and rate limiting.  The first failure is returned as a
+// counting; nothing paces the pass.  The first failure is returned as a
 // *corrupt.Error.
 //
 // The file must still reopen at the generation this handle holds or a

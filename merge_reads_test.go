@@ -396,17 +396,20 @@ func TestScansBesideFlushCascades(t *testing.T) {
 			}()
 			// Scrub passes beside the same flushes: an append it overlaps
 			// is writing the standby footer slot of a table the pass is
-			// reading, which must not read as a finding.
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for !done.Load() {
-					if rep, err := db.Scrub(); err != nil {
-						t.Errorf("scrub beside flushes: %v (%s)", err, rep.String())
-						return
+			// reading, which must not read as a finding.  Two loops:
+			// nothing keeps passes from overlapping each other either.
+			for range 2 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for !done.Load() {
+						if rep, err := db.Scrub(); err != nil {
+							t.Errorf("scrub beside flushes: %v (%s)", err, rep.String())
+							return
+						}
 					}
-				}
-			}()
+				}()
+			}
 			for i := 0; i < inserts; i++ {
 				issued.Store(int64(i + 1))
 				write(keyOf(preload+i), scanValue(keyOf(preload+i)))

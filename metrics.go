@@ -263,30 +263,17 @@ func (db *DB) SampleCumulative() metrics.Cumulative {
 	return c
 }
 
-// NewSampler attaches a timeline sampler: the DB's cumulative counters
+// NewSampler returns a timeline sampler over the DB's cumulative counters
 // (ops/sec, stall fraction, per-level write/read bytes, cache hit rate,
 // commit group size, put latency) snapshotted at every window edge and
 // kept in a bounded ring that drops every other edge — doubling the
 // window — when full; a window is the difference of its two edges.
 // window ≤ 0 means one second; capacity ≤ 0 means 128 points.  The
 // sampler is pull-based: call Poll from the workload loop (one atomic
-// load when no window boundary passed) or Timeline, which polls first.
-// A later call replaces the sampler Timeline reads.
+// load when no window boundary passed), then Points for the closed
+// windows, oldest first; DebugHandler serves them as /timeline.
 func (db *DB) NewSampler(window time.Duration, capacity int) *Sampler {
-	s := metrics.NewSampler(db.clock, window, capacity, db.SampleCumulative)
-	db.samplerA.Store(s)
-	return s
-}
-
-// Timeline polls the attached sampler and returns its closed windows,
-// oldest first; nil when no sampler is attached (see NewSampler).
-func (db *DB) Timeline() []TimelinePoint {
-	s := db.samplerA.Load()
-	if s == nil {
-		return nil
-	}
-	s.Poll()
-	return s.Points()
+	return metrics.NewSampler(db.clock, window, capacity, db.SampleCumulative)
 }
 
 // Trace returns the recorder passed in Options.Trace, or nil when

@@ -143,11 +143,11 @@ func (b *bgErrorOps) saw(op string) bool {
 }
 
 // TestStalledWriterNotesCompactionError: a writer in a hard stall runs
-// compaction steps itself, and one that fails must be counted and
-// reported like any background fault, not dropped.  Thirteen L0 tables
-// are stacked with compaction out of reach (a trigger of 100), then the
-// store reopens with the default trigger of 4 — a hard stall at 12 —
-// inline, so no step runs before the first Put, and table writes fail.
+// compaction steps itself, and one that fails must be reported like any
+// background fault, not dropped.  Thirteen L0 tables are stacked with
+// compaction out of reach (a trigger of 100), then the store reopens
+// with the default trigger of 4 — a hard stall at 12 — inline, so no
+// step runs before the first Put, and table writes fail.
 func TestStalledWriterNotesCompactionError(t *testing.T) {
 	ffs := vfs.NewFaultFS(vfs.NewMemFS())
 	o := smallOpts(LevelDB, ffs)
@@ -188,15 +188,12 @@ func TestStalledWriterNotesCompactionError(t *testing.T) {
 	if !seen.saw("compact") {
 		t.Fatal("the stalled writer's failed compaction fired no BackgroundError")
 	}
-	if db.stores[0].bgRetries.Load() == 0 {
-		t.Fatal("the stalled writer's failed compaction was not counted")
-	}
 }
 
 // TestFailedCollectionIsNoted: a collection that cannot append its
 // rewrites (the value log's device fails) is a fault of the GC step —
-// counted and reported — and the next collection after the fault clears
-// heals the store.
+// reported as one — and the next collection after the fault clears heals
+// the store.
 func TestFailedCollectionIsNoted(t *testing.T) {
 	ffs := vfs.NewFaultFS(vfs.NewMemFS())
 	var seen bgErrorOps
@@ -231,8 +228,8 @@ func TestFailedCollectionIsNoted(t *testing.T) {
 	ffs.SetSticky(true)
 	ffs.FailAfterPath(vfs.FaultWrite, vlog.SegmentSuffix, 0)
 	collectAll(st)
-	if !seen.saw("gc") || st.bgRetries.Load() == 0 {
-		t.Fatalf("failed collection: event %v, bg.retries %d", seen.saw("gc"), st.bgRetries.Load())
+	if !seen.saw("gc") {
+		t.Fatal("failed collection fired no BackgroundError")
 	}
 	st.mu.Lock()
 	bgErr := st.bgErr

@@ -117,10 +117,12 @@ go test -race -run TestShardedCrossShardHammer -count=10 .
 stage "observability gates"
 # Tracing/timeline units, byte-identical golden determinism, the pinned
 # stream of structural steps (events, spans, counters), the disabled-path
-# allocation gate, the commit path's pinned allocation count, and the
-# debug-handler endpoints; then the CLI that serves them, built and run
-# over a real directory on an ephemeral port until interrupted.
-go test -run 'TestGoldenDeterminism|TestStepStreamPinned|TestTraceSpansPresent|TestDebugHandlers|TestDebugTracesDisabled|TestObservabilityHotPathZeroAlloc|TestCommitPathAllocs' -count=1 .
+# allocation gate, the commit path's pinned allocation count, the
+# debug-handler endpoints (POST /scrub on a damaged store included), and
+# the audit that the scheduler's workers are the DB's only goroutines;
+# then the CLI that serves them, built and run over a real directory on
+# an ephemeral port until interrupted.
+go test -run 'TestGoldenDeterminism|TestStepStreamPinned|TestTraceSpansPresent|TestDebugHandlers|TestDebugTracesDisabled|TestScrubEndpointRunsPass|TestOnlySchedulerStartsGoroutines|TestObservabilityHotPathZeroAlloc|TestCommitPathAllocs' -count=1 .
 go test -count=1 ./cmd/iamdb
 go test -count=1 ./internal/trace/ ./internal/metrics/
 

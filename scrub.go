@@ -10,10 +10,6 @@ import (
 	"iamdb/internal/wal"
 )
 
-// ErrScrubRunning reports that a Scrub pass is already in flight; only
-// one runs at a time.
-var ErrScrubRunning = errors.New("iamdb: scrub already running")
-
 // ScrubReport summarises one full verification pass over the store's
 // durable state.
 type ScrubReport struct {
@@ -63,36 +59,6 @@ func (r *ScrubReport) String() string {
 		len(r.Corruptions), r.Quarantined)
 }
 
-// ScrubProgress is a point-in-time view of the current or most recent
-// Scrub pass, for the /scrub debug endpoint and operator polling.
-type ScrubProgress struct {
-	// Running reports whether a pass is in flight right now.
-	Running bool
-	// Tables, Blocks and Bytes count what the in-flight (or last)
-	// pass has covered so far.
-	Tables int64
-	Blocks int64
-	Bytes  int64
-	// Last is the most recent completed report (nil before the first
-	// pass finishes); LastErr is that pass's error result.
-	Last    *ScrubReport
-	LastErr error
-}
-
-// ScrubProgress returns the current scrub progress counters.
-func (db *DB) ScrubProgress() ScrubProgress {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return ScrubProgress{
-		Running: db.scrub.running,
-		Tables:  db.scrub.tables.Load(),
-		Blocks:  db.scrub.blocks.Load(),
-		Bytes:   db.scrub.bytes.Load(),
-		Last:    db.scrub.last,
-		LastErr: db.scrub.lastErr,
-	}
-}
-
 // Scrub verifies every durable byte the database depends on: each table
 // file's footer, metadata, index structure, data-block CRCs (read from
 // disk, bypassing the cache), record ordering, Bloom membership and
@@ -106,23 +72,15 @@ func (db *DB) ScrubProgress() ScrubProgress {
 // compaction never rewrites the damaged data.  The pass covers one
 // store at a time, continues past failures and lists everything it
 // found in the report; err is the first corruption (or I/O failure) so
-// callers can simply check err != nil.  Only one Scrub runs at a time.
+// callers can simply check err != nil.  The report is the only record
+// of the pass; Metrics.ScrubBlocks counts verified blocks as it goes.
+// Passes may overlap: each reads only, apart from its idempotent
+// quarantine marks and counters.
 func (db *DB) Scrub() (ScrubReport, error) {
 	var rep ScrubReport
 	if db.closedA.Load() {
 		return rep, ErrClosed
 	}
-	db.mu.Lock()
-	if db.scrub.running {
-		db.mu.Unlock()
-		return rep, ErrScrubRunning
-	}
-	db.scrub.running = true
-	db.mu.Unlock()
-	db.scrub.tables.Store(0)
-	db.scrub.blocks.Store(0)
-	db.scrub.bytes.Store(0)
-
 	var err error
 	for _, st := range db.stores {
 		serr := st.scrubPass(&rep)
@@ -133,12 +91,6 @@ func (db *DB) Scrub() (ScrubReport, error) {
 			break
 		}
 	}
-
-	db.mu.Lock()
-	db.scrub.running = false
-	db.scrub.last = &rep
-	db.scrub.lastErr = err
-	db.mu.Unlock()
 	return rep, err
 }
 
@@ -154,7 +106,6 @@ func (st *store) scrubPass(rep *ScrubReport) error {
 		}
 		st.noteCorruption(err)
 	}
-	progress := &st.db.scrub
 
 	// Tables: the set hands us a referenced snapshot of every live
 	// table; Verify re-reads each from disk without touching the cache.
@@ -162,13 +113,8 @@ func (st *store) scrubPass(rep *ScrubReport) error {
 		if st.db.closedA.Load() {
 			return ErrClosed
 		}
-		vst, verr := t.Verify(func(n int64) {
-			st.scrubBlocks.Add(1)
-			progress.blocks.Add(1)
-			progress.bytes.Add(n)
-		})
+		vst, verr := t.Verify(func(int64) { st.scrubBlocks.Add(1) })
 		rep.Tables++
-		progress.tables.Add(1)
 		rep.Seqs += vst.Seqs
 		rep.Blocks += vst.Blocks
 		rep.Bytes += vst.Bytes
@@ -203,9 +149,8 @@ func (st *store) scrubPass(rep *ScrubReport) error {
 			return err
 		}
 		records := int64(0)
-		dropped, rerr := wal.Replay(f, path, func(rec []byte) error {
+		dropped, rerr := wal.Replay(f, path, func([]byte) error {
 			records++
-			progress.bytes.Add(int64(len(rec)))
 			return nil
 		})
 		_ = f.Close()
@@ -234,9 +179,8 @@ func (st *store) scrubPass(rep *ScrubReport) error {
 			if st.db.closedA.Load() {
 				return ErrClosed
 			}
-			sc, serr := vlog.ScanFile(st.fs, vs.segmentPath(seg), func(key, val []byte, off int64, n int) error {
+			sc, serr := vlog.ScanFile(st.fs, vs.segmentPath(seg), func([]byte, []byte, int64, int) error {
 				rep.VLogRecords++
-				progress.bytes.Add(int64(n))
 				return nil
 			})
 			if errors.Is(serr, vfs.ErrNotFound) {

@@ -4,17 +4,17 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"iamdb/internal/vfs"
 )
 
 // Scrub contract: a clean store verifies end to end with no findings; a
 // store with a rotted table block is detected, reported, counted and
-// quarantined without stopping the pass; progress and the debug
+// quarantined without stopping the pass; Metrics and the debug
 // endpoints reflect both.
 
 // buildScrubDB loads and flushes a store.  inline runs its background
@@ -57,10 +57,6 @@ func TestScrubCleanStore(t *testing.T) {
 			if len(rep.Corruptions) != 0 || rep.Quarantined != 0 {
 				t.Fatalf("clean store reported findings: %s", rep.String())
 			}
-			p := db.ScrubProgress()
-			if p.Running || p.Last == nil || p.Last.Tables != rep.Tables {
-				t.Fatalf("progress after pass: %+v", p)
-			}
 			if m := db.Metrics(); m.ScrubBlocks != rep.Blocks {
 				t.Fatalf("ScrubBlocks %d != report blocks %d", m.ScrubBlocks, rep.Blocks)
 			}
@@ -96,27 +92,7 @@ func TestScrubDetectsAndQuarantines(t *testing.T) {
 func scrubFindsDamage(t *testing.T, e EngineKind, offsets func(size int64, gen uint64) []int64) {
 	db, fs := buildScrubDB(t, e, true)
 	defer db.Close()
-
-	names, err := fs.List("db")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var victim string
-	for _, n := range names {
-		if strings.HasSuffix(n, ".mst") {
-			victim = "db/" + n
-			break
-		}
-	}
-	if victim == "" {
-		t.Fatal("no table file after flush")
-	}
-	size, gen := footerGeneration(t, fs, victim)
-	for _, off := range offsets(size, gen) {
-		if _, _, _, err := vfs.CorruptByte(fs, victim, off, vfs.RotFlip); err != nil {
-			t.Fatal(err)
-		}
-	}
+	victim := damageTable(t, fs, offsets)
 
 	rep, err := db.Scrub()
 	if err == nil {
@@ -163,25 +139,38 @@ func scrubFindsDamage(t *testing.T, e EngineKind, offsets func(size int64, gen u
 		t.Fatal("no key readable after quarantine")
 	}
 
-	// Debug endpoints reflect the pass.
-	h := db.DebugHandler()
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/scrub", nil))
-	var out struct {
-		Running     bool
-		LastSummary string
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-		t.Fatalf("/scrub JSON: %v", err)
-	}
-	if out.Running || !strings.Contains(out.LastSummary, "corruption") {
-		t.Fatalf("/scrub = %+v", out)
-	}
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/levels", nil))
+	db.DebugHandler(nil).ServeHTTP(rec, httptest.NewRequest("GET", "/levels", nil))
 	if !strings.Contains(rec.Body.String(), "quarantined") {
 		t.Fatalf("/levels does not show quarantine:\n%s", rec.Body.String())
 	}
+}
+
+// damageTable flips the bytes offsets picks in the first table file of
+// the store in fs's "db" directory and returns that file's path.
+func damageTable(t *testing.T, fs vfs.FS, offsets func(size int64, gen uint64) []int64) string {
+	t.Helper()
+	names, err := fs.List("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var victim string
+	for _, n := range names {
+		if strings.HasSuffix(n, ".mst") {
+			victim = "db/" + n
+			break
+		}
+	}
+	if victim == "" {
+		t.Fatal("no table file after flush")
+	}
+	size, gen := footerGeneration(t, fs, victim)
+	for _, off := range offsets(size, gen) {
+		if _, _, _, err := vfs.CorruptByte(fs, victim, off, vfs.RotFlip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return victim
 }
 
 // footerGeneration reads a table file's size and the higher generation of
@@ -204,24 +193,38 @@ func footerGeneration(t *testing.T, fs vfs.FS, name string) (size int64, gen uin
 	return size, max(binary.LittleEndian.Uint64(tail[36:44]), binary.LittleEndian.Uint64(tail[48+36:48+44]))
 }
 
-func TestScrubEndpointStartsAsyncPass(t *testing.T) {
-	db, _ := buildScrubDB(t, IAM, false)
+// TestScrubEndpointRunsPass: POST /scrub runs a pass on the request and
+// answers with its report, so a damaged table shows in the summary, the
+// findings and the error; any other method is refused.
+func TestScrubEndpointRunsPass(t *testing.T) {
+	db, fs := buildScrubDB(t, IAM, true)
 	defer db.Close()
-	h := db.DebugHandler()
+	victim := damageTable(t, fs, func(int64, uint64) []int64 { return []int64{100, 600, 1200} })
+	h := db.DebugHandler(nil)
+
 	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/scrub", nil))
+	if rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != "POST" {
+		t.Fatalf("GET /scrub: code %d, Allow %q; want 405 naming POST", rec.Code, rec.Header().Get("Allow"))
+	}
+
+	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("POST", "/scrub", nil))
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		p := db.ScrubProgress()
-		if !p.Running && p.Last != nil {
-			if p.Last.Tables == 0 {
-				t.Fatalf("async pass covered nothing: %+v", p.Last)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("async scrub never finished")
-		}
-		time.Sleep(5 * time.Millisecond)
+	var out struct {
+		Summary  string
+		Findings []string
+		Err      string
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatalf("/scrub JSON: %v (%q)", err, rec.Body.String())
+	}
+	if !strings.Contains(out.Summary, "tables") || strings.Contains(out.Summary, " 0 corruptions") {
+		t.Fatalf("summary does not name the corruption: %q", out.Summary)
+	}
+	if out.Err == "" || !strings.Contains(out.Err, victim) {
+		t.Fatalf("error %q, want one naming %s", out.Err, victim)
+	}
+	if len(out.Findings) == 0 || !strings.Contains(out.Findings[0], victim) {
+		t.Fatalf("findings %q, want the first naming %s", out.Findings, victim)
 	}
 }

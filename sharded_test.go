@@ -650,7 +650,8 @@ func shardedGoldenRun(t *testing.T, e EngineKind) (report, timeline, jsonl strin
 		sampler.Poll()
 	}
 
-	tl, err := json.Marshal(db.Timeline())
+	sampler.Poll()
+	tl, err := json.Marshal(sampler.Points())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -702,7 +703,7 @@ func TestShardedDebugLevels(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(db.DebugHandler())
+	srv := httptest.NewServer(db.DebugHandler(nil))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/levels")
 	if err != nil {

@@ -122,10 +122,7 @@ type store struct {
 	bgFails    int   // consecutive background failures
 	bgErrSince int64 // clock nanos when bgErr was first latched
 
-	bgRetries   atomic.Int64
-	bgReadonly  atomic.Int64
-	bgHealNanos atomic.Int64
-	bgNoSpace   atomic.Int64
+	bgNoSpace atomic.Int64
 
 	// Latent-fault accounting (see DESIGN.md "Latent-fault model").
 	corrDetected    atomic.Int64
@@ -784,12 +781,10 @@ func (st *store) noteCommitError(op string, err error) int {
 	st.bgErr = &BackgroundError{Op: op, Err: err}
 	st.bgFails++
 	try := st.bgFails
-	st.bgRetries.Add(1)
 	enteredRO := false
 	if !st.readonly && try > st.opt.BgRetryLimit {
 		st.readonly = true
 		enteredRO = true
-		st.bgReadonly.Add(1)
 	}
 	cause := st.bgErr
 	st.cond.Broadcast()
@@ -829,7 +824,8 @@ func (st *store) noteBgError(op string, err error) bool {
 }
 
 // noteBgSuccess clears background-error state after a successful
-// attempt, leaving read-only mode and recording the heal duration.
+// attempt, leaving read-only mode with a ReadOnlyExit event that
+// carries how long the store was degraded.
 func (st *store) noteBgSuccess() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -844,7 +840,6 @@ func (st *store) noteBgSuccess() {
 		st.events.ReadOnlyExit(metrics.ReadOnlyInfo{Cause: st.bgErr, Duration: time.Duration(heal)})
 	}
 	st.bgErr, st.readonly, st.bgFails = nil, false, 0
-	st.bgHealNanos.Add(heal)
 	st.cond.Broadcast()
 }
 

@@ -57,7 +57,8 @@ func goldenRun(t *testing.T, e EngineKind) (report, timeline, jsonl, chrome stri
 		sampler.Poll()
 	}
 
-	tl, err := json.Marshal(db.Timeline())
+	sampler.Poll()
+	tl, err := json.Marshal(sampler.Points())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestDebugHandlers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	db.NewSampler(time.Millisecond, 0)
+	sampler := db.NewSampler(time.Millisecond, 0)
 	val := make([]byte, 200)
 	for i := 0; i < 300; i++ {
 		if err := db.Put([]byte(fmt.Sprintf("key-%06d", i)), val); err != nil {
@@ -199,7 +200,7 @@ func TestDebugHandlers(t *testing.T) {
 		clock.Advance(50 * time.Microsecond)
 	}
 
-	h := db.DebugHandler()
+	h := db.DebugHandler(sampler)
 	get := func(path string) (int, string) {
 		t.Helper()
 		rec := httptest.NewRecorder()
@@ -260,12 +261,12 @@ func TestDebugTracesDisabled(t *testing.T) {
 	db := openSmall(t, IAM)
 	defer db.Close()
 	rec := httptest.NewRecorder()
-	db.DebugHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/traces", nil))
+	db.DebugHandler(nil).ServeHTTP(rec, httptest.NewRequest("GET", "/traces", nil))
 	if rec.Code != 404 || !strings.Contains(rec.Body.String(), "Options.Trace") {
 		t.Errorf("/traces without recorder: code %d body %q", rec.Code, rec.Body.String())
 	}
 	rec = httptest.NewRecorder()
-	db.DebugHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/timeline", nil))
+	db.DebugHandler(nil).ServeHTTP(rec, httptest.NewRequest("GET", "/timeline", nil))
 	if rec.Code != 200 || strings.TrimSpace(rec.Body.String()) != "[]" {
 		t.Errorf("/timeline without sampler: code %d body %q", rec.Code, rec.Body.String())
 	}
@@ -285,8 +286,9 @@ func TestObservabilityHotPathZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer db.Close()
+		var s *Sampler // nil-safe: the bare run polls nothing
 		if withSampler {
-			db.NewSampler(time.Hour, 0)
+			s = db.NewSampler(time.Hour, 0)
 		}
 		if db.Trace() != nil {
 			t.Fatal("trace recorder unexpectedly attached")
@@ -304,7 +306,8 @@ func TestObservabilityHotPathZeroAlloc(t *testing.T) {
 			if err := db.Put(key, val); err != nil {
 				t.Fatal(err)
 			}
-			db.Timeline() // pulls the idle sampler: atomic load + Poll fast path
+			s.Poll() // the idle sampler: atomic load + fast path
+			s.Points()
 		})
 		return get, put
 	}
@@ -371,7 +374,7 @@ func TestConcurrentTraceHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	db.NewSampler(time.Microsecond, 0)
+	sampler := db.NewSampler(time.Microsecond, 0)
 
 	const writers, readers, ops = 4, 2, 300
 	var wg sync.WaitGroup
@@ -417,7 +420,8 @@ func TestConcurrentTraceHammer(t *testing.T) {
 			}
 			_ = db.Trace().WriteJSONLines(io.Discard)
 			_ = db.Trace().WriteChromeTrace(io.Discard)
-			db.Timeline()
+			sampler.Poll()
+			sampler.Points()
 			db.Trace().Len()
 			db.Trace().Dropped()
 		}
