@@ -10,8 +10,7 @@ import (
 
 // atomicpub guards the lock-free publication protocol the memtable and
 // the DB's read snapshot rely on: a struct handed to readers through an
-// atomic.Pointer[T] is immutable after the Store/CompareAndSwap that
-// publishes it.  Every plain (non-atomic) field must be fully written
+// atomic.Pointer[T] is immutable after the Store that publishes it.  Every plain (non-atomic) field must be fully written
 // *before* publication; a later write races with readers that reached
 // the value through an atomic load.
 //

@@ -17,8 +17,8 @@
 //	             block readers alias reused buffers; retaining one in a
 //	             struct field, map, or slice without a copy is flagged
 //	atomicpub    a struct published to readers through an
-//	             atomic.Pointer[T] (skiplist nodes, arena chunks, the
-//	             DB's read-state, the table set's versions, a table's
+//	             atomic.Pointer[T] (skiplist nodes, the DB's
+//	             read-state, the table set's versions, a table's
 //	             committed sequences) is frozen once stored; plain-field
 //	             writes are allowed only on provably fresh values
 //	             (&T{...}, new(T), or a same-package new* constructor)

@@ -62,7 +62,7 @@ func (l *loader) del(key string) {
 }
 
 func (l *loader) flush() {
-	if l.mt.Empty() {
+	if l.mt.Count() == 0 {
 		return
 	}
 	if err := l.tr.Flush(l.mt.NewIter()); err != nil {

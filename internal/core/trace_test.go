@@ -37,7 +37,7 @@ func TestSpansEndUnderFaults(t *testing.T) {
 			l.put(fmt.Sprintf("user%06d", rng.Intn(6000)), "value-value-value-value")
 		}
 		l.flush()
-		for i := 0; i < 100 || l.mt.Empty(); i++ { // the memtable the faulted flush empties
+		for i := 0; i < 100 || l.mt.Count() == 0; i++ { // the memtable the faulted flush empties
 			l.put(fmt.Sprintf("user%06d", rng.Intn(6000)), "value-value-value-value")
 		}
 

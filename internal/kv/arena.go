@@ -6,14 +6,16 @@ import (
 	"iamdb/internal/invariants"
 )
 
-// arenaChunk is the least an Arena allocates at a time: the gathers that
-// use one stage whole runs, so a record costs a copy and no allocation.
+// arenaChunk is the least an Arena allocates at a time: the gathers and
+// memtables that use one copy whole runs into it, so a record costs a
+// copy and no allocation.
 const arenaChunk = 64 << 10
 
 // Arena copies byte strings into chunks it owns: the storage of a
-// Gather.  The copies stay valid until Reset, which keeps the chunks for
-// the next round.  The zero Arena is ready to use; an Arena is not safe
-// for concurrent use.
+// Gather, and of a memtable's keys and values.  The copies stay valid
+// until Reset, which keeps the chunks for the next round; a memtable
+// never resets its arena, so its copies live as long as it does.  The
+// zero Arena is ready to use; an Arena is not safe for concurrent use.
 type Arena struct {
 	chunks [][]byte
 	cur    int // chunks before this one are full

@@ -1,17 +1,18 @@
 // Package memtable implements the in-memory level L0 of LSA/IAM and the
-// memtable of the LSM baselines: a lock-free skiplist ordered by
-// internal key.  Records accumulate here until the table reaches its
-// capacity threshold Ct, whereupon it becomes an immutable memtable and
-// is flushed to disk (Sec. 5.2).
+// memtable of the LSM baselines: a skiplist ordered by internal key.
+// Records accumulate here until the table reaches its capacity
+// threshold Ct, whereupon it becomes an immutable memtable and is
+// flushed to disk (Sec. 5.2).
 //
-// Concurrency model (LevelDB/Pebble style, extended to many writers):
-// nodes and their key/value bytes are carved from a chunked arena,
-// written exactly once, and then published by CAS-ing the predecessor's
-// next pointer.  Readers and iterators traverse with atomic loads only
-// and never block; concurrent Add callers contend only on the CAS of
-// the splice point they are inserting at.  A reader that observes a
-// node through a next pointer is guaranteed (by the CAS release/acquire
-// edge) to see the node's fully-written ikey and value.
+// Concurrency model (LevelDB's): one writer at a time, and any number
+// of lock-free readers beside it.  The writer is the store's commit
+// leader under commitMu, or recovery replaying the log before the store
+// is shared.  A node and its key/value bytes are written once by the
+// writer and then published by an atomic store to its predecessor's
+// next pointer; readers and iterators traverse with atomic loads only
+// and never block.  A reader that observes a node through a next
+// pointer is guaranteed (by the store's release/acquire edge) to see
+// the node's fully-written ikey and value.
 package memtable
 
 import (
@@ -25,14 +26,17 @@ import (
 const (
 	maxHeight = 12
 	branching = 4
+	// nodeSlabLen is the number of skiplist nodes the writer allocates
+	// at a time.
+	nodeSlabLen = 256
 )
 
-// heightTab replays the height stream of the historical single-writer
-// skiplist (a seeded math/rand source drawn under its lock), so tower
-// heights — and therefore ApproximateSize, which structural tests and
-// flush boundaries depend on — stay byte-for-byte identical while the
-// draw itself becomes one atomic add.  The table cycles after 2^18
-// inserts, which only recycles the distribution, never a lock.
+// heightTab replays the height stream of the historical skiplist (a
+// seeded math/rand source), cycling after 2^18 inserts.  Tower heights
+// decide ApproximateSize, and with it every flush boundary, so the table
+// is kept as it is: a memtable's heights, past the cycle too, are the
+// ones every pinned output was recorded with, and a draw costs one
+// lookup rather than a seeded source per memtable.
 const heightTabLen = 1 << 18
 
 var heightTab = func() []uint8 {
@@ -48,43 +52,46 @@ var heightTab = func() []uint8 {
 	return t
 }()
 
-// node is an atomically-published skiplist element: ikey, value and
-// height are written once by the inserting goroutine before the node is
-// linked; next pointers are the only mutable fields and are accessed
-// atomically.
+// node is an atomically-published skiplist element: ikey and value are
+// written once by the writer before the node is linked; next pointers
+// are the only mutable fields and are accessed atomically.
 type node struct {
-	ikey   []byte
-	value  []byte
-	height int32
-	next   [maxHeight]atomic.Pointer[node]
+	ikey  []byte
+	value []byte
+	next  [maxHeight]atomic.Pointer[node]
 }
 
-// MemTable is a skiplist of internal keys.  All methods are safe for
-// concurrent use by any number of readers and writers.
+// MemTable is a skiplist of internal keys.  Add calls must not overlap;
+// any number of readers (Get, iterators, Count, ApproximateSize) may run
+// beside the one writer.
 type MemTable struct {
-	arena  *arena
 	head   *node
 	height atomic.Int32
-	hidx   atomic.Uint64
 	size   atomic.Int64
 	count  atomic.Int64
+
+	// Owned by the writer.
+	bytes kv.Arena // key and value bytes, never reset
+	nodes []node   // the unused rest of the current node slab
+	kbuf  []byte   // the internal key being added
+	hidx  uint64   // the next heightTab entry
 }
 
 // New returns an empty memtable.
 func New() *MemTable {
-	a := newArena()
-	head := a.newNode()
-	head.height = maxHeight
-	m := &MemTable{arena: a, head: head}
+	m := &MemTable{head: &node{}}
 	m.height.Store(1)
 	return m
 }
 
-// randomHeight draws a tower height with P(h+1|h) = 1/branching: one
-// atomic add walks the precomputed stream, so concurrent draws are
-// race-free and the sequence stays deterministic per insertion order.
-func (m *MemTable) randomHeight() int {
-	return int(heightTab[(m.hidx.Add(1)-1)%heightTabLen])
+// newNode returns a fresh, zeroed node from the writer's slab.
+func (m *MemTable) newNode() *node {
+	if len(m.nodes) == 0 {
+		m.nodes = make([]node, nodeSlabLen)
+	}
+	n := &m.nodes[0]
+	m.nodes = m.nodes[1:]
+	return n
 }
 
 // findGreaterOrEqual returns the first node with ikey >= key.
@@ -104,75 +111,52 @@ func (m *MemTable) findGreaterOrEqual(key []byte) *node {
 	}
 }
 
-// findSpliceFrom walks level from start (which must sort before key)
-// and returns the insertion point: the last node < key and its
-// successor.
-func (m *MemTable) findSpliceFrom(start *node, key []byte, level int) (prev, next *node) {
-	p := start
-	for {
-		n := p.next[level].Load()
-		if n == nil || kv.CompareInternal(n.ikey, key) >= 0 {
-			return p, n
-		}
-		p = n
-	}
-}
-
-// findSplices computes the per-level insertion points for key.
-func (m *MemTable) findSplices(key []byte, prev, next *[maxHeight]*node) {
-	lh := int(m.height.Load())
-	for i := lh; i < maxHeight; i++ {
-		prev[i], next[i] = m.head, nil
-	}
+// findSplices sets prev[level], for every level of the list, to the
+// last node before key: the node the insertion links after.
+func (m *MemTable) findSplices(key []byte, prev *[maxHeight]*node) {
 	x := m.head
-	for level := lh - 1; level >= 0; level-- {
-		p, n := m.findSpliceFrom(x, key, level)
-		prev[level], next[level] = p, n
-		x = p
+	for level := int(m.height.Load()) - 1; level >= 0; level-- {
+		for {
+			n := x.next[level].Load()
+			if n == nil || kv.CompareInternal(n.ikey, key) >= 0 {
+				break
+			}
+			x = n
+		}
+		prev[level] = x
 	}
 }
 
 // Add inserts a record.  Internal keys are unique (sequence numbers
-// never repeat within a memtable), so Add never overwrites.  Concurrent
-// Add callers never block readers; a failed CAS re-searches only the
-// level it lost.
+// never repeat within a memtable), so Add never overwrites.  Calls must
+// not overlap; readers running beside one never block.
 func (m *MemTable) Add(seq kv.Seq, kind kv.Kind, ukey, value []byte) {
-	kbuf := m.arena.alloc(len(ukey) + kv.TrailerLen)
-	ikey := kv.AppendInternalKey(kbuf[:0], ukey, seq, kind)
-	var val []byte
+	m.kbuf = kv.AppendInternalKey(m.kbuf[:0], ukey, seq, kind)
+	n := m.newNode()
+	n.ikey = m.bytes.Copy(m.kbuf)
 	if len(value) > 0 {
-		val = m.arena.alloc(len(value))
-		copy(val, value)
+		n.value = m.bytes.Copy(value)
 	}
-	h := m.randomHeight()
-	n := m.arena.newNode()
-	n.ikey, n.value, n.height = ikey, val, int32(h)
+	h := int(heightTab[m.hidx%heightTabLen])
+	m.hidx++
 
 	// Raise the list height first; a reader that sees the new height
 	// before the node links just walks empty upper levels.
-	for {
-		lh := m.height.Load()
-		if int32(h) <= lh || m.height.CompareAndSwap(lh, int32(h)) {
-			break
-		}
+	if int32(h) > m.height.Load() {
+		m.height.Store(int32(h))
 	}
 
-	var prev, next [maxHeight]*node
-	m.findSplices(ikey, &prev, &next)
-	// Link bottom-up: once level 0 succeeds the node is visible to
-	// every search; upper levels are an acceleration structure and may
-	// lag briefly.
+	var prev [maxHeight]*node
+	m.findSplices(n.ikey, &prev)
+	// Link bottom-up, each level's successor first: the store to the
+	// predecessor publishes the node, and once level 0 is linked every
+	// search finds it; upper levels are an acceleration structure and
+	// may lag briefly.
 	for level := 0; level < h; level++ {
-		p, x := prev[level], next[level]
-		for {
-			n.next[level].Store(x)
-			if p.next[level].CompareAndSwap(x, n) {
-				break
-			}
-			p, x = m.findSpliceFrom(p, ikey, level)
-		}
+		n.next[level].Store(prev[level].next[level].Load())
+		prev[level].next[level].Store(n)
 	}
-	m.size.Add(int64(len(ikey) + len(value) + 16*h))
+	m.size.Add(int64(len(n.ikey) + len(value) + 16*h))
 	m.count.Add(1)
 }
 
@@ -197,9 +181,6 @@ func (m *MemTable) ApproximateSize() int64 { return m.size.Load() }
 
 // Count reports the number of records.
 func (m *MemTable) Count() int { return int(m.count.Load()) }
-
-// Empty reports whether the table has no records.
-func (m *MemTable) Empty() bool { return m.Count() == 0 }
 
 // NewIter iterates the table in internal-key order.  The iterator sees
 // a live view and never blocks writers; records inserted after a

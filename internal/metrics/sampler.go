@@ -107,7 +107,7 @@ func between(start, end time.Duration, a, b Cumulative) TimelinePoint {
 // Sampler snapshots a Cumulative source at the edges of uniform time
 // windows, into a bounded ring; a window is the difference of its two
 // edges.  It is pull-based: callers invoke Poll from their own loops
-// (a workload between operations, the DB's debug server from a ticker
+// (a workload between operations, `iamdb debug` from a ticker
 // goroutine); Poll's fast path is one atomic load, so polling per
 // operation is cheap.
 //

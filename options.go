@@ -51,7 +51,7 @@ type Clock = metrics.Clock
 // lineage) and write stalls.  It is an alias of the internal trace
 // type; construct one with NewTraceRecorder and pass it in
 // Options.Trace, then export via WriteJSONLines / WriteChromeTrace or
-// the debug server's /traces endpoint.
+// the /traces endpoint of DB.DebugHandler.
 type TraceRecorder = trace.Recorder
 
 // TraceSpan is one completed span from a TraceRecorder snapshot.
@@ -165,10 +165,12 @@ type Options struct {
 
 	// CompactionThreads sizes each store's background workers:
 	// CompactionThreads + 1 goroutines (default 1, so 2) take the flush,
-	// compaction and value-log GC steps, one worker per kind at a time;
-	// with InlineBackground none start and every step, GC included, runs
-	// inline.  It buys no parallelism: IAM / LSA's WorkStep does nothing
-	// (the cascade runs inside Flush), the baselines' holds Set.Mu.
+	// compaction and value-log GC steps, one worker per kind at a time,
+	// so no more start than the store has kinds of step: 2, or 3 with a
+	// value log.  With InlineBackground none start and every step, GC
+	// included, runs inline.  It buys no parallelism: IAM / LSA's
+	// WorkStep does nothing (the cascade runs inside Flush), the
+	// baselines' holds Set.Mu.
 	CompactionThreads int
 
 	// Shards, when > 1, range-partitions the keyspace across that many

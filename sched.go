@@ -39,11 +39,15 @@ type sched struct {
 
 func newSched(st *store) *sched {
 	s := &sched{st: st, steps: [numSteps]func() (bool, error){st.drainStep, st.workStep, nil}}
+	kinds := 2
 	if st.vs != nil {
 		s.steps[stepGC] = st.vs.gcOnce
+		kinds++
 	}
 	if !st.opt.InlineBackground {
-		s.workers = st.opt.CompactionThreads + 1
+		// A claim lets one worker hold each kind of step, so a worker
+		// beyond one per kind would only ever wait.
+		s.workers = min(st.opt.CompactionThreads+1, kinds)
 	}
 	s.cond.L = &s.mu
 	s.ready[stepCompact] = true // recovery may have left the engine work

@@ -62,6 +62,37 @@ func TestSchedulerRunsEveryStep(t *testing.T) {
 	goroutinesBackTo(t, before)
 }
 
+// TestWorkersOnePerKindOfStep: a claim lets one worker hold each kind of
+// step, so however many CompactionThreads ask for, a store starts a
+// worker per kind it has — drain and compaction, and value-log GC with a
+// value log — and none that would only ever wait.
+func TestWorkersOnePerKindOfStep(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		threshold int
+		perStore  int
+	}{{"inline values", 0, 2}, {"value log", 64, 3}} {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			o := kvsepOpts(IAM, vfs.NewMemFS())
+			o.ValueThreshold = c.threshold
+			o.CompactionThreads = 8
+			o.Shards = 2
+			db, err := Open("db", o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := runtime.NumGoroutine() - before; n != 2*c.perStore {
+				t.Errorf("two stores started %d goroutines, want %d", n, 2*c.perStore)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			goroutinesBackTo(t, before)
+		})
+	}
+}
+
 // TestInlineStoreCollectsWithoutGoroutines: inline, a store with a value
 // log starts no goroutine, and the writers that rotate the memtable
 // reclaim dead segments during an overwrite pass — no Flush, no

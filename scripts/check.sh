@@ -86,6 +86,12 @@ stage "vfs"
 # The wrappers and the seek model every test stands on; the race suite only reruns them in the full gate.
 go test -count=1 ./internal/vfs
 
+stage "memtable: one writer beside lock-free readers (-race)"
+# The commit leader is the memtable's only writer; readers and iterators
+# run beside it without locks.  Raced here so the quick gate checks the
+# contract, not only the full gate's race suite.
+go test -race -count=5 -run TestConcurrentReadDuringWrite ./internal/memtable
+
 stage "open-loop golden"
 # The judge of ROADMAP item 3 (the cascade off the writer), about 7 s.
 go test -count=1 -run 'TestAllExperimentsEndToEnd/openloop$' ./internal/harness
