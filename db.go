@@ -451,20 +451,14 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 
 // GetInto appends the value for key to dst and returns the extended
 // slice — the copy-into-caller fast path that avoids the per-call
-// allocation Get makes.  dst may be nil.
+// allocation Get makes.  dst may be nil.  A separated value is read
+// from the value log straight into dst.
 func (db *DB) GetInto(key, dst []byte) ([]byte, error) {
 	var start time.Duration
 	if db.timing {
 		start = db.clock.Now()
 	}
-	v, kind, err := db.getRaw(key)
-	if err == nil {
-		if kind == kv.KindDelete {
-			err = ErrNotFound
-		} else {
-			dst = append(dst, v...)
-		}
-	}
+	dst, err := db.getInto(key, dst)
 	if db.timing {
 		db.getHist.Record(db.clock.Now() - start)
 	}
@@ -474,14 +468,12 @@ func (db *DB) GetInto(key, dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// getRaw resolves key against the latest view: the watermark is loaded
-// first, then the owning store's state pointer.  The state may be newer
-// than the sequence but never older, records only move down the
-// hierarchy, and no incomplete allocation sits at or below the
-// watermark — so the pair is always a consistent view that cannot
-// expose part of a batch.  The returned value aliases internal storage
-// (or is a fresh value-log read) and must be copied before the call
-// returns to the user.
+// getInto resolves key against the latest view and appends its value to
+// dst: the watermark is loaded first, then the owning store's state
+// pointer.  The state may be newer than the sequence but never older,
+// records only move down the hierarchy, and no incomplete allocation
+// sits at or below the watermark — so the pair is always a consistent
+// view that cannot expose part of a batch.
 //
 // A latest-view read holds no pin, so the value-log collector may
 // rewrite, flush and delete the segment a pointer names between the
@@ -491,25 +483,30 @@ func (db *DB) GetInto(key, dst []byte) ([]byte, error) {
 // while the same pointer failing twice is real damage, noted and
 // returned.  Snapshot and iterator reads are protected by their pins
 // and resolve strictly.
-func (db *DB) getRaw(key []byte) ([]byte, kv.Kind, error) {
+func (db *DB) getInto(key, dst []byte) ([]byte, error) {
 	if db.closedA.Load() {
-		return nil, 0, ErrClosed
+		return nil, ErrClosed
 	}
 	db.getOps.Add(1)
 	st := db.storeFor(key)
 	var failed []byte // the pointer encoding whose resolve failed
 	for {
 		v, kind, err := st.getAt(key, db.seqr.Visible())
-		if err != nil || kind != kv.KindValuePtr {
-			return v, kind, err
+		switch {
+		case err != nil:
+			return nil, err
+		case kind == kv.KindDelete:
+			return nil, ErrNotFound
+		case kind != kv.KindValuePtr:
+			return append(dst, v...), nil
 		}
-		rv, err := st.readPointer(key, v)
+		rv, err := st.readPointer(dst, key, v)
 		if err == nil {
-			return rv, kv.KindSet, nil
+			return rv, nil
 		}
 		if failed != nil && bytes.Equal(failed, v) {
 			st.noteCorruption(err)
-			return nil, 0, err
+			return nil, err
 		}
 		failed = append(failed[:0], v...)
 	}

@@ -256,3 +256,95 @@ func TestMemFSRecyclesOnlyClosedUnlinkedFiles(t *testing.T) {
 		}
 	})
 }
+
+// TestRecycledPagesNeverLeak runs each history on pages a removed file
+// scribbled on (0xEE) and checks that the file reads back exactly what
+// was written, zeros everywhere else: pages come off the free list
+// uncleared, so every byte a write or Truncate exposes without writing
+// it must be zeroed by that call.  The same history on a new MemFS
+// must materialize the same number of pages.
+func TestRecycledPagesNeverLeak(t *testing.T) {
+	type step struct {
+		off  int64
+		data []byte // nil: Truncate to off
+	}
+	write := func(off int64, seed byte, n int) step { return step{off, pattern(seed, n)} }
+	truncate := func(n int64) step { return step{off: n} }
+	const ps = memPageSize
+	cases := []struct {
+		name  string
+		steps []step
+	}{
+		{"write_past_eof", []step{
+			write(0, 1, 100),
+			write(2*ps+50, 2, 10),
+		}},
+		{"hole_inside_fresh_page", []step{
+			write(3*ps-6, 3, 6), // a footer first, as an MSTable writes it
+			write(ps+5000, 4, 7),
+			write(2*ps-3, 5, 9), // across a page boundary into two fresh pages
+		}},
+		{"truncate_down_then_write_past_old_end", []step{
+			write(0, 6, 2*ps-123),
+			truncate(ps + 100),
+			write(3*ps, 7, 5),
+		}},
+		{"truncate_down_then_write_inside_old_end", []step{
+			write(0, 8, 2*ps-123),
+			truncate(ps + 100),
+			write(ps+300, 9, 5),
+		}},
+		{"truncate_up", []step{
+			write(0, 10, ps+200),
+			truncate(ps + 100),
+			truncate(3*ps + 7),
+		}},
+		{"truncate_up_from_page_boundary", []step{
+			write(0, 11, 2*ps),
+			truncate(ps),
+			truncate(ps + 40),
+			write(ps+60, 12, 3),
+		}},
+	}
+	run := func(t *testing.T, fs *MemFS, steps []step) (File, []byte) {
+		t.Helper()
+		f, err := fs.Create("x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var model []byte
+		for _, s := range steps {
+			if s.data == nil {
+				if err := fs.Truncate("x", s.off); err != nil {
+					t.Fatal(err)
+				}
+				model = append(model[:min(int64(len(model)), s.off)], make([]byte, max(0, s.off-int64(len(model))))...)
+				continue
+			}
+			if _, err := f.WriteAt(s.data, s.off); err != nil {
+				t.Fatal(err)
+			}
+			if end := int(s.off) + len(s.data); end > len(model) {
+				model = append(model, make([]byte, end-len(model))...)
+			}
+			copy(model[s.off:], s.data)
+		}
+		return f, model
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			recycled := NewMemFS()
+			churn(t, recycled, 1, 4)
+			f, want := run(t, recycled, c.steps)
+			if size, _ := f.Size(); size != int64(len(want)) {
+				t.Fatalf("size %d, want %d", size, len(want))
+			}
+			wantContent(t, f, want, "a file on recycled pages")
+			fresh := NewMemFS()
+			run(t, fresh, c.steps)
+			if got, want := recycled.AllocatedBytes(), fresh.AllocatedBytes(); got != want {
+				t.Fatalf("AllocatedBytes %d on recycled pages, %d on new ones", got, want)
+			}
+		})
+	}
+}

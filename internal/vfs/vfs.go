@@ -125,8 +125,15 @@ func (f *memFile) readAtLocked(p []byte, off int64) (int, error) {
 }
 
 // writeAtLocked stores p at off, taking pages from the free list as
-// needed.  Caller holds mu for writing.
+// needed.  A page from the list still holds an earlier file's bytes, so
+// the write zeroes what it exposes and does not cover: the gap between
+// the old size and off, and a taken page's bytes outside the write that
+// lie below the new size.  Bytes past the size stay unzeroed until a
+// write or Truncate exposes them.  Caller holds mu for writing.
 func (f *memFile) writeAtLocked(p []byte, off int64) {
+	end := off + int64(len(p))
+	f.growLocked(off)
+	size := max(f.size, end)
 	done := 0
 	for done < len(p) {
 		pageIdx := (off + int64(done)) / memPageSize
@@ -139,13 +146,31 @@ func (f *memFile) writeAtLocked(p []byte, off int64) {
 		if pg == nil {
 			pg = f.fs.takePage()
 			f.pages[pageIdx] = pg
+			clear(pg[:pageOff])
+			if below := min(size-pageIdx*memPageSize, memPageSize); below > int64(pageOff+chunk) {
+				clear(pg[pageOff+chunk : below])
+			}
 		}
 		copy(pg[pageOff:pageOff+chunk], p[done:done+chunk])
 		done += chunk
 	}
-	if end := off + int64(len(p)); end > f.size {
-		f.size = end
+	f.size = size
+}
+
+// growLocked extends the file to n bytes (when n is past its size),
+// zeroing what the growth exposes.  Only the page holding the old end
+// can hold bytes past it — pages wholly past the end are never kept —
+// so that page's tail up to n is the only thing to clear; holes read as
+// zeros.  Caller holds mu for writing.
+func (f *memFile) growLocked(n int64) {
+	if n <= f.size {
+		return
 	}
+	idx := f.size / memPageSize
+	if pg := f.pages[idx]; pg != nil {
+		clear(pg[f.size%memPageSize : min(n-idx*memPageSize, memPageSize)])
+	}
+	f.size = n
 }
 
 // releaseIfUnreachableLocked hands every page to the free list once the
@@ -175,9 +200,12 @@ func (f *memFile) unlink() {
 // to the filesystem's free list once its last handle has closed (Create
 // and Open each add a handle, Close removes it once), and Truncate (a
 // MemFS method, not a File one: tests use it to fake a torn write) hands
-// over the pages it cuts off; writes take pages from the list, cleared,
-// before they allocate.  A handle never closed keeps its file's pages
-// for good.  The list never holds more than this filesystem's own peak.
+// over the pages it cuts off; writes take pages from the list before
+// they allocate.  A listed page is not cleared: a write zeroes only the
+// bytes it exposes (the gap past the old size, and the unwritten bytes
+// of a taken page below the new size), so a file never reads another
+// file's bytes.  A handle never closed keeps its file's pages for good.
+// The list never holds more than this filesystem's own peak.
 type MemFS struct {
 	mu    sync.RWMutex
 	files map[string]*memFile
@@ -194,19 +222,18 @@ func NewMemFS() *MemFS {
 
 func clean(name string) string { return filepath.Clean(name) }
 
-// takePage returns a zeroed page, from the free list when it has one.
+// takePage returns a page from the free list, as its last file left it,
+// or a new zeroed one when the list is empty.  The caller zeroes what it
+// exposes and does not write (memFile.writeAtLocked).
 func (fs *MemFS) takePage() *memPage {
-	var pg *memPage
 	fs.freeMu.Lock()
-	if n := len(fs.free); n > 0 {
-		pg = fs.free[n-1]
-		fs.free = fs.free[:n-1]
-	}
-	fs.freeMu.Unlock()
-	if pg == nil {
+	defer fs.freeMu.Unlock()
+	n := len(fs.free)
+	if n == 0 {
 		return new(memPage)
 	}
-	clear(pg[:])
+	pg := fs.free[n-1]
+	fs.free = fs.free[:n-1]
 	return pg
 }
 
@@ -322,9 +349,10 @@ func (fs *MemFS) Exists(name string) bool {
 
 // Truncate resizes the named file to n bytes in place, as a torn write
 // leaves a file: every handle already open on it sees the new size.
-// Pages wholly past a cut go to the free list and the rest of the last
-// page is zeroed, so regrowth reads zeros.  It is not part of FS: tests
-// call it to fake damage under a store that holds the file open.
+// Pages wholly past a cut go to the free list; the rest of the last page
+// is zeroed when a write or a growing Truncate exposes it, so regrowth
+// reads zeros.  It is not part of FS: tests call it to fake damage
+// under a store that holds the file open.
 func (fs *MemFS) Truncate(name string, n int64) error {
 	name = clean(name)
 	fs.mu.RLock()
@@ -337,11 +365,9 @@ func (fs *MemFS) Truncate(name string, n int64) error {
 	defer f.mu.Unlock()
 	if n < f.size {
 		fs.freePages(f.pages, (n+memPageSize-1)/memPageSize)
-		if pg := f.pages[n/memPageSize]; pg != nil {
-			clear(pg[n%memPageSize:])
-		}
+		f.size = n
 	}
-	f.size = n
+	f.growLocked(n)
 	return nil
 }
 

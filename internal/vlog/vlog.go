@@ -3,6 +3,7 @@ package vlog
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -61,6 +62,8 @@ type Log struct {
 	files   map[uint64]vfs.File // open handles, head included
 	written map[uint64]int64    // record bytes per segment (GC density base)
 	buf     []byte              // append scratch
+
+	readBufs sync.Pool // *[]byte: ReadInto's record buffers
 
 	statsMu sync.Mutex
 	discard map[uint64]int64 // dropped record bytes per segment
@@ -131,7 +134,7 @@ func Open(fs vfs.FS, dir string, segSize int64) (*Log, OpenStats, error) {
 		return l, st, nil
 	}
 	head := segs[len(segs)-1]
-	sc, err := scan(l.files[head], SegmentName(dir, head), nil)
+	sc, err := scan(l.files[head], SegmentName(dir, head), new([]byte), nil)
 	if err != nil && !errors.Is(err, ErrBad) {
 		l.closeAll()
 		return nil, OpenStats{}, err
@@ -261,9 +264,20 @@ func (l *Log) handle(num uint64) (vfs.File, error) {
 const maxRecordLen = 1 << 30
 
 // Read resolves one pointer, verifying the record CRC and that the
-// stored key matches the key the pointer was found under.  The
-// returned value is a fresh allocation the caller may retain.
-func (l *Log) Read(p Pointer, wantKey []byte) ([]byte, error) {
+// stored key matches the key the pointer was found under.  It is
+// ReadInto with a nil dst: the returned value is a fresh allocation of
+// the value alone, which the caller may retain.
+func (l *Log) Read(p Pointer, wantKey []byte) ([]byte, error) { return l.ReadInto(nil, p, wantKey) }
+
+// maxPooledRead is the largest record buffer ReadInto keeps for the next
+// read, so one outsized record does not stay pinned in the pool.
+const maxPooledRead = 1 << 20
+
+// ReadInto resolves one pointer and appends its value to dst, returning
+// the extended slice.  The record is read into a scratch buffer the log
+// pools and checked as Read says; dst is written only once the checks
+// pass, so on an error it is left as it was.
+func (l *Log) ReadInto(dst []byte, p Pointer, wantKey []byte) ([]byte, error) {
 	if p.Len < uint32(crcLen+2) || p.Len > maxRecordLen {
 		return nil, l.readErr(p, fmt.Sprintf("implausible record length %d", p.Len))
 	}
@@ -271,7 +285,17 @@ func (l *Log) Read(p Pointer, wantKey []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, p.Len)
+	bp, _ := l.readBufs.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	buf := slices.Grow((*bp)[:0], int(p.Len))[:p.Len]
+	defer func() {
+		if cap(buf) <= maxPooledRead {
+			*bp = buf
+			l.readBufs.Put(bp)
+		}
+	}()
 	if _, err := f.ReadAt(buf, p.Offset); err != nil {
 		return nil, l.readErr(p, fmt.Sprintf("record read failed: %v", err))
 	}
@@ -282,7 +306,7 @@ func (l *Log) Read(p Pointer, wantKey []byte) ([]byte, error) {
 	if string(key) != string(wantKey) {
 		return nil, l.readErr(p, "record key does not match pointer's key")
 	}
-	return val, nil
+	return append(dst, val...), nil
 }
 
 // readErr is Read's corruption error, naming the segment file only on
@@ -302,24 +326,30 @@ type ScanResult struct {
 }
 
 // ScanFile walks every record of one segment file, calling fn with
-// slices into the walk's own buffer: the whole file, read once, which
-// nothing else shares and nothing writes after the read.  fn may keep
-// the slices past its return (the collector's rewrite batches do); a
-// kept slice keeps the whole buffer alive.  It is the only walk there is:
-// Open classifies the head segment with it, GC, Scrub and the iamdump
-// vlog subcommand read segments through it.  A header or record failure
-// ends the walk with a typed corruption error beside the classification.
+// slices into the walk's own buffer: the whole file, read once into a
+// fresh allocation nothing else shares and nothing writes after the
+// read, so fn may keep the slices past its return; a kept slice keeps
+// the whole buffer alive.  It is the only walk there is: Open classifies
+// the head segment with it, Scrub and the iamdump vlog subcommand read
+// segments through it, and ScanSegment, the collector's walk, is it on a
+// reused buffer.  A header or record failure ends the walk with a typed
+// corruption error beside the classification.
 func ScanFile(fs vfs.FS, path string, fn func(key, val []byte, off int64, n int) error) (ScanResult, error) {
+	return scanFile(fs, path, new([]byte), fn)
+}
+
+// scanFile is ScanFile reading into *buf, grown as needed.
+func scanFile(fs vfs.FS, path string, buf *[]byte, fn func(key, val []byte, off int64, n int) error) (ScanResult, error) {
 	f, err := fs.Open(path)
 	if err != nil {
 		return ScanResult{}, err
 	}
 	defer f.Close()
-	return scan(f, path, fn)
+	return scan(f, path, buf, fn)
 }
 
-// scan is ScanFile on an open handle; path only names the file in errors.
-func scan(f vfs.File, path string, fn func(key, val []byte, off int64, n int) error) (ScanResult, error) {
+// scan is scanFile on an open handle; path only names the file in errors.
+func scan(f vfs.File, path string, buf *[]byte, fn func(key, val []byte, off int64, n int) error) (ScanResult, error) {
 	size, err := f.Size()
 	if err != nil {
 		return ScanResult{}, err
@@ -330,7 +360,8 @@ func scan(f vfs.File, path string, fn func(key, val []byte, off int64, n int) er
 		return ScanResult{Suspect: size}, corrupt.New(corrupt.LayerVLog, path, 0, ErrBad,
 			fmt.Sprintf("segment shorter than header: %d bytes", size))
 	}
-	data := make([]byte, size)
+	data := slices.Grow((*buf)[:0], int(size))[:size]
+	*buf = data
 	if _, err := f.ReadAt(data, 0); err != nil {
 		return ScanResult{}, err
 	}
@@ -355,9 +386,12 @@ func scan(f vfs.File, path string, fn func(key, val []byte, off int64, n int) er
 	return ScanResult{Valid: off, HeaderOK: true}, nil
 }
 
-// ScanSegment walks one of this log's segments.
-func (l *Log) ScanSegment(num uint64, fn func(key, val []byte, p Pointer) error) error {
-	_, err := ScanFile(l.fs, SegmentName(l.dir, num), func(key, val []byte, off int64, n int) error {
+// ScanSegment walks one of this log's segments as ScanFile does, but
+// reads it into *buf, grown as needed and kept there for the next walk:
+// the slices fn is handed are valid until the next scan into the same
+// buffer.  The collector lends its buffer to one walk at a time.
+func (l *Log) ScanSegment(num uint64, buf *[]byte, fn func(key, val []byte, p Pointer) error) error {
+	_, err := scanFile(l.fs, SegmentName(l.dir, num), buf, func(key, val []byte, off int64, n int) error {
 		return fn(key, val, Pointer{Segment: num, Offset: off, Len: uint32(n)})
 	})
 	return err

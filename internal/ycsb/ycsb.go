@@ -8,7 +8,6 @@
 package ycsb
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -58,12 +57,28 @@ type Op struct {
 // load phase a "hash load" — inserts arrive in key-scattered order
 // with no collisions.
 func KeyName(i uint64) []byte {
-	return []byte(fmt.Sprintf("user%019d", fnv64(i)))
+	return keyName(fnv64(i))
 }
 
 // OrderedKeyName renders record i in key order (for fillseq).
 func OrderedKeyName(i uint64) []byte {
-	return []byte(fmt.Sprintf("user%019d", i))
+	return keyName(i)
+}
+
+// keyName formats "user" and v zero-padded to 19 digits; a 20-digit
+// number prints all 20, as the format "user%019d" does.
+func keyName(v uint64) []byte {
+	n := 19
+	if v >= 1e19 {
+		n = 20
+	}
+	b := make([]byte, 4+n)
+	copy(b, "user")
+	for i := len(b) - 1; i >= 4; i-- {
+		b[i] = byte('0' + v%10)
+		v /= 10
+	}
+	return b
 }
 
 func fnv64(v uint64) uint64 {
@@ -86,6 +101,8 @@ type zipfian struct {
 	eta          float64
 	zeta2theta   float64
 	countForZeta uint64
+	// rank1 is 1 + 0.5^theta, the draw below which rank 1 is chosen.
+	rank1 float64
 }
 
 const zipfTheta = 0.99
@@ -97,6 +114,7 @@ func newZipfian(items uint64) *zipfian {
 	z.zetan = zetaStatic(items, zipfTheta)
 	z.countForZeta = items
 	z.eta = z.etaOf()
+	z.rank1 = 1.0 + math.Pow(0.5, zipfTheta)
 	return z
 }
 
@@ -133,7 +151,7 @@ func (z *zipfian) next(rng *rand.Rand) uint64 {
 	if uz < 1.0 {
 		return 0
 	}
-	if uz < 1.0+math.Pow(0.5, z.theta) {
+	if uz < z.rank1 {
 		return 1
 	}
 	return uint64(float64(z.items) * math.Pow(z.eta*u-z.eta+1, z.alpha))

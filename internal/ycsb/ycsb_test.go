@@ -2,6 +2,11 @@ package ycsb
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -234,6 +239,56 @@ func TestInsertsExtendKeyspace(t *testing.T) {
 	for k := range keys {
 		if idx := sort.SearchStrings(initial, k); idx < len(initial) && initial[idx] == k {
 			t.Fatalf("insert reused existing key %s", k)
+		}
+	}
+}
+
+// TestOpStreamsPinned pins the first 200 000 operations of every
+// workload: a SHA-256 over each op's type, key and scan length, recorded
+// when keys were still formatted with fmt.  A change to the key format,
+// the zipfian draw or the op mix moves a hash.
+func TestOpStreamsPinned(t *testing.T) {
+	const (
+		ops     = 200000
+		records = 100000
+		seed    = 1
+	)
+	want := map[string]string{
+		"A": "b74425e586eb76b0ef4fd7a2e63e2b4e91cd851398dbb3ee8a84c7443131e9d4",
+		"B": "891d25d546bf67710e69c4e1bd45a6af8d11d27cf124e12a280f46fc5be0685e",
+		"C": "8f32ca92bcbf7aeeb1bcf7e94a40c06a09b43df41d67fb97d6fd84fd15c35d9d",
+		"D": "8358ba5fb9ab141753ddfa871cf6a6ee919b2ffb0efe65ea2922f9da535ee79d",
+		"E": "f4633ca37c7ac663bd48438d1ed57a5582cb0116895f6b86f8a15d668b376cc0",
+		"F": "3977e86c65d3c1579913bb386d9674e8382fe03a21a916b7ba2330aec62895bb",
+		"G": "5b7be0e232698352bbbe24a4045c9373be8964c855dbf91886a550acc6ae0b34",
+	}
+	for _, name := range []string{"A", "B", "C", "D", "E", "F", "G"} {
+		w, _ := ByName(name)
+		r := NewRunner(w, records, seed)
+		h := sha256.New()
+		var b [16]byte
+		for i := 0; i < ops; i++ {
+			op := r.Next()
+			binary.LittleEndian.PutUint64(b[:8], uint64(op.Type))
+			binary.LittleEndian.PutUint64(b[8:], uint64(op.ScanLen))
+			h.Write(b[:])
+			h.Write(op.Key)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[name] {
+			t.Errorf("workload %s: op stream hash %s, want %s", name, got, want[name])
+		}
+	}
+}
+
+// TestKeyNameMatchesPrintf checks the strconv key format against the
+// printf one it replaced, at every width boundary of a uint64.
+func TestKeyNameMatchesPrintf(t *testing.T) {
+	for _, i := range []uint64{0, 9, 10, 1e18 - 1, 1e18, 1e19 - 1, 1e19, math.MaxUint64} {
+		if got, want := string(OrderedKeyName(i)), fmt.Sprintf("user%019d", i); got != want {
+			t.Errorf("OrderedKeyName(%d) = %q, want %q", i, got, want)
+		}
+		if got, want := string(KeyName(i)), fmt.Sprintf("user%019d", fnv64(i)); got != want {
+			t.Errorf("KeyName(%d) = %q, want %q", i, got, want)
 		}
 	}
 }

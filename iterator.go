@@ -57,7 +57,7 @@ func (db *DB) NewIterator() *Iterator {
 
 // newIteratorAt builds the merged iterator at snap, which the caller
 // holds pinned (and loaded before any store's state, so every view
-// covers it — see DB.getRaw).  A single store's merging iterator is
+// covers it — see DB.getInto).  A single store's merging iterator is
 // used as is; several are concatenated — the ranges are disjoint and
 // ordered, so no heap is needed and a scan only pays for the stores it
 // actually touches.  A closed DB's iterator fails from the start and is
@@ -181,13 +181,13 @@ func (it *Iterator) Key() []byte { return it.key }
 // through Err.
 func (it *Iterator) Value() []byte {
 	if it.valid && it.vkind == kv.KindValuePtr {
-		v, err := it.db.storeFor(it.key).resolvePointer(it.key, it.val)
+		v, err := it.db.storeFor(it.key).resolvePointer(it.val[:0], it.key, it.val)
 		if err != nil {
 			it.err = err
 			it.valid = false
 			return nil
 		}
-		it.val = append(it.val[:0], v...)
+		it.val = v
 		it.vkind = kv.KindSet
 	}
 	return it.val

@@ -81,6 +81,12 @@ go test -run TestMergeReadAllocs -count=1 ./internal/tableset/
 # per sequence and the merging heaps, with no index reader or key buffer
 # per sequence, since a sequence's fence pointers are decoded once.
 go test -run 'TestPinAndNewIterAllocs|TestSetGetAllocs|TestShortScanAllocs' -count=1 ./internal/tableset/
+# A separated value is read into a pooled record buffer and appended to
+# the caller's: GetInto into a buffer with room, and an iterator's Value
+# once its buffer has grown, allocate nothing.  A collection reads its
+# segment into the buffer the value store lends it, so a second one
+# allocates less than a segment's bytes.
+go test -run 'TestSeparatedReadAllocs|TestCollectionReusesScanBuffer' -count=1 .
 
 stage "vfs"
 # The wrappers and the seek model every test stands on; the race suite only reruns them in the full gate.

@@ -50,7 +50,7 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 	// Pointer records resolve through the owning store's value log; GC
 	// keeps every segment a live snapshot can still reference.
 	if kind == kv.KindValuePtr {
-		return st.resolvePointer(key, v)
+		return st.resolvePointer(nil, key, v)
 	}
 	return finishGet(v, kind)
 }

@@ -904,7 +904,7 @@ func (st *store) resume() error {
 
 // getAt finds the newest version of key at or below snap in the
 // store's current read view.  The caller must have loaded snap before
-// this loads the state pointer (see DB.getRaw).  The returned value
+// this loads the state pointer (see DB.getInto).  The returned value
 // aliases internal storage; a KindValuePtr result is the raw pointer
 // encoding.
 func (st *store) getAt(key []byte, snap kv.Seq) ([]byte, kv.Kind, error) {

@@ -40,6 +40,11 @@ type valueStore struct {
 	// view can still chase pointers into them (commitMu).
 	pend []uint64
 
+	// scanBuf is the buffer collections read a segment into, lent to
+	// one collection at a time; one that finds it on loan (tests call
+	// collect beside the scheduler's) reads into a buffer of its own.
+	scanBuf atomic.Pointer[[]byte]
+
 	appends    atomic.Int64
 	resolves   atomic.Int64
 	gcRewrites atomic.Int64
@@ -213,18 +218,19 @@ func (vs *valueStore) filterGCBatch(b *Batch, userKeys map[string]struct{}) {
 	b.ops = kept
 }
 
-// readPointer reads one pointer's value from the log.  Every failure —
-// malformed encoding, missing segment, CRC mismatch, key mismatch — is
-// a typed corruption: the tree acknowledged a value the log cannot
-// produce.  The failure is not yet noted; see resolvePointer and
-// DB.getRaw for who decides it is real.
-func (st *store) readPointer(key, enc []byte) ([]byte, error) {
+// readPointer reads one pointer's value from the log and appends it to
+// dst (which may alias enc: the pointer is decoded before dst is
+// written).  Every failure — malformed encoding, missing segment, CRC
+// mismatch, key mismatch — is a typed corruption: the tree acknowledged
+// a value the log cannot produce.  The failure is not yet noted; see
+// resolvePointer and DB.getInto for who decides it is real.
+func (st *store) readPointer(dst, key, enc []byte) ([]byte, error) {
 	p, ok := vlog.DecodePointer(enc)
 	if !ok || st.vs == nil {
 		return nil, corrupt.New(corrupt.LayerVLog, st.dir, -1, vlog.ErrBad,
 			"tree carries an unresolvable value pointer")
 	}
-	v, err := st.vs.log.Read(p, key)
+	v, err := st.vs.log.ReadInto(dst, p, key)
 	if err != nil {
 		return nil, err
 	}
@@ -235,8 +241,8 @@ func (st *store) readPointer(key, enc []byte) ([]byte, error) {
 // resolvePointer is the strict resolve of pinned views (snapshots and
 // iterators, whose segments the collector keeps): any failure is
 // damage, counted and reported.
-func (st *store) resolvePointer(key, enc []byte) ([]byte, error) {
-	v, err := st.readPointer(key, enc)
+func (st *store) resolvePointer(dst, key, enc []byte) ([]byte, error) {
+	v, err := st.readPointer(dst, key, enc)
 	if err != nil {
 		st.noteCorruption(err)
 	}
@@ -312,7 +318,12 @@ func (vs *valueStore) collect(seg uint64) error {
 		pending = 0
 		return nil
 	}
-	err := vs.log.ScanSegment(seg, func(key, val []byte, p vlog.Pointer) error {
+	buf := vs.scanBuf.Swap(nil)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	defer vs.scanBuf.Store(buf)
+	err := vs.log.ScanSegment(seg, buf, func(key, val []byte, p vlog.Pointer) error {
 		if st.db.closedA.Load() {
 			return ErrClosed
 		}
@@ -330,8 +341,9 @@ func (vs *valueStore) collect(seg uint64) error {
 		if !ok || curp != p {
 			return nil // superseded by a newer log record
 		}
-		// key and val point into the walk's own segment buffer, which
-		// outlives the batch; cur aliases the store's and is copied.
+		// key and val point into the segment buffer this collection
+		// holds until it returns, after the batch has committed; cur
+		// aliases the store's and is copied.
 		b.ops = append(b.ops, batchOp{kv.KindSet, key, val})
 		b.gcOld = append(b.gcOld, slices.Clone(cur))
 		vs.gcRewrites.Add(1)

@@ -3,12 +3,14 @@ package iamdb
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"iamdb/internal/invariants"
 	"iamdb/internal/metrics"
 	"iamdb/internal/vfs"
 	"iamdb/internal/vlog"
@@ -519,5 +521,117 @@ func TestSeparatedPutAllocations(t *testing.T) {
 	}
 	if separated, plain := measure(64, big), measure(0, big); separated > plain+3 {
 		t.Errorf("separated Put allocates %.2f per op, want <= %.2f (an inline Put's + 3)", separated, plain+3)
+	}
+}
+
+// TestSeparatedReadAllocs is the read side's allocation gate: a value
+// resolved from the log is read into a pooled record buffer and appended
+// straight to the caller's, so GetInto into a buffer with room, and an
+// iterator's Value once its buffer has grown, allocate nothing.
+func TestSeparatedReadAllocs(t *testing.T) {
+	if raceEnabled || invariants.Enabled {
+		t.Skip("sync.Pool drops what is put back under -race; assertions box their arguments under the tag")
+	}
+	opts := smallOpts(IAM, vfs.NewMemFS())
+	opts.MemtableSize = 64 << 20 // no rotation during measurement
+	opts.ValueThreshold = 64
+	opts.InlineBackground = true
+	db, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const records = 300
+	keys, vals := make([][]byte, records), make([][]byte, records)
+	for i := range keys {
+		keys[i], vals[i] = []byte(fmt.Sprintf("key-%06d", i)), bigVal("v", i)
+		if err := db.Put(keys[i], vals[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := make([]byte, 0, len(vals[42]))
+	get := func() {
+		v, err := db.GetInto(keys[42], dst)
+		if err != nil || !bytes.Equal(v, vals[42]) {
+			t.Fatalf("GetInto: %.12q, %v", v, err)
+		}
+	}
+	if n := testing.AllocsPerRun(500, get); n != 0 {
+		t.Errorf("GetInto of a separated value into a buffer with room allocates %.2f per op, want 0", n)
+	}
+
+	it := db.NewIterator()
+	defer it.Close()
+	i := 0
+	step := func() {
+		if !it.Valid() || !bytes.Equal(it.Value(), vals[i]) {
+			t.Fatalf("record %d: valid %v, %v", i, it.Valid(), it.Err())
+		}
+		it.Next()
+		i++
+	}
+	it.First()
+	for range 10 {
+		step()
+	}
+	if n := testing.AllocsPerRun(records-20, step); n != 0 {
+		t.Errorf("Iterator.Value over separated records allocates %.2f per record, want 0", n)
+	}
+}
+
+// TestCollectionReusesScanBuffer is the collector's allocation gate: a
+// collection reads its segment into the buffer the value store lends it,
+// so once one collection has grown that buffer, the next allocates less
+// than a segment's bytes (its rewrites and their flush included).
+func TestCollectionReusesScanBuffer(t *testing.T) {
+	const segSize = 256 << 10
+	opts := smallOpts(IAM, vfs.NewMemFS())
+	opts.ValueThreshold = 64
+	opts.VlogSegmentSize = segSize
+	opts.InlineBackground = true
+	db, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	val := func(round, i int) []byte { return bytes.Repeat([]byte{byte('a' + round), byte(i)}, 2048) }
+	const keys = 200 // about three segments of 4 KiB values per round
+	for round := 0; round < 2; round++ {
+		for i := 0; i < keys; i++ {
+			if round == 1 && i%4 == 0 {
+				continue // a quarter of the first round stays live
+			}
+			if err := db.Put([]byte(fmt.Sprintf("k%04d", i)), val(round, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	vs := db.stores[0].vs
+	if segs := vs.log.Segments(); len(segs) < 4 || segs[0] != 1 {
+		t.Fatalf("segments %v: want 1 and 2 sealed", segs)
+	}
+	if err := vs.collect(1); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := vs.collect(2); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= segSize {
+		t.Errorf("a second collection allocated %d bytes, want fewer than a segment's %d", n, segSize)
+	}
+	for i := 0; i < keys; i++ {
+		round := 1
+		if i%4 == 0 {
+			round = 0
+		}
+		if v, err := db.Get([]byte(fmt.Sprintf("k%04d", i))); err != nil || !bytes.Equal(v, val(round, i)) {
+			t.Fatalf("k%04d after collection: %d bytes, %v", i, len(v), err)
+		}
 	}
 }
