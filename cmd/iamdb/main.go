@@ -87,7 +87,6 @@ func main() {
 	if err != nil {
 		fatalf("open: %v", err)
 	}
-	defer db.Close()
 
 	switch args[0] {
 	case "put":
@@ -117,13 +116,12 @@ func main() {
 			limit, _ = strconv.Atoi(args[2])
 		}
 		it := db.NewIterator()
-		defer it.Close()
 		n := 0
 		for it.Seek([]byte(args[1])); it.Valid() && n < limit; it.Next() {
 			fmt.Printf("%s = %s\n", it.Key(), it.Value())
 			n++
 		}
-		if err := it.Err(); err != nil {
+		if err := errors.Join(it.Err(), it.Close()); err != nil {
 			fatalf("scan: %v", err)
 		}
 	case "rscan":
@@ -133,13 +131,12 @@ func main() {
 			limit, _ = strconv.Atoi(args[2])
 		}
 		it := db.NewIterator()
-		defer it.Close()
 		n := 0
 		for it.SeekForPrev([]byte(args[1])); it.Valid() && n < limit; it.Prev() {
 			fmt.Printf("%s = %s\n", it.Key(), it.Value())
 			n++
 		}
-		if err := it.Err(); err != nil {
+		if err := errors.Join(it.Err(), it.Close()); err != nil {
 			fatalf("rscan: %v", err)
 		}
 	case "load":
@@ -265,12 +262,15 @@ func main() {
 		<-stop
 		close(quit)
 		// Shutdown lets an in-flight request (a /scrub pass) finish
-		// before the deferred db.Close.
+		// before db.Close below.
 		_ = srv.Shutdown(context.Background())
 		wg.Wait()
 		fmt.Println("stopping")
 	default:
 		fatalf("unknown command %q", args[0])
+	}
+	if err := db.Close(); err != nil {
+		fatalf("close: %v", err)
 	}
 }
 

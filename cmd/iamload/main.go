@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -61,7 +62,6 @@ func main() {
 	if err != nil {
 		fatalf("open: %v", err)
 	}
-	defer db.Close()
 
 	switch args[0] {
 	case "load":
@@ -118,7 +118,9 @@ func main() {
 					fatalf("put: %v", err)
 				}
 			case ycsb.OpRMW:
-				db.Get(op.Key)
+				if _, err := db.Get(op.Key); err != nil && err != iamdb.ErrNotFound {
+					fatalf("get: %v", err)
+				}
 				if err := db.Put(op.Key, val); err != nil {
 					fatalf("put: %v", err)
 				}
@@ -128,10 +130,9 @@ func main() {
 				for n := 0; it.Valid() && n < op.ScanLen; n++ {
 					it.Next()
 				}
-				if err := it.Err(); err != nil {
+				if err := errors.Join(it.Err(), it.Close()); err != nil {
 					fatalf("scan: %v", err)
 				}
-				it.Close()
 			}
 			hist.Record(time.Since(t0))
 		}
@@ -150,6 +151,9 @@ func main() {
 
 	default:
 		fatalf("unknown command %q", args[0])
+	}
+	if err := db.Close(); err != nil {
+		fatalf("close: %v", err)
 	}
 }
 

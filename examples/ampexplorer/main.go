@@ -33,7 +33,6 @@ func load(engine iamdb.EngineKind) iamdb.Metrics {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer db.Close()
 
 	rng := rand.New(rand.NewSource(99))
 	val := make([]byte, 256)
@@ -46,7 +45,11 @@ func load(engine iamdb.EngineKind) iamdb.Metrics {
 			log.Fatal(err)
 		}
 	}
-	return db.Metrics()
+	m := db.Metrics()
+	if err := db.Close(); err != nil {
+		log.Fatal(err)
+	}
+	return m
 }
 
 func main() {

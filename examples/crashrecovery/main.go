@@ -8,6 +8,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"os"
@@ -36,7 +37,9 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	db.Close()
+	if err := db.Close(); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("wrote 1000 orders, then 'crashed'")
 
 	// Phase 2: tear the live WAL's tail, as a power cut mid-write
@@ -57,13 +60,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer db2.Close()
 
 	survived := 0
 	it := db2.NewIterator()
-	defer it.Close()
 	for it.Seek([]byte("order/")); it.Valid(); it.Next() {
 		survived++
+	}
+	if err := errors.Join(it.Err(), it.Close()); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("recovered %d/1000 orders (the torn tail may cost the last record)\n", survived)
 	if survived < 999 {
@@ -74,4 +78,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("spot check order/000500 = %s\n", v)
+	if err := db2.Close(); err != nil {
+		log.Fatal(err)
+	}
 }

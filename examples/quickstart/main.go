@@ -4,6 +4,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"os"
@@ -25,7 +26,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer db.Close()
 
 	// Writes: single keys and atomic batches.
 	if err := db.Put([]byte("user:alice"), []byte("score=42")); err != nil {
@@ -57,15 +57,17 @@ func main() {
 	// Range scan in key order.
 	fmt.Println("all users:")
 	it := db.NewIterator()
-	defer it.Close()
 	for it.Seek([]byte("user:")); it.Valid(); it.Next() {
 		fmt.Printf("  %s = %s\n", it.Key(), it.Value())
 	}
-	if err := it.Err(); err != nil {
+	if err := errors.Join(it.Err(), it.Close()); err != nil {
 		log.Fatal(err)
 	}
 
 	// Engine metrics: write amplification, tree shape.
 	m := db.Metrics()
 	fmt.Printf("write amplification so far: %.2f\n", m.WriteAmplification())
+	if err := db.Close(); err != nil {
+		log.Fatal(err)
+	}
 }

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"math/rand"
@@ -43,7 +44,6 @@ func runWorkload(engine iamdb.EngineKind) (iamdb.Metrics, int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer db.Close()
 
 	rng := rand.New(rand.NewSource(7))
 	sessKey := func(user, sess int) []byte {
@@ -70,7 +70,6 @@ func runWorkload(engine iamdb.EngineKind) (iamdb.Metrics, int) {
 
 	// Audit scan: all live sessions of one user.
 	it := db.NewIterator()
-	defer it.Close()
 	live := 0
 	prefix := []byte("sess/u0042/")
 	for it.Seek(prefix); it.Valid(); it.Next() {
@@ -79,10 +78,14 @@ func runWorkload(engine iamdb.EngineKind) (iamdb.Metrics, int) {
 		}
 		live++
 	}
-	if err := it.Err(); err != nil {
+	if err := errors.Join(it.Err(), it.Close()); err != nil {
 		log.Fatal(err)
 	}
-	return db.Metrics(), live
+	m := db.Metrics()
+	if err := db.Close(); err != nil {
+		log.Fatal(err)
+	}
+	return m, live
 }
 
 func randToken(rng *rand.Rand) string {

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"math/rand"
@@ -39,7 +40,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer db.Close()
 
 	// Ingest in timestamp order, interleaved across metrics.
 	rng := rand.New(rand.NewSource(1))
@@ -53,7 +53,6 @@ func main() {
 
 	// Window query: metric 2, a 200-tick slice.
 	it := db.NewIterator()
-	defer it.Close()
 	lo, hi := 10000, 10200
 	count, first, last := 0, "", ""
 	for it.Seek(key(2, lo)); it.Valid(); it.Next() {
@@ -67,7 +66,7 @@ func main() {
 		last = k
 		count++
 	}
-	if err := it.Err(); err != nil {
+	if err := errors.Join(it.Err(), it.Close()); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("window scan m/02 [%d,%d): %d samples (%s .. %s)\n",
@@ -81,5 +80,8 @@ func main() {
 	fmt.Printf("metadata-only moves: %d, merges: %d\n", m.Engine.Moves, m.Engine.Merges)
 	for _, l := range m.Levels {
 		fmt.Printf("  %s\n", l)
+	}
+	if err := db.Close(); err != nil {
+		log.Fatal(err)
 	}
 }

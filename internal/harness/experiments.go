@@ -129,6 +129,65 @@ func ms(d time.Duration) string {
 	return fmt.Sprintf("%.2fms", float64(d.Microseconds())/1000)
 }
 
+// eachEngine runs fn in a fresh environment of the class for each engine
+// in turn, through withEnv, and stops at the first error.
+func (s Scale) eachEngine(engines []iamdb.EngineKind, c Class, fn func(*Env) error) error {
+	for _, e := range engines {
+		if err := withEnv(s.ConfigFor(e, c), fn); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runAll runs the workloads in order on env: WorkloadOps operations each,
+// a tenth of that for long scans.
+func (s Scale) runAll(env *Env, workloads []ycsb.Workload) ([]RunResult, error) {
+	var rs []RunResult
+	for _, w := range workloads {
+		ops := s.WorkloadOps
+		if w.MaxScanLen >= 1000 {
+			ops = s.WorkloadOps / 10 // long scans: fewer ops
+		}
+		r, err := env.RunWorkload(w, ops)
+		if err != nil {
+			return nil, err
+		}
+		rs = append(rs, r)
+	}
+	return rs, nil
+}
+
+// normalized is one row of Figures 6-9: the first rate (L's) raw, in
+// thousands as "%.1fk" when kilo is set, and every other as a multiple
+// of it.
+func normalized(name string, rates []float64, kilo bool) []string {
+	first := fmt.Sprintf("%.0f", rates[0])
+	if kilo {
+		first = fmt.Sprintf("%.1fk", rates[0]/1000)
+	}
+	row := []string{name, first}
+	for _, r := range rates[1:] {
+		row = append(row, f2(r/rates[0]))
+	}
+	return row
+}
+
+// levelRow is one row of Tables 3 and 4: the write amp of levels lo..hi
+// and the total.  A level the tree lacks reads "-", and so does an empty
+// one when dashEmpty is set.
+func levelRow(name string, res LoadResult, lo, hi int, dashEmpty bool) []string {
+	row := []string{name}
+	for lvl := lo; lvl <= hi; lvl++ {
+		if lvl < len(res.PerLevel) && (res.PerLevel[lvl] > 0 || !dashEmpty) {
+			row = append(row, f2(res.PerLevel[lvl]))
+		} else {
+			row = append(row, "-")
+		}
+	}
+	return append(row, f2(res.WriteAmp))
+}
+
 // Table1 measures the qualitative amplification comparison of Table 1:
 // write amplification from a hash load, scan read amplification as
 // disk seeks per scanned level, and space amplification after an
@@ -138,45 +197,34 @@ func (s Scale) Table1() (Table, error) {
 		Title:  "Table 1: amplifications of LSM (RocksDB profile), LSA and IAM",
 		Header: []string{"engine", "write-amp", "seeks/scan", "space-amp"},
 	}
-	for _, e := range []iamdb.EngineKind{iamdb.RocksDB, iamdb.LSA, iamdb.IAM} {
-		env, err := NewEnv(s.ConfigFor(e, ClassSSD100G))
-		if err != nil {
-			return t, err
-		}
+	err := s.eachEngine([]iamdb.EngineKind{iamdb.RocksDB, iamdb.LSA, iamdb.IAM}, ClassSSD100G, func(env *Env) error {
 		if _, err := env.HashLoad(); err != nil {
-			env.Close()
-			return t, err
+			return err
 		}
 		load, err := env.Overwrite()
 		if err != nil {
-			env.Close()
-			return t, err
+			return err
 		}
 		if _, err := env.Settle(); err != nil {
-			env.Close()
-			return t, err
+			return err
 		}
 		// Scan read amplification: seeks per 100-record scan.
 		runner := ycsb.NewRunner(ycsb.WorkloadE, env.Cfg.Records, 5)
 		before := env.stats.Snapshot()
 		const scans = 200
 		for i := 0; i < scans; i++ {
-			op := runner.Next()
-			it := env.DB.NewIterator()
-			it.Seek(op.Key)
-			for n := 0; it.Valid() && n < 100; n++ {
-				it.Next()
+			if err := env.scan(runner.Next().Key, 100); err != nil {
+				return err
 			}
-			it.Close()
 		}
 		seeks := float64(env.stats.Snapshot().Sub(before).Seeks) / scans
 		logical := int64(env.Cfg.Records) * int64(env.Cfg.ValueSize)
 		space := float64(env.SpaceUsed()) / float64(logical)
 		t.Rows = append(t.Rows, []string{
-			e.String(), f2(load.WriteAmp), f2(seeks), f2(space)})
-		env.Close()
-	}
-	return t, nil
+			env.Cfg.Engine.String(), f2(load.WriteAmp), f2(seeks), f2(space)})
+		return nil
+	})
+	return t, err
 }
 
 // Table2 verifies the append-tree characteristics of Table 2: LSA/IAM
@@ -189,32 +237,26 @@ func (s Scale) Table2() (Table, error) {
 		Title:  "Table 2: append-tree traits under sequential load",
 		Header: []string{"engine", "seq-write-amp", "moves", "splits", "scan-ok"},
 	}
-	for _, e := range []iamdb.EngineKind{iamdb.RocksDB, iamdb.LSA, iamdb.IAM} {
-		env, err := NewEnv(s.ConfigFor(e, ClassSSD100G))
-		if err != nil {
-			return t, err
-		}
+	err := s.eachEngine([]iamdb.EngineKind{iamdb.RocksDB, iamdb.LSA, iamdb.IAM}, ClassSSD100G, func(env *Env) error {
 		res, err := env.SeqLoad()
 		if err != nil {
-			env.Close()
-			return t, err
+			return err
 		}
 		m := env.DB.Metrics()
 		scan, err := env.ReadSeq()
 		if err != nil {
-			env.Close()
-			return t, err
+			return err
 		}
 		scanOK := "yes"
 		if scan.Ops != int(env.Cfg.Records) {
 			scanOK = fmt.Sprintf("BROKEN(%d)", scan.Ops)
 		}
 		t.Rows = append(t.Rows, []string{
-			e.String(), f2(res.WriteAmp),
+			env.Cfg.Engine.String(), f2(res.WriteAmp),
 			fmt.Sprint(m.Engine.Moves), fmt.Sprint(m.Engine.Splits), scanOK})
-		env.Close()
-	}
-	return t, nil
+		return nil
+	})
+	return t, err
 }
 
 // Table3 reproduces Table 3: per-level write amplification of IAM
@@ -228,26 +270,16 @@ func (s Scale) Table3() (Table, error) {
 		cfg := s.ConfigFor(iamdb.IAM, ClassSSD100G)
 		cfg.FixedM = 3
 		cfg.K = k
-		env, err := NewEnv(cfg)
-		if err != nil {
-			return t, err
-		}
-		res, err := env.HashLoad()
-		if err != nil {
-			env.Close()
-			return t, err
-		}
-		row := []string{fmt.Sprint(k)}
-		for lvl := 1; lvl <= 4; lvl++ {
-			if lvl < len(res.PerLevel) {
-				row = append(row, f2(res.PerLevel[lvl]))
-			} else {
-				row = append(row, "-")
+		err := withEnv(cfg, func(env *Env) error {
+			res, err := env.HashLoad()
+			if err == nil {
+				t.Rows = append(t.Rows, levelRow(fmt.Sprint(k), res, 1, 4, false))
 			}
+			return err
+		})
+		if err != nil {
+			return t, err
 		}
-		row = append(row, f2(res.WriteAmp))
-		t.Rows = append(t.Rows, row)
-		env.Close()
 	}
 	return t, nil
 }
@@ -259,35 +291,23 @@ func (s Scale) Table4() (Table, error) {
 		Title:  "Table 4: per-level write amp, 1T-class hash load",
 		Header: []string{"config", "L0", "L1", "L2", "L3", "L4", "L5", "sum"},
 	}
-	for _, e := range paperEngines {
-		env, err := NewEnv(s.ConfigFor(e, ClassHDD1T))
-		if err != nil {
-			return t, err
-		}
+	err := s.eachEngine(paperEngines, ClassHDD1T, func(env *Env) error {
 		res, err := env.HashLoad()
-		if err != nil {
-			env.Close()
-			return t, err
+		if err == nil {
+			t.Rows = append(t.Rows, levelRow(engineTag(env.Cfg.Engine), res, 0, 5, true))
 		}
-		row := []string{engineTag(e)}
-		for lvl := 0; lvl <= 5; lvl++ {
-			if lvl < len(res.PerLevel) && res.PerLevel[lvl] > 0 {
-				row = append(row, f2(res.PerLevel[lvl]))
-			} else {
-				row = append(row, "-")
-			}
-		}
-		row = append(row, f2(res.WriteAmp))
-		t.Rows = append(t.Rows, row)
-		env.Close()
-	}
-	return t, nil
+		return err
+	})
+	return t, err
 }
 
 // queryWorkloads are the workloads of Table 5 / Figure 8.
 var queryWorkloads = []ycsb.Workload{
 	ycsb.WorkloadB, ycsb.WorkloadC, ycsb.WorkloadD, ycsb.WorkloadE, ycsb.WorkloadG,
 }
+
+// paperClasses are the classes Table 5 and Figure 6 run in.
+var paperClasses = []Class{ClassSSD100G, ClassHDD100G, ClassHDD1T}
 
 // Table5 reproduces Table 5: 99% latencies of the query-intensive
 // workloads per environment class.
@@ -296,31 +316,24 @@ func (s Scale) Table5() (Table, error) {
 		Title:  "Table 5: 99% latencies (per class: SSD-100G, HDD-100G, HDD-1T)",
 		Header: []string{"config", "class", "B", "C", "D", "E", "G"},
 	}
-	for _, class := range []Class{ClassSSD100G, ClassHDD100G, ClassHDD1T} {
-		for _, e := range paperEngines {
-			env, err := NewEnv(s.ConfigFor(e, class))
-			if err != nil {
-				return t, err
-			}
+	for _, class := range paperClasses {
+		err := s.eachEngine(paperEngines, class, func(env *Env) error {
 			if _, err := env.HashLoad(); err != nil {
-				env.Close()
-				return t, err
+				return err
 			}
-			row := []string{engineTag(e), class.Name}
-			for _, w := range queryWorkloads {
-				ops := s.WorkloadOps
-				if w.MaxScanLen >= 1000 {
-					ops = s.WorkloadOps / 10 // long scans: fewer ops
-				}
-				r, err := env.RunWorkload(w, ops)
-				if err != nil {
-					env.Close()
-					return t, err
-				}
+			rs, err := s.runAll(env, queryWorkloads)
+			if err != nil {
+				return err
+			}
+			row := []string{engineTag(env.Cfg.Engine), class.Name}
+			for _, r := range rs {
 				row = append(row, ms(r.P99))
 			}
 			t.Rows = append(t.Rows, row)
-			env.Close()
+			return nil
+		})
+		if err != nil {
+			return t, err
 		}
 	}
 	return t, nil
@@ -333,27 +346,17 @@ func (s Scale) Figure6() (Table, error) {
 		Title:  "Figure 6: hash-load throughput normalized to L",
 		Header: []string{"class", "L(kops)", "R", "A", "I"},
 	}
-	for _, class := range []Class{ClassSSD100G, ClassHDD100G, ClassHDD1T} {
-		var base float64
-		row := []string{class.Name}
-		for _, e := range paperEngines {
-			env, err := NewEnv(s.ConfigFor(e, class))
-			if err != nil {
-				return t, err
-			}
+	for _, class := range paperClasses {
+		var rates []float64
+		err := s.eachEngine(paperEngines, class, func(env *Env) error {
 			res, err := env.HashLoad()
-			env.Close()
-			if err != nil {
-				return t, err
-			}
-			if e == iamdb.LevelDB {
-				base = res.OpsPerSec
-				row = append(row, fmt.Sprintf("%.1fk", base/1000))
-			} else {
-				row = append(row, f2(res.OpsPerSec/base))
-			}
+			rates = append(rates, res.OpsPerSec)
+			return err
+		})
+		if err != nil {
+			return t, err
 		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, normalized(class.Name, rates, true))
 	}
 	return t, nil
 }
@@ -368,87 +371,43 @@ var allWorkloads = []ycsb.Workload{
 // to the LevelDB profile, per class.  Runs begin right after the load,
 // so the baselines' tuning phase drags their average as in the paper.
 func (s Scale) Figure7(class Class) (Table, error) {
-	t := Table{
-		Title:  fmt.Sprintf("Figure 7 (%s): YCSB throughput normalized to L", class.Name),
-		Header: []string{"workload", "L(ops/s)", "R", "A", "I"},
-	}
-	per := make(map[string][]float64) // workload -> by engine
-	for _, e := range paperEngines {
-		env, err := NewEnv(s.ConfigFor(e, class))
-		if err != nil {
-			return t, err
-		}
-		if _, err := env.HashLoad(); err != nil {
-			env.Close()
-			return t, err
-		}
-		for _, w := range allWorkloads {
-			ops := s.WorkloadOps
-			if w.MaxScanLen >= 1000 {
-				ops = s.WorkloadOps / 10
-			}
-			r, err := env.RunWorkload(w, ops)
-			if err != nil {
-				env.Close()
-				return t, err
-			}
-			per[w.Name] = append(per[w.Name], r.OpsPerSec)
-		}
-		env.Close()
-	}
-	for _, w := range allWorkloads {
-		v := per[w.Name]
-		row := []string{w.Name, fmt.Sprintf("%.0f", v[0])}
-		for i := 1; i < len(v); i++ {
-			row = append(row, f2(v[i]/v[0]))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
+	return s.throughput(fmt.Sprintf("Figure 7 (%s): YCSB throughput normalized to L", class.Name),
+		class, allWorkloads, false)
 }
 
 // Figure8 reproduces Fig. 8: stable throughput (after the tuning
 // phase) of the query-intensive workloads, SSD 100G class.
 func (s Scale) Figure8() (Table, error) {
-	t := Table{
-		Title:  "Figure 8: stable throughput, query-intensive, SSD-100G",
-		Header: []string{"workload", "L(ops/s)", "R", "A", "I"},
-	}
-	per := make(map[string][]float64)
-	for _, e := range paperEngines {
-		env, err := NewEnv(s.ConfigFor(e, ClassSSD100G))
-		if err != nil {
-			return t, err
-		}
+	return s.throughput("Figure 8: stable throughput, query-intensive, SSD-100G",
+		ClassSSD100G, queryWorkloads, true)
+}
+
+// throughput is the body of Figures 7 and 8: each engine hash-loads,
+// settles the tuning phase first when settle is set, and runs the
+// workloads; a row per workload gives the rates normalized to L.
+func (s Scale) throughput(title string, class Class, workloads []ycsb.Workload, settle bool) (Table, error) {
+	t := Table{Title: title, Header: []string{"workload", "L(ops/s)", "R", "A", "I"}}
+	per := make([][]float64, len(workloads)) // workload -> by engine
+	err := s.eachEngine(paperEngines, class, func(env *Env) error {
 		if _, err := env.HashLoad(); err != nil {
-			env.Close()
-			return t, err
+			return err
 		}
-		if _, err := env.Settle(); err != nil { // tuning phase completes
-			env.Close()
-			return t, err
-		}
-		for _, w := range queryWorkloads {
-			ops := s.WorkloadOps
-			if w.MaxScanLen >= 1000 {
-				ops = s.WorkloadOps / 10
+		if settle {
+			if _, err := env.Settle(); err != nil {
+				return err
 			}
-			r, err := env.RunWorkload(w, ops)
-			if err != nil {
-				env.Close()
-				return t, err
-			}
-			per[w.Name] = append(per[w.Name], r.OpsPerSec)
 		}
-		env.Close()
+		rs, err := s.runAll(env, workloads)
+		for i, r := range rs {
+			per[i] = append(per[i], r.OpsPerSec)
+		}
+		return err
+	})
+	if err != nil {
+		return t, err
 	}
-	for _, w := range queryWorkloads {
-		v := per[w.Name]
-		row := []string{w.Name, fmt.Sprintf("%.0f", v[0])}
-		for i := 1; i < len(v); i++ {
-			row = append(row, f2(v[i]/v[0]))
-		}
-		t.Rows = append(t.Rows, row)
+	for i, w := range workloads {
+		t.Rows = append(t.Rows, normalized(w.Name, per[i], false))
 	}
 	return t, nil
 }
@@ -461,34 +420,21 @@ func (s Scale) Figure9() (Table, error) {
 		Header: []string{"test", "L(kops)", "R", "A", "I"},
 	}
 	for _, class := range []Class{ClassSSD100G, ClassHDD100G} {
-		var fillBase, readBase float64
-		fillRow := []string{"fillseq-" + class.Disk.Name}
-		readRow := []string{"readseq-" + class.Disk.Name}
-		for _, e := range paperEngines {
-			env, err := NewEnv(s.ConfigFor(e, class))
+		var fill, read []float64
+		err := s.eachEngine(paperEngines, class, func(env *Env) error {
+			f, err := env.SeqLoad()
 			if err != nil {
-				return t, err
+				return err
 			}
-			fill, err := env.SeqLoad()
-			if err != nil {
-				env.Close()
-				return t, err
-			}
-			read, err := env.ReadSeq()
-			env.Close()
-			if err != nil {
-				return t, err
-			}
-			if e == iamdb.LevelDB {
-				fillBase, readBase = fill.OpsPerSec, read.OpsPerSec
-				fillRow = append(fillRow, fmt.Sprintf("%.1fk", fillBase/1000))
-				readRow = append(readRow, fmt.Sprintf("%.1fk", readBase/1000))
-			} else {
-				fillRow = append(fillRow, f2(fill.OpsPerSec/fillBase))
-				readRow = append(readRow, f2(read.OpsPerSec/readBase))
-			}
+			r, err := env.ReadSeq()
+			fill, read = append(fill, f.OpsPerSec), append(read, r.OpsPerSec)
+			return err
+		})
+		if err != nil {
+			return t, err
 		}
-		t.Rows = append(t.Rows, fillRow, readRow)
+		t.Rows = append(t.Rows, normalized("fillseq-"+class.Disk.Name, fill, true),
+			normalized("readseq-"+class.Disk.Name, read, true))
 	}
 	return t, nil
 }
@@ -501,7 +447,6 @@ func (s Scale) Figure10() (Table, error) {
 		Title:  "Figure 10: space usage (MiB) after write tests",
 		Header: []string{"test", "L", "R", "A", "I"},
 	}
-	mib := func(n int64) string { return fmt.Sprintf("%.1f", float64(n)/(1<<20)) }
 	tests := []struct {
 		name string
 		run  func(*Env) error
@@ -520,17 +465,13 @@ func (s Scale) Figure10() (Table, error) {
 	}
 	for _, test := range tests {
 		row := []string{test.name}
-		for _, e := range paperEngines {
-			env, err := NewEnv(s.ConfigFor(e, ClassSSD100G))
-			if err != nil {
-				return t, err
-			}
-			if err := test.run(env); err != nil {
-				env.Close()
-				return t, err
-			}
-			row = append(row, mib(env.SpaceUsed()))
-			env.Close()
+		err := s.eachEngine(paperEngines, ClassSSD100G, func(env *Env) error {
+			err := test.run(env)
+			row = append(row, fmt.Sprintf("%.1f", float64(env.SpaceUsed())/(1<<20)))
+			return err
+		})
+		if err != nil {
+			return t, err
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -546,28 +487,22 @@ func (s Scale) TuningPhase() (Table, error) {
 		Title:  "Tuning phase: leftover compaction debt after hash load",
 		Header: []string{"config", "load(disk-s)", "tuning(disk-s)", "debt-ratio"},
 	}
-	for _, e := range paperEngines {
-		env, err := NewEnv(s.ConfigFor(e, ClassSSD100G))
-		if err != nil {
-			return t, err
-		}
+	err := s.eachEngine(paperEngines, ClassSSD100G, func(env *Env) error {
 		res, err := env.HashLoad()
 		if err != nil {
-			env.Close()
-			return t, err
+			return err
 		}
 		tune, err := env.Settle()
 		if err != nil {
-			env.Close()
-			return t, err
+			return err
 		}
 		t.Rows = append(t.Rows, []string{
-			engineTag(e),
+			engineTag(env.Cfg.Engine),
 			fmt.Sprintf("%.2f", res.DiskTime.Seconds()),
 			fmt.Sprintf("%.2f", tune.Seconds()),
 			fmt.Sprintf("%.2f", tune.Seconds()/res.DiskTime.Seconds()),
 		})
-		env.Close()
-	}
-	return t, nil
+		return nil
+	})
+	return t, err
 }

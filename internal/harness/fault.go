@@ -292,8 +292,7 @@ func (w Workload) CrashTrial(mode vfs.CrashMode, crashAt int64) error {
 	if err != nil {
 		return fmt.Errorf("crashAt=%d: reopen: %w", crashAt, err)
 	}
-	defer db2.Close()
-	if err := crashVerdict(db2, h); err != nil {
+	if err := errors.Join(crashVerdict(db2, h), db2.Close()); err != nil {
 		return fmt.Errorf("crashAt=%d: %w", crashAt, err)
 	}
 	return nil
@@ -489,8 +488,7 @@ func (w Workload) reopenRotted(fs vfs.FS, h *history, changed bool) error {
 		}
 		return nil // detected loudly at open; acceptable outcome
 	}
-	defer db.Close()
-	return rotVerdict(db, h, changed)
+	return errors.Join(rotVerdict(db, h, changed), db.Close())
 }
 
 // rotVerdict checks the reopened store against the history with the

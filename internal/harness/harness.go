@@ -12,6 +12,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -149,6 +150,16 @@ func (e *Env) Close() error {
 	return e.DB.Close()
 }
 
+// withEnv opens an environment for cfg, runs fn in it and closes it,
+// returning fn's error joined with Close's.
+func withEnv(cfg Config, fn func(*Env) error) error {
+	env, err := NewEnv(cfg)
+	if err != nil {
+		return err
+	}
+	return errors.Join(fn(env), env.Close())
+}
+
 // LoadResult reports a load phase.
 type LoadResult struct {
 	Engine    string
@@ -274,16 +285,9 @@ func (e *Env) RunWorkload(w ycsb.Workload, ops int) (RunResult, error) {
 				return RunResult{}, err
 			}
 		case ycsb.OpScan:
-			it := e.DB.NewIterator()
-			it.Seek(op.Key)
-			for n := 0; it.Valid() && n < op.ScanLen; n++ {
-				it.Next()
-			}
-			if err := it.Err(); err != nil {
-				it.Close()
+			if err := e.scan(op.Key, op.ScanLen); err != nil {
 				return RunResult{}, err
 			}
-			it.Close()
 		}
 		service[i] = e.clock.Elapsed() - t0 + cpuPerOp
 		hist.Record(service[i])
@@ -300,20 +304,29 @@ func (e *Env) RunWorkload(w ycsb.Workload, ops int) (RunResult, error) {
 	}, nil
 }
 
+// scan reads up to n records from key on, as a YCSB scan does.
+func (e *Env) scan(key []byte, n int) error {
+	it := e.DB.NewIterator()
+	it.Seek(key)
+	for i := 0; it.Valid() && i < n; i++ {
+		it.Next()
+	}
+	return errors.Join(it.Err(), it.Close())
+}
+
 // ReadSeq scans the whole store once (db_bench readseq), returning the
 // record rate.
 func (e *Env) ReadSeq() (RunResult, error) {
 	start := e.clock.Elapsed()
 	it := e.DB.NewIterator()
-	defer it.Close()
 	n := 0
 	for it.First(); it.Valid(); it.Next() {
 		n++
 	}
-	if err := it.Err(); err != nil {
+	elapsed := e.clock.Elapsed() - start + time.Duration(n)*cpuPerOp
+	if err := errors.Join(it.Err(), it.Close()); err != nil {
 		return RunResult{}, err
 	}
-	elapsed := e.clock.Elapsed() - start + time.Duration(n)*cpuPerOp
 	return RunResult{
 		Engine: e.Cfg.Engine.String(), Workload: "readseq",
 		Ops: n, OpsPerSec: rate(uint64(n), elapsed),

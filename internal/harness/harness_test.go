@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"slices"
 	"testing"
 	"time"
@@ -78,6 +79,23 @@ func TestEnvWorkloads(t *testing.T) {
 		if r.ReadMiss > r.Ops/4 {
 			t.Fatalf("%s: %d misses", w.Name, r.ReadMiss)
 		}
+	}
+}
+
+// TestExperimentReportsClose closes every environment's store before the
+// environment closes it, so each Env.Close fails with ErrClosed: an
+// experiment must return that error, not drop it.
+func TestExperimentReportsClose(t *testing.T) {
+	prev := closeHook
+	t.Cleanup(func() { closeHook = prev })
+	closeHook = func(e *Env) {
+		if err := e.DB.Close(); err != nil {
+			t.Errorf("first close: %v", err)
+		}
+	}
+	tiny := Scale{Name: "tiny", Records100G: 400, Records1T: 1200, Ct: 8 * 1024, ValueSize: 256, WorkloadOps: 100}
+	if _, err := tiny.Figure6(); !errors.Is(err, iamdb.ErrClosed) {
+		t.Fatalf("Figure 6 returned %v, want %v", err, iamdb.ErrClosed)
 	}
 }
 

@@ -76,37 +76,36 @@ type kvsepCell struct {
 }
 
 func (s Scale) kvsepRun(e iamdb.EngineKind, valueSize int, sep bool, threshold int, skew bool) (kvsepCell, error) {
-	env, err := NewEnv(s.kvsepConfig(e, valueSize, sep, threshold))
-	if err != nil {
-		return kvsepCell{}, err
-	}
-	defer env.Close()
-	if _, err := env.HashLoad(); err != nil {
-		return kvsepCell{}, err
-	}
-	// The overwrite pass is the measured one; the hash load seeds it.
-	// Measuring sustained overwrites (rather than a one-shot load) makes
-	// every inline engine pay its steady-state merge cost for large
-	// values — the regime key-value separation targets — instead of the
-	// append-only best case.
-	var res LoadResult
-	if skew {
-		res, err = env.SkewedOverwrite()
-	} else {
-		res, err = env.Overwrite()
-	}
-	if err != nil {
-		return kvsepCell{}, err
-	}
-	m := env.DB.Metrics()
-	return kvsepCell{
-		ops:     res.OpsPerSec,
-		treeAmp: m.WriteAmplification(),
-		device:  m.IO.BytesWritten,
-		user:    m.UserBytes,
-		space:   m.SpaceUsed,
-		puts:    2 * env.Cfg.Records, // load + overwrite passes
-	}, nil
+	var c kvsepCell
+	err := withEnv(s.kvsepConfig(e, valueSize, sep, threshold), func(env *Env) error {
+		if _, err := env.HashLoad(); err != nil {
+			return err
+		}
+		// The overwrite pass is the measured one; the hash load seeds it.
+		// Measuring sustained overwrites (rather than a one-shot load)
+		// makes every inline engine pay its steady-state merge cost for
+		// large values — the regime key-value separation targets —
+		// instead of the append-only best case.
+		overwrite := env.Overwrite
+		if skew {
+			overwrite = env.SkewedOverwrite
+		}
+		res, err := overwrite()
+		if err != nil {
+			return err
+		}
+		m := env.DB.Metrics()
+		c = kvsepCell{
+			ops:     res.OpsPerSec,
+			treeAmp: m.WriteAmplification(),
+			device:  m.IO.BytesWritten,
+			user:    m.UserBytes,
+			space:   m.SpaceUsed,
+			puts:    2 * env.Cfg.Records, // load + overwrite passes
+		}
+		return nil
+	})
+	return c, err
 }
 
 func kvsepSize(v int) string {

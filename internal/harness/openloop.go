@@ -25,25 +25,18 @@ func (s Scale) OpenLoop() (Table, error) {
 		Header: []string{"config", "load", "offered-kops", "p50", "p99", "p99.9",
 			"max", "deepest-queue"},
 	}
-	for _, e := range paperEngines {
-		cfg := s.ConfigFor(e, ClassSSD100G)
-		env, err := NewEnv(cfg)
-		if err != nil {
-			return t, err
+	err := s.eachEngine(paperEngines, ClassSSD100G, func(env *Env) error {
+		if _, err := env.HashLoad(); err != nil {
+			return err
 		}
-		_, err = env.HashLoad()
-		var r RunResult
-		if err == nil {
-			r, err = env.RunWorkload(ycsb.WorkloadA, 8*s.WorkloadOps)
-		}
-		env.Close()
+		r, err := env.RunWorkload(ycsb.WorkloadA, 8*s.WorkloadOps)
 		if err != nil {
-			return t, err
+			return err
 		}
 		for _, share := range []float64{0.5, 0.8, 0.95} {
 			// The same draws at every share and for every engine: only
 			// the rate they are scaled by differs.
-			rng := rand.New(rand.NewSource(cfg.Seed))
+			rng := rand.New(rand.NewSource(env.Cfg.Seed))
 			offered := share * r.OpsPerSec
 			meanGap := float64(time.Second) / offered
 			arrive := make([]time.Duration, len(r.Service))
@@ -58,13 +51,14 @@ func (s Scale) OpenLoop() (Table, error) {
 				h.Record(l)
 			}
 			t.Rows = append(t.Rows, []string{
-				engineTag(e), f2(share), fmt.Sprintf("%.1f", offered/1000),
+				engineTag(env.Cfg.Engine), f2(share), fmt.Sprintf("%.1f", offered/1000),
 				ms(h.Percentile(0.5)), ms(h.Percentile(0.99)), ms(h.Percentile(0.999)),
 				ms(h.Max()), fmt.Sprint(deepest),
 			})
 		}
-	}
-	return t, nil
+		return nil
+	})
+	return t, err
 }
 
 // queue serves operations first come, first served on one store.

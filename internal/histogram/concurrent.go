@@ -57,6 +57,9 @@ func (c *Concurrent) Record(d time.Duration) {
 // Count reports the number of observations.
 func (c *Concurrent) Count() int64 { return c.count.Load() }
 
+// Sum reports the total of every observation, in nanoseconds.
+func (c *Concurrent) Sum() int64 { return c.sum.Load() }
+
 // Snapshot folds the counters into a plain H for percentile math.
 func (c *Concurrent) Snapshot() *H {
 	h := New()

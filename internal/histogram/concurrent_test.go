@@ -60,6 +60,10 @@ func TestConcurrentParallelRecord(t *testing.T) {
 	if got := c.Count(); got != workers*perWorker {
 		t.Fatalf("count: got %d want %d", got, workers*perWorker)
 	}
+	const total = workers * perWorker
+	if got, want := c.Sum(), int64(total*(total-1)/2*time.Microsecond); got != want {
+		t.Fatalf("sum: got %d want %d", got, want)
+	}
 	s := c.Snapshot()
 	var n int64
 	for _, b := range s.buckets {

@@ -183,8 +183,8 @@ func (db *DB) metricsOf(stores []*store) Metrics {
 		m.TablesQuarantined += st.corrQuarantined.Load()
 		m.ScrubBlocks += st.scrubBlocks.Load()
 		m.NoSpaceErrors += st.bgNoSpace.Load()
-		m.CommitGroups += st.commitGroups.Load()
-		m.CommitBatches += st.commitBatches.Load()
+		m.CommitGroups += st.groupSize.Count()
+		m.CommitBatches += st.groupSize.Sum()
 		m.CommitWait += time.Duration(st.commitWait.Load())
 		group.Merge(st.groupSize.Snapshot())
 	}
@@ -249,8 +249,8 @@ func (db *DB) SampleCumulative() metrics.Cumulative {
 		_, hits, misses := st.cache.HitRate()
 		c.CacheHits += hits
 		c.CacheLookups += hits + misses
-		c.CommitGroups += st.commitGroups.Load()
-		c.CommitBatches += st.commitBatches.Load()
+		c.CommitGroups += st.groupSize.Count()
+		c.CommitBatches += st.groupSize.Sum()
 	}
 	for _, ls := range levels {
 		c.PerLevelWrite = append(c.PerLevelWrite, ls.WriteBytes)

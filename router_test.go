@@ -284,7 +284,7 @@ func TestCommitQueueIsSequenceOrdered(t *testing.T) {
 			// Group commit: the first writer to take a store's commitMu
 			// leads, and commits everything queued there as one group.
 			for i, st := range db.stores {
-				if g, b := st.commitGroups.Load(), st.commitBatches.Load(); g != 1 || b != int64(queues[i]) {
+				if g, b := st.groupSize.Count(), st.groupSize.Sum(); g != 1 || b != int64(queues[i]) {
 					t.Errorf("store %d: %d batches queued, committed as %d groups of %d batches in all; want one group",
 						i, queues[i], g, b)
 				}
@@ -383,7 +383,7 @@ func TestGCRewriteCannotUndoOpenWrite(t *testing.T) {
 	}()
 	waitFor(t, "shard 0's WAL append to block", blocked.Load)
 
-	committed := st.commitBatches.Load()
+	committed := st.groupSize.Sum()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -392,7 +392,7 @@ func TestGCRewriteCannotUndoOpenWrite(t *testing.T) {
 		counting.Store(false)
 	}()
 	waitFor(t, "the collector's first rewrite to commit", func() bool {
-		return st.commitBatches.Load() > committed
+		return st.groupSize.Sum() > committed
 	})
 	openGate()
 	wg.Wait()

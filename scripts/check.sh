@@ -98,9 +98,12 @@ stage "memtable: one writer beside lock-free readers (-race)"
 # contract, not only the full gate's race suite.
 go test -race -count=5 -run TestConcurrentReadDuringWrite ./internal/memtable
 
-stage "open-loop golden"
-# The judge of ROADMAP item 3 (the cascade off the writer), about 7 s.
-go test -count=1 -run 'TestAllExperimentsEndToEnd/openloop$' ./internal/harness
+stage "harness: open-loop golden and environment helpers"
+# The open-loop golden is the judge of ROADMAP item 3 (the cascade off
+# the writer), about 7 s.  The two tests beside it take well under a
+# second: an experiment returns its store's Close error, and every
+# YCSB op kind, a scan included, runs through the environment.
+go test -count=1 -run 'TestAllExperimentsEndToEnd/openloop$|TestExperimentReportsClose|TestEnvWorkloads' ./internal/harness
 
 stage "examples"
 # Each example opens a store in a temp directory of its own, drives it and

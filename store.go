@@ -98,13 +98,13 @@ type store struct {
 	userBytes atomic.Int64 // total key+value bytes written
 	putOps    atomic.Int64 // records committed (sequence numbers consumed)
 
-	stallCount    atomic.Int64
-	stallNanos    atomic.Int64
-	walRotations  atomic.Int64
-	commitGroups  atomic.Int64
-	commitBatches atomic.Int64
-	commitWait    atomic.Int64
-	groupSize     *histogram.Concurrent
+	stallCount   atomic.Int64
+	stallNanos   atomic.Int64
+	walRotations atomic.Int64
+	commitWait   atomic.Int64
+	// groupSize records each commit group's batch count: its Count is
+	// the groups committed and its Sum the batches.
+	groupSize *histogram.Concurrent
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -573,8 +573,6 @@ func (st *store) commitGroup(group []*commitOp) (rotated bool) {
 	asp.SetCount(applied)
 	asp.End()
 
-	st.commitGroups.Add(1)
-	st.commitBatches.Add(int64(len(group)))
 	st.groupSize.Record(time.Duration(len(group)))
 	sp.SetBytes(user)
 	sp.End()
